@@ -12,7 +12,7 @@ import (
 //
 //   - *Store — the filesystem store in this package, coordinating
 //     processes that share one directory (rename atomicity, O_APPEND
-//     journal, O_EXCL leases);
+//     journal, link-published leases);
 //   - storenet.Client — the same contract spoken over HTTP to a
 //     `stored` daemon, so fleets spanning hosts share one store.
 //

@@ -63,6 +63,7 @@ func Run(t *testing.T, open func(t *testing.T) Harness) {
 	t.Run("IndexAndLen", func(t *testing.T) { testIndexAndLen(t, open(t)) })
 	t.Run("LeaseExclusive", func(t *testing.T) { testLeaseExclusive(t, open(t)) })
 	t.Run("LeaseExpirySteal", func(t *testing.T) { testLeaseExpirySteal(t, open(t)) })
+	t.Run("LeaseHammer", func(t *testing.T) { testLeaseHammer(t, open(t)) })
 	t.Run("CorruptBlobIsMissAndHeals", func(t *testing.T) { testCorrupt(t, open(t)) })
 	t.Run("MixedContainerHeal", func(t *testing.T) { testMixedContainerHeal(t, open(t)) })
 	t.Run("GCBoundsTheStore", func(t *testing.T) { testGC(t, open(t)) })
@@ -249,6 +250,52 @@ func testLeaseExpirySteal(t *testing.T, h Harness) {
 	}
 	if err := b.Release(); err != nil {
 		t.Fatalf("stealer release: %v", err)
+	}
+}
+
+// testLeaseHammer races many claimants for one digest at a TTL no run
+// outlives: exactly one may win, and since no lease ever expires, none
+// may report a steal. A claimant that reads the winner's lease before it
+// is fully written must see it as busy, not as garbage to steal.
+func testLeaseHammer(t *testing.T, h Harness) {
+	const claimants = 16
+	d := Key(t, 22).Digest
+	var (
+		wg      sync.WaitGroup
+		start   = make(chan struct{})
+		mu      sync.Mutex
+		winners []store.LeaseHandle
+	)
+	for i := 0; i < claimants; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			l, ok, err := h.Backend.TryAcquire(d, fmt.Sprintf("claimant-%d", i), time.Hour)
+			if err != nil {
+				t.Errorf("claimant %d: %v", i, err)
+				return
+			}
+			if ok {
+				mu.Lock()
+				winners = append(winners, l)
+				mu.Unlock()
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if len(winners) != 1 {
+		t.Fatalf("%d claimants won a live lease, want exactly 1", len(winners))
+	}
+	if winners[0].Stolen() {
+		t.Fatal("the only winner reports a steal, but no lease ever expired")
+	}
+	if owner, held := h.Backend.LeaseHolder(d); !held || owner != winners[0].Owner() {
+		t.Fatalf("LeaseHolder = (%q, %v), want (%q, true)", owner, held, winners[0].Owner())
+	}
+	if err := winners[0].Release(); err != nil {
+		t.Fatalf("release: %v", err)
 	}
 }
 

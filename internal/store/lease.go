@@ -10,19 +10,21 @@ import (
 	"time"
 )
 
-// Advisory shard leases. A lease is a `<digest>.lease` file created with
-// O_CREATE|O_EXCL — the filesystem arbitrates exactly one winner per
-// digest, across goroutines and across processes — holding the owner's
-// id and an expiry. A holder renews while it works; anyone finding an
-// expired (or unparseable) lease may steal it, so a crashed holder
-// blocks a shard for at most one TTL.
+// Advisory shard leases. A lease is a `<digest>.lease` file published by
+// staging its content in a temp file and hard-linking it into place —
+// the filesystem arbitrates exactly one winner per digest, across
+// goroutines and across processes, and the file is never visible
+// half-written — holding the owner's id and an expiry. A holder renews
+// while it works; anyone finding an expired (or unparseable) lease may
+// steal it, so a crashed holder blocks a shard for at most one TTL. A
+// live lease is never stolen.
 //
 // Leases are coordination, not correctness: campaigns are deterministic,
 // so the worst a lease race can cause is duplicated work writing
 // identical bytes. That keeps the protocol honest about its one
-// documented window — two stealers of the same expired lease can, in a
-// narrow interleaving, both believe they won; both then compute the same
-// shard and Put the same blob. fleet.Sweep's claim loop rides on this:
+// documented window, which only an expired lease opens — two stealers
+// of the same expired lease can, in a narrow interleaving, both believe
+// they won; both then compute the same shard and Put the same blob. fleet.Sweep's claim loop rides on this:
 // claim before compute, wait (and poll the store) when a live peer holds
 // the shard, steal when the holder's lease has expired.
 
@@ -117,37 +119,28 @@ func tryAcquirePath(path, owner string, ttl time.Duration) (*Lease, bool, error)
 	stolen := false
 	token := newHandleID()
 	for attempt := 0; attempt < 8; attempt++ {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err == nil {
-			data, merr := json.Marshal(leaseFile{
-				Owner: owner, Token: token, ExpiresUnixNs: time.Now().Add(ttl).UnixNano(),
-			})
-			if merr == nil {
-				_, merr = f.Write(data)
-			}
-			f.Close()
-			if merr != nil {
-				os.Remove(path)
-				return nil, false, fmt.Errorf("store: lease %s: %w", path, merr)
-			}
-			return &Lease{path: path, owner: owner, token: token, stolen: stolen}, true, nil
+		ok, err := publishLease(path, leaseFile{
+			Owner: owner, Token: token, ExpiresUnixNs: time.Now().Add(ttl).UnixNano(),
+		})
+		if err != nil {
+			return nil, false, err
 		}
-		if !os.IsExist(err) {
-			return nil, false, fmt.Errorf("store: lease %s: %w", path, err)
+		if ok {
+			return &Lease{path: path, owner: owner, token: token, stolen: stolen}, true, nil
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			if os.IsNotExist(err) {
-				continue // released between the create attempt and the read
+				continue // released between the publish attempt and the read
 			}
 			return nil, false, fmt.Errorf("store: lease %s: %w", path, err)
 		}
 		var lf leaseFile
 		if json.Unmarshal(data, &lf) != nil || time.Now().UnixNano() >= lf.ExpiresUnixNs {
-			// Expired or garbage: steal. The remove-then-recreate is the
-			// documented advisory window — a fresh claimant between our
-			// read and remove loses its lease and the shard computes
-			// twice, identically.
+			// Expired or garbage: steal. The remove-then-republish is the
+			// documented advisory window — a second stealer of the same
+			// expired lease, between our read and remove, loses its fresh
+			// lease and the shard computes twice, identically.
 			os.Remove(path)
 			stolen = true
 			continue
@@ -157,6 +150,39 @@ func tryAcquirePath(path, owner string, ttl time.Duration) (*Lease, bool, error)
 	// Pathological churn (create/steal racing in a tight loop): report
 	// busy rather than spinning; the caller's claim loop retries.
 	return nil, false, nil
+}
+
+// publishLease makes lf the lease at path if none exists, reporting
+// false when one does. The content is staged in a temp file and
+// hard-linked into place, so the lease appears complete or not at all:
+// a claimant can never read a half-written live lease, take it for
+// garbage and steal it. link(2) fails with EEXIST when path exists,
+// which is the same exclusive-create arbitration O_EXCL gives.
+func publishLease(path string, lf leaseFile) (bool, error) {
+	data, err := json.Marshal(lf)
+	if err != nil {
+		return false, fmt.Errorf("store: lease %s: %w", path, err)
+	}
+	dir, base := filepath.Split(path)
+	tmp, err := os.CreateTemp(dir, tmpPrefix+base+"-*")
+	if err != nil {
+		return false, fmt.Errorf("store: lease %s: %w", path, err)
+	}
+	defer os.Remove(tmp.Name())
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return false, fmt.Errorf("store: lease %s: %w", path, err)
+	}
+	if err := os.Link(tmp.Name(), path); err != nil {
+		if os.IsExist(err) {
+			return false, nil
+		}
+		return false, fmt.Errorf("store: lease %s: %w", path, err)
+	}
+	return true, nil
 }
 
 // Renew extends the lease to now+ttl. The content is replaced via a

@@ -95,8 +95,8 @@
 // # Leases
 //
 // Lease endpoints expose the store's compare-and-swap claims. The
-// server arbitrates with the same O_CREATE|O_EXCL files local sweeps
-// use, so local processes sharing the daemon's directory and remote
+// server arbitrates with the same link-published lease files local
+// sweeps use, so local processes sharing the daemon's directory and remote
 // clients interoperate in one fleet. Acquire returns a per-acquisition
 // token; renew and release round-trip it and the server verifies it
 // against the on-disk lease (store.AttachLease), which keeps the daemon

@@ -423,7 +423,7 @@ func (s *Server) handleLeasePeek(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLeaseAcquire is the compare-and-swap claim: exactly one caller
-// per digest wins (the store's O_EXCL file arbitrates, across local
+// per digest wins (the store's link-published lease file arbitrates, across local
 // processes and remote clients alike). Busy returns 409 with the live
 // holder so schedulers can plan around it.
 func (s *Server) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
