@@ -48,9 +48,9 @@
 // thread that drives the real benchmark.
 //
 // Warm-up and phase-1 kernels stream their iteration timings into
-// reusable Welford accumulators (see gpu.StreamStats) rather than
-// materialising per-iteration traces; only the phase-3 benchmark kernel
-// keeps its full trace for evaluation.
+// reusable Welford accumulators (see gpu.MomentSink and gpu.TailSink)
+// rather than materialising per-iteration traces; only the phase-3
+// benchmark kernel keeps its full trace for evaluation.
 package golatest
 
 import (

@@ -27,11 +27,13 @@ type Runner struct {
 	cfg Config
 	rng *clock.Rand
 
-	// sink is the reusable streaming-statistics sink for the warm-up and
-	// phase-1 kernels, which only need summary statistics and therefore
-	// skip trace materialisation. One per runner: the single host thread
-	// that advances virtual time is also the only sink writer.
-	sink *gpu.StreamStats
+	// moments and tails are the reusable streaming sinks of the phase-1
+	// and warm-up kernels, which only need summary statistics and
+	// therefore skip trace materialisation. One of each per runner: the
+	// single host thread that advances virtual time is also the only
+	// sink writer.
+	moments *gpu.MomentSink
+	tails   *gpu.TailSink
 
 	// captureHintNs is the effective capture bound (config hint or probe
 	// result), mutable because adaptive retry may grow it.
@@ -54,7 +56,8 @@ func NewRunner(dev *nvml.Device, cfg Config) (*Runner, error) {
 		ctx:           ctx,
 		cfg:           cfg,
 		rng:           clock.NewRand(cfg.Seed, 0x72756e6e6572), // "runner"
-		sink:          gpu.NewStreamStats(warmTailWindow),
+		moments:       new(gpu.MomentSink),
+		tails:         gpu.NewTailSink(warmTailWindow),
 		captureHintNs: cfg.MaxLatencyHintNs,
 	}, nil
 }
@@ -97,7 +100,8 @@ func (r *Runner) replicaRunner(pair Pair) (*Runner, error) {
 		ctx:           ctx,
 		cfg:           r.cfg,
 		rng:           clock.NewRand(r.cfg.Seed, pairTag(0x72756e6e6572, pair)),
-		sink:          gpu.NewStreamStats(warmTailWindow),
+		moments:       new(gpu.MomentSink),
+		tails:         gpu.NewTailSink(warmTailWindow),
 		captureHintNs: r.captureHintNs,
 	}, nil
 }
@@ -212,19 +216,19 @@ func (r *Runner) Phase1() (*Phase1Result, error) {
 		settled := false
 		for k := 0; k < maxRounds; k++ {
 			// Warm kernels only feed summary statistics, so they stream
-			// through the runner's Welford sink instead of materialising
+			// through the runner's moment sink instead of materialising
 			// their iteration traces.
-			r.sink.Reset()
+			r.moments.Reset()
 			if _, err := r.ctx.LaunchKernelWithSink(gpu.KernelSpec{
 				Iters:         r.cfg.ItersPerKernel,
 				CyclesPerIter: cycles,
 				Blocks:        r.cfg.Blocks,
-			}, r.sink); err != nil {
+			}, r.moments); err != nil {
 				return nil, fmt.Errorf("core: phase 1 launch at %v MHz: %w", f, err)
 			}
 			r.ctx.DeviceSynchronize()
 			if k+1 >= r.cfg.WarmKernels &&
-				math.Abs(r.sink.MeanStd().Mean-nominalMs) < 0.02*nominalMs {
+				math.Abs(r.moments.MeanStd().Mean-nominalMs) < 0.02*nominalMs {
 				settled = true
 				break
 			}
@@ -236,8 +240,8 @@ func (r *Runner) Phase1() (*Phase1Result, error) {
 		// The sink still holds the last warm kernel's moments.
 		res.Stats[f] = FreqStats{
 			FreqMHz:   f,
-			Iter:      r.sink.MeanStd(),
-			Normalish: plausiblyNormal(r.sink.Skewness(), r.sink.ExcessKurtosis()),
+			Iter:      r.moments.MeanStd(),
+			Normalish: plausiblyNormal(r.moments.Skewness(), r.moments.ExcessKurtosis()),
 		}
 	}
 
@@ -320,21 +324,22 @@ func (r *Runner) ensureInitialClock(initStat stats.MeanStd, cycles, iterInitNs f
 	warmIters := int(warmNs/iterInitNs) + 1
 	const rounds = 5
 	for attempt := 0; attempt < rounds; attempt++ {
-		// Warm kernels stream into the reusable sink: the check below only
-		// needs each block's tail-window statistics, so the full trace
-		// (warmIters × blocks IterSamples per round) is never allocated.
-		r.sink.Reset()
+		// Warm kernels stream into the reusable tail sink: the check below
+		// only needs each block's tail-window statistics, so the full
+		// trace (warmIters × blocks IterSamples per round) is never
+		// allocated and iterations before the tail are never delivered.
+		r.tails.Reset()
 		if _, err := r.ctx.LaunchKernelWithSink(gpu.KernelSpec{
 			Iters: warmIters, CyclesPerIter: cycles, Blocks: r.cfg.Blocks,
-		}, r.sink); err != nil {
+		}, r.tails); err != nil {
 			return err
 		}
 		r.ctx.DeviceSynchronize()
 
 		// Compare the tail of each block against the init population.
 		stable := true
-		for b := 0; b < r.sink.NumBlocks(); b++ {
-			tail := r.sink.BlockTail(b)
+		for b := 0; b < r.tails.NumBlocks(); b++ {
+			tail := r.tails.BlockTail(b)
 			if math.Abs(tail.Mean-initStat.Mean) >= r.cfg.RelTolerance*initStat.Mean {
 				stable = false
 				break

@@ -50,6 +50,10 @@ func BenchmarkTimelineLookups(b *testing.B) {
 	}
 }
 
+// deviceTimeSink keeps BenchmarkDeviceTimeAt's result live, so the
+// compiler cannot remove the call it measures.
+var deviceTimeSink int64
+
 // BenchmarkDeviceTimeAt measures the timestamp conversion used for every
 // recorded iteration boundary.
 func BenchmarkDeviceTimeAt(b *testing.B) {
@@ -67,6 +71,36 @@ func BenchmarkDeviceTimeAt(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.DeviceTimeAt(int64(i) * 1013)
+		deviceTimeSink = d.DeviceTimeAt(int64(i) * 1013)
 	}
+}
+
+// BenchmarkWarmKernelStreamed measures the shape that dominates a
+// campaign's simulation time: back-to-back warm-up kernels streaming into
+// a tail-window sink, which is delivered only each block's last 100
+// iterations. It reports host nanoseconds per simulated iteration.
+func BenchmarkWarmKernelStreamed(b *testing.B) {
+	const iters, blocks = 2000, 4
+	d, err := New(Config{
+		Name:     "bench-gpu",
+		SMCount:  blocks,
+		FreqsMHz: []float64{600, 1200},
+		Latency:  fixedModel{bus: 50_000, dur: 10_000_000},
+		Seed:     1,
+	}, clock.New())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sink := NewTailSink(100)
+	spec := KernelSpec{Iters: iters, CyclesPerIter: 150_000, Blocks: blocks}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink.Reset()
+		if _, err := d.LaunchWithSink(spec, sink); err != nil {
+			b.Fatal(err)
+		}
+		d.Synchronize()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*iters*blocks), "ns/iter")
 }

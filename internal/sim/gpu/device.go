@@ -341,33 +341,69 @@ func (d *Device) materialize(k *Kernel) {
 // runSM executes the iteration loop of one SM-resident block, recording
 // quantised device timestamps for every iteration, and returns the host
 // time at which the block finished. Timings either accumulate into the
-// kernel's sample matrix or stream into its sink.
+// kernel's sample matrix or stream into its sink, from the first
+// iteration the sink asks for.
+//
+// Every iteration draws its jitter and advances host time whether or not
+// it is delivered, so the block's timing and the random stream never
+// depend on what the consumer reads. Each delivered boundary is
+// converted to device time once: the end of iteration i is the start of
+// i+1.
+//
+// Past the wake window the loop caches the current timeline segment's
+// end and cycles-per-ns rate, and an iteration that finishes inside it
+// costs one division — the same float operations, in the same order, as
+// integrate's first step, so the durations are bit-identical. An
+// iteration that starts inside the wake window or crosses a segment
+// boundary takes the full integrate walk.
 func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand) int64 {
 	iters := k.spec.Iters
 	var samples []IterSample
+	from := 0
 	if k.sink == nil {
 		samples = make([]IterSample, iters)
 	} else {
-		k.sink.BlockStart(sm, iters)
+		from = k.sink.BlockStart(sm, iters)
 	}
 	cur := d.tl.cursor()
 	speed := d.smSpeed[sm]
 	t := start
+	var devT int64 // device time of t, once i > from
+	// segEnd and rate describe the cached segment, valid while
+	// wakeEnd <= t < segEnd; the timeline and clamp are fixed while a
+	// kernel materialises.
+	segEnd, rate := int64(math.MinInt64), 0.0
 	for i := 0; i < iters; i++ {
 		jitter := r.Normal(1, d.cfg.IterJitterSigma)
 		if jitter < 0.5 {
 			jitter = 0.5 // guard the pathological tail; keeps time positive
 		}
 		cycles := k.spec.CyclesPerIter * jitter
-		dur := d.integrate(t, cycles, speed, wakeEnd, &cur)
-		s := IterSample{
-			StartNs: d.DeviceTimeAt(t),
-			EndNs:   d.DeviceTimeAt(t + dur),
+		if t >= wakeEnd && t >= segEnd {
+			var f float64
+			f, segEnd = cur.freqAt(t)
+			if d.clampMHz > 0 && f > d.clampMHz {
+				f = d.clampMHz
+			}
+			rate = f * speed / 1000
 		}
-		if k.sink == nil {
-			samples[i] = s
+		var dur int64
+		if t >= wakeEnd && (segEnd == math.MaxInt64 || cycles <= float64(segEnd-t)*rate) {
+			dur = roundNs(cycles / rate)
 		} else {
-			k.sink.Sample(sm, i, s)
+			dur = d.integrate(t, cycles, speed, wakeEnd, &cur)
+		}
+		if i >= from {
+			if i == from {
+				devT = d.DeviceTimeAt(t)
+			}
+			s := IterSample{StartNs: devT, EndNs: d.DeviceTimeAt(t + dur)}
+			devT = s.EndNs
+			if k.sink == nil {
+				samples[i] = s
+			} else {
+				k.sink.Sample(sm, i, s)
+			}
 		}
 		t += dur
 	}
@@ -409,6 +445,12 @@ func (d *Device) integrate(t int64, cycles, speed float64, wakeEnd int64, cur *c
 		remaining -= span * rate
 		t = segEnd
 	}
+	return roundNs(elapsed)
+}
+
+// roundNs rounds an iteration's elapsed host time to whole nanoseconds,
+// never below one.
+func roundNs(elapsed float64) int64 {
 	if elapsed < 1 {
 		elapsed = 1
 	}

@@ -9,40 +9,54 @@ import (
 
 // TestStreamStatsMatchesMaterialised pins the core equivalence of the
 // streaming path: the same kernel on an identically seeded device must
-// yield bit-identical overall statistics whether its iterations are
-// materialised and flattened or streamed through a StreamStats sink.
+// yield the statistics of its materialised trace whether it streams
+// through the phase-1 MomentSink or the warm-up TailSink, and the same
+// kernel timing either way.
 func TestStreamStatsMatchesMaterialised(t *testing.T) {
 	spec := KernelSpec{Iters: 400, CyclesPerIter: 90_000, Blocks: 3}
-
-	matDev, _ := newTestDevice(t, testConfig())
-	km, err := matDev.Launch(spec)
-	if err != nil {
-		t.Fatal(err)
+	launch := func(sink SampleSink) *Kernel {
+		t.Helper()
+		dev, _ := newTestDevice(t, testConfig())
+		k, err := dev.LaunchWithSink(spec, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dev.Synchronize()
+		return k
 	}
-	matDev.Synchronize()
+	km := launch(nil)
+	moments := new(MomentSink)
+	kMoments := launch(moments)
+	tails := NewTailSink(100)
+	kTails := launch(tails)
 
-	sinkDev, _ := newTestDevice(t, testConfig())
-	sink := NewStreamStats(100)
-	ks, err := sinkDev.LaunchWithSink(spec, sink)
-	if err != nil {
-		t.Fatal(err)
+	for _, k := range []*Kernel{kMoments, kTails} {
+		if km.StartNs() != k.StartNs() || km.EndNs() != k.EndNs() {
+			t.Fatal("sink kernel timing diverged from materialised kernel")
+		}
 	}
-	sinkDev.Synchronize()
 
-	want := stats.Describe(km.DurationsMs())
-	got := sink.MeanStd()
-	if want != got {
+	durs := km.DurationsMs()
+	if want, got := stats.Describe(durs), moments.MeanStd(); want != got {
 		t.Fatalf("streamed stats %+v != materialised %+v", got, want)
 	}
-	if km.StartNs() != ks.StartNs() || km.EndNs() != ks.EndNs() {
-		t.Fatal("sink kernel timing diverged from materialised kernel")
+	if moments.N() != len(durs) {
+		t.Fatalf("moment sink N = %d, want %d", moments.N(), len(durs))
+	}
+	// Streamed skewness/kurtosis must agree with the two-pass slice
+	// versions to floating-point accuracy.
+	if g1, want := moments.Skewness(), stats.Skewness(durs); math.Abs(g1-want) > 1e-9*math.Abs(want)+1e-12 {
+		t.Fatalf("skewness %v, want %v", g1, want)
+	}
+	if g2, want := moments.ExcessKurtosis(), stats.ExcessKurtosis(durs); math.Abs(g2-want) > 1e-9*math.Abs(want)+1e-12 {
+		t.Fatalf("kurtosis %v, want %v", g2, want)
 	}
 
 	// Per-block tails must match the "last 100, at most trailing half"
 	// window applied to the materialised trace.
 	blocks := km.Samples()
-	if sink.NumBlocks() != len(blocks) {
-		t.Fatalf("sink blocks = %d, want %d", sink.NumBlocks(), len(blocks))
+	if tails.NumBlocks() != len(blocks) {
+		t.Fatalf("sink blocks = %d, want %d", tails.NumBlocks(), len(blocks))
 	}
 	for b, block := range blocks {
 		tailStart := len(block) - 100
@@ -53,19 +67,85 @@ func TestStreamStatsMatchesMaterialised(t *testing.T) {
 		for _, it := range block[tailStart:] {
 			acc.Add(float64(it.DurNs()) / 1e6)
 		}
-		if acc.MeanStd() != sink.BlockTail(b) {
-			t.Fatalf("block %d tail diverged: %+v vs %+v", b, sink.BlockTail(b), acc.MeanStd())
+		if acc.MeanStd() != tails.BlockTail(b) {
+			t.Fatalf("block %d tail diverged: %+v vs %+v", b, tails.BlockTail(b), acc.MeanStd())
 		}
 	}
+}
 
-	// Streamed skewness/kurtosis must agree with the two-pass slice
-	// versions to floating-point accuracy.
-	durs := km.DurationsMs()
-	if g1, want := sink.Skewness(), stats.Skewness(durs); math.Abs(g1-want) > 1e-9*math.Abs(want)+1e-12 {
-		t.Fatalf("skewness %v, want %v", g1, want)
+// recordingSink asks for the iterations from a per-block start and
+// records every delivery.
+type recordingSink struct {
+	t    *testing.T
+	from func(block, iters int) int
+	want []int // per block: the next iteration expected
+	got  [][]IterSample
+}
+
+func (s *recordingSink) BlockStart(block, iters int) int {
+	from := s.from(block, iters)
+	s.want = append(s.want, from)
+	s.got = append(s.got, nil)
+	return from
+}
+
+func (s *recordingSink) Sample(block, iter int, smp IterSample) {
+	if iter != s.want[block] {
+		s.t.Fatalf("block %d: got iteration %d, want %d", block, iter, s.want[block])
 	}
-	if g2, want := sink.ExcessKurtosis(), stats.ExcessKurtosis(durs); math.Abs(g2-want) > 1e-9*math.Abs(want)+1e-12 {
-		t.Fatalf("kurtosis %v, want %v", g2, want)
+	s.want[block]++
+	s.got[block] = append(s.got[block], smp)
+}
+
+func (s *recordingSink) BlockEnd(block int) {}
+
+// TestSinkDeliversFromBlockStart checks the sink contract: no Sample
+// arrives before the iteration BlockStart returned, every later one
+// arrives in order, and each delivered sample is the materialised
+// trace's — on a kernel that starts in the wake window and crosses a
+// ramped transition, with the first wanted iteration inside, after and
+// at both ends of those.
+func TestSinkDeliversFromBlockStart(t *testing.T) {
+	cfg := testConfig()
+	cfg.WakeDelayNs = 3_000_000
+	cfg.RampSteps = 2
+	cfg.ClockOffsetNs = -5_000_000
+	cfg.ClockDriftPPM = 3
+	spec := KernelSpec{Iters: 300, CyclesPerIter: 120_000, Blocks: 4}
+	run := func(sink SampleSink) *Kernel {
+		t.Helper()
+		dev, clk := newTestDevice(t, cfg)
+		k, err := dev.LaunchWithSink(spec, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(6_000_000)
+		if _, err := dev.SetFrequency(600); err != nil {
+			t.Fatal(err)
+		}
+		dev.Synchronize()
+		return k
+	}
+	ref := run(nil)
+	froms := []int{0, 5, 150, spec.Iters}
+	sink := &recordingSink{t: t, from: func(block, iters int) int { return froms[block] }}
+	k := run(sink)
+	if k.EndNs() != ref.EndNs() {
+		t.Fatalf("kernel end %d, want %d", k.EndNs(), ref.EndNs())
+	}
+	for b, block := range ref.Samples() {
+		if sink.want[b] != len(block) {
+			t.Fatalf("block %d: delivery stopped at %d of %d", b, sink.want[b], len(block))
+		}
+		want := block[froms[b]:]
+		if len(sink.got[b]) != len(want) {
+			t.Fatalf("block %d: %d samples, want %d", b, len(sink.got[b]), len(want))
+		}
+		for i := range want {
+			if sink.got[b][i] != want[i] {
+				t.Fatalf("block %d iteration %d: %+v, want %+v", b, froms[b]+i, sink.got[b][i], want[i])
+			}
+		}
 	}
 }
 
@@ -73,7 +153,7 @@ func TestStreamStatsMatchesMaterialised(t *testing.T) {
 // trace to return.
 func TestSinkKernelSamplesPanics(t *testing.T) {
 	dev, _ := newTestDevice(t, testConfig())
-	k, err := dev.LaunchWithSink(KernelSpec{Iters: 10, CyclesPerIter: 50_000, Blocks: 1}, NewStreamStats(0))
+	k, err := dev.LaunchWithSink(KernelSpec{Iters: 10, CyclesPerIter: 50_000, Blocks: 1}, NewTailSink(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,21 +166,31 @@ func TestSinkKernelSamplesPanics(t *testing.T) {
 	_ = k.Samples()
 }
 
-// TestStreamStatsReset checks a sink can be reused across kernels.
+// TestStreamStatsReset checks both sinks can be reused across kernels.
 func TestStreamStatsReset(t *testing.T) {
 	dev, _ := newTestDevice(t, testConfig())
-	sink := NewStreamStats(0)
+	moments, tails := new(MomentSink), NewTailSink(0)
+	spec := KernelSpec{Iters: 50, CyclesPerIter: 50_000, Blocks: 2}
 	for round := 0; round < 3; round++ {
-		sink.Reset()
-		if _, err := dev.LaunchWithSink(KernelSpec{Iters: 50, CyclesPerIter: 50_000, Blocks: 2}, sink); err != nil {
+		moments.Reset()
+		tails.Reset()
+		if _, err := dev.LaunchWithSink(spec, moments); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dev.LaunchWithSink(spec, tails); err != nil {
 			t.Fatal(err)
 		}
 		dev.Synchronize()
-		if sink.N() != 100 {
-			t.Fatalf("round %d: N = %d, want 100", round, sink.N())
+		if moments.N() != 100 {
+			t.Fatalf("round %d: N = %d, want 100", round, moments.N())
 		}
-		if sink.NumBlocks() != 2 {
-			t.Fatalf("round %d: blocks = %d", round, sink.NumBlocks())
+		if tails.NumBlocks() != 2 {
+			t.Fatalf("round %d: blocks = %d", round, tails.NumBlocks())
+		}
+		for b := 0; b < 2; b++ {
+			if n := tails.BlockTail(b).N; n != 25 {
+				t.Fatalf("round %d block %d: tail N = %d, want 25", round, b, n)
+			}
 		}
 	}
 }
