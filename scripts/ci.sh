@@ -24,16 +24,24 @@ go build -o /dev/null ./cmd/storedsup
 echo "== go test =="
 go test ./...
 
-echo "== gofmt (internal/obs) =="
-# The tracing layer is the newest package; hold it to gofmt-clean so
-# drive-by edits to the hot span path can't land unformatted.
-unformatted=$(gofmt -l internal/obs)
+echo "== gofmt (internal/obs, internal/sim, internal/core) =="
+# The tracing layer and the simulator/measurement hot paths are held to
+# gofmt-clean so drive-by edits to the hot span path or the iteration
+# loop can't land unformatted.
+unformatted=$(gofmt -l internal/obs internal/sim internal/core)
 if [ -n "$unformatted" ]; then
 	echo "gofmt: needs formatting:" >&2
 	echo "$unformatted" >&2
 	exit 1
 fi
 go vet ./internal/obs/...
+
+echo "== sweep partition tests (-count 5) =="
+# Each shard must be written exactly once across processes and hosts. A
+# lease race shows up only in some interleavings, so one lucky pass
+# proves little: run the four partition tests five times each.
+go test -count 5 -run 'TestCrossProcessSweepPartition|TestCrossHostSweepPartition' ./cmd/experiments
+go test -count 5 -run 'TestCrossHostSweepPartition|TestCrossHostSweepPartitionMixedV1V2' ./internal/storenet
 
 echo "== go test -race (store, fleet, storenet) =="
 go test -race ./internal/obs/... ./internal/store/... ./internal/fleet/... ./internal/storenet/... ./cmd/stored/...
