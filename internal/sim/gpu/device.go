@@ -339,10 +339,10 @@ func (d *Device) materialize(k *Kernel) {
 }
 
 // runSM executes the iteration loop of one SM-resident block, recording
-// quantised device timestamps for every iteration, and returns the host
-// time at which the block finished. Timings either accumulate into the
-// kernel's sample matrix or stream into its sink, from the first
-// iteration the sink asks for.
+// quantised device timestamps for every delivered iteration, and returns
+// the host time at which the block finished. Timings either accumulate
+// into the kernel's sample matrix (every iteration) or stream into its
+// sink (from the first iteration the sink asks for).
 //
 // Every iteration draws its jitter and advances host time whether or not
 // it is delivered, so the block's timing and the random stream never
@@ -368,7 +368,7 @@ func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand) i
 	cur := d.tl.cursor()
 	speed := d.smSpeed[sm]
 	t := start
-	var devT int64 // device time of t, once i > from
+	var devT int64 // device time of t, from the first delivered iteration on
 	// segEnd and rate describe the cached segment, valid while
 	// wakeEnd <= t < segEnd; the timeline and clamp are fixed while a
 	// kernel materialises.
