@@ -16,17 +16,18 @@ import (
 // goroutines and across processes, and the file is never visible
 // half-written — holding the owner's id and an expiry. A holder renews
 // while it works; anyone finding an expired (or unparseable) lease may
-// steal it, so a crashed holder blocks a shard for at most one TTL. A
-// live lease is never stolen.
+// steal it, so a crashed holder blocks a shard for at most one TTL.
 //
 // Leases are coordination, not correctness: campaigns are deterministic,
 // so the worst a lease race can cause is duplicated work writing
 // identical bytes. That keeps the protocol honest about its one
 // documented window, which only an expired lease opens — two stealers
 // of the same expired lease can, in a narrow interleaving, both believe
-// they won; both then compute the same shard and Put the same blob. fleet.Sweep's claim loop rides on this:
-// claim before compute, wait (and poll the store) when a live peer holds
-// the shard, steal when the holder's lease has expired.
+// they won; both then compute the same shard and Put the same blob.
+// While no lease expires, exactly one claimant wins and none steals.
+// fleet.Sweep's claim loop rides on this: claim before compute, wait
+// (and poll the store) when a live peer holds the shard, steal when the
+// holder's lease has expired.
 
 // leaseSuffix names lease files next to their blobs.
 const leaseSuffix = ".lease"
@@ -138,9 +139,10 @@ func tryAcquirePath(path, owner string, ttl time.Duration) (*Lease, bool, error)
 		var lf leaseFile
 		if json.Unmarshal(data, &lf) != nil || time.Now().UnixNano() >= lf.ExpiresUnixNs {
 			// Expired or garbage: steal. The remove-then-republish is the
-			// documented advisory window — a second stealer of the same
-			// expired lease, between our read and remove, loses its fresh
-			// lease and the shard computes twice, identically.
+			// documented advisory window — a fresh lease published between
+			// our read of the expired one and our remove (by another
+			// stealer, or by a claimant after the expired holder released)
+			// is lost, and the shard computes twice, identically.
 			os.Remove(path)
 			stolen = true
 			continue
