@@ -180,8 +180,8 @@ func IndexedBytes(entries []ManifestEntry) int64 {
 
 // IndexedRawBytes sums the recorded canonical (uncompressed) envelope
 // sizes; against IndexedBytes it yields the store's live compression
-// ratio without reading a single blob. Entries indexed before the v2
-// container (no recorded raw size) contribute zero.
+// ratio without reading a single blob. Entries with no recorded raw
+// size contribute zero.
 func IndexedRawBytes(entries []ManifestEntry) int64 {
 	var total int64
 	for _, e := range entries {

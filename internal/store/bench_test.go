@@ -141,9 +141,8 @@ func codecResult() *core.Result {
 
 // BenchmarkBlobEncode measures the streaming Put-path encode: result →
 // v3 binary body → pooled gzip, via pooled appender scratch — no
-// intermediate envelope materialisation. bench_smoke.sh tracks its
-// allocs/op and bytes/op against the encoding/json-era baseline
-// (BenchmarkBlobEncodeJSON is that old path, kept for the comparison).
+// intermediate envelope materialisation. bench_smoke.sh records its
+// allocs/op and bytes/op.
 func BenchmarkBlobEncode(b *testing.B) {
 	k, err := KeyFor("a100", 0, 42, testConfig())
 	if err != nil {
@@ -159,71 +158,15 @@ func BenchmarkBlobEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkBlobEncodeJSON is the superseded v2 encode path (result →
-// json.MarshalIndent envelope → pooled gzip): the baseline the v3
-// streaming encoder's alloc reduction is measured against.
-func BenchmarkBlobEncodeJSON(b *testing.B) {
-	k, err := KeyFor("a100", 0, 42, testConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	res := codecResult()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := encodeBlobTo(io.Discard, k, res); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkBlobDecode measures the warm-path decode of the v3
 // container (pooled gzip reader inflating into pooled scratch ahead of
-// the bounds-checked binary walk) — BenchmarkBlobDecodeV2 and
-// BenchmarkBlobDecodeV1 are the same payload in the legacy containers,
-// for the migration-era comparison.
+// the bounds-checked binary walk).
 func BenchmarkBlobDecode(b *testing.B) {
 	k, err := KeyFor("a100", 0, 42, testConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
 	data, err := EncodeBlobV3(k, codecResult())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ValidateBlob(data, k.Digest); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBlobDecodeV2(b *testing.B) {
-	k, err := KeyFor("a100", 0, 42, testConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	data, err := EncodeBlobCompressed(k, codecResult())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ValidateBlob(data, k.Digest); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBlobDecodeV1(b *testing.B) {
-	k, err := KeyFor("a100", 0, 42, testConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	data, err := EncodeBlob(k, codecResult())
 	if err != nil {
 		b.Fatal(err)
 	}

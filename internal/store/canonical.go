@@ -16,9 +16,9 @@ import (
 // by walking core.Result directly, through a pooled appender, without
 // ever materialising the storedResult intermediate or the encoded
 // []byte. The byte-for-byte equivalence with encoding/json is a hard
-// contract — v1 blobs on disk carry MarshalIndent's output, the digest
-// and ETag are defined over these bytes, and the v3 container records
-// their size — and is pinned by TestCanonicalWriterMatchesEncodingJSON
+// contract — the envelope has always been defined as MarshalIndent's
+// output, and the v3 container records the size of these bytes — and
+// is pinned by TestCanonicalWriterMatchesEncodingJSON
 // against the retained encoding/json reference (encodeEnvelope).
 //
 // Three encoding/json behaviours are replicated exactly:

@@ -203,8 +203,8 @@ func TestCanonicalWriterRejectsNonFiniteFloats(t *testing.T) {
 
 // TestV3RoundTrip: for every adversarial fixture, the v3 container
 // decodes back to a result whose canonical bytes are identical to the
-// original's — the invariant that makes v3 a pure re-containering of
-// the v1 contract — and the recorded RawBytes is the canonical size.
+// original's — the invariant that makes v3 a faithful carrier of the
+// canonical contract — and the recorded RawBytes is the canonical size.
 func TestV3RoundTrip(t *testing.T) {
 	k := Key{Digest: "cafe", Profile: "a100-sxm4", Instance: 2}
 	for name, res := range adversarialResults() {
@@ -217,7 +217,7 @@ func TestV3RoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ContainerOf(v3) != ContainerV3 {
+			if !hasV3Magic(v3) {
 				t.Fatal("EncodeBlobV3 did not produce the v3 container")
 			}
 			vb, err := ValidateBlobBytes(v3, k.Digest)
@@ -241,32 +241,6 @@ func TestV3RoundTrip(t *testing.T) {
 			if err != nil || !bytes.Equal(again, v3) {
 				t.Fatalf("EncodeBlobV3 is not deterministic (err=%v)", err)
 			}
-
-			// WriteCanonical recovers the exact canonical form from v3.
-			var buf bytes.Buffer
-			if err := WriteCanonical(&buf, v3); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), canon) {
-				t.Fatal("WriteCanonical(v3) diverges from the canonical bytes")
-			}
-
-			// WriteCanonicalCompressed yields the deterministic v2 view —
-			// byte-equal to EncodeBlobCompressed — from any container.
-			v2, err := EncodeBlobCompressed(k, res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, in := range [][]byte{v3, v2, canon} {
-				buf.Reset()
-				if err := WriteCanonicalCompressed(&buf, in); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(buf.Bytes(), v2) {
-					t.Fatalf("WriteCanonicalCompressed(%s) diverges from EncodeBlobCompressed",
-						ContainerOf(in))
-				}
-			}
 		})
 	}
 }
@@ -274,8 +248,8 @@ func TestV3RoundTrip(t *testing.T) {
 // TestV3NaNCanonicalization: NaN payload bits are not part of the
 // canonical contract (JSON spells every NaN "NaN"), so the v3 binary
 // section must canonicalize them — otherwise two results equal under
-// the digest would produce different v3 bytes and healing would never
-// converge.
+// the digest would produce different v3 bytes and identical writers
+// would not converge.
 func TestV3NaNCanonicalization(t *testing.T) {
 	k := Key{Digest: "cafe", Profile: "p", Instance: 0}
 	build := func(bits uint64) *core.Result {

@@ -19,13 +19,15 @@ import (
 	"golatest/internal/stats"
 )
 
-// f64 is a float64 that survives JSON: encoding/json rejects NaN and the
-// infinities, but campaign results legitimately contain them (e.g. a
-// Measurement.InjectedMs is NaN when the simulator could not attribute
-// the injection, and an empty population summarises to NaN). Non-finite
-// values encode as the strings "NaN", "+Inf" and "-Inf"; finite values
-// encode as the shortest decimal that round-trips the exact bit pattern,
-// so a decoded blob reproduces every sample bit for bit.
+// f64 is a float64 that survives the canonical JSON envelope:
+// encoding/json rejects NaN and the infinities, but campaign results
+// legitimately contain them (e.g. a Measurement.InjectedMs is NaN when
+// the simulator could not attribute the injection, and an empty
+// population summarises to NaN). Non-finite values encode as the strings
+// "NaN", "+Inf" and "-Inf"; finite values encode as the shortest decimal
+// that round-trips the exact bit pattern. Only the encode direction
+// exists: the envelope is rendered (to size RawBytes and as the
+// reference the renderer is pinned to), never parsed.
 type f64 float64
 
 func (f f64) MarshalJSON() ([]byte, error) {
@@ -41,58 +43,13 @@ func (f f64) MarshalJSON() ([]byte, error) {
 	return strconv.AppendFloat(nil, v, 'g', -1, 64), nil
 }
 
-// UnmarshalJSON parses the element directly (strconv, literal
-// comparisons) rather than recursing into json.Unmarshal: a blob holds
-// thousands of f64 elements, and a nested Unmarshal per element — with
-// its own scanner state — used to dominate the warm-path alloc count.
-func (f *f64) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '"' {
-		switch string(data) {
-		case `"NaN"`:
-			*f = f64(math.NaN())
-		case `"+Inf"`:
-			*f = f64(math.Inf(1))
-		case `"-Inf"`:
-			*f = f64(math.Inf(-1))
-		default:
-			// Slow path for escaped spellings (e.g. "NaN") a
-			// foreign encoder might emit; the canonical encoder never
-			// does, so this allocates only on alien blobs.
-			var s string
-			if err := json.Unmarshal(data, &s); err != nil {
-				return err
-			}
-			switch s {
-			case "NaN":
-				*f = f64(math.NaN())
-			case "+Inf":
-				*f = f64(math.Inf(1))
-			case "-Inf":
-				*f = f64(math.Inf(-1))
-			default:
-				return fmt.Errorf("store: invalid float string %q", s)
-			}
-		}
-		return nil
-	}
-	if string(data) == "null" {
-		return nil // the json.Unmarshaler convention: null is a no-op
-	}
-	v, err := strconv.ParseFloat(string(data), 64)
-	if err != nil {
-		return fmt.Errorf("store: invalid float %s: %w", data, err)
-	}
-	*f = f64(v)
-	return nil
-}
-
 // toF64s and fromF64s reinterpret a slice between float64 and f64
 // without copying. f64 is a defined type whose underlying type is
 // float64, so the two element layouts are identical by the language
-// spec; only the method set (the JSON codec) differs. Copy-free
+// spec; only the method set (the JSON encoding) differs. Copy-free
 // conversion is safe in both directions here: the encoder only reads
-// the aliased memory, and the decoder hands over slices that
-// encoding/json freshly allocated and nothing else references. The
+// the aliased memory, and the decoder hands over slices that the v3
+// reader freshly allocated and nothing else references. The
 // nil/empty distinction is preserved explicitly because the canonical
 // encoding distinguishes null from [].
 func toF64s(xs []float64) []f64 {
@@ -361,78 +318,48 @@ func decodeResult(sr storedResult) *core.Result {
 }
 
 // ErrInvalidBlob marks bytes that are not a valid blob for the digest
-// they were presented under: unparseable JSON, a broken or truncated
-// compressed stream, a foreign schema version, or a digest mismatch. It
-// distinguishes "these bytes are garbage" (reject, recompute) from I/O
-// failures; the network daemon maps it to 400 Bad Request.
+// they were presented under: anything but the v3 container (the legacy
+// plain-JSON and gzip-JSON blobs included), a broken or truncated
+// compressed stream, a malformed binary body, a foreign schema version,
+// or a digest mismatch. It distinguishes "these bytes are garbage"
+// (reject, recompute) from I/O failures; the network daemon maps it to
+// 400 Bad Request.
 var ErrInvalidBlob = errors.New("invalid blob")
 
-// Blob container formats. The canonical envelope — the storedBlob JSON
-// above, which the digest/ETag contract and SchemaVersion govern — is
-// unchanged since v1; what changed in v2 and again in v3 is only the
-// container those canonical bytes (or, for v3, their bit-exact binary
-// equivalent) travel and rest in:
-//
-//	v1: the canonical JSON bytes, verbatim (plain, uncompressed)
-//	v2: gzip(canonical JSON bytes)
-//	v3: magic ‖ gzip(binary body)            (see codecv3.go)
-//
-// The three are distinguished by their leading bytes: the gzip magic
-// (0x1f 0x8b), the v3 magic (0xB3 'G' 'L' '3'), and the canonical
-// envelope's '{' — ContainerOf is the single sniff every layer shares.
-// Readers accept all three; writers emit v3. Because the canonical
-// envelope — and therefore everything the digest covers — is identical
-// across containers, neither v2 nor v3 bumped SchemaVersion (the same
-// reasoning that kept the manifest journal at schema 1: the campaign
-// payload contract is untouched), which is what makes the migrations
-// transparent: a v1 or v2 blob still matches its digest, still
-// validates, and is re-written as v3 the first time it is read.
-const (
-	gzipMagic0 = 0x1f
-	gzipMagic1 = 0x8b
-)
-
-// IsGzipBlob sniffs the v2 (gzip) container. Most callers want the
-// three-way ContainerOf instead; this remains for the layers whose
-// question really is "is this byte stream a bare gzip member" (e.g.
-// HTTP Content-Encoding decisions).
-func IsGzipBlob(data []byte) bool {
-	return len(data) >= 2 && data[0] == gzipMagic0 && data[1] == gzipMagic1
-}
-
-// gzipBlobLevel is the compression level of every v2 container this
+// gzipBlobLevel is the compression level of every container this
 // process writes. One fixed level keeps the bytes deterministic (equal
-// key ⇒ equal result ⇒ equal canonical bytes ⇒ equal compressed bytes
-// for writers of the same build), so idempotent duplicate Puts still
-// converge byte-for-byte. DefaultCompression trades a few extra ms on
-// the (compute-dominated) cold path for the best ratio on the warm
-// paths every later read and transfer pays.
+// key ⇒ equal result ⇒ equal container bytes for writers of the same
+// build), so idempotent duplicate Puts still converge byte-for-byte.
+// DefaultCompression trades a few extra ms on the (compute-dominated)
+// cold path for the best ratio on the warm paths every later read and
+// transfer pays.
 const gzipBlobLevel = gzip.DefaultCompression
 
 // Codec pools: encode/decode run on every warm store hit and every
-// wire transfer, so the gzip state machines (~hundreds of KB each) and
-// the sniff readers are recycled instead of reallocated per call.
+// wire transfer, so the gzip state machines (~hundreds of KB each) are
+// recycled instead of reallocated per call.
 var (
 	gzipWriters = sync.Pool{New: func() any {
 		w, _ := gzip.NewWriterLevel(io.Discard, gzipBlobLevel)
 		return w
 	}}
 	gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
-	// decodeBufs holds the canonical bytes between inflation and the
-	// JSON parse. Safe to recycle immediately after Unmarshal —
-	// encoding/json copies every string out of its input — and it is
-	// what keeps a warm Get's allocation cost at the compressed size,
-	// not the canonical one.
+	// decodeBufs holds the inflated body between inflation and the
+	// binary walk. Safe to recycle as soon as the walk returns — it
+	// copies every string and slice out — and it is what keeps a warm
+	// Get's allocation cost at the compressed size, not the inflated
+	// one.
 	decodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 )
 
-// maxCanonicalBytes bounds how far a compressed container may inflate —
-// the canonical form of a full-scale campaign blob is low megabytes, so
-// 256 MiB is a safety rail, not a working limit. Without it a crafted
-// gzip bomb (deflate approaches 1032:1) arriving through PutRaw or a
-// client Get body would balloon a bounded compressed payload into
-// gigabytes of decode buffer. A variable so the bomb test does not have
-// to inflate 256 MiB to cross it.
+// maxCanonicalBytes bounds how far a container may inflate and the
+// canonical size its header may claim — the canonical form of a
+// full-scale campaign blob is low megabytes, so 256 MiB is a safety
+// rail, not a working limit. Without it a crafted gzip bomb (deflate
+// approaches 1032:1) arriving through PutRaw or a client Get body would
+// balloon a bounded compressed payload into gigabytes of decode buffer.
+// A variable so the bomb test does not have to inflate 256 MiB to cross
+// it.
 var maxCanonicalBytes int64 = 256 << 20
 
 // maxPooledDecodeBuf caps the scratch buffers decodeBufs retains; a
@@ -447,8 +374,7 @@ func putDecodeBuf(buf *bytes.Buffer) {
 }
 
 // countingWriter measures the byte stream passing through it, so Put
-// can record both the canonical and the compressed size without ever
-// materialising either.
+// can record the container size without materialising it.
 type countingWriter struct {
 	w io.Writer
 	n int64
@@ -461,12 +387,12 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // encodeEnvelope renders the canonical envelope JSON through
-// encoding/json — json.MarshalIndent, unchanged since v1. It is no
-// longer on any production path (the hand-rolled renderer in
-// canonical.go produces byte-identical output without materialising
-// the storedResult intermediate) but is retained as the reference
-// implementation the equivalence test pins the renderer against: the
-// canonical-bytes contract is "whatever MarshalIndent said", forever.
+// encoding/json — json.MarshalIndent of the stored* types. It is on no
+// production path (the hand-rolled renderer in canonical.go produces
+// byte-identical output without materialising the storedResult
+// intermediate) but is retained as the reference implementation the
+// equivalence test pins the renderer against: the canonical-bytes
+// contract is "whatever MarshalIndent said", forever.
 func encodeEnvelope(k Key, res *core.Result) ([]byte, error) {
 	data, err := json.MarshalIndent(&storedBlob{
 		Schema:   SchemaVersion,
@@ -481,42 +407,12 @@ func encodeEnvelope(k Key, res *core.Result) ([]byte, error) {
 	return data, nil
 }
 
-// encodeBlobTo writes the v2 container of a campaign result straight
-// into w: canonical JSON → pooled gzip writer → w. Superseded by
-// encodeBlobV3To on the Put path; kept behind EncodeBlobCompressed for
-// legacy-container fixtures and benchmarks. Returns the canonical size
-// for the index's RawBytes.
-func encodeBlobTo(w io.Writer, k Key, res *core.Result) (int64, error) {
-	data, err := encodeEnvelope(k, res)
-	if err != nil {
-		return 0, err
-	}
-	if err := gzipTo(w, data); err != nil {
-		return int64(len(data)), fmt.Errorf("store: encode %s: %w", k, err)
-	}
-	return int64(len(data)), nil
-}
-
-// gzipTo deflates data into w through the writer pool — the one
-// deflate block both the encode path and the v1-heal compression use.
-func gzipTo(w io.Writer, data []byte) error {
-	gz := gzipWriters.Get().(*gzip.Writer)
-	gz.Reset(w)
-	_, werr := gz.Write(data)
-	cerr := gz.Close() // flushes; the pooled writer is reusable after Reset
-	gzipWriters.Put(gz)
-	if werr == nil {
-		werr = cerr
-	}
-	return werr
-}
-
-// EncodeBlob renders the canonical (uncompressed) bytes of a campaign
-// result under its key — the bytes the digest/ETag contract vouches
-// for and that validation is defined over. Equal key ⇒ equal result ⇒
-// equal bytes, which is what makes a blob immutable for its digest.
-// Storage and the wire carry these bytes (or their bit-exact binary
-// equivalent) inside the v2/v3 containers; see EncodeBlobV3.
+// EncodeBlob renders the canonical bytes of a campaign result under its
+// key: the JSON envelope whose size the v3 header records as RawBytes
+// and whose domain (JSON-encodable results only) the v3 encoder
+// enforces. Equal key ⇒ equal result ⇒ equal bytes. These bytes are
+// not a container: storage and the wire carry EncodeBlobV3 only, and
+// ValidateBlob rejects canonical JSON.
 func EncodeBlob(k Key, res *core.Result) ([]byte, error) {
 	if res == nil {
 		return nil, fmt.Errorf("store: nil result for %s", k)
@@ -528,243 +424,64 @@ func EncodeBlob(k Key, res *core.Result) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// EncodeBlobCompressed renders the v2 container — gzip around the
-// canonical bytes. Writers emit v3 now (EncodeBlobV3); this remains
-// for the migration and conformance tests that plant legacy-generation
-// blobs, and for any legacy peer that needs bytes it can parse.
-// Deterministic for a given key and build (fixed gzip level, no gzip
-// header metadata), so concurrent identical writers converge.
-func EncodeBlobCompressed(k Key, res *core.Result) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := encodeBlobTo(&buf, k, res); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// WriteCanonical writes a blob's canonical bytes into w: identity
-// container bytes pass through verbatim, a v2 container is inflated
-// through the codec's pooled readers under the usual canonical-size
-// rail, and a v3 container is decoded and its canonical JSON rendered
-// on the fly. The network daemon uses it to serve identity-only
-// clients from whatever container the disk holds.
-func WriteCanonical(w io.Writer, data []byte) error {
-	switch ContainerOf(data) {
-	case ContainerV3:
-		res, k, err := decodeV3ForRender(data)
-		if err != nil {
-			return err
-		}
-		if _, err := writeCanonicalTo(w, k, res); err != nil {
-			return fmt.Errorf("store: render blob: %w", err)
-		}
-		return nil
-	case ContainerV2:
-		r := bytes.NewReader(data)
-		gz := gzipReaders.Get().(*gzip.Reader)
-		if err := gz.Reset(r); err != nil {
-			gzipReaders.Put(gz)
-			return fmt.Errorf("store: inflate blob: %w", err)
-		}
-		gz.Multistream(false)
-		buf := copyBufs.Get().(*[]byte)
-		_, err := io.CopyBuffer(w, io.LimitReader(gz, maxCanonicalBytes), *buf)
-		copyBufs.Put(buf)
-		gz.Close()
-		gzipReaders.Put(gz)
-		if err != nil {
-			return fmt.Errorf("store: inflate blob: %w", err)
-		}
-		return nil
-	default:
-		_, err := w.Write(data)
-		return err
-	}
-}
-
-// WriteCanonicalCompressed writes gzip(canonical bytes) — the v2
-// container — into w from any disk container: v2 passes through
-// verbatim, v1 deflates the canonical bytes, and v3 decodes and
-// re-renders the canonical JSON straight through the pooled gzip
-// writer. The daemon uses it to serve gzip-accepting legacy clients
-// (which understand the canonical bytes under Content-Encoding: gzip,
-// but not the v3 container) from a v3-era disk. Deterministic, so the
-// response equals what EncodeBlobCompressed would produce.
-func WriteCanonicalCompressed(w io.Writer, data []byte) error {
-	switch ContainerOf(data) {
-	case ContainerV2:
-		_, err := w.Write(data)
-		return err
-	case ContainerV3:
-		res, k, err := decodeV3ForRender(data)
-		if err != nil {
-			return err
-		}
-		gz := gzipWriters.Get().(*gzip.Writer)
-		gz.Reset(w)
-		_, rerr := writeCanonicalTo(gz, k, res)
-		cerr := gz.Close()
-		gzipWriters.Put(gz)
-		if rerr == nil {
-			rerr = cerr
-		}
-		if rerr != nil {
-			return fmt.Errorf("store: render blob: %w", rerr)
-		}
-		return nil
-	default:
-		if err := gzipTo(w, data); err != nil {
-			return fmt.Errorf("store: compress blob: %w", err)
-		}
-		return nil
-	}
-}
-
-// decodeV3ForRender decodes a v3 container far enough to re-render its
-// canonical form: the envelope key plus the decoded result.
-func decodeV3ForRender(data []byte) (*core.Result, Key, error) {
-	buf, err := inflateV3(data)
-	if err != nil {
-		return nil, Key{}, fmt.Errorf("store: inflate blob: %w", err)
-	}
-	b, _, derr := decodeV3Body(buf.Bytes())
-	putDecodeBuf(buf)
-	if derr != nil {
-		return nil, Key{}, fmt.Errorf("store: decode blob: %w", derr)
-	}
-	return decodeResult(b.Result), Key{Digest: b.Digest, Profile: b.Profile, Instance: b.Instance}, nil
-}
-
-// copyBufs holds WriteCanonical's copy scratch.
-var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
-
-// compressBlobBytes wraps already-canonical blob bytes in the v2
-// container — the migration path that heals a v1 blob without
-// re-encoding its payload.
-func compressBlobBytes(data []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(len(data) / 3)
-	if err := gzipTo(&buf, data); err != nil {
-		return nil, fmt.Errorf("store: compress blob: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodePasses counts every full blob parse (any container) this
-// process has performed. It exists for the single-validation pipeline
-// contract: tests instrument it to prove that a warm remote Get
-// decodes the wire bytes exactly once before they land in the local
-// tier verbatim.
+// decodePasses counts every full blob parse this process has
+// performed. It exists for the single-validation pipeline contract:
+// tests instrument it to prove that a warm remote Get decodes the wire
+// bytes exactly once before they land in the local tier verbatim.
 var decodePasses atomic.Int64
 
 // DecodePasses returns the number of blob parses performed so far —
 // an instrumentation hook, not an operational counter.
 func DecodePasses() int64 { return decodePasses.Load() }
 
-// parseBlob validates blob bytes in any container format against the
-// digest they are stored (or addressed) under and returns the envelope
-// plus the canonical byte count. A compressed container is inflated
-// through a pooled gzip reader into a pooled scratch buffer — the full
+// parseBlob validates v3 container bytes against the digest they are
+// stored (or addressed) under and returns the envelope plus the
+// canonical byte count from the header. The gzip stream is inflated
+// through a pooled reader into a pooled scratch buffer — the full
 // inflate-before-parse is what verifies the gzip CRC, so a truncated
 // or bit-flipped stream whose prefix still deflates can never be
-// served — and the JSON (v1/v2) or binary (v3) parse runs over that
-// recycled buffer, keeping a warm decode's allocations proportional to
-// the compressed size. Any mismatch — garbage JSON, a malformed binary
-// section, a broken gzip stream or checksum, schema drift, a blob
-// renamed onto the wrong digest, a truncated body, trailing garbage —
-// wraps ErrInvalidBlob; callers treat it as a cache miss and
-// recompute.
-func parseBlob(data []byte, digest string) (b *storedBlob, rawBytes int64, cont Container, err error) {
+// served — and the bounds-checked binary walk runs over that recycled
+// buffer, keeping a warm decode's allocations proportional to the
+// compressed size. Any mismatch — a missing magic, a broken gzip
+// stream or checksum, a malformed binary section, schema drift, a blob
+// renamed onto the wrong digest, trailing garbage — wraps
+// ErrInvalidBlob; callers treat it as a cache miss and recompute.
+func parseBlob(data []byte, digest string) (b *storedBlob, rawBytes int64, err error) {
 	decodePasses.Add(1)
 	invalid := func(cause error) error {
 		return fmt.Errorf("store: blob %s: %w: %v", digest, ErrInvalidBlob, cause)
 	}
-	cont = ContainerOf(data)
-	var canonical []byte
-	switch cont {
-	case ContainerV3:
-		buf, ierr := inflateV3(data)
-		if ierr != nil {
-			return nil, 0, cont, invalid(ierr)
-		}
-		b, rawBytes, err = decodeV3Body(buf.Bytes())
-		putDecodeBuf(buf)
-		if err != nil {
-			return nil, 0, cont, invalid(err)
-		}
-	case ContainerV2:
-		r := bytes.NewReader(data)
-		gz := gzipReaders.Get().(*gzip.Reader)
-		if rerr := gz.Reset(r); rerr != nil {
-			gzipReaders.Put(gz)
-			return nil, 0, cont, invalid(rerr)
-		}
-		// Single-member containers only: in (the default) multistream
-		// mode a second concatenated gzip member would be transparently
-		// appended, letting arbitrary padding hide behind a valid
-		// digest and breaking the container's byte determinism.
-		gz.Multistream(false)
-		buf := decodeBufs.Get().(*bytes.Buffer)
-		buf.Reset()
-		defer putDecodeBuf(buf)
-		// ReadFrom drains the member to EOF, which forces the gzip
-		// footer read and its CRC check. The limit turns a
-		// decompression bomb into an invalid blob instead of an
-		// allocation storm.
-		_, rerr := buf.ReadFrom(io.LimitReader(gz, maxCanonicalBytes+1))
-		gz.Close()
-		gzipReaders.Put(gz)
-		if rerr != nil {
-			return nil, 0, cont, invalid(rerr)
-		}
-		if int64(buf.Len()) > maxCanonicalBytes {
-			return nil, 0, cont, invalid(fmt.Errorf("inflates past %d bytes", maxCanonicalBytes))
-		}
-		// flate never reads past the final block and gzip reads exactly
-		// the 8-byte trailer, so whatever remains in r is trailing data
-		// after the container — reject it.
-		if r.Len() != 0 {
-			return nil, 0, cont, invalid(fmt.Errorf("%d trailing bytes after container", r.Len()))
-		}
-		canonical = buf.Bytes()
-	default: // ContainerV1: the canonical bytes verbatim
-		canonical = data
+	if !hasV3Magic(data) {
+		return nil, 0, invalid(errors.New("not a v3 container"))
 	}
-	if cont != ContainerV3 {
-		rawBytes = int64(len(canonical))
-		// The identity container honours the same rail: an oversized
-		// plain blob accepted here would be re-containered on the way
-		// down and then trip the inflate limit on every read — the
-		// store-then-self-delete loop Put also refuses.
-		if rawBytes > maxCanonicalBytes {
-			return nil, rawBytes, cont, invalid(fmt.Errorf("canonical size %d exceeds the %d-byte bound",
-				rawBytes, maxCanonicalBytes))
-		}
-		b = new(storedBlob)
-		if derr := json.Unmarshal(canonical, b); derr != nil {
-			return nil, rawBytes, cont, invalid(derr)
-		}
+	buf, err := inflateV3(data)
+	if err != nil {
+		return nil, 0, invalid(err)
+	}
+	b, rawBytes, err = decodeV3Body(buf.Bytes())
+	putDecodeBuf(buf)
+	if err != nil {
+		return nil, 0, invalid(err)
 	}
 	if b.Schema != SchemaVersion {
-		return nil, rawBytes, cont, fmt.Errorf("store: blob %s: %w: schema %d, want %d",
+		return nil, rawBytes, fmt.Errorf("store: blob %s: %w: schema %d, want %d",
 			digest, ErrInvalidBlob, b.Schema, SchemaVersion)
 	}
 	if b.Digest != digest {
-		return nil, rawBytes, cont, fmt.Errorf("store: %w: blob digest %s does not match key %s",
+		return nil, rawBytes, fmt.Errorf("store: %w: blob digest %s does not match key %s",
 			ErrInvalidBlob, b.Digest, digest)
 	}
-	return b, rawBytes, cont, nil
+	return b, rawBytes, nil
 }
 
-// ValidateBlob parses and validates raw blob bytes — v1 (plain), v2
-// (gzip) or v3 (binary) container alike — against a digest and returns
-// the decoded result. The network client runs every response body
-// through it, so a truncated or tampered transfer is a miss (and a
-// recompute), never a wrong result. Callers that go on to store the
-// bytes should use ValidateBlobBytes instead, which keeps the
+// ValidateBlob parses and validates v3 container bytes against a digest
+// and returns the decoded result. The network client runs every
+// response body through it, so a truncated or tampered transfer is a
+// miss (and a recompute), never a wrong result. Callers that go on to
+// store the bytes should use ValidateBlobBytes instead, which keeps the
 // validated bytes and the decoded result together.
 func ValidateBlob(data []byte, digest string) (*core.Result, error) {
-	b, _, _, err := parseBlob(data, digest)
+	b, _, err := parseBlob(data, digest)
 	if err != nil {
 		return nil, err
 	}

@@ -11,27 +11,23 @@ import (
 	"golatest/internal/core"
 )
 
-// The v3 container. v1 and v2 both carry the canonical JSON envelope
-// (v2 gzip-wrapped); every f64 element in them is decimal text, so a
-// full-scale blob pays strconv both ways on every warm decode. v3
-// keeps the *contract* on the canonical bytes — the digest, the ETag,
-// SchemaVersion, and the envelope-level validation are all still
-// defined over the canonical JSON — but stores the payload as a
-// length-prefixed binary section instead:
+// The v3 container, the only blob format on disk and on the wire. The
+// *contract* stays on the canonical JSON envelope — the digest, the
+// ETag, SchemaVersion, and the envelope-level validation are all
+// defined over it — but the payload travels as a length-prefixed binary
+// section, so a warm decode never pays strconv:
 //
 //	v3: magic(4) ‖ gzip(body)
 //	body: schema u32 ‖ canonicalSize u64 ‖ envelope fields ‖ result
 //
 // All integers are little-endian and fixed-width; floats are IEEE-754
-// bits. Float fields that travel through the f64 JSON codec are
-// NaN-canonicalised at encode (every NaN payload collapses to the one
-// canonical quiet NaN), mirroring what a JSON round trip has always
-// done — which is what keeps heal-to-v3 deterministic: re-encoding a
-// decoded v1/v2 blob lands on the same bytes as a fresh Put of the
-// same key. canonicalSize records the size of the canonical JSON the
-// body decodes to, so the index's RawBytes (and the compression-ratio
-// stats) survive the format change without ever rendering the JSON on
-// a read.
+// bits. Float fields that the canonical envelope spells through the f64
+// codec are NaN-canonicalised at encode (every NaN payload collapses to
+// the one canonical quiet NaN), mirroring the single "NaN" spelling of
+// the JSON, so two results equal under the digest always produce equal
+// bytes. canonicalSize records the size of the canonical JSON the body
+// corresponds to, so the index's RawBytes (and the compression-ratio
+// stats) never require rendering the JSON on a read.
 //
 // Slices encode as a u32 tag — v3NilSlice for a nil slice, the element
 // count otherwise — preserving the canonical encoding's nil-vs-empty
@@ -41,66 +37,28 @@ import (
 // prefix plus bytes. Every count is bounds-checked against the bytes
 // actually remaining before anything is allocated, so a tampered
 // length prefix is an invalid blob, not an allocation storm; the gzip
-// layer reuses the v2 rails (pooled writers/readers, single-member
-// enforcement, trailing-byte rejection, the maxCanonicalBytes inflate
-// bound).
+// layer enforces a single member, rejects trailing bytes, and bounds
+// inflation by maxCanonicalBytes.
 //
-// Like v2, introducing v3 does NOT bump SchemaVersion: the canonical
-// envelope, and therefore every digest, is untouched. v1/v2 blobs keep
-// hitting and heal forward to v3 on first read.
+// Any other bytes — including the plain-JSON and gzip-JSON containers
+// earlier releases wrote — are invalid blobs: a miss that deletes the
+// file, after which the campaign is recomputed and re-Put as v3.
 
-// v3Magic opens every v3 container. The first byte is outside both
-// prior discriminators (the envelope's '{' and the gzip magic 0x1f)
-// and outside ASCII, so the three containers sniff unambiguously.
+// v3Magic opens every v3 container. The first byte is outside ASCII
+// and differs from both the canonical envelope's '{' and the gzip magic
+// 0x1f, so no JSON or bare gzip stream is mistaken for a container.
 var v3Magic = [4]byte{0xB3, 'G', 'L', '3'}
 
 // v3NilSlice is the slice tag distinguishing nil from empty.
 const v3NilSlice = ^uint32(0)
 
-// canonicalNaN is the one NaN bit pattern v3 stores: the same value
-// every "NaN" JSON spelling has always decoded to.
+// canonicalNaN is the one NaN bit pattern v3 stores: the value the
+// canonical envelope's "NaN" spelling stands for.
 var canonicalNaN = math.Float64bits(math.NaN())
 
-// Container identifies a blob container format; ContainerOf is the one
-// discriminator the store codec, the network layer, and the tests all
-// share, so no two layers can classify the same bytes differently.
-type Container int
-
-const (
-	// ContainerV1 is the canonical JSON envelope, verbatim (legacy,
-	// read-only).
-	ContainerV1 Container = 1
-	// ContainerV2 is gzip(canonical JSON) (legacy, read-only).
-	ContainerV2 Container = 2
-	// ContainerV3 is magic ‖ gzip(binary body) — what writers emit.
-	ContainerV3 Container = 3
-)
-
-func (c Container) String() string {
-	switch c {
-	case ContainerV1:
-		return "v1"
-	case ContainerV2:
-		return "v2"
-	case ContainerV3:
-		return "v3"
-	}
-	return fmt.Sprintf("container(%d)", int(c))
-}
-
-// ContainerOf sniffs the container format of raw blob bytes. Anything
-// that is neither the v3 magic nor the gzip magic is classified v1 and
-// left to the JSON parse to accept or reject.
-func ContainerOf(data []byte) Container {
-	if len(data) >= 4 && data[0] == v3Magic[0] && data[1] == v3Magic[1] &&
-		data[2] == v3Magic[2] && data[3] == v3Magic[3] {
-		return ContainerV3
-	}
-	if IsGzipBlob(data) {
-		return ContainerV2
-	}
-	return ContainerV1
-}
+// hasV3Magic reports whether data opens with the v3 magic — the one
+// sniff the parser runs before inflating anything.
+func hasV3Magic(data []byte) bool { return bytes.HasPrefix(data, v3Magic[:]) }
 
 // binary append helpers on the shared pooled appender.
 
@@ -170,8 +128,8 @@ func (a *appender) v3PairSlice(ps []core.Pair) {
 // returns the canonical size for the index's RawBytes. Two passes, no
 // materialisation: a counting render of the canonical JSON first —
 // which both sizes RawBytes and enforces JSON-encodability, so v3
-// accepts exactly the results v1 did — then the binary body through
-// the pooled gzip writer.
+// accepts exactly the results the canonical envelope can express —
+// then the binary body through the pooled gzip writer.
 func encodeBlobV3To(w io.Writer, k Key, res *core.Result) (int64, error) {
 	rawBytes, err := writeCanonicalTo(nil, k, res)
 	if err != nil {
@@ -200,8 +158,7 @@ func encodeBlobV3To(w io.Writer, k Key, res *core.Result) (int64, error) {
 // EncodeBlobV3 renders the v3 container — what Put writes to disk and
 // the network client ships. Deterministic for a given key and build
 // (fixed gzip level, canonical NaN bits, no gzip header metadata), so
-// concurrent identical writers and legacy-blob healers converge
-// byte-for-byte.
+// concurrent identical writers converge byte-for-byte.
 func EncodeBlobV3(k Key, res *core.Result) ([]byte, error) {
 	if res == nil {
 		return nil, fmt.Errorf("store: nil result for %s", k)
@@ -564,9 +521,12 @@ func decodeV3Body(body []byte) (*storedBlob, int64, error) {
 }
 
 // inflateV3 inflates the gzip stream after the magic into the pooled
-// scratch buffer under the same rails as v2: single member, bounded
-// inflation, no trailing bytes. The returned buffer must be released
-// with putDecodeBuf once the parse has copied everything it keeps.
+// scratch buffer under the container's rails: single member (in the
+// default multistream mode a second concatenated member would be
+// appended silently, letting padding hide behind a valid digest),
+// bounded inflation, no trailing bytes. The returned buffer must be
+// released with putDecodeBuf once the parse has copied everything it
+// keeps.
 func inflateV3(data []byte) (*bytes.Buffer, error) {
 	r := bytes.NewReader(data[len(v3Magic):])
 	gz := gzipReaders.Get().(*gzip.Reader)
@@ -577,6 +537,9 @@ func inflateV3(data []byte) (*bytes.Buffer, error) {
 	gz.Multistream(false)
 	buf := decodeBufs.Get().(*bytes.Buffer)
 	buf.Reset()
+	// ReadFrom drains the member to EOF, which forces the gzip footer
+	// read and its CRC check; the limit turns a decompression bomb into
+	// an invalid blob instead of an allocation storm.
 	_, rerr := buf.ReadFrom(io.LimitReader(gz, maxCanonicalBytes+1))
 	gz.Close()
 	gzipReaders.Put(gz)
@@ -588,6 +551,8 @@ func inflateV3(data []byte) (*bytes.Buffer, error) {
 		putDecodeBuf(buf)
 		return nil, fmt.Errorf("body inflates past %d bytes", maxCanonicalBytes)
 	}
+	// flate never reads past the final block and gzip reads exactly the
+	// 8-byte trailer, so whatever remains in r trails the container.
 	if r.Len() != 0 {
 		putDecodeBuf(buf)
 		return nil, fmt.Errorf("%d trailing bytes after container", r.Len())

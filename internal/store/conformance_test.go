@@ -23,30 +23,6 @@ func corruptInDir(t *testing.T, dir string) func(digest string) {
 	}
 }
 
-// plantInDir returns a Plant hook writing raw container bytes into a
-// store directory — how a legacy deployment's blobs actually arrive.
-func plantInDir(t *testing.T, dir string) func(digest string, data []byte) {
-	return func(digest string, data []byte) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, digest+".json"), data, 0o644); err != nil {
-			t.Fatalf("plant %s: %v", digest, err)
-		}
-	}
-}
-
-// readBlobInDir returns a ReadBlob hook reading the current on-disk
-// bytes of a digest's blob (nil if absent).
-func readBlobInDir(t *testing.T, dir string) func(digest string) []byte {
-	return func(digest string) []byte {
-		t.Helper()
-		data, err := os.ReadFile(filepath.Join(dir, digest+".json"))
-		if err != nil {
-			return nil
-		}
-		return data
-	}
-}
-
 // TestBackendConformanceLocalStore holds the directory store to the
 // Backend contract — the reference implementation must pass its own
 // gate.
@@ -58,10 +34,8 @@ func TestBackendConformanceLocalStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		return conformancetest.Harness{
-			Backend:  st,
-			Corrupt:  corruptInDir(t, dir),
-			Plant:    plantInDir(t, dir),
-			ReadBlob: readBlobInDir(t, dir),
+			Backend: st,
+			Corrupt: corruptInDir(t, dir),
 		}
 	})
 }
@@ -78,10 +52,8 @@ func TestBackendConformanceFaultsWrapper(t *testing.T) {
 			t.Fatal(err)
 		}
 		return conformancetest.Harness{
-			Backend:  faults.WrapBackend(st, faults.Plan{Seed: 1}),
-			Corrupt:  corruptInDir(t, dir),
-			Plant:    plantInDir(t, dir),
-			ReadBlob: readBlobInDir(t, dir),
+			Backend: faults.WrapBackend(st, faults.Plan{Seed: 1}),
+			Corrupt: corruptInDir(t, dir),
 		}
 	})
 }

@@ -40,17 +40,6 @@ type Harness struct {
 	// corruption subtest (for backends whose storage the test cannot
 	// reach).
 	Corrupt func(digest string)
-
-	// Plant, when non-nil, writes raw container bytes under the digest
-	// in the authoritative tier the backend reads from — the hook the
-	// mixed-container subtest uses to seed legacy v1/v2 blobs a real
-	// deployment's directory may still hold. Nil skips that subtest.
-	Plant func(digest string, data []byte)
-
-	// ReadBlob, when non-nil, returns the authoritative tier's current
-	// on-disk bytes for the digest (nil if absent), so the suite can
-	// assert legacy blobs heal forward to the current container.
-	ReadBlob func(digest string) []byte
 }
 
 // Run drives the full conformance suite against backends produced by
@@ -65,7 +54,6 @@ func Run(t *testing.T, open func(t *testing.T) Harness) {
 	t.Run("LeaseExpirySteal", func(t *testing.T) { testLeaseExpirySteal(t, open(t)) })
 	t.Run("LeaseHammer", func(t *testing.T) { testLeaseHammer(t, open(t)) })
 	t.Run("CorruptBlobIsMissAndHeals", func(t *testing.T) { testCorrupt(t, open(t)) })
-	t.Run("MixedContainerHeal", func(t *testing.T) { testMixedContainerHeal(t, open(t)) })
 	t.Run("GCBoundsTheStore", func(t *testing.T) { testGC(t, open(t)) })
 	t.Run("ConcurrentPutGet", func(t *testing.T) { testConcurrent(t, open(t)) })
 }
@@ -322,63 +310,6 @@ func testCorrupt(t *testing.T, h Harness) {
 		t.Fatal("Get after healing Put: miss")
 	}
 	mustEqual(t, k, got, want)
-}
-
-// testMixedContainerHeal seeds the backend's authoritative tier with
-// one blob per container generation — v1 plain JSON, v2 gzip JSON, v3
-// binary — and asserts every backend serves all three as first-class
-// hits with canonically identical results, then (where the harness can
-// read the tier back) that the legacy blobs have healed forward to the
-// current container. This is the cross-version deployment story: a
-// directory written by any earlier release keeps working through any
-// backend, and converges on the current format by being read.
-func testMixedContainerHeal(t *testing.T, h Harness) {
-	if h.Plant == nil {
-		t.Skip("harness cannot seed the backend's storage")
-	}
-	encoders := []struct {
-		name   string
-		encode func(store.Key, *core.Result) ([]byte, error)
-	}{
-		{"v1", store.EncodeBlob},
-		{"v2", store.EncodeBlobCompressed},
-		{"v3", store.EncodeBlobV3},
-	}
-	for i, enc := range encoders {
-		k, want := Key(t, 60+i), Result(60+i)
-		data, err := enc.encode(k, want)
-		if err != nil {
-			t.Fatalf("%s encode: %v", enc.name, err)
-		}
-		h.Plant(k.Digest, data)
-
-		got, ok := h.Backend.Get(k)
-		if !ok {
-			t.Fatalf("planted %s blob missed", enc.name)
-		}
-		mustEqual(t, k, got, want)
-		if !h.Backend.Has(k) {
-			t.Fatalf("Has = false for the planted %s blob", enc.name)
-		}
-		if h.ReadBlob != nil {
-			healed := h.ReadBlob(k.Digest)
-			if healed == nil {
-				t.Fatalf("%s blob vanished from the authoritative tier", enc.name)
-			}
-			if store.ContainerOf(healed) != store.ContainerV3 {
-				t.Fatalf("%s blob not healed to the current container on read", enc.name)
-			}
-			if _, err := store.ValidateBlob(healed, k.Digest); err != nil {
-				t.Fatalf("healed %s blob does not validate: %v", enc.name, err)
-			}
-		}
-		// The heal is not a one-read wonder: the same key keeps hitting.
-		got, ok = h.Backend.Get(k)
-		if !ok {
-			t.Fatalf("%s blob missed on the post-heal read", enc.name)
-		}
-		mustEqual(t, k, got, want)
-	}
 }
 
 func testGC(t *testing.T, h Harness) {

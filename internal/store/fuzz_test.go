@@ -2,30 +2,25 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
-	"math"
 	"testing"
 )
 
 // FuzzDecodeBlob throws arbitrary bytes at the full blob-validation
-// path — container sniffing, inflation under the canonical-size rail,
-// the bounds-checked v3 binary walk, JSON decode, digest/schema
-// checks. The invariant is the store's corrupt-blob promise: any input
-// either validates to a non-nil result or returns an error; it never
-// panics and a compressed container never inflates past
-// maxCanonicalBytes (a bomb is an invalid blob, not an allocation
-// storm).
+// path — the magic check, inflation under the canonical-size rail, the
+// bounds-checked v3 binary walk, digest/schema checks. The invariant is
+// the store's corrupt-blob promise: any input either validates to a
+// non-nil result or returns an error; it never panics, a container
+// never inflates past maxCanonicalBytes (a bomb is an invalid blob,
+// not an allocation storm), and nothing without the v3 magic — the
+// plain-JSON and gzip-JSON seeds of earlier containers included — ever
+// validates.
 func FuzzDecodeBlob(f *testing.F) {
 	k := mustKey(f, 0, 42)
 	plain, err := EncodeBlob(k, testResult())
 	if err != nil {
 		f.Fatal(err)
 	}
-	comp, err := EncodeBlobCompressed(k, testResult())
-	if err != nil {
-		f.Fatal(err)
-	}
+	comp := gzipBytes(f, plain)
 	v3, err := EncodeBlobV3(k, testResult())
 	if err != nil {
 		f.Fatal(err)
@@ -34,9 +29,10 @@ func FuzzDecodeBlob(f *testing.F) {
 	f.Add(plain)
 	f.Add(comp)
 	f.Add(v3)
-	// Truncations tear the container at every layer: mid-JSON for v1,
-	// mid-deflate-stream and mid-gzip-footer for v2/v3, and — for v3 —
-	// mid-length-prefix and mid-section inside the inflated binary body.
+	// Truncations tear the input at every layer: mid-JSON for the plain
+	// seed, mid-deflate-stream and mid-gzip-footer for the gzip seeds,
+	// and — for v3 — mid-length-prefix and mid-section inside the
+	// inflated binary body.
 	f.Add(plain[:len(plain)/2])
 	for _, src := range [][]byte{comp, v3} {
 		f.Add(src[:len(src)/2])
@@ -59,11 +55,7 @@ func FuzzDecodeBlob(f *testing.F) {
 		f.Fatal(err)
 	}
 	reV3 := func(b []byte) []byte {
-		deflated, err := compressBlobBytes(b)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return append(append([]byte(nil), v3Magic[:]...), deflated...)
+		return append(append([]byte(nil), v3Magic[:]...), gzipBytes(f, b)...)
 	}
 	raw := bytes.Clone(body.Bytes())
 	putDecodeBuf(body)
@@ -77,12 +69,9 @@ func FuzzDecodeBlob(f *testing.F) {
 	counts[len(counts)/2] ^= 0xFF // likely lands in a count or length
 	f.Add(reV3(counts))
 	// A high-ratio member: 64 KiB of padding compresses to ~100 bytes,
-	// steering the fuzzer toward the inflation rail in both compressed
-	// containers.
-	bombBody, err := compressBlobBytes(bytes.Repeat([]byte{' '}, 64<<10))
-	if err != nil {
-		f.Fatal(err)
-	}
+	// steering the fuzzer toward the inflation rail, with and without
+	// the magic.
+	bombBody := gzipBytes(f, bytes.Repeat([]byte{' '}, 64<<10))
 	f.Add(bombBody)
 	f.Add(append(append([]byte(nil), v3Magic[:]...), bombBody...))
 	f.Add([]byte(`{}`))
@@ -97,6 +86,9 @@ func FuzzDecodeBlob(f *testing.F) {
 		if err == nil && res == nil {
 			t.Fatal("ValidateBlob returned nil result with nil error")
 		}
+		if err == nil && !hasV3Magic(data) {
+			t.Fatal("ValidateBlob accepted bytes without the v3 magic")
+		}
 		// The proof-carrying constructor shares the parse; it must agree
 		// with ValidateBlob on validity and never hand out a nil result.
 		vb, vbErr := ValidateBlobBytes(data, digest)
@@ -109,50 +101,6 @@ func FuzzDecodeBlob(f *testing.F) {
 		// The digest-mismatch path must be just as total.
 		if res, err := ValidateBlob(data, "deadbeef"); err == nil && res == nil {
 			t.Fatal("digest-mismatch ValidateBlob: nil result with nil error")
-		}
-		// The canonical re-render paths share the sniff/inflate/walk
-		// machinery; they must be equally crash-free on hostile input
-		// (errors are fine).
-		_ = WriteCanonical(io.Discard, data)
-		_ = WriteCanonicalCompressed(io.Discard, data)
-	})
-}
-
-// FuzzF64UnmarshalJSON fuzzes the hand-rolled f64 element parser
-// against its encoder: any input it accepts must re-encode and
-// re-parse to the identical bit pattern (modulo NaN payloads, which
-// canonicalise to the single "NaN" spelling).
-func FuzzF64UnmarshalJSON(f *testing.F) {
-	for _, seed := range []string{
-		`1.5`, `-0`, `0`, `3.141592653589793`, `1e308`, `5e-324`,
-		`"NaN"`, `"+Inf"`, `"-Inf"`,
-		"\"\\u004EaN\"", // escaped spelling of "NaN", the alien-encoder slow path
-		`null`, `1e999`, `"Inf"`, `""`, `NaN`, `[1]`, `0x1p2`,
-	} {
-		f.Add([]byte(seed))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var v f64
-		if err := v.UnmarshalJSON(data); err != nil {
-			return // rejected input: nothing more to hold it to
-		}
-		out, err := v.MarshalJSON()
-		if err != nil {
-			t.Fatalf("accepted %q but re-encode failed: %v", data, err)
-		}
-		// What the encoder emits must also be valid generic JSON — this
-		// is what guards interop with foreign decoders.
-		if !json.Valid(out) {
-			t.Fatalf("%q encoded to invalid JSON %q", data, out)
-		}
-		var back f64
-		if err := back.UnmarshalJSON(out); err != nil {
-			t.Fatalf("round-trip parse of %q (from %q) failed: %v", out, data, err)
-		}
-		vb, bb := math.Float64bits(float64(v)), math.Float64bits(float64(back))
-		bothNaN := math.IsNaN(float64(v)) && math.IsNaN(float64(back))
-		if vb != bb && !bothNaN {
-			t.Fatalf("%q: round trip %x -> %q -> %x", data, vb, out, bb)
 		}
 	})
 }

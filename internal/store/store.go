@@ -34,9 +34,9 @@
 // stream, carries the wrong schema version, or does not match its
 // digest is treated as a miss — the stale blob is deleted and its
 // index entry tombstoned on the spot, and the campaign is recomputed
-// and rewritten — never as an error. Legacy v1 (uncompressed) and v2
-// (gzip JSON) blobs remain readable and are transparently re-written
-// in the v3 container the first time they are read; see codec.go and
+// and rewritten — never as an error. The v3 container is the only
+// format read or written; a blob in the plain-JSON or gzip-JSON
+// containers of earlier releases is such an invalid blob. See
 // codecv3.go for the container contract.
 //
 // # Coordination
@@ -78,10 +78,9 @@ import (
 // previously-stored results non-reproducible; every blob written under
 // an older version then misses (both through the key digest and the
 // envelope check) and is recomputed. Container-level changes do NOT
-// bump it: the manifest journal (index-only metadata) and the v2
-// compressed blob container (the same canonical bytes, gzip-wrapped —
-// see codec.go) both left it at 1, which is precisely what keeps old
-// blobs readable across those transitions.
+// bump it: the manifest journal (index-only metadata) and the binary
+// v3 container (the same canonical contract in a new carrier — see
+// codecv3.go) both left it at 1.
 const SchemaVersion = 1
 
 // manifestName is the index snapshot; it is not a blob.
@@ -263,56 +262,28 @@ func (s *Store) Has(k Key) bool {
 }
 
 // Get returns the stored campaign for the key, or (nil, false) on any
-// kind of miss: no blob, unparseable blob, broken compressed stream,
-// schema mismatch, or digest mismatch. Invalid blobs are never fatal —
-// the stale blob is deleted and its index entry tombstoned immediately
-// (so Index and Len never report a key that cannot be read), and the
-// caller recomputes and Puts. A hit advances the entry's LRU clock for
-// GC. A hit on a legacy v1 (plain JSON) or v2 (gzip JSON) blob
-// additionally heals it to the v3 container on the spot, so one warm
-// pass migrates a store.
+// kind of miss: no blob, a blob that is not the v3 container, a broken
+// compressed stream, schema mismatch, or digest mismatch. Invalid blobs
+// are never fatal — the stale blob is deleted and its index entry
+// tombstoned immediately (so Index and Len never report a key that
+// cannot be read), and the caller recomputes and Puts. A hit advances
+// the entry's LRU clock for GC.
 func (s *Store) Get(k Key) (*core.Result, bool) {
 	data, err := os.ReadFile(filepath.Join(s.dir, k.blobName()))
 	if err != nil {
 		s.misses.Add(1)
 		return nil, false
 	}
-	b, rawN, cont, err := parseBlob(data, k.Digest)
+	b, rawN, err := parseBlob(data, k.Digest)
 	if err != nil {
 		s.corrupt.Add(1)
 		s.misses.Add(1)
 		s.healCorrupt(k)
 		return nil, false
 	}
-	res := decodeResult(b.Result)
-	size := int64(len(data))
-	if cont != ContainerV3 {
-		if _, n, healed := s.healLegacy(k, res); healed {
-			size = n
-		}
-	}
 	s.hits.Add(1)
-	s.touch(k, size, rawN)
-	return res, true
-}
-
-// healLegacy re-writes a validated legacy (v1 or v2) blob in the v3
-// container, re-encoded from the result the validating parse already
-// decoded — the transparent migration path, and never a second parse.
-// Best-effort: a store that cannot be written (read-only snapshot,
-// full disk) keeps serving the legacy bytes, and the next read
-// retries. Concurrent healers and fresh Puts of the same key write
-// identical bytes (deterministic v3 encoding), so the rename race is
-// benign.
-func (s *Store) healLegacy(k Key, res *core.Result) (v3Bytes []byte, size int64, ok bool) {
-	data, err := EncodeBlobV3(k, res)
-	if err != nil {
-		return nil, 0, false
-	}
-	if err := s.writeAtomic(k.blobName(), data); err != nil {
-		return data, 0, false
-	}
-	return data, int64(len(data)), true
+	s.touch(k, int64(len(data)), rawN)
+	return decodeResult(b.Result), true
 }
 
 // reservedDigest reports a digest whose blob filename would collide
@@ -322,16 +293,14 @@ func (s *Store) healLegacy(k Key, res *core.Result) (v3Bytes []byte, size int64,
 func reservedDigest(digest string) bool { return digest+".json" == manifestName }
 
 // GetRaw returns the validated raw container bytes of the blob stored
-// under digest — the network daemon's read path: a v3 blob is shipped
+// under digest — the network daemon's read path: the blob is shipped
 // verbatim (no decompress/recompress, no decode/re-encode round trip
 // on the wire), while the validation, traffic counters, LRU touch, and
-// corrupt-blob healing all match Get. A legacy v1/v2 blob is healed to
-// v3 first and the v3 bytes served, so the wire carries the compact
-// container either way. The touch indexes under the profile/instance
-// recorded in the blob envelope, so a served blob is fully described
-// in the index even when this handle never saw its Put. Callers that
-// also want the decoded result or the envelope identity should use
-// GetValidated, which this wraps.
+// corrupt-blob healing all match Get. The touch indexes under the
+// profile/instance recorded in the blob envelope, so a served blob is
+// fully described in the index even when this handle never saw its
+// Put. Callers that also want the decoded result or the envelope
+// identity should use GetValidated, which this wraps.
 func (s *Store) GetRaw(digest string) ([]byte, bool) {
 	vb, ok := s.GetValidated(digest)
 	if !ok {
@@ -342,14 +311,13 @@ func (s *Store) GetRaw(digest string) ([]byte, bool) {
 
 // PutRaw stores pre-encoded blob container bytes under digest — the
 // write path for callers holding bytes of unproven provenance. The
-// bytes are validated first (container sniff, envelope or binary-body
-// parse, gzip integrity, schema, digest match; failures wrap
-// ErrInvalidBlob), so a caller can never plant a blob Get would
-// reject, then handed to PutValidated: v3 bytes land verbatim — the
-// raw passthrough that makes a remote Put → remote Get cycle copy the
-// container end to end — while legacy v1/v2 bytes are re-containered
-// to v3 on the way down. Callers that already hold a ValidatedBlob
-// should call PutValidated directly and skip the re-parse.
+// bytes are validated first (v3 magic, gzip integrity, binary-body
+// parse, schema, digest match; failures wrap ErrInvalidBlob), so a
+// caller can never plant a blob Get would reject, then handed to
+// PutValidated, which lands them verbatim — the raw passthrough that
+// makes a remote Put → remote Get cycle copy the container end to end.
+// Callers that already hold a ValidatedBlob should call PutValidated
+// directly and skip the re-parse.
 func (s *Store) PutRaw(digest string, data []byte) error {
 	vb, err := ValidateBlobBytes(data, digest)
 	if err != nil {
@@ -373,10 +341,10 @@ func (s *Store) healCorrupt(k Key) {
 
 // touch advances the key's LRU clock, indexing the blob on the fly if
 // this handle had no entry for it (e.g. a peer's write this handle has
-// not folded yet). A size change — a v1→v2 heal just rewrote the blob,
-// or the recorded sizes were stale — is journaled as a full upsert
-// rather than a bare touch, so the durable index carries the new sizes
-// across restarts (opTouch records only the access clock).
+// not folded yet). A size change — the recorded sizes were stale or
+// missing — is journaled as a full upsert rather than a bare touch, so
+// the durable index carries the new sizes across restarts (opTouch
+// records only the access clock).
 func (s *Store) touch(k Key, size, rawSize int64) {
 	now := time.Now().UnixNano()
 	s.mu.Lock()
@@ -505,7 +473,7 @@ func (s *Store) writeAtomicStream(name string, fill func(io.Writer) error) error
 }
 
 // atomicWrite stages data next to dst and renames it into place.
-// Shared by snapshot writes, lease renewal, and the v1→v2 blob heal.
+// Shared by snapshot writes, lease renewal, and PutValidated.
 func atomicWrite(dst string, data []byte) error {
 	return atomicWriteStream(dst, func(w io.Writer) error {
 		_, err := w.Write(data)
@@ -596,9 +564,7 @@ func (s *Store) rebuildManifestLocked() error {
 		if err != nil {
 			continue
 		}
-		// Either container format is a citizen of the scan: legacy v1
-		// blobs index like v2 ones and migrate lazily on their next Get.
-		b, rawN, _, err := parseBlob(data, strings.TrimSuffix(name, ".json"))
+		b, rawN, err := parseBlob(data, strings.TrimSuffix(name, ".json"))
 		if err != nil {
 			continue
 		}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -14,8 +13,8 @@ import (
 // constructors are the digest-checking parse paths (ValidateBlobBytes
 // here, Store.GetValidated on the read side), so holding one is a
 // type-level guarantee that the bytes inside have already cleared the
-// full container/envelope/schema/digest validation — which is what
-// lets Store.PutValidated write them to disk verbatim, with no second
+// full container/schema/digest validation — which is what lets
+// Store.PutValidated write them to disk verbatim, with no second
 // decode. The network client validates a wire body exactly once and
 // hands the same proof to its local tier; the compiler, not a
 // convention, enforces that no unvalidated bytes can take that road.
@@ -26,35 +25,37 @@ import (
 // buffer. It is immutable by convention — nothing may mutate data or
 // the decoded result after construction.
 type ValidatedBlob struct {
-	digest    string
-	profile   string
-	instance  int
-	data      []byte
-	rawBytes  int64
-	container Container
-	res       *core.Result
+	digest   string
+	profile  string
+	instance int
+	data     []byte
+	rawBytes int64
+	res      *core.Result
 }
 
-// ValidateBlobBytes parses and validates raw blob bytes — any
-// container — against the digest they claim and returns the
-// proof-carrying blob: the validated bytes plus the decoded result,
-// from one parse. It is the constructor every storing path funnels
-// through: the daemon's PUT handler, the client's response validation,
-// the local-tier heal, and the pending-journal reconciler.
+// ValidateBlobBytes parses and validates v3 container bytes against
+// the digest they claim and returns the proof-carrying blob: the
+// validated bytes plus the decoded result, from one parse. It is the
+// constructor every storing path funnels through: the daemon's PUT
+// handler, the client's response validation, the local-tier heal, and
+// the pending-journal reconciler.
 func ValidateBlobBytes(data []byte, digest string) (*ValidatedBlob, error) {
-	b, rawBytes, cont, err := parseBlob(data, digest)
+	b, rawBytes, err := parseBlob(data, digest)
 	if err != nil {
 		return nil, err
 	}
+	return newValidatedBlob(digest, data, rawBytes, b), nil
+}
+
+func newValidatedBlob(digest string, data []byte, rawBytes int64, b *storedBlob) *ValidatedBlob {
 	return &ValidatedBlob{
-		digest:    digest,
-		profile:   b.Profile,
-		instance:  b.Instance,
-		data:      data,
-		rawBytes:  rawBytes,
-		container: cont,
-		res:       decodeResult(b.Result),
-	}, nil
+		digest:   digest,
+		profile:  b.Profile,
+		instance: b.Instance,
+		data:     data,
+		rawBytes: rawBytes,
+		res:      decodeResult(b.Result),
+	}
 }
 
 // Digest returns the digest the bytes were validated against.
@@ -73,50 +74,29 @@ func (vb *ValidatedBlob) Bytes() []byte { return vb.data }
 // RawBytes returns the canonical (uncompressed envelope) size.
 func (vb *ValidatedBlob) RawBytes() int64 { return vb.rawBytes }
 
-// Container returns the container format the bytes arrived in.
-func (vb *ValidatedBlob) Container() Container { return vb.container }
-
 // Result returns the campaign result decoded by the validating parse.
 // Callers must not mutate it if the blob will still be persisted.
 func (vb *ValidatedBlob) Result() *core.Result { return vb.res }
 
-// PutValidated persists an already-validated blob: v3 bytes land on
+// PutValidated persists an already-validated blob: the bytes land on
 // disk verbatim — the zero-extra-decode path wire bytes take into the
-// local tier — while legacy v1/v2 bytes are re-containered to v3 from
-// the result the validating parse already decoded (no second parse).
-// The atomic rename and O(1) journal append match Put.
+// local tier. The atomic rename and O(1) journal append match Put.
 func (s *Store) PutValidated(vb *ValidatedBlob) error {
 	if reservedDigest(vb.digest) {
 		return fmt.Errorf("store: %w: digest %q names the index snapshot", ErrInvalidBlob, vb.digest)
 	}
-	size := int64(len(vb.data))
-	if vb.container == ContainerV3 {
-		if err := s.writeAtomic(vb.digest+".json", vb.data); err != nil {
-			return err
-		}
-	} else {
-		size = 0
-		err := s.writeAtomicStream(vb.digest+".json", func(w io.Writer) error {
-			cw := &countingWriter{w: w}
-			_, err := encodeBlobV3To(cw, vb.Key(), vb.res)
-			size = cw.n
-			return err
-		})
-		if err != nil {
-			return err
-		}
+	if err := s.writeAtomic(vb.digest+".json", vb.data); err != nil {
+		return err
 	}
 	s.puts.Add(1)
-	return s.recordPut(vb.Key(), size, vb.rawBytes)
+	return s.recordPut(vb.Key(), int64(len(vb.data)), vb.rawBytes)
 }
 
 // GetValidated returns the proof-carrying blob stored under digest, or
 // (nil, false) on any kind of miss — the read-side constructor of
-// ValidatedBlob, sharing Get's validation, counters, LRU touch,
-// corrupt-blob healing, and legacy-container forward-heal. The
-// returned bytes are always the v3 container (healed in memory even
-// when the disk write failed), so a serving layer can pass them to a
-// v3-aware peer verbatim.
+// ValidatedBlob, sharing Get's validation, counters, LRU touch, and
+// corrupt-blob healing. The returned bytes are the disk container, so
+// a serving layer can pass them to a peer verbatim.
 func (s *Store) GetValidated(digest string) (*ValidatedBlob, bool) {
 	if reservedDigest(digest) {
 		// A plain miss, pointedly without healing: the "corrupt blob"
@@ -129,38 +109,15 @@ func (s *Store) GetValidated(digest string) (*ValidatedBlob, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	b, rawN, cont, err := parseBlob(data, digest)
+	b, rawN, err := parseBlob(data, digest)
 	if err != nil {
 		s.corrupt.Add(1)
 		s.misses.Add(1)
 		s.healCorrupt(Key{Digest: digest})
 		return nil, false
 	}
-	vb := &ValidatedBlob{
-		digest:    digest,
-		profile:   b.Profile,
-		instance:  b.Instance,
-		data:      data,
-		rawBytes:  rawN,
-		container: cont,
-		res:       decodeResult(b.Result),
-	}
-	diskSize := int64(len(data))
-	if cont != ContainerV3 {
-		// Serve the v3 container even when the disk heal failed — the
-		// re-encoded bytes in hand are valid either way. The index
-		// records what is actually on disk, so a failed heal keeps the
-		// legacy size (watermark GC must not undercount a store it
-		// cannot shrink).
-		if v3, healedSize, healed := s.healLegacy(vb.Key(), vb.res); v3 != nil {
-			vb.data = v3
-			vb.container = ContainerV3
-			if healed {
-				diskSize = healedSize
-			}
-		}
-	}
+	vb := newValidatedBlob(digest, data, rawN, b)
 	s.hits.Add(1)
-	s.touch(vb.Key(), diskSize, rawN)
+	s.touch(vb.Key(), int64(len(data)), rawN)
 	return vb, true
 }

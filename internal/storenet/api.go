@@ -53,34 +53,24 @@
 // /v1 → /v2 bump: an open daemon's wire behavior is unchanged, and an
 // authed daemon only adds the standard challenge statuses.
 //
-// The blob *entity* is the canonical envelope store.EncodeBlob
-// produces; the bytes on the wire are negotiated. The binary v3
-// container is not a content coding of that entity, so v3-aware
-// clients declare it with X-Blob-Accept: v3 alongside standard
-// Accept-Encoding (the server sets Vary on both):
+// Blob bytes travel in one form only, the store's v3 container, in
+// both directions:
 //
-//	client declares                disk blob    response body
-//	X-Blob-Accept: v3              v3           the disk bytes verbatim, application/octet-stream
-//	Accept-Encoding: gzip, no v3   v3           gzip(canonical JSON), Content-Encoding: gzip
-//	identity only                  v3           canonical JSON, rendered on the fly
-//	any                            legacy v1/v2 per the declaration above (store heals to v3)
+//	GET response   the disk bytes verbatim, application/octet-stream, no Content-Encoding
+//	PUT body       a v3 container, application/octet-stream; validated once, stored verbatim
+//	anything else  PUT answers 400 and stores nothing (the plain-JSON and
+//	               gzip-JSON containers of earlier releases included)
 //
-//	PUT body                        stored as
-//	v3 container (sniffed)          verbatim — raw passthrough
-//	v2 container / canonical JSON   validated once, re-containered to v3
-//
-// Both directions sniff the container magic rather than trusting
-// headers, so a proxy that strips Content-Encoding cannot corrupt a
-// transfer — validation (store.ValidateBlobBytes) accepts any
-// container and rejects everything else. Because identity and gzip
-// JSON remain fully supported, neither compression nor the v3 codec
-// needed a /v1 → /v2 API bump: pre-v3 clients never send X-Blob-Accept
-// and receive the gzip-JSON or identity bytes they always did.
+// Nothing is negotiated. The container is gzip inside, so a transfer
+// coding would only compress it twice; clients leave Accept-Encoding to
+// their HTTP transport, which undoes any coding a proxy adds. Validation
+// (store.ValidateBlobBytes) checks the container magic and the content
+// rather than trusting headers, and the client treats a 400 on PUT as
+// terminal: it is never retried or journaled.
 //
 // A blob's content is a deterministic function of its digest (equal
-// key ⇒ equal result ⇒ equal canonical bytes), so blobs are immutable
-// per digest and the digest doubles as a strong ETag over the entity —
-// the content coding does not enter the ETag, and a body that ever
+// key ⇒ equal result ⇒ equal container bytes), so blobs are immutable
+// per digest and the digest doubles as a strong ETag — a body that ever
 // validated for a digest never needs re-fetching. Note the digest is
 // the content address of the campaign's *inputs* (schema, profile,
 // instance, seed, config — see internal/store), not a hash of the blob
@@ -109,7 +99,7 @@
 // Bump the path prefix (v1 → v2) when the wire contract changes
 // incompatibly: an endpoint's method/status semantics change, a
 // request/response field changes meaning, or blob bytes stop being the
-// store's canonical encoding. Adding endpoints or optional response
+// store's v3 container. Adding endpoints or optional response
 // fields is compatible and needs no bump. store.SchemaVersion is
 // independent and travels inside blobs and index/stats responses: a
 // schema bump invalidates stored results on every backend at once,

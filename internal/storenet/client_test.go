@@ -2,12 +2,14 @@ package storenet
 
 import (
 	"bytes"
+	"compress/gzip"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -129,29 +131,26 @@ func TestClientCacheTier(t *testing.T) {
 func TestClientCorruptResponseIsMiss(t *testing.T) {
 	k := testKey(t, 0)
 	other := testKey(t, 1)
-	good, err := store.EncodeBlob(k, testResult(0))
+	good, err := store.EncodeBlobV3(k, testResult(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrongKeyBlob, err := store.EncodeBlob(other, testResult(1))
+	wrongKeyBlob, err := store.EncodeBlobV3(other, testResult(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tampering that breaks the envelope (here: the schema field) is
-	// caught by validation; note payload edits inside an intact envelope
-	// are invisible by design — the digest addresses the campaign's
-	// inputs, not a hash of the bytes — which is why the trust boundary
-	// is "only Put validated blobs", enforced by the server.
-	tampered := bytes.Replace(good, []byte(`"schema"`), []byte(`"scheme"`), 1)
-	// The compressed container has its own failure modes: a stream cut
-	// before the gzip footer (CRC never verified) and a bit flip inside
-	// the deflate stream.
-	compGood, err := store.EncodeBlobCompressed(k, testResult(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	compFlipped := append([]byte(nil), compGood...)
-	compFlipped[len(compFlipped)/2] ^= 0x40
+	// Tampering that breaks the envelope (here: the schema field, behind
+	// an intact gzip stream) is caught by validation; note payload edits
+	// inside an intact envelope are invisible by design — the digest
+	// addresses the campaign's inputs, not a hash of the bytes — which is
+	// why the trust boundary is "only Put validated blobs", enforced by
+	// the server.
+	tampered := tamperV3Schema(t, good)
+	// The gzip layer has its own failure modes: a stream cut before the
+	// gzip footer (CRC never verified) and a bit flip inside the deflate
+	// stream.
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x40
 
 	// mode selects the injected corruption; "ok" serves the real bytes.
 	var mode atomic.Value
@@ -168,9 +167,9 @@ func TestClientCorruptResponseIsMiss(t *testing.T) {
 		case "wrong-key":
 			_, _ = w.Write(wrongKeyBlob)
 		case "gzip-truncate":
-			_, _ = w.Write(compGood[:len(compGood)-4])
+			_, _ = w.Write(good[:len(good)-4])
 		case "gzip-bitflip":
-			_, _ = w.Write(compFlipped)
+			_, _ = w.Write(flipped)
 		default:
 			_, _ = w.Write(good)
 		}
@@ -337,53 +336,115 @@ func TestClientInteropWithLocalHandles(t *testing.T) {
 	}
 }
 
-// TestClientPutFallsBackToIdentityForLegacyDaemon: a pre-v3 daemon
-// rejects the binary container as unparseable (400); the client must
-// fall back to the canonical identity bytes once, so a rolling
-// upgrade that reaches workers before the store daemon keeps writing.
-func TestClientPutFallsBackToIdentityForLegacyDaemon(t *testing.T) {
+// tamperV3Schema rewrites a v3 container's schema field (the body's
+// first four bytes) and re-wraps the body in a fresh, valid gzip member
+// — a tamper only the envelope check can catch.
+func tamperV3Schema(t *testing.T, v3 []byte) []byte {
+	t.Helper()
+	const magicLen = 4
+	zr, err := gzip.NewReader(bytes.NewReader(v3[magicLen:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body[0]++
+	return append(append([]byte(nil), v3[:magicLen]...), gzipped(t, body)...)
+}
+
+// TestClientPut400IsTerminal: a daemon that answers 400 has refused the
+// bytes themselves. The client sends the PUT once, fails naming the
+// status, and journals nothing — a replay would be refused identically.
+func TestClientPut400IsTerminal(t *testing.T) {
+	var puts atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut {
+			puts.Add(1)
+		}
+		_, _ = io.Copy(io.Discard, r.Body)
+		http.Error(w, "store: blob: invalid blob", http.StatusBadRequest)
+	}))
+	defer srv.Close()
+
+	cache, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newClient(t, srv.URL, cache)
+	k := testKey(t, 0)
+	err = c.Put(k, testResult(0))
+	if err == nil || !strings.Contains(err.Error(), "400") {
+		t.Fatalf("Put err = %v, want an error naming the 400", err)
+	}
+	if n := puts.Load(); n != 1 {
+		t.Fatalf("daemon saw %d PUTs, want exactly 1", n)
+	}
+	if r := c.Resilience(); r.Deferred != 0 || r.Pending != 0 {
+		t.Fatalf("a 400 was journaled: %+v", r)
+	}
+	if cache.Has(k) {
+		t.Fatal("a refused Put landed in the local tier")
+	}
+}
+
+// TestClientGetThroughGzipProxy: a reverse proxy that gzips responses
+// must not turn remote hits into misses. The client leaves
+// Accept-Encoding to its transport, which undoes the proxy's coding, so
+// validation sees the daemon's v3 bytes.
+func TestClientGetThroughGzipProxy(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	k := testKey(t, 0)
+	if err := st.Put(k, testResult(0)); err != nil {
+		t.Fatal(err)
+	}
 	inner := NewServer(st)
-	var v3Puts, identityPuts atomic.Int64
+	var encoded atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPut {
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				t.Error(err)
-			}
-			if store.ContainerOf(body) != store.ContainerV1 {
-				// What an older daemon's decoder does with bytes it cannot
-				// parse as its native containers.
-				v3Puts.Add(1)
-				http.Error(w, "store: blob: invalid blob: invalid character '\\xb3'",
-					http.StatusBadRequest)
-				return
-			}
-			identityPuts.Add(1)
-			r2 := r.Clone(r.Context())
-			r2.Body = io.NopCloser(bytes.NewReader(body))
-			inner.ServeHTTP(w, r2)
+		if !strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+			inner.ServeHTTP(w, r)
 			return
 		}
-		inner.ServeHTTP(w, r)
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		for h, vs := range rec.Header() {
+			w.Header()[h] = vs
+		}
+		w.Header().Del("Content-Length")
+		w.Header().Set("Content-Encoding", "gzip")
+		w.WriteHeader(rec.Code)
+		zw := gzip.NewWriter(w)
+		_, _ = zw.Write(rec.Body.Bytes())
+		_ = zw.Close()
+		encoded.Add(1)
 	}))
 	defer srv.Close()
 
-	c := newClient(t, srv.URL, nil)
-	k := testKey(t, 0)
-	if err := c.Put(k, testResult(0)); err != nil {
-		t.Fatalf("Put did not fall back to identity bytes: %v", err)
+	cache, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v3Puts.Load() != 1 || identityPuts.Load() != 1 {
-		t.Fatalf("puts: %d v3, %d identity; want one attempt each", v3Puts.Load(), identityPuts.Load())
+	c := newClient(t, srv.URL, cache)
+	res, ok := c.Get(k)
+	if !ok || res.DeviceName != "a100[0]" {
+		t.Fatalf("Get through a gzipping proxy = %+v ok=%v, want a hit", res, ok)
 	}
-	if res, ok := c.Get(k); !ok || res.DeviceName != "a100[0]" {
-		t.Fatalf("blob unreadable after fallback put: %+v ok=%v", res, ok)
+	if got := c.Counters().Corrupt; got != 0 {
+		t.Fatalf("Corrupt = %d, want 0", got)
 	}
-	// A genuinely invalid blob still fails: the fallback is one retry,
-	// not an error-masking loop — covered by the 400 the identity body
-	// earns from the real server in TestServerPutRejectsInvalidBlobs.
+	if encoded.Load() == 0 {
+		t.Fatal("the proxy never gzipped a response; the test proves nothing")
+	}
+	want, err := os.ReadFile(filepath.Join(st.Dir(), k.Digest+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(cache.Dir(), k.Digest+".json"))
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("local tier does not hold the daemon's bytes verbatim (err=%v)", err)
+	}
 }

@@ -40,31 +40,6 @@ func corruptBlobFiles(t *testing.T, dirs ...string) func(digest string) {
 	}
 }
 
-// plantBlobFile writes raw container bytes into the daemon's store
-// directory — the authoritative tier a legacy deployment's blobs
-// actually live in.
-func plantBlobFile(t *testing.T, dir string) func(digest string, data []byte) {
-	return func(digest string, data []byte) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, digest+".json"), data, 0o644); err != nil {
-			t.Fatalf("plant %s in %s: %v", digest, dir, err)
-		}
-	}
-}
-
-// readBlobFile reads the current authoritative-tier bytes of a
-// digest's blob (nil if absent).
-func readBlobFile(t *testing.T, dir string) func(digest string) []byte {
-	return func(digest string) []byte {
-		t.Helper()
-		data, err := os.ReadFile(filepath.Join(dir, digest+".json"))
-		if err != nil {
-			return nil
-		}
-		return data
-	}
-}
-
 // TestBackendConformanceLoopbackClient holds the cache-less network
 // client (through a live authed daemon) to the same contract as a
 // local directory.
@@ -79,10 +54,8 @@ func TestBackendConformanceLoopbackClient(t *testing.T) {
 			t.Fatal(err)
 		}
 		return conformancetest.Harness{
-			Backend:  c,
-			Corrupt:  corruptBlobFiles(t, dir),
-			Plant:    plantBlobFile(t, dir),
-			ReadBlob: readBlobFile(t, dir),
+			Backend: c,
+			Corrupt: corruptBlobFiles(t, dir),
 		}
 	})
 }
@@ -108,10 +81,8 @@ func TestBackendConformanceTieredClient(t *testing.T) {
 			t.Fatal(err)
 		}
 		return conformancetest.Harness{
-			Backend:  c,
-			Corrupt:  corruptBlobFiles(t, remoteDir, cache.Dir()),
-			Plant:    plantBlobFile(t, remoteDir),
-			ReadBlob: readBlobFile(t, remoteDir),
+			Backend: c,
+			Corrupt: corruptBlobFiles(t, remoteDir, cache.Dir()),
 		}
 	})
 }

@@ -241,127 +241,3 @@ func TestCrossHostPlanSeesRemoteState(t *testing.T) {
 		t.Fatalf("plan[2] = %+v, want free", plan[2])
 	}
 }
-
-// TestCrossHostSweepPartitionMixedV1V2 re-runs the cross-host
-// partition contract over a daemon whose store was seeded by a
-// pre-compression deployment: half the shards exist as legacy v1
-// (plain JSON) blobs. The sweep must treat them as first-class hits —
-// only the missing shards compute, each exactly once fleet-wide — the
-// v1 blobs heal to the current (v3) container on the way through, and
-// both hosts' artefacts stay byte-identical.
-func TestCrossHostSweepPartitionMixedV1V2(t *testing.T) {
-	backingDir := t.TempDir()
-	backing, err := store.Open(backingDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	profiles := hostProfiles(6)
-
-	// Seed shards 0–2 as v1 blobs with exactly the result Run would
-	// compute (campaigns are deterministic functions of their shard).
-	seeded := 3
-	for _, p := range profiles[:seeded] {
-		k, err := store.ProfileKey(p, hostConfig(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := &core.Result{
-			DeviceName:   fmt.Sprintf("%s[%d]", p.Key, p.Instance),
-			Architecture: p.Config.Architecture,
-		}
-		data, err := store.EncodeBlob(k, res) // canonical JSON = the v1 container
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(backingDir, k.Digest+".json"), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	srv := httptest.NewServer(NewServer(backing))
-	defer srv.Close()
-
-	type host struct {
-		cacheDir string
-		rep      *fleet.Report
-		err      error
-		calls    atomic.Int64
-	}
-	hosts := [2]*host{{cacheDir: t.TempDir()}, {cacheDir: t.TempDir()}}
-	var wg sync.WaitGroup
-	for i, h := range hosts {
-		cache, err := store.Open(h.cacheDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		client, err := NewClient(srv.URL, ClientOptions{Cache: cache, RetryBackoff: time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		owner := fmt.Sprintf("host-%d", i)
-		wg.Add(1)
-		go func(h *host) {
-			defer wg.Done()
-			h.rep, h.err = fleet.Sweep(profiles, fleet.Options{
-				Store:  client,
-				Config: hostConfig,
-				Run: func(p hwprofile.Profile, cfg core.Config) (*core.Result, error) {
-					h.calls.Add(1)
-					return &core.Result{
-						DeviceName:   fmt.Sprintf("%s[%d]", p.Key, p.Instance),
-						Architecture: p.Config.Architecture,
-					}, nil
-				},
-				LeaseTTL: time.Minute,
-				Owner:    owner,
-				WaitPoll: 2 * time.Millisecond,
-			})
-		}(h)
-	}
-	wg.Wait()
-
-	var computed, calls int64
-	for i, h := range hosts {
-		if h.err != nil {
-			t.Fatalf("host %d: %v", i, h.err)
-		}
-		computed += int64(h.rep.Computed)
-		calls += h.calls.Load()
-		for j, sh := range h.rep.Shards {
-			if sh.Result == nil {
-				t.Fatalf("host %d shard %d has no result", i, j)
-			}
-		}
-	}
-	want := int64(len(profiles) - seeded)
-	if computed != want || calls != want {
-		t.Fatalf("computed=%d calls=%d across both hosts, want exactly %d (the seeded v1 shards must be hits)",
-			computed, calls, want)
-	}
-
-	// Every blob — seeded and fresh alike — now rests in the v3
-	// container, and both local tiers healed to byte-identical copies
-	// of the daemon's.
-	for _, p := range profiles {
-		k, err := store.ProfileKey(p, hostConfig(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantBytes, err := os.ReadFile(filepath.Join(backingDir, k.Digest+".json"))
-		if err != nil {
-			t.Fatalf("daemon blob %s: %v", k, err)
-		}
-		if store.ContainerOf(wantBytes) != store.ContainerV3 {
-			t.Fatalf("daemon blob %s not healed to the v3 container", k)
-		}
-		for i, h := range hosts {
-			got, err := os.ReadFile(filepath.Join(h.cacheDir, k.Digest+".json"))
-			if err != nil {
-				t.Fatalf("host %d local tier missing %s: %v", i, k, err)
-			}
-			if !bytes.Equal(wantBytes, got) {
-				t.Fatalf("host %d blob %s differs from the daemon's bytes", i, k)
-			}
-		}
-	}
-}

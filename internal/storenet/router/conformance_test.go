@@ -28,36 +28,12 @@ func corruptIn(t *testing.T, dirs ...string) func(digest string) {
 	}
 }
 
-// plantIn writes raw container bytes into the member directory the
-// resolve hook picks for the digest (its primary, or the first live
-// preferred member).
-func plantIn(t *testing.T, resolve func(digest string) string) func(digest string, data []byte) {
-	return func(digest string, data []byte) {
-		t.Helper()
-		dir := resolve(digest)
-		if err := os.WriteFile(filepath.Join(dir, digest+".json"), data, 0o644); err != nil {
-			t.Fatalf("plant %s in %s: %v", digest, dir, err)
-		}
-	}
-}
-
-func readBlobIn(resolve func(digest string) string) func(digest string) []byte {
-	return func(digest string) []byte {
-		data, err := os.ReadFile(filepath.Join(resolve(digest), digest+".json"))
-		if err != nil {
-			return nil
-		}
-		return data
-	}
-}
-
 // TestRouterConformanceLocalMembers holds a three-member router over
 // local directory stores (R=2) to the full Backend contract.
 func TestRouterConformanceLocalMembers(t *testing.T) {
 	conformancetest.Run(t, func(t *testing.T) conformancetest.Harness {
 		members := make([]store.Backend, 3)
 		dirs := make([]string, 3)
-		byLoc := map[string]string{}
 		for i := range members {
 			dir := t.TempDir()
 			st, err := store.Open(dir)
@@ -66,18 +42,14 @@ func TestRouterConformanceLocalMembers(t *testing.T) {
 			}
 			members[i] = st
 			dirs[i] = dir
-			byLoc[st.Location()] = dir
 		}
 		r, err := router.New(members, router.Options{Replication: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		primaryDir := func(digest string) string { return byLoc[r.Replicas(digest)[0]] }
 		return conformancetest.Harness{
-			Backend:  r,
-			Corrupt:  corruptIn(t, dirs...),
-			Plant:    plantIn(t, primaryDir),
-			ReadBlob: readBlobIn(primaryDir),
+			Backend: r,
+			Corrupt: corruptIn(t, dirs...),
 		}
 	})
 }
@@ -89,7 +61,6 @@ func TestRouterConformanceDaemonMembers(t *testing.T) {
 	conformancetest.Run(t, func(t *testing.T) conformancetest.Harness {
 		members := make([]store.Backend, 3)
 		dirs := make([]string, 3)
-		byLoc := map[string]string{}
 		for i := range members {
 			dir := t.TempDir()
 			st, err := store.Open(dir)
@@ -108,18 +79,14 @@ func TestRouterConformanceDaemonMembers(t *testing.T) {
 			}
 			members[i] = c
 			dirs[i] = dir
-			byLoc[c.Location()] = dir
 		}
 		r, err := router.New(members, router.Options{Replication: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		primaryDir := func(digest string) string { return byLoc[r.Replicas(digest)[0]] }
 		return conformancetest.Harness{
-			Backend:  r,
-			Corrupt:  corruptIn(t, dirs...),
-			Plant:    plantIn(t, primaryDir),
-			ReadBlob: readBlobIn(primaryDir),
+			Backend: r,
+			Corrupt: corruptIn(t, dirs...),
 		}
 	})
 }
@@ -134,8 +101,6 @@ func TestRouterConformanceDeadMember(t *testing.T) {
 	conformancetest.Run(t, func(t *testing.T) conformancetest.Harness {
 		members := make([]store.Backend, 3)
 		dirs := make([]string, 3)
-		byLoc := map[string]string{}
-		var deadLoc string
 		for i := range members {
 			dir := t.TempDir()
 			st, err := store.Open(dir)
@@ -144,35 +109,19 @@ func TestRouterConformanceDeadMember(t *testing.T) {
 			}
 			members[i] = st
 			dirs[i] = dir
-			byLoc[st.Location()] = dir
 			if i == 2 {
 				f := faults.WrapBackend(st, faults.Plan{})
 				f.Kill()
 				members[i] = f
-				deadLoc = f.Location()
 			}
 		}
 		r, err := router.New(members, router.Options{Replication: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The authoritative tier a planted blob must be readable from is
-		// the first *live* preferred member — the dead one can neither
-		// serve nor heal it.
-		liveDir := func(digest string) string {
-			for _, loc := range r.Replicas(digest) {
-				if loc != deadLoc {
-					return byLoc[loc]
-				}
-			}
-			t.Fatalf("no live preferred member for %s", digest)
-			return ""
-		}
 		return conformancetest.Harness{
-			Backend:  r,
-			Corrupt:  corruptIn(t, dirs...),
-			Plant:    plantIn(t, liveDir),
-			ReadBlob: readBlobIn(liveDir),
+			Backend: r,
+			Corrupt: corruptIn(t, dirs...),
 		}
 	})
 }

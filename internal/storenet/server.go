@@ -260,44 +260,12 @@ func etagMatches(header, digest string) bool {
 	return false
 }
 
-// acceptsGzip reports whether the request's Accept-Encoding admits a
-// gzip response body. Go's default transport sends "gzip" on its own
-// (and transparently inflates), so both codec-aware clients and legacy
-// ones land on the compressed path; only an explicit identity-only
-// header (curl, exotic proxies) takes the decompressing fallback.
-func acceptsGzip(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		part = strings.TrimSpace(part)
-		coding, params, _ := strings.Cut(part, ";")
-		if strings.TrimSpace(coding) != "gzip" && strings.TrimSpace(coding) != "*" {
-			continue
-		}
-		if q, ok := strings.CutPrefix(strings.TrimSpace(params), "q="); ok {
-			if v, err := strconv.ParseFloat(strings.TrimSpace(q), 64); err == nil && v == 0 {
-				continue
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // handleBlobGet serves GET and HEAD. GET goes through the store's
-// validating read path (counters, LRU touch, corrupt-blob healing);
-// HEAD is the cheap existence probe Has maps to and deliberately
-// touches nothing.
-//
-// The response body is negotiated on two axes. A client declaring
-// X-Blob-Accept: v3 gets the store's v3 disk bytes verbatim as
-// application/octet-stream — the zero-copy passthrough, no
-// re-encode — which its validator then writes to its cache tier
-// unchanged. Legacy clients see the canonical-JSON entity the v1 API
-// always served: gzip-accepting ones get the deterministic compressed
-// view (byte-equal to EncodeBlobCompressed) under Content-Encoding:
-// gzip, identity-only ones get the canonical JSON rendered on the fly
-// through pooled writers. All three are representations of the same
-// canonical envelope, so the digest ETag and If-None-Match semantics
-// are unchanged.
+// validating read path (counters, LRU touch, corrupt-blob healing) and
+// answers with the v3 disk bytes verbatim as application/octet-stream —
+// no re-encode, no transfer coding — which the client's validator then
+// writes to its cache tier unchanged. HEAD is the cheap existence probe
+// Has maps to and deliberately touches nothing.
 func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
 	digest := s.digest(w, r)
 	if digest == "" {
@@ -321,11 +289,6 @@ func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "storenet: no blob", http.StatusNotFound)
 		return
 	}
-	// The body representation depends on X-Blob-Accept (binary
-	// passthrough) and Accept-Encoding (compressed vs inflated JSON)
-	// while all share the digest ETag — a shared cache must key on both
-	// headers or it would serve the wrong representation.
-	w.Header().Set("Vary", "Accept-Encoding, X-Blob-Accept")
 	w.Header().Set("ETag", etagFor(digest))
 	// Blobs are immutable per digest: a cached body that ever matched is
 	// still good.
@@ -333,63 +296,16 @@ func (s *Server) handleBlobGet(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	// GetRaw serves the v3 container except when a legacy blob's disk
-	// heal failed mid-flight; sniff rather than assume.
-	cont := store.ContainerOf(data)
-	if cont == store.ContainerV3 && acceptsV3(r) {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		_, _ = w.Write(data)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if cont == store.ContainerV1 {
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		_, _ = w.Write(data)
-		return
-	}
-	if acceptsGzip(r) {
-		// v2 disk bytes pass through verbatim; v3 is re-rendered into the
-		// deterministic gzip view, byte-equal to what a v2 store would
-		// have served for the same blob.
-		w.Header().Set("Content-Encoding", "gzip")
-		if cont == store.ContainerV2 {
-			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-			_, _ = w.Write(data)
-			return
-		}
-		_ = store.WriteCanonicalCompressed(w, data)
-		return
-	}
-	// Identity-only client: render the canonical JSON through the store
-	// codec's pooled machinery. (GetRaw already validated the blob; this
-	// second pass is the rare path's price for the common path's
-	// passthrough.) A mid-body error is unrecoverable over HTTP — the
-	// status line is gone — and the client's validation treats the
-	// truncated body as a miss.
-	_ = store.WriteCanonical(w, data)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+	_, _ = w.Write(data)
 }
 
-// acceptsV3 reports whether the client declared it understands the v3
-// binary container (X-Blob-Accept: v3). Deliberately a bespoke header
-// rather than an Accept-Encoding coding: v3 is a different entity
-// serialisation, not a transfer coding, and proxies must not try to
-// decode it.
-func acceptsV3(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("X-Blob-Accept"), ",") {
-		if strings.TrimSpace(part) == "v3" {
-			return true
-		}
-	}
-	return false
-}
-
-// handleBlobPut validates and stores a blob — any container — through
-// the store's proof-carrying path (PutRaw = ValidateBlobBytes +
-// PutValidated): the body is parsed exactly once, v3 bytes land on
-// disk verbatim, legacy bytes are re-containered from that one parse.
-// Invalid bytes — garbage, wrong schema, digest mismatch — are the
-// client's fault (400); anything else is the store's (500). PUT is
+// handleBlobPut validates and stores a v3 blob through the store's
+// proof-carrying path (PutRaw = ValidateBlobBytes + PutValidated): the
+// body is parsed exactly once and lands on disk verbatim. Invalid bytes
+// — anything but a v3 container, wrong schema, digest mismatch — are
+// the client's fault (400); anything else is the store's (500). PUT is
 // idempotent: same digest ⇒ same bytes, so a retried or concurrent
 // duplicate write converges.
 func (s *Server) handleBlobPut(w http.ResponseWriter, r *http.Request) {

@@ -2,6 +2,7 @@ package storenet
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -54,7 +55,7 @@ func newDaemon(t *testing.T) (*store.Store, *httptest.Server) {
 func TestServerBlobRoundTrip(t *testing.T) {
 	st, srv := newDaemon(t)
 	k := testKey(t, 0)
-	blob, err := store.EncodeBlob(k, testResult(0))
+	blob, err := store.EncodeBlobV3(k, testResult(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +127,17 @@ func TestServerBlobRoundTrip(t *testing.T) {
 }
 
 // TestServerPutRejectsInvalidBlobs: the daemon validates before
-// storing, so no client can plant bytes a Get would reject.
+// storing, so no client can plant bytes a Get would reject — and the
+// plain-JSON (v1) and gzip-JSON (v2) containers of earlier releases are
+// such bytes.
 func TestServerPutRejectsInvalidBlobs(t *testing.T) {
 	st, srv := newDaemon(t)
 	k := testKey(t, 0)
-	good, err := store.EncodeBlob(k, testResult(0))
+	good, err := store.EncodeBlobV3(k, testResult(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := store.EncodeBlob(k, testResult(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +150,8 @@ func TestServerPutRejectsInvalidBlobs(t *testing.T) {
 		"garbage":         {k.Digest, []byte("not json")},
 		"digest mismatch": {otherKey.Digest, good}, // valid blob, wrong address
 		"truncated":       {k.Digest, good[:len(good)/2]},
+		"v1":              {k.Digest, v1},
+		"v2":              {k.Digest, gzipped(t, v1)},
 	}
 	for name, tc := range cases {
 		req, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/blobs/"+tc.digest,
@@ -156,9 +165,23 @@ func TestServerPutRejectsInvalidBlobs(t *testing.T) {
 			t.Fatalf("%s: %s, want 400", name, resp.Status)
 		}
 	}
-	if st.Len() != 0 {
-		t.Fatalf("invalid PUTs left %d indexed blobs", st.Len())
+	if st.Len() != 0 || st.Has(k) || st.Has(otherKey) {
+		t.Fatalf("invalid PUTs stored blobs: Len = %d", st.Len())
 	}
+}
+
+// gzipped deflates data as one gzip member.
+func gzipped(t *testing.T, data []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	if _, err := gz.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func TestServerRejectsBadDigests(t *testing.T) {
@@ -440,14 +463,10 @@ func TestServerConditionalGetVouchesExistence(t *testing.T) {
 	}
 }
 
-// TestServerContentNegotiation pins the wire table: a v3-declaring
-// client gets the daemon's disk bytes verbatim as octet-stream (the
-// near-zero-copy passthrough), a gzip-accepting legacy client gets the
-// deterministic compressed canonical view under Content-Encoding: gzip
-// (byte-equal to EncodeBlobCompressed), an identity-only client gets
-// the canonical JSON rendered on the fly, and a stock Go client (whose
-// transport negotiates and inflates transparently) sees the canonical
-// JSON too — four views of one immutable entity under one ETag.
+// TestServerContentNegotiation: there is nothing to negotiate. Whatever
+// a client declares — a v3 preference, gzip, identity only, nothing, or
+// the stock transport's own gzip — a blob GET answers with the v3 disk
+// bytes verbatim as application/octet-stream and no Content-Encoding.
 func TestServerContentNegotiation(t *testing.T) {
 	st, srv := newDaemon(t)
 	k := testKey(t, 0)
@@ -458,113 +477,53 @@ func TestServerContentNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.ContainerOf(disk) != store.ContainerV3 {
-		t.Fatal("Put did not land the v3 container; the fixture is wrong")
-	}
-	canonical, err := store.EncodeBlob(k, testResult(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	compressed, err := store.EncodeBlobCompressed(k, testResult(0))
-	if err != nil {
-		t.Fatal(err)
-	}
 	blobURL := srv.URL + "/v1/blobs/" + k.Digest
 
-	// Raw client declaring the binary container: passthrough of the disk
-	// bytes, no transfer coding.
 	raw := &http.Client{Transport: &http.Transport{DisableCompression: true}}
-	req, _ := http.NewRequest(http.MethodGet, blobURL, nil)
-	req.Header.Set("Accept-Encoding", "gzip")
-	req.Header.Set("X-Blob-Accept", "v3")
-	resp, err := raw.Do(req)
+	for name, hdr := range map[string]map[string]string{
+		"none":          {},
+		"gzip":          {"Accept-Encoding": "gzip"},
+		"identity-only": {"Accept-Encoding": "identity"},
+		"v3-and-gzip":   {"Accept-Encoding": "gzip", "X-Blob-Accept": "v3"},
+		"v3-identity":   {"Accept-Encoding": "identity", "X-Blob-Accept": "v3"},
+	} {
+		req, _ := http.NewRequest(http.MethodGet, blobURL, nil)
+		for h, v := range hdr {
+			req.Header.Set(h, v)
+		}
+		resp, err := raw.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: GET %s err=%v", name, resp.Status, err)
+		}
+		if ce := resp.Header.Get("Content-Encoding"); ce != "" {
+			t.Fatalf("%s: response carries Content-Encoding %q", name, ce)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+			t.Fatalf("%s: Content-Type = %q", name, ct)
+		}
+		if !bytes.Equal(body, disk) {
+			t.Fatalf("%s: body is not the disk container verbatim", name)
+		}
+	}
+
+	// The stock transport (which adds its own Accept-Encoding: gzip)
+	// lands on the same bytes.
+	resp, err := http.Get(blobURL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("v3 GET: %s err=%v", resp.Status, err)
-	}
-	if resp.Header.Get("Content-Encoding") != "" {
-		t.Fatalf("v3 response carries Content-Encoding %q", resp.Header.Get("Content-Encoding"))
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
-		t.Fatalf("v3 Content-Type = %q", ct)
-	}
-	if !bytes.Equal(body, disk) {
-		t.Fatal("v3 body is not the disk container verbatim")
+	if err != nil || !bytes.Equal(body, disk) {
+		t.Fatalf("stock GET diverged from the disk bytes: err=%v", err)
 	}
 	if _, err := store.ValidateBlob(body, k.Digest); err != nil {
-		t.Fatalf("passthrough body does not validate: %v", err)
-	}
-
-	// Legacy gzip client (no v3 declaration): the deterministic
-	// compressed canonical view — what a v2-era daemon would have
-	// served — under Content-Encoding: gzip.
-	req, _ = http.NewRequest(http.MethodGet, blobURL, nil)
-	req.Header.Set("Accept-Encoding", "gzip")
-	resp, err = raw.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("gzip GET: %s err=%v", resp.Status, err)
-	}
-	if resp.Header.Get("Content-Encoding") != "gzip" {
-		t.Fatalf("Content-Encoding = %q, want gzip", resp.Header.Get("Content-Encoding"))
-	}
-	if !bytes.Equal(body, compressed) {
-		t.Fatal("gzip body is not the deterministic compressed canonical view")
-	}
-	if _, err := store.ValidateBlob(body, k.Digest); err != nil {
-		t.Fatalf("gzip body does not validate: %v", err)
-	}
-
-	// Identity-only client: inflated canonical JSON, no coding header.
-	req, _ = http.NewRequest(http.MethodGet, blobURL, nil)
-	req.Header.Set("Accept-Encoding", "identity")
-	resp, err = raw.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("identity GET: %s err=%v", resp.Status, err)
-	}
-	if resp.Header.Get("Content-Encoding") != "" {
-		t.Fatalf("identity response carries Content-Encoding %q", resp.Header.Get("Content-Encoding"))
-	}
-	if !bytes.Equal(body, canonical) {
-		t.Fatal("identity body is not the canonical JSON")
-	}
-
-	// Stock Go client: the transport's transparent gzip round trip
-	// lands on the same canonical bytes — pre-codec clients interop.
-	resp, err = http.Get(blobURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || !bytes.Equal(body, canonical) {
-		t.Fatalf("transparent GET diverged: err=%v", err)
-	}
-
-	// Both codings share the digest ETag.
-	req, _ = http.NewRequest(http.MethodGet, blobURL, nil)
-	req.Header.Set("Accept-Encoding", "identity")
-	req.Header.Set("If-None-Match", `"`+k.Digest+`"`)
-	resp, err = raw.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("conditional identity GET: %s, want 304", resp.Status)
+		t.Fatalf("served body does not validate: %v", err)
 	}
 }
 
