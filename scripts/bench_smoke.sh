@@ -27,7 +27,7 @@ $(go test -run '^$' -bench 'BenchmarkSuiteCampaign(Warm|RemoteWarm)$' -benchtime
 # against the pre-journal whole-manifest rewrite (O(entries) per Put);
 # a handful of iterations keeps the ratio out of filesystem noise while
 # still completing in well under a second. The blob codec benchmarks
-# track the compressed-container encode/decode cost.
+# track the v3 container encode/decode cost.
 raw="$raw
 $(go test -run '^$' -bench 'BenchmarkStorePut|BenchmarkBlob' -benchtime 20x -benchmem ./internal/store)"
 # Resilience path: the breaker's fast-fail vs the no-breaker
@@ -119,43 +119,25 @@ END {
 	if (rewrite > 0 && journal > 0)
 		printf ",\n  \"manifest_put_speedup\": %.2f", rewrite / journal
 	# v3 streaming encode: the allocation profile of the binary blob
-	# writer, and the reduction vs the PR-5 JSON-pipeline encode baseline
-	# (5177 allocs/op on the CI container lineage; BenchmarkBlobEncodeJSON
-	# still reproduces it). The v3 encoder is alloc-free in steady state,
-	# so the reduction denominator is floored at 1 — read a 5177 there as
-	# "the entire baseline cost is gone".
-	enc_allocs = allocs["BenchmarkBlobEncode"]
-	enc_bytes = bytes["BenchmarkBlobEncode"]
+	# writer (alloc-free in steady state).
 	if (ns["BenchmarkBlobEncode"] > 0) {
-		printf ",\n  \"blob_encode_allocs_per_op\": %d", enc_allocs
-		printf ",\n  \"blob_encode_bytes_per_op\": %d", enc_bytes
-		printf ",\n  \"encode_alloc_reduction\": %.0f", 5177 / (enc_allocs > 0 ? enc_allocs : 1)
+		printf ",\n  \"blob_encode_allocs_per_op\": %d", allocs["BenchmarkBlobEncode"]
+		printf ",\n  \"blob_encode_bytes_per_op\": %d", bytes["BenchmarkBlobEncode"]
 	}
 	# Blob container: raw/compressed ratio of a real quick-scale
-	# campaign blob (from TestBlobCompressionRatio), and the warm-get
-	# memory trajectory vs the PR-4 (uncompressed wire/disk) baseline —
-	# the two numbers the compressed codec exists to move. The *_vs_pr4
-	# denominators are the bytes/allocs the PR-4 CI container recorded;
-	# like every speedup in this file, the ratios are meaningful on the
-	# CI container lineage, not across arbitrary hosts or toolchains —
-	# the absolute *_per_op fields are the portable record.
+	# campaign blob (from TestBlobCompressionRatio), and the absolute
+	# warm-get memory cost, local and remote.
 	if (blob_ratio > 0)
 		printf ",\n  \"blob_compression_ratio\": %.2f", blob_ratio
 	warm_bytes = bytes["BenchmarkSuiteCampaignWarm"]
-	if (warm_bytes > 0) {
+	if (warm_bytes > 0)
 		printf ",\n  \"warm_bytes_per_op\": %d", warm_bytes
-		printf ",\n  \"warm_bytes_vs_pr4\": %.2f", 1446400 / warm_bytes
-	}
 	remote_bytes = bytes["BenchmarkSuiteCampaignRemoteWarm"]
 	remote_allocs = allocs["BenchmarkSuiteCampaignRemoteWarm"]
-	if (remote_bytes > 0) {
+	if (remote_bytes > 0)
 		printf ",\n  \"remote_warm_bytes_per_op\": %d", remote_bytes
-		printf ",\n  \"remote_warm_bytes_vs_pr4\": %.2f", 3970264 / remote_bytes
-	}
-	if (remote_allocs > 0) {
+	if (remote_allocs > 0)
 		printf ",\n  \"remote_warm_allocs_per_op\": %d", remote_allocs
-		printf ",\n  \"remote_warm_allocs_vs_pr4\": %.2f", 20233 / remote_allocs
-	}
 	# Resilience figures. breaker_fastfail_ns is the absolute cost of a
 	# store touch while the circuit is open (the per-op outage tax of a
 	# degraded sweep); its speedup is measured against the no-breaker client

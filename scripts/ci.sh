@@ -24,11 +24,11 @@ go build -o /dev/null ./cmd/storedsup
 echo "== go test =="
 go test ./...
 
-echo "== gofmt (internal/obs, internal/sim, internal/core) =="
-# The tracing layer and the simulator/measurement hot paths are held to
-# gofmt-clean so drive-by edits to the hot span path or the iteration
-# loop can't land unformatted.
-unformatted=$(gofmt -l internal/obs internal/sim internal/core)
+echo "== gofmt (internal/obs, internal/sim, internal/core, internal/store, internal/storenet) =="
+# The tracing layer, the simulator/measurement hot paths and the store
+# tier are held to gofmt-clean so drive-by edits to the hot span path,
+# the iteration loop or the blob codec can't land unformatted.
+unformatted=$(gofmt -l internal/obs internal/sim internal/core internal/store internal/storenet)
 if [ -n "$unformatted" ]; then
 	echo "gofmt: needs formatting:" >&2
 	echo "$unformatted" >&2
@@ -39,9 +39,9 @@ go vet ./internal/obs/...
 echo "== sweep partition tests (-count 5) =="
 # Each shard must be written exactly once across processes and hosts. A
 # lease race shows up only in some interleavings, so one lucky pass
-# proves little: run the four partition tests five times each.
+# proves little: run the three partition tests five times each.
 go test -count 5 -run 'TestCrossProcessSweepPartition|TestCrossHostSweepPartition' ./cmd/experiments
-go test -count 5 -run 'TestCrossHostSweepPartition|TestCrossHostSweepPartitionMixedV1V2' ./internal/storenet
+go test -count 5 -run 'TestCrossHostSweepPartition' ./internal/storenet
 
 echo "== go test -race (store, fleet, storenet) =="
 go test -race ./internal/obs/... ./internal/store/... ./internal/fleet/... ./internal/storenet/... ./cmd/stored/...
@@ -62,8 +62,8 @@ go test -race -count 2 \
 	./internal/storenet
 go test -race -count 2 -run 'TestSweepDegrade|TestSweepAutoPolicy|TestResolvePolicy' ./internal/fleet
 
-echo "== go test -race (legacy v1/v2 -> v3 blob migration) =="
-go test -race -run 'TestLegacyBlobHealsToV3|TestGetRawServesLegacyAsV3|TestMixedStoreRebuild|TestCorruptBlobIsMissAndHeals|TestHealConvergence' \
+echo "== go test -race (v3 blob codec rails: corrupt and legacy blobs are misses) =="
+go test -race -run 'TestCorruptBlobIsMissAndHeals|TestBlobInflationBound|TestRejectsMultiMemberContainer|TestV3RoundTrip' \
 	-count 2 ./internal/store
 
 echo "== go test -race (backend conformance + auth/ratelimit) =="
@@ -90,10 +90,10 @@ STORED_LOAD_CLIENTS=25 go test -race -run 'TestStoredLoadConcurrent$' ./internal
 echo "== fuzz smoke (blob codec) =="
 # One target per invocation (go test's -fuzz constraint); a few seconds
 # each is a smoke over the seeded corpus plus whatever the engine grows,
-# not a soak — the corpus seeds alone cover all three containers,
-# truncation, torn v3 binary sections, bit flips and the inflation rail.
+# not a soak — the corpus seeds alone cover the v3 container, the
+# plain-JSON and gzip-JSON inputs it must reject, truncation, torn v3
+# binary sections, bit flips and the inflation rail.
 go test -run '^$' -fuzz 'FuzzDecodeBlob$' -fuzztime 5s ./internal/store
-go test -run '^$' -fuzz 'FuzzF64UnmarshalJSON$' -fuzztime 5s ./internal/store
 
 echo "== blob codec benchmarks =="
 go test -run '^$' -bench 'BenchmarkBlob' -benchtime 20x -benchmem ./internal/store
