@@ -41,11 +41,11 @@
 // router's local read-through tier. The end-of-run stats include a
 // per-member health line.
 //
-// With -lease-ttl, multi-unit sweeps additionally claim each campaign
-// through an advisory store lease before computing it, so several
-// processes pointed at the same -cache-dir — or several hosts pointed
-// at the same -store-url — partition a sweep instead of duplicating it
-// (each still finishes with every result). -shard-offset starts this
+// With -lease-ttl, every campaign is additionally claimed through an
+// advisory store lease before it is computed, so several processes
+// pointed at the same -cache-dir — or several hosts pointed at the same
+// -store-url — partition the work instead of duplicating it (each still
+// finishes with every result). -shard-offset starts this
 // host's sweeps at a different shard index (give host i of n offset
 // i*shards/n), so cooperating hosts claim disjoint ranges up front
 // instead of all racing for shard 0; -shard-offset auto derives the
@@ -273,11 +273,10 @@ func run(args []string, out io.Writer) error {
 	case "":
 	case "auto":
 		autoOffset = true
-		// Auto mode consumes the fleet.Plan lease/index view, which the
-		// sweep only owns in lease mode; without -lease-ttl it would be
-		// silently inert — the offset stuck at 0, contention unchanged.
+		// Auto mode steers sweeps away from shards that live peers have
+		// claimed; without -lease-ttl there are no claims to steer by.
 		if *leaseTTL <= 0 {
-			return fmt.Errorf("-shard-offset auto requires -lease-ttl (the plan it consults is the lease-mode sweep's)")
+			return fmt.Errorf("-shard-offset auto requires -lease-ttl (it steers by live peers' claims)")
 		}
 	default:
 		n, err := strconv.Atoi(*shardOff)

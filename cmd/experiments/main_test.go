@@ -219,6 +219,12 @@ func TestTraceOutExport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, out.String())
 	}
+	// A computed shard counts one store miss — its first lookup — so a
+	// cold run into an empty store misses, writes and stores each shard
+	// once.
+	if !strings.Contains(out.String(), ": 0 hits, 4 misses, 4 writes, 4 blobs") {
+		t.Fatalf("cold lease-mode run should miss, write and store each of 4 shards once:\n%s", out.String())
+	}
 
 	data, err := os.ReadFile(traceFile)
 	if err != nil {

@@ -138,6 +138,58 @@ func TestFleetLeasePartition(t *testing.T) {
 	}
 }
 
+// TestCampaignLeasePartition: lease mode covers single-profile
+// campaigns, not just multi-unit sweeps. Two suites — each with its own
+// Store handle on one directory — build Table II concurrently; its three
+// campaigns must run exactly once across both, and the store must hold
+// exactly those three blobs.
+func TestCampaignLeasePartition(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the three main quick campaigns")
+	}
+	dir := t.TempDir()
+	suites := make([]*Suite, 2)
+	errs := make([]error, len(suites))
+	var wg sync.WaitGroup
+	for i := range suites {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		suites[i] = NewSuite(Options{
+			Scale:      ScaleQuick,
+			Seed:       5,
+			Store:      st,
+			LeaseTTL:   time.Minute,
+			LeaseOwner: fmt.Sprintf("suite-%d", i),
+		})
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = suites[i].Table2()
+		}(i)
+	}
+	wg.Wait()
+
+	var runs int64
+	for i, s := range suites {
+		if errs[i] != nil {
+			t.Fatalf("suite %d: %v", i, errs[i])
+		}
+		runs += s.runs.Load()
+	}
+	if runs != 3 {
+		t.Fatalf("campaigns ran %d times across both suites, want exactly 3 (lease bypassed)", runs)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Len() != 3 {
+		t.Fatalf("store holds %d blobs, want 3", st.Len())
+	}
+}
+
 // TestCampaignStoreKeySensitivity: a suite with a different seed shares
 // the store but not the cache entries.
 func TestCampaignStoreKeySensitivity(t *testing.T) {

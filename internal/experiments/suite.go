@@ -12,8 +12,10 @@
 // cmd/experiments. With Options.Store set, campaign results additionally
 // persist across processes as content-addressed blobs (internal/store):
 // a re-run with unchanged inputs recomputes nothing and reproduces every
-// artefact byte for byte, and multi-unit studies shard over the fleet
-// pool (internal/fleet) so interrupted sweeps resume where they stopped.
+// artefact byte for byte. Every campaign, single or multi-unit, resolves
+// through one fleet sweep (internal/fleet), so interrupted sweeps resume
+// where they stopped and lease mode partitions every campaign across
+// processes.
 package experiments
 
 import (
@@ -74,12 +76,12 @@ type Options struct {
 	// studies (A100Instances, Prewarm) run concurrently. Zero means one
 	// per CPU. Results are identical at every setting.
 	FleetReplicas int
-	// LeaseTTL, when positive (requires Store), coordinates multi-unit
-	// sweeps across processes: each shard is claimed through a store
-	// lease before computing, so concurrent processes sharing a cache
-	// directory partition a sweep instead of duplicating it. Size it to
-	// comfortably exceed one campaign's runtime. Zero keeps sweeps
-	// single-process (the PR-2 behaviour).
+	// LeaseTTL, when positive (requires Store), coordinates campaigns
+	// across processes: each one is claimed through a store lease before
+	// computing, so concurrent processes sharing a cache directory
+	// partition the work instead of duplicating it. Size it to
+	// comfortably exceed one campaign's runtime. Zero keeps campaigns
+	// single-process.
 	LeaseTTL time.Duration
 	// LeaseOwner identifies this process in lease files; empty derives a
 	// host/pid id. Results never depend on it.
@@ -89,7 +91,7 @@ type Options struct {
 	// blobs exceed the watermark, one GC pass evicts least-recently-used
 	// blobs back under it. Zero leaves GC manual.
 	GCWatermarkBytes int64
-	// ShardOffset starts every multi-unit sweep at this shard index
+	// ShardOffset starts every fleet sweep at this shard index
 	// (mod the shard count): cooperating processes given disjoint
 	// offsets claim disjoint ranges up front instead of all racing for
 	// shard 0. Results are identical at every offset.
@@ -97,10 +99,8 @@ type Options struct {
 	// AutoShardOffset derives the offset per sweep from the store's
 	// live lease/index state: the sweep starts at the first shard that
 	// is neither cached nor claimed by a live peer. Overrides
-	// ShardOffset when such a shard exists. Effective only in lease
-	// mode (Store + LeaseTTL) — that is the only mode in which the
-	// fleet sweep owns the store whose plan it consults; outside it the
-	// offset stays at ShardOffset.
+	// ShardOffset when such a shard exists. Effective only with Store
+	// set; without it the offset stays at ShardOffset.
 	AutoShardOffset bool
 	// StoreErrors is handed to every fleet sweep: abort on store
 	// write/claim failures, degrade around them, or (the zero value)
@@ -108,7 +108,7 @@ type Options struct {
 	// fleet.StoreErrorPolicy.
 	StoreErrors fleet.StoreErrorPolicy
 	// Tracer, when non-nil, is handed to every fleet sweep: each
-	// multi-unit study records a root span with per-shard children, and
+	// campaign resolution records a root span with per-shard children, and
 	// a store client in reach carries the sweep's trace ID on its wire
 	// requests (see fleet.Options.Tracer). The reports — including the
 	// per-shard timing the trace reflects — accumulate in SweepReports.
@@ -145,8 +145,8 @@ type Suite struct {
 	reports []*fleet.Report
 }
 
-// SweepReports returns every fleet report the suite's multi-unit
-// studies have produced so far, in completion order. Each carries the
+// SweepReports returns every fleet report the suite's campaign
+// resolutions have produced so far, in completion order. Each carries the
 // per-shard timing breakdown (Report.WriteTimingTable) and, under a
 // tracer, the sweep's trace ID.
 func (s *Suite) SweepReports() []*fleet.Report {
@@ -256,8 +256,10 @@ func (s *Suite) campaignConfig(p hwprofile.Profile) core.Config {
 	return cfg
 }
 
-// runCampaign executes one campaign on a fresh device.
+// runCampaign executes one campaign on a fresh device; it is every
+// fleet sweep's shard runner.
 func (s *Suite) runCampaign(p hwprofile.Profile, cfg core.Config) (*core.Result, error) {
+	s.runs.Add(1)
 	dev, err := p.NewDevice(clock.New())
 	if err != nil {
 		return nil, err
@@ -283,72 +285,15 @@ func (s *Suite) runCampaign(p hwprofile.Profile, cfg core.Config) (*core.Result,
 // and everyone else blocks until its result lands. A failed campaign is
 // not cached, so a later call retries.
 //
-// With Options.Store set, the singleflight winner first looks the
-// campaign up in the persistent store and only computes on a miss,
-// writing the fresh result through; either way the in-process cache is
-// populated, so the store is consulted at most once per key per Suite.
+// With Options.Store set, the winner resolves the campaign through the
+// persistent store (see resolve), so the store is consulted at most once
+// per key per Suite.
 func (s *Suite) Campaign(p hwprofile.Profile) (*core.Result, error) {
-	key := fmt.Sprintf("%s/%d", p.Key, p.Instance)
-	s.mu.Lock()
-	if c, ok := s.campaigns[key]; ok {
-		s.mu.Unlock()
-		<-c.done
-		return c.res, c.err
+	res, err := s.resolve([]hwprofile.Profile{p})
+	if err != nil {
+		return nil, err
 	}
-	c := &campaignCall{done: make(chan struct{})}
-	s.campaigns[key] = c
-	s.mu.Unlock()
-
-	// A panicking campaign must not wedge the key: waiters need done
-	// closed and future callers need the entry gone, whether the run
-	// returns, errors, or unwinds.
-	defer func() {
-		if p := recover(); p != nil {
-			c.err = fmt.Errorf("experiments: campaign %s panicked: %v", key, p)
-			s.mu.Lock()
-			delete(s.campaigns, key)
-			s.mu.Unlock()
-			close(c.done)
-			panic(p)
-		}
-	}()
-
-	c.res, c.err = s.storeBackedCampaign(p)
-	if c.err != nil {
-		c.err = fmt.Errorf("experiments: campaign %s: %w", key, c.err)
-		s.mu.Lock()
-		delete(s.campaigns, key) // leave failures uncached for retry
-		s.mu.Unlock()
-	}
-	close(c.done)
-	return c.res, c.err
-}
-
-// storeBackedCampaign resolves one campaign through the persistent store
-// when configured: hit ⇒ the stored result (no recomputation, runs
-// counter untouched), miss ⇒ compute and write through. Store write
-// failures are non-fatal — the cache is an optimisation and the computed
-// result in hand is correct — but a broken store also cannot invalidate
-// a campaign that already succeeded.
-func (s *Suite) storeBackedCampaign(p hwprofile.Profile) (*core.Result, error) {
-	cfg := s.campaignConfig(p)
-	var key store.Key
-	if s.opts.Store != nil {
-		k, err := store.ProfileKey(p, cfg)
-		if err != nil {
-			return nil, err
-		}
-		key = k
-		if res, ok := s.opts.Store.Get(key); ok {
-			return res, nil
-		}
-	}
-	s.runs.Add(1)
-	res, err := s.runCampaign(p, cfg)
-	if err == nil && s.opts.Store != nil {
-		_ = s.opts.Store.Put(key, res)
-	}
-	return res, err
+	return res[0], nil
 }
 
 // CampaignByKey resolves the profile by key and returns its campaign.
@@ -360,48 +305,69 @@ func (s *Suite) CampaignByKey(key string) (*core.Result, error) {
 	return s.Campaign(p)
 }
 
-// sweep shards whole campaigns over the fleet pool.
-//
-// Single-process mode (no LeaseTTL): the fleet's own store stays nil —
-// Campaign already consults the suite's store (and the in-process
-// cache) per shard, so the fleet only contributes the bounded replica
-// pool and the shard report.
-//
-// Lease mode (Store + LeaseTTL): the fleet owns the store lookup, the
-// lease claim/wait/steal loop, and the write-through, and the shard
-// runner computes directly (bypassing the suite's singleflight, which
-// would double-book the store traffic). Later Campaign calls for the
-// same profiles are store hits.
-func (s *Suite) sweep(profiles []hwprofile.Profile) ([]*core.Result, error) {
-	fo := fleet.Options{
-		Replicas:        s.opts.FleetReplicas,
-		ShardOffset:     s.opts.ShardOffset,
-		AutoShardOffset: s.opts.AutoShardOffset,
-		StoreErrors:     s.opts.StoreErrors,
-		Tracer:          s.opts.Tracer,
-	}
-	if s.opts.Store != nil && s.opts.LeaseTTL <= 0 {
-		// Single-process mode: the fleet never sees the store (Campaign
-		// owns the lookup), so hand it the store's trace carrier directly
-		// — the suite's store traffic still attributes to the sweep.
-		fo.TraceCarrier, _ = s.opts.Store.(obs.TraceContextSetter)
-	}
-	if s.opts.Store != nil && s.opts.LeaseTTL > 0 {
-		fo.Store = s.opts.Store
-		fo.Config = s.campaignConfig
-		fo.LeaseTTL = s.opts.LeaseTTL
-		fo.Owner = s.opts.LeaseOwner
-		fo.GCWatermarkBytes = s.opts.GCWatermarkBytes
-		fo.Run = func(p hwprofile.Profile, cfg core.Config) (*core.Result, error) {
-			s.runs.Add(1)
-			return s.runCampaign(p, cfg)
+// campaignKey is a profile's singleflight key.
+func campaignKey(p hwprofile.Profile) string {
+	return fmt.Sprintf("%s/%d", p.Key, p.Instance)
+}
+
+// resolve is the one path every campaign takes. Profiles already in the
+// singleflight map (resolved, or in flight in another goroutine) are
+// awaited; the rest are registered as this call's own and resolved by a
+// single fleet sweep, which owns the store lookup, the lease
+// claim/wait/steal loop (in lease mode), the compute and the
+// write-through. Results come back in profile order.
+func (s *Suite) resolve(profiles []hwprofile.Profile) ([]*core.Result, error) {
+	calls := make([]*campaignCall, len(profiles))
+	var own []hwprofile.Profile
+	var ownCalls []*campaignCall
+	s.mu.Lock()
+	for i, p := range profiles {
+		c, ok := s.campaigns[campaignKey(p)]
+		if !ok {
+			c = &campaignCall{done: make(chan struct{})}
+			s.campaigns[campaignKey(p)] = c
+			own = append(own, p)
+			ownCalls = append(ownCalls, c)
 		}
-	} else {
-		fo.Run = func(p hwprofile.Profile, _ core.Config) (*core.Result, error) {
-			return s.Campaign(p)
+		calls[i] = c
+	}
+	s.mu.Unlock()
+
+	// Sweep this call's own profiles before waiting on anyone else's, so
+	// two overlapping resolves can never wait on each other.
+	if len(own) > 0 {
+		if err := s.sweep(own, ownCalls); err != nil {
+			return nil, err
 		}
 	}
-	rep, err := fleet.Sweep(profiles, fo)
+	out := make([]*core.Result, len(profiles))
+	for i, c := range calls {
+		<-c.done
+		if c.err != nil {
+			return nil, c.err
+		}
+		out[i] = c.res
+	}
+	return out, nil
+}
+
+// sweep resolves profiles through one fleet sweep and settles their
+// singleflight calls: a shard that succeeded is cached, any other is
+// failed and dropped from the map so a later call retries it.
+func (s *Suite) sweep(profiles []hwprofile.Profile, calls []*campaignCall) error {
+	rep, err := fleet.Sweep(profiles, fleet.Options{
+		Replicas:         s.opts.FleetReplicas,
+		Store:            s.opts.Store,
+		Config:           s.campaignConfig,
+		Run:              s.runCampaign,
+		LeaseTTL:         s.opts.LeaseTTL,
+		Owner:            s.opts.LeaseOwner,
+		GCWatermarkBytes: s.opts.GCWatermarkBytes,
+		ShardOffset:      s.opts.ShardOffset,
+		AutoShardOffset:  s.opts.AutoShardOffset,
+		StoreErrors:      s.opts.StoreErrors,
+		Tracer:           s.opts.Tracer,
+	})
 	if rep != nil {
 		s.claimed.Add(int64(rep.Claimed))
 		s.waited.Add(int64(rep.Waited))
@@ -413,17 +379,20 @@ func (s *Suite) sweep(profiles []hwprofile.Profile) ([]*core.Result, error) {
 		s.reports = append(s.reports, rep)
 		s.repMu.Unlock()
 	}
-	if err != nil {
-		return nil, err
-	}
-	// In single-process mode the fleet never saw the store (Campaign owns
-	// lookup and write-through), so the watermark bound is applied here.
-	if fo.Store == nil && s.opts.Store != nil {
-		if _, _, gcErr := fleet.GCAtWatermark(s.opts.Store, s.opts.GCWatermarkBytes); gcErr != nil {
-			return nil, gcErr
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, c := range calls {
+		if rep != nil && rep.Shards[i].Err == nil {
+			c.res = rep.Shards[i].Result
 		}
+		if c.res == nil {
+			key := campaignKey(profiles[i])
+			c.err = fmt.Errorf("experiments: campaign %s: %w", key, err)
+			delete(s.campaigns, key)
+		}
+		close(c.done)
 	}
-	return rep.Results(), nil
+	return err
 }
 
 // A100Instances returns campaigns for the four front-row A100 units of
@@ -446,13 +415,13 @@ func (s *Suite) A100Fleet(n int) ([]*core.Result, error) {
 	for i := range profiles {
 		profiles[i] = hwprofile.A100Instance(i)
 	}
-	return s.sweep(profiles)
+	return s.resolve(profiles)
 }
 
 // Prewarm runs the three main campaigns over the fleet pool; artefact
 // calls afterwards hit the cache. Optional — artefacts run lazily
 // regardless.
 func (s *Suite) Prewarm() error {
-	_, err := s.sweep(hwprofile.All())
+	_, err := s.resolve(hwprofile.All())
 	return err
 }

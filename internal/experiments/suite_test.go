@@ -10,7 +10,8 @@ import (
 
 // TestCampaignSingleflight is the regression test for the check-then-act
 // race the cache used to have: concurrent callers of the same campaign
-// key must collapse onto one execution, all observing the same result.
+// key must collapse onto one execution, all observing the same result —
+// whether they ask for the one campaign or for a fleet that contains it.
 func TestCampaignSingleflight(t *testing.T) {
 	s := NewSuite(Options{Scale: ScaleQuick, Seed: 99})
 	p, err := hwprofile.ByKey("a100")
@@ -26,7 +27,15 @@ func TestCampaignSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = s.Campaign(p)
+			if i%2 == 0 {
+				results[i], errs[i] = s.Campaign(p)
+				return
+			}
+			fleet, err := s.A100Fleet(1)
+			if err == nil {
+				results[i] = fleet[0]
+			}
+			errs[i] = err
 		}(i)
 	}
 	wg.Wait()

@@ -1,7 +1,9 @@
-// Package fleet shards multi-device campaign sweeps over a bounded pool
-// of device replicas, with optional persistent-store integration so an
+// Package fleet resolves campaigns over a bounded pool of device
+// replicas, with optional persistent-store integration so an
 // interrupted or re-run sweep only recomputes the shards that are
-// missing from the store (resumable sweeps).
+// missing from the store (resumable sweeps). It is the only path by
+// which experiments.Suite resolves a campaign: a single-profile
+// artefact is a one-shard sweep, a multi-unit study a many-shard one.
 //
 // A shard is one (hardware profile, campaign config) unit — e.g. one
 // A100 unit of the §VII-C manufacturing-variability study. Sweep walks
@@ -24,7 +26,8 @@
 // steals it and computes. Every process finishes with the complete
 // result set — claims decide who computes, the store delivers the
 // results to everyone. Report's Claimed/Waited/Stolen counters expose
-// the contention.
+// the contention; a claim that finds the shard already stored is
+// released and counts as a hit, not a claim.
 //
 // Campaigns are deterministic functions of their shard (profile,
 // instance, seeds, config — see internal/store's addressing), so a
@@ -66,8 +69,6 @@ type Options struct {
 
 	// Store, when non-nil, is consulted before and written after every
 	// shard computation. Nil disables persistence: every shard computes.
-	// Callers whose Run already persists (e.g. a store-backed
-	// experiments.Suite) pass nil here to avoid double bookkeeping.
 	// Any store.Backend works: a local *store.Store directory or a
 	// storenet.Client speaking to a stored daemon — the claim/wait/steal
 	// protocol below is identical either way, which is what lets a sweep
@@ -145,13 +146,6 @@ type Options struct {
 	// wall-clock attribution (Shard.StoreNs/WaitNs/ComputeNs) is
 	// collected either way.
 	Tracer *obs.Tracer
-
-	// TraceCarrier optionally names an additional trace-context carrier
-	// (typically the store client a Run callback reads through when
-	// Options.Store is nil because the callback does its own
-	// persistence). Options.Store is consulted automatically; set this
-	// only for store traffic the sweep cannot see.
-	TraceCarrier obs.TraceContextSetter
 }
 
 // StoreErrorPolicy is a sweep's response to store write/claim failures.
@@ -236,9 +230,10 @@ type Report struct {
 	// Options.ShardOffset normalised, or the auto-derived one.
 	ShardOffset int
 	// Contention counters, populated in lease mode: Claimed counts
-	// leases this sweep acquired, Waited counts shards it resolved by
-	// waiting on a peer's claim, Stolen counts expired leases it took
-	// over from dead peers.
+	// leases under which this sweep computed a shard (a claim that finds
+	// the blob already stored is released and counts as a hit only),
+	// Waited counts shards it resolved by waiting on a peer's claim,
+	// Stolen counts claimed leases it took over from dead peers.
 	Claimed, Waited, Stolen int
 	// Degraded counts the sweep's own store-failure fallbacks under the
 	// degrade policy: lease acquires that fell back to unleased
@@ -461,16 +456,14 @@ func Sweep(profiles []hwprofile.Profile, opts Options) (*Report, error) {
 		sw.rootCtx = root.Context()
 		rep.TraceID = sw.rootCtx.TraceID.String()
 		defer root.End()
-		// Install the sweep's trace identity on every store client in
-		// reach, and clear it when the sweep ends so later traffic is not
+		// Install the sweep's trace identity on the store client, and
+		// clear it when the sweep ends so later traffic is not
 		// misattributed. A deferred Put journals the context it was issued
 		// under, so even a reconcile replayed after this clear still
 		// carries this sweep's trace ID.
-		for _, c := range []obs.TraceContextSetter{traceSetter(opts.Store), opts.TraceCarrier} {
-			if c != nil {
-				c.SetTraceContext(sw.rootCtx)
-				defer c.SetTraceContext(obs.SpanContext{})
-			}
+		if c, ok := opts.Store.(obs.TraceContextSetter); ok {
+			c.SetTraceContext(sw.rootCtx)
+			defer c.SetTraceContext(obs.SpanContext{})
 		}
 	}
 	var before store.ResilienceStats
@@ -555,7 +548,7 @@ func Sweep(profiles []hwprofile.Profile, opts Options) (*Report, error) {
 	// shards were persisted and count against the bound either way — but
 	// its own error never masks the shard's.
 	if opts.Store != nil && opts.GCWatermarkBytes > 0 {
-		gs, ran, gcErr := GCAtWatermark(opts.Store, opts.GCWatermarkBytes)
+		gs, ran, gcErr := gcAtWatermark(opts.Store, opts.GCWatermarkBytes)
 		if ran {
 			rep.GC = gs
 		}
@@ -564,16 +557,6 @@ func Sweep(profiles []hwprofile.Profile, opts Options) (*Report, error) {
 		}
 	}
 	return rep, shardErr
-}
-
-// traceSetter returns the backend's trace-context carrier, nil when the
-// backend is nil or does not carry one (a plain directory store).
-func traceSetter(b store.Backend) obs.TraceContextSetter {
-	if b == nil {
-		return nil
-	}
-	s, _ := b.(obs.TraceContextSetter)
-	return s
 }
 
 // shardOffset resolves the starting index of a sweep's shard walk:
@@ -588,7 +571,7 @@ func shardOffset(profiles []hwprofile.Profile, opts Options) int {
 		return 0
 	}
 	offset := ((opts.ShardOffset % n) + n) % n
-	if !opts.AutoShardOffset || opts.Store == nil {
+	if !opts.AutoShardOffset || opts.Store == nil || n == 1 {
 		return offset
 	}
 	plans, err := Plan(profiles, opts)
@@ -603,11 +586,11 @@ func shardOffset(profiles []hwprofile.Profile, opts Options) int {
 	return offset
 }
 
-// GCAtWatermark runs one size-bounded GC pass when the store's indexed
+// gcAtWatermark runs one size-bounded GC pass when the store's indexed
 // bytes exceed the watermark, keeping long-lived caches bounded without
 // operator action. It reports whether a pass ran; under the watermark
 // it costs one Index call and touches nothing.
-func GCAtWatermark(b store.Backend, watermark int64) (*store.GCStats, bool, error) {
+func gcAtWatermark(b store.Backend, watermark int64) (*store.GCStats, bool, error) {
 	if b == nil || watermark <= 0 {
 		return nil, false, nil
 	}
@@ -641,11 +624,7 @@ func (w *sweeper) runShard(sh *Shard, idx int) error {
 		res, ok := w.opts.Store.Get(k)
 		sh.StoreNs += time.Since(t0).Nanoseconds()
 		if ok {
-			span.Event("store.hit")
-			span.SetAttr("outcome", "cache")
-			sh.Result = res
-			sh.FromCache = true
-			w.hits.Add(1)
+			w.hit(sh, res, span, "cache")
 			return nil
 		}
 		span.Event("store.miss")
@@ -682,24 +661,20 @@ func (w *sweeper) claimAndRun(sh *Shard, cfg core.Config, span *obs.Span) error 
 		}
 		if ok {
 			span.Event("claim")
-			w.claimed.Add(1)
 			if lease.Stolen() {
 				span.Event("steal")
-				w.stolen.Add(1)
 			}
 			// The previous holder may have finished between our miss and
-			// this claim; a hit here is its result, not a wasted claim.
-			t0 := time.Now()
-			res, hit := st.Get(sh.Key)
-			sh.StoreNs += time.Since(t0).Nanoseconds()
-			if hit {
+			// this claim; its result is then a hit, and the claim is
+			// released uncounted.
+			if res, hit := w.probe(sh); hit {
 				_ = lease.Release()
-				span.Event("store.hit")
-				span.SetAttr("outcome", "cache")
-				sh.Result = res
-				sh.FromCache = true
-				w.hits.Add(1)
+				w.hit(sh, res, span, "cache")
 				return nil
+			}
+			w.claimed.Add(1)
+			if lease.Stolen() {
+				w.stolen.Add(1)
 			}
 			return w.computeAndPersist(sh, cfg, lease, span)
 		}
@@ -717,22 +692,33 @@ func (w *sweeper) claimAndRun(sh *Shard, cfg core.Config, span *obs.Span) error 
 		t0 := time.Now()
 		time.Sleep(poll)
 		sh.WaitNs += time.Since(t0).Nanoseconds()
-		if st.Has(sh.Key) {
-			t1 := time.Now()
-			res, hit := st.Get(sh.Key)
-			sh.StoreNs += time.Since(t1).Nanoseconds()
-			if hit {
-				span.Event("store.hit")
-				span.SetAttr("outcome", "peer")
-				sh.Result = res
-				sh.FromCache = true
-				w.hits.Add(1)
-				return nil
-			}
-			// Has saw a blob Get could not read: the corrupt blob was
-			// healed; loop back to claim and recompute it.
+		if res, hit := w.probe(sh); hit {
+			w.hit(sh, res, span, "peer")
+			return nil
 		}
+		// No blob yet, or one Get could not read (the corrupt blob was
+		// healed): loop back to claim and recompute it.
 	}
+}
+
+// probe reads the shard's blob only when Has sees one, so a shard that
+// goes on to compute counts a single store miss: its first lookup.
+func (w *sweeper) probe(sh *Shard) (*core.Result, bool) {
+	t0 := time.Now()
+	defer func() { sh.StoreNs += time.Since(t0).Nanoseconds() }()
+	if !w.opts.Store.Has(sh.Key) {
+		return nil, false
+	}
+	return w.opts.Store.Get(sh.Key)
+}
+
+// hit resolves the shard with a stored result.
+func (w *sweeper) hit(sh *Shard, res *core.Result, span *obs.Span, outcome string) {
+	span.Event("store.hit")
+	span.SetAttr("outcome", outcome)
+	sh.Result = res
+	sh.FromCache = true
+	w.hits.Add(1)
 }
 
 // computeAndPersist runs the shard and writes it through, renewing the

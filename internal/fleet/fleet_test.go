@@ -409,6 +409,51 @@ func TestSweepLeaseStealsExpired(t *testing.T) {
 	}
 }
 
+// peerFinishesStore stands in for a peer that stores a shard's result
+// between this sweep's miss and its claim: TryAcquire first Puts the
+// result, then grants the lease.
+type peerFinishesStore struct {
+	store.Backend
+	key store.Key
+}
+
+func (s *peerFinishesStore) TryAcquire(digest, owner string, ttl time.Duration) (store.LeaseHandle, bool, error) {
+	if err := s.Backend.Put(s.key, &core.Result{DeviceName: "a100[0]"}); err != nil {
+		return nil, false, err
+	}
+	return s.Backend.TryAcquire(digest, owner, ttl)
+}
+
+// TestSweepClaimAfterPeerFinishIsHit: a claim that finds the shard
+// already stored leads to no compute, so it is released and counted as
+// a hit only — Claimed counts the shards computed under a claim.
+func TestSweepClaimAfterPeerFinishIsHit(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := testProfiles(1)
+	k := mustProfileKey(t, profiles[0])
+	var calls atomic.Int64
+	rep, err := Sweep(profiles, Options{
+		Store: &peerFinishesStore{Backend: st, key: k}, Config: testConfig,
+		Run: fakeRun(&calls), LeaseTTL: time.Minute, Owner: "late",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Claimed != 0 || rep.Hits != 1 || rep.Computed != 0 || calls.Load() != 0 {
+		t.Fatalf("claim after peer finish: claimed=%d hits=%d computed=%d calls=%d, want 0/1/0/0",
+			rep.Claimed, rep.Hits, rep.Computed, calls.Load())
+	}
+	if !rep.Shards[0].FromCache || rep.Shards[0].Result.DeviceName != "a100[0]" {
+		t.Fatalf("shard not served from the peer's write: %+v", rep.Shards[0])
+	}
+	if owner, held := st.LeaseHolder(k.Digest); held {
+		t.Fatalf("lease still held by %q after the hit", owner)
+	}
+}
+
 // TestSweepLeaseWarmIsAllHits: lease mode changes who computes, never
 // what a warm sweep looks like.
 func TestSweepLeaseWarmIsAllHits(t *testing.T) {

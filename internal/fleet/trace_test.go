@@ -148,27 +148,35 @@ func TestSweepTraceTreeCoversEveryShard(t *testing.T) {
 	}
 }
 
-// recordingCarrier captures every SetTraceContext call. Sweep calls it
-// from the driving goroutine only, so no locking is needed.
-type recordingCarrier struct {
+// recordingStore is a store that captures every SetTraceContext call.
+// Sweep calls it from the driving goroutine only, so no locking is
+// needed.
+type recordingStore struct {
+	store.Backend
 	calls []obs.SpanContext
 }
 
-func (c *recordingCarrier) SetTraceContext(sc obs.SpanContext) {
+func (c *recordingStore) SetTraceContext(sc obs.SpanContext) {
 	c.calls = append(c.calls, sc)
 }
 
 // TestSweepInstallsAndClearsTraceContext: the sweep hands its root
-// context to the trace carrier before shards run and clears it on the
-// way out, so post-sweep store traffic is not misattributed.
+// context to a store that carries trace context before shards run and
+// clears it on the way out, so post-sweep store traffic is not
+// misattributed.
 func TestSweepInstallsAndClearsTraceContext(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := obs.New(obs.Options{Seed: 7})
-	carrier := &recordingCarrier{}
+	carrier := &recordingStore{Backend: st}
 	var calls atomic.Int64
 	rep, err := Sweep(testProfiles(2), Options{
-		Run:          fakeRun(&calls),
-		Tracer:       tr,
-		TraceCarrier: carrier,
+		Store:  carrier,
+		Config: testConfig,
+		Run:    fakeRun(&calls),
+		Tracer: tr,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,9 +39,10 @@ go vet ./internal/obs/...
 echo "== sweep partition tests (-count 5) =="
 # Each shard must be written exactly once across processes and hosts. A
 # lease race shows up only in some interleavings, so one lucky pass
-# proves little: run the three partition tests five times each.
+# proves little: run the partition tests five times each.
 go test -count 5 -run 'TestCrossProcessSweepPartition|TestCrossHostSweepPartition' ./cmd/experiments
 go test -count 5 -run 'TestCrossHostSweepPartition' ./internal/storenet
+go test -count 5 -run 'TestCampaignLeasePartition|TestFleetLeasePartition' ./internal/experiments
 
 echo "== go test -race (store, fleet, storenet) =="
 go test -race ./internal/obs/... ./internal/store/... ./internal/fleet/... ./internal/storenet/... ./cmd/stored/...
