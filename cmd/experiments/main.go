@@ -255,7 +255,6 @@ func run(args []string, out io.Writer) error {
 		rt, err := router.New(members, router.Options{
 			Replication: *replicas,
 			Local:       localStore,
-			Seed:        *seed,
 			Tracer:      tracer,
 			Logger:      diagLog,
 		})

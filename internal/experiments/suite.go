@@ -73,7 +73,7 @@ type Options struct {
 	// stored daemon so suites on different hosts share one store.
 	Store store.Backend
 	// FleetReplicas bounds how many whole campaigns the multi-unit
-	// studies (A100Instances, Prewarm) run concurrently. Zero means one
+	// studies (A100Instances, A100Fleet) run concurrently. Zero means one
 	// per CPU. Results are identical at every setting.
 	FleetReplicas int
 	// LeaseTTL, when positive (requires Store), coordinates campaigns
@@ -416,12 +416,4 @@ func (s *Suite) A100Fleet(n int) ([]*core.Result, error) {
 		profiles[i] = hwprofile.A100Instance(i)
 	}
 	return s.resolve(profiles)
-}
-
-// Prewarm runs the three main campaigns over the fleet pool; artefact
-// calls afterwards hit the cache. Optional — artefacts run lazily
-// regardless.
-func (s *Suite) Prewarm() error {
-	_, err := s.resolve(hwprofile.All())
-	return err
 }

@@ -139,9 +139,9 @@ func codecResult() *core.Result {
 	return res
 }
 
-// BenchmarkBlobEncode measures the streaming Put-path encode: result →
-// v3 binary body → pooled gzip, via pooled appender scratch — no
-// intermediate envelope materialisation. bench_smoke.sh records its
+// BenchmarkBlobEncode measures the streaming Put-path encode: the
+// encoding/json sizing pass, then result → v3 binary body → pooled
+// gzip via pooled appender scratch. bench_smoke.sh records its
 // allocs/op and bytes/op.
 func BenchmarkBlobEncode(b *testing.B) {
 	k, err := KeyFor("a100", 0, 42, testConfig())

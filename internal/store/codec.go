@@ -26,8 +26,7 @@ import (
 // population summarises to NaN). Non-finite values encode as the strings
 // "NaN", "+Inf" and "-Inf"; finite values encode as the shortest decimal
 // that round-trips the exact bit pattern. Only the encode direction
-// exists: the envelope is rendered (to size RawBytes and as the
-// reference the renderer is pinned to), never parsed.
+// exists: the envelope is rendered (to size RawBytes), never parsed.
 type f64 float64
 
 func (f f64) MarshalJSON() ([]byte, error) {
@@ -386,14 +385,16 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// encodeEnvelope renders the canonical envelope JSON through
-// encoding/json — json.MarshalIndent of the stored* types. It is on no
-// production path (the hand-rolled renderer in canonical.go produces
-// byte-identical output without materialising the storedResult
-// intermediate) but is retained as the reference implementation the
-// equivalence test pins the renderer against: the canonical-bytes
-// contract is "whatever MarshalIndent said", forever.
-func encodeEnvelope(k Key, res *core.Result) ([]byte, error) {
+// EncodeBlob renders the canonical bytes of a campaign result under its
+// key: json.MarshalIndent of the stored* envelope. The v3 header
+// records their size as RawBytes, and the v3 encoder accepts exactly
+// their domain (JSON-encodable results only). Equal key ⇒ equal result
+// ⇒ equal bytes. These bytes are not a container: storage and the wire
+// carry EncodeBlobV3 only, and ValidateBlob rejects canonical JSON.
+func EncodeBlob(k Key, res *core.Result) ([]byte, error) {
+	if res == nil {
+		return nil, fmt.Errorf("store: nil result for %s", k)
+	}
 	data, err := json.MarshalIndent(&storedBlob{
 		Schema:   SchemaVersion,
 		Digest:   k.Digest,
@@ -405,23 +406,6 @@ func encodeEnvelope(k Key, res *core.Result) ([]byte, error) {
 		return nil, fmt.Errorf("store: encode %s: %w", k, err)
 	}
 	return data, nil
-}
-
-// EncodeBlob renders the canonical bytes of a campaign result under its
-// key: the JSON envelope whose size the v3 header records as RawBytes
-// and whose domain (JSON-encodable results only) the v3 encoder
-// enforces. Equal key ⇒ equal result ⇒ equal bytes. These bytes are
-// not a container: storage and the wire carry EncodeBlobV3 only, and
-// ValidateBlob rejects canonical JSON.
-func EncodeBlob(k Key, res *core.Result) ([]byte, error) {
-	if res == nil {
-		return nil, fmt.Errorf("store: nil result for %s", k)
-	}
-	var buf bytes.Buffer
-	if _, err := writeCanonicalTo(&buf, k, res); err != nil {
-		return nil, fmt.Errorf("store: encode %s: %w", k, err)
-	}
-	return buf.Bytes(), nil
 }
 
 // decodePasses counts every full blob parse this process has

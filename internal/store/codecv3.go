@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"golatest/internal/core"
 )
@@ -60,20 +61,80 @@ var canonicalNaN = math.Float64bits(math.NaN())
 // sniff the parser runs before inflating anything.
 func hasV3Magic(data []byte) bool { return bytes.HasPrefix(data, v3Magic[:]) }
 
-// binary append helpers on the shared pooled appender.
+// appender is pooled write scratch for the v3 body: values are
+// appended to buf and flushed to w in bulk, one write per
+// scratch-buffer fill.
+type appender struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+var appenders = sync.Pool{New: func() any {
+	return &appender{buf: make([]byte, 0, 32<<10)}
+}}
+
+func getAppender(w io.Writer) *appender {
+	a := appenders.Get().(*appender)
+	a.w, a.buf, a.err = w, a.buf[:0], nil
+	return a
+}
+
+func putAppender(a *appender) {
+	a.w = nil
+	appenders.Put(a)
+}
+
+// flush drains buf into w, latching the first write error.
+func (a *appender) flush() {
+	if len(a.buf) == 0 {
+		return
+	}
+	if a.err == nil {
+		if _, err := a.w.Write(a.buf); err != nil {
+			a.err = err
+		}
+	}
+	a.buf = a.buf[:0]
+}
+
+// grow makes room for need more bytes, flushing if the scratch would
+// otherwise spill past its capacity (oversized single values simply
+// extend the buffer; the pool cap is advisory, not a correctness rail).
+func (a *appender) grow(need int) {
+	if len(a.buf)+need > cap(a.buf) {
+		a.flush()
+	}
+}
+
+// total flushes what is left and returns the first write error.
+func (a *appender) total() error {
+	a.flush()
+	return a.err
+}
+
+func (a *appender) byte(b byte) {
+	a.grow(1)
+	a.buf = append(a.buf, b)
+}
+
+func (a *appender) raw(s string) {
+	a.grow(len(s))
+	a.buf = append(a.buf, s...)
+}
+
+// binary append helpers on the pooled appender.
 
 func (a *appender) u8(v byte) { a.byte(v) }
 
 func (a *appender) u32le(v uint32) {
 	a.grow(4)
 	a.buf = binary.LittleEndian.AppendUint32(a.buf, v)
-	a.n += 4
 }
 
 func (a *appender) u64le(v uint64) {
 	a.grow(8)
 	a.buf = binary.LittleEndian.AppendUint64(a.buf, v)
-	a.n += 8
 }
 
 func (a *appender) i64le(v int64) { a.u64le(uint64(v)) }
@@ -125,16 +186,17 @@ func (a *appender) v3PairSlice(ps []core.Pair) {
 
 // encodeBlobV3To streams the v3 container of a campaign result into w
 // (typically the atomic-rename staging file or a network body) and
-// returns the canonical size for the index's RawBytes. Two passes, no
-// materialisation: a counting render of the canonical JSON first —
-// which both sizes RawBytes and enforces JSON-encodability, so v3
-// accepts exactly the results the canonical envelope can express —
-// then the binary body through the pooled gzip writer.
+// returns the canonical size for the index's RawBytes. Two passes:
+// EncodeBlob renders the canonical JSON first — which both sizes
+// RawBytes and enforces JSON-encodability, so v3 accepts exactly the
+// results the canonical envelope can express — then the binary body
+// streams through the pooled appender and the pooled gzip writer.
 func encodeBlobV3To(w io.Writer, k Key, res *core.Result) (int64, error) {
-	rawBytes, err := writeCanonicalTo(nil, k, res)
+	canon, err := EncodeBlob(k, res)
 	if err != nil {
-		return 0, fmt.Errorf("store: encode %s: %w", k, err)
+		return 0, err
 	}
+	rawBytes := int64(len(canon))
 	if _, err := w.Write(v3Magic[:]); err != nil {
 		return rawBytes, fmt.Errorf("store: encode %s: %w", k, err)
 	}
@@ -142,7 +204,7 @@ func encodeBlobV3To(w io.Writer, k Key, res *core.Result) (int64, error) {
 	gz.Reset(w)
 	a := getAppender(gz)
 	encodeV3Body(a, k, res, rawBytes)
-	_, aerr := a.total()
+	aerr := a.total()
 	putAppender(a)
 	cerr := gz.Close()
 	gzipWriters.Put(gz)
@@ -160,9 +222,6 @@ func encodeBlobV3To(w io.Writer, k Key, res *core.Result) (int64, error) {
 // (fixed gzip level, canonical NaN bits, no gzip header metadata), so
 // concurrent identical writers converge byte-for-byte.
 func EncodeBlobV3(k Key, res *core.Result) ([]byte, error) {
-	if res == nil {
-		return nil, fmt.Errorf("store: nil result for %s", k)
-	}
 	var buf bytes.Buffer
 	if _, err := encodeBlobV3To(&buf, k, res); err != nil {
 		return nil, err
@@ -291,6 +350,17 @@ func (a *appender) bool8(v bool) {
 		a.u8(1)
 	} else {
 		a.u8(0)
+	}
+}
+
+// sortFloat64s is an insertion sort: phase-1 sweeps a handful of
+// frequencies, and the tiny fixed cost avoids pulling sort's
+// interface machinery into the encode path.
+func sortFloat64s(xs []float64) {
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
 	}
 }
 

@@ -2,7 +2,11 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
+	"os"
+	"strings"
 	"testing"
 
 	"golatest/internal/cluster"
@@ -10,9 +14,9 @@ import (
 	"golatest/internal/stats"
 )
 
-// adversarialResults is the fixture set the canonical renderer and the
-// v3 codec are pinned against: every structural and lexical edge the
-// envelope schema can express — nil-vs-empty slices, omitted optionals,
+// adversarialResults is the fixture set the v3 codec is pinned
+// against: every structural and lexical edge the envelope schema can
+// express — nil-vs-empty slices, omitted optionals,
 // nil pair elements, exotic strings, and float values on both sides of
 // every formatting switch in encoding/json.
 func adversarialResults() map[string]*core.Result {
@@ -112,51 +116,6 @@ func adversarialResults() map[string]*core.Result {
 	}
 }
 
-// TestCanonicalWriterMatchesEncodingJSON pins the hand-rolled renderer
-// to the reference implementation byte for byte: the canonical-bytes
-// contract is "whatever json.MarshalIndent said", forever, because the
-// digest and the ETag are defined over those bytes. Any divergence —
-// an escape, a float format, a nil-vs-empty collapse — would silently
-// change every digest in every store.
-func TestCanonicalWriterMatchesEncodingJSON(t *testing.T) {
-	keys := []Key{
-		{Digest: "cafe", Profile: "a100-sxm4", Instance: 0},
-		{Digest: "f00d", Profile: `pro<file> & "q"`, Instance: -3},
-	}
-	for name, res := range adversarialResults() {
-		t.Run(name, func(t *testing.T) {
-			for _, k := range keys {
-				ref, err := encodeEnvelope(k, res)
-				if err != nil {
-					t.Fatalf("reference encoder: %v", err)
-				}
-				var buf bytes.Buffer
-				n, err := writeCanonicalTo(&buf, k, res)
-				if err != nil {
-					t.Fatalf("renderer: %v", err)
-				}
-				if !bytes.Equal(buf.Bytes(), ref) {
-					t.Fatalf("renderer diverges from encoding/json:\n got: %q\nwant: %q",
-						firstDiff(buf.Bytes(), ref), firstDiff(ref, buf.Bytes()))
-				}
-				if n != int64(len(ref)) {
-					t.Fatalf("renderer size = %d, want %d", n, len(ref))
-				}
-				// Counting mode (nil writer) must agree without writing.
-				cn, err := writeCanonicalTo(nil, k, res)
-				if err != nil || cn != int64(len(ref)) {
-					t.Fatalf("counting render = (%d, %v), want (%d, nil)", cn, err, len(ref))
-				}
-				// EncodeBlob is the renderer behind a buffer.
-				enc, err := EncodeBlob(k, res)
-				if err != nil || !bytes.Equal(enc, ref) {
-					t.Fatalf("EncodeBlob diverges from the reference (err=%v)", err)
-				}
-			}
-		})
-	}
-}
-
 // firstDiff returns a window of a around the first byte where a and b
 // differ, for a readable failure message.
 func firstDiff(a, b []byte) []byte {
@@ -176,10 +135,12 @@ func firstDiff(a, b []byte) []byte {
 
 // TestCanonicalWriterRejectsNonFiniteFloats: plain float64 fields (pair
 // frequencies, unstable clocks, phase-1 keys) cannot hold NaN/Inf —
-// encoding/json errors there, and the renderer must refuse identically
-// rather than emit bytes the reference implementation never could.
+// encoding/json errors there — so neither EncodeBlobV3 nor Put may
+// accept such a result, and a refused Put leaves nothing behind: no
+// index entry, no blob, no staging file. The error names the key once.
 func TestCanonicalWriterRejectsNonFiniteFloats(t *testing.T) {
 	k := Key{Digest: "cafe", Profile: "p", Instance: 0}
+	prefix := "store: encode " + k.String()
 	bad := map[string]*core.Result{
 		"nan-pair": {Pairs: []*core.PairResult{{Pair: core.Pair{InitMHz: math.NaN()}}}},
 		"inf-unstable": {Phase1: &core.Phase1Result{
@@ -188,14 +149,35 @@ func TestCanonicalWriterRejectsNonFiniteFloats(t *testing.T) {
 	}
 	for name, res := range bad {
 		t.Run(name, func(t *testing.T) {
-			if _, err := encodeEnvelope(k, res); err == nil {
-				t.Fatal("reference encoder accepted a non-finite plain float; fixture is wrong")
-			}
-			if _, err := writeCanonicalTo(nil, k, res); err == nil {
-				t.Fatal("renderer accepted a non-finite plain float")
-			}
 			if _, err := EncodeBlobV3(k, res); err == nil {
 				t.Fatal("v3 encoder accepted a result outside the canonical-JSON domain")
+			} else if n := strings.Count(err.Error(), "store: encode"); n != 1 || !strings.HasPrefix(err.Error(), prefix) {
+				t.Fatalf("EncodeBlobV3 error %q: want the %q prefix exactly once", err, prefix)
+			}
+
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = s.Put(k, res)
+			if err == nil {
+				t.Fatal("Put accepted a result outside the canonical-JSON domain")
+			}
+			if n := strings.Count(err.Error(), "store: encode"); n != 1 || !strings.Contains(err.Error(), prefix) {
+				t.Fatalf("Put error %q: want %q exactly once", err, prefix)
+			}
+			if s.Len() != 0 {
+				t.Fatalf("refused Put left %d index entries", s.Len())
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if e.Name() == k.blobName() || strings.HasPrefix(e.Name(), tmpPrefix) {
+					t.Fatalf("refused Put left %s in the store dir", e.Name())
+				}
 			}
 		})
 	}
@@ -205,11 +187,12 @@ func TestCanonicalWriterRejectsNonFiniteFloats(t *testing.T) {
 // decodes back to a result whose canonical bytes are identical to the
 // original's — the invariant that makes v3 a faithful carrier of the
 // canonical contract — and the recorded RawBytes is the canonical size.
+// TestV3GoldenBytes pins those sizes and the body bytes to fixed values.
 func TestV3RoundTrip(t *testing.T) {
 	k := Key{Digest: "cafe", Profile: "a100-sxm4", Instance: 2}
 	for name, res := range adversarialResults() {
 		t.Run(name, func(t *testing.T) {
-			canon, err := encodeEnvelope(k, res)
+			canon, err := EncodeBlob(k, res)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,7 +210,7 @@ func TestV3RoundTrip(t *testing.T) {
 			if vb.RawBytes() != int64(len(canon)) {
 				t.Fatalf("RawBytes = %d, want canonical size %d", vb.RawBytes(), len(canon))
 			}
-			back, err := encodeEnvelope(k, vb.Result())
+			back, err := EncodeBlob(k, vb.Result())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -269,5 +252,59 @@ func TestV3NaNCanonicalization(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("v3 bytes depend on NaN payload bits")
+	}
+}
+
+// TestV3GoldenBytes pins every adversarial fixture's v3 encoding to
+// fixed values: the RawBytes its header records and the sha256 of the
+// inflated body. The inflated body does not depend on the toolchain's
+// compress/flate, so these hold across Go releases; any change to them
+// changes every blob in every store and needs a SchemaVersion bump.
+func TestV3GoldenBytes(t *testing.T) {
+	k := Key{Digest: "cafe", Profile: "a100-sxm4", Instance: 2}
+	golden := map[string]struct {
+		rawBytes int64
+		bodySHA  string
+	}{
+		"clusters":         {2056, "d1ba3701e3e22b4c3e3b2680df2d2189c857d1c6bc92b2501b20a9a3aed01523"},
+		"codec-fixture":    {203759, "1cd152af8b9f851297aede17158f5dfc0533a8357ccfc836076badd8cc042756"},
+		"empty-slices":     {274, "04bbcc1e3066657873885b0f4d87f5dd2f270b44cde7f3700af3f71f64c8f756"},
+		"float-switches":   {1354, "791c711fee529f8564cd019ec5d0cabdd4d13b31c638f49c4287bcfcf2ac940b"},
+		"measurements":     {1334, "30fb01a056fe850a76ffff81af7e506c4ced6d7e8619381725e37daecbcbaad2"},
+		"nil-pair-element": {686, "3419a1b1d2bf97a17a98ddf9d10f93fb00e2dae060dcea8592dd1c85b3e986c8"},
+		"strings":          {874, "95ec3da1c39ecfd474f7f18fe8fa3ef070c112a908864c6e1c640ca5c16cafd8"},
+		"test-fixture":     {2522, "31d87275a2b94ca283347b0da6cda2976b2eaf229c8796be3229071ca49bc970"},
+		"zero":             {176, "6c06819984df98331c75886f253fcc5167dae76a1ea4d573a732944021c0abe2"},
+	}
+	fixtures := adversarialResults()
+	if len(fixtures) != len(golden) {
+		t.Fatalf("%d fixtures but %d golden entries", len(fixtures), len(golden))
+	}
+	for name, res := range fixtures {
+		t.Run(name, func(t *testing.T) {
+			want, ok := golden[name]
+			if !ok {
+				t.Fatal("fixture has no golden entry")
+			}
+			v3, err := EncodeBlobV3(k, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vb, err := ValidateBlobBytes(v3, k.Digest)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vb.RawBytes() != want.rawBytes {
+				t.Errorf("RawBytes = %d, want %d", vb.RawBytes(), want.rawBytes)
+			}
+			body, err := inflateV3(v3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(body.Bytes())
+			if got := hex.EncodeToString(sum[:]); got != want.bodySHA {
+				t.Errorf("inflated body sha256 = %s, want %s", got, want.bodySHA)
+			}
+		})
 	}
 }

@@ -369,11 +369,10 @@ func (s *Store) touch(k Key, size, rawSize int64) {
 // Put stores the campaign under the key, atomically: the v3 encoding
 // flows through pooled scratch and a pooled gzip writer straight into
 // a temporary file that is renamed into place, so concurrent readers
-// see either the old blob or the new one, never a torn write, and
-// neither the canonical bytes nor the container are ever materialised
-// in memory (the canonical form exists only as a counting render that
-// sizes RawBytes). The index update is one O(1) journal append
-// regardless of store size.
+// see either the old blob or the new one, never a torn write, and the
+// container is never materialised in memory (the canonical JSON is
+// rendered only to size RawBytes). The index update is one O(1)
+// journal append regardless of store size.
 func (s *Store) Put(k Key, res *core.Result) error {
 	if res == nil {
 		return fmt.Errorf("store: nil result for %s", k)

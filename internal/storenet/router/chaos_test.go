@@ -75,7 +75,7 @@ func TestChaosSweepSurvivesMemberKill(t *testing.T) {
 		members[i] = c
 		dirByLoc[c.Location()] = dir
 	}
-	r, err := router.New(members, router.Options{Replication: 2, Seed: 42})
+	r, err := router.New(members, router.Options{Replication: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

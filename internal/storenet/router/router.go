@@ -7,7 +7,7 @@
 //   - Put writes to the first R healthy replicas on the ring; it
 //     succeeds when at least one replica accepted (the blob is durable)
 //     and counts the Put under-replicated when fewer than R did — debt
-//     the scrubber pays off.
+//     the next Scrub pays off.
 //   - Get reads in preference order and read-repairs: a hit found after
 //     one or more preferred members answered "absent" heals those
 //     members with the hit's validated bytes verbatim, riding the
@@ -67,10 +67,6 @@ type Options struct {
 	// through to it. Purely acceleration, bounded by its own owner —
 	// router GC never touches it.
 	Local *store.Store
-	// Seed derives the scrubber's start jitter, so a fleet of routers
-	// with distinct seeds desynchronises its anti-entropy passes while
-	// tests with fixed seeds reproduce schedules exactly.
-	Seed uint64
 	// Tracer, when non-nil, records one router span per operation with
 	// the serving member as an attribute; nil keeps tracing at zero
 	// cost. The context installed via SetTraceContext is forwarded to
@@ -101,9 +97,6 @@ type Router struct {
 	tracer  *obs.Tracer
 	tctx    atomic.Pointer[obs.SpanContext]
 	log     *slog.Logger
-
-	// jstate seeds the scrubber's jitter draws (splitmix64 state).
-	jstate atomic.Uint64
 
 	hits, misses, corrupt, puts atomic.Int64
 
@@ -144,7 +137,6 @@ func New(members []store.Backend, opts Options) (*Router, error) {
 		tracer:  opts.Tracer,
 		log:     logger,
 	}
-	r.jstate.Store(opts.Seed ^ 0x9e3779b97f4a7c15)
 	locs := make([]string, 0, len(members))
 	seen := map[string]bool{}
 	for _, b := range members {

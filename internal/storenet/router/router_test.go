@@ -195,48 +195,6 @@ func TestPutUnderReplicatedThenScrubHeals(t *testing.T) {
 	}
 }
 
-// TestStartScrubberHealsInBackground: the background loop converges an
-// under-replicated store without any explicit Scrub call.
-func TestStartScrubberHealsInBackground(t *testing.T) {
-	inner, dirs, at := openMembers(t, 3)
-	wrapped := make([]store.Backend, len(inner))
-	chaos := make([]*faults.Backend, len(inner))
-	for i, b := range inner {
-		chaos[i] = faults.WrapBackend(b, faults.Plan{})
-		wrapped[i] = chaos[i]
-	}
-	r, err := New(wrapped, Options{Replication: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := conformancetest.Key(t, 4)
-	secondary := at[r.Replicas(k.Digest)[1]]
-	chaos[secondary].Kill()
-	if err := r.Put(k, conformancetest.Result(4)); err != nil {
-		t.Fatal(err)
-	}
-	chaos[secondary].Restore()
-
-	stop := r.StartScrubber(5 * time.Millisecond)
-	defer stop()
-	blob := filepath.Join(dirs[secondary], k.Digest+".json")
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := os.Stat(blob); err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("background scrubber never repaired the replica (stats %+v)", r.ReplicationStats())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	stop()
-	stop() // idempotent
-	if rs := r.ReplicationStats(); rs.ScrubRuns < 1 || rs.ScrubRepairs < 1 {
-		t.Fatalf("scrubber ran %d passes with %d repairs, want ≥ 1 of each", rs.ScrubRuns, rs.ScrubRepairs)
-	}
-}
-
 // TestLeaseRoutesToPrimaryAndFailsOver pins the arbitration story: a
 // claim lands on the digest's primary; with the primary down it lands
 // on the ring successor, stays exclusive, and LeaseHolder finds it.

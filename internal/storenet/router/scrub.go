@@ -3,7 +3,6 @@ package router
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"golatest/internal/core"
 	"golatest/internal/store"
@@ -121,59 +120,4 @@ func (r *Router) Scrub() (ScrubStats, error) {
 		return st, errors.Join(errs...)
 	}
 	return st, nil
-}
-
-// jitter draws the next seeded jitter in [0, max): a splitmix64 step
-// over atomic state, deterministic per seed.
-func (r *Router) jitter(max time.Duration) time.Duration {
-	if max <= 0 {
-		return 0
-	}
-	z := r.jstate.Add(0x9e3779b97f4a7c15)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return time.Duration(z % uint64(max))
-}
-
-// StartScrubber launches the background anti-entropy loop: one Scrub
-// pass every interval, with a seeded initial jitter in [0, interval) so
-// a fleet of routers with distinct seeds staggers its passes instead of
-// hammering every daemon's index endpoint in lockstep. The returned
-// stop function halts the loop and blocks until any in-flight pass
-// finishes; it is idempotent to call the schedule to an end exactly
-// once.
-func (r *Router) StartScrubber(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	go func() {
-		defer close(exited)
-		t := time.NewTimer(r.jitter(interval))
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-			}
-			if st, err := r.Scrub(); err != nil {
-				r.log.Warn("router: background scrub", "repaired", st.Repaired, "failed", st.Failed, "err", err)
-			}
-			t.Reset(interval)
-		}
-	}()
-	var stopped bool
-	return func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		close(done)
-		<-exited
-	}
 }

@@ -64,7 +64,7 @@ go test -race -count 2 \
 go test -race -count 2 -run 'TestSweepDegrade|TestSweepAutoPolicy|TestResolvePolicy' ./internal/fleet
 
 echo "== go test -race (v3 blob codec rails: corrupt and legacy blobs are misses) =="
-go test -race -run 'TestCorruptBlobIsMissAndHeals|TestBlobInflationBound|TestRejectsMultiMemberContainer|TestV3RoundTrip' \
+go test -race -run 'TestCorruptBlobIsMissAndHeals|TestBlobInflationBound|TestRejectsMultiMemberContainer|TestV3RoundTrip|TestV3GoldenBytes' \
 	-count 2 ./internal/store
 
 echo "== go test -race (backend conformance + auth/ratelimit) =="
@@ -75,7 +75,7 @@ go test -race -run 'TestDaemonAuthTokens|TestDaemonTLS|TestDaemonProbesSurviveAu
 
 echo "== go test -race (replicated router + supervisor + token validity) =="
 # The router package races in full: ring placement, failover reads,
-# read-repair, the background scrubber, the three conformance harnesses
+# read-repair, scrub passes, the three conformance harnesses
 # and the mid-sweep member-kill chaos test all exercise the same shared
 # counters from many goroutines. The supervisor races its probe loop
 # against a real crashing stored child. Token validity windows race the
