@@ -202,3 +202,24 @@ func TestSilhouetteMismatchedLengths(t *testing.T) {
 		t.Fatalf("mismatched lengths = %v, want NaN", s)
 	}
 }
+
+// TestSilhouetteBitStable requires repeated calls on the same clustering
+// to agree to the last bit. The per-point terms are summed over clusters;
+// summing in map iteration order made the result vary between calls.
+func TestSilhouetteBitStable(t *testing.T) {
+	rng := rand.New(rand.NewPCG(16, 8))
+	var xs []float64
+	var labels []int
+	for c := 0; c < 5; c++ {
+		for i := 0; i < 40; i++ {
+			xs = append(xs, float64(c)*3+rng.NormFloat64()*0.7)
+			labels = append(labels, c)
+		}
+	}
+	want := math.Float64bits(Silhouette(xs, labels))
+	for i := 0; i < 50; i++ {
+		if got := math.Float64bits(Silhouette(xs, labels)); got != want {
+			t.Fatalf("call %d: silhouette bits %#x, first call %#x", i, got, want)
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package cluster
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // Silhouette returns the mean silhouette coefficient of the clustering:
 // for each clustered point, s = (b − a) / max(a, b) where a is the mean
@@ -24,13 +27,21 @@ func Silhouette(xs []float64, labels []int) float64 {
 	if len(groups) < 2 {
 		return math.NaN()
 	}
+	// Sum in ascending label order: map iteration order is random, and a
+	// float sum in varying order varies in its last bits.
+	ids := make([]int, 0, len(groups))
+	for l := range groups {
+		ids = append(ids, l)
+	}
+	sort.Ints(ids)
 
 	// Pre-compute per-cluster sums for O(1) mean-distance updates — in one
 	// dimension the mean absolute distance still needs a pass, so simply
 	// iterate (cluster sizes here are at most a few hundred).
 	var total float64
 	var count int
-	for l, members := range groups {
+	for _, l := range ids {
+		members := groups[l]
 		for _, x := range members {
 			a := meanAbsDistance(x, members, true)
 			if math.IsNaN(a) {
@@ -40,11 +51,11 @@ func Silhouette(xs []float64, labels []int) float64 {
 				continue
 			}
 			b := math.Inf(1)
-			for ol, others := range groups {
+			for _, ol := range ids {
 				if ol == l {
 					continue
 				}
-				if d := meanAbsDistance(x, others, false); d < b {
+				if d := meanAbsDistance(x, groups[ol], false); d < b {
 					b = d
 				}
 			}

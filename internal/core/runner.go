@@ -34,6 +34,9 @@ type Runner struct {
 	// sink writer.
 	moments *gpu.MomentSink
 	tails   *gpu.TailSink
+	// detect is the phase-3 sink: the benchmark kernel streams into it
+	// and it evaluates every SM online.
+	detect *detectSink
 
 	// captureHintNs is the effective capture bound (config hint or probe
 	// result), mutable because adaptive retry may grow it.
@@ -58,6 +61,7 @@ func NewRunner(dev *nvml.Device, cfg Config) (*Runner, error) {
 		rng:           clock.NewRand(cfg.Seed, 0x72756e6e6572), // "runner"
 		moments:       new(gpu.MomentSink),
 		tails:         gpu.NewTailSink(warmTailWindow),
+		detect:        new(detectSink),
 		captureHintNs: cfg.MaxLatencyHintNs,
 	}, nil
 }
@@ -102,6 +106,7 @@ func (r *Runner) replicaRunner(pair Pair) (*Runner, error) {
 		rng:           clock.NewRand(r.cfg.Seed, pairTag(0x72756e6e6572, pair)),
 		moments:       new(gpu.MomentSink),
 		tails:         gpu.NewTailSink(warmTailWindow),
+		detect:        new(detectSink),
 		captureHintNs: r.captureHintNs,
 	}, nil
 }
@@ -383,22 +388,27 @@ func (r *Runner) MeasureOnce(pair Pair, initStat, targetStat stats.MeanStd) (Mea
 		return Measurement{}, err
 	}
 
-	// (3) Benchmark kernel: delay + capture + confirmation regions.
+	// (3) Benchmark kernel: delay + capture + confirmation regions. It
+	// streams into the detection sink, which evaluates each SM while the
+	// kernel materialises at the synchronise below.
 	captureIters := int(float64(r.effectiveCaptureNs())/r.cfg.IterTargetNs) + 1
 	spec := gpu.KernelSpec{
 		Iters:         r.cfg.DelayIters + captureIters + r.cfg.ConfirmIters,
 		CyclesPerIter: cycles,
 		Blocks:        r.cfg.Blocks,
 	}
-	bench, err := r.ctx.LaunchKernel(spec)
-	if err != nil {
+	if _, err := r.ctx.LaunchKernelWithSink(spec, r.detect); err != nil {
 		return Measurement{}, err
 	}
 
 	// (4) Sleep through the delay region, then issue the change and stamp
-	// it (Algorithm 2 lines 5–7).
+	// it (Algorithm 2 lines 5–7). The stamp converts to the device clock
+	// by a pure offset, so the sink is armed before the kernel
+	// materialises.
 	r.ctx.Usleep(int64(float64(r.cfg.DelayIters) * iterInitNs / 1000))
 	tsHost := r.ctx.HostTimestamp()
+	tsDev := sync.HostToDevice(tsHost)
+	r.detect.arm(&r.cfg, tsDev, targetStat)
 	if err := r.dev.SetApplicationsClocks(0, pair.TargetMHz); err != nil {
 		return Measurement{}, err
 	}
@@ -407,11 +417,9 @@ func (r *Runner) MeasureOnce(pair Pair, initStat, targetStat stats.MeanStd) (Mea
 		injected = float64(inj.SwitchingLatencyNs()) / 1e6
 	}
 
-	// (5) Wait for the kernel and evaluate per SM.
+	// (5) Wait for the kernel; the sink has evaluated every SM.
 	r.ctx.DeviceSynchronize()
-	tsDev := sync.HostToDevice(tsHost)
-
-	m, err := r.evaluate(bench.Samples(), tsDev, targetStat)
+	m, err := r.detect.verdict()
 	if err != nil {
 		return Measurement{}, err
 	}

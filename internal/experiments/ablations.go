@@ -58,6 +58,29 @@ func ablationConfig(n int) core.Config {
 	}
 }
 
+// measureAblation runs one ablation campaign: phase 1, then the
+// 1200→600 MHz pair on a fresh ablation device. Every row or cell of an
+// ablation owns its device and seed, so the rows run concurrently.
+func measureAblation(injectNs int64, seed uint64, mutate func(*gpu.Config), cfg core.Config) (*core.Phase1Result, *core.PairResult, error) {
+	dev, err := ablationDevice(injectNs, seed, mutate)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := core.NewRunner(dev, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	p1, err := r.Phase1()
+	if err != nil {
+		return nil, nil, err
+	}
+	pr, err := r.MeasurePair(core.Pair{InitMHz: 1200, TargetMHz: 600}, p1)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p1, pr, nil
+}
+
 // RampAblationRow quantifies the detector against one transition shape.
 type RampAblationRow struct {
 	// RampSteps is the number of intermediate clock plateaus during the
@@ -78,33 +101,22 @@ type RampAblationRow struct {
 // keeps the workload iteration tiny and confirms with a tail population.
 func RampAblation(rampSteps []int, n int) ([]RampAblationRow, error) {
 	const injectNs = 20_000_000
-	var rows []RampAblationRow
-	for _, steps := range rampSteps {
-		dev, err := ablationDevice(injectNs, 17, func(c *gpu.Config) {
+	rows := make([]RampAblationRow, len(rampSteps))
+	err := forEach(len(rampSteps), func(i int) error {
+		steps := rampSteps[i]
+		_, pr, err := measureAblation(injectNs, 17, func(c *gpu.Config) {
 			c.RampSteps = steps
-		})
+		}, ablationConfig(n))
 		if err != nil {
-			return nil, err
-		}
-		r, err := core.NewRunner(dev, ablationConfig(n))
-		if err != nil {
-			return nil, err
-		}
-		p1, err := r.Phase1()
-		if err != nil {
-			return nil, err
-		}
-		pr, err := r.MeasurePair(core.Pair{InitMHz: 1200, TargetMHz: 600}, p1)
-		if err != nil {
-			return nil, err
+			return err
 		}
 		row := RampAblationRow{RampSteps: steps, MaxErrMs: math.Inf(-1)}
 		var sum float64
-		for i, lat := range pr.Samples {
-			err := lat - pr.Injected[i]
-			sum += err
-			if err > row.MaxErrMs {
-				row.MaxErrMs = err
+		for j, lat := range pr.Samples {
+			e := lat - pr.Injected[j]
+			sum += e
+			if e > row.MaxErrMs {
+				row.MaxErrMs = e
 			}
 		}
 		if len(pr.Samples) > 0 {
@@ -113,7 +125,11 @@ func RampAblation(rampSteps []int, n int) ([]RampAblationRow, error) {
 		if pr.Attempts > 0 {
 			row.FailShare = float64(pr.Failures) / float64(pr.Attempts)
 		}
-		rows = append(rows, row)
+		rows[i] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -135,25 +151,15 @@ type DetectionAblationRow struct {
 // detection starves.
 func DetectionAblation(n int) ([]DetectionAblationRow, error) {
 	const injectNs = 15_000_000
-	var rows []DetectionAblationRow
-	for _, ci := range []bool{false, true} {
-		dev, err := ablationDevice(injectNs, 23, nil)
-		if err != nil {
-			return nil, err
-		}
+	modes := []bool{false, true}
+	rows := make([]DetectionAblationRow, len(modes))
+	err := forEach(len(modes), func(i int) error {
+		ci := modes[i]
 		cfg := ablationConfig(n)
 		cfg.CIDetection = ci
-		r, err := core.NewRunner(dev, cfg)
+		_, pr, err := measureAblation(injectNs, 23, nil, cfg)
 		if err != nil {
-			return nil, err
-		}
-		p1, err := r.Phase1()
-		if err != nil {
-			return nil, err
-		}
-		pr, err := r.MeasurePair(core.Pair{InitMHz: 1200, TargetMHz: 600}, p1)
-		if err != nil {
-			return nil, err
+			return err
 		}
 		row := DetectionAblationRow{Mode: "2-sigma", MeanErrMs: math.NaN()}
 		if ci {
@@ -164,12 +170,16 @@ func DetectionAblation(n int) ([]DetectionAblationRow, error) {
 		}
 		if len(pr.Samples) > 0 {
 			var sum float64
-			for i, lat := range pr.Samples {
-				sum += lat - pr.Injected[i]
+			for j, lat := range pr.Samples {
+				sum += lat - pr.Injected[j]
 			}
 			row.MeanErrMs = sum / float64(len(pr.Samples))
 		}
-		rows = append(rows, row)
+		rows[i] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -198,46 +208,45 @@ type CoreCountRow struct {
 // simulated CPU's nanosecond clock.
 func CoreCountStudy(coreCounts []int, n int) ([]CoreCountRow, error) {
 	const injectNs = 15_000_000
-	var rows []CoreCountRow
-	for _, cores := range coreCounts {
-		row := CoreCountRow{Cores: cores}
-		for _, ci := range []bool{true, false} {
-			dev, err := ablationDevice(injectNs, 31, func(c *gpu.Config) {
-				c.SMCount = cores
-			})
-			if err != nil {
-				return nil, err
-			}
-			cfg := ablationConfig(n)
-			cfg.Blocks = cores
-			cfg.CIDetection = ci
-			// Keep the per-block iteration count fixed so the phase-1
-			// population scales with the core count, as §V-A describes.
-			cfg.ItersPerKernel = 300
-			r, err := core.NewRunner(dev, cfg)
-			if err != nil {
-				return nil, err
-			}
-			p1, err := r.Phase1()
-			if err != nil {
-				return nil, err
-			}
-			row.Phase1N = p1.Stats[600].Iter.N
-			pr, err := r.MeasurePair(core.Pair{InitMHz: 1200, TargetMHz: 600}, p1)
-			if err != nil {
-				return nil, err
-			}
-			share := 0.0
-			if pr.Attempts > 0 {
-				share = float64(len(pr.Samples)) / float64(pr.Attempts)
-			}
-			if ci {
-				row.CIAcceptedShare = share
-			} else {
-				row.SigmaAcceptedShare = share
-			}
+	// Each (cores, band) cell is its own campaign: cell 2i is the CI band
+	// and 2i+1 the 2σ band of coreCounts[i].
+	type cell struct {
+		phase1N int
+		share   float64
+	}
+	cells := make([]cell, 2*len(coreCounts))
+	err := forEach(len(cells), func(i int) error {
+		cores, ci := coreCounts[i/2], i%2 == 0
+		cfg := ablationConfig(n)
+		cfg.Blocks = cores
+		cfg.CIDetection = ci
+		// Keep the per-block iteration count fixed so the phase-1
+		// population scales with the core count, as §V-A describes.
+		cfg.ItersPerKernel = 300
+		p1, pr, err := measureAblation(injectNs, 31, func(c *gpu.Config) {
+			c.SMCount = cores
+		}, cfg)
+		if err != nil {
+			return err
 		}
-		rows = append(rows, row)
+		cells[i].phase1N = p1.Stats[600].Iter.N
+		if pr.Attempts > 0 {
+			cells[i].share = float64(len(pr.Samples)) / float64(pr.Attempts)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]CoreCountRow, len(coreCounts))
+	for i, cores := range coreCounts {
+		ciCell, sigmaCell := cells[2*i], cells[2*i+1]
+		rows[i] = CoreCountRow{
+			Cores:              cores,
+			Phase1N:            sigmaCell.phase1N,
+			CIAcceptedShare:    ciCell.share,
+			SigmaAcceptedShare: sigmaCell.share,
+		}
 	}
 	return rows, nil
 }
@@ -256,34 +265,26 @@ type SyncAblationRow struct {
 // induced measurement bias.
 func SyncAblation(asymUs []float64, n int) ([]SyncAblationRow, error) {
 	const injectNs = 15_000_000
-	var rows []SyncAblationRow
-	for _, asym := range asymUs {
-		dev, err := ablationDevice(injectNs, 29, nil)
-		if err != nil {
-			return nil, err
-		}
+	rows := make([]SyncAblationRow, len(asymUs))
+	err := forEach(len(asymUs), func(i int) error {
 		cfg := ablationConfig(n)
-		cfg.PTP = ptp.Config{AsymmetryNs: asym * 1000}
-		r, err := core.NewRunner(dev, cfg)
+		cfg.PTP = ptp.Config{AsymmetryNs: asymUs[i] * 1000}
+		_, pr, err := measureAblation(injectNs, 29, nil, cfg)
 		if err != nil {
-			return nil, err
-		}
-		p1, err := r.Phase1()
-		if err != nil {
-			return nil, err
-		}
-		pr, err := r.MeasurePair(core.Pair{InitMHz: 1200, TargetMHz: 600}, p1)
-		if err != nil {
-			return nil, err
+			return err
 		}
 		var diffs []float64
-		for i, lat := range pr.Samples {
-			diffs = append(diffs, lat-pr.Injected[i])
+		for j, lat := range pr.Samples {
+			diffs = append(diffs, lat-pr.Injected[j])
 		}
-		rows = append(rows, SyncAblationRow{
-			AsymmetryUs: asym,
+		rows[i] = SyncAblationRow{
+			AsymmetryUs: asymUs[i],
 			MeanBiasMs:  stats.Mean(diffs),
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -124,7 +124,10 @@ func (s *Suite) FigScatter(profileKey string, pair core.Pair, n int) (*ScatterDa
 	if err != nil {
 		return nil, err
 	}
-	h, _ := lib.DeviceHandleByIndex(0)
+	h, err := lib.DeviceHandleByIndex(0)
+	if err != nil {
+		return nil, err
+	}
 	cfg := s.campaignConfig(p)
 	cfg.Frequencies = []float64{pair.InitMHz, pair.TargetMHz}
 	cfg.MinMeasurements = n
@@ -291,7 +294,10 @@ func (s *Suite) censusCampaign(p hwprofile.Profile) ([]*core.PairResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	handle, _ := lib.DeviceHandleByIndex(0)
+	handle, err := lib.DeviceHandleByIndex(0)
+	if err != nil {
+		return nil, err
+	}
 	cfg := s.campaignConfig(p)
 	// The census always draws its pair sample from the full evaluated
 	// frequency set: the reduced quick subsets deliberately over-sample
@@ -320,20 +326,27 @@ func (s *Suite) censusCampaign(p hwprofile.Profile) ([]*core.PairResult, error) 
 }
 
 // ClusterCensus computes the §VII-B census from dedicated census-depth
-// campaigns over a sampled subset of each GPU's pairs.
+// campaigns over a sampled subset of each GPU's pairs. The profiles'
+// campaigns run concurrently; within one, the pairs share the runner's
+// device state and stay serial.
 func (s *Suite) ClusterCensus() ([]ClusterCensusRow, error) {
-	var rows []ClusterCensusRow
-	for _, p := range hwprofile.All() {
-		pairs, err := s.censusCampaign(p)
-		if err != nil {
-			return nil, err
-		}
-		res := &core.Result{DeviceName: p.Config.Name, Pairs: pairs}
+	profiles := hwprofile.All()
+	campaigns := make([][]*core.PairResult, len(profiles))
+	err := forEach(len(profiles), func(i int) error {
+		var err error
+		campaigns[i], err = s.censusCampaign(profiles[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]ClusterCensusRow, 0, len(profiles))
+	for i, p := range profiles {
 		row := ClusterCensusRow{Model: p.Config.Name}
 		single := 0
 		var silSum float64
 		var silN int
-		for _, pr := range res.Pairs {
+		for _, pr := range campaigns[i] {
 			if pr.Clusters == nil || pr.Skipped {
 				continue
 			}

@@ -20,6 +20,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -416,4 +417,30 @@ func (s *Suite) A100Fleet(n int) ([]*core.Result, error) {
 		profiles[i] = hwprofile.A100Instance(i)
 	}
 	return s.resolve(profiles)
+}
+
+// forEach runs fn(0), …, fn(n−1) on up to GOMAXPROCS goroutines and
+// returns the lowest-indexed error. Every index runs, and each fn writes
+// only its own result slot, so the outcome is the same at any
+// parallelism.
+func forEach(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(runtime.GOMAXPROCS(0), n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

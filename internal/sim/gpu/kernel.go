@@ -78,7 +78,9 @@ func (k *Kernel) EndNs() int64 { return k.endNs }
 // Samples returns the per-block iteration timings ([block][iteration]).
 // Valid only after Done; the caller must not modify the slices. Kernels
 // launched with a SampleSink stream their timings instead of storing
-// them, so Samples panics for them.
+// them, so Samples panics for them. Materialising a trace costs 16 bytes
+// per iteration and block; a consumer that folds iterations as they come
+// should launch with a sink instead.
 func (k *Kernel) Samples() [][]IterSample {
 	if !k.done {
 		panic("gpu: Samples read before Synchronize")

@@ -10,8 +10,9 @@ import (
 // instead of the kernel storing the full [][]IterSample trace. Blocks are
 // streamed sequentially in index order, iterations in execution order, so
 // sink state needs no synchronisation. A kernel launched with a sink does
-// not materialise Samples(); callers that need the raw trace (the phase-3
-// evaluator) launch without one.
+// not materialise Samples(). The phase-1, warm-up and phase-3 kernels all
+// stream into sinks; only callers that need several kernels' raw traces
+// side by side (the wake-up estimator) launch without one.
 //
 // A sink says what it consumes: BlockStart returns the first iteration
 // it wants, and the device delivers only iterations from there on. The

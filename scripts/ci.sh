@@ -6,7 +6,8 @@
 # vet + build (including the stored daemon) + tests, a race-detector
 # pass over the concurrency-heavy coordination packages (the store's
 # journal/lease/GC machinery, the fleet's cross-process claim loop, and
-# the storenet daemon/client), and the benchmark smoke that records the
+# the storenet daemon/client) and over the measurement fan-outs (core's
+# pair pool, the census and ablations), and the benchmark smoke that records the
 # performance trajectory in BENCH_campaign.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -46,6 +47,13 @@ go test -count 5 -run 'TestCampaignLeasePartition|TestFleetLeasePartition' ./int
 
 echo "== go test -race (store, fleet, storenet) =="
 go test -race ./internal/obs/... ./internal/store/... ./internal/fleet/... ./internal/storenet/... ./cmd/stored/...
+
+echo "== go test -race (core pair pool + phase-3 sink, census/ablation fan-out) =="
+# core.Run's pair pool and the experiments fan-out of the cluster census
+# and ablations write results by index from several goroutines; the
+# determinism test reruns them under GOMAXPROCS(1) and compares bits.
+go test -race ./internal/core
+go test -race -run 'Ablation|CoreCount|ClusterCensus|TestParallelDeterminism' ./internal/experiments
 
 echo "== go test -race (trace propagation) =="
 # The tracer is lock-free by design (atomic ring cursor, pooled spans);
