@@ -16,7 +16,15 @@
 //	            [-gc-watermark-bytes N]
 //
 // Artefact ids: table1 table2 fig1 fig2 fig3a fig3b fig3c fig3d fig4
-// fig5 fig6 fig7 fig8 fig9 clusters cidegen cpuvsgpu (default: all).
+// fig5 fig6 fig7 fig8 fig9 clusters cidegen cpuvsgpu ablations (default:
+// all).
+//
+// The selected artefacts are generated concurrently, their measurement
+// steps sharing one process-wide pool of GOMAXPROCS workers. Each
+// artefact's log lines are printed in the order above once all are
+// done, so the per-artefact seconds in the log overlap and do not sum
+// to the run's wall clock. The artefacts themselves are identical to a
+// serial run's.
 //
 // With -cache-dir, campaign results persist across runs as
 // content-addressed blobs (see internal/store): a repeated run with the
@@ -80,6 +88,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -88,6 +97,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"golatest/internal/core"
@@ -141,13 +151,13 @@ func run(args []string, out io.Writer) error {
 		only      = fs.String("only", "", "comma-separated artefact ids (default all)")
 		outDir    = fs.String("out", "results", "output directory")
 		seed      = fs.Uint64("seed", 2025, "campaign seed")
-		parallel  = fs.Int("parallel", 0, "concurrent pair campaigns per sweep (0 = one per CPU, 1 = serial; results are identical at every setting)")
+		parallel  = fs.Int("parallel", 0, "concurrent pair campaigns within each campaign (0 = one per CPU, 1 = serial; campaign computes share the process-wide worker pool; results are identical at every setting)")
 		cacheDir  = fs.String("cache-dir", "", "persist campaign results as content-addressed blobs in this directory; warm re-runs recompute nothing")
 		storeURL  = fs.String("store-url", "", "use stored daemon(s) as the campaign store: one base URL (e.g. http://host:8417), or a comma-separated list to replicate across a consistent-hashing router; with -cache-dir the directory becomes a local write-through (single URL) or read-through (list) tier")
 		replicas  = fs.Int("replication", 2, "with a multi-member -store-url list: copies of each campaign blob to keep (clamped to the member count)")
 		storeTok  = fs.String("store-token", "", "bearer token for a -store-url daemon running with -tokens (needs write scope for sweeps; 401/403 are terminal — fix the token, they are never retried or journaled)")
 		noCache   = fs.Bool("no-cache", false, "ignore -cache-dir and -store-url for this run: neither read nor write any store")
-		fleetN    = fs.Int("fleet", 0, "concurrent whole campaigns in multi-unit sweeps (0 = one per CPU; results are identical at every setting)")
+		fleetN    = fs.Int("fleet", 0, "concurrent whole campaigns per sweep (0 = one per CPU; campaign computes share the process-wide worker pool; results are identical at every setting)")
 		leaseTTL  = fs.Duration("lease-ttl", 0, "claim sweep shards via store leases so concurrent processes sharing -cache-dir partition the work; the TTL should exceed one campaign's runtime (0 = off)")
 		owner     = fs.String("owner", "", "lease owner id for -lease-ttl (default: derived from host and pid)")
 		shardOff  = fs.String("shard-offset", "", "start multi-unit sweeps at this shard index so cooperating hosts claim disjoint ranges (an integer, or 'auto' to derive it from the store's lease/index state; default 0)")
@@ -183,7 +193,9 @@ func run(args []string, out io.Writer) error {
 
 	// The tracer is shared by the suite's fleet sweeps and the store
 	// client, so sweep shards and the wire requests they issue land in
-	// one trace. Seeded from the campaign seed: same run, same span IDs.
+	// one trace. Seeded from the campaign seed, the run draws the same
+	// sequence of IDs every time; which span gets which ID follows the
+	// scheduling of the concurrently generated artefacts.
 	var tracer *obs.Tracer
 	if *traceOut != "" {
 		tracer = obs.New(obs.Options{Seed: *seed})
@@ -346,15 +358,30 @@ func run(args []string, out io.Writer) error {
 		StoreErrors:      storeErrors,
 		Tracer:           tracer,
 	})
+	var picked []generator
 	for _, g := range generators {
-		if len(wanted) > 0 && !wanted[g.id] {
-			continue
+		if len(wanted) == 0 || wanted[g.id] {
+			picked = append(picked, g)
 		}
-		start := time.Now()
-		if err := g.fn(suite, *outDir, out); err != nil {
-			return fmt.Errorf("%s: %w", g.id, err)
+	}
+	logs := make([]bytes.Buffer, len(picked))
+	gens := make([]func() error, len(picked))
+	for i, g := range picked {
+		gens[i] = func() error {
+			start := time.Now()
+			if err := g.fn(suite, *outDir, &logs[i]); err != nil {
+				return fmt.Errorf("%s: %w", g.id, err)
+			}
+			fmt.Fprintf(&logs[i], "[%-8s] %-40s %8.2fs\n", g.id, g.doc, time.Since(start).Seconds())
+			return nil
 		}
-		fmt.Fprintf(out, "[%-8s] %-40s %8.2fs\n", g.id, g.doc, time.Since(start).Seconds())
+	}
+	genErr := all(gens...)
+	for i := range logs {
+		out.Write(logs[i].Bytes())
+	}
+	if genErr != nil {
+		return genErr
 	}
 	if backend != nil {
 		c := backend.Counters()
@@ -433,13 +460,38 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
+// all runs every fn in its own goroutine, waits for them all and returns
+// the lowest-indexed error.
+func all(fns ...func() error) error {
+	errs := make([]error, len(fns))
+	var wg sync.WaitGroup
+	wg.Add(len(fns))
+	for i, fn := range fns {
+		go func() {
+			defer wg.Done()
+			errs[i] = fn()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeFile creates dir/name and fills it; if fill fails, the partial
+// file is removed so no truncated artefact is left behind.
 func writeFile(dir, name string, fill func(io.Writer) error) error {
-	f, err := os.Create(filepath.Join(dir, name))
+	path := filepath.Join(dir, name)
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	if err := fill(f); err != nil {
 		f.Close()
+		os.Remove(path)
 		return err
 	}
 	return f.Close()
@@ -595,15 +647,18 @@ func genCIDegen(_ *experiments.Suite, dir string, _ io.Writer) error {
 }
 
 func genAblations(_ *experiments.Suite, dir string, _ io.Writer) error {
-	ramp, err := experiments.RampAblation([]int{0, 2, 8, 32}, 12)
-	if err != nil {
-		return err
-	}
-	det, err := experiments.DetectionAblation(12)
-	if err != nil {
-		return err
-	}
-	syn, err := experiments.SyncAblation([]float64{0, 100, 400, 1600}, 10)
+	var (
+		ramp  []experiments.RampAblationRow
+		det   []experiments.DetectionAblationRow
+		syn   []experiments.SyncAblationRow
+		cores []experiments.CoreCountRow
+	)
+	err := all(
+		func() (err error) { ramp, err = experiments.RampAblation([]int{0, 2, 8, 32}, 12); return err },
+		func() (err error) { det, err = experiments.DetectionAblation(12); return err },
+		func() (err error) { syn, err = experiments.SyncAblation([]float64{0, 100, 400, 1600}, 10); return err },
+		func() (err error) { cores, err = experiments.CoreCountStudy([]int{1, 4, 16, 64}, 10); return err },
+	)
 	if err != nil {
 		return err
 	}
@@ -635,10 +690,6 @@ func genAblations(_ *experiments.Suite, dir string, _ io.Writer) error {
 				r := syn[i]
 				return []string{fmt.Sprintf("%.0f", r.AsymmetryUs), fmt.Sprintf("%.3f", r.MeanBiasMs)}
 			})); err != nil {
-			return err
-		}
-		cores, err := experiments.CoreCountStudy([]int{1, 4, 16, 64}, 10)
-		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, "\n## Core count vs detection band (§V-A small accelerators)")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,8 +13,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"golatest/internal/experiments"
 	"golatest/internal/store"
 	"golatest/internal/storenet"
 )
@@ -567,6 +571,136 @@ func TestRunAllArtefactsQuick(t *testing.T) {
 		if len(data) == 0 {
 			t.Fatalf("%s is empty", name)
 		}
+	}
+}
+
+// TestRunConcurrentSubset generates a mix of campaign-backed, scatter
+// and campaign-free artefacts concurrently (CI runs it under -race):
+// every artefact is written and the timing lines keep generator order.
+func TestRunConcurrentSubset(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs four quick campaigns and a scatter campaign")
+	}
+	dir := t.TempDir()
+	var out bytes.Buffer
+	ids := []string{"table1", "fig3c", "fig4", "fig6", "cidegen", "cpuvsgpu"}
+	if err := run([]string{"-scale", "quick", "-only", strings.Join(ids, ","), "-out", dir}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"table1.md", "fig3_a100_max.txt", "fig4_violins.txt",
+		"fig6_scatter.csv", "ci_degeneration.md", "cpu_vs_gpu.md"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(data) == 0 {
+			t.Fatalf("%s is empty", name)
+		}
+	}
+	last := -1
+	for _, id := range ids {
+		at := strings.Index(out.String(), fmt.Sprintf("[%-8s]", id))
+		if at <= last {
+			t.Fatalf("timing line of %s missing or out of generator order:\n%s", id, out.String())
+		}
+		last = at
+	}
+}
+
+// TestGeneratorsRunConcurrentlyInOrder swaps the generators for fakes:
+// a slow one that finishes only after the fast one behind it, and two
+// failing ones, the later of which fails first. All four run at once,
+// the log comes out in generator order, and the error returned is the
+// lowest-indexed generator's.
+func TestGeneratorsRunConcurrentlyInOrder(t *testing.T) {
+	saved := generators
+	t.Cleanup(func() { generators = saved })
+
+	// awaitOther bounds a fake's wait on another: run serially, the wait
+	// would never end.
+	awaitOther := func(ch chan struct{}, what string) error {
+		select {
+		case <-ch:
+			return nil
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("%s never happened: generators do not run concurrently", what)
+		}
+	}
+	fastDone, laterFailed := make(chan struct{}), make(chan struct{})
+	errEarly, errLate := errors.New("early generator failed"), errors.New("late generator failed")
+	var ran [4]atomic.Bool
+	fake := func(i int, body func(w io.Writer) error) func(*experiments.Suite, string, io.Writer) error {
+		return func(_ *experiments.Suite, _ string, w io.Writer) error {
+			ran[i].Store(true)
+			return body(w)
+		}
+	}
+	generators = []generator{
+		{"slow", fake(0, func(w io.Writer) error {
+			if err := awaitOther(fastDone, "the fast generator finishing"); err != nil {
+				return err
+			}
+			fmt.Fprintln(w, "  slow log")
+			return nil
+		}), "slow fake"},
+		{"fast", fake(1, func(w io.Writer) error {
+			fmt.Fprintln(w, "  fast log")
+			close(fastDone)
+			return nil
+		}), "fast fake"},
+		{"failA", fake(2, func(w io.Writer) error {
+			fmt.Fprintln(w, "  failA log")
+			if err := awaitOther(laterFailed, "the later generator failing"); err != nil {
+				return err
+			}
+			return errEarly
+		}), "failing fake"},
+		{"failB", fake(3, func(w io.Writer) error {
+			defer close(laterFailed)
+			fmt.Fprintln(w, "  failB log")
+			return errLate
+		}), "failing fake"},
+	}
+
+	var out bytes.Buffer
+	err := run([]string{"-out", t.TempDir()}, &out)
+	if !errors.Is(err, errEarly) || !strings.HasPrefix(err.Error(), "failA: ") {
+		t.Fatalf("run error = %v, want the lowest-indexed failure (failA: %v)\n%s", err, errEarly, out.String())
+	}
+	for i := range ran {
+		if !ran[i].Load() {
+			t.Errorf("generator %s never ran", generators[i].id)
+		}
+	}
+	last := -1
+	for _, line := range []string{"  slow log", "[slow    ]", "  fast log", "[fast    ]", "  failA log", "  failB log"} {
+		at := strings.Index(out.String(), line)
+		if at <= last {
+			t.Fatalf("log line %q missing or out of generator order:\n%s", line, out.String())
+		}
+		last = at
+	}
+	if strings.Contains(out.String(), "[fail") {
+		t.Errorf("a failed generator printed a timing line:\n%s", out.String())
+	}
+}
+
+// TestWriteFileRemovesPartialArtefact: a fill that writes and then fails
+// leaves no truncated artefact on disk.
+func TestWriteFileRemovesPartialArtefact(t *testing.T) {
+	dir := t.TempDir()
+	errFill := errors.New("fill failed")
+	err := writeFile(dir, "partial.md", func(w io.Writer) error {
+		if _, err := io.WriteString(w, "| half a table |\n"); err != nil {
+			return err
+		}
+		return errFill
+	})
+	if !errors.Is(err, errFill) {
+		t.Fatalf("writeFile error = %v, want %v", err, errFill)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "partial.md")); !os.IsNotExist(err) {
+		t.Fatalf("a failed fill left partial.md behind (stat: %v)", err)
 	}
 }
 

@@ -36,15 +36,7 @@ func ablationDevice(injectNs int64, seed uint64, mutate func(*gpu.Config)) (*nvm
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	dev, err := gpu.New(cfg, clock.New())
-	if err != nil {
-		return nil, err
-	}
-	lib, err := nvml.New(dev)
-	if err != nil {
-		return nil, err
-	}
-	return lib.DeviceHandleByIndex(0)
+	return deviceHandle(gpu.New(cfg, clock.New()))
 }
 
 // ablationConfig is the shared campaign shape of the ablations.
@@ -58,23 +50,26 @@ func ablationConfig(n int) core.Config {
 	}
 }
 
-// measureAblation runs one ablation campaign: phase 1, then the
-// 1200→600 MHz pair on a fresh ablation device. Every row or cell of an
-// ablation owns its device and seed, so the rows run concurrently.
+// measureAblation runs one ablation campaign as one measurement step:
+// phase 1, then the 1200→600 MHz pair on a fresh ablation device. Every
+// row or cell of an ablation owns its device and seed, so the rows run
+// concurrently.
 func measureAblation(injectNs int64, seed uint64, mutate func(*gpu.Config), cfg core.Config) (*core.Phase1Result, *core.PairResult, error) {
-	dev, err := ablationDevice(injectNs, seed, mutate)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := core.NewRunner(dev, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	p1, err := r.Phase1()
-	if err != nil {
-		return nil, nil, err
-	}
-	pr, err := r.MeasurePair(core.Pair{InitMHz: 1200, TargetMHz: 600}, p1)
+	var p1 *core.Phase1Result
+	pr, err := step(func() (*core.PairResult, error) {
+		dev, err := ablationDevice(injectNs, seed, mutate)
+		if err != nil {
+			return nil, err
+		}
+		r, err := core.NewRunner(dev, cfg)
+		if err != nil {
+			return nil, err
+		}
+		if p1, err = r.Phase1(); err != nil {
+			return nil, err
+		}
+		return r.MeasurePair(core.Pair{InitMHz: 1200, TargetMHz: 600}, p1)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -100,38 +95,34 @@ type RampAblationRow struct {
 // fail confirmation (discards), which is exactly why the methodology
 // keeps the workload iteration tiny and confirms with a tail population.
 func RampAblation(rampSteps []int, n int) ([]RampAblationRow, error) {
+	return forEach(rampSteps, func(steps int) (RampAblationRow, error) { return rampRow(steps, n) })
+}
+
+// rampRow measures one ramp shape.
+func rampRow(steps, n int) (RampAblationRow, error) {
 	const injectNs = 20_000_000
-	rows := make([]RampAblationRow, len(rampSteps))
-	err := forEach(len(rampSteps), func(i int) error {
-		steps := rampSteps[i]
-		_, pr, err := measureAblation(injectNs, 17, func(c *gpu.Config) {
-			c.RampSteps = steps
-		}, ablationConfig(n))
-		if err != nil {
-			return err
-		}
-		row := RampAblationRow{RampSteps: steps, MaxErrMs: math.Inf(-1)}
-		var sum float64
-		for j, lat := range pr.Samples {
-			e := lat - pr.Injected[j]
-			sum += e
-			if e > row.MaxErrMs {
-				row.MaxErrMs = e
-			}
-		}
-		if len(pr.Samples) > 0 {
-			row.MeanErrMs = sum / float64(len(pr.Samples))
-		}
-		if pr.Attempts > 0 {
-			row.FailShare = float64(pr.Failures) / float64(pr.Attempts)
-		}
-		rows[i] = row
-		return nil
-	})
+	_, pr, err := measureAblation(injectNs, 17, func(c *gpu.Config) {
+		c.RampSteps = steps
+	}, ablationConfig(n))
 	if err != nil {
-		return nil, err
+		return RampAblationRow{}, err
 	}
-	return rows, nil
+	row := RampAblationRow{RampSteps: steps, MaxErrMs: math.Inf(-1)}
+	var sum float64
+	for j, lat := range pr.Samples {
+		e := lat - pr.Injected[j]
+		sum += e
+		if e > row.MaxErrMs {
+			row.MaxErrMs = e
+		}
+	}
+	if len(pr.Samples) > 0 {
+		row.MeanErrMs = sum / float64(len(pr.Samples))
+	}
+	if pr.Attempts > 0 {
+		row.FailShare = float64(pr.Failures) / float64(pr.Attempts)
+	}
+	return row, nil
 }
 
 // DetectionAblationRow compares the 2σ population band with FTaLaT's
@@ -150,38 +141,33 @@ type DetectionAblationRow struct {
 // iterations the CI band collapses below the iteration noise and
 // detection starves.
 func DetectionAblation(n int) ([]DetectionAblationRow, error) {
+	return forEach([]bool{false, true}, func(ci bool) (DetectionAblationRow, error) { return detectionRow(ci, n) })
+}
+
+// detectionRow measures one detection band: the CI band if ci, else 2σ.
+func detectionRow(ci bool, n int) (DetectionAblationRow, error) {
 	const injectNs = 15_000_000
-	modes := []bool{false, true}
-	rows := make([]DetectionAblationRow, len(modes))
-	err := forEach(len(modes), func(i int) error {
-		ci := modes[i]
-		cfg := ablationConfig(n)
-		cfg.CIDetection = ci
-		_, pr, err := measureAblation(injectNs, 23, nil, cfg)
-		if err != nil {
-			return err
-		}
-		row := DetectionAblationRow{Mode: "2-sigma", MeanErrMs: math.NaN()}
-		if ci {
-			row.Mode = "ci"
-		}
-		if pr.Attempts > 0 {
-			row.AcceptedShare = float64(len(pr.Samples)) / float64(pr.Attempts)
-		}
-		if len(pr.Samples) > 0 {
-			var sum float64
-			for j, lat := range pr.Samples {
-				sum += lat - pr.Injected[j]
-			}
-			row.MeanErrMs = sum / float64(len(pr.Samples))
-		}
-		rows[i] = row
-		return nil
-	})
+	cfg := ablationConfig(n)
+	cfg.CIDetection = ci
+	_, pr, err := measureAblation(injectNs, 23, nil, cfg)
 	if err != nil {
-		return nil, err
+		return DetectionAblationRow{}, err
 	}
-	return rows, nil
+	row := DetectionAblationRow{Mode: "2-sigma", MeanErrMs: math.NaN()}
+	if ci {
+		row.Mode = "ci"
+	}
+	if pr.Attempts > 0 {
+		row.AcceptedShare = float64(len(pr.Samples)) / float64(pr.Attempts)
+	}
+	if len(pr.Samples) > 0 {
+		var sum float64
+		for j, lat := range pr.Samples {
+			sum += lat - pr.Injected[j]
+		}
+		row.MeanErrMs = sum / float64(len(pr.Samples))
+	}
+	return row, nil
 }
 
 // CoreCountRow is one row of the §V-A small-accelerator study: how the
@@ -207,37 +193,63 @@ type CoreCountRow struct {
 // only on fine-grained timers; CIDegeneration demonstrates it on the
 // simulated CPU's nanosecond clock.
 func CoreCountStudy(coreCounts []int, n int) ([]CoreCountRow, error) {
-	const injectNs = 15_000_000
-	// Each (cores, band) cell is its own campaign: cell 2i is the CI band
-	// and 2i+1 the 2σ band of coreCounts[i].
-	type cell struct {
-		phase1N int
-		share   float64
-	}
-	cells := make([]cell, 2*len(coreCounts))
-	err := forEach(len(cells), func(i int) error {
-		cores, ci := coreCounts[i/2], i%2 == 0
-		cfg := ablationConfig(n)
-		cfg.Blocks = cores
-		cfg.CIDetection = ci
-		// Keep the per-block iteration count fixed so the phase-1
-		// population scales with the core count, as §V-A describes.
-		cfg.ItersPerKernel = 300
-		p1, pr, err := measureAblation(injectNs, 31, func(c *gpu.Config) {
-			c.SMCount = cores
-		}, cfg)
-		if err != nil {
-			return err
-		}
-		cells[i].phase1N = p1.Stats[600].Iter.N
-		if pr.Attempts > 0 {
-			cells[i].share = float64(len(pr.Samples)) / float64(pr.Attempts)
-		}
-		return nil
+	cells, err := forEach(coreCountCells(coreCounts), func(c coreCountCell) (coreCountOutcome, error) {
+		return c.measure(n)
 	})
 	if err != nil {
 		return nil, err
 	}
+	return coreCountRows(coreCounts, cells), nil
+}
+
+// coreCountCell is one campaign of the core-count study: a device width
+// under one detection band.
+type coreCountCell struct {
+	cores int
+	ci    bool
+}
+
+// coreCountOutcome is what a cell measured: the phase-1 population
+// feeding the band and the share of runs the band accepted.
+type coreCountOutcome struct {
+	phase1N int
+	share   float64
+}
+
+// coreCountCells lists the study's campaigns: cell 2i is the CI band and
+// 2i+1 the 2σ band of coreCounts[i].
+func coreCountCells(coreCounts []int) []coreCountCell {
+	cells := make([]coreCountCell, 0, 2*len(coreCounts))
+	for _, cores := range coreCounts {
+		cells = append(cells, coreCountCell{cores, true}, coreCountCell{cores, false})
+	}
+	return cells
+}
+
+// measure runs the cell's campaign.
+func (c coreCountCell) measure(n int) (coreCountOutcome, error) {
+	const injectNs = 15_000_000
+	cfg := ablationConfig(n)
+	cfg.Blocks = c.cores
+	cfg.CIDetection = c.ci
+	// Keep the per-block iteration count fixed so the phase-1 population
+	// scales with the core count, as §V-A describes.
+	cfg.ItersPerKernel = 300
+	p1, pr, err := measureAblation(injectNs, 31, func(g *gpu.Config) {
+		g.SMCount = c.cores
+	}, cfg)
+	if err != nil {
+		return coreCountOutcome{}, err
+	}
+	out := coreCountOutcome{phase1N: p1.Stats[600].Iter.N}
+	if pr.Attempts > 0 {
+		out.share = float64(len(pr.Samples)) / float64(pr.Attempts)
+	}
+	return out, nil
+}
+
+// coreCountRows pairs the cells of coreCountCells back into rows.
+func coreCountRows(coreCounts []int, cells []coreCountOutcome) []CoreCountRow {
 	rows := make([]CoreCountRow, len(coreCounts))
 	for i, cores := range coreCounts {
 		ciCell, sigmaCell := cells[2*i], cells[2*i+1]
@@ -248,7 +260,7 @@ func CoreCountStudy(coreCounts []int, n int) ([]CoreCountRow, error) {
 			SigmaAcceptedShare: sigmaCell.share,
 		}
 	}
-	return rows, nil
+	return rows
 }
 
 // SyncAblationRow quantifies the timer-sync contribution to measurement
@@ -264,27 +276,21 @@ type SyncAblationRow struct {
 // SyncAblation sweeps the host→device link asymmetry and reports the
 // induced measurement bias.
 func SyncAblation(asymUs []float64, n int) ([]SyncAblationRow, error) {
+	return forEach(asymUs, func(us float64) (SyncAblationRow, error) { return syncRow(us, n) })
+}
+
+// syncRow measures one link asymmetry.
+func syncRow(asymUs float64, n int) (SyncAblationRow, error) {
 	const injectNs = 15_000_000
-	rows := make([]SyncAblationRow, len(asymUs))
-	err := forEach(len(asymUs), func(i int) error {
-		cfg := ablationConfig(n)
-		cfg.PTP = ptp.Config{AsymmetryNs: asymUs[i] * 1000}
-		_, pr, err := measureAblation(injectNs, 29, nil, cfg)
-		if err != nil {
-			return err
-		}
-		var diffs []float64
-		for j, lat := range pr.Samples {
-			diffs = append(diffs, lat-pr.Injected[j])
-		}
-		rows[i] = SyncAblationRow{
-			AsymmetryUs: asymUs[i],
-			MeanBiasMs:  stats.Mean(diffs),
-		}
-		return nil
-	})
+	cfg := ablationConfig(n)
+	cfg.PTP = ptp.Config{AsymmetryNs: asymUs * 1000}
+	_, pr, err := measureAblation(injectNs, 29, nil, cfg)
 	if err != nil {
-		return nil, err
+		return SyncAblationRow{}, err
 	}
-	return rows, nil
+	var diffs []float64
+	for j, lat := range pr.Samples {
+		diffs = append(diffs, lat-pr.Injected[j])
+	}
+	return SyncAblationRow{AsymmetryUs: asymUs, MeanBiasMs: stats.Mean(diffs)}, nil
 }

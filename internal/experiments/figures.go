@@ -8,7 +8,6 @@ import (
 	"golatest/internal/cluster"
 	"golatest/internal/core"
 	"golatest/internal/hwprofile"
-	"golatest/internal/nvml"
 	"golatest/internal/report"
 	"golatest/internal/sim/clock"
 )
@@ -110,37 +109,32 @@ type ScatterData struct {
 }
 
 // FigScatter runs a dedicated campaign of one pair with n measurements
-// (several hundred, per §VII-B) and clusters it.
+// (several hundred, per §VII-B), as one measurement step, and clusters
+// it.
 func (s *Suite) FigScatter(profileKey string, pair core.Pair, n int) (*ScatterData, error) {
 	p, err := hwprofile.ByKey(profileKey)
 	if err != nil {
 		return nil, err
 	}
-	dev, err := p.NewDevice(clock.New())
-	if err != nil {
-		return nil, err
-	}
-	lib, err := nvml.New(dev)
-	if err != nil {
-		return nil, err
-	}
-	h, err := lib.DeviceHandleByIndex(0)
-	if err != nil {
-		return nil, err
-	}
-	cfg := s.campaignConfig(p)
-	cfg.Frequencies = []float64{pair.InitMHz, pair.TargetMHz}
-	cfg.MinMeasurements = n
-	cfg.MaxMeasurements = n
-	r, err := core.NewRunner(h, cfg)
-	if err != nil {
-		return nil, err
-	}
-	p1, err := r.Phase1()
-	if err != nil {
-		return nil, err
-	}
-	pr, err := r.MeasurePair(pair, p1)
+	pr, err := step(func() (*core.PairResult, error) {
+		h, err := deviceHandle(p.NewDevice(clock.New()))
+		if err != nil {
+			return nil, err
+		}
+		cfg := s.campaignConfig(p)
+		cfg.Frequencies = []float64{pair.InitMHz, pair.TargetMHz}
+		cfg.MinMeasurements = n
+		cfg.MaxMeasurements = n
+		r, err := core.NewRunner(h, cfg)
+		if err != nil {
+			return nil, err
+		}
+		p1, err := r.Phase1()
+		if err != nil {
+			return nil, err
+		}
+		return r.MeasurePair(pair, p1)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -284,17 +278,12 @@ func censusPairs(valid []core.Pair, limit int) []core.Pair {
 }
 
 // censusCampaign measures a sampled subset of a profile's pairs at census
-// depth and returns their PairResults.
+// depth and returns their PairResults. Phase 1 and each pair are separate
+// measurement steps: the pairs share the runner's device state and stay
+// serial and in order, but other artefacts' steps interleave between
+// them.
 func (s *Suite) censusCampaign(p hwprofile.Profile) ([]*core.PairResult, error) {
-	dev, err := p.NewDevice(clock.New())
-	if err != nil {
-		return nil, err
-	}
-	lib, err := nvml.New(dev)
-	if err != nil {
-		return nil, err
-	}
-	handle, err := lib.DeviceHandleByIndex(0)
+	handle, err := deviceHandle(p.NewDevice(clock.New()))
 	if err != nil {
 		return nil, err
 	}
@@ -310,13 +299,13 @@ func (s *Suite) censusCampaign(p hwprofile.Profile) ([]*core.PairResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	p1, err := r.Phase1()
+	p1, err := step(r.Phase1)
 	if err != nil {
 		return nil, err
 	}
 	var out []*core.PairResult
 	for _, pair := range censusPairs(p1.ValidPairs, 12) {
-		pr, err := r.MeasurePair(pair, p1)
+		pr, err := step(func() (*core.PairResult, error) { return r.MeasurePair(pair, p1) })
 		if err != nil {
 			return nil, err
 		}
@@ -325,54 +314,53 @@ func (s *Suite) censusCampaign(p hwprofile.Profile) ([]*core.PairResult, error) 
 	return out, nil
 }
 
+// censusRow summarises one profile's census campaign.
+func censusRow(p hwprofile.Profile, campaign []*core.PairResult) ClusterCensusRow {
+	row := ClusterCensusRow{Model: p.Config.Name}
+	single := 0
+	var silSum float64
+	var silN int
+	for _, pr := range campaign {
+		if pr.Clusters == nil || pr.Skipped {
+			continue
+		}
+		row.Pairs++
+		if pr.Clusters.NumClusters <= 1 {
+			single++
+		} else {
+			row.MultiClusterPairs++
+			if sil := cluster.Silhouette(pr.Samples, pr.Clusters.Labels); !math.IsNaN(sil) {
+				silSum += sil
+				silN++
+			}
+		}
+		if pr.Clusters.NumClusters > row.MaxClusters {
+			row.MaxClusters = pr.Clusters.NumClusters
+		}
+	}
+	if row.Pairs > 0 {
+		row.SingleClusterShare = float64(single) / float64(row.Pairs)
+	}
+	if silN > 0 {
+		row.MeanSilhouette = silSum / float64(silN)
+	} else {
+		row.MeanSilhouette = math.NaN()
+	}
+	return row
+}
+
 // ClusterCensus computes the §VII-B census from dedicated census-depth
 // campaigns over a sampled subset of each GPU's pairs. The profiles'
-// campaigns run concurrently; within one, the pairs share the runner's
-// device state and stay serial.
+// campaigns run concurrently; within one, the pairs stay serial.
 func (s *Suite) ClusterCensus() ([]ClusterCensusRow, error) {
 	profiles := hwprofile.All()
-	campaigns := make([][]*core.PairResult, len(profiles))
-	err := forEach(len(profiles), func(i int) error {
-		var err error
-		campaigns[i], err = s.censusCampaign(profiles[i])
-		return err
-	})
+	campaigns, err := forEach(profiles, s.censusCampaign)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]ClusterCensusRow, 0, len(profiles))
+	rows := make([]ClusterCensusRow, len(profiles))
 	for i, p := range profiles {
-		row := ClusterCensusRow{Model: p.Config.Name}
-		single := 0
-		var silSum float64
-		var silN int
-		for _, pr := range campaigns[i] {
-			if pr.Clusters == nil || pr.Skipped {
-				continue
-			}
-			row.Pairs++
-			if pr.Clusters.NumClusters <= 1 {
-				single++
-			} else {
-				row.MultiClusterPairs++
-				if sil := cluster.Silhouette(pr.Samples, pr.Clusters.Labels); !math.IsNaN(sil) {
-					silSum += sil
-					silN++
-				}
-			}
-			if pr.Clusters.NumClusters > row.MaxClusters {
-				row.MaxClusters = pr.Clusters.NumClusters
-			}
-		}
-		if row.Pairs > 0 {
-			row.SingleClusterShare = float64(single) / float64(row.Pairs)
-		}
-		if silN > 0 {
-			row.MeanSilhouette = silSum / float64(silN)
-		} else {
-			row.MeanSilhouette = math.NaN()
-		}
-		rows = append(rows, row)
+		rows[i] = censusRow(p, campaigns[i])
 	}
 	return rows, nil
 }

@@ -1,10 +1,16 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"reflect"
-	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"golatest/internal/hwprofile"
 )
 
 // sameRows requires two row slices to be equal field by field, floats
@@ -31,9 +37,62 @@ func sameRows(t *testing.T, name string, serial, parallel any) {
 	}
 }
 
+// TestStepPool runs 50 tasks through forEach, each as one measurement
+// step: every task runs, at most cap(slots) steps are in flight at once,
+// results land by index, and the lowest-indexed error is returned.
+func TestStepPool(t *testing.T) {
+	tasks := make([]int, 50)
+	for i := range tasks {
+		tasks[i] = i
+	}
+	var inFlight, peak, ran atomic.Int64
+	task := func(fail ...int) func(int) (int, error) {
+		return func(i int) (int, error) {
+			return step(func() (int, error) {
+				n := inFlight.Add(1)
+				defer inFlight.Add(-1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				ran.Add(1)
+				time.Sleep(time.Millisecond) // hold the slot so the tasks overlap
+				if slices.Contains(fail, i) {
+					return 0, fmt.Errorf("task %d failed", i)
+				}
+				return 10 * i, nil
+			})
+		}
+	}
+
+	out, err := forEach(tasks, task())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range out {
+		if v != 10*i {
+			t.Fatalf("out[%d] = %d, want %d", i, v, 10*i)
+		}
+	}
+	if got := peak.Load(); got != int64(cap(slots)) {
+		t.Errorf("peak in-flight steps = %d, want the pool's capacity %d", got, cap(slots))
+	}
+
+	ran.Store(0)
+	out, err = forEach(tasks, task(41, 7, 23))
+	if err == nil || err.Error() != "task 7 failed" || out != nil {
+		t.Fatalf("forEach = %v, %v; want nil, the lowest-indexed error (task 7)", out, err)
+	}
+	if ran.Load() != int64(len(tasks)) {
+		t.Errorf("%d of %d tasks ran after a failure", ran.Load(), len(tasks))
+	}
+	if got := peak.Load(); got > int64(cap(slots)) {
+		t.Errorf("peak in-flight steps = %d, over the pool's capacity %d", got, cap(slots))
+	}
+}
+
 // TestParallelDeterminism runs the cluster census and the four ablations
-// under GOMAXPROCS(1) — every fan-out serial — and at the default, and
-// requires bit-identical rows.
+// concurrently, as the CLI does, with every unit's steps contending for
+// the pool, and requires rows bit-identical to a serial reference that
+// measures the same units one after another in a plain loop.
 func TestParallelDeterminism(t *testing.T) {
 	type results struct {
 		census []ClusterCensusRow
@@ -42,30 +101,66 @@ func TestParallelDeterminism(t *testing.T) {
 		sync   []SyncAblationRow
 		cores  []CoreCountRow
 	}
-	run := func() results {
-		var r results
-		var err error
-		if r.census, err = NewSuite(Options{Scale: ScaleQuick, Seed: 2025}).ClusterCensus(); err != nil {
+	ramps, syncs, coreCounts := []int{0, 2, 8}, []float64{0, 100, 400}, []int{1, 4, 16}
+	const n = 6
+	suite := func() *Suite { return NewSuite(Options{Scale: ScaleQuick, Seed: 2025}) }
+
+	var serial results
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if r.ramp, err = RampAblation([]int{0, 2, 8}, 6); err != nil {
-			t.Fatal(err)
-		}
-		if r.det, err = DetectionAblation(6); err != nil {
-			t.Fatal(err)
-		}
-		if r.sync, err = SyncAblation([]float64{0, 100, 400}, 6); err != nil {
-			t.Fatal(err)
-		}
-		if r.cores, err = CoreCountStudy([]int{1, 4, 16}, 6); err != nil {
-			t.Fatal(err)
-		}
-		return r
 	}
-	prev := runtime.GOMAXPROCS(1)
-	serial := run()
-	runtime.GOMAXPROCS(prev)
-	parallel := run()
+	s := suite()
+	for _, p := range hwprofile.All() {
+		campaign, err := s.censusCampaign(p)
+		must(err)
+		serial.census = append(serial.census, censusRow(p, campaign))
+	}
+	for _, steps := range ramps {
+		row, err := rampRow(steps, n)
+		must(err)
+		serial.ramp = append(serial.ramp, row)
+	}
+	for _, ci := range []bool{false, true} {
+		row, err := detectionRow(ci, n)
+		must(err)
+		serial.det = append(serial.det, row)
+	}
+	for _, us := range syncs {
+		row, err := syncRow(us, n)
+		must(err)
+		serial.sync = append(serial.sync, row)
+	}
+	var cells []coreCountOutcome
+	for _, c := range coreCountCells(coreCounts) {
+		cell, err := c.measure(n)
+		must(err)
+		cells = append(cells, cell)
+	}
+	serial.cores = coreCountRows(coreCounts, cells)
+
+	var parallel results
+	errs := make([]error, 5)
+	var wg sync.WaitGroup
+	wg.Add(len(errs))
+	for i, fn := range []func() error{
+		func() (err error) { parallel.census, err = suite().ClusterCensus(); return err },
+		func() (err error) { parallel.ramp, err = RampAblation(ramps, n); return err },
+		func() (err error) { parallel.det, err = DetectionAblation(n); return err },
+		func() (err error) { parallel.sync, err = SyncAblation(syncs, n); return err },
+		func() (err error) { parallel.cores, err = CoreCountStudy(coreCounts, n); return err },
+	} {
+		go func() {
+			defer wg.Done()
+			errs[i] = fn()
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		must(err)
+	}
 
 	sameRows(t, "ClusterCensus", serial.census, parallel.census)
 	sameRows(t, "RampAblation", serial.ramp, parallel.ramp)

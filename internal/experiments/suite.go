@@ -16,6 +16,12 @@
 // through one fleet sweep (internal/fleet), so interrupted sweeps resume
 // where they stopped and lease mode partitions every campaign across
 // processes.
+//
+// Artefacts may be generated concurrently. Their measurement steps —
+// campaigns, census pairs, ablation rows — share one process-wide pool
+// of GOMAXPROCS slots, so running every artefact at once keeps all
+// cores busy without oversubscribing them, and results are identical to
+// a serial run.
 package experiments
 
 import (
@@ -31,6 +37,7 @@ import (
 	"golatest/internal/nvml"
 	"golatest/internal/obs"
 	"golatest/internal/sim/clock"
+	"golatest/internal/sim/gpu"
 	"golatest/internal/store"
 )
 
@@ -257,11 +264,9 @@ func (s *Suite) campaignConfig(p hwprofile.Profile) core.Config {
 	return cfg
 }
 
-// runCampaign executes one campaign on a fresh device; it is every
-// fleet sweep's shard runner.
-func (s *Suite) runCampaign(p hwprofile.Profile, cfg core.Config) (*core.Result, error) {
-	s.runs.Add(1)
-	dev, err := p.NewDevice(clock.New())
+// deviceHandle opens a freshly built simulated device through NVML and
+// returns its handle; it takes a device constructor's results as is.
+func deviceHandle(dev *gpu.Device, err error) (*nvml.Device, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -269,15 +274,25 @@ func (s *Suite) runCampaign(p hwprofile.Profile, cfg core.Config) (*core.Result,
 	if err != nil {
 		return nil, err
 	}
-	h, err := lib.DeviceHandleByIndex(0)
-	if err != nil {
-		return nil, err
-	}
-	r, err := core.NewRunner(h, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return r.Run()
+	return lib.DeviceHandleByIndex(0)
+}
+
+// runCampaign executes one campaign on a fresh device as one measurement
+// step; it is every fleet sweep's shard runner, so the sweep's store
+// traffic and lease waits stay outside the slot.
+func (s *Suite) runCampaign(p hwprofile.Profile, cfg core.Config) (*core.Result, error) {
+	s.runs.Add(1)
+	return step(func() (*core.Result, error) {
+		h, err := deviceHandle(p.NewDevice(clock.New()))
+		if err != nil {
+			return nil, err
+		}
+		r, err := core.NewRunner(h, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return r.Run()
+	})
 }
 
 // Campaign returns the cached full campaign of a profile (keyed by
@@ -419,28 +434,44 @@ func (s *Suite) A100Fleet(n int) ([]*core.Result, error) {
 	return s.resolve(profiles)
 }
 
-// forEach runs fn(0), …, fn(n−1) on up to GOMAXPROCS goroutines and
-// returns the lowest-indexed error. Every index runs, and each fn writes
-// only its own result slot, so the outcome is the same at any
-// parallelism.
-func forEach(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	var next atomic.Int64
+// slots gates measurement compute process-wide. Every measurement step
+// — a fleet shard's campaign, a census Phase1 or MeasurePair, an
+// ablation row or cell, a scatter campaign — holds one slot while it
+// runs, so artefacts generated concurrently share GOMAXPROCS workers
+// instead of each fanning out on its own. Store lookups, puts and lease
+// waits stay outside the slots, and a campaign's own pair pool
+// (core.Config.Parallelism) runs inside its one slot. A step never takes
+// a second slot: with every slot held by a step waiting for another, the
+// process would deadlock.
+var slots = make(chan struct{}, runtime.GOMAXPROCS(0))
+
+// step runs one measurement step while holding a slot.
+func step[T any](fn func() (T, error)) (T, error) {
+	slots <- struct{}{}
+	defer func() { <-slots }()
+	return fn()
+}
+
+// forEach runs fn on every element of xs, each in its own goroutine,
+// and returns the results by index, or the lowest-indexed error. Every
+// element runs. forEach takes no slot itself: fn's measurement steps
+// do, so the elements' compute stays bounded by the pool.
+func forEach[X, T any](xs []X, fn func(X) (T, error)) ([]T, error) {
+	out := make([]T, len(xs))
+	errs := make([]error, len(xs))
 	var wg sync.WaitGroup
-	for w := 0; w < min(runtime.GOMAXPROCS(0), n); w++ {
-		wg.Add(1)
+	wg.Add(len(xs))
+	for i, x := range xs {
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				errs[i] = fn(i)
-			}
+			out[i], errs[i] = fn(x)
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return out, nil
 }

@@ -140,9 +140,10 @@ type Event struct {
 
 // Options configures a Tracer.
 type Options struct {
-	// Seed seeds the splitmix64 ID stream, making trace and span IDs
-	// (and therefore traceparent values and exported JSON) reproducible
-	// run-to-run. Zero draws a random seed from the OS.
+	// Seed seeds the splitmix64 ID stream, making the sequence of trace
+	// and span IDs reproducible run-to-run. Which span draws which ID
+	// follows the order spans start in, so spans started concurrently
+	// may swap IDs between runs. Zero draws a random seed from the OS.
 	Seed uint64
 	// Clock returns the current offset from "tracer start"; nil uses
 	// the real monotonic clock. Injectable for deterministic timing in

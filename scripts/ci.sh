@@ -7,8 +7,9 @@
 # pass over the concurrency-heavy coordination packages (the store's
 # journal/lease/GC machinery, the fleet's cross-process claim loop, and
 # the storenet daemon/client) and over the measurement fan-outs (core's
-# pair pool, the census and ablations), and the benchmark smoke that records the
-# performance trajectory in BENCH_campaign.json.
+# pair pool, the census and ablations, the CLI's concurrent artefacts),
+# and the benchmark smoke that records the performance trajectory in
+# BENCH_campaign.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -48,12 +49,17 @@ go test -count 5 -run 'TestCampaignLeasePartition|TestFleetLeasePartition' ./int
 echo "== go test -race (store, fleet, storenet) =="
 go test -race ./internal/obs/... ./internal/store/... ./internal/fleet/... ./internal/storenet/... ./cmd/stored/...
 
-echo "== go test -race (core pair pool + phase-3 sink, census/ablation fan-out) =="
-# core.Run's pair pool and the experiments fan-out of the cluster census
-# and ablations write results by index from several goroutines; the
-# determinism test reruns them under GOMAXPROCS(1) and compares bits.
+echo "== go test -race (core pair pool + phase-3 sink, measurement-step pool, concurrent artefacts) =="
+# core.Run's pair pool, the experiments fan-out of the cluster census and
+# ablations, and the CLI's concurrently run generators write results by
+# index from several goroutines, their measurement steps sharing one
+# process-wide pool. The pool test bounds the steps in flight; the
+# determinism test runs the census and ablations concurrently and
+# compares bits against a serial loop; the CLI tests check generator
+# order, the lowest-indexed error, and a small concurrent run.
 go test -race ./internal/core
-go test -race -run 'Ablation|CoreCount|ClusterCensus|TestParallelDeterminism' ./internal/experiments
+go test -race -run 'Ablation|CoreCount|ClusterCensus|TestParallelDeterminism|TestStepPool' ./internal/experiments
+go test -race -run 'TestGeneratorsRunConcurrentlyInOrder|TestWriteFileRemovesPartialArtefact|TestRunConcurrentSubset' ./cmd/experiments
 
 echo "== go test -race (trace propagation) =="
 # The tracer is lock-free by design (atomic ring cursor, pooled spans);
