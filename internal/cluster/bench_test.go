@@ -46,14 +46,6 @@ func BenchmarkAdaptive300(b *testing.B) {
 	}
 }
 
-func BenchmarkKNNDistances1000(b *testing.B) {
-	xs := benchData(1000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		KNNDistances(xs, 8)
-	}
-}
-
 func BenchmarkSilhouette(b *testing.B) {
 	xs := benchData(400)
 	res := DBSCAN(xs, 2.0, 8)

@@ -1,7 +1,7 @@
 // Package cluster implements the density-based outlier machinery of the
 // paper's analysis phase: DBSCAN over one-dimensional switching-latency
-// samples, k-nearest-neighbour distance diagnostics, silhouette scoring,
-// and the adaptive parameter-selection loop of Algorithm 3.
+// samples, silhouette scoring, and the adaptive parameter-selection loop
+// of Algorithm 3.
 //
 // Switching latencies are scalar, so all algorithms operate on sorted
 // float64 slices with |a−b| as the metric; this keeps region queries

@@ -329,9 +329,10 @@ func Plan(profiles []hwprofile.Profile, opts Options) ([]ShardPlan, error) {
 	}
 	// One Index call answers Cached for every shard — against a remote
 	// backend that is a single round trip instead of a HEAD per shard.
-	// (The index can trail a peer's seconds-old write; the sweep's own
-	// Get still catches it, so the plan errs only toward scheduling a
-	// shard that turns into a free hit.)
+	// (A remote backend's index can trail a peer's seconds-old write —
+	// a directory store's cannot; the sweep's own Get still catches it,
+	// so the plan errs only toward scheduling a shard that turns into a
+	// free hit.)
 	indexed := make(map[string]bool)
 	for _, e := range opts.Store.Index() {
 		indexed[e.Digest] = true

@@ -11,8 +11,8 @@ import (
 // protocol, the index, and GC. Two implementations exist:
 //
 //   - *Store — the filesystem store in this package, coordinating
-//     processes that share one directory (rename atomicity, O_APPEND
-//     journal, link-published leases);
+//     processes that share one directory (rename atomicity, the
+//     directory as the index, link-published leases);
 //   - storenet.Client — the same contract spoken over HTTP to a
 //     `stored` daemon, so fleets spanning hosts share one store.
 //
@@ -166,10 +166,9 @@ var (
 	_ ValidatedPutter = (*Store)(nil)
 )
 
-// IndexedBytes sums the recorded on-disk blob sizes of an index
-// listing — the cheap store-size estimate watermark checks use
-// (recorded sizes can lag the filesystem briefly; GC itself re-stats
-// every blob).
+// IndexedBytes sums the on-disk blob sizes of an index listing — the
+// store-size estimate watermark checks use (it leaves out blob files
+// whose header does not read; GC itself sizes every blob file).
 func IndexedBytes(entries []ManifestEntry) int64 {
 	var total int64
 	for _, e := range entries {
@@ -178,10 +177,10 @@ func IndexedBytes(entries []ManifestEntry) int64 {
 	return total
 }
 
-// IndexedRawBytes sums the recorded canonical (uncompressed) envelope
-// sizes; against IndexedBytes it yields the store's live compression
-// ratio without reading a single blob. Entries with no recorded raw
-// size contribute zero.
+// IndexedRawBytes sums the canonical (uncompressed) envelope sizes;
+// against IndexedBytes it yields the store's live compression ratio
+// without decoding a single blob. Entries with no raw size contribute
+// zero.
 func IndexedRawBytes(entries []ManifestEntry) int64 {
 	var total int64
 	for _, e := range entries {

@@ -8,13 +8,13 @@ import (
 	"golatest/internal/core"
 )
 
-// benchResult is deliberately tiny: these benchmarks measure the index
-// maintenance cost of a Put, not blob encoding.
+// benchResult is deliberately tiny: these benchmarks measure the
+// storage cost of a Put, not blob encoding.
 func benchResult() *core.Result {
 	return &core.Result{DeviceName: "bench", Architecture: "Ampere"}
 }
 
-// preload fills a store with n entries so the benchmarks measure index
+// preload fills a store with n entries so the benchmarks measure Put
 // cost at a given store size.
 func preload(b *testing.B, n int) *Store {
 	b.Helper()
@@ -35,11 +35,9 @@ func preload(b *testing.B, n int) *Store {
 	return s
 }
 
-// BenchmarkStorePut measures a journal-backed Put at two store sizes:
-// the ns/op should be flat from 16 to 1024 entries, because the index
-// update is one O(1) log append. Contrast with BenchmarkStorePutRewrite,
-// the pre-journal behaviour, whose cost grows with every entry;
-// bench_smoke.sh reports the ratio as manifest_put_speedup.
+// BenchmarkStorePut measures a Put at two store sizes: the ns/op should
+// be flat from 16 to 1024 entries, because a Put writes its blob and no
+// index.
 func BenchmarkStorePut(b *testing.B) {
 	for _, n := range []int{16, 1024} {
 		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
@@ -59,38 +57,6 @@ func BenchmarkStorePut(b *testing.B) {
 				if err := s.Put(keys[i], res); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkStorePutRewrite reproduces the pre-journal write path: every
-// Put pays a full manifest snapshot rewrite, O(entries) I/O per write.
-func BenchmarkStorePutRewrite(b *testing.B) {
-	for _, n := range []int{16, 1024} {
-		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
-			s := preload(b, n)
-			res := benchResult()
-			keys := make([]Key, b.N)
-			for i := range keys {
-				k, err := KeyFor("a100", 1, uint64(1_000_000+i), testConfig())
-				if err != nil {
-					b.Fatal(err)
-				}
-				keys[i] = k
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.Put(keys[i], res); err != nil {
-					b.Fatal(err)
-				}
-				s.mu.Lock()
-				if err := s.writeSnapshotLocked(); err != nil {
-					s.mu.Unlock()
-					b.Fatal(err)
-				}
-				s.mu.Unlock()
 			}
 		})
 	}

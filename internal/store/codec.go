@@ -372,19 +372,6 @@ func putDecodeBuf(buf *bytes.Buffer) {
 	}
 }
 
-// countingWriter measures the byte stream passing through it, so Put
-// can record the container size without materialising it.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // EncodeBlob renders the canonical bytes of a campaign result under its
 // key: json.MarshalIndent of the stored* envelope. The v3 header
 // records their size as RawBytes, and the v3 encoder accepts exactly

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -480,10 +481,9 @@ func (r *v3Reader) pairSlice() []core.Pair {
 	return out
 }
 
-// decodeV3Body parses an inflated v3 body into the envelope the shared
-// schema/digest checks run over.
-func decodeV3Body(body []byte) (*storedBlob, int64, error) {
-	r := &v3Reader{b: body}
+// decodeV3Header reads the body's leading fields: schema, canonical
+// size, digest, profile and instance.
+func decodeV3Header(r *v3Reader) (*storedBlob, int64) {
 	b := &storedBlob{Schema: int(r.u32())}
 	rawBytes := int64(r.u64())
 	if r.err == nil && (rawBytes < 0 || rawBytes > maxCanonicalBytes) {
@@ -492,6 +492,52 @@ func decodeV3Body(body []byte) (*storedBlob, int64, error) {
 	b.Digest = r.str()
 	b.Profile = r.str()
 	b.Instance = int(r.i64())
+	return b, rawBytes
+}
+
+// v3HeaderInput bounds the container prefix readV3Header inflates. The
+// header fields are the body's first ~100 bytes; even coded as 15-bit
+// literals behind a maximal dynamic-Huffman block header (~280 bytes)
+// they fit in about half of it. Bounding the input bounds the inflate
+// work: flate yields output only at a block end or a full 32 KiB
+// window, so an unbounded stream would inflate that much per blob.
+const v3HeaderInput = 1 << 10
+
+// readV3Header reads only the header fields of the v3 container
+// streaming from r — the index's view of a blob. It inflates at most
+// v3HeaderInput bytes of the container and checks neither the gzip
+// checksum nor the rest of the body; only parseBlob vouches for a
+// whole blob.
+func readV3Header(r io.Reader) (*storedBlob, int64, error) {
+	var in [v3HeaderInput]byte
+	n, err := io.ReadFull(r, in[:])
+	if err != nil && err != io.ErrUnexpectedEOF {
+		return nil, 0, err
+	}
+	if !hasV3Magic(in[:n]) {
+		return nil, 0, errors.New("not a v3 container")
+	}
+	gz := gzipReaders.Get().(*gzip.Reader)
+	defer gzipReaders.Put(gz)
+	if err := gz.Reset(bytes.NewReader(in[len(v3Magic):n])); err != nil {
+		return nil, 0, err
+	}
+	// The header fields take 92 bytes plus the profile key. A truncated
+	// input ends the inflate early with an error, after flate has
+	// flushed everything it decoded; the header parse below decides
+	// whether that was enough.
+	var head [256]byte
+	m, _ := io.ReadFull(gz, head[:])
+	vr := &v3Reader{b: head[:m]}
+	b, rawBytes := decodeV3Header(vr)
+	return b, rawBytes, vr.err
+}
+
+// decodeV3Body parses an inflated v3 body into the envelope the shared
+// schema/digest checks run over.
+func decodeV3Body(body []byte) (*storedBlob, int64, error) {
+	r := &v3Reader{b: body}
+	b, rawBytes := decodeV3Header(r)
 
 	sr := &b.Result
 	sr.DeviceName = r.str()

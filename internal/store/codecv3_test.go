@@ -308,3 +308,41 @@ func TestV3GoldenBytes(t *testing.T) {
 		})
 	}
 }
+
+// TestIndexReadsFixtureHeaders: Index describes every fixture blob from
+// its bounded header read alone — identity and canonical size equal
+// what Put encoded, for short and 64-byte profile keys alike.
+func TestIndexReadsFixtureHeaders(t *testing.T) {
+	s := openStore(t)
+	want := map[string]ManifestEntry{}
+	i := 0
+	for name, res := range adversarialResults() {
+		for _, profile := range []string{"a100", strings.Repeat("p", 64)} {
+			k, err := KeyFor(profile, i, uint64(i), testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			i++
+			if err := s.Put(k, res); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			canon, err := EncodeBlob(k, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[k.Digest] = ManifestEntry{Digest: k.Digest, Profile: profile, Instance: k.Instance,
+				Schema: SchemaVersion, RawBytes: int64(len(canon))}
+		}
+	}
+	ix := s.Index()
+	if len(ix) != len(want) {
+		t.Fatalf("Index lists %d blobs, want %d", len(ix), len(want))
+	}
+	for _, e := range ix {
+		got := e
+		got.Bytes, got.AccessUnixNs = 0, 0
+		if got != want[e.Digest] {
+			t.Errorf("entry %+v, want %+v", got, want[e.Digest])
+		}
+	}
+}

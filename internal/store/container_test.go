@@ -41,7 +41,7 @@ func canonicalBytes(t testing.TB, k Key) []byte {
 // v3 container for its digest — a v3 stream truncated, bit-flipped, or
 // replaced with garbage behind a valid magic, or a blob in the
 // plain-JSON or gzip-JSON container of an earlier release — must read
-// as a miss that deletes the file and tombstones its entry, after which
+// as a miss that deletes the file (so it leaves the index), after which
 // recompute-and-Put writes v3 — never an error, never a wrong result.
 func TestCorruptBlobIsMissAndHeals(t *testing.T) {
 	inputs := map[string]func(t *testing.T, k Key, good []byte) []byte{
@@ -69,8 +69,7 @@ func TestCorruptBlobIsMissAndHeals(t *testing.T) {
 				t.Fatal(err)
 			}
 			k := mustKey(t, 0, 42)
-			// Put first, so the bad bytes replace an indexed blob and the
-			// miss has an entry to tombstone.
+			// Put first, so the bad bytes replace an indexed blob.
 			if err := s.Put(k, testResult()); err != nil {
 				t.Fatal(err)
 			}

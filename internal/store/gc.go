@@ -11,12 +11,11 @@ import (
 
 // Garbage collection. The store otherwise only grows; GC bounds it by
 // total size and by idle age, evicting least-recently-used blobs first.
-// The LRU clock is ManifestEntry.AccessUnixNs, advanced by Put and by
-// every Get hit (journaled as a touch record, so the ordering survives
-// restarts and is shared between processes). Eviction is the same
-// operation as corrupt-blob healing: remove the blob, tombstone the
-// index entry — so concurrent readers of an evicted key see an ordinary
-// miss and recompute.
+// The LRU clock is the blob file's mtime: a Put writes it and every Get
+// hit advances it, so the ordering survives restarts and is shared
+// between processes. Eviction is the same operation as corrupt-blob
+// healing — remove the blob — so concurrent readers of an evicted key
+// see an ordinary miss and recompute.
 
 // staleTmpAge is how old an orphaned staging file must be before GC
 // removes it. Writers hold staging files for milliseconds; anything an
@@ -24,10 +23,10 @@ import (
 const staleTmpAge = time.Hour
 
 // GCPolicy bounds the store. Zero-valued bounds are unbounded; a
-// zero-valued policy makes GC a pure janitor (phantom index entries,
-// crash-orphaned temp files, expired leases) that evicts no live blob.
+// zero-valued policy makes GC a pure janitor (crash-orphaned temp
+// files, expired leases) that evicts no blob.
 type GCPolicy struct {
-	// MaxBytes caps the total size of indexed blobs; least-recently-used
+	// MaxBytes caps the total size of blob files; least-recently-used
 	// blobs are evicted until the total fits. 0 = no size bound.
 	MaxBytes int64
 	// MaxAge evicts blobs whose last access is older than this.
@@ -40,10 +39,9 @@ type GCPolicy struct {
 
 // GCStats reports what one GC pass did.
 type GCStats struct {
-	// Scanned counts index entries examined; Evicted counts blobs
-	// removed (including phantom entries whose blob was already gone).
+	// Scanned counts blob files examined; Evicted counts blobs removed.
 	Scanned, Evicted int
-	// BytesBefore and BytesAfter total the indexed blob sizes around the
+	// BytesBefore and BytesAfter total the blob file sizes around the
 	// pass.
 	BytesBefore, BytesAfter int64
 	// TmpRemoved counts crash-orphaned staging files swept; LeasesRemoved
@@ -53,37 +51,21 @@ type GCStats struct {
 
 // GC applies the policy: age bound first, then the size bound over
 // least-recently-used blobs, then a sweep of crash debris (stale temp
-// files, expired leases), and finally a journal compaction so the
-// tombstones fold into the snapshot.
+// files, expired leases). It sizes and ages every blob file by stat,
+// whether or not its header reads, so an unreadable or old-schema blob
+// that Index leaves out still counts against the bounds.
 func (s *Store) GC(p GCPolicy) (GCStats, error) {
 	now := p.Now
 	if now.IsZero() {
 		now = time.Now()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
 	var st GCStats
-
-	// Fold the journal first: peer processes' Puts and touches since
-	// this handle opened live only in the log, and a size/age bound
-	// computed without them would neither see their blobs nor respect
-	// their recency. (Best-effort — a peer holding the compaction lock
-	// means the fold just happened or is happening.)
-	if err := s.compactLocked(); err != nil {
-		return st, err
+	des, err := os.ReadDir(s.dir)
+	if err != nil {
+		return st, fmt.Errorf("store: gc: %w", err)
 	}
-	st.Scanned = len(s.manifest)
-
-	// Every candidate is stat'ed: the blob's true size feeds the byte
-	// accounting (recorded sizes can be stale), and an entry whose blob
-	// has vanished (deleted by a peer or by hand) is a phantom —
-	// tombstone it so Index/Len stop reporting unreadable keys. Entries
-	// without an access time (pre-journal manifests, scan rebuilds) seed
-	// their LRU clock from the blob mtime, the safest approximation of
-	// last use available.
 	type cand struct {
-		digest string
+		name   string
 		access int64
 		bytes  int64
 	}
@@ -91,86 +73,60 @@ func (s *Store) GC(p GCPolicy) (GCStats, error) {
 		cands []cand
 		total int64
 	)
-	for digest, e := range s.manifest {
-		fi, err := os.Stat(filepath.Join(s.dir, digest+".json"))
-		if err != nil {
-			s.dropLocked(digest)
-			st.Evicted++
+	for _, de := range des {
+		if !blobFile(de) {
 			continue
 		}
-		if e.Bytes != fi.Size() || e.AccessUnixNs == 0 {
-			e.Bytes = fi.Size()
-			if e.AccessUnixNs == 0 {
-				e.AccessUnixNs = fi.ModTime().UnixNano()
-			}
-			s.manifest[digest] = e
+		fi, err := de.Info()
+		if err != nil {
+			continue // removed by a peer since the listing
 		}
-		total += e.Bytes
-		cands = append(cands, cand{digest: digest, access: e.AccessUnixNs, bytes: e.Bytes})
+		total += fi.Size()
+		cands = append(cands, cand{name: de.Name(), access: fi.ModTime().UnixNano(), bytes: fi.Size()})
 	}
+	st.Scanned = len(cands)
 	st.BytesBefore = total
-	sort.Slice(cands, func(i, j int) bool { return cands[i].access < cands[j].access })
+	// Oldest first; a name tie-break keeps blobs written within one
+	// timestamp tick in a fixed order.
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].access != cands[j].access {
+			return cands[i].access < cands[j].access
+		}
+		return cands[i].name < cands[j].name
+	})
 
 	evict := func(c cand) error {
-		blob := filepath.Join(s.dir, c.digest+".json")
-		if err := os.Remove(blob); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("store: gc %s: %w", c.digest, err)
+		if err := os.Remove(filepath.Join(s.dir, c.name)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("store: gc %s: %w", c.name, err)
 		}
-		s.dropLocked(c.digest)
 		total -= c.bytes
 		st.Evicted++
 		return nil
 	}
 
-	evicted := make(map[string]bool)
+	var cutoff int64
 	if p.MaxAge > 0 {
-		cutoff := now.Add(-p.MaxAge).UnixNano()
-		for _, c := range cands {
-			if c.access >= cutoff {
-				break // sorted ascending: the rest are young enough
-			}
-			if err := evict(c); err != nil {
-				return st, err
-			}
-			evicted[c.digest] = true
-		}
+		cutoff = now.Add(-p.MaxAge).UnixNano()
 	}
-	if p.MaxBytes > 0 {
-		for _, c := range cands {
-			if total <= p.MaxBytes {
-				break
-			}
-			if evicted[c.digest] {
-				continue
-			}
-			if err := evict(c); err != nil {
-				return st, err
-			}
+	for _, c := range cands {
+		if c.access >= cutoff && (p.MaxBytes <= 0 || total <= p.MaxBytes) {
+			break // sorted ascending: the rest are young enough and fit
+		}
+		if err := evict(c); err != nil {
+			return st, err
 		}
 	}
 	st.BytesAfter = total
 
-	s.sweepDebrisLocked(now, &st)
-
-	// Fold the tombstones into the snapshot so a fresh Open starts from
-	// the shrunken index, not a replay of the whole eviction.
-	if err := s.compactLocked(); err != nil {
-		return st, err
-	}
+	s.sweepDebris(now, &st)
 	return st, nil
 }
 
-// dropLocked removes an index entry and journals its tombstone.
-func (s *Store) dropLocked(digest string) {
-	delete(s.manifest, digest)
-	_ = s.appendJournalLocked(journalRecord{Op: opDel, Digest: digest})
-}
-
-// sweepDebrisLocked removes crash leftovers: staging files past
-// staleTmpAge (a live writer holds its temp file for milliseconds) and
-// lease files whose expiry has passed (their holder is gone; removing
-// them is the same transition a stealer would make).
-func (s *Store) sweepDebrisLocked(now time.Time, st *GCStats) {
+// sweepDebris removes crash leftovers: staging files past staleTmpAge
+// (a live writer holds its temp file for milliseconds) and lease files
+// whose expiry has passed (their holder is gone; removing them is the
+// same transition a stealer would make).
+func (s *Store) sweepDebris(now time.Time, st *GCStats) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return
@@ -189,7 +145,7 @@ func (s *Store) sweepDebrisLocked(now time.Time, st *GCStats) {
 			if os.Remove(filepath.Join(s.dir, name)) == nil {
 				st.TmpRemoved++
 			}
-		case strings.HasSuffix(name, leaseSuffix) || name == compactLockName:
+		case strings.HasSuffix(name, leaseSuffix):
 			path := filepath.Join(s.dir, name)
 			if _, held := leaseHolderAt(path); held {
 				continue

@@ -7,14 +7,21 @@ import (
 	"time"
 )
 
-// putN writes n distinct entries and returns their keys in put order,
-// so their LRU clocks are strictly ascending.
+// putN writes n distinct entries and returns their keys in put order.
+// It ages each blob's mtime one second before the next, so their LRU
+// clocks are strictly ascending even where the filesystem stamps
+// writes within one timer tick alike.
 func putN(t *testing.T, s *Store, n int) []Key {
 	t.Helper()
 	keys := make([]Key, n)
+	base := time.Now().Add(-time.Duration(n) * time.Second)
 	for i := range keys {
 		keys[i] = mustKey(t, i, uint64(300+i))
 		if err := s.Put(keys[i], testResult()); err != nil {
+			t.Fatal(err)
+		}
+		at := base.Add(time.Duration(i) * time.Second)
+		if err := os.Chtimes(filepath.Join(s.Dir(), keys[i].blobName()), at, at); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -28,9 +35,14 @@ func TestGCSizeBoundEvictsLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := putN(t, s, 3)
-	// Touch the oldest entry: the Get hit advances its LRU clock, so
-	// the eviction order becomes k1, k2 — not put order.
-	if _, ok := s.Get(keys[0]); !ok {
+	// Touch the oldest entry through a second handle: the Get hit
+	// advances its LRU clock for every handle on the directory, so the
+	// eviction order becomes k1, k2 — not put order.
+	reader, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reader.Get(keys[0]); !ok {
 		t.Fatal("miss on stored key")
 	}
 
@@ -68,7 +80,7 @@ func TestGCSizeBoundEvictsLRU(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
 
-	// The tombstones are durable: a fresh handle agrees.
+	// The evictions are durable: a fresh handle agrees.
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -98,9 +110,9 @@ func TestGCAgeBound(t *testing.T) {
 	}
 }
 
-// TestGCZeroPolicyIsJanitorOnly: with no bounds set, GC drops phantom
-// index entries (blob deleted out from under the index) but never a
-// live blob.
+// TestGCZeroPolicyIsJanitorOnly: with no bounds set, GC evicts no
+// blob, and a blob deleted out from under the store by hand is simply
+// gone from the index.
 func TestGCZeroPolicyIsJanitorOnly(t *testing.T) {
 	s := openStore(t)
 	keys := putN(t, s, 2)
@@ -111,8 +123,8 @@ func TestGCZeroPolicyIsJanitorOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Evicted != 1 {
-		t.Fatalf("stats = %+v, want exactly the phantom dropped", st)
+	if st.Evicted != 0 || st.Scanned != 1 {
+		t.Fatalf("stats = %+v, want 1 blob scanned and none evicted", st)
 	}
 	if s.Len() != 1 || !s.Has(keys[1]) {
 		t.Fatalf("live blob disturbed: Len=%d", s.Len())
@@ -120,8 +132,8 @@ func TestGCZeroPolicyIsJanitorOnly(t *testing.T) {
 }
 
 // TestGCSeesPeerWrites: a GC pass must bound the whole directory, not
-// just the entries this handle saw — blobs written by a peer process
-// since this handle opened live only in the journal until GC folds it.
+// just the blobs this handle wrote — a peer process's blobs count from
+// the moment they land.
 func TestGCSeesPeerWrites(t *testing.T) {
 	dir := t.TempDir()
 	collector, err := Open(dir)
@@ -133,8 +145,8 @@ func TestGCSeesPeerWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := putN(t, peer, 3)
-	if collector.Len() != 0 {
-		t.Fatalf("precondition: collector already indexed %d peer entries", collector.Len())
+	if collector.Len() != 3 {
+		t.Fatalf("collector indexes %d of the peer's 3 blobs", collector.Len())
 	}
 
 	st, err := collector.GC(GCPolicy{MaxBytes: 1})
@@ -142,7 +154,7 @@ func TestGCSeesPeerWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Scanned != 3 {
-		t.Fatalf("Scanned = %d, want 3 (peer's journaled writes invisible to GC)", st.Scanned)
+		t.Fatalf("Scanned = %d, want 3 (peer's writes invisible to GC)", st.Scanned)
 	}
 	if st.Evicted != 3 || st.BytesAfter != 0 {
 		t.Fatalf("stats = %+v, want the peer's blobs evicted under the size bound", st)
@@ -202,30 +214,5 @@ func TestGCSweepsDebris(t *testing.T) {
 	}
 	if owner, held := s.LeaseHolder("live"); !held || owner != "here" {
 		t.Fatal("live lease removed")
-	}
-}
-
-// TestGCFillsLegacyEntries: entries written before sizes/access times
-// existed (or rebuilt from a scan) are backfilled from the blob file
-// rather than treated as phantoms.
-func TestGCFillsLegacyEntries(t *testing.T) {
-	s := openStore(t)
-	keys := putN(t, s, 1)
-	s.mu.Lock()
-	e := s.manifest[keys[0].Digest]
-	e.Bytes = 0
-	e.AccessUnixNs = 0
-	s.manifest[keys[0].Digest] = e
-	s.mu.Unlock()
-
-	st, err := s.GC(GCPolicy{MaxAge: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Evicted != 0 || !s.Has(keys[0]) {
-		t.Fatalf("legacy entry evicted: %+v", st)
-	}
-	if e := s.Index()[0]; e.Bytes == 0 || e.AccessUnixNs == 0 {
-		t.Fatalf("legacy entry not backfilled: %+v", e)
 	}
 }

@@ -32,11 +32,6 @@ import (
 // leaseSuffix names lease files next to their blobs.
 const leaseSuffix = ".lease"
 
-// compactLockTTL bounds how long a crashed compactor can block
-// compaction; folding a log takes milliseconds, so stealing after 30 s
-// is conservative.
-const compactLockTTL = 30 * time.Second
-
 // leaseFile is the on-disk lease content. Token, minted fresh per
 // acquisition, is what Renew and Release verify against: Owner is a
 // human-facing label with no uniqueness requirement, so it must never
@@ -67,10 +62,10 @@ func (l *Lease) Token() string { return l.token }
 // Stolen reports the claim displaced an expired previous holder.
 func (l *Lease) Stolen() bool { return l.stolen }
 
-// handleSeq disambiguates handle ids minted in the same nanosecond.
+// handleSeq disambiguates lease tokens minted in the same nanosecond.
 var handleSeq atomic.Int64
 
-// newHandleID mints a process-unique owner id for internal locks.
+// newHandleID mints a process-unique lease token.
 func newHandleID() string {
 	return fmt.Sprintf("%d-%d-%d", os.Getpid(), time.Now().UnixNano(), handleSeq.Add(1))
 }

@@ -189,8 +189,9 @@ func TestLeaseValidation(t *testing.T) {
 	}
 }
 
-// TestLeaseFilesInvisibleToIndex: lease files and the compaction lock
-// must never be mistaken for blobs by scans.
+// TestLeaseFilesInvisibleToIndex: lease files, staging files, a
+// network client's pending/ journal and the manifest files of older
+// releases must never be mistaken for blobs by the index.
 func TestLeaseFilesInvisibleToIndex(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -200,18 +201,39 @@ func TestLeaseFilesInvisibleToIndex(t *testing.T) {
 	if _, ok, err := s.TryAcquire("d1", "alpha", time.Minute); err != nil || !ok {
 		t.Fatalf("claim: ok=%v err=%v", ok, err)
 	}
-	if err := s.Put(mustKey(t, 0, 42), testResult()); err != nil {
+	k := mustKey(t, 0, 42)
+	if err := s.Put(k, testResult()); err != nil {
 		t.Fatal(err)
 	}
-	// Force the rebuild path: the scan must index exactly the one blob.
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("not json"), 0o644); err != nil {
+	blob, err := os.ReadFile(filepath.Join(dir, k.blobName()))
+	if err != nil {
 		t.Fatal(err)
+	}
+	// Staging files carry blob bytes under a dot name; the pending/
+	// journal holds a marker per deferred digest.
+	pending := filepath.Join(dir, "pending")
+	if err := os.Mkdir(pending, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	manifest := `{"schema":1,"entries":[{"digest":"` + k.Digest + `","profile":"a100","instance":0,"schema":1}]}`
+	for name, data := range map[string][]byte{
+		tmpPrefix + k.blobName() + "-1":            blob,
+		tmpPrefix + "ready-2":                      nil,
+		filepath.Join("pending", k.Digest+".pend"): nil,
+		filepath.Join("pending", k.blobName()):     blob,
+		"manifest.json":                            []byte(manifest),
+		"manifest.log":                             []byte(`{"op":"put","entry":{"digest":"x"}}` + "\n"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 1 {
-		t.Fatalf("rebuilt Len = %d, want 1 (a coordination file leaked into the index)", s2.Len())
+	ix := s2.Index()
+	if len(ix) != 1 || ix[0].Digest != k.Digest || s2.Len() != 1 {
+		t.Fatalf("Index = %+v, want the one blob (a coordination file leaked into the index)", ix)
 	}
 }

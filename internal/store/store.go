@@ -32,25 +32,25 @@
 // half-written blob under a valid digest name. Reads are corruption
 // tolerant: a blob that fails to parse, carries a broken compressed
 // stream, carries the wrong schema version, or does not match its
-// digest is treated as a miss — the stale blob is deleted and its
-// index entry tombstoned on the spot, and the campaign is recomputed
-// and rewritten — never as an error. The v3 container is the only
-// format read or written; a blob in the plain-JSON or gzip-JSON
-// containers of earlier releases is such an invalid blob. See
-// codecv3.go for the container contract.
+// digest is treated as a miss — the stale blob is deleted on the spot,
+// and the campaign is recomputed and rewritten — never as an error.
+// The v3 container is the only format read or written; a blob in the
+// plain-JSON or gzip-JSON containers of earlier releases is such an
+// invalid blob. See codecv3.go for the container contract.
 //
 // # Coordination
 //
 // The store doubles as a coordination substrate for multiple processes
-// sharing one directory. The index is an append-only journal
-// (manifest.log) compacted into a manifest.json snapshot — see
-// journal.go — so concurrent writers interleave records instead of
-// overwriting each other's index. Advisory shard leases
+// sharing one directory. The directory is the index: a blob's file
+// name is its digest, stat gives its size, its mtime is the LRU clock
+// (set by the write and advanced by every read hit), and the v3 header
+// names its profile, instance and canonical size. Every process
+// sharing the directory therefore sees every other's writes at once,
+// with no index file to merge or repair. Advisory shard leases
 // (`<digest>.lease`, see lease.go) let cooperating sweeps partition
 // work: claim before computing, wait on a live peer, steal from a dead
-// one. GC (gc.go) bounds the store by size and idle age using the LRU
-// clock that Get maintains. A missing or corrupt index is always
-// recoverable by scanning the blobs.
+// one. GC (gc.go) bounds the store by size and idle age using that
+// LRU clock.
 package store
 
 import (
@@ -63,9 +63,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"golatest/internal/core"
 	"golatest/internal/hwprofile"
@@ -78,13 +76,10 @@ import (
 // previously-stored results non-reproducible; every blob written under
 // an older version then misses (both through the key digest and the
 // envelope check) and is recomputed. Container-level changes do NOT
-// bump it: the manifest journal (index-only metadata) and the binary
-// v3 container (the same canonical contract in a new carrier — see
-// codecv3.go) both left it at 1.
+// bump it: the binary v3 container (the same canonical contract in a
+// new carrier — see codecv3.go) left it at 1, and so did reading the
+// index from the directory instead of a manifest file beside it.
 const SchemaVersion = 1
-
-// manifestName is the index snapshot; it is not a blob.
-const manifestName = "manifest.json"
 
 // tmpPrefix marks staging files; the leading dot keeps them out of every
 // blob scan.
@@ -94,7 +89,7 @@ const tmpPrefix = ".tmp-"
 type Key struct {
 	// Digest is the hex SHA-256 of the canonical key material.
 	Digest string
-	// Profile and Instance echo the hardware identity for manifests and
+	// Profile and Instance echo the hardware identity for the index and
 	// logs; they are inputs to the digest, not extra key dimensions.
 	Profile  string
 	Instance int
@@ -148,43 +143,33 @@ type ManifestEntry struct {
 	Profile  string `json:"profile"`
 	Instance int    `json:"instance"`
 	Schema   int    `json:"schema"`
-	// Bytes is the on-disk (compressed) blob size, recorded at Put;
-	// GC's size bound sums it.
+	// Bytes is the on-disk (compressed) blob size; GC's size bound sums
+	// it.
 	Bytes int64 `json:"bytes,omitempty"`
 	// RawBytes is the canonical (uncompressed) envelope size; with
 	// Bytes it yields the store's compression ratio for stats without
-	// touching a single blob.
+	// decoding a single blob.
 	RawBytes int64 `json:"raw_bytes,omitempty"`
 	// AccessUnixNs is the LRU clock: advanced by Put and by every Get
 	// hit, consulted by GC's age bound and eviction order.
 	AccessUnixNs int64 `json:"access_ns,omitempty"`
 }
 
-// Store is a directory of campaign blobs plus a journaled index. All
-// methods are safe for concurrent use by multiple goroutines of one
-// process, and the on-disk formats are safe for multiple processes
-// sharing the directory: blob writes are atomic renames of identical
-// bytes (same key ⇒ same result), index mutations append to the journal
-// (no lost updates), and compaction is serialized by an advisory lock.
-// Each handle's in-memory index converges with its peers' at every
-// compaction and on reopen.
+// Store is a directory of campaign blobs, and the directory is its
+// index. All methods are safe for concurrent use by multiple
+// goroutines of one process, and the on-disk layout is safe for
+// multiple processes sharing the directory: blob writes are atomic
+// renames of identical bytes (same key ⇒ same result), and every
+// handle lists the same files, so a peer's write is visible to every
+// handle the moment its rename lands.
 type Store struct {
 	dir string
-	// id identifies this handle as a lease owner for internal locks.
-	id string
-
-	mu           sync.Mutex // guards manifest map, journal fd, snapshot writes
-	manifest     map[string]ManifestEntry
-	journal      *os.File // live manifest.log, opened O_APPEND on first use
-	journalBytes int64    // live log size, drives threshold compaction
 
 	hits, misses, corrupt, puts atomic.Int64
 }
 
-// Open creates the directory if needed and loads the index: snapshot
-// plus journal replay, rebuilding from the blobs when the index is
-// missing or corrupt, then compacts any outstanding journal so this
-// handle starts from a clean snapshot.
+// Open creates the directory if needed and returns a handle on it.
+// There is no index to load: Index reads the directory on every call.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
@@ -192,28 +177,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, id: newHandleID(), manifest: make(map[string]ManifestEntry)}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	absent, snapErr := s.loadSnapshotLocked()
-	replayed := replayJournal(filepath.Join(dir, journalOldName), s.manifest)
-	replayed += replayJournal(filepath.Join(dir, journalName), s.manifest)
-	switch {
-	case snapErr != nil,
-		absent && replayed == 0 && s.countBlobs() > 0:
-		// Corrupt snapshot, or blobs with no index at all: the blobs are
-		// the ground truth; scan them and discard the stale journal.
-		if err := s.rebuildManifestLocked(); err != nil {
-			return nil, err
-		}
-	case replayed > 0:
-		// Fold the journal into the snapshot so the next Open replays
-		// nothing. Best-effort: a peer holding the compaction lock just
-		// means they are folding the same records.
-		_ = s.compactLocked()
-	}
-	return s, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's directory.
@@ -251,12 +215,8 @@ func (s *Store) Counters() Counters {
 
 // Has reports whether a blob exists for the key, without reading or
 // validating it and without touching the hit/miss counters. A planner's
-// convenience; only Get vouches for the blob's integrity. A reserved
-// digest never has a blob, even though a file by that name exists.
+// convenience; only Get vouches for the blob's integrity.
 func (s *Store) Has(k Key) bool {
-	if reservedDigest(k.Digest) {
-		return false
-	}
 	_, err := os.Stat(filepath.Join(s.dir, k.blobName()))
 	return err == nil
 }
@@ -264,43 +224,24 @@ func (s *Store) Has(k Key) bool {
 // Get returns the stored campaign for the key, or (nil, false) on any
 // kind of miss: no blob, a blob that is not the v3 container, a broken
 // compressed stream, schema mismatch, or digest mismatch. Invalid blobs
-// are never fatal — the stale blob is deleted and its index entry
-// tombstoned immediately (so Index and Len never report a key that
-// cannot be read), and the caller recomputes and Puts. A hit advances
-// the entry's LRU clock for GC.
+// are never fatal — the stale blob is deleted immediately (so Index
+// and Len never report a key that cannot be read), and the caller
+// recomputes and Puts. A hit advances the blob's LRU clock for GC.
 func (s *Store) Get(k Key) (*core.Result, bool) {
-	data, err := os.ReadFile(filepath.Join(s.dir, k.blobName()))
-	if err != nil {
-		s.misses.Add(1)
+	vb, ok := s.GetValidated(k.Digest)
+	if !ok {
 		return nil, false
 	}
-	b, rawN, err := parseBlob(data, k.Digest)
-	if err != nil {
-		s.corrupt.Add(1)
-		s.misses.Add(1)
-		s.healCorrupt(k)
-		return nil, false
-	}
-	s.hits.Add(1)
-	s.touch(k, int64(len(data)), rawN)
-	return decodeResult(b.Result), true
+	return vb.Result(), true
 }
-
-// reservedDigest reports a digest whose blob filename would collide
-// with the store's own index snapshot. Such a digest can never address
-// a blob; treating it as ordinary input would let a network client read
-// — or, via the corrupt-blob healing path, delete — manifest.json.
-func reservedDigest(digest string) bool { return digest+".json" == manifestName }
 
 // GetRaw returns the validated raw container bytes of the blob stored
 // under digest — the network daemon's read path: the blob is shipped
 // verbatim (no decompress/recompress, no decode/re-encode round trip
 // on the wire), while the validation, traffic counters, LRU touch, and
-// corrupt-blob healing all match Get. The touch indexes under the
-// profile/instance recorded in the blob envelope, so a served blob is
-// fully described in the index even when this handle never saw its
-// Put. Callers that also want the decoded result or the envelope
-// identity should use GetValidated, which this wraps.
+// corrupt-blob healing all match Get. Callers that also want the
+// decoded result or the envelope identity should use GetValidated,
+// which this wraps.
 func (s *Store) GetRaw(digest string) ([]byte, bool) {
 	vb, ok := s.GetValidated(digest)
 	if !ok {
@@ -326,62 +267,19 @@ func (s *Store) PutRaw(digest string, data []byte) error {
 	return s.PutValidated(vb)
 }
 
-// healCorrupt removes an unreadable blob and tombstones its index entry,
-// so the corruption is visible for exactly one Get: the next Put writes
-// a fresh blob and a fresh entry. (If a concurrent writer renamed a good
-// blob into place between our failed read and this remove, that blob is
-// lost and recomputed — determinism makes the recompute identical.)
-func (s *Store) healCorrupt(k Key) {
-	os.Remove(filepath.Join(s.dir, k.blobName()))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.manifest, k.Digest)
-	_ = s.appendJournalLocked(journalRecord{Op: opDel, Digest: k.Digest})
-}
-
-// touch advances the key's LRU clock, indexing the blob on the fly if
-// this handle had no entry for it (e.g. a peer's write this handle has
-// not folded yet). A size change — the recorded sizes were stale or
-// missing — is journaled as a full upsert rather than a bare touch, so
-// the durable index carries the new sizes across restarts (opTouch
-// records only the access clock).
-func (s *Store) touch(k Key, size, rawSize int64) {
-	now := time.Now().UnixNano()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.manifest[k.Digest]
-	if !ok {
-		e = ManifestEntry{Digest: k.Digest, Profile: k.Profile, Instance: k.Instance, Schema: SchemaVersion}
-	}
-	resized := e.Bytes != size || e.RawBytes != rawSize
-	e.Bytes = size
-	e.RawBytes = rawSize
-	e.AccessUnixNs = now
-	s.manifest[k.Digest] = e
-	rec := journalRecord{Op: opTouch, Digest: k.Digest, AccessUnixNs: now}
-	if !ok || resized {
-		rec = journalRecord{Op: opPut, Entry: &e}
-	}
-	_ = s.appendJournalLocked(rec)
-	s.maybeCompactLocked()
-}
-
 // Put stores the campaign under the key, atomically: the v3 encoding
 // flows through pooled scratch and a pooled gzip writer straight into
 // a temporary file that is renamed into place, so concurrent readers
 // see either the old blob or the new one, never a torn write, and the
 // container is never materialised in memory (the canonical JSON is
-// rendered only to size RawBytes). The index update is one O(1)
-// journal append regardless of store size.
+// rendered only to size RawBytes). The fresh file's mtime starts its
+// LRU clock; no index is written.
 func (s *Store) Put(k Key, res *core.Result) error {
 	if res == nil {
 		return fmt.Errorf("store: nil result for %s", k)
 	}
-	var size, rawN int64
 	err := s.writeAtomicStream(k.blobName(), func(w io.Writer) error {
-		cw := &countingWriter{w: w}
-		n, err := encodeBlobV3To(cw, k, res)
-		size, rawN = cw.n, n
+		rawN, err := encodeBlobV3To(w, k, res)
 		if err == nil && rawN > maxCanonicalBytes {
 			// What Put writes, Get must be able to read: past the
 			// decode rail every Get would classify the blob corrupt and
@@ -396,39 +294,34 @@ func (s *Store) Put(k Key, res *core.Result) error {
 		return err
 	}
 	s.puts.Add(1)
-	return s.recordPut(k, size, rawN)
-}
-
-// recordPut indexes a freshly written blob: upsert the manifest entry,
-// journal it, and compact if the log outgrew its threshold.
-func (s *Store) recordPut(k Key, size, rawSize int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := ManifestEntry{
-		Digest:       k.Digest,
-		Profile:      k.Profile,
-		Instance:     k.Instance,
-		Schema:       SchemaVersion,
-		Bytes:        size,
-		RawBytes:     rawSize,
-		AccessUnixNs: time.Now().UnixNano(),
-	}
-	s.manifest[k.Digest] = e
-	if err := s.appendJournalLocked(journalRecord{Op: opPut, Entry: &e}); err != nil {
-		return err
-	}
-	s.maybeCompactLocked()
 	return nil
 }
 
-// Index returns the manifest entries sorted by (profile, instance,
-// digest).
+// blobFile reports whether a directory entry is a blob file: a regular
+// file named `*.json` without a leading dot. Staging files, leases and
+// subdirectories (a network client's pending/ journal) are not.
+func blobFile(de os.DirEntry) bool {
+	name := de.Name()
+	return de.Type().IsRegular() && strings.HasSuffix(name, ".json") && !strings.HasPrefix(name, ".")
+}
+
+// Index lists the directory's readable blobs sorted by (profile,
+// instance, digest). Size and LRU clock come from stat; digest,
+// profile, instance, schema and canonical size from the blob's v3
+// header, read by inflating only the file's first KiB rather than a
+// full parse. A file whose header does not read, carries another
+// schema, or names another digest is left out; Get would reject it
+// anyway.
 func (s *Store) Index() []ManifestEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ManifestEntry, 0, len(s.manifest))
-	for _, e := range s.manifest {
-		out = append(out, e)
+	des, _ := os.ReadDir(s.dir)
+	out := make([]ManifestEntry, 0, len(des))
+	for _, de := range des {
+		if !blobFile(de) {
+			continue
+		}
+		if e, ok := s.indexEntry(de.Name()); ok {
+			out = append(out, e)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Profile != out[j].Profile {
@@ -442,12 +335,34 @@ func (s *Store) Index() []ManifestEntry {
 	return out
 }
 
-// Len returns the number of indexed blobs.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.manifest)
+// indexEntry describes one blob file from its stat and v3 header.
+func (s *Store) indexEntry(name string) (ManifestEntry, bool) {
+	f, err := os.Open(filepath.Join(s.dir, name))
+	if err != nil {
+		return ManifestEntry{}, false
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return ManifestEntry{}, false
+	}
+	b, rawN, err := readV3Header(f)
+	if err != nil || b.Schema != SchemaVersion || b.Digest+".json" != name {
+		return ManifestEntry{}, false
+	}
+	return ManifestEntry{
+		Digest:       b.Digest,
+		Profile:      b.Profile,
+		Instance:     b.Instance,
+		Schema:       b.Schema,
+		Bytes:        fi.Size(),
+		RawBytes:     rawN,
+		AccessUnixNs: fi.ModTime().UnixNano(),
+	}, true
 }
+
+// Len returns the number of indexed blobs.
+func (s *Store) Len() int { return len(s.Index()) }
 
 // Test hooks: the writeAtomic failure paths (full disk, unwritable
 // directory) are injected here because they are otherwise unreachable in
@@ -472,7 +387,7 @@ func (s *Store) writeAtomicStream(name string, fill func(io.Writer) error) error
 }
 
 // atomicWrite stages data next to dst and renames it into place.
-// Shared by snapshot writes, lease renewal, and PutValidated.
+// Shared by lease renewal and PutValidated.
 func atomicWrite(dst string, data []byte) error {
 	return atomicWriteStream(dst, func(w io.Writer) error {
 		_, err := w.Write(data)
@@ -510,98 +425,4 @@ func atomicWriteStream(dst string, fill func(io.Writer) error) error {
 		return fmt.Errorf("store: commit %s: %w", base, err)
 	}
 	return nil
-}
-
-type manifestFile struct {
-	Schema  int             `json:"schema"`
-	Entries []ManifestEntry `json:"entries"`
-}
-
-// loadSnapshotLocked reads manifest.json into the index. absent reports
-// a cleanly missing snapshot (not an error: the journal or an empty
-// store may carry the state); err reports an unreadable or alien
-// snapshot, which callers resolve by rebuilding from the blobs.
-func (s *Store) loadSnapshotLocked() (absent bool, err error) {
-	data, err := os.ReadFile(filepath.Join(s.dir, manifestName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return true, nil
-		}
-		return false, fmt.Errorf("store: manifest: %w", err)
-	}
-	var m manifestFile
-	if err := json.Unmarshal(data, &m); err != nil {
-		return false, fmt.Errorf("store: manifest: %w", err)
-	}
-	if m.Schema != SchemaVersion {
-		return false, fmt.Errorf("store: manifest schema %d, want %d", m.Schema, SchemaVersion)
-	}
-	for _, e := range m.Entries {
-		s.manifest[e.Digest] = e
-	}
-	return false, nil
-}
-
-// rebuildManifestLocked recreates the index by reading every blob
-// envelope in the directory — the blobs are the ground truth the index
-// merely accelerates. Blobs that do not parse are skipped (they will
-// miss and be rewritten on their next Get/Put cycle). The journal is
-// discarded: whatever it said is superseded by the scan.
-func (s *Store) rebuildManifestLocked() error {
-	s.manifest = make(map[string]ManifestEntry)
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("store: rebuild manifest: %w", err)
-	}
-	for _, de := range entries {
-		name := de.Name()
-		if de.IsDir() || name == manifestName || !strings.HasSuffix(name, ".json") ||
-			strings.HasPrefix(name, ".") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(s.dir, name))
-		if err != nil {
-			continue
-		}
-		b, rawN, err := parseBlob(data, strings.TrimSuffix(name, ".json"))
-		if err != nil {
-			continue
-		}
-		e := ManifestEntry{
-			Digest:   b.Digest,
-			Profile:  b.Profile,
-			Instance: b.Instance,
-			Schema:   b.Schema,
-			Bytes:    int64(len(data)),
-			RawBytes: rawN,
-		}
-		if fi, err := de.Info(); err == nil {
-			e.AccessUnixNs = fi.ModTime().UnixNano()
-		}
-		s.manifest[b.Digest] = e
-	}
-	if s.journal != nil {
-		s.journal.Close()
-		s.journal = nil
-	}
-	s.journalBytes = 0
-	os.Remove(filepath.Join(s.dir, journalName))
-	os.Remove(filepath.Join(s.dir, journalOldName))
-	return s.writeSnapshotLocked()
-}
-
-func (s *Store) countBlobs() int {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	for _, de := range entries {
-		name := de.Name()
-		if !de.IsDir() && name != manifestName && strings.HasSuffix(name, ".json") &&
-			!strings.HasPrefix(name, ".") {
-			n++
-		}
-	}
-	return n
 }

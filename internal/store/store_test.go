@@ -273,7 +273,7 @@ func TestManifestPersistsAndRebuilds(t *testing.T) {
 		}
 	}
 
-	// Reopen: the manifest file carries the index.
+	// Reopen: the blobs themselves carry the index.
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -285,32 +285,45 @@ func TestManifestPersistsAndRebuilds(t *testing.T) {
 	if idx[0].Instance != 0 || idx[1].Instance != 1 {
 		t.Fatalf("index order: %+v", idx)
 	}
+}
 
-	// Corrupt the manifest: Open must rebuild it from the blobs.
-	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := Open(dir)
+// TestStoreWritesNoIndexFiles: the directory is the index, so no
+// operation leaves a manifest snapshot, journal or compaction lock
+// beside the blobs.
+func TestStoreWritesNoIndexFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s3.Len() != 2 {
-		t.Fatalf("rebuilt Len = %d, want 2", s3.Len())
+	keys := putN(t, s, 3)
+	if _, ok := s.Get(keys[0]); !ok {
+		t.Fatal("miss on stored key")
 	}
-	if _, ok := s3.Get(k0); !ok {
-		t.Fatal("blob unreadable after manifest rebuild")
+	if _, err := s.GC(GCPolicy{MaxBytes: 1}); err != nil {
+		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err := s.Put(keys[1], testResult()); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), k1.Digest) {
-		t.Fatal("rebuilt manifest missing an entry")
+	if s2.Len() != 1 {
+		t.Fatalf("reopened Len = %d, want 1", s2.Len())
+	}
+	for _, name := range []string{"manifest.json", "manifest.log", "manifest.log.old", "manifest.lock"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s exists (err=%v); the store keeps no index file", name, err)
+		}
 	}
 }
 
 // TestManifestMergesAcrossWriters: two Store handles on one directory
-// (the cross-process shape) must not drop each other's index entries.
+// (the cross-process shape) see each other's writes at once — Has, Len
+// and Index of a live handle agree about a peer's Put the moment it
+// returns, with the peer's identity and sizes.
 func TestManifestMergesAcrossWriters(t *testing.T) {
 	dir := t.TempDir()
 	a, err := Open(dir)
@@ -322,28 +335,105 @@ func TestManifestMergesAcrossWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	ka, _ := KeyFor("a100", 0, 42, cfg)
-	kb, _ := KeyFor("a100", 1, 43, cfg)
-	if err := a.Put(ka, testResult()); err != nil {
+	kb, _ := KeyFor("rtx6000", 3, 43, cfg)
+	if err := b.Put(kb, testResult()); err != nil {
 		t.Fatal(err)
 	}
-	// b never saw ka; its Put must merge, not clobber.
-	if err := b.Put(kb, testResult()); err != nil {
+	if !a.Has(kb) {
+		t.Fatal("a.Has missed b's blob")
+	}
+	if a.Len() != 1 {
+		t.Fatalf("a.Len() = %d after b's Put, want 1", a.Len())
+	}
+	fi, err := os.Stat(filepath.Join(dir, kb.blobName()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := EncodeBlob(kb, testResult())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := a.Index()
+	if len(ix) != 1 {
+		t.Fatalf("a.Index() = %+v, want b's one entry", ix)
+	}
+	want := ManifestEntry{Digest: kb.Digest, Profile: "rtx6000", Instance: 3, Schema: SchemaVersion,
+		Bytes: fi.Size(), RawBytes: int64(len(canon)), AccessUnixNs: fi.ModTime().UnixNano()}
+	if ix[0] != want {
+		t.Fatalf("a.Index()[0] = %+v, want %+v", ix[0], want)
+	}
+
+	// a's own Put merges with b's, not clobbers.
+	ka, _ := KeyFor("a100", 0, 42, cfg)
+	if err := a.Put(ka, testResult()); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reopened.Len() != 2 {
-		t.Fatalf("manifest lost an entry across writers: Len = %d, want 2", reopened.Len())
+	if reopened.Len() != 2 || b.Len() != 2 {
+		t.Fatalf("an entry was lost across writers: reopened Len = %d, b.Len = %d, want 2",
+			reopened.Len(), b.Len())
+	}
+}
+
+// TestUnlistedBlobIsIndexedAndCollected: a valid blob file that lands
+// in the directory by any route other than this package's Put (a copy,
+// a restore, a writer of another build) is indexed like any other, and
+// GC's bounds reach it.
+func TestUnlistedBlobIsIndexedAndCollected(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k0, k1 := mustKey(t, 0, 42), mustKey(t, 1, 43)
+	if err := s.Put(k0, testResult()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := EncodeBlobV3(k1, testResult())
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := filepath.Join(dir, k1.blobName())
+	if err := os.WriteFile(planted, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Len() != 2 {
+		t.Fatalf("fresh Len = %d, want 2 (planted blob not indexed)", fresh.Len())
+	}
+	found := false
+	for _, e := range fresh.Index() {
+		found = found || e.Digest == k1.Digest
+	}
+	if !found {
+		t.Fatal("planted blob missing from Index")
+	}
+	st, err := fresh.GC(GCPolicy{MaxBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Scanned != 2 || st.Evicted != 2 {
+		t.Fatalf("gc = %+v, want 2 of 2 evicted", st)
+	}
+	if _, err := os.Stat(planted); !os.IsNotExist(err) {
+		t.Fatalf("planted blob survived GC(MaxBytes: 1): %v", err)
+	}
+	if fresh.Len() != 0 || s.Len() != 0 {
+		t.Fatalf("Len after GC = %d/%d, want 0", fresh.Len(), s.Len())
 	}
 }
 
 // TestCorruptBlobHealsIndexImmediately: a Get that finds a corrupt blob
-// must delete the blob and tombstone its index entry on the spot — not
-// leave a key that Index/Len report but Get cannot read until the next
-// recompute happens to overwrite it.
+// must delete the blob on the spot — not leave a key that Index/Len
+// report but Get cannot read until the next recompute happens to
+// overwrite it.
 func TestCorruptBlobHealsIndexImmediately(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -371,7 +461,7 @@ func TestCorruptBlobHealsIndexImmediately(t *testing.T) {
 	if s.Len() != 0 || len(s.Index()) != 0 {
 		t.Fatalf("index still reports the unreadable key: Len=%d", s.Len())
 	}
-	// The tombstone is journaled: a fresh handle agrees.
+	// A fresh handle agrees.
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -469,34 +559,5 @@ func TestHasDoesNotTouchCounters(t *testing.T) {
 	c := s.Counters()
 	if c.Hits != 0 || c.Misses != 0 {
 		t.Fatalf("Has touched counters: %+v", c)
-	}
-}
-
-// TestRawReservedDigest: the raw (network-facing) paths must refuse the
-// digest that resolves to the index snapshot — a GetRaw must not heal
-// ("delete") manifest.json and a PutRaw must not overwrite it.
-func TestRawReservedDigest(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(mustKey(t, 0, 42), testResult()); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.GetRaw("manifest"); ok {
-		t.Fatal("GetRaw served the index snapshot as a blob")
-	}
-	if err := s.PutRaw("manifest", []byte(`{"schema":1,"digest":"manifest"}`)); err == nil {
-		t.Fatal("PutRaw accepted the reserved digest")
-	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatalf("manifest.json harmed by reserved-digest access: %v", err)
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
 	}
 }

@@ -1,9 +1,9 @@
 package store
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"golatest/internal/core"
 )
@@ -80,44 +80,44 @@ func (vb *ValidatedBlob) Result() *core.Result { return vb.res }
 
 // PutValidated persists an already-validated blob: the bytes land on
 // disk verbatim — the zero-extra-decode path wire bytes take into the
-// local tier. The atomic rename and O(1) journal append match Put.
+// local tier — through the same atomic rename as Put.
 func (s *Store) PutValidated(vb *ValidatedBlob) error {
-	if reservedDigest(vb.digest) {
-		return fmt.Errorf("store: %w: digest %q names the index snapshot", ErrInvalidBlob, vb.digest)
-	}
 	if err := s.writeAtomic(vb.digest+".json", vb.data); err != nil {
 		return err
 	}
 	s.puts.Add(1)
-	return s.recordPut(vb.Key(), int64(len(vb.data)), vb.rawBytes)
+	return nil
 }
 
 // GetValidated returns the proof-carrying blob stored under digest, or
 // (nil, false) on any kind of miss — the read-side constructor of
-// ValidatedBlob, sharing Get's validation, counters, LRU touch, and
-// corrupt-blob healing. The returned bytes are the disk container, so
-// a serving layer can pass them to a peer verbatim.
+// ValidatedBlob and the one read path under Get and GetRaw: validation,
+// counters, LRU touch, and corrupt-blob healing. The returned bytes are
+// the disk container, so a serving layer can pass them to a peer
+// verbatim.
 func (s *Store) GetValidated(digest string) (*ValidatedBlob, bool) {
-	if reservedDigest(digest) {
-		// A plain miss, pointedly without healing: the "corrupt blob"
-		// a reserved digest resolves to is the index snapshot itself.
-		s.misses.Add(1)
-		return nil, false
-	}
-	data, err := os.ReadFile(filepath.Join(s.dir, digest+".json"))
+	path := filepath.Join(s.dir, digest+".json")
+	data, err := os.ReadFile(path)
 	if err != nil {
 		s.misses.Add(1)
 		return nil, false
 	}
 	b, rawN, err := parseBlob(data, digest)
 	if err != nil {
+		// Remove the unreadable blob, so the corruption is visible for
+		// exactly one Get: the next Put writes a fresh blob. (If a
+		// concurrent writer renamed a good blob into place between the
+		// failed read and this remove, that blob is lost and recomputed
+		// — determinism makes the recompute identical.)
 		s.corrupt.Add(1)
 		s.misses.Add(1)
-		s.healCorrupt(Key{Digest: digest})
+		os.Remove(path)
 		return nil, false
 	}
-	vb := newValidatedBlob(digest, data, rawN, b)
 	s.hits.Add(1)
-	s.touch(vb.Key(), int64(len(data)), rawN)
-	return vb, true
+	// Advance the LRU clock. Best-effort: a blob a peer evicted in the
+	// meantime just stays gone.
+	now := time.Now()
+	_ = os.Chtimes(path, now, now)
+	return newValidatedBlob(digest, data, rawN, b), true
 }

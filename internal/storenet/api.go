@@ -170,7 +170,7 @@ type holderResponse struct {
 	Owner string `json:"owner,omitempty"`
 }
 
-// indexResponse lists the daemon's manifest.
+// indexResponse lists the daemon's blob index.
 type indexResponse struct {
 	API     int                   `json:"api"`
 	Schema  int                   `json:"schema"`

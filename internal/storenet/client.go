@@ -49,15 +49,14 @@ var ErrRateLimited = errors.New("storenet: rate limited by daemon")
 
 // Write-behind journal layout: one marker file per deferred digest, in
 // a subdirectory of the cache store's directory. The store's own scans
-// (manifest rebuild, GC, blob counting) skip directories, so the
-// journal is invisible to the local tier's machinery; the blob bytes
-// themselves live in the cache as ordinary blobs, the marker only
-// records "the daemon has not seen this one yet". The marker body is
-// the deferring request's W3C traceparent (or empty when tracing was
-// off), so a reconcile replay — possibly minutes later, possibly from
-// a different process — still carries the originating sweep's trace ID
-// and the daemon's /debug/ops ring attributes the late write to the
-// sweep that produced it.
+// (Index and GC) skip directories, so the journal is invisible to the
+// local tier's machinery; the blob bytes themselves live in the cache
+// as ordinary blobs, the marker only records "the daemon has not seen
+// this one yet". The marker body is the deferring request's W3C
+// traceparent (or empty when tracing was off), so a reconcile replay —
+// possibly minutes later, possibly from a different process — still
+// carries the originating sweep's trace ID and the daemon's /debug/ops
+// ring attributes the late write to the sweep that produced it.
 const (
 	pendingDirName = "pending"
 	pendingSuffix  = ".pend"
@@ -645,15 +644,40 @@ func (c *Client) readBodyInto(buf *bytes.Buffer, resp *http.Response, limit int6
 // truncated remote body is a miss (Corrupt counter), exactly like a
 // corrupt local blob.
 func (c *Client) Get(k store.Key) (*core.Result, bool) {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer putBodyBuf(buf)
+	vb, ok := c.fetch(k.Digest, buf)
+	if !ok {
+		return nil, false
+	}
+	return vb.Result(), true
+}
+
+// GetValidated implements store.ValidatedGetter: Get's path, but
+// returning the proof-carrying blob — validated container bytes plus
+// the decoded result from the same single parse — instead of just the
+// result. The router's read-repair rides this: a member that misses is
+// healed with another member's validated bytes verbatim. Unlike Get,
+// the returned bytes are freshly allocated (not pooled scratch), so
+// they survive the call.
+func (c *Client) GetValidated(digest string) (*store.ValidatedBlob, bool) {
+	return c.fetch(digest, new(bytes.Buffer))
+}
+
+// fetch is the read path under Get and GetValidated: local tier, then
+// the daemon, reading the remote body into buf. The returned blob
+// aliases buf when it came off the wire.
+func (c *Client) fetch(digest string, buf *bytes.Buffer) (*store.ValidatedBlob, bool) {
 	if c.cache != nil {
-		if res, ok := c.cache.Get(k); ok {
+		if vb, ok := c.cache.GetValidated(digest); ok {
 			c.hits.Add(1)
-			return res, true
+			return vb, true
 		}
 	}
 	span := c.startSpan("storenet.get")
 	defer span.End()
-	resp, err := c.doIdempotent(http.MethodGet, c.blobURL(k.Digest), nil, span, obs.SpanContext{})
+	resp, err := c.doIdempotent(http.MethodGet, c.blobURL(digest), nil, span, obs.SpanContext{})
 	if err != nil {
 		if errors.Is(err, ErrUnavailable) {
 			// Degraded read: the local tier (checked above) was the whole
@@ -667,25 +691,19 @@ func (c *Client) Get(k store.Key) (*core.Result, bool) {
 		c.misses.Add(1)
 		return nil, false
 	}
-	buf := bodyBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer putBodyBuf(buf)
 	readErr := c.readBodyInto(buf, resp, maxBlobBytes)
 	if resp.StatusCode != http.StatusOK {
 		c.misses.Add(1)
 		span.SetAttr("outcome", "miss")
 		return nil, false
 	}
-	if readErr != nil {
-		// The transfer died mid-body: treat as a miss, recompute, heal.
-		c.corrupt.Add(1)
-		c.misses.Add(1)
-		span.SetAttr("outcome", "corrupt")
-		return nil, false
+	var vb *store.ValidatedBlob
+	if readErr == nil {
+		// A transfer that died mid-body is corrupt without a decode.
+		c.decodePasses.Add(1)
+		vb, readErr = store.ValidateBlobBytes(buf.Bytes(), digest)
 	}
-	c.decodePasses.Add(1)
-	vb, err := store.ValidateBlobBytes(buf.Bytes(), k.Digest)
-	if err != nil {
+	if readErr != nil {
 		c.corrupt.Add(1)
 		c.misses.Add(1)
 		span.SetAttr("outcome", "corrupt")
@@ -694,65 +712,8 @@ func (c *Client) Get(k store.Key) (*core.Result, bool) {
 	if c.cache != nil {
 		// Best-effort heal: a full local disk must not fail a read the
 		// remote already answered. The proof-carrying handoff writes the
-		// wire bytes verbatim — no second decode. (PutValidated persists
-		// before returning, inside the pooled buffer's lifetime.)
-		_ = c.cache.PutValidated(vb)
-	}
-	c.hits.Add(1)
-	span.SetAttr("outcome", "hit")
-	return vb.Result(), true
-}
-
-// GetValidated implements store.ValidatedGetter: Get's wire path, but
-// returning the proof-carrying blob — validated container bytes plus
-// the decoded result from the same single parse — instead of just the
-// result. The router's read-repair rides this: a member that misses is
-// healed with another member's validated bytes verbatim. Unlike Get,
-// the returned bytes are freshly allocated (not pooled scratch), so
-// they survive the call; local-tier counters and heal behavior match
-// Get exactly.
-func (c *Client) GetValidated(digest string) (*store.ValidatedBlob, bool) {
-	if c.cache != nil {
-		if vb, ok := c.cache.GetValidated(digest); ok {
-			c.hits.Add(1)
-			return vb, true
-		}
-	}
-	span := c.startSpan("storenet.get")
-	defer span.End()
-	resp, err := c.doIdempotent(http.MethodGet, c.blobURL(digest), nil, span, obs.SpanContext{})
-	if err != nil {
-		if errors.Is(err, ErrUnavailable) {
-			c.degraded.Add(1)
-			span.SetAttr("outcome", "degraded")
-		} else {
-			span.SetAttr("outcome", "error")
-		}
-		c.misses.Add(1)
-		return nil, false
-	}
-	var buf bytes.Buffer
-	readErr := c.readBodyInto(&buf, resp, maxBlobBytes)
-	if resp.StatusCode != http.StatusOK {
-		c.misses.Add(1)
-		span.SetAttr("outcome", "miss")
-		return nil, false
-	}
-	if readErr != nil {
-		c.corrupt.Add(1)
-		c.misses.Add(1)
-		span.SetAttr("outcome", "corrupt")
-		return nil, false
-	}
-	c.decodePasses.Add(1)
-	vb, err := store.ValidateBlobBytes(buf.Bytes(), digest)
-	if err != nil {
-		c.corrupt.Add(1)
-		c.misses.Add(1)
-		span.SetAttr("outcome", "corrupt")
-		return nil, false
-	}
-	if c.cache != nil {
+		// wire bytes verbatim — no second decode — before buf's owner
+		// can recycle it.
 		_ = c.cache.PutValidated(vb)
 	}
 	c.hits.Add(1)
@@ -957,27 +918,6 @@ func (c *Client) Telemetry() Telemetry {
 	}
 }
 
-// WriteProm renders the telemetry as Prometheus text (the same v0.0.4
-// exposition format the daemon's /metrics speaks), for callers that
-// scrape or push client-side metrics. Every family is fixed-label
-// (none), so client cardinality is constant.
-func (t Telemetry) WriteProm(w io.Writer) {
-	write := func(name, help, typ string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, typ, name, v)
-	}
-	write("storenet_client_retries_total", "Retry attempts issued.", "counter", t.Retries)
-	write("storenet_client_rate_limited_total", "429 responses honored.", "counter", t.RateLimited)
-	write("storenet_client_breaker_opened_total", "Circuit breaker open transitions.", "counter", t.BreakerOpened)
-	write("storenet_client_breaker_half_open_total", "Circuit breaker half-open probes admitted.", "counter", t.BreakerHalfOpen)
-	write("storenet_client_breaker_closed_total", "Circuit breaker close transitions.", "counter", t.BreakerClosed)
-	write("storenet_client_deferred_puts_total", "Puts journaled for write-behind replay.", "counter", t.DeferredPuts)
-	write("storenet_client_reconcile_replays_total", "Journal entries replayed to the daemon.", "counter", t.ReconcileReplays)
-	write("storenet_client_pending_puts", "Journal entries awaiting replay.", "gauge", t.Pending)
-	write("storenet_client_decode_passes_total", "Blob container validations (decodes) run.", "counter", t.DecodePasses)
-	write("storenet_client_bytes_sent_total", "Request body bytes sent.", "counter", t.BytesSent)
-	write("storenet_client_bytes_received_total", "Response body bytes received.", "counter", t.BytesReceived)
-}
-
 // Reconcile replays the write-behind journal to the daemon, returning
 // how many blobs were uploaded. It first force-closes the breaker —
 // calling Reconcile is an assertion the daemon is back, and if it is
@@ -1088,7 +1028,7 @@ func (c *Client) Has(k store.Key) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// Index lists the daemon's manifest — the fleet-wide view, not the
+// Index lists the daemon's blob index — the fleet-wide view, not the
 // local tier's subset. Degrades to empty on failure.
 func (c *Client) Index() []store.ManifestEntry {
 	span := c.startSpan("storenet.index")

@@ -134,14 +134,4 @@ func TestMetricsCardinalityBounded(t *testing.T) {
 			t.Fatalf("fresh digests minted a new series %s\nbefore: %v", s, before)
 		}
 	}
-
-	// The client's own telemetry families are label-free by design — no
-	// way to smuggle a digest in at all.
-	var b strings.Builder
-	client.Telemetry().WriteProm(&b)
-	if out := b.String(); strings.Contains(out, "{") {
-		t.Fatalf("client telemetry is not label-free:\n%s", out)
-	} else if !strings.Contains(out, "storenet_client_retries_total") {
-		t.Fatalf("client telemetry families missing:\n%s", out)
-	}
 }

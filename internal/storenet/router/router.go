@@ -459,7 +459,7 @@ func (r *Router) LeaseHolder(digest string) (string, bool) {
 	return "", false
 }
 
-// Index merges every member's manifest, deduplicating by digest — the
+// Index merges every member's index, deduplicating by digest — the
 // logical store's view, where a blob replicated R times is one blob.
 func (r *Router) Index() []store.ManifestEntry {
 	seen := map[string]bool{}

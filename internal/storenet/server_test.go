@@ -382,22 +382,13 @@ func TestServerIndexStatsGC(t *testing.T) {
 	}
 }
 
-// TestServerReservedNameCannotTouchIndex is the regression for the
-// digest/index collision: "manifest" matches the digest grammar but
-// resolves to the store's own snapshot file. A GET must not trip the
-// corrupt-blob healing path (which would delete manifest.json), and a
-// PUT with a crafted envelope must not overwrite it.
+// TestServerReservedNameCannotTouchIndex: "manifest" matches the digest
+// grammar but names no blob. GET and HEAD answer 404, a PUT of a
+// crafted plain-JSON envelope is refused, and the store's blobs are
+// untouched.
 func TestServerReservedNameCannotTouchIndex(t *testing.T) {
 	st, srv := newDaemon(t)
 	if err := st.Put(testKey(t, 0), testResult(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Compact(); err != nil { // materialise manifest.json
-		t.Fatal(err)
-	}
-	manifestPath := filepath.Join(st.Dir(), "manifest.json")
-	before, err := os.ReadFile(manifestPath)
-	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -410,8 +401,7 @@ func TestServerReservedNameCannotTouchIndex(t *testing.T) {
 		t.Fatalf("GET manifest: %s, want 404", resp.Status)
 	}
 
-	// HEAD must agree with GET: the snapshot file's existence is not a
-	// blob's existence.
+	// HEAD must agree with GET.
 	resp, err = http.Head(srv.URL + "/v1/blobs/manifest")
 	if err != nil {
 		t.Fatal(err)
@@ -433,12 +423,8 @@ func TestServerReservedNameCannotTouchIndex(t *testing.T) {
 		t.Fatalf("PUT manifest: %s, want 400", resp.Status)
 	}
 
-	after, err := os.ReadFile(manifestPath)
-	if err != nil {
-		t.Fatalf("manifest.json gone after reserved-name probes: %v", err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Fatal("manifest.json changed by reserved-name probes")
+	if _, err := os.Stat(filepath.Join(st.Dir(), "manifest.json")); !os.IsNotExist(err) {
+		t.Fatalf("reserved-name probes left a manifest.json: %v", err)
 	}
 	if st.Len() != 1 {
 		t.Fatalf("index lost entries: Len = %d, want 1", st.Len())

@@ -23,11 +23,10 @@ raw=$(go test -run '^$' -bench 'BenchmarkCampaignSweep|BenchmarkPhase1Warmup|Ben
 # the one-time pool warm-up to the op).
 raw="$raw
 $(go test -run '^$' -bench 'BenchmarkSuiteCampaign(Warm|RemoteWarm)$' -benchtime 10x -benchmem .)"
-# The store index benchmarks compare a journal-backed Put (O(1) appends)
-# against the pre-journal whole-manifest rewrite (O(entries) per Put);
-# a handful of iterations keeps the ratio out of filesystem noise while
-# still completing in well under a second. The blob codec benchmarks
-# track the v3 container encode/decode cost.
+# The store Put benchmark runs at 16 and 1024 entries (a Put writes no
+# index, so the two should match); the blob codec benchmarks track the
+# v3 container encode/decode cost. A handful of iterations completes in
+# well under a second.
 raw="$raw
 $(go test -run '^$' -bench 'BenchmarkStorePut|BenchmarkBlob' -benchtime 20x -benchmem ./internal/store)"
 # Resilience path: the breaker's fast-fail vs the no-breaker
@@ -112,12 +111,6 @@ END {
 	remote = ns["BenchmarkSuiteCampaignRemoteWarm"]
 	if (cold > 0 && remote > 0)
 		printf ",\n  \"remote_warm_speedup\": %.2f", cold / remote
-	# Journal vs whole-manifest-rewrite Put cost at 1k store entries:
-	# how much the append-only manifest log saves per write.
-	rewrite = ns["BenchmarkStorePutRewrite/entries=1024"]
-	journal = ns["BenchmarkStorePut/entries=1024"]
-	if (rewrite > 0 && journal > 0)
-		printf ",\n  \"manifest_put_speedup\": %.2f", rewrite / journal
 	# v3 streaming encode: the allocation profile of the binary blob
 	# writer (alloc-free in steady state).
 	if (ns["BenchmarkBlobEncode"] > 0) {

@@ -5,7 +5,7 @@
 #
 # vet + build (including the stored daemon) + tests, a race-detector
 # pass over the concurrency-heavy coordination packages (the store's
-# journal/lease/GC machinery, the fleet's cross-process claim loop, and
+# lease/GC machinery, the fleet's cross-process claim loop, and
 # the storenet daemon/client) and over the measurement fan-outs (core's
 # pair pool, the census and ablations, the CLI's concurrent artefacts),
 # and the benchmark smoke that records the performance trajectory in
