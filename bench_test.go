@@ -1,8 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md's per-experiment index). Each benchmark runs
-// the full pipeline behind its artefact at quick scale; the printed
-// metrics summarise the artefact so `go test -bench` output doubles as a
-// compact reproduction report.
+// evaluation (the generators table in cmd/experiments maps each artefact
+// to the code that produces it). Each benchmark runs the full pipeline
+// behind its artefact at quick scale; the printed metrics summarise the
+// artefact so `go test -bench` output doubles as a compact reproduction
+// report.
 package golatest
 
 import (

@@ -1,17 +1,15 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section into a results directory: Markdown tables, text and
 // CSV heatmaps, violin/box summaries, scatter exports, traces, and the
-// §V-A / §VII-B / CPU-vs-GPU studies. See DESIGN.md's per-experiment
-// index for the artefact ↔ module map.
+// §V-A / §VII-B / CPU-vs-GPU studies. The generators table below maps
+// each artefact id to the code that produces it.
 //
 // Usage:
 //
 //	experiments [-scale quick|full] [-only <id>] [-out results/]
 //	            [-cache-dir DIR] [-store-url URL[,URL...]] [-replication N]
-//	            [-no-cache]
-//	            [-fleet N] [-parallel N] [-lease-ttl D] [-owner ID]
-//	            [-shard-offset N|auto] [-store-errors auto|abort|degrade]
-//	            [-reconcile] [-trace-out FILE]
+//	            [-store-token T] [-no-cache] [-seed N]
+//	            [-lease-ttl D] [-owner ID] [-reconcile] [-trace-out FILE]
 //	            [-gc] [-max-store-bytes N] [-max-store-age D]
 //	            [-gc-watermark-bytes N]
 //
@@ -24,7 +22,7 @@
 // artefact's log lines are printed in the order above once all are
 // done, so the per-artefact seconds in the log overlap and do not sum
 // to the run's wall clock. The artefacts themselves are identical to a
-// serial run's.
+// serial run's, at any GOMAXPROCS.
 //
 // With -cache-dir, campaign results persist across runs as
 // content-addressed blobs (see internal/store): a repeated run with the
@@ -53,29 +51,25 @@
 // advisory store lease before it is computed, so several processes
 // pointed at the same -cache-dir — or several hosts pointed at the same
 // -store-url — partition the work instead of duplicating it (each still
-// finishes with every result). -shard-offset starts this
-// host's sweeps at a different shard index (give host i of n offset
-// i*shards/n), so cooperating hosts claim disjoint ranges up front
-// instead of all racing for shard 0; -shard-offset auto derives the
-// start per sweep from the store's live lease and index state (the
-// fleet.Plan LeaseHolder view). -gc bounds the store after
-// the run: -max-store-bytes evicts least-recently-used blobs past the
-// size cap, -max-store-age evicts blobs idle longer than the bound, and
-// crash debris (orphaned temp files, expired leases) is swept either
-// way; with -store-url the pass runs on the daemon's store.
+// finishes with every result). A sweep skips the shards a live peer has
+// claimed and comes back to them once its other shards are done, so
+// cooperating hosts split the work without being told how. -gc bounds
+// the store after the run: -max-store-bytes evicts least-recently-used
+// blobs past the size cap, -max-store-age evicts blobs idle longer than
+// the bound, and crash debris (orphaned temp files, expired leases) is
+// swept either way; with -store-url the pass runs on the daemon's store.
 // -gc-watermark-bytes instead bounds the store automatically: after any
 // sweep that leaves it over the watermark, least-recently-used blobs
 // are evicted back under it without operator action.
 //
-// -store-errors selects what a store write or claim failure does to a
-// sweep: abort it, or degrade around it (unleased recompute on a failed
-// claim, unpersisted in-memory result on a failed write). The default,
-// auto, degrades exactly when the store has a local fallback tier
-// (-store-url combined with -cache-dir) and aborts otherwise. A run
-// that degraded prints a resilience stats line; writes the outage
-// deferred into the local tier's pending journal are replayed to the
-// daemon automatically when it returns, or explicitly with -reconcile,
-// which flushes the journal and exits without generating artefacts.
+// A store write or claim failure aborts a sweep, unless the store has a
+// local fallback tier (-store-url combined with -cache-dir): then the
+// sweep degrades around it (unleased recompute on a failed claim,
+// unpersisted in-memory result on a failed write). A run that degraded
+// prints a resilience stats line; writes the outage deferred into the
+// local tier's pending journal are replayed to the daemon automatically
+// when it returns, or explicitly with -reconcile, which flushes the
+// journal and exits without generating artefacts.
 //
 // With -trace-out, the run records every fleet sweep as a span tree —
 // one root span per sweep, one child span per shard (claim, compute,
@@ -95,14 +89,12 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"golatest/internal/core"
 	"golatest/internal/experiments"
-	"golatest/internal/fleet"
 	"golatest/internal/obs"
 	"golatest/internal/report"
 	"golatest/internal/store"
@@ -151,21 +143,17 @@ func run(args []string, out io.Writer) error {
 		only      = fs.String("only", "", "comma-separated artefact ids (default all)")
 		outDir    = fs.String("out", "results", "output directory")
 		seed      = fs.Uint64("seed", 2025, "campaign seed")
-		parallel  = fs.Int("parallel", 0, "concurrent pair campaigns within each campaign (0 = one per CPU, 1 = serial; campaign computes share the process-wide worker pool; results are identical at every setting)")
 		cacheDir  = fs.String("cache-dir", "", "persist campaign results as content-addressed blobs in this directory; warm re-runs recompute nothing")
 		storeURL  = fs.String("store-url", "", "use stored daemon(s) as the campaign store: one base URL (e.g. http://host:8417), or a comma-separated list to replicate across a consistent-hashing router; with -cache-dir the directory becomes a local write-through (single URL) or read-through (list) tier")
 		replicas  = fs.Int("replication", 2, "with a multi-member -store-url list: copies of each campaign blob to keep (clamped to the member count)")
 		storeTok  = fs.String("store-token", "", "bearer token for a -store-url daemon running with -tokens (needs write scope for sweeps; 401/403 are terminal — fix the token, they are never retried or journaled)")
 		noCache   = fs.Bool("no-cache", false, "ignore -cache-dir and -store-url for this run: neither read nor write any store")
-		fleetN    = fs.Int("fleet", 0, "concurrent whole campaigns per sweep (0 = one per CPU; campaign computes share the process-wide worker pool; results are identical at every setting)")
 		leaseTTL  = fs.Duration("lease-ttl", 0, "claim sweep shards via store leases so concurrent processes sharing -cache-dir partition the work; the TTL should exceed one campaign's runtime (0 = off)")
 		owner     = fs.String("owner", "", "lease owner id for -lease-ttl (default: derived from host and pid)")
-		shardOff  = fs.String("shard-offset", "", "start multi-unit sweeps at this shard index so cooperating hosts claim disjoint ranges (an integer, or 'auto' to derive it from the store's lease/index state; default 0)")
 		gc        = fs.Bool("gc", false, "after the run, garbage-collect the store per -max-store-bytes/-max-store-age and sweep crash debris")
 		maxBytes  = fs.Int64("max-store-bytes", 0, "with -gc: evict least-recently-used blobs until the store fits this many bytes (0 = no size bound)")
 		maxAge    = fs.Duration("max-store-age", 0, "with -gc: evict blobs not accessed for longer than this (0 = no age bound)")
 		watermark = fs.Int64("gc-watermark-bytes", 0, "run a size-bounded GC pass automatically after any sweep that leaves the store over this many bytes (0 = off)")
-		storeErrs = fs.String("store-errors", "auto", "sweep response to store write/claim failures: abort, degrade (finish the sweep via the local tier), or auto (degrade exactly when a local fallback tier exists)")
 		reconcile = fs.Bool("reconcile", false, "replay the local tier's pending journal (writes deferred during a daemon outage) to -store-url, print what was flushed, and exit")
 		traceOut  = fs.String("trace-out", "", "record fleet sweeps and store-client operations as spans and write them to this file as Chrome trace_event JSON (view in Perfetto or chrome://tracing)")
 	)
@@ -279,36 +267,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-store-token needs -store-url (and no -no-cache): there is no daemon to authenticate to")
 	}
 
-	shardOffset, autoOffset := 0, false
-	switch *shardOff {
-	case "":
-	case "auto":
-		autoOffset = true
-		// Auto mode steers sweeps away from shards that live peers have
-		// claimed; without -lease-ttl there are no claims to steer by.
-		if *leaseTTL <= 0 {
-			return fmt.Errorf("-shard-offset auto requires -lease-ttl (it steers by live peers' claims)")
-		}
-	default:
-		n, err := strconv.Atoi(*shardOff)
-		if err != nil {
-			return fmt.Errorf("-shard-offset %q: want an integer or 'auto'", *shardOff)
-		}
-		shardOffset = n
-	}
-
-	var storeErrors fleet.StoreErrorPolicy
-	switch *storeErrs {
-	case "", "auto":
-		storeErrors = fleet.StoreErrorsAuto
-	case "abort":
-		storeErrors = fleet.StoreErrorsAbort
-	case "degrade":
-		storeErrors = fleet.StoreErrorsDegrade
-	default:
-		return fmt.Errorf("-store-errors %q: want auto, abort, or degrade", *storeErrs)
-	}
-
 	if *reconcile {
 		r, ok := backend.(store.Resilient)
 		if !ok || !r.CanDegrade() {
@@ -328,8 +286,6 @@ func run(args []string, out io.Writer) error {
 		needsStore := ""
 		switch {
 		case *leaseTTL > 0:
-			// Covers -shard-offset auto too: auto already demanded
-			// -lease-ttl above, so this case is the one it reaches.
 			needsStore = "-lease-ttl"
 		case *gc:
 			needsStore = "-gc"
@@ -347,15 +303,10 @@ func run(args []string, out io.Writer) error {
 	suite := experiments.NewSuite(experiments.Options{
 		Scale:            scale,
 		Seed:             *seed,
-		Parallelism:      *parallel,
 		Store:            backend,
-		FleetReplicas:    *fleetN,
 		LeaseTTL:         *leaseTTL,
 		LeaseOwner:       *owner,
 		GCWatermarkBytes: *watermark,
-		ShardOffset:      shardOffset,
-		AutoShardOffset:  autoOffset,
-		StoreErrors:      storeErrors,
 		Tracer:           tracer,
 	})
 	var picked []generator

@@ -704,55 +704,10 @@ func TestWriteFileRemovesPartialArtefact(t *testing.T) {
 	}
 }
 
-// TestShardOffsetFlag: the scheduling flag parses integers and 'auto',
-// rejects garbage, and 'auto' demands the store whose lease state it
-// consults.
-func TestShardOffsetFlag(t *testing.T) {
+// TestReconcileFlagValidation: -reconcile demands the tiered store whose
+// journal it flushes.
+func TestReconcileFlagValidation(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-shard-offset", "sideways", "-out", t.TempDir()}, &out); err == nil {
-		t.Error("bogus -shard-offset accepted")
-	}
-	// Auto mode consults lease-mode plan state: it needs both a store
-	// and -lease-ttl, or it would be silently inert.
-	err := run([]string{"-shard-offset", "auto", "-cache-dir", t.TempDir(),
-		"-out", t.TempDir()}, &out)
-	if err == nil || !strings.Contains(err.Error(), "-lease-ttl") {
-		t.Errorf("-shard-offset auto without -lease-ttl: err=%v, want a -lease-ttl demand", err)
-	}
-	if err := run([]string{"-shard-offset", "auto", "-lease-ttl", "1m", "-out", t.TempDir()}, &out); err == nil {
-		t.Error("-shard-offset auto without a store accepted")
-	}
-	// An explicit integer offset needs no store (it is pure visit
-	// order) and must not change a sweep's artefacts.
-	if testing.Short() {
-		return
-	}
-	plain, offset := t.TempDir(), t.TempDir()
-	if err := run([]string{"-scale", "quick", "-only", "fig7", "-out", plain}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-scale", "quick", "-only", "fig7", "-shard-offset", "2",
-		"-cache-dir", t.TempDir(), "-lease-ttl", "1m", "-out", offset}, &out); err != nil {
-		t.Fatal(err)
-	}
-	a, b := readArtefacts(t, plain), readArtefacts(t, offset)
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("artefact sets differ: %d vs %d", len(a), len(b))
-	}
-	for name, want := range a {
-		if !bytes.Equal(want, b[name]) {
-			t.Fatalf("%s differs under -shard-offset (scheduling changed results)", name)
-		}
-	}
-}
-
-// TestStoreErrorsFlagValidation: the policy flag parses strictly, and
-// -reconcile demands the tiered store whose journal it flushes.
-func TestStoreErrorsFlagValidation(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-store-errors", "bogus", "-out", t.TempDir()}, &out); err == nil {
-		t.Error("-store-errors bogus accepted")
-	}
 	if err := run([]string{"-reconcile", "-out", t.TempDir()}, &out); err == nil {
 		t.Error("-reconcile without a store accepted")
 	}
@@ -764,8 +719,8 @@ func TestStoreErrorsFlagValidation(t *testing.T) {
 // TestDegradedRunThenReconcile is the operator's outage story end to
 // end through the CLI: a run whose daemon is unreachable completes via
 // the local tier (deferring its writes and printing the resilience stats
-// line), and a later -reconcile run against the recovered daemon
-// replays the journal.
+// line) with no flag asking it to, and a later -reconcile run against
+// the recovered daemon replays the journal.
 func TestDegradedRunThenReconcile(t *testing.T) {
 	cacheDir := t.TempDir()
 	outDir := t.TempDir()
@@ -774,8 +729,7 @@ func TestDegradedRunThenReconcile(t *testing.T) {
 	// instantly). The run must still produce its artefact.
 	var out bytes.Buffer
 	args := []string{"-scale", "quick", "-only", "fig3c",
-		"-store-url", "http://127.0.0.1:1", "-cache-dir", cacheDir,
-		"-store-errors", "degrade", "-out", outDir}
+		"-store-url", "http://127.0.0.1:1", "-cache-dir", cacheDir, "-out", outDir}
 	if err := run(args, &out); err != nil {
 		t.Fatalf("degraded run failed: %v\n%s", err, out.String())
 	}

@@ -11,7 +11,8 @@ import (
 	"golatest/internal/stats"
 )
 
-// The ablation studies quantify the design choices DESIGN.md calls out:
+// The ablation studies quantify the method's design choices (the
+// "ablations" artefact of the generators table in cmd/experiments):
 // the transition-shape sensitivity of the detector, the §V-A choice of a
 // 2σ population band over FTaLaT's confidence interval, and the effect
 // of timer-synchronisation error on the measured latencies.

@@ -67,11 +67,6 @@ type Options struct {
 	// Seed offsets every campaign's host-side randomness; distinct seeds
 	// give statistically independent replications.
 	Seed uint64
-	// Parallelism is handed down to every campaign's core.Config: it
-	// bounds how many pair campaigns each campaign sweeps concurrently.
-	// Zero means one worker per CPU, 1 forces serial sweeps. Campaign
-	// results are identical at every setting.
-	Parallelism int
 	// Store, when non-nil, persists campaign results across processes as
 	// content-addressed blobs: Campaign consults it before computing and
 	// writes through after, so a warm re-run with unchanged inputs
@@ -80,10 +75,6 @@ type Options struct {
 	// a local *store.Store directory, or a storenet.Client speaking to a
 	// stored daemon so suites on different hosts share one store.
 	Store store.Backend
-	// FleetReplicas bounds how many whole campaigns the multi-unit
-	// studies (A100Instances, A100Fleet) run concurrently. Zero means one
-	// per CPU. Results are identical at every setting.
-	FleetReplicas int
 	// LeaseTTL, when positive (requires Store), coordinates campaigns
 	// across processes: each one is claimed through a store lease before
 	// computing, so concurrent processes sharing a cache directory
@@ -99,22 +90,6 @@ type Options struct {
 	// blobs exceed the watermark, one GC pass evicts least-recently-used
 	// blobs back under it. Zero leaves GC manual.
 	GCWatermarkBytes int64
-	// ShardOffset starts every fleet sweep at this shard index
-	// (mod the shard count): cooperating processes given disjoint
-	// offsets claim disjoint ranges up front instead of all racing for
-	// shard 0. Results are identical at every offset.
-	ShardOffset int
-	// AutoShardOffset derives the offset per sweep from the store's
-	// live lease/index state: the sweep starts at the first shard that
-	// is neither cached nor claimed by a live peer. Overrides
-	// ShardOffset when such a shard exists. Effective only with Store
-	// set; without it the offset stays at ShardOffset.
-	AutoShardOffset bool
-	// StoreErrors is handed to every fleet sweep: abort on store
-	// write/claim failures, degrade around them, or (the zero value)
-	// decide from whether the backend has a local fallback tier. See
-	// fleet.StoreErrorPolicy.
-	StoreErrors fleet.StoreErrorPolicy
 	// Tracer, when non-nil, is handed to every fleet sweep: each
 	// campaign resolution records a root span with per-shard children, and
 	// a store client in reach carries the sweep's trace ID on its wire
@@ -184,7 +159,7 @@ func (s *Suite) Contention() Contention {
 }
 
 // Resilience reports the store-failure fallbacks the suite's sweeps
-// absorbed under the degrade policy: Degraded counts fleet-level
+// absorbed over a store that can degrade: Degraded counts fleet-level
 // fallbacks (unleased recomputes, unpersisted results), Deferred and
 // Reconciled count the resilient backend's write-behind journal
 // traffic during those sweeps. All zero when the store never failed.
@@ -260,7 +235,6 @@ func (s *Suite) campaignConfig(p hwprofile.Profile) core.Config {
 		cfg.MaxMeasurements = 48
 		cfg.RSECheckEvery = 10
 	}
-	cfg.Parallelism = s.opts.Parallelism
 	return cfg
 }
 
@@ -372,16 +346,12 @@ func (s *Suite) resolve(profiles []hwprofile.Profile) ([]*core.Result, error) {
 // failed and dropped from the map so a later call retries it.
 func (s *Suite) sweep(profiles []hwprofile.Profile, calls []*campaignCall) error {
 	rep, err := fleet.Sweep(profiles, fleet.Options{
-		Replicas:         s.opts.FleetReplicas,
 		Store:            s.opts.Store,
 		Config:           s.campaignConfig,
 		Run:              s.runCampaign,
 		LeaseTTL:         s.opts.LeaseTTL,
 		Owner:            s.opts.LeaseOwner,
 		GCWatermarkBytes: s.opts.GCWatermarkBytes,
-		ShardOffset:      s.opts.ShardOffset,
-		AutoShardOffset:  s.opts.AutoShardOffset,
-		StoreErrors:      s.opts.StoreErrors,
 		Tracer:           s.opts.Tracer,
 	})
 	if rep != nil {
@@ -414,7 +384,7 @@ func (s *Suite) sweep(profiles []hwprofile.Profile, calls []*campaignCall) error
 // A100Instances returns campaigns for the four front-row A100 units of
 // §VII-C, sharded over the fleet pool (each shard runs on an independent
 // device replica with its own virtual clock, so shards parallelise
-// perfectly; FleetReplicas bounds how many are in flight).
+// perfectly; the measurement-step pool bounds how many compute at once).
 func (s *Suite) A100Instances() ([]*core.Result, error) {
 	return s.A100Fleet(4)
 }

@@ -9,28 +9,34 @@ import (
 	"golatest/internal/storenet/faults"
 )
 
-// TestSweepDegradePolicySurvivesStoreFailures: with the degrade policy,
-// a store whose writes and claims all fail (a total backend outage,
-// scripted through the fault wrapper) no longer aborts the sweep —
-// every shard still computes and lands in the report, with the
-// fallbacks counted.
+// degradable reports a local fallback tier over any backend, as a
+// tiered storenet.Client does, so a sweep over it degrades.
+type degradable struct{ store.Backend }
+
+func (degradable) CanDegrade() bool                  { return true }
+func (degradable) Resilience() store.ResilienceStats { return store.ResilienceStats{} }
+func (degradable) Reconcile() (int, error)           { return 0, nil }
+
+// TestSweepDegradePolicySurvivesStoreFailures: over a store that can
+// degrade, a total outage of writes and claims (scripted through the
+// fault wrapper) no longer aborts the sweep — every shard still
+// computes and lands in the report, with the fallbacks counted.
 func TestSweepDegradePolicySurvivesStoreFailures(t *testing.T) {
 	inner, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := faults.WrapBackend(inner, faults.Plan{})
+	b := faults.WrapBackend(degradable{inner}, faults.Plan{})
 	b.Kill()
 
 	profiles := testProfiles(4)
 	var calls atomic.Int64
 	rep, err := Sweep(profiles, Options{
-		Store:       b,
-		Config:      testConfig,
-		Run:         fakeRun(&calls),
-		LeaseTTL:    time.Minute,
-		WaitPoll:    time.Millisecond,
-		StoreErrors: StoreErrorsDegrade,
+		Store:    b,
+		Config:   testConfig,
+		Run:      fakeRun(&calls),
+		LeaseTTL: time.Minute,
+		WaitPoll: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("degrade-policy sweep failed: %v", err)
@@ -53,8 +59,8 @@ func TestSweepDegradePolicySurvivesStoreFailures(t *testing.T) {
 	}
 }
 
-// TestSweepAutoPolicyAbortsOnPlainStore: auto must resolve to abort for
-// a backend with no local fallback tier — silently losing persistence
+// TestSweepAutoPolicyAbortsOnPlainStore: a sweep must abort over a
+// backend with no local fallback tier — silently losing persistence
 // on a plain store directory would defeat the resumability contract.
 func TestSweepAutoPolicyAbortsOnPlainStore(t *testing.T) {
 	inner, err := store.Open(t.TempDir())
@@ -71,33 +77,32 @@ func TestSweepAutoPolicyAbortsOnPlainStore(t *testing.T) {
 		Run:      fakeRun(&calls),
 		LeaseTTL: time.Minute,
 		WaitPoll: time.Millisecond,
-		// StoreErrors left at auto: the wrapper forwards the inner
-		// store's (absent) resilience, so this must behave like abort.
+		// The wrapper forwards the inner store's (absent) resilience, so
+		// this must abort.
 	})
 	if err == nil {
 		t.Fatal("auto policy degraded over a store with no fallback tier")
 	}
 }
 
-// TestSweepDegradeAbsorbsPartialFailures: a flaky (not dead) store
-// under the degrade policy costs fallbacks, never shards. Seeded rates
-// make the fault schedule — and therefore the assertion — reproducible.
+// TestSweepDegradeAbsorbsPartialFailures: a flaky (not dead) store that
+// can degrade costs fallbacks, never shards. Seeded rates make the fault
+// schedule — and therefore the assertion — reproducible.
 func TestSweepDegradeAbsorbsPartialFailures(t *testing.T) {
 	inner, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := faults.WrapBackend(inner, faults.Plan{Seed: 11, FailRate: 0.4})
+	b := faults.WrapBackend(degradable{inner}, faults.Plan{Seed: 11, FailRate: 0.4})
 
 	profiles := testProfiles(6)
 	var calls atomic.Int64
 	rep, err := Sweep(profiles, Options{
-		Store:       b,
-		Config:      testConfig,
-		Run:         fakeRun(&calls),
-		LeaseTTL:    time.Minute,
-		WaitPoll:    time.Millisecond,
-		StoreErrors: StoreErrorsDegrade,
+		Store:    b,
+		Config:   testConfig,
+		Run:      fakeRun(&calls),
+		LeaseTTL: time.Minute,
+		WaitPoll: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("sweep over flaky store: %v", err)
@@ -112,27 +117,20 @@ func TestSweepDegradeAbsorbsPartialFailures(t *testing.T) {
 	}
 }
 
+// TestResolvePolicy: a sweep degrades exactly when its store has a local
+// fallback tier.
 func TestResolvePolicy(t *testing.T) {
 	plain, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resolvePolicy(StoreErrorsAuto, plain) {
-		t.Fatal("auto resolved to degrade on a plain store")
+	if canDegrade(plain) {
+		t.Fatal("a plain store resolved to degrade")
 	}
-	if !resolvePolicy(StoreErrorsDegrade, plain) {
-		t.Fatal("explicit degrade ignored")
+	if !canDegrade(degradable{plain}) {
+		t.Fatal("a store with a fallback tier resolved to abort")
 	}
-	if resolvePolicy(StoreErrorsAbort, plain) {
-		t.Fatal("explicit abort ignored")
-	}
-	for p, want := range map[StoreErrorPolicy]string{
-		StoreErrorsAuto:    "auto",
-		StoreErrorsAbort:   "abort",
-		StoreErrorsDegrade: "degrade",
-	} {
-		if got := p.String(); got != want {
-			t.Fatalf("String(%d) = %q, want %q", int(p), got, want)
-		}
+	if canDegrade(nil) {
+		t.Fatal("no store resolved to degrade")
 	}
 }

@@ -20,14 +20,16 @@
 // With Options.LeaseTTL set, a sweep additionally claims each missing
 // shard through an advisory store lease before computing it. Two (or
 // twenty) processes pointed at the same store directory then partition
-// the sweep instead of duplicating it: a worker that finds a shard
-// claimed by a live peer waits, polling the store until the peer's
-// result lands; a worker that finds an expired claim (the peer died)
-// steals it and computes. Every process finishes with the complete
-// result set — claims decide who computes, the store delivers the
-// results to everyone. Report's Claimed/Waited/Stolen counters expose
-// the contention; a claim that finds the shard already stored is
-// released and counts as a hit, not a claim.
+// the sweep instead of duplicating it. A worker that finds a shard
+// claimed by a live peer first moves on to the shards nobody holds, and
+// comes back once those are done: by then the peer's result has often
+// landed, and otherwise the worker waits, polling the store until it
+// does. A worker that finds an expired claim (the peer died) steals it
+// and computes. Every process finishes with the complete result set —
+// claims decide who computes, the store delivers the results to
+// everyone. Report's Claimed/Waited/Stolen counters expose the
+// contention; a claim that finds the shard already stored is released
+// and counts as a hit, not a claim.
 //
 // Campaigns are deterministic functions of their shard (profile,
 // instance, seeds, config — see internal/store's addressing), so a
@@ -43,6 +45,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"text/tabwriter"
@@ -73,6 +76,13 @@ type Options struct {
 	// storenet.Client speaking to a stored daemon — the claim/wait/steal
 	// protocol below is identical either way, which is what lets a sweep
 	// span hosts.
+	//
+	// A store write or claim failure aborts the sweep, unless the store
+	// has a local fallback tier (store.Resilient reporting CanDegrade):
+	// then a failed claim falls back to unleased recompute (duplicate work
+	// across peers at worst — results are deterministic, so never wrong
+	// ones) and a failed Put keeps the result in the report, each fallback
+	// ticking Report.Degraded. Read failures are misses either way.
 	Store store.Backend
 
 	// Config maps a shard's profile to the campaign configuration it
@@ -87,7 +97,10 @@ type Options struct {
 	// missing shard, renews it at TTL/2 while the campaign runs, and
 	// releases it after the Put. Size it to comfortably exceed one
 	// shard's compute time; an expired lease is stolen by the next
-	// worker that wants the shard.
+	// worker that wants the shard. A shard a live peer has claimed is
+	// skipped on the sweep's first pass and claimed (or waited on) only
+	// after every other shard is done, so cooperating processes split a
+	// sweep between them instead of queueing on the same claims.
 	LeaseTTL time.Duration
 
 	// Owner labels this process in lease files for observability. Empty
@@ -108,33 +121,6 @@ type Options struct {
 	// manual.
 	GCWatermarkBytes int64
 
-	// ShardOffset rotates the order workers visit shards: the sweep
-	// starts at shard index ShardOffset (mod the shard count) and wraps.
-	// Cooperating processes given disjoint offsets (host i of n starts
-	// at i*shards/n) claim disjoint ranges up front, cutting lease
-	// contention — the waits and steals of everyone racing for shard 0 —
-	// from O(shards) to near zero. Purely a scheduling hint: results,
-	// resumability, and the claim/wait/steal safety net are identical at
-	// every offset.
-	ShardOffset int
-
-	// AutoShardOffset (requires Store) derives the offset from the
-	// store's live state instead: one Plan pass finds the first shard
-	// that is neither cached nor claimed by a live holder, and the sweep
-	// starts there — a host joining mid-sweep skips past the ranges its
-	// peers are already computing. Racy by nature (peers move between
-	// the plan and the first claim), which is fine: the claim loop still
-	// arbitrates correctness. Overrides ShardOffset when it finds a
-	// starting point.
-	AutoShardOffset bool
-
-	// StoreErrors selects what a store write or claim failure does to
-	// the sweep: abort it (the pre-resilience behavior) or degrade
-	// around it. The zero value resolves automatically: degrade when the
-	// store reports a local fallback tier (store.Resilient with
-	// CanDegrade), abort otherwise.
-	StoreErrors StoreErrorPolicy
-
 	// Tracer, when non-nil, records the sweep as a span tree: one root
 	// span with a per-shard child span in its own timeline lane (TID =
 	// shard index + 1), carrying typed events (claim/wait/steal, store
@@ -146,40 +132,6 @@ type Options struct {
 	// wall-clock attribution (Shard.StoreNs/WaitNs/ComputeNs) is
 	// collected either way.
 	Tracer *obs.Tracer
-}
-
-// StoreErrorPolicy is a sweep's response to store write/claim failures.
-// Read failures are unaffected — the Backend contract already degrades
-// every read to a recoverable miss.
-type StoreErrorPolicy int
-
-const (
-	// StoreErrorsAuto resolves to Degrade when Options.Store implements
-	// store.Resilient and reports CanDegrade (a tiered storenet.Client
-	// with a local cache), Abort otherwise. The zero value, so existing
-	// callers keep strict semantics on non-resilient stores.
-	StoreErrorsAuto StoreErrorPolicy = iota
-	// StoreErrorsAbort stops the sweep on the first store write or
-	// claim error — a store that cannot accept results must not let the
-	// fleet silently recompute forever.
-	StoreErrorsAbort
-	// StoreErrorsDegrade finishes the sweep despite store failures: a
-	// failed lease acquire falls back to unleased recompute (duplicate
-	// work across peers at worst — results are deterministic, so never
-	// wrong ones), and a failed Put keeps the result in the report and
-	// moves on. Each fallback ticks Report.Degraded.
-	StoreErrorsDegrade
-)
-
-func (p StoreErrorPolicy) String() string {
-	switch p {
-	case StoreErrorsAbort:
-		return "abort"
-	case StoreErrorsDegrade:
-		return "degrade"
-	default:
-		return "auto"
-	}
 }
 
 func (o Options) replicas(shards int) int {
@@ -226,19 +178,16 @@ type Report struct {
 	// actually run. Hits + Computed can be less than len(Shards) when an
 	// aborted sweep left shards unreached.
 	Hits, Computed int
-	// ShardOffset is the starting index the sweep actually used —
-	// Options.ShardOffset normalised, or the auto-derived one.
-	ShardOffset int
 	// Contention counters, populated in lease mode: Claimed counts
 	// leases under which this sweep computed a shard (a claim that finds
 	// the blob already stored is released and counts as a hit only),
 	// Waited counts shards it resolved by waiting on a peer's claim,
 	// Stolen counts claimed leases it took over from dead peers.
 	Claimed, Waited, Stolen int
-	// Degraded counts the sweep's own store-failure fallbacks under the
-	// degrade policy: lease acquires that fell back to unleased
-	// recompute, and Puts whose failure was absorbed (result kept in
-	// the report, not persisted).
+	// Degraded counts the sweep's own store-failure fallbacks over a
+	// store that can degrade (see Options.Store): lease acquires that
+	// fell back to unleased recompute, and Puts whose failure was
+	// absorbed (result kept in the report, not persisted).
 	Degraded int
 	// Deferred and Reconciled mirror the resilient backend's journal
 	// traffic attributable to this sweep (deltas of its
@@ -300,73 +249,23 @@ func (r *Report) WriteTimingTable(w io.Writer) error {
 	return tw.Flush()
 }
 
-// ShardPlan previews one shard of a prospective sweep.
-type ShardPlan struct {
-	// Key is the shard's content address (zero without a store).
-	Key store.Key
-	// Cached reports the store already holds the shard's result — the
-	// sweep would serve it without computing.
-	Cached bool
-	// LeaseHolder is the owner label of a live claim on the shard, ""
-	// when unclaimed. It lets a scheduler route processes at disjoint
-	// shard ranges up front instead of discovering contention by
-	// polling. A racy peek by nature: the holder may finish, die, or be
-	// stolen from between Plan and Sweep, and the claim loop handles all
-	// three — the plan optimises placement, it never gates correctness.
-	LeaseHolder string
-}
-
-// Plan reports, per shard, whether the store already holds its result
-// (what a Sweep would skip) and who, if anyone, currently holds its
-// lease. Without a store every entry is zero-valued.
-func Plan(profiles []hwprofile.Profile, opts Options) ([]ShardPlan, error) {
-	plans := make([]ShardPlan, len(profiles))
-	if opts.Store == nil {
-		return plans, nil
-	}
-	if opts.Config == nil {
-		return nil, fmt.Errorf("fleet: store configured without a Config function")
-	}
-	// One Index call answers Cached for every shard — against a remote
-	// backend that is a single round trip instead of a HEAD per shard.
-	// (A remote backend's index can trail a peer's seconds-old write —
-	// a directory store's cannot; the sweep's own Get still catches it,
-	// so the plan errs only toward scheduling a shard that turns into a
-	// free hit.)
-	indexed := make(map[string]bool)
-	for _, e := range opts.Store.Index() {
-		indexed[e.Digest] = true
-	}
-	for i, p := range profiles {
-		k, err := store.ProfileKey(p, opts.Config(p))
-		if err != nil {
-			return nil, fmt.Errorf("fleet: key for %s/%d: %w", p.Key, p.Instance, err)
-		}
-		plans[i].Key = k
-		plans[i].Cached = indexed[k.Digest]
-		if plans[i].Cached {
-			// A cached shard resolves from the store regardless of
-			// claims; skipping the peek saves a round trip per shard on
-			// remote backends.
-			continue
-		}
-		if owner, held := opts.Store.LeaseHolder(k.Digest); held {
-			plans[i].LeaseHolder = owner
-		}
-	}
-	return plans, nil
-}
-
 // errAborted marks a shard abandoned because the sweep failed elsewhere
 // while this worker was waiting on a peer's claim: the shard is
 // unreached, not failed.
 var errAborted = errors.New("fleet: sweep aborted")
 
+// errParked marks a shard skipped on the sweep's first pass because a
+// live peer holds its claim; the second pass comes back to it.
+var errParked = errors.New("fleet: shard claimed by a live peer")
+
 // sweeper carries one Sweep invocation's shared state.
 type sweeper struct {
 	opts    Options
 	owner   string
-	degrade bool // resolved StoreErrors policy
+	degrade bool // the store can degrade (see Options.Store)
+
+	shards []Shard
+	spans  []*obs.Span // parked shards' open spans, by shard index
 
 	tracer  *obs.Tracer     // nil when tracing is off
 	rootCtx obs.SpanContext // the sweep root span's context
@@ -389,20 +288,11 @@ func (w *sweeper) shardSpan(sh *Shard, idx int) *obs.Span {
 	return span
 }
 
-// resolvePolicy turns StoreErrorsAuto into a concrete choice: degrade
-// exactly when the store advertises a local fallback tier.
-func resolvePolicy(p StoreErrorPolicy, b store.Backend) bool {
-	switch p {
-	case StoreErrorsDegrade:
-		return true
-	case StoreErrorsAbort:
-		return false
-	default:
-		if r, ok := b.(store.Resilient); ok {
-			return r.CanDegrade()
-		}
-		return false
-	}
+// canDegrade reports whether b has a local fallback tier that absorbs
+// store write and claim failures.
+func canDegrade(b store.Backend) bool {
+	r, ok := b.(store.Resilient)
+	return ok && r.CanDegrade()
 }
 
 // defaultOwner derives a lease owner id unique enough for a fleet:
@@ -444,7 +334,8 @@ func Sweep(profiles []hwprofile.Profile, opts Options) (*Report, error) {
 		return rep, nil
 	}
 
-	sw := &sweeper{opts: opts, owner: opts.Owner, tracer: opts.Tracer}
+	sw := &sweeper{opts: opts, owner: opts.Owner, degrade: canDegrade(opts.Store),
+		shards: rep.Shards, spans: make([]*obs.Span, len(profiles)), tracer: opts.Tracer}
 	if sw.owner == "" {
 		sw.owner = defaultOwner()
 	}
@@ -470,7 +361,6 @@ func Sweep(profiles []hwprofile.Profile, opts Options) (*Report, error) {
 	var before store.ResilienceStats
 	var replBefore store.ReplicationStats
 	if opts.Store != nil {
-		sw.degrade = resolvePolicy(opts.StoreErrors, opts.Store)
 		if r, ok := opts.Store.(store.Resilient); ok {
 			// Snapshot the backend's journal counters so the report can
 			// attribute this sweep's share of deferred/reconciled traffic
@@ -482,35 +372,16 @@ func Sweep(profiles []hwprofile.Profile, opts Options) (*Report, error) {
 		}
 	}
 
-	offset := shardOffset(profiles, opts)
-	rep.ShardOffset = offset
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < opts.replicas(len(profiles)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(profiles) || sw.failed.Load() {
-					return
-				}
-				idx := (i + offset) % len(profiles)
-				sh := &rep.Shards[idx]
-				if err := sw.runShard(sh, idx); err != nil {
-					if errors.Is(err, errAborted) {
-						return // unreached, not failed
-					}
-					sh.Err = err
-					sw.failed.Store(true)
-					return
-				}
-			}
-		}()
+	all := make([]int, len(profiles))
+	for i := range all {
+		all[i] = i
 	}
-	wg.Wait()
+	parked := sw.pass(all, sw.runShard)
+	slices.Sort(parked)
+	sw.pass(parked, sw.resume)
+	for _, idx := range parked {
+		sw.spans[idx].End() // a no-op unless an abort left the shard unresumed
+	}
 	rep.Hits = int(sw.hits.Load())
 	rep.Computed = int(sw.computed.Load())
 	rep.Claimed = int(sw.claimed.Load())
@@ -560,31 +431,45 @@ func Sweep(profiles []hwprofile.Profile, opts Options) (*Report, error) {
 	return rep, shardErr
 }
 
-// shardOffset resolves the starting index of a sweep's shard walk:
-// the explicit Options.ShardOffset normalised into [0, n), or — in
-// auto mode — the first shard the store shows as neither cached nor
-// claimed by a live peer. Auto failures (a degraded remote Index, a
-// key error) fall back to the explicit offset: scheduling is a hint,
-// never a gate.
-func shardOffset(profiles []hwprofile.Profile, opts Options) int {
-	n := len(profiles)
-	if n == 0 {
-		return 0
+// pass resolves the shards at idxs over the replica pool and returns
+// the ones resolve parked. Once a shard has failed, no further shard
+// starts.
+func (w *sweeper) pass(idxs []int, resolve func(*Shard, int) error) []int {
+	var (
+		next   atomic.Int64
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		parked []int
+	)
+	for range w.opts.replicas(len(idxs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(idxs) || w.failed.Load() {
+					return
+				}
+				idx := idxs[i]
+				err := resolve(&w.shards[idx], idx)
+				switch {
+				case err == nil:
+				case errors.Is(err, errParked):
+					mu.Lock()
+					parked = append(parked, idx)
+					mu.Unlock()
+				case errors.Is(err, errAborted):
+					return // unreached, not failed
+				default:
+					w.shards[idx].Err = err
+					w.failed.Store(true)
+					return
+				}
+			}
+		}()
 	}
-	offset := ((opts.ShardOffset % n) + n) % n
-	if !opts.AutoShardOffset || opts.Store == nil || n == 1 {
-		return offset
-	}
-	plans, err := Plan(profiles, opts)
-	if err != nil {
-		return offset
-	}
-	for i, p := range plans {
-		if !p.Cached && p.LeaseHolder == "" {
-			return i
-		}
-	}
-	return offset
+	wg.Wait()
+	return parked
 }
 
 // gcAtWatermark runs one size-bounded GC pass when the store's indexed
@@ -605,11 +490,18 @@ func gcAtWatermark(b store.Backend, watermark int64) (*store.GCStats, bool, erro
 	return &gs, true, nil
 }
 
-// runShard resolves one shard: store lookup, claim (in lease mode),
-// compute on miss, persist.
-func (w *sweeper) runShard(sh *Shard, idx int) error {
+// runShard resolves one shard on the first pass: store lookup, claim
+// (in lease mode), compute on miss, persist. A shard a live peer has
+// claimed is parked with its span still open.
+func (w *sweeper) runShard(sh *Shard, idx int) (err error) {
 	span := w.shardSpan(sh, idx)
-	defer span.End()
+	defer func() {
+		if errors.Is(err, errParked) {
+			w.spans[idx] = span
+		} else {
+			span.End()
+		}
+	}()
 	var cfg core.Config
 	if w.opts.Config != nil {
 		cfg = w.opts.Config(sh.Profile)
@@ -630,16 +522,24 @@ func (w *sweeper) runShard(sh *Shard, idx int) error {
 		}
 		span.Event("store.miss")
 		if w.opts.LeaseTTL > 0 {
-			return w.claimAndRun(sh, cfg, span)
+			return w.claimAndRun(sh, cfg, span, true)
 		}
 	}
 	return w.computeAndPersist(sh, cfg, nil, span)
 }
 
+// resume takes a parked shard back into the claim loop on the second
+// pass. It already missed the store once, so it skips the lookup.
+func (w *sweeper) resume(sh *Shard, idx int) error {
+	defer w.spans[idx].End()
+	return w.claimAndRun(sh, w.opts.Config(sh.Profile), w.spans[idx], false)
+}
+
 // claimAndRun is the cross-process loop: claim the shard's lease and
 // compute, or wait on a live peer's claim until its result lands in the
-// store, stealing the claim if the peer's lease expires first.
-func (w *sweeper) claimAndRun(sh *Shard, cfg core.Config, span *obs.Span) error {
+// store, stealing the claim if the peer's lease expires first. With park
+// set, a live peer's claim parks the shard instead of waiting on it.
+func (w *sweeper) claimAndRun(sh *Shard, cfg core.Config, span *obs.Span, park bool) error {
 	st := w.opts.Store
 	poll := w.opts.WaitPoll
 	if poll <= 0 {
@@ -682,6 +582,9 @@ func (w *sweeper) claimAndRun(sh *Shard, cfg core.Config, span *obs.Span) error 
 		// A live peer holds the claim: its result will appear in the
 		// store, or its lease will expire and the claim attempt above
 		// will steal. Either way the shard resolves.
+		if park {
+			return errParked
+		}
 		if !waitedHere {
 			waitedHere = true
 			span.Event("wait")

@@ -11,6 +11,7 @@ import (
 
 	"golatest/internal/core"
 	"golatest/internal/hwprofile"
+	"golatest/internal/obs"
 	"golatest/internal/store"
 )
 
@@ -113,20 +114,13 @@ func TestSweepResumesAfterFailure(t *testing.T) {
 		t.Fatalf("partial report: computed=%d shards=%+v", rep.Computed, rep.Shards)
 	}
 
-	// The plan shows exactly the completed prefix as cached.
-	plan, err := Plan(profiles, failing)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached := make([]bool, len(plan))
-	for i, sp := range plan {
-		cached[i] = sp.Cached
-		if sp.Key.Digest == "" {
-			t.Fatalf("plan shard %d has no content address", i)
-		}
+	// The store holds exactly the completed prefix.
+	cached := make([]bool, len(profiles))
+	for i, p := range profiles {
+		cached[i] = st.Has(mustProfileKey(t, p))
 	}
 	if want := []bool{true, true, false, false}; fmt.Sprint(cached) != fmt.Sprint(want) {
-		t.Fatalf("Plan = %v, want %v", cached, want)
+		t.Fatalf("stored shards = %v, want %v", cached, want)
 	}
 
 	// The healed re-run recomputes only the missing shards.
@@ -181,10 +175,6 @@ func TestSweepWithoutStore(t *testing.T) {
 	}
 	if calls.Load() != 2 || rep.Hits != 0 || rep.Computed != 2 {
 		t.Fatalf("calls=%d rep=%+v", calls.Load(), rep)
-	}
-	plan, err := Plan(testProfiles(2), opts)
-	if err != nil || plan[0].Cached || plan[1].Cached || plan[0].LeaseHolder != "" {
-		t.Fatalf("Plan without store: %v %v", plan, err)
 	}
 }
 
@@ -487,52 +477,6 @@ func TestSweepLeaseWarmIsAllHits(t *testing.T) {
 	}
 }
 
-// TestPlanReportsLeaseHolder: the plan exposes who holds each shard's
-// claim, so a scheduler can route processes at disjoint ranges up front.
-func TestPlanReportsLeaseHolder(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	profiles := testProfiles(3)
-	opts := Options{Store: st, Config: testConfig, Run: fakeRun(new(atomic.Int64))}
-
-	k0, err := store.ProfileKey(profiles[0], testConfig(profiles[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lease, ok, err := st.TryAcquire(k0.Digest, "peer-7", time.Minute)
-	if err != nil || !ok {
-		t.Fatalf("claim: ok=%v err=%v", ok, err)
-	}
-	// Shard 1 is cached; an *expired* claim on shard 2 must read as free.
-	if err := st.Put(mustProfileKey(t, profiles[1]), &core.Result{DeviceName: "cached"}); err != nil {
-		t.Fatal(err)
-	}
-	k2 := mustProfileKey(t, profiles[2])
-	if _, ok, err := st.TryAcquire(k2.Digest, "dead", time.Millisecond); err != nil || !ok {
-		t.Fatalf("dead claim: ok=%v err=%v", ok, err)
-	}
-	time.Sleep(10 * time.Millisecond)
-
-	plan, err := Plan(profiles, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan[0].LeaseHolder != "peer-7" || plan[0].Cached {
-		t.Fatalf("plan[0] = %+v, want live holder peer-7, uncached", plan[0])
-	}
-	if !plan[1].Cached || plan[1].LeaseHolder != "" {
-		t.Fatalf("plan[1] = %+v, want cached, unclaimed", plan[1])
-	}
-	if plan[2].LeaseHolder != "" {
-		t.Fatalf("plan[2] = %+v, an expired claim must read as free", plan[2])
-	}
-	if err := lease.Release(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func mustProfileKey(t *testing.T, p hwprofile.Profile) store.Key {
 	t.Helper()
 	k, err := store.ProfileKey(p, testConfig(p))
@@ -587,116 +531,89 @@ func TestSweepWatermarkGC(t *testing.T) {
 	}
 }
 
-// TestSweepShardOffsetRotation: an explicit offset changes only the
-// order shards are visited — every shard still resolves into its own
-// report slot, and negative/oversized offsets normalise into range.
-func TestSweepShardOffsetRotation(t *testing.T) {
+// claimWatch closes held the first time a claim finds its lease held by
+// a live peer.
+type claimWatch struct {
+	store.Backend
+	once sync.Once
+	held chan struct{}
+}
+
+func (c *claimWatch) TryAcquire(digest, owner string, ttl time.Duration) (store.LeaseHandle, bool, error) {
+	lease, ok, err := c.Backend.TryAcquire(digest, owner, ttl)
+	if err == nil && !ok {
+		c.once.Do(func() { close(c.held) })
+	}
+	return lease, ok, err
+}
+
+// TestSweepSkipsLiveClaims: a sweep that starts while a live peer
+// holds shard 0's claim computes the free shards first and comes back to
+// shard 0 after them, by when the peer's result has landed — no wait, no
+// steal, and still one span and one store miss per shard. Cooperating
+// processes split a sweep this way without being told how.
+func TestSweepSkipsLiveClaims(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiles := testProfiles(4)
+	profiles := testProfiles(3)
+	k0 := mustProfileKey(t, profiles[0])
+	lease, ok, err := st.TryAcquire(k0.Digest, "peer", time.Minute)
+	if err != nil || !ok {
+		t.Fatalf("peer claim: ok=%v err=%v", ok, err)
+	}
+	// The peer delivers shard 0 once the sweep has found its claim held,
+	// and every compute of the sweep's own returns only after that.
+	watch := &claimWatch{Backend: st, held: make(chan struct{})}
+	peerDone := make(chan struct{})
+	go func() {
+		defer close(peerDone)
+		select {
+		case <-watch.held:
+		case <-time.After(time.Second):
+		}
+		if err := st.Put(k0, &core.Result{DeviceName: "a100[0]"}); err != nil {
+			t.Error(err)
+		}
+		_ = lease.Release()
+	}()
 	var calls atomic.Int64
+	inner := fakeRun(&calls)
+	tr := obs.New(obs.Options{Seed: 7})
 	rep, err := Sweep(profiles, Options{
-		Replicas: 1, Store: st, Config: testConfig, Run: fakeRun(&calls),
-		ShardOffset: -3, // ≡ 1 mod 4
+		Store:  watch,
+		Config: testConfig,
+		Run: func(p hwprofile.Profile, cfg core.Config) (*core.Result, error) {
+			<-peerDone
+			return inner(p, cfg)
+		},
+		LeaseTTL: time.Minute,
+		Owner:    "sweeper",
+		WaitPoll: time.Millisecond,
+		Tracer:   tr,
 	})
+	<-peerDone
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ShardOffset != 1 {
-		t.Fatalf("ShardOffset = %d, want -3 normalised to 1", rep.ShardOffset)
+	if rep.Waited != 0 || rep.Stolen != 0 || rep.Hits != 1 || rep.Computed != 2 {
+		t.Fatalf("waited=%d stolen=%d hits=%d computed=%d, want 0/0/1/2",
+			rep.Waited, rep.Stolen, rep.Hits, rep.Computed)
 	}
-	if calls.Load() != 4 || rep.Computed != 4 {
-		t.Fatalf("calls=%d computed=%d, want all 4 shards computed", calls.Load(), rep.Computed)
+	if !rep.Shards[0].FromCache || rep.Shards[0].Result.DeviceName != "a100[0]" {
+		t.Fatalf("shard 0 not served from the peer's write: %+v", rep.Shards[0])
 	}
-	for i, sh := range rep.Shards {
-		if sh.Result == nil || sh.Profile.Instance != i {
-			t.Fatalf("shard %d misplaced or empty: %+v", i, sh)
+	if m := st.Counters().Misses; m != 3 {
+		t.Fatalf("store misses = %d, want 3 (one per shard)", m)
+	}
+	lanes := map[int]int{}
+	for _, sp := range tr.Snapshot() {
+		if sp.Name == "fleet.shard" {
+			lanes[sp.TID]++
 		}
-		if want := fmt.Sprintf("a100[%d]", i); sh.Result.DeviceName != want {
-			t.Fatalf("shard %d result = %q, want %q (rotation scrambled shard identity)",
-				i, sh.Result.DeviceName, want)
-		}
 	}
-}
-
-// TestAutoShardOffsetCutsContention is the lease-holder-aware
-// scheduling contract: a sweep that starts while a peer holds shard
-// 0's lease either piles onto that claim (naive order — it waits) or,
-// with AutoShardOffset, consults the plan and starts past the claimed
-// range, finding the peer's result already landed by the time it wraps
-// around — Waited and Stolen drop to zero.
-func TestAutoShardOffsetCutsContention(t *testing.T) {
-	sweepAgainstPeer := func(auto bool) *Report {
-		t.Helper()
-		st, err := store.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		profiles := testProfiles(3)
-		k0 := mustProfileKey(t, profiles[0])
-		lease, ok, err := st.TryAcquire(k0.Digest, "peer", time.Minute)
-		if err != nil || !ok {
-			t.Fatalf("peer claim: ok=%v err=%v", ok, err)
-		}
-		// The peer finishes its shard 40 ms in; the sweep's own shards
-		// take 50 ms each, so an offset sweep reaches shard 0 at ~100 ms
-		// — long after the peer's result landed — while a naive sweep
-		// hits the live claim immediately and must wait.
-		peerDone := make(chan struct{})
-		go func() {
-			defer close(peerDone)
-			time.Sleep(40 * time.Millisecond)
-			if err := st.Put(k0, &core.Result{DeviceName: "a100[0]"}); err != nil {
-				t.Error(err)
-			}
-			_ = lease.Release()
-		}()
-		var calls atomic.Int64
-		inner := fakeRun(&calls)
-		rep, err := Sweep(profiles, Options{
-			Replicas: 1,
-			Store:    st,
-			Config:   testConfig,
-			Run: func(p hwprofile.Profile, cfg core.Config) (*core.Result, error) {
-				time.Sleep(50 * time.Millisecond)
-				return inner(p, cfg)
-			},
-			LeaseTTL:        time.Minute,
-			Owner:           "sweeper",
-			WaitPoll:        time.Millisecond,
-			AutoShardOffset: auto,
-		})
-		<-peerDone
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, sh := range rep.Shards {
-			if sh.Result == nil {
-				t.Fatalf("shard %d unresolved", i)
-			}
-		}
-		return rep
-	}
-
-	naive := sweepAgainstPeer(false)
-	if naive.ShardOffset != 0 {
-		t.Fatalf("naive ShardOffset = %d, want 0", naive.ShardOffset)
-	}
-	if naive.Waited == 0 {
-		t.Fatal("naive order never waited on the peer's claim; the baseline shows no contention to cut")
-	}
-
-	auto := sweepAgainstPeer(true)
-	if auto.ShardOffset != 1 {
-		t.Fatalf("auto ShardOffset = %d, want 1 (first unclaimed, uncached shard)", auto.ShardOffset)
-	}
-	if auto.Waited != 0 || auto.Stolen != 0 {
-		t.Fatalf("auto-offset sweep still contended: waited=%d stolen=%d (naive waited=%d)",
-			auto.Waited, auto.Stolen, naive.Waited)
-	}
-	if auto.Hits != 1 || auto.Computed != 2 {
-		t.Fatalf("auto sweep: hits=%d computed=%d, want the peer's shard served as a hit", auto.Hits, auto.Computed)
+	if len(lanes) != 3 || lanes[1] != 1 || lanes[2] != 1 || lanes[3] != 1 {
+		t.Fatalf("fleet.shard spans per lane = %v, want one in each of lanes 1-3", lanes)
 	}
 }

@@ -188,56 +188,3 @@ func TestCrossHostLeaseStealAfterCrash(t *testing.T) {
 		t.Fatalf("Stolen = %d, want 1 (the crashed host's claim)", rep.Stolen)
 	}
 }
-
-// TestCrossHostPlanSeesRemoteState: fleet.Plan through a network
-// backend reports both cached shards and live remote claim holders —
-// the scheduler's cross-host routing input.
-func TestCrossHostPlanSeesRemoteState(t *testing.T) {
-	backing, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewServer(backing))
-	defer srv.Close()
-
-	profiles := hostProfiles(3)
-	k0, err := store.ProfileKey(profiles[0], hostConfig(profiles[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	k1, err := store.ProfileKey(profiles[1], hostConfig(profiles[1]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := backing.Put(k1, &core.Result{DeviceName: "cached"}); err != nil {
-		t.Fatal(err)
-	}
-	peer, err := NewClient(srv.URL, ClientOptions{RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lease, ok, err := peer.TryAcquire(k0.Digest, "peer-host", time.Minute)
-	if err != nil || !ok {
-		t.Fatalf("peer claim: ok=%v err=%v", ok, err)
-	}
-	defer lease.Release()
-
-	planner, err := NewClient(srv.URL, ClientOptions{RetryBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := fleet.Plan(profiles, fleet.Options{Store: planner, Config: hostConfig,
-		Run: func(hwprofile.Profile, core.Config) (*core.Result, error) { return nil, nil }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan[0].LeaseHolder != "peer-host" || plan[0].Cached {
-		t.Fatalf("plan[0] = %+v, want remote holder peer-host, uncached", plan[0])
-	}
-	if !plan[1].Cached || plan[1].LeaseHolder != "" {
-		t.Fatalf("plan[1] = %+v, want cached, unclaimed", plan[1])
-	}
-	if plan[2].Cached || plan[2].LeaseHolder != "" {
-		t.Fatalf("plan[2] = %+v, want free", plan[2])
-	}
-}

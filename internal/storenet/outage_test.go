@@ -87,8 +87,8 @@ func TestSweepSurvivesStoredOutage(t *testing.T) {
 		LeaseTTL: time.Minute,
 		Owner:    "outage-host",
 		WaitPoll: 2 * time.Millisecond,
-		// Leave StoreErrors at auto: the tiered client advertises
-		// CanDegrade, so the policy must resolve to degrade on its own.
+		// The tiered client advertises CanDegrade, so the sweep must
+		// degrade on its own.
 	})
 	if err != nil {
 		t.Fatalf("sweep failed instead of degrading: %v", err)
@@ -217,43 +217,4 @@ func tracedPuts(s *Server, traceID string) int {
 		}
 	}
 	return count
-}
-
-// TestSweepAbortPolicyStillAborts pins the pre-resilience contract for
-// callers that ask for it: with StoreErrors=abort, a mid-sweep daemon
-// death fails the sweep instead of degrading.
-func TestSweepAbortPolicyStillAborts(t *testing.T) {
-	backing, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faults.NewInjector(NewServer(backing), faults.Plan{})
-	srv := httptest.NewServer(inj)
-	defer srv.Close()
-
-	cache, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := NewClient(srv.URL, ClientOptions{
-		Cache: cache, Retries: 1, RetryBackoff: time.Millisecond,
-		BreakerThreshold: 1, BreakerCooldown: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj.Kill()
-	_, err = fleet.Sweep(hostProfiles(2), fleet.Options{
-		Store:  client,
-		Config: hostConfig,
-		Run: func(p hwprofile.Profile, cfg core.Config) (*core.Result, error) {
-			return &core.Result{DeviceName: "x"}, nil
-		},
-		LeaseTTL:    time.Minute,
-		WaitPoll:    time.Millisecond,
-		StoreErrors: fleet.StoreErrorsAbort,
-	})
-	if err == nil {
-		t.Fatal("abort policy completed through a dead daemon")
-	}
 }

@@ -123,8 +123,8 @@ func TestChaosSweepSurvivesMemberKill(t *testing.T) {
 		LeaseTTL: time.Minute,
 		Owner:    "chaos-host",
 		WaitPoll: 2 * time.Millisecond,
-		// StoreErrors stays auto: the router advertises CanDegrade, so
-		// the policy must resolve to degrade on its own.
+		// The router advertises CanDegrade, so the sweep must degrade on
+		// its own.
 	})
 	if err != nil {
 		t.Fatalf("sweep failed instead of riding its replicas: %v", err)

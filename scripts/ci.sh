@@ -19,9 +19,8 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
-echo "== go build cmd/stored + cmd/storedsup =="
+echo "== go build cmd/stored =="
 go build -o /dev/null ./cmd/stored
-go build -o /dev/null ./cmd/storedsup
 
 echo "== go test =="
 go test ./...
@@ -39,12 +38,14 @@ fi
 go vet ./internal/obs/...
 
 echo "== sweep partition tests (-count 5) =="
-# Each shard must be written exactly once across processes and hosts. A
-# lease race shows up only in some interleavings, so one lucky pass
-# proves little: run the partition tests five times each.
+# Each shard must be written exactly once across processes and hosts,
+# and a sweep must skip the shards live peers hold until its own are
+# done. A lease race shows up only in some interleavings, so one lucky
+# pass proves little: run the partition tests five times each.
 go test -count 5 -run 'TestCrossProcessSweepPartition|TestCrossHostSweepPartition' ./cmd/experiments
 go test -count 5 -run 'TestCrossHostSweepPartition' ./internal/storenet
 go test -count 5 -run 'TestCampaignLeasePartition|TestFleetLeasePartition' ./internal/experiments
+go test -count 5 -run 'TestSweepLeasePartition|TestSweepSkipsLiveClaims' ./internal/fleet
 
 echo "== go test -race (store, fleet, storenet) =="
 go test -race ./internal/obs/... ./internal/store/... ./internal/fleet/... ./internal/storenet/... ./cmd/stored/...
@@ -87,15 +88,13 @@ go test -race -count 2 \
 	./internal/store ./internal/storenet
 go test -race -run 'TestDaemonAuthTokens|TestDaemonTLS|TestDaemonProbesSurviveAuthAndDrain|TestDaemonTokenReloadOnSIGHUP' ./cmd/stored
 
-echo "== go test -race (replicated router + supervisor + token validity) =="
+echo "== go test -race (replicated router + token validity) =="
 # The router package races in full: ring placement, failover reads,
 # read-repair, scrub passes, the three conformance harnesses
 # and the mid-sweep member-kill chaos test all exercise the same shared
-# counters from many goroutines. The supervisor races its probe loop
-# against a real crashing stored child. Token validity windows race the
+# counters from many goroutines. Token validity windows race the
 # SIGHUP rotation path.
 go test -race -count 2 ./internal/storenet/router
-go test -race ./cmd/storedsup
 go test -race -count 2 -run 'TestParseTokensValidityWindows|TestTokenValidityWindow401' ./internal/storenet
 go test -race -run 'TestDaemonTokenExpiry' ./cmd/stored
 
