@@ -57,8 +57,13 @@ type Config struct {
 
 	// Blocks bounds how many SM-resident blocks are simulated and
 	// analysed per kernel. Zero means all SMs, the methodology's full
-	// shape; campaigns use a subset for tractability since per-SM
-	// populations are statistically identical (documented substitution).
+	// shape; campaigns use a subset for tractability. Per-SM iteration
+	// populations are statistically identical, but the latency verdict
+	// is a maximum over SMs, and more SMs give more stragglers whose
+	// first in-band iteration jitter delays by whole periods. So a
+	// subset understates the up-switch latency the paper's method would
+	// report at full width; ROADMAP.md's open item "The paper's
+	// estimator drifts with SM count" gives the measured drift.
 	Blocks int
 
 	// IterTargetNs is the nominal iteration duration at the slower clock

@@ -344,11 +344,16 @@ func (d *Device) materialize(k *Kernel) {
 // into the kernel's sample matrix (every iteration) or stream into its
 // sink (from the first iteration the sink asks for).
 //
-// Every iteration draws its jitter and advances host time whether or not
-// it is delivered, so the block's timing and the random stream never
-// depend on what the consumer reads. Each delivered boundary is
-// converted to device time once: the end of iteration i is the start of
-// i+1.
+// Iterations before the sink's first wanted one are not delivered, and
+// past the wake window, within one cached segment, they elapse in chunks:
+// n iterations of nominal duration μ (SM speed and clamp included) take
+// roundNs(μ·(n + σ·√n·Z)) for one standard normal Z from the SM's
+// stream. A sum of iid normals is normal, so the chunk matches the
+// per-iteration sum in distribution; chunkIters keeps it clear of the
+// segment's end. A device whose IterJitterSigma exceeds 0.05 never
+// chunks, as the 0.5 jitter clamp would sit within 10σ. Every other
+// iteration draws its own jitter. Each delivered boundary is converted
+// to device time once: the end of iteration i is the start of i+1.
 //
 // Past the wake window the loop caches the current timeline segment's
 // end and cycles-per-ns rate, and an iteration that finishes inside it
@@ -373,12 +378,8 @@ func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand) i
 	// wakeEnd <= t < segEnd; the timeline and clamp are fixed while a
 	// kernel materialises.
 	segEnd, rate := int64(math.MinInt64), 0.0
+	sigma := d.cfg.IterJitterSigma
 	for i := 0; i < iters; i++ {
-		jitter := r.Normal(1, d.cfg.IterJitterSigma)
-		if jitter < 0.5 {
-			jitter = 0.5 // guard the pathological tail; keeps time positive
-		}
-		cycles := k.spec.CyclesPerIter * jitter
 		if t >= wakeEnd && t >= segEnd {
 			var f float64
 			f, segEnd = cur.freqAt(t)
@@ -387,6 +388,19 @@ func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand) i
 			}
 			rate = f * speed / 1000
 		}
+		if i < from && t >= wakeEnd && sigma <= 0.05 {
+			mu := k.spec.CyclesPerIter / rate
+			if n := chunkIters(from-i, t, segEnd, mu, sigma); n > 0 {
+				t += roundNs(mu * (float64(n) + sigma*math.Sqrt(float64(n))*r.Normal(0, 1)))
+				i += n - 1
+				continue
+			}
+		}
+		jitter := r.Normal(1, sigma)
+		if jitter < 0.5 {
+			jitter = 0.5 // guard the pathological tail; keeps time positive
+		}
+		cycles := k.spec.CyclesPerIter * jitter
 		var dur int64
 		if t >= wakeEnd && (segEnd == math.MaxInt64 || cycles <= float64(segEnd-t)*rate) {
 			dur = roundNs(cycles / rate)
@@ -446,6 +460,23 @@ func (d *Device) integrate(t int64, cycles, speed float64, wakeEnd int64, cur *c
 		t = segEnd
 	}
 	return roundNs(elapsed)
+}
+
+// chunkIters returns how many of the next n undelivered iterations, each
+// of nominal duration mu ns, elapse as one chunk starting at t: the most
+// whose nominal end lies at least 10σ√n·mu + mu before segEnd, so even a
+// 10σ draw leaves the next iteration at least mu inside the segment.
+// Solving mu·n + 10σ√n·mu + mu <= segEnd − t for √n gives the bound;
+// 0 means not even one iteration fits.
+func chunkIters(n int, t, segEnd int64, mu, sigma float64) int {
+	if segEnd == math.MaxInt64 {
+		return n
+	}
+	x := math.Sqrt(25*sigma*sigma+float64(segEnd-t)/mu-1) - 5*sigma
+	if !(x >= 1) {
+		return 0 // also when x is NaN
+	}
+	return min(n, int(x*x))
 }
 
 // roundNs rounds an iteration's elapsed host time to whole nanoseconds,

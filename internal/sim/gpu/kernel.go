@@ -14,8 +14,9 @@ type KernelSpec struct {
 	CyclesPerIter float64
 	// Blocks is the number of SM-resident blocks to simulate and record.
 	// Zero means one block per SM (the methodology's full-load shape).
-	// Smaller values keep huge campaigns cheap while remaining faithful:
-	// per-SM populations are statistically identical.
+	// Smaller values keep huge campaigns cheap. Per-SM populations are
+	// statistically identical, but a statistic over SMs (such as core's
+	// maximum-over-SMs verdict) can depend on how many there are.
 	Blocks int
 }
 

@@ -16,10 +16,13 @@ import (
 //
 // A sink says what it consumes: BlockStart returns the first iteration
 // it wants, and the device delivers only iterations from there on. The
-// skipped iterations are still simulated — their execution noise is
-// drawn and their time elapses — so the block's timing and the device's
-// random stream are exactly those of a fully delivered kernel; only the
-// device-timestamp conversion and delivery are skipped.
+// skipped iterations still elapse, with the same distribution as
+// delivered ones, but past the wake window they are not drawn one by
+// one: each clock segment's share of them takes one normal draw (see
+// runSM). So a block's end time and delivered samples are reproducible
+// per seed and equal in distribution, not in bits, to those of a fully
+// delivered kernel. A sink that wants every iteration gets the
+// materialised kernel's trace exactly.
 type SampleSink interface {
 	// BlockStart announces that block will execute iters iterations and
 	// returns the first iteration the sink wants delivered, in [0, iters].
@@ -72,7 +75,8 @@ func (s *MomentSink) ExcessKurtosis() float64 { return s.total.ExcessKurtosis() 
 // over that block's trailing iterations (in ms), and nothing else. The
 // tail window of a block with n iterations covers its last
 // min(tailCap, n − n/2) iterations — the "last 100, at most the trailing
-// half" rule of the warm-up check — so the device delivers only those.
+// half" rule of the warm-up check — so the device delivers only those,
+// and the iterations before them elapse in one draw per clock segment.
 //
 // A TailSink is reusable: Reset clears it for the next kernel while
 // keeping the per-block slice allocation.

@@ -7,11 +7,12 @@ import (
 	"golatest/internal/stats"
 )
 
-// TestStreamStatsMatchesMaterialised pins the core equivalence of the
-// streaming path: the same kernel on an identically seeded device must
-// yield the statistics of its materialised trace whether it streams
-// through the phase-1 MomentSink or the warm-up TailSink, and the same
-// kernel timing either way.
+// TestStreamStatsMatchesMaterialised pins the streaming path's
+// statistics. The phase-1 MomentSink reads every iteration, so its
+// kernel is bit-identical to the materialised one, timing and moments
+// alike. The warm-up TailSink skips each block's prefix, which elapses
+// in chunks, so its window is checked against a recording sink over the
+// "last 100, at most trailing half" window on the same seed.
 func TestStreamStatsMatchesMaterialised(t *testing.T) {
 	spec := KernelSpec{Iters: 400, CyclesPerIter: 90_000, Blocks: 3}
 	launch := func(sink SampleSink) *Kernel {
@@ -27,13 +28,8 @@ func TestStreamStatsMatchesMaterialised(t *testing.T) {
 	km := launch(nil)
 	moments := new(MomentSink)
 	kMoments := launch(moments)
-	tails := NewTailSink(100)
-	kTails := launch(tails)
-
-	for _, k := range []*Kernel{kMoments, kTails} {
-		if km.StartNs() != k.StartNs() || km.EndNs() != k.EndNs() {
-			t.Fatal("sink kernel timing diverged from materialised kernel")
-		}
+	if km.StartNs() != kMoments.StartNs() || km.EndNs() != kMoments.EndNs() {
+		t.Fatal("moment sink kernel timing diverged from materialised kernel")
 	}
 
 	durs := km.DurationsMs()
@@ -52,22 +48,22 @@ func TestStreamStatsMatchesMaterialised(t *testing.T) {
 		t.Fatalf("kurtosis %v, want %v", g2, want)
 	}
 
-	// Per-block tails must match the "last 100, at most trailing half"
-	// window applied to the materialised trace.
-	blocks := km.Samples()
-	if tails.NumBlocks() != len(blocks) {
-		t.Fatalf("sink blocks = %d, want %d", tails.NumBlocks(), len(blocks))
+	tails := NewTailSink(100)
+	kTails := launch(tails)
+	rec := &recordingSink{t: t, from: func(_, iters int) int { return max(iters-100, iters/2) }}
+	kRec := launch(rec)
+	if kTails.StartNs() != kRec.StartNs() || kTails.EndNs() != kRec.EndNs() {
+		t.Fatal("same-seed tail kernels diverged in timing")
 	}
-	for b, block := range blocks {
-		tailStart := len(block) - 100
-		if tailStart < len(block)/2 {
-			tailStart = len(block) / 2
-		}
+	if tails.NumBlocks() != len(rec.got) {
+		t.Fatalf("sink blocks = %d, want %d", tails.NumBlocks(), len(rec.got))
+	}
+	for b, block := range rec.got {
 		var acc stats.Accumulator
-		for _, it := range block[tailStart:] {
+		for _, it := range block {
 			acc.Add(float64(it.DurNs()) / 1e6)
 		}
-		if acc.MeanStd() != tails.BlockTail(b) {
+		if acc.N() != 100 || acc.MeanStd() != tails.BlockTail(b) {
 			t.Fatalf("block %d tail diverged: %+v vs %+v", b, tails.BlockTail(b), acc.MeanStd())
 		}
 	}
@@ -99,53 +95,106 @@ func (s *recordingSink) Sample(block, iter int, smp IterSample) {
 
 func (s *recordingSink) BlockEnd(block int) {}
 
-// TestSinkDeliversFromBlockStart checks the sink contract: no Sample
-// arrives before the iteration BlockStart returned, every later one
-// arrives in order, and each delivered sample is the materialised
-// trace's — on a kernel that starts in the wake window and crosses a
-// ramped transition, with the first wanted iteration inside, after and
-// at both ends of those.
-func TestSinkDeliversFromBlockStart(t *testing.T) {
+// wakeRampConfig and runWakeRamp build the kernel shape that exercises
+// every path of runSM: it starts in the wake window, and a ramped clock
+// change lands mid-kernel, on a device clock with offset and drift.
+func wakeRampConfig() Config {
 	cfg := testConfig()
 	cfg.WakeDelayNs = 3_000_000
 	cfg.RampSteps = 2
 	cfg.ClockOffsetNs = -5_000_000
 	cfg.ClockDriftPPM = 3
+	return cfg
+}
+
+func runWakeRamp(t *testing.T, cfg Config, spec KernelSpec, sink SampleSink) *Kernel {
+	t.Helper()
+	dev, clk := newTestDevice(t, cfg)
+	k, err := dev.LaunchWithSink(spec, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(6_000_000)
+	if _, err := dev.SetFrequency(600); err != nil {
+		t.Fatal(err)
+	}
+	dev.Synchronize()
+	return k
+}
+
+// TestSinkDeliversFromBlockStart checks the sink contract: no Sample
+// arrives before the iteration BlockStart returned, every later one
+// arrives in order, and the same seed delivers the same samples and
+// kernel end — on a kernel that starts in the wake window and crosses a
+// ramped transition, with the first wanted iteration inside, after and
+// at both ends of those. A block that wants every iteration is the
+// materialised trace's, bit for bit.
+func TestSinkDeliversFromBlockStart(t *testing.T) {
+	cfg := wakeRampConfig()
 	spec := KernelSpec{Iters: 300, CyclesPerIter: 120_000, Blocks: 4}
-	run := func(sink SampleSink) *Kernel {
-		t.Helper()
-		dev, clk := newTestDevice(t, cfg)
-		k, err := dev.LaunchWithSink(spec, sink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clk.Advance(6_000_000)
-		if _, err := dev.SetFrequency(600); err != nil {
-			t.Fatal(err)
-		}
-		dev.Synchronize()
-		return k
-	}
-	ref := run(nil)
+	ref := runWakeRamp(t, cfg, spec, nil)
 	froms := []int{0, 5, 150, spec.Iters}
-	sink := &recordingSink{t: t, from: func(block, iters int) int { return froms[block] }}
-	k := run(sink)
-	if k.EndNs() != ref.EndNs() {
-		t.Fatalf("kernel end %d, want %d", k.EndNs(), ref.EndNs())
+	record := func() (*Kernel, *recordingSink) {
+		sink := &recordingSink{t: t, from: func(block, iters int) int { return froms[block] }}
+		return runWakeRamp(t, cfg, spec, sink), sink
 	}
-	for b, block := range ref.Samples() {
-		if sink.want[b] != len(block) {
-			t.Fatalf("block %d: delivery stopped at %d of %d", b, sink.want[b], len(block))
+	k, sink := record()
+	k2, sink2 := record()
+	if k.EndNs() != k2.EndNs() {
+		t.Fatalf("same seed: kernel end %d, then %d", k.EndNs(), k2.EndNs())
+	}
+	for b := range froms {
+		if sink.want[b] != spec.Iters {
+			t.Fatalf("block %d: delivery stopped at %d of %d", b, sink.want[b], spec.Iters)
 		}
-		want := block[froms[b]:]
-		if len(sink.got[b]) != len(want) {
-			t.Fatalf("block %d: %d samples, want %d", b, len(sink.got[b]), len(want))
+		if len(sink.got[b]) != spec.Iters-froms[b] {
+			t.Fatalf("block %d: %d samples, want %d", b, len(sink.got[b]), spec.Iters-froms[b])
 		}
-		for i := range want {
-			if sink.got[b][i] != want[i] {
-				t.Fatalf("block %d iteration %d: %+v, want %+v", b, froms[b]+i, sink.got[b][i], want[i])
+		for i, s := range sink.got[b] {
+			if s != sink2.got[b][i] {
+				t.Fatalf("same seed, block %d iteration %d: %+v, then %+v", b, froms[b]+i, s, sink2.got[b][i])
 			}
 		}
+	}
+	for i, want := range ref.Samples()[0] {
+		if sink.got[0][i] != want {
+			t.Fatalf("block 0 iteration %d: %+v, want %+v", i, sink.got[0][i], want)
+		}
+	}
+}
+
+// TestSkippedPrefixMatchesInDistribution checks that skipped iterations
+// elapse with the distribution of delivered ones. Over many device seeds
+// of the wake-window + ramp kernel, a one-block kernel whose sink skips
+// every iteration must end when the materialised one does: the mean
+// paired difference within 4 standard errors and the end-time variance
+// ratio within [0.8, 1.25]. The seeds vary the SM speed, which dominates
+// the spread, so a chunk that ignores it, overruns a clock boundary, or
+// scales its noise by n instead of √n fails.
+func TestSkippedPrefixMatchesInDistribution(t *testing.T) {
+	const seeds = 2000
+	spec := KernelSpec{Iters: 300, CyclesPerIter: 120_000, Blocks: 1}
+	end := func(seed uint64, sink SampleSink) float64 {
+		cfg := wakeRampConfig()
+		cfg.Seed = seed
+		k := runWakeRamp(t, cfg, spec, sink)
+		return float64(k.EndNs() - k.StartNs())
+	}
+	var full, skip, diff stats.Accumulator
+	for seed := uint64(1); seed <= seeds; seed++ {
+		a := end(seed, nil)
+		b := end(seed, &recordingSink{t: t, from: func(_, iters int) int { return iters }})
+		full.Add(a)
+		skip.Add(b)
+		diff.Add(b - a)
+	}
+	d := diff.MeanStd()
+	if se := d.Std / math.Sqrt(float64(d.N)); math.Abs(d.Mean) > 4*se {
+		t.Errorf("mean end-time difference %.1f ns exceeds 4 standard errors (%.1f ns)", d.Mean, 4*se)
+	}
+	ratio := math.Pow(skip.MeanStd().Std/full.MeanStd().Std, 2)
+	if ratio < 0.8 || ratio > 1.25 {
+		t.Errorf("end-time variance ratio %.3f outside [0.8, 1.25]", ratio)
 	}
 }
 

@@ -266,15 +266,15 @@ func TestV3GoldenBytes(t *testing.T) {
 		rawBytes int64
 		bodySHA  string
 	}{
-		"clusters":         {2056, "d1ba3701e3e22b4c3e3b2680df2d2189c857d1c6bc92b2501b20a9a3aed01523"},
-		"codec-fixture":    {203759, "1cd152af8b9f851297aede17158f5dfc0533a8357ccfc836076badd8cc042756"},
-		"empty-slices":     {274, "04bbcc1e3066657873885b0f4d87f5dd2f270b44cde7f3700af3f71f64c8f756"},
-		"float-switches":   {1354, "791c711fee529f8564cd019ec5d0cabdd4d13b31c638f49c4287bcfcf2ac940b"},
-		"measurements":     {1334, "30fb01a056fe850a76ffff81af7e506c4ced6d7e8619381725e37daecbcbaad2"},
-		"nil-pair-element": {686, "3419a1b1d2bf97a17a98ddf9d10f93fb00e2dae060dcea8592dd1c85b3e986c8"},
-		"strings":          {874, "95ec3da1c39ecfd474f7f18fe8fa3ef070c112a908864c6e1c640ca5c16cafd8"},
-		"test-fixture":     {2522, "31d87275a2b94ca283347b0da6cda2976b2eaf229c8796be3229071ca49bc970"},
-		"zero":             {176, "6c06819984df98331c75886f253fcc5167dae76a1ea4d573a732944021c0abe2"},
+		"clusters":         {2056, "d06723047b9243c41292776e9a3b9bfd15ce6d8beca409f9ebf84f61fdae698b"},
+		"codec-fixture":    {203759, "c41b5bf42dcb50f6986ce5b7b1be255b3cbd3229762849608ffb51467825026a"},
+		"empty-slices":     {274, "c24c343444f49d8a40b8ad6c7d840e2d94fbb8598a65be349e197542fd3a4328"},
+		"float-switches":   {1354, "4f6cc0c2d4023ff069a6630e9e5d2504a9a7060c18ba81cc1e1c247447e68e8a"},
+		"measurements":     {1334, "95f9feabaca779d69fa645bba8f16d81a708258024d2e112e1e307838fe444bc"},
+		"nil-pair-element": {686, "dca9566f3fcaf1dad4af89fd27da65afc3800aa19075f278a40f3facd9f54526"},
+		"strings":          {874, "c7d65a4b15c52575ca35686ffd483dd8c1a3beb6e79d737c1293012e828a438c"},
+		"test-fixture":     {2522, "ee9a8e03e50fdb046219ad02c79ae79d6b794aa62388267771737794511ec1e2"},
+		"zero":             {176, "fdb3a7351b41737e8b2ab253ee9be73315937e865832c467a574dac6b672d12b"},
 	}
 	fixtures := adversarialResults()
 	if len(fixtures) != len(golden) {

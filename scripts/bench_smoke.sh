@@ -52,6 +52,11 @@ $(go test -run '^$' -bench 'BenchmarkDirectWarmGet|BenchmarkRouterWarmGet|Benchm
 # stay at effectively zero for tracing-off runs to be free.
 raw="$raw
 $(go test -run '^$' -bench 'BenchmarkSpanEvent|BenchmarkStartSpan' -benchtime 100x -benchmem ./internal/obs)"
+# Simulator cost: a streamed warm-up kernel per kernel (its skipped
+# prefix elapses in one draw per clock segment) and the per-iteration
+# loop of a materialised kernel, which simulates every iteration.
+raw="$raw
+$(go test -run '^$' -bench 'BenchmarkWarmKernel(Streamed|Materialised)$' -benchtime 200x -benchmem ./internal/sim/gpu)"
 printf '%s\n' "$raw"
 
 # Real-blob compression ratio: TestBlobCompressionRatio persists one
@@ -75,9 +80,14 @@ printf '%s\n' "$raw" | awk -v cores="$(nproc 2>/dev/null || echo 1)" -v blob_rat
 /^Benchmark/ {
 	name = $1
 	sub(/-[0-9]+$/, "", name)
-	ns[name] = $3
-	bytes[name] = $5
-	allocs[name] = $7
+	# Each value precedes its unit; a custom metric such as ns/iter
+	# shifts the B/op and allocs/op columns.
+	for (i = 3; i < NF; i++) {
+		if ($(i+1) == "ns/op") ns[name] = $i
+		if ($(i+1) == "B/op") bytes[name] = $i
+		if ($(i+1) == "allocs/op") allocs[name] = $i
+		if ($(i+1) == "ns/iter") nsiter[name] = $i
+	}
 	order[n++] = name
 }
 END {
@@ -170,6 +180,12 @@ END {
 	span_off = ns["BenchmarkSpanEventDisabled"]
 	if (ns["BenchmarkSpanEvent"] > 0)
 		printf ",\n  \"obs_disabled_overhead_ns\": %d", span_off
+	# Simulator: host ns per streamed warm-up kernel (4 blocks of 2000
+	# iterations) and per iteration of the materialised loop.
+	if (ns["BenchmarkWarmKernelStreamed"] > 0)
+		printf ",\n  \"sim_warm_kernel_ns\": %d", ns["BenchmarkWarmKernelStreamed"]
+	if (nsiter["BenchmarkWarmKernelMaterialised"] > 0)
+		printf ",\n  \"sim_ns_per_iter\": %.2f", nsiter["BenchmarkWarmKernelMaterialised"]
 	# Daemon request latency under the concurrent authed load test:
 	# histogram-bucket upper-bound estimates (biased high by at most one
 	# bucket), from the same /metrics series operators scrape.
