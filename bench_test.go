@@ -34,8 +34,8 @@ func freshSuite(i int) *experiments.Suite {
 
 // campaignSweepConfig is the shared configuration of the campaign-sweep
 // benchmarks: a five-clock A100 sweep (20 ordered pairs) sized so one
-// iteration runs in seconds, differing only in sweep parallelism.
-func campaignSweepConfig(parallelism int) Config {
+// iteration runs in seconds.
+func campaignSweepConfig() Config {
 	return Config{
 		Frequencies:      []float64{705, 885, 1065, 1215, 1410},
 		Blocks:           3,
@@ -44,12 +44,14 @@ func campaignSweepConfig(parallelism int) Config {
 		RSECheckEvery:    6,
 		MaxLatencyHintNs: 120_000_000,
 		Seed:             17,
-		Parallelism:      parallelism,
 	}
 }
 
-func benchmarkCampaignSweep(b *testing.B, parallelism int) {
-	b.Helper()
+// BenchmarkCampaignSweep runs the full campaign, its pairs fanned out
+// over the measurement-step pool. Results are bit-for-bit identical at
+// every GOMAXPROCS, so running it at -cpu 1,N measures the sweep's
+// parallel speedup.
+func BenchmarkCampaignSweep(b *testing.B) {
 	p, err := ProfileByKey("a100")
 	if err != nil {
 		b.Fatal(err)
@@ -57,7 +59,7 @@ func benchmarkCampaignSweep(b *testing.B, parallelism int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(p, campaignSweepConfig(parallelism))
+		res, err := Run(p, campaignSweepConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,14 +68,6 @@ func benchmarkCampaignSweep(b *testing.B, parallelism int) {
 		}
 	}
 }
-
-// BenchmarkCampaignSweepSerial runs the full campaign with a serial pair
-// sweep — the baseline the parallel engine is measured against.
-func BenchmarkCampaignSweepSerial(b *testing.B) { benchmarkCampaignSweep(b, 1) }
-
-// BenchmarkCampaignSweepParallel runs the identical campaign (bit-for-bit
-// identical results) with one sweep worker per CPU.
-func BenchmarkCampaignSweepParallel(b *testing.B) { benchmarkCampaignSweep(b, 0) }
 
 // BenchmarkPhase1Warmup isolates the phase-1 characterisation whose warm
 // kernels stream through Welford sinks instead of materialising
@@ -88,7 +82,7 @@ func BenchmarkPhase1Warmup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := dev.NewRunner(campaignSweepConfig(1))
+	r, err := dev.NewRunner(campaignSweepConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

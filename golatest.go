@@ -33,19 +33,21 @@
 //
 // # Concurrency model
 //
-// A campaign's pair sweep is parallel: Run fans the valid pairs out over
-// Config.Parallelism workers (default: one per CPU). Each pair's
-// phase-2/3 campaign executes on an independent device replica — a fresh
-// instance of the same hardware profile on its own virtual clock, with
-// its simulator seed derived deterministically from the device seed and
-// the (init, target) pair. Replicas share no mutable state, so the sweep
-// scales with cores, and because each pair's entire random future is a
-// function of (seed, pair) alone, campaign results are bit-for-bit
-// identical at every parallelism level — including Parallelism=1 — and
-// independent of worker scheduling. Phase 1 and the capture-bound probe
-// run on the primary device before the sweep; within one device, kernels
-// and the virtual clock remain single-threaded, mirroring the one host
-// thread that drives the real benchmark.
+// A process computes on one pool of GOMAXPROCS measurement-step slots.
+// Phase 1, the capture-bound probe, and each pair's phase-2/3 campaign
+// each hold one slot while they run, so concurrent campaigns share the
+// cores instead of each fanning out on its own. Run holds no slot: it
+// runs phase 1 and the probe on the primary device, then fans the valid
+// pairs out, one goroutine each. Each pair executes on an independent
+// device replica — a fresh instance of the same hardware profile on its
+// own virtual clock, with its simulator seed derived deterministically
+// from the device seed and the (init, target) pair. Replicas share no
+// mutable state, so the sweep scales with cores, and because each pair's
+// entire random future is a function of (seed, pair) alone, campaign
+// results are bit-for-bit identical at any GOMAXPROCS — including
+// GOMAXPROCS=1 — and independent of scheduling. Within one device,
+// kernels and the virtual clock remain single-threaded, mirroring the
+// one host thread that drives the real benchmark.
 //
 // Warm-up and phase-1 kernels stream their iteration timings into
 // reusable Welford accumulators (see gpu.MomentSink and gpu.TailSink)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -50,10 +51,25 @@ type PairResult struct {
 	FinalRSE float64
 }
 
-// MeasurePair runs the full phase-2/3 campaign for one pair: repeated
-// measurements under the RSE stopping rule with throttle handling and
-// adaptive-capture retry, then outlier filtering.
+// MeasurePair runs the full phase-2/3 campaign for one pair, as one
+// measurement step: repeated measurements under the RSE stopping rule
+// with throttle handling and adaptive-capture retry, then outlier
+// filtering.
 func (r *Runner) MeasurePair(pair Pair, p1 *Phase1Result) (*PairResult, error) {
+	return step(func() (*PairResult, error) { return r.measurePair(pair, p1) })
+}
+
+// onPairCompute, when non-nil, is called with +1 as a pair's campaign
+// starts and with -1 as it ends; tests count the pair computes in
+// flight with it.
+var onPairCompute func(delta int)
+
+// measurePair is MeasurePair's body, run inside the caller's slot.
+func (r *Runner) measurePair(pair Pair, p1 *Phase1Result) (*PairResult, error) {
+	if onPairCompute != nil {
+		onPairCompute(1)
+		defer onPairCompute(-1)
+	}
 	if !pairValid(p1, pair) {
 		return nil, fmt.Errorf("core: pair %v was excluded in phase 1", pair)
 	}
@@ -164,13 +180,16 @@ func (res *Result) PairByFreqs(init, target float64) (*PairResult, bool) {
 // Run executes the complete campaign: phase 1, capture-bound probing when
 // no hint was configured, then the pair sweep.
 //
-// The sweep fans out over Config.Parallelism workers. Each pair's
-// campaign runs on an independent device replica (fresh virtual clock,
-// same hardware profile, seed derived deterministically from the device
-// seed and the pair), so pairs neither contend for the shared clock nor
-// observe each other's thermal or frequency state. Results — sample
-// values and their order within each pair, and the init-major pair order
-// of Result.Pairs — are bit-for-bit identical at every parallelism level.
+// Run holds no slot of the measurement-step pool itself: phase 1 and the
+// probe are steps, and so is each valid pair. Every pair gets its own
+// goroutine, which takes a slot before it builds the pair's device
+// replica (fresh virtual clock, same hardware profile, seed derived
+// deterministically from the device seed and the pair) and measures the
+// pair on it, so pairs neither contend for the shared clock nor observe
+// each other's thermal or frequency state. Results — sample values and
+// their order within each pair, and the init-major pair order of
+// Result.Pairs — are bit-for-bit identical at every pool size and
+// GOMAXPROCS.
 func (r *Runner) Run() (*Result, error) {
 	p1, err := r.Phase1()
 	if err != nil {
@@ -187,55 +206,68 @@ func (r *Runner) Run() (*Result, error) {
 		Phase1:        p1,
 		CaptureHintNs: r.captureHintNs,
 	}
-	pairs := p1.ValidPairs
-	if len(pairs) == 0 {
+	if len(p1.ValidPairs) == 0 {
 		return res, nil
 	}
-
-	results := make([]*PairResult, len(pairs))
-	errs := make([]error, len(pairs))
-	workers := r.cfg.Parallelism
-	if workers < 1 {
-		workers = 1
+	res.Pairs, err = steps(p1.ValidPairs, func(pair Pair) (*PairResult, error) {
+		sub, err := r.replicaRunner(pair)
+		if err != nil {
+			return nil, err
+		}
+		return sub.measurePair(pair, p1)
+	})
+	if err != nil {
+		return nil, err
 	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
+	return res, nil
+}
 
+// pool gates measurement compute process-wide. Phase1, Probe,
+// MeasurePair and each pair step of Run hold one slot while they
+// compute, so every campaign in a process shares GOMAXPROCS workers, no
+// matter how many campaigns or artefacts run at once. A step never
+// takes a second slot: with every slot held by a step waiting for
+// another, the process would deadlock.
+var pool = make(chan struct{}, runtime.GOMAXPROCS(0))
+
+// step runs fn while holding one slot of the pool.
+func step[T any](fn func() (T, error)) (T, error) {
+	pool <- struct{}{}
+	defer func() { <-pool }()
+	return fn()
+}
+
+// steps runs fn on every element of xs as a step of its own, one
+// goroutine each, and returns the results by index, or the
+// lowest-indexed error. Elements start in index order as slots free up,
+// and once one has failed no further element starts, so the error
+// returned is the same in every schedule.
+func steps[X, T any](xs []X, fn func(X) (T, error)) ([]T, error) {
+	out := make([]T, len(xs))
+	errs := make([]error, len(xs))
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	wg.Add(len(xs))
+	for range xs {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pairs) || failed.Load() {
-					return
-				}
-				sub, err := r.replicaRunner(pairs[i])
-				if err == nil {
-					results[i], err = sub.MeasurePair(pairs[i], p1)
-				}
-				if err != nil {
-					errs[i] = err
-					failed.Store(true) // abort: don't spend campaigns on a doomed Run
-					return
-				}
+			pool <- struct{}{}
+			defer func() { <-pool }()
+			if failed.Load() {
+				return
+			}
+			i := int(next.Add(1)) - 1
+			if out[i], errs[i] = fn(xs[i]); errs[i] != nil {
+				failed.Store(true)
 			}
 		}()
 	}
 	wg.Wait()
-
-	// Report the earliest-indexed error observed. (Which pairs got to
-	// run before the abort depends on scheduling, but the success path —
-	// the determinism contract — never aborts.)
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	res.Pairs = results
-	return res, nil
+	return out, nil
 }

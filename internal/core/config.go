@@ -26,7 +26,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"time"
 
 	"golatest/internal/cluster"
@@ -49,7 +48,10 @@ func (p Pair) Increasing() bool { return p.TargetMHz > p.InitMHz }
 
 // Config tunes a measurement campaign. The zero value is not valid;
 // Frequencies is required and everything else has paper-faithful defaults
-// filled by withDefaults.
+// filled by withDefaults. How many pairs compute at once is no part of
+// the method, so it is not configured here: the process-wide step pool
+// of GOMAXPROCS slots sets it (see Runner.Run), and results do not
+// depend on it.
 type Config struct {
 	// Frequencies are the SM clocks under test (the tool's mandatory
 	// comma-separated list). At least two distinct supported clocks.
@@ -128,13 +130,6 @@ type Config struct {
 
 	// Seed drives host-side randomness (PTP link sampling).
 	Seed uint64
-
-	// Parallelism bounds how many pair campaigns Run sweeps concurrently.
-	// Each pair runs on an independent device replica seeded
-	// deterministically from (Seed, pair), so results are bit-for-bit
-	// identical at every setting — parallelism only changes wall clock.
-	// Zero means one worker per available CPU; 1 restores a serial sweep.
-	Parallelism int
 }
 
 // withDefaults validates cfg against the device and fills defaults.
@@ -224,12 +219,6 @@ func (c Config) withDefaults(dev *nvml.Device) (Config, error) {
 	if c.Seed == 0 {
 		c.Seed = 0xbe9c481
 	}
-	if c.Parallelism < 0 {
-		return c, fmt.Errorf("core: negative Parallelism %d", c.Parallelism)
-	}
-	if c.Parallelism == 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
 	return c, nil
 }
 
@@ -238,16 +227,13 @@ func (c Config) withDefaults(dev *nvml.Device) (Config, error) {
 // configurations with the same fingerprint produce bit-for-bit identical
 // campaigns on the same device.
 //
-// Parallelism is excluded: results are identical at every parallelism
-// level (see Runner.Run), so including it would needlessly split the key
-// space. Every other field participates, including fields that still
-// carry their zero value — the fingerprint encodes the configuration as
+// Every field participates, including fields that still carry their
+// zero value — the fingerprint encodes the configuration as
 // written, not the default-filled effective configuration, so a caller
 // that spells a default out explicitly addresses a different (but
 // identically-valued) cache entry. That is deliberately conservative:
 // a spurious recompute is always correct, a spurious hit never is.
 func (c Config) CacheFingerprint() ([]byte, error) {
-	c.Parallelism = 0
 	return json.Marshal(c)
 }
 

@@ -1,19 +1,31 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// runCampaignAt executes the full reference campaign at the given sweep
-// parallelism.
+// swapPool replaces the measurement-step pool with one of the given
+// capacity and returns a function that restores it. No step may be in
+// flight across either call.
+func swapPool(capacity int) (restore func()) {
+	saved := pool
+	pool = make(chan struct{}, capacity)
+	return func() { pool = saved }
+}
+
+// runCampaignAt executes the full reference campaign with a step pool of
+// the given capacity.
 func runCampaignAt(t *testing.T, parallelism int) *Result {
 	t.Helper()
+	defer swapPool(parallelism)()
 	dev := testDevice(t, pairModel{upNs: 10_000_000, downNs: 5_000_000}, nil)
-	cfg := quickConfig(600, 900, 1200)
-	cfg.Parallelism = parallelism
-	r, err := NewRunner(dev, cfg)
+	r, err := NewRunner(dev, quickConfig(600, 900, 1200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,9 +78,9 @@ func samePairResult(t *testing.T, parallelism int, a, b *PairResult) {
 // TestRunIdenticalAcrossParallelism is the determinism contract of the
 // parallel campaign engine: because every pair runs on its own
 // deterministically seeded device replica, the sweep's results are
-// bit-for-bit identical no matter how many workers execute it. Running at
-// NumCPU also exercises the worker pool under the race detector when the
-// suite runs with -race.
+// bit-for-bit identical at every capacity of the step pool (1, 4 and
+// NumCPU). Running at NumCPU also exercises the pool under the race
+// detector when the suite runs with -race.
 func TestRunIdenticalAcrossParallelism(t *testing.T) {
 	serial := runCampaignAt(t, 1)
 	if len(serial.Pairs) != 6 {
@@ -89,22 +101,62 @@ func TestRunIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestRunParallelismDefault checks the zero value resolves to the number
-// of available CPUs, and negatives are rejected.
-func TestRunParallelismDefault(t *testing.T) {
-	dev := testDevice(t, fixedModel{bus: 1000, dur: 5_000_000}, nil)
-	r, err := NewRunner(dev, quickConfig(600, 900))
+// TestStepPool runs 50 tasks through steps: every task runs, at most
+// the pool's capacity are in flight at once, results land by index, and
+// the lowest-indexed error is returned. With one slot the tasks run in
+// index order, so a failure stops every task after it.
+func TestStepPool(t *testing.T) {
+	tasks := make([]int, 50)
+	for i := range tasks {
+		tasks[i] = i
+	}
+	var inFlight, peak, ran atomic.Int64
+	task := func(fail ...int) func(int) (int, error) {
+		return func(i int) (int, error) {
+			n := inFlight.Add(1)
+			defer inFlight.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			ran.Add(1)
+			if slices.Contains(fail, i) {
+				return 0, fmt.Errorf("task %d failed", i)
+			}
+			time.Sleep(time.Millisecond) // hold the slot so the tasks overlap
+			return 10 * i, nil
+		}
+	}
+
+	out, err := steps(tasks, task())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Config().Parallelism; got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("default Parallelism = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	for i, v := range out {
+		if v != 10*i {
+			t.Fatalf("out[%d] = %d, want %d", i, v, 10*i)
+		}
 	}
-	bad := quickConfig(600, 900)
-	bad.Parallelism = -1
-	dev2 := testDevice(t, fixedModel{bus: 1000, dur: 5_000_000}, nil)
-	if _, err := NewRunner(dev2, bad); err == nil {
-		t.Fatal("negative Parallelism accepted")
+	if ran.Load() != int64(len(tasks)) {
+		t.Errorf("%d of %d tasks ran", ran.Load(), len(tasks))
+	}
+	if got, want := peak.Load(), int64(min(cap(pool), len(tasks))); got != want {
+		t.Errorf("peak in-flight steps = %d, want the pool's capacity %d", got, want)
+	}
+
+	out, err = steps(tasks, task(41, 7, 23))
+	if err == nil || err.Error() != "task 7 failed" || out != nil {
+		t.Fatalf("steps = %v, %v; want nil, the lowest-indexed error (task 7)", out, err)
+	}
+	if got := peak.Load(); got > int64(cap(pool)) {
+		t.Errorf("peak in-flight steps = %d, over the pool's capacity %d", got, cap(pool))
+	}
+
+	defer swapPool(1)()
+	ran.Store(0)
+	if _, err := steps(tasks, task(41, 7, 23)); err == nil || err.Error() != "task 7 failed" {
+		t.Fatalf("one slot: err = %v, want task 7's", err)
+	}
+	if ran.Load() != 8 {
+		t.Errorf("one slot: %d tasks ran, want tasks 0–7 only", ran.Load())
 	}
 }
 

@@ -197,8 +197,11 @@ func (r *Runner) settleSleep() {
 	r.ctx.Sleep(time.Second + slack)
 }
 
-// Phase1 executes the warm-up and frequency-comparison phase.
-func (r *Runner) Phase1() (*Phase1Result, error) {
+// Phase1 executes the warm-up and frequency-comparison phase as one
+// measurement step.
+func (r *Runner) Phase1() (*Phase1Result, error) { return step(r.phase1) }
+
+func (r *Runner) phase1() (*Phase1Result, error) {
 	cycles := r.refCycles()
 	res := &Phase1Result{Stats: make(map[float64]FreqStats, len(r.cfg.Frequencies))}
 
@@ -441,7 +444,12 @@ func (r *Runner) effectiveCaptureNs() int64 {
 // Probe estimates the capture bound per §V: measure a few representative
 // pairs (low, medium, high clocks) with a generous capture window and
 // keep ten times the longest latency seen. The runner adopts the result.
+// The probe runs as one measurement step.
 func (r *Runner) Probe(p1 *Phase1Result) (int64, error) {
+	return step(func() (int64, error) { return r.probe(p1) })
+}
+
+func (r *Runner) probe(p1 *Phase1Result) (int64, error) {
 	freqs := append([]float64(nil), r.cfg.Frequencies...)
 	sort.Float64s(freqs)
 	lo, mid, hi := freqs[0], freqs[len(freqs)/2], freqs[len(freqs)-1]

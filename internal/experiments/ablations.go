@@ -51,26 +51,23 @@ func ablationConfig(n int) core.Config {
 	}
 }
 
-// measureAblation runs one ablation campaign as one measurement step:
-// phase 1, then the 1200→600 MHz pair on a fresh ablation device. Every
-// row or cell of an ablation owns its device and seed, so the rows run
-// concurrently.
+// measureAblation runs one ablation campaign: phase 1, then the
+// 1200→600 MHz pair on a fresh ablation device. Every row or cell of an
+// ablation owns its device and seed, so the rows run concurrently.
 func measureAblation(injectNs int64, seed uint64, mutate func(*gpu.Config), cfg core.Config) (*core.Phase1Result, *core.PairResult, error) {
-	var p1 *core.Phase1Result
-	pr, err := step(func() (*core.PairResult, error) {
-		dev, err := ablationDevice(injectNs, seed, mutate)
-		if err != nil {
-			return nil, err
-		}
-		r, err := core.NewRunner(dev, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if p1, err = r.Phase1(); err != nil {
-			return nil, err
-		}
-		return r.MeasurePair(core.Pair{InitMHz: 1200, TargetMHz: 600}, p1)
-	})
+	dev, err := ablationDevice(injectNs, seed, mutate)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := core.NewRunner(dev, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	p1, err := r.Phase1()
+	if err != nil {
+		return nil, nil, err
+	}
+	pr, err := r.MeasurePair(core.Pair{InitMHz: 1200, TargetMHz: 600}, p1)
 	if err != nil {
 		return nil, nil, err
 	}

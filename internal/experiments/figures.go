@@ -109,32 +109,29 @@ type ScatterData struct {
 }
 
 // FigScatter runs a dedicated campaign of one pair with n measurements
-// (several hundred, per §VII-B), as one measurement step, and clusters
-// it.
+// (several hundred, per §VII-B) and clusters it.
 func (s *Suite) FigScatter(profileKey string, pair core.Pair, n int) (*ScatterData, error) {
 	p, err := hwprofile.ByKey(profileKey)
 	if err != nil {
 		return nil, err
 	}
-	pr, err := step(func() (*core.PairResult, error) {
-		h, err := deviceHandle(p.NewDevice(clock.New()))
-		if err != nil {
-			return nil, err
-		}
-		cfg := s.campaignConfig(p)
-		cfg.Frequencies = []float64{pair.InitMHz, pair.TargetMHz}
-		cfg.MinMeasurements = n
-		cfg.MaxMeasurements = n
-		r, err := core.NewRunner(h, cfg)
-		if err != nil {
-			return nil, err
-		}
-		p1, err := r.Phase1()
-		if err != nil {
-			return nil, err
-		}
-		return r.MeasurePair(pair, p1)
-	})
+	h, err := deviceHandle(p.NewDevice(clock.New()))
+	if err != nil {
+		return nil, err
+	}
+	cfg := s.campaignConfig(p)
+	cfg.Frequencies = []float64{pair.InitMHz, pair.TargetMHz}
+	cfg.MinMeasurements = n
+	cfg.MaxMeasurements = n
+	r, err := core.NewRunner(h, cfg)
+	if err != nil {
+		return nil, err
+	}
+	p1, err := r.Phase1()
+	if err != nil {
+		return nil, err
+	}
+	pr, err := r.MeasurePair(pair, p1)
 	if err != nil {
 		return nil, err
 	}
@@ -299,13 +296,13 @@ func (s *Suite) censusCampaign(p hwprofile.Profile) ([]*core.PairResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	p1, err := step(r.Phase1)
+	p1, err := r.Phase1()
 	if err != nil {
 		return nil, err
 	}
 	var out []*core.PairResult
 	for _, pair := range censusPairs(p1.ValidPairs, 12) {
-		pr, err := step(func() (*core.PairResult, error) { return r.MeasurePair(pair, p1) })
+		pr, err := r.MeasurePair(pair, p1)
 		if err != nil {
 			return nil, err
 		}

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"golatest/internal/hwprofile"
 )
@@ -37,33 +36,24 @@ func sameRows(t *testing.T, name string, serial, parallel any) {
 	}
 }
 
-// TestStepPool runs 50 tasks through forEach, each as one measurement
-// step: every task runs, at most cap(slots) steps are in flight at once,
-// results land by index, and the lowest-indexed error is returned.
-func TestStepPool(t *testing.T) {
-	tasks := make([]int, 50)
-	for i := range tasks {
-		tasks[i] = i
+// TestForEach: every element runs, even after another failed, results
+// land by index, and the lowest-indexed error is returned.
+func TestForEach(t *testing.T) {
+	xs := make([]int, 50)
+	for i := range xs {
+		xs[i] = i
 	}
-	var inFlight, peak, ran atomic.Int64
-	task := func(fail ...int) func(int) (int, error) {
+	var ran atomic.Int64
+	fn := func(fail ...int) func(int) (int, error) {
 		return func(i int) (int, error) {
-			return step(func() (int, error) {
-				n := inFlight.Add(1)
-				defer inFlight.Add(-1)
-				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-				}
-				ran.Add(1)
-				time.Sleep(time.Millisecond) // hold the slot so the tasks overlap
-				if slices.Contains(fail, i) {
-					return 0, fmt.Errorf("task %d failed", i)
-				}
-				return 10 * i, nil
-			})
+			ran.Add(1)
+			if slices.Contains(fail, i) {
+				return 0, fmt.Errorf("element %d failed", i)
+			}
+			return 10 * i, nil
 		}
 	}
-
-	out, err := forEach(tasks, task())
+	out, err := forEach(xs, fn())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,20 +62,13 @@ func TestStepPool(t *testing.T) {
 			t.Fatalf("out[%d] = %d, want %d", i, v, 10*i)
 		}
 	}
-	if got := peak.Load(); got != int64(cap(slots)) {
-		t.Errorf("peak in-flight steps = %d, want the pool's capacity %d", got, cap(slots))
-	}
-
 	ran.Store(0)
-	out, err = forEach(tasks, task(41, 7, 23))
-	if err == nil || err.Error() != "task 7 failed" || out != nil {
-		t.Fatalf("forEach = %v, %v; want nil, the lowest-indexed error (task 7)", out, err)
+	out, err = forEach(xs, fn(41, 7, 23))
+	if err == nil || err.Error() != "element 7 failed" || out != nil {
+		t.Fatalf("forEach = %v, %v; want nil, the lowest-indexed error (element 7)", out, err)
 	}
-	if ran.Load() != int64(len(tasks)) {
-		t.Errorf("%d of %d tasks ran after a failure", ran.Load(), len(tasks))
-	}
-	if got := peak.Load(); got > int64(cap(slots)) {
-		t.Errorf("peak in-flight steps = %d, over the pool's capacity %d", got, cap(slots))
+	if ran.Load() != int64(len(xs)) {
+		t.Errorf("%d of %d elements ran after a failure", ran.Load(), len(xs))
 	}
 }
 

@@ -18,15 +18,14 @@
 // processes.
 //
 // Artefacts may be generated concurrently. Their measurement steps —
-// campaigns, census pairs, ablation rows — share one process-wide pool
-// of GOMAXPROCS slots, so running every artefact at once keeps all
-// cores busy without oversubscribing them, and results are identical to
-// a serial run.
+// each campaign's phase 1 and pairs, census pairs, ablation rows — share
+// core's one process-wide pool of GOMAXPROCS slots, so running every
+// artefact at once keeps all cores busy without oversubscribing them,
+// and results are identical to a serial run.
 package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -251,22 +250,19 @@ func deviceHandle(dev *gpu.Device, err error) (*nvml.Device, error) {
 	return lib.DeviceHandleByIndex(0)
 }
 
-// runCampaign executes one campaign on a fresh device as one measurement
-// step; it is every fleet sweep's shard runner, so the sweep's store
-// traffic and lease waits stay outside the slot.
+// runCampaign executes one campaign on a fresh device; it is every
+// fleet sweep's shard runner.
 func (s *Suite) runCampaign(p hwprofile.Profile, cfg core.Config) (*core.Result, error) {
 	s.runs.Add(1)
-	return step(func() (*core.Result, error) {
-		h, err := deviceHandle(p.NewDevice(clock.New()))
-		if err != nil {
-			return nil, err
-		}
-		r, err := core.NewRunner(h, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return r.Run()
-	})
+	h, err := deviceHandle(p.NewDevice(clock.New()))
+	if err != nil {
+		return nil, err
+	}
+	r, err := core.NewRunner(h, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.Run()
 }
 
 // Campaign returns the cached full campaign of a profile (keyed by
@@ -382,9 +378,10 @@ func (s *Suite) sweep(profiles []hwprofile.Profile, calls []*campaignCall) error
 }
 
 // A100Instances returns campaigns for the four front-row A100 units of
-// §VII-C, sharded over the fleet pool (each shard runs on an independent
+// §VII-C, one fleet shard each (each shard runs on an independent
 // device replica with its own virtual clock, so shards parallelise
-// perfectly; the measurement-step pool bounds how many compute at once).
+// perfectly; core's measurement-step pool bounds how many compute at
+// once).
 func (s *Suite) A100Instances() ([]*core.Result, error) {
 	return s.A100Fleet(4)
 }
@@ -404,28 +401,11 @@ func (s *Suite) A100Fleet(n int) ([]*core.Result, error) {
 	return s.resolve(profiles)
 }
 
-// slots gates measurement compute process-wide. Every measurement step
-// — a fleet shard's campaign, a census Phase1 or MeasurePair, an
-// ablation row or cell, a scatter campaign — holds one slot while it
-// runs, so artefacts generated concurrently share GOMAXPROCS workers
-// instead of each fanning out on its own. Store lookups, puts and lease
-// waits stay outside the slots, and a campaign's own pair pool
-// (core.Config.Parallelism) runs inside its one slot. A step never takes
-// a second slot: with every slot held by a step waiting for another, the
-// process would deadlock.
-var slots = make(chan struct{}, runtime.GOMAXPROCS(0))
-
-// step runs one measurement step while holding a slot.
-func step[T any](fn func() (T, error)) (T, error) {
-	slots <- struct{}{}
-	defer func() { <-slots }()
-	return fn()
-}
-
 // forEach runs fn on every element of xs, each in its own goroutine,
 // and returns the results by index, or the lowest-indexed error. Every
-// element runs. forEach takes no slot itself: fn's measurement steps
-// do, so the elements' compute stays bounded by the pool.
+// element runs. forEach takes no slot of core's measurement-step pool
+// itself: fn's steps (Phase1, Probe, MeasurePair, Run's pairs) do, so
+// the elements' compute stays bounded by the pool.
 func forEach[X, T any](xs []X, fn func(X) (T, error)) ([]T, error) {
 	out := make([]T, len(xs))
 	errs := make([]error, len(xs))

@@ -1,19 +1,20 @@
-// Package fleet resolves campaigns over a bounded pool of device
-// replicas, with optional persistent-store integration so an
-// interrupted or re-run sweep only recomputes the shards that are
-// missing from the store (resumable sweeps). It is the only path by
-// which experiments.Suite resolves a campaign: a single-profile
-// artefact is a one-shard sweep, a multi-unit study a many-shard one.
+// Package fleet resolves campaigns, one device replica per shard, with
+// optional persistent-store integration so an interrupted or re-run
+// sweep only recomputes the shards that are missing from the store
+// (resumable sweeps). It is the only path by which experiments.Suite
+// resolves a campaign: a single-profile artefact is a one-shard sweep,
+// a multi-unit study a many-shard one.
 //
 // A shard is one (hardware profile, campaign config) unit — e.g. one
 // A100 unit of the §VII-C manufacturing-variability study. Sweep walks
-// the shard list with Options.Replicas workers; each worker first looks
-// its shard up in the store (when one is configured), and only computes
-// on a miss, persisting the fresh result before moving on. Because every
-// completed shard is durable the moment it finishes, a sweep that dies
-// half-way — crash, ^C, a failing shard — resumes from the completed
-// prefix: the next Sweep call finds those shards in the store and
-// recomputes only the remainder.
+// the shard list with at most GOMAXPROCS workers; each worker first
+// looks its shard up in the store (when one is configured), and only
+// computes on a miss, persisting the fresh result before moving on. The
+// shards' compute is bounded by core's measurement-step pool, not by
+// the workers. Because every completed shard is durable the moment it
+// finishes, a sweep that dies half-way — crash, ^C, a failing shard —
+// resumes from what completed: the next Sweep call finds those shards
+// in the store and recomputes only the remainder.
 //
 // # Cross-process sweeps
 //
@@ -35,8 +36,8 @@
 // instance, seeds, config — see internal/store's addressing), so a
 // sweep's results are identical whether a shard was computed this run,
 // last run, or by another process sharing the store, and identical at
-// every Replicas setting; the pool and the leases bound duplicated
-// effort, not the outcome.
+// every GOMAXPROCS; the workers and the leases bound duplicated effort,
+// not the outcome.
 package fleet
 
 import (
@@ -64,12 +65,6 @@ const defaultWaitPoll = 25 * time.Millisecond
 
 // Options configures a sweep.
 type Options struct {
-	// Replicas bounds how many shards are in flight at once (each shard
-	// runs on its own device replica). Zero means one per CPU; the pool
-	// never exceeds the shard count. Results are identical at every
-	// setting.
-	Replicas int
-
 	// Store, when non-nil, is consulted before and written after every
 	// shard computation. Nil disables persistence: every shard computes.
 	// Any store.Backend works: a local *store.Store directory or a
@@ -132,20 +127,6 @@ type Options struct {
 	// wall-clock attribution (Shard.StoreNs/WaitNs/ComputeNs) is
 	// collected either way.
 	Tracer *obs.Tracer
-}
-
-func (o Options) replicas(shards int) int {
-	n := o.Replicas
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > shards {
-		n = shards
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // Shard is one unit of a sweep report.
@@ -306,12 +287,12 @@ func defaultOwner() string {
 	return fmt.Sprintf("%s:%d:%d", host, os.Getpid(), time.Now().UnixNano())
 }
 
-// Sweep runs one campaign per profile over the replica pool and returns
-// the per-shard report. On the first shard error the sweep stops handing
-// out new shards (in-flight shards finish) and returns that error —
-// wrapped with the failing shard's identity — alongside the partial
-// report; every shard completed before the abort has already been
-// persisted, so a follow-up Sweep resumes rather than restarts.
+// Sweep runs one campaign per profile, one device replica each, and
+// returns the per-shard report. On the first shard error the sweep stops
+// handing out new shards (in-flight shards finish) and returns that
+// error — wrapped with the failing shard's identity — alongside the
+// partial report; every shard completed before the abort has already
+// been persisted, so a follow-up Sweep resumes rather than restarts.
 func Sweep(profiles []hwprofile.Profile, opts Options) (*Report, error) {
 	if opts.Run == nil {
 		return nil, fmt.Errorf("fleet: Options.Run is required")
@@ -344,7 +325,6 @@ func Sweep(profiles []hwprofile.Profile, opts Options) (*Report, error) {
 		root = sw.tracer.StartRoot("fleet.sweep")
 		root.SetAttr("owner", sw.owner)
 		root.SetAttr("shards", fmt.Sprintf("%d", len(profiles)))
-		root.SetAttr("replicas", fmt.Sprintf("%d", opts.replicas(len(profiles))))
 		sw.rootCtx = root.Context()
 		rep.TraceID = sw.rootCtx.TraceID.String()
 		defer root.End()
@@ -431,9 +411,14 @@ func Sweep(profiles []hwprofile.Profile, opts Options) (*Report, error) {
 	return rep, shardErr
 }
 
-// pass resolves the shards at idxs over the replica pool and returns
-// the ones resolve parked. Once a shard has failed, no further shard
-// starts.
+// pass resolves the shards at idxs over at most GOMAXPROCS workers and
+// returns the ones resolve parked. Once a shard has failed, no further
+// shard starts.
+//
+// The workers do not bound compute (core's measurement-step pool does),
+// but they bound claims: a shard takes its lease before its first step,
+// so with one worker per shard a lease-mode sweep would claim every
+// shard at once, and its peers would find all of them held.
 func (w *sweeper) pass(idxs []int, resolve func(*Shard, int) error) []int {
 	var (
 		next   atomic.Int64
@@ -441,7 +426,7 @@ func (w *sweeper) pass(idxs []int, resolve func(*Shard, int) error) []int {
 		mu     sync.Mutex
 		parked []int
 	)
-	for range w.opts.replicas(len(idxs)) {
+	for range min(runtime.GOMAXPROCS(0), len(idxs)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,6 +89,48 @@ func TestSweepComputesThenHits(t *testing.T) {
 	}
 }
 
+// failOn wraps run so that the shard of the given A100 unit fails.
+func failOn(instance int, run func(hwprofile.Profile, core.Config) (*core.Result, error)) func(hwprofile.Profile, core.Config) (*core.Result, error) {
+	return func(p hwprofile.Profile, cfg core.Config) (*core.Result, error) {
+		if p.Instance == instance {
+			return nil, fmt.Errorf("device fell off the bus")
+		}
+		return run(p, cfg)
+	}
+}
+
+// storedAfterAbort checks what a sweep that failed on shard failed left
+// in the store, and returns which shards it holds. Which siblings
+// complete before the abort depends on the worker count and on
+// scheduling, but the failing shard is never stored, and every shard the
+// report counts as computed is stored and reads back.
+func storedAfterAbort(t *testing.T, st *store.Store, profiles []hwprofile.Profile, rep *Report, failed int) []bool {
+	t.Helper()
+	stored := make([]bool, len(profiles))
+	computed := 0
+	for i, p := range profiles {
+		k := mustProfileKey(t, p)
+		stored[i] = st.Has(k)
+		if sh := rep.Shards[i]; sh.Result == nil || sh.FromCache {
+			continue
+		}
+		computed++
+		if !stored[i] {
+			t.Fatalf("computed shard %d lost its store write after the abort", i)
+		}
+		if _, ok := st.Get(k); !ok {
+			t.Fatalf("computed shard %d blob unreadable after the abort", i)
+		}
+	}
+	if stored[failed] {
+		t.Fatalf("failing shard %d was stored", failed)
+	}
+	if computed != rep.Computed {
+		t.Fatalf("report counts %d computed shards, %d carry a computed result", rep.Computed, computed)
+	}
+	return stored
+}
+
 func TestSweepResumesAfterFailure(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -97,60 +140,80 @@ func TestSweepResumesAfterFailure(t *testing.T) {
 	var calls atomic.Int64
 	inner := fakeRun(&calls)
 
-	// First sweep dies on unit 2. Replicas=1 makes the completed prefix
-	// deterministic: units 0 and 1 land in the store before the abort.
-	failing := Options{Replicas: 1, Store: st, Config: testConfig,
-		Run: func(p hwprofile.Profile, cfg core.Config) (*core.Result, error) {
-			if p.Instance == 2 {
-				return nil, fmt.Errorf("device fell off the bus")
-			}
-			return inner(p, cfg)
-		}}
-	rep, err := Sweep(profiles, failing)
+	// First sweep dies on unit 2.
+	rep, err := Sweep(profiles, Options{Store: st, Config: testConfig, Run: failOn(2, inner)})
 	if err == nil {
 		t.Fatal("failing sweep reported success")
 	}
-	if rep.Computed != 2 || rep.Shards[2].Err == nil || rep.Shards[3].Result != nil {
-		t.Fatalf("partial report: computed=%d shards=%+v", rep.Computed, rep.Shards)
+	if rep.Shards[2].Err == nil || rep.Shards[2].Result != nil {
+		t.Fatalf("failing shard: %+v", rep.Shards[2])
 	}
+	stored := storedAfterAbort(t, st, profiles, rep, 2)
 
-	// The store holds exactly the completed prefix.
-	cached := make([]bool, len(profiles))
-	for i, p := range profiles {
-		cached[i] = st.Has(mustProfileKey(t, p))
-	}
-	if want := []bool{true, true, false, false}; fmt.Sprint(cached) != fmt.Sprint(want) {
-		t.Fatalf("stored shards = %v, want %v", cached, want)
-	}
-
-	// The healed re-run recomputes only the missing shards.
+	// The healed re-run computes exactly the shards the store lacks and
+	// hits the rest.
 	calls.Store(0)
-	rep2, err := Sweep(profiles, Options{Replicas: 1, Store: st, Config: testConfig, Run: inner})
+	rep2, err := Sweep(profiles, Options{Store: st, Config: testConfig, Run: inner})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls.Load() != 2 || rep2.Hits != 2 || rep2.Computed != 2 {
-		t.Fatalf("resume: calls=%d hits=%d computed=%d", calls.Load(), rep2.Hits, rep2.Computed)
+	hits := 0
+	for i, sh := range rep2.Shards {
+		if sh.FromCache != stored[i] || sh.Result == nil {
+			t.Fatalf("resume shard %d: from cache %v, stored before %v", i, sh.FromCache, stored[i])
+		}
+		if stored[i] {
+			hits++
+		}
 	}
-	if !rep2.Shards[0].FromCache || !rep2.Shards[1].FromCache ||
-		rep2.Shards[2].FromCache || rep2.Shards[3].FromCache {
-		t.Fatalf("resume cache pattern: %+v", rep2.Shards)
+	if missing := len(profiles) - hits; calls.Load() != int64(missing) || rep2.Hits != hits || rep2.Computed != missing {
+		t.Fatalf("resume: calls=%d hits=%d computed=%d, want %d computed", calls.Load(), rep2.Hits, rep2.Computed, missing)
 	}
 }
 
-func TestSweepBoundsReplicas(t *testing.T) {
-	var inFlight, peak, calls atomic.Int64
-	opts := Options{Replicas: 2,
+// leaseCounter counts the leases held on its backend at once.
+type leaseCounter struct {
+	store.Backend
+	held, peak atomic.Int64
+}
+
+func (c *leaseCounter) TryAcquire(digest, owner string, ttl time.Duration) (store.LeaseHandle, bool, error) {
+	l, ok, err := c.Backend.TryAcquire(digest, owner, ttl)
+	if !ok {
+		return l, ok, err
+	}
+	n := c.held.Add(1)
+	for p := c.peak.Load(); n > p && !c.peak.CompareAndSwap(p, n); p = c.peak.Load() {
+	}
+	return &countedLease{LeaseHandle: l, c: c}, ok, err
+}
+
+type countedLease struct {
+	store.LeaseHandle
+	c    *leaseCounter
+	once sync.Once
+}
+
+func (l *countedLease) Release() error {
+	l.once.Do(func() { l.c.held.Add(-1) })
+	return l.LeaseHandle.Release()
+}
+
+// TestSweepBoundsLeases: a lease-mode sweep holds at most GOMAXPROCS
+// claims at once. A shard claims its lease before it computes, so
+// without the bound one process would claim every shard of a sweep at
+// once and leave its peers nothing to take.
+func TestSweepBoundsLeases(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leases := &leaseCounter{Backend: st}
+	var calls atomic.Int64
+	opts := Options{Store: leases, Config: testConfig, LeaseTTL: time.Minute,
 		Run: func(p hwprofile.Profile, cfg core.Config) (*core.Result, error) {
-			n := inFlight.Add(1)
-			defer inFlight.Add(-1)
-			for {
-				old := peak.Load()
-				if n <= old || peak.CompareAndSwap(old, n) {
-					break
-				}
-			}
-			time.Sleep(2 * time.Millisecond)
+			time.Sleep(20 * time.Millisecond) // hold the claim so the shards overlap
 			calls.Add(1)
 			return &core.Result{}, nil
 		}}
@@ -158,11 +221,11 @@ func TestSweepBoundsReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls.Load() != 6 || rep.Computed != 6 {
-		t.Fatalf("calls=%d computed=%d", calls.Load(), rep.Computed)
+	if calls.Load() != 6 || rep.Computed != 6 || rep.Claimed != 6 {
+		t.Fatalf("calls=%d computed=%d claimed=%d", calls.Load(), rep.Computed, rep.Claimed)
 	}
-	if p := peak.Load(); p > 2 {
-		t.Fatalf("replica pool peaked at %d, bound is 2", p)
+	if p := leases.peak.Load(); p > 2 {
+		t.Fatalf("%d leases held at once, GOMAXPROCS is 2", p)
 	}
 }
 
@@ -208,16 +271,7 @@ func TestSweepErrorCarriesShardIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	profiles := testProfiles(4)
-	var calls atomic.Int64
-	inner := fakeRun(&calls)
-	opts := Options{Replicas: 1, Store: st, Config: testConfig,
-		Run: func(p hwprofile.Profile, cfg core.Config) (*core.Result, error) {
-			if p.Instance == 2 {
-				return nil, fmt.Errorf("device fell off the bus")
-			}
-			return inner(p, cfg)
-		}}
-	rep, err := Sweep(profiles, opts)
+	rep, err := Sweep(profiles, Options{Store: st, Config: testConfig, Run: failOn(2, fakeRun(new(atomic.Int64)))})
 	if err == nil {
 		t.Fatal("failing sweep reported success")
 	}
@@ -228,21 +282,7 @@ func TestSweepErrorCarriesShardIdentity(t *testing.T) {
 	}
 
 	// Sibling shards completed before the abort are durable in the store.
-	for i := 0; i < 2; i++ {
-		k, kerr := store.ProfileKey(profiles[i], testConfig(profiles[i]))
-		if kerr != nil {
-			t.Fatal(kerr)
-		}
-		if !st.Has(k) {
-			t.Fatalf("completed sibling shard %d lost its store write after the abort", i)
-		}
-		if _, ok := st.Get(k); !ok {
-			t.Fatalf("sibling shard %d blob unreadable after the abort", i)
-		}
-	}
-	if rep.Computed != 2 {
-		t.Fatalf("computed = %d, want 2 completed siblings", rep.Computed)
-	}
+	storedAfterAbort(t, st, profiles, rep, 2)
 }
 
 // TestSweepLeasePartition is the cross-process acceptance shape: two

@@ -15,8 +15,7 @@
 //     calibrated architecture model),
 //   - the device seed (which fixes the simulator's entire random future),
 //   - the canonicalized core.Config (every knob that shapes the
-//     campaign; Parallelism is excluded because results are bit-for-bit
-//     identical at every parallelism level — see Config.CacheFingerprint),
+//     campaign — see Config.CacheFingerprint),
 //   - the store schema version (so a code change that alters blob
 //     structure or meaning invalidates every older blob at once).
 //

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -66,15 +67,15 @@ func TestSweepSurvivesStoredOutage(t *testing.T) {
 	profiles := hostProfiles(6)
 	const killAt = 3 // daemon dies inside the 3rd computed shard
 	var computes atomic.Int64
+	// A sweep keeps at most GOMAXPROCS shards in flight. Two over six
+	// shards guarantee shards still await their lease claim when the
+	// kill fires — on a many-core box the sweep could claim everything
+	// up front and never exercise the degraded claim path.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	rep, err := fleet.Sweep(profiles, fleet.Options{
 		Tracer: tracer,
-		// Two replicas over six shards guarantee shards still await
-		// their lease claim when the kill fires — on a many-core box an
-		// unbounded pool could claim everything up front and never
-		// exercise the degraded claim path.
-		Replicas: 2,
-		Store:    client,
-		Config:   hostConfig,
+		Store:  client,
+		Config: hostConfig,
 		Run: func(p hwprofile.Profile, cfg core.Config) (*core.Result, error) {
 			if computes.Add(1) == killAt {
 				inj.Kill()

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -107,10 +108,12 @@ func TestChaosSweepSurvivesMemberKill(t *testing.T) {
 
 	const killAt = 3
 	var computes atomic.Int64
+	// A sweep keeps at most GOMAXPROCS shards in flight: two over six
+	// shards leave claims outstanding when the member dies.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	rep, err := fleet.Sweep(profiles, fleet.Options{
-		Replicas: 2,
-		Store:    r,
-		Config:   chaosConfig,
+		Store:  r,
+		Config: chaosConfig,
 		Run: func(p hwprofile.Profile, cfg core.Config) (*core.Result, error) {
 			if computes.Add(1) == killAt {
 				injs[victim].Kill()

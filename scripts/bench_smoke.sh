@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # bench_smoke.sh — tier-1 benchmark smoke for the campaign engine.
 #
-# Runs every campaign-sweep benchmark exactly once (compile + execute
-# smoke, not a timing run) and emits BENCH_campaign.json with ns/op,
+# Runs every campaign-sweep benchmark once or a few times (compile +
+# execute smoke, not a timing run) and emits BENCH_campaign.json with ns/op,
 # bytes/op and allocs/op per benchmark, so the performance trajectory of
 # the sweep is tracked alongside the test suite:
 #
@@ -16,8 +16,17 @@ cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_campaign.json}"
 
-raw=$(go test -run '^$' -bench 'BenchmarkCampaignSweep|BenchmarkPhase1Warmup|BenchmarkSuiteCampaignCold' \
-	-benchtime 1x -benchmem .)
+# The campaign sweep runs at one CPU and at every CPU of the host, so
+# the two results give the sweep's parallel speedup. It runs twice per
+# setting: at -benchtime 1x the first -cpu value would report the probe
+# run go test makes at the default GOMAXPROCS.
+cpus=1
+if [ "$(nproc)" -gt 1 ]; then
+	cpus="1,$(nproc)"
+fi
+raw=$(go test -run '^$' -bench 'BenchmarkCampaignSweep$' -cpu "$cpus" -benchtime 2x -benchmem .)
+raw="$raw
+$(go test -run '^$' -bench 'BenchmarkPhase1Warmup|BenchmarkSuiteCampaignCold' -benchtime 1x -benchmem .)"
 # The warm benchmarks run a few iterations so the recorded bytes/allocs
 # are the steady state of the pooled codec (one iteration would charge
 # the one-time pool warm-up to the op).
@@ -79,7 +88,9 @@ printf '%s\n' "$raw" | awk -v cores="$(nproc 2>/dev/null || echo 1)" -v blob_rat
 	-v stored_p50="${p50:-0}" -v stored_p99="${p99:-0}" '
 /^Benchmark/ {
 	name = $1
-	sub(/-[0-9]+$/, "", name)
+	# The campaign sweep keeps its -N suffix: it runs at several -cpu.
+	if (name !~ /^BenchmarkCampaignSweep-/)
+		sub(/-[0-9]+$/, "", name)
 	# Each value precedes its unit; a custom metric such as ns/iter
 	# shifts the B/op and allocs/op columns.
 	for (i = 3; i < NF; i++) {
@@ -105,8 +116,8 @@ END {
 	# The ROADMAP open item asks for the multicore sweep speedup; it is
 	# only meaningful off the single-core CI container, so record it
 	# whenever this host can actually exhibit it.
-	serial = ns["BenchmarkCampaignSweepSerial"]
-	par = ns["BenchmarkCampaignSweepParallel"]
+	serial = ns["BenchmarkCampaignSweep"]
+	par = ns["BenchmarkCampaignSweep-" cores]
 	if (cores <= 1)
 		printf ",\n  \"sweep_parallel_speedup\": \"skipped: single-core host\""
 	else if (serial > 0 && par > 0)

@@ -7,7 +7,7 @@
 # pass over the concurrency-heavy coordination packages (the store's
 # lease/GC machinery, the fleet's cross-process claim loop, and
 # the storenet daemon/client) and over the measurement fan-outs (core's
-# pair pool, the census and ablations, the CLI's concurrent artefacts),
+# step pool, the census and ablations, the CLI's concurrent artefacts),
 # and the benchmark smoke that records the performance trajectory in
 # BENCH_campaign.json.
 set -euo pipefail
@@ -50,16 +50,21 @@ go test -count 5 -run 'TestSweepLeasePartition|TestSweepSkipsLiveClaims' ./inter
 echo "== go test -race (store, fleet, storenet) =="
 go test -race ./internal/obs/... ./internal/store/... ./internal/fleet/... ./internal/storenet/... ./cmd/stored/...
 
-echo "== go test -race (core pair pool + phase-3 sink, measurement-step pool, concurrent artefacts) =="
-# core.Run's pair pool, the experiments fan-out of the cluster census and
+echo "== go test -race (core step pool + phase-3 sink, concurrent artefacts) =="
+# core.Run's pair steps, the experiments fan-out of the cluster census and
 # ablations, and the CLI's concurrently run generators write results by
-# index from several goroutines, their measurement steps sharing one
-# process-wide pool. The pool test bounds the steps in flight; the
+# index from several goroutines, their measurement steps sharing core's
+# one process-wide pool. core runs in full: TestStepPool bounds the
+# steps in flight, TestRunIdenticalAcrossParallelism compares a campaign
+# across pool sizes, and TestPairComputesBoundedByPool counts the pair
+# campaigns of three concurrent artefacts against the pool. The
 # determinism test runs the census and ablations concurrently and
-# compares bits against a serial loop; the CLI tests check generator
-# order, the lowest-indexed error, and a small concurrent run.
+# compares bits against a serial loop, and TestForEach checks the
+# experiments fan-out's by-index results and lowest-indexed error; the
+# CLI tests check generator order, the lowest-indexed error, and a
+# small concurrent run.
 go test -race ./internal/core
-go test -race -run 'Ablation|CoreCount|ClusterCensus|TestParallelDeterminism|TestStepPool' ./internal/experiments
+go test -race -run 'Ablation|CoreCount|ClusterCensus|TestParallelDeterminism|TestForEach' ./internal/experiments
 go test -race -run 'TestGeneratorsRunConcurrentlyInOrder|TestWriteFileRemovesPartialArtefact|TestRunConcurrentSubset' ./cmd/experiments
 
 echo "== go test -race (trace propagation) =="
