@@ -394,8 +394,9 @@ func BenchmarkCIDegeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkAblations regenerates the three design-choice ablations
-// (transition shape, detection band, sync asymmetry).
+// BenchmarkAblations regenerates the design-choice ablations
+// (transition shape, detection band, sync asymmetry) and the core-count
+// study of the CI band at the ablations artefact's widths.
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ramp, err := experiments.RampAblation([]int{0, 8}, 8)
@@ -410,6 +411,10 @@ func BenchmarkAblations(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		cores, err := experiments.CoreCountStudy([]int{1, 4, 16, 64}, 10)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if i == 0 {
 			b.Logf("ramp: step err %.3f ms vs 8-step err %.3f ms (discards %.2f)",
 				ramp[0].MeanErrMs, ramp[1].MeanErrMs, ramp[1].FailShare)
@@ -417,6 +422,10 @@ func BenchmarkAblations(b *testing.B) {
 				det[0].AcceptedShare, det[1].AcceptedShare)
 			b.Logf("sync: 800 µs asymmetry shifts bias by %.3f ms",
 				syn[0].MeanBiasMs-syn[1].MeanBiasMs)
+			for _, r := range cores {
+				b.Logf("cores %d: CI accepts %.2f vs 2σ accepts %.2f (phase-1 n %d)",
+					r.Cores, r.CIAcceptedShare, r.SigmaAcceptedShare, r.Phase1N)
+			}
 		}
 	}
 }

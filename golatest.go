@@ -51,8 +51,10 @@
 //
 // Warm-up and phase-1 kernels stream their iteration timings into
 // reusable Welford accumulators (see gpu.MomentSink and gpu.TailSink)
-// rather than materialising per-iteration traces; only the phase-3
-// benchmark kernel keeps its full trace for evaluation.
+// rather than materialising per-iteration traces. The phase-3 benchmark
+// kernel streams too, into a sink that detects and confirms each SM
+// online and that skips a kernel outright when its detection band holds
+// no value of the device timer.
 package golatest
 
 import (

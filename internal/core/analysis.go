@@ -22,29 +22,48 @@ type blockVerdict struct {
 // is never stored.
 //
 // Per block it skips iterations that start before the change timestamp,
-// detects the first iteration whose duration falls inside the SigmaK·σ
-// band of the target population, and folds every duration from the
-// detected iteration on into one accumulator — the confirmation
-// population, in execution order. BlockEnd then confirms that this tail's
-// mean matches the target mean (difference interval containing zero, or
-// relative difference under tolerance).
+// detects the first iteration whose duration falls inside the detection
+// band of the target population, and sums every duration from the
+// detected iteration on — the confirmation population. BlockEnd then
+// confirms that this tail's mean matches the target mean (difference
+// interval containing zero, or relative difference under tolerance).
+//
+// Every duration is an integer count of device nanoseconds, so the tail
+// is kept as exact integer sums of y = d − d₀, d₀ being the block's
+// first tail duration, and turned into a millisecond MeanStd once per
+// block. Its mean and deviation may differ from a float accumulator's in
+// the last bits; detection, t_e and the verdict do not.
+//
+// When no value on the device timer's lattice (multiples of its
+// quantum) can fall inside the band, no block can detect, and the sink
+// declines the whole kernel: its iterations elapse undelivered and the
+// verdict is errNoDetection, as a full scan would find.
 //
 // A detectSink is reusable: arm resets it for the next benchmark kernel.
 // Like the runner's other sinks, it has a single writer — the host thread
 // that synchronises the device.
 type detectSink struct {
-	cfg     *Config
-	tsDevNs int64
-	target  stats.MeanStd
-	band    float64
+	cfg       *Config
+	tsDevNs   int64
+	target    stats.MeanStd
+	band      float64
+	reachable bool // some timer value lies inside the band
 
 	blocks []blockVerdict
-	tail   stats.Accumulator // confirmation population of the current block
+	// The current block's confirmation population: n durations d, as
+	// sums of y = d − d0. Σy² stays below 2⁶³ for any tail shorter than
+	// 3 s (at most (T − d0)² + n·d0² over a span T), and the capture
+	// window is capped at 2 s.
+	d0, n, sumY, sumY2 int64
+	// delivered counts the iterations the sink has been handed since it
+	// was made, so tests can tell a declined kernel from a scanned one.
+	delivered int
 }
 
 // arm prepares the sink for one benchmark kernel whose clock change was
-// stamped at tsDevNs on the device clock.
-func (s *detectSink) arm(cfg *Config, tsDevNs int64, target stats.MeanStd) {
+// stamped at tsDevNs on the device clock, on a device whose timer
+// advances in steps of quantumNs.
+func (s *detectSink) arm(cfg *Config, tsDevNs int64, target stats.MeanStd, quantumNs int64) {
 	s.cfg = cfg
 	s.tsDevNs = tsDevNs
 	s.target = target
@@ -52,34 +71,76 @@ func (s *detectSink) arm(cfg *Config, tsDevNs int64, target stats.MeanStd) {
 	if s.cfg.CIDetection {
 		// FTaLaT-style detection: the confidence interval of the mean.
 		// With phase-1 populations of thousands of iterations this band
-		// collapses far below the iteration noise (§V-A).
+		// collapses far below the iteration noise (§V-A), and below the
+		// timer quantum it holds no duration at all.
 		s.band = s.cfg.SigmaK * target.StdErr()
 	}
+	s.reachable = bandReachable(target.Mean, s.band, quantumNs)
 	s.blocks = s.blocks[:0]
+}
+
+// bandReachable reports whether some duration k·quantumNs ns passes
+// Sample's band test, |d/1e6 − mean| ≤ band, evaluated as Sample
+// evaluates it. A band narrower than one quantum holds at most the
+// lattice points next to the mean, so only floor(mean/q)−1 … +2 are
+// tried (the margin absorbs the rounding of mean/q); a wider band, or a
+// NaN one, which rejects nothing, is reachable.
+func bandReachable(mean, band float64, quantumNs int64) bool {
+	if !(band < float64(quantumNs)/1e6) {
+		return true
+	}
+	k0 := int64(math.Floor(mean * 1e6 / float64(quantumNs)))
+	for k := k0 - 1; k <= k0+2; k++ {
+		if !(math.Abs(float64(k*quantumNs)/1e6-mean) > band) {
+			return true
+		}
+	}
+	return false
 }
 
 // BlockStart implements gpu.SampleSink. Whether an iteration starts
 // before the change is only known from its device timestamp, so the sink
-// wants every iteration.
+// wants every iteration — unless no iteration can enter the band, in
+// which case it wants none.
 func (s *detectSink) BlockStart(block, iters int) int {
 	s.blocks = append(s.blocks, blockVerdict{})
-	s.tail = stats.Accumulator{}
+	s.n, s.sumY, s.sumY2 = 0, 0, 0
+	if !s.reachable {
+		return iters
+	}
 	return 0
 }
 
 // Sample implements gpu.SampleSink.
 func (s *detectSink) Sample(block, iter int, it gpu.IterSample) {
+	s.delivered++
 	v := &s.blocks[block]
-	durMs := float64(it.DurNs()) / 1e6
+	d := it.DurNs()
 	if !v.detected {
-		if it.StartNs < s.tsDevNs || math.Abs(durMs-s.target.Mean) > s.band {
+		if it.StartNs < s.tsDevNs || math.Abs(float64(d)/1e6-s.target.Mean) > s.band {
 			return
 		}
 		v.detected = true
 		v.teDevNs = it.EndNs
 		v.iterIndex = iter
+		s.d0 = d
 	}
-	s.tail.Add(durMs)
+	y := d - s.d0
+	s.n++
+	s.sumY += y
+	s.sumY2 += y * y
+}
+
+// tail returns the current block's confirmation population in ms.
+func (s *detectSink) tail() stats.MeanStd {
+	n := float64(s.n)
+	meanY := float64(s.sumY) / n
+	ms := stats.MeanStd{N: int(s.n), Mean: (float64(s.d0) + meanY) / 1e6, Std: math.NaN()}
+	if s.n > 1 {
+		ss := math.Max(0, float64(s.sumY2)-meanY*float64(s.sumY))
+		ms.Std = math.Sqrt(ss/(n-1)) / 1e6
+	}
+	return ms
 }
 
 // BlockEnd implements gpu.SampleSink: it confirms the block's detection.
@@ -88,7 +149,7 @@ func (s *detectSink) BlockEnd(block int) {
 	if !v.detected {
 		return
 	}
-	tail := s.tail.MeanStd()
+	tail := s.tail()
 	if tail.N < 2 {
 		return
 	}

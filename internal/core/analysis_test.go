@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -88,11 +89,30 @@ func refEvaluate(cfg *Config, blocks [][]gpu.IterSample, tsDevNs int64, target s
 	return verdicts, best, nil
 }
 
+// declineAll is a sink that wants no iteration of any block.
+type declineAll struct{}
+
+func (declineAll) BlockStart(block, iters int) int          { return iters }
+func (declineAll) Sample(block, iter int, s gpu.IterSample) {}
+func (declineAll) BlockEnd(block int)                       {}
+
+// armReachable reports whether MeasureOnce's sink, armed for targetStat
+// on r's device, would read the benchmark kernel.
+func armReachable(r *Runner, targetStat stats.MeanStd) bool {
+	s := new(detectSink)
+	s.arm(&r.cfg, 0, targetStat, r.quantumNs)
+	return s.reachable
+}
+
 // refMeasureOnce is MeasureOnce with a materialised benchmark kernel
-// (LaunchKernel, then Samples) evaluated by refEvaluate. On a twin
-// runner it consumes the same device and host randomness as MeasureOnce.
-// verdicts is nil when the attempt failed before phase 3.
-func refMeasureOnce(t *testing.T, r *Runner, pair Pair, initStat, targetStat stats.MeanStd) ([]blockVerdict, Measurement, error) {
+// (LaunchKernel, then Samples) evaluated by refEvaluate. With
+// mirrorSkip, a kernel that MeasureOnce's sink declines (its band holds
+// no timer value) streams into a sink that declines it too and reports
+// errNoDetection with undetected blocks, so a twin runner consumes the
+// same device and host randomness as MeasureOnce on every kernel;
+// without it every kernel materialises. verdicts is nil when the
+// attempt failed before phase 3.
+func refMeasureOnce(t *testing.T, r *Runner, pair Pair, initStat, targetStat stats.MeanStd, mirrorSkip bool) ([]blockVerdict, Measurement, error) {
 	t.Helper()
 	cycles := r.cyclesFor(pair)
 	iterInitNs := iterNsAt(cycles, pair.InitMHz)
@@ -107,11 +127,18 @@ func refMeasureOnce(t *testing.T, r *Runner, pair Pair, initStat, targetStat sta
 		return nil, Measurement{}, err
 	}
 	captureIters := int(float64(r.effectiveCaptureNs())/r.cfg.IterTargetNs) + 1
-	bench, err := r.ctx.LaunchKernel(gpu.KernelSpec{
+	spec := gpu.KernelSpec{
 		Iters:         r.cfg.DelayIters + captureIters + r.cfg.ConfirmIters,
 		CyclesPerIter: cycles,
 		Blocks:        r.cfg.Blocks,
-	})
+	}
+	declined := mirrorSkip && !armReachable(r, targetStat)
+	var bench *gpu.Kernel
+	if declined {
+		_, err = r.ctx.LaunchKernelWithSink(spec, declineAll{})
+	} else {
+		bench, err = r.ctx.LaunchKernel(spec)
+	}
 	if err != nil {
 		return nil, Measurement{}, err
 	}
@@ -125,6 +152,9 @@ func refMeasureOnce(t *testing.T, r *Runner, pair Pair, initStat, targetStat sta
 		injected = float64(inj.SwitchingLatencyNs()) / 1e6
 	}
 	r.ctx.DeviceSynchronize()
+	if declined {
+		return make([]blockVerdict, r.cfg.Blocks), Measurement{}, errNoDetection
+	}
 	tsDev := sync.HostToDevice(tsHost)
 	verdicts, m, err := refEvaluate(&r.cfg, bench.Samples(), tsDev, targetStat)
 	if err != nil {
@@ -164,65 +194,160 @@ func sameMeasurement(t *testing.T, what string, got Measurement, gotErr error, w
 	}
 }
 
-// TestDetectSinkMatchesReference drives MeasureOnce (streaming phase 3)
-// and refMeasureOnce (materialised phase 3) on twin runners — same
-// device, same seeds, same history — over several seeds, both detection
-// bands and ramped transitions, and requires identical per-SM verdicts,
-// measurements and errors.
-func TestDetectSinkMatchesReference(t *testing.T) {
-	outcomes := map[error]int{}
-	attempts := 0
+// twinSetup is one device and campaign shape of the twin sweeps.
+type twinSetup struct {
+	name   string
+	model  pairModel
+	mutate func(*gpu.Config)
+	config func(*Config)
+}
+
+// twinSetups covers several seeds, step and ramped transitions and both
+// detection bands, plus two devices the 30 ms capture hint does not
+// fit: an adapting one — a slow 16-step ramp, noisy iterations and a
+// short confirmation region — on which detection often fires mid-ramp
+// and confirmation fails, and one whose 150 ms up-switches outlast the
+// whole benchmark kernel, so its 2σ band starves.
+func twinSetups() []twinSetup {
+	var out []twinSetup
 	for _, seed := range []uint64{77, 1234, 99991} {
 		for _, ramp := range []int{0, 2, 16} {
 			for _, ci := range []bool{false, true} {
-				twin := func() *Runner {
-					dev := testDevice(t, pairModel{upNs: 10_000_000, downNs: 5_000_000}, func(c *gpu.Config) {
+				out = append(out, twinSetup{
+					name:  fmt.Sprintf("seed %d, ramp %d, CI %v", seed, ramp, ci),
+					model: pairModel{upNs: 10_000_000, downNs: 5_000_000},
+					mutate: func(c *gpu.Config) {
 						c.Seed = seed
 						c.RampSteps = ramp
 						c.ClockOffsetNs = -2_500_000_000
 						c.ClockDriftPPM = 6
-					})
-					cfg := quickConfig(600, 900, 1200)
-					cfg.CIDetection = ci
-					r, err := NewRunner(dev, cfg)
-					if err != nil {
-						t.Fatal(err)
+					},
+					config: func(c *Config) { c.CIDetection = ci },
+				})
+			}
+		}
+	}
+	return append(out, twinSetup{
+		name:  "adapting",
+		model: pairModel{upNs: 40_000_000, downNs: 20_000_000},
+		mutate: func(c *gpu.Config) {
+			c.RampSteps = 16
+			c.IterJitterSigma = 0.02
+		},
+		config: func(c *Config) { c.ConfirmIters = 50 },
+	}, twinSetup{
+		name:  "under-captured",
+		model: pairModel{upNs: 150_000_000, downNs: 5_000_000},
+	})
+}
+
+// runner builds the setup's runner over the 600/900/1200 MHz clocks.
+func (ts twinSetup) runner(t *testing.T) *Runner {
+	t.Helper()
+	cfg := quickConfig(600, 900, 1200)
+	if ts.config != nil {
+		ts.config(&cfg)
+	}
+	r, err := NewRunner(testDevice(t, ts.model, ts.mutate), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestDetectSinkMatchesReference drives MeasureOnce (streaming phase 3)
+// and refMeasureOnce (materialised phase 3) on twin runners — same
+// device, same seeds, same history — over every twin setup, and
+// requires identical per-SM verdicts, measurements and errors. A kernel
+// the sink declines elapses without a trace on both twins (see
+// TestDeclinedKernelsNeverDetect for why its verdict holds), so the
+// twins stay in step and every kernel the sink reads is compared.
+func TestDetectSinkMatchesReference(t *testing.T) {
+	outcomes := map[error]int{}
+	attempts, declined := 0, 0
+	for _, setup := range twinSetups() {
+		a, b := setup.runner(t), setup.runner(t)
+		p1, err := a.Phase1()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Phase1(); err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range p1.ValidPairs {
+			is, ts, err := a.pairStats(pair, p1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 3; k++ {
+				what := setup.name + ": " + pair.String()
+				m, err := a.MeasureOnce(pair, is, ts)
+				wantV, wantM, wantErr := refMeasureOnce(t, b, pair, is, ts, true)
+				sameMeasurement(t, what, m, err, wantM, wantErr)
+				if wantV != nil {
+					sameVerdicts(t, what, a.detect.blocks, wantV)
+					if !a.detect.reachable {
+						declined++
 					}
-					return r
 				}
-				a, b := twin(), twin()
-				p1, err := a.Phase1()
-				if err != nil {
-					t.Fatal(err)
+				outcomes[err]++
+				attempts++
+			}
+		}
+	}
+	t.Logf("outcomes: %d accepted, %d no detection (%d declined), %d confirmation failed, %d other",
+		outcomes[nil], outcomes[errNoDetection], declined, outcomes[errConfirmFailed],
+		attempts-outcomes[nil]-outcomes[errNoDetection]-outcomes[errConfirmFailed])
+	if outcomes[nil] == 0 || outcomes[errConfirmFailed] == 0 || outcomes[errNoDetection] == declined {
+		t.Fatalf("sweep did not exercise acceptance, failed confirmation and starved detection on a read kernel: %v", outcomes)
+	}
+	if declined == 0 || declined == attempts {
+		t.Fatalf("%d of %d kernels declined; the sweep must compare both kinds", declined, attempts)
+	}
+}
+
+// TestDeclinedKernelsNeverDetect is the property that lets the sink
+// decline a kernel: over every twin setup, each benchmark kernel is
+// materialised and scanned in full, and every kernel whose band the sink
+// marks as holding no timer value must end in errNoDetection with no
+// block detected. At least one kernel must be declined.
+func TestDeclinedKernelsNeverDetect(t *testing.T) {
+	declined, kernels := 0, 0
+	for _, setup := range twinSetups() {
+		r := setup.runner(t)
+		p1, err := r.Phase1()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range p1.ValidPairs {
+			is, ts, err := r.pairStats(pair, p1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 3; k++ {
+				verdicts, _, err := refMeasureOnce(t, r, pair, is, ts, false)
+				if verdicts == nil {
+					continue // failed before phase 3
 				}
-				if _, err := b.Phase1(); err != nil {
-					t.Fatal(err)
+				kernels++
+				if armReachable(r, ts) {
+					continue
 				}
-				for _, pair := range p1.ValidPairs {
-					is, ts, err := a.pairStats(pair, p1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for k := 0; k < 3; k++ {
-						what := pair.String()
-						m, err := a.MeasureOnce(pair, is, ts)
-						wantV, wantM, wantErr := refMeasureOnce(t, b, pair, is, ts)
-						sameMeasurement(t, what, m, err, wantM, wantErr)
-						if wantV != nil {
-							sameVerdicts(t, what, a.detect.blocks, wantV)
-						}
-						outcomes[err]++
-						attempts++
+				declined++
+				if err != errNoDetection {
+					t.Fatalf("%s: %v: declined kernel ends in %v, want no detection", setup.name, pair, err)
+				}
+				for sm, v := range verdicts {
+					if v.detected {
+						t.Fatalf("%s: %v: declined kernel detected on block %d: %+v", setup.name, pair, sm, v)
 					}
 				}
 			}
 		}
 	}
-	t.Logf("outcomes: %d accepted, %d no detection, %d confirmation failed, %d other",
-		outcomes[nil], outcomes[errNoDetection], outcomes[errConfirmFailed],
-		attempts-outcomes[nil]-outcomes[errNoDetection]-outcomes[errConfirmFailed])
-	if outcomes[nil] == 0 || outcomes[errNoDetection] == 0 {
-		t.Fatalf("sweep did not exercise both acceptance and starved detection: %v", outcomes)
+	t.Logf("%d of %d benchmark kernels declined", declined, kernels)
+	if declined == 0 {
+		t.Fatal("no kernel was declined")
 	}
 }
 
@@ -303,7 +428,7 @@ func TestDetectSinkEdgeCases(t *testing.T) {
 	s := new(detectSink)
 	for _, tc := range cases {
 		wantV, wantM, wantErr := refEvaluate(&cfg, tc.blocks, tc.tsDevNs, target)
-		s.arm(&cfg, tc.tsDevNs, target)
+		s.arm(&cfg, tc.tsDevNs, target, 1000)
 		replay(s, tc.blocks)
 		m, err := s.verdict()
 		sameVerdicts(t, tc.name, s.blocks, wantV)
@@ -319,7 +444,7 @@ func TestDetectSinkEdgeCases(t *testing.T) {
 		}
 	}
 	// The reduction picks the later switch (block 2) over block 0.
-	s.arm(&cfg, t0, target)
+	s.arm(&cfg, t0, target, 1000)
 	replay(s, cases[len(cases)-1].blocks)
 	if m, _ := s.verdict(); m.SM != 2 || m.TransitionIndex != 14 {
 		t.Fatalf("maximum over blocks: SM %d at iteration %d, want SM 2 at 14", m.SM, m.TransitionIndex)

@@ -59,6 +59,9 @@ func (r *Runner) MeasurePair(pair Pair, p1 *Phase1Result) (*PairResult, error) {
 	return step(func() (*PairResult, error) { return r.measurePair(pair, p1) })
 }
 
+// captureCapNs bounds the capture window that adaptive retry grows.
+const captureCapNs = 2_000_000_000
+
 // onPairCompute, when non-nil, is called with +1 as a pair's campaign
 // starts and with -1 as it ends; tests count the pair computes in
 // flight with it.
@@ -93,11 +96,11 @@ func (r *Runner) measurePair(pair Pair, p1 *Phase1Result) (*PairResult, error) {
 				// §V: if the latency cannot be captured, retry with a
 				// longer workload (here: doubling the capture window,
 				// bounded — pairs that keep failing are unmeasurable, not
-				// under-captured).
+				// under-captured). The window is the hint times
+				// CaptureSafety.
 				if consecutiveFailures >= 3 {
-					const captureCapNs = 2_000_000_000
 					if next := 2 * r.effectiveCaptureNs(); next <= captureCapNs {
-						r.captureHintNs = next
+						r.captureHintNs = int64(float64(next) / r.cfg.CaptureSafety)
 					}
 					consecutiveFailures = 0
 				}

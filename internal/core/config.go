@@ -116,7 +116,11 @@ type Config struct {
 	// CIDetection switches phase 3 to FTaLaT's confidence-interval band
 	// (SigmaK standard *errors* instead of standard deviations). The
 	// paper's §V-A argues this degenerates on accelerators; the option
-	// exists for the ablation that demonstrates it.
+	// exists for the ablation that demonstrates it. On a 1 µs device
+	// timer the band is narrower than one timer step and usually holds
+	// no measurable duration; phase 3 then skips the benchmark kernel's
+	// iterations, and every attempt fails with no detection, as a full
+	// scan would.
 	CIDetection bool
 	// RelTolerance accepts the confirmation population when its mean
 	// differs from the phase-1 target mean by less than this fraction

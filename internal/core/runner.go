@@ -37,6 +37,9 @@ type Runner struct {
 	// detect is the phase-3 sink: the benchmark kernel streams into it
 	// and it evaluates every SM online.
 	detect *detectSink
+	// quantumNs is the device timer's refresh period: every measured
+	// duration is a multiple of it.
+	quantumNs int64
 
 	// captureHintNs is the effective capture bound (config hint or probe
 	// result), mutable because adaptive retry may grow it.
@@ -62,6 +65,7 @@ func NewRunner(dev *nvml.Device, cfg Config) (*Runner, error) {
 		moments:       new(gpu.MomentSink),
 		tails:         gpu.NewTailSink(warmTailWindow),
 		detect:        new(detectSink),
+		quantumNs:     dev.Sim().Config().TimerQuantumNs,
 		captureHintNs: cfg.MaxLatencyHintNs,
 	}, nil
 }
@@ -107,6 +111,7 @@ func (r *Runner) replicaRunner(pair Pair) (*Runner, error) {
 		moments:       new(gpu.MomentSink),
 		tails:         gpu.NewTailSink(warmTailWindow),
 		detect:        new(detectSink),
+		quantumNs:     simCfg.TimerQuantumNs,
 		captureHintNs: r.captureHintNs,
 	}, nil
 }
@@ -391,6 +396,27 @@ func (r *Runner) MeasureOnce(pair Pair, initStat, targetStat stats.MeanStd) (Mea
 		return Measurement{}, err
 	}
 
+	// (3)–(5) Benchmark kernel, clock change and phase-3 evaluation.
+	tsDev, injected, err := r.benchmarkKernel(pair, cycles, iterInitNs, targetStat, sync)
+	if err != nil {
+		return Measurement{}, err
+	}
+	m, err := r.detect.verdict()
+	if err != nil {
+		return Measurement{}, err
+	}
+	m.Pair = pair
+	m.TsDevNs = tsDev
+	m.InjectedMs = injected
+	m.SyncSpreadNs = sync.SpreadNs
+	return m, nil
+}
+
+// benchmarkKernel runs Algorithm 2's benchmark kernel for pair on a
+// device at the initial clock and leaves every SM's phase-3 verdict in
+// r.detect. It returns the change request's device-clock stamp and the
+// simulator's injected latency in ms (NaN when unavailable).
+func (r *Runner) benchmarkKernel(pair Pair, cycles, iterInitNs float64, targetStat stats.MeanStd, sync ptp.Result) (tsDev int64, injectedMs float64, err error) {
 	// (3) Benchmark kernel: delay + capture + confirmation regions. It
 	// streams into the detection sink, which evaluates each SM while the
 	// kernel materialises at the synchronise below.
@@ -401,36 +427,28 @@ func (r *Runner) MeasureOnce(pair Pair, initStat, targetStat stats.MeanStd) (Mea
 		Blocks:        r.cfg.Blocks,
 	}
 	if _, err := r.ctx.LaunchKernelWithSink(spec, r.detect); err != nil {
-		return Measurement{}, err
+		return 0, 0, err
 	}
 
 	// (4) Sleep through the delay region, then issue the change and stamp
 	// it (Algorithm 2 lines 5–7). The stamp converts to the device clock
 	// by a pure offset, so the sink is armed before the kernel
-	// materialises.
+	// materialises, and a band no timer value can enter spares the
+	// kernel's iterations altogether.
 	r.ctx.Usleep(int64(float64(r.cfg.DelayIters) * iterInitNs / 1000))
-	tsHost := r.ctx.HostTimestamp()
-	tsDev := sync.HostToDevice(tsHost)
-	r.detect.arm(&r.cfg, tsDev, targetStat)
+	tsDev = sync.HostToDevice(r.ctx.HostTimestamp())
+	r.detect.arm(&r.cfg, tsDev, targetStat, r.quantumNs)
 	if err := r.dev.SetApplicationsClocks(0, pair.TargetMHz); err != nil {
-		return Measurement{}, err
+		return 0, 0, err
 	}
-	injected := math.NaN()
+	injectedMs = math.NaN()
 	if inj, ok := r.dev.Sim().LastInjection(); ok && inj.TargetMHz == pair.TargetMHz {
-		injected = float64(inj.SwitchingLatencyNs()) / 1e6
+		injectedMs = float64(inj.SwitchingLatencyNs()) / 1e6
 	}
 
 	// (5) Wait for the kernel; the sink has evaluated every SM.
 	r.ctx.DeviceSynchronize()
-	m, err := r.detect.verdict()
-	if err != nil {
-		return Measurement{}, err
-	}
-	m.Pair = pair
-	m.TsDevNs = tsDev
-	m.InjectedMs = injected
-	m.SyncSpreadNs = sync.SpreadNs
-	return m, nil
+	return tsDev, injectedMs, nil
 }
 
 // effectiveCaptureNs returns the current capture bound.

@@ -22,7 +22,10 @@ import (
 // runSM). So a block's end time and delivered samples are reproducible
 // per seed and equal in distribution, not in bits, to those of a fully
 // delivered kernel. A sink that wants every iteration gets the
-// materialised kernel's trace exactly.
+// materialised kernel's trace exactly. A sink that already knows a
+// block's outcome — such as a detector whose band no timer value can
+// enter — may decline the whole block by returning iters: the block
+// then only elapses, and BlockEnd follows BlockStart directly.
 type SampleSink interface {
 	// BlockStart announces that block will execute iters iterations and
 	// returns the first iteration the sink wants delivered, in [0, iters].

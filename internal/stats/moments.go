@@ -79,8 +79,8 @@ func (m MeanStd) Contains(x, k float64) bool {
 	return math.Abs(x-m.Mean) <= k*m.Std
 }
 
-// Accumulator incrementally builds a MeanStd. It exists for the hot
-// per-SM scan in phase 3, which must fold thousands of iteration timings
+// Accumulator incrementally builds a MeanStd, so streaming scans (the
+// warm-up tail windows, the FTaLaT baseline) fold thousands of timings
 // without materialising intermediate slices.
 type Accumulator struct {
 	n    int

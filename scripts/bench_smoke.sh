@@ -26,7 +26,7 @@ if [ "$(nproc)" -gt 1 ]; then
 fi
 raw=$(go test -run '^$' -bench 'BenchmarkCampaignSweep$' -cpu "$cpus" -benchtime 2x -benchmem .)
 raw="$raw
-$(go test -run '^$' -bench 'BenchmarkPhase1Warmup|BenchmarkSuiteCampaignCold' -benchtime 1x -benchmem .)"
+$(go test -run '^$' -bench 'BenchmarkPhase1Warmup|BenchmarkSuiteCampaignCold|BenchmarkAblations' -benchtime 1x -benchmem .)"
 # The warm benchmarks run a few iterations so the recorded bytes/allocs
 # are the steady state of the pooled codec (one iteration would charge
 # the one-time pool warm-up to the op).
@@ -66,6 +66,10 @@ $(go test -run '^$' -bench 'BenchmarkSpanEvent|BenchmarkStartSpan' -benchtime 10
 # loop of a materialised kernel, which simulates every iteration.
 raw="$raw
 $(go test -run '^$' -bench 'BenchmarkWarmKernel(Streamed|Materialised)$' -benchtime 200x -benchmem ./internal/sim/gpu)"
+# Phase-3 cost: a GH200 benchmark kernel streamed into the detection
+# sink, which reads every iteration, per simulated iteration.
+raw="$raw
+$(go test -run '^$' -bench 'BenchmarkPhase3Kernel$' -benchtime 200x -benchmem ./internal/core)"
 printf '%s\n' "$raw"
 
 # Real-blob compression ratio: TestBlobCompressionRatio persists one
@@ -197,6 +201,13 @@ END {
 		printf ",\n  \"sim_warm_kernel_ns\": %d", ns["BenchmarkWarmKernelStreamed"]
 	if (nsiter["BenchmarkWarmKernelMaterialised"] > 0)
 		printf ",\n  \"sim_ns_per_iter\": %.2f", nsiter["BenchmarkWarmKernelMaterialised"]
+	# Phase 3: host ns per iteration of a streamed benchmark kernel, and
+	# the whole ablations artefact, whose CI-band campaigns decline every
+	# benchmark kernel.
+	if (nsiter["BenchmarkPhase3Kernel"] > 0)
+		printf ",\n  \"phase3_ns_per_iter\": %.2f", nsiter["BenchmarkPhase3Kernel"]
+	if (ns["BenchmarkAblations"] > 0)
+		printf ",\n  \"ablations_ns\": %d", ns["BenchmarkAblations"]
 	# Daemon request latency under the concurrent authed load test:
 	# histogram-bucket upper-bound estimates (biased high by at most one
 	# bucket), from the same /metrics series operators scrape.
