@@ -7,10 +7,11 @@ import (
 	"golatest/internal/store"
 )
 
-// TestBlobCompressionRatio is the acceptance gate of the v2 blob
-// container on real data: one quick-scale A100 campaign persisted
-// through the store must compress at least 3× (full-scale blobs, with
-// their longer sample arrays, compress better still). The logged
+// TestBlobCompressionRatio is the acceptance gate of the blob
+// container's gzip layer on real data: one quick-scale A100 campaign
+// persisted through the store must shrink its inflated v3 body
+// (RawBytes) at least 2.5× on disk (full-scale blobs, with their longer
+// sample arrays, compress better still). The logged
 // blob_compression_ratio line is scraped by scripts/bench_smoke.sh
 // into BENCH_campaign.json.
 func TestBlobCompressionRatio(t *testing.T) {
@@ -37,8 +38,8 @@ func TestBlobCompressionRatio(t *testing.T) {
 	}
 	ratio := float64(e.RawBytes) / float64(e.Bytes)
 	t.Logf("blob_compression_ratio=%.2f raw_bytes=%d compressed_bytes=%d", ratio, e.RawBytes, e.Bytes)
-	if ratio < 3 {
-		t.Fatalf("quick-scale blob compresses only %.2fx (%d -> %d bytes), want >= 3x",
+	if ratio < 2.5 {
+		t.Fatalf("quick-scale blob compresses only %.2fx (%d -> %d bytes), want >= 2.5x",
 			ratio, e.RawBytes, e.Bytes)
 	}
 }

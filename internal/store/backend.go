@@ -177,7 +177,7 @@ func IndexedBytes(entries []ManifestEntry) int64 {
 	return total
 }
 
-// IndexedRawBytes sums the canonical (uncompressed) envelope sizes;
+// IndexedRawBytes sums the inflated v3 body sizes;
 // against IndexedBytes it yields the store's live compression ratio
 // without decoding a single blob. Entries with no raw size contribute
 // zero.

@@ -105,9 +105,8 @@ func codecResult() *core.Result {
 	return res
 }
 
-// BenchmarkBlobEncode measures the streaming Put-path encode: the
-// encoding/json sizing pass, then result → v3 binary body → pooled
-// gzip via pooled appender scratch. bench_smoke.sh records its
+// BenchmarkBlobEncode measures the Put-path encode: result → v3 body
+// in pooled scratch → pooled gzip writer. bench_smoke.sh records its
 // allocs/op and bytes/op.
 func BenchmarkBlobEncode(b *testing.B) {
 	k, err := KeyFor("a100", 0, 42, testConfig())
@@ -118,9 +117,14 @@ func BenchmarkBlobEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := encodeBlobV3To(io.Discard, k, res); err != nil {
+		e, err := encodeBody(k, res)
+		if err != nil {
 			b.Fatal(err)
 		}
+		if err := writeV3(io.Discard, e.buf); err != nil {
+			b.Fatal(err)
+		}
+		putEncoder(e)
 	}
 }
 

@@ -10,33 +10,33 @@ import (
 	"math"
 	"sync"
 
+	"golatest/internal/cluster"
 	"golatest/internal/core"
+	"golatest/internal/stats"
 )
 
-// The v3 container, the only blob format on disk and on the wire. The
-// *contract* stays on the canonical JSON envelope — the digest, the
-// ETag, SchemaVersion, and the envelope-level validation are all
-// defined over it — but the payload travels as a length-prefixed binary
-// section, so a warm decode never pays strconv:
+// The v3 container, the only blob encoding on disk and on the wire: a
+// length-prefixed binary body behind a gzip layer, so a warm decode
+// never pays strconv:
 //
 //	v3: magic(4) ‖ gzip(body)
-//	body: schema u32 ‖ canonicalSize u64 ‖ envelope fields ‖ result
+//	body: schema u32 ‖ bodySize u64 ‖ digest ‖ profile ‖ instance i64 ‖ result
 //
 // All integers are little-endian and fixed-width; floats are IEEE-754
-// bits. Float fields that the canonical envelope spells through the f64
-// codec are NaN-canonicalised at encode (every NaN payload collapses to
-// the one canonical quiet NaN), mirroring the single "NaN" spelling of
-// the JSON, so two results equal under the digest always produce equal
-// bytes. canonicalSize records the size of the canonical JSON the body
-// corresponds to, so the index's RawBytes (and the compression-ratio
-// stats) never require rendering the JSON on a read.
+// bits. Measured floats (samples, summaries, latencies, cluster eps)
+// may be NaN or ±Inf and are NaN-canonicalised at encode: every NaN
+// payload collapses to the one canonical quiet NaN, so two results
+// equal under the digest always produce equal bytes. Plain floats —
+// pair frequencies, phase-1 keys and unstable clocks — must be finite;
+// the encoder refuses a result with a non-finite one. bodySize records
+// the inflated body's own length, so the index's RawBytes (and the
+// compression-ratio stats) come from the header alone.
 //
 // Slices encode as a u32 tag — v3NilSlice for a nil slice, the element
-// count otherwise — preserving the canonical encoding's nil-vs-empty
-// distinction ([]f64 null vs []); the three append-built slices of the
-// canonical form (pairs, measurements, phase-1 stats) collapse empty
-// to nil exactly as encodeResult always has. Strings are u32 length
-// prefix plus bytes. Every count is bounds-checked against the bytes
+// count otherwise — preserving the nil-vs-empty distinction; three
+// slices (pairs, measurements, phase-1 stats) collapse empty to nil.
+// Strings are u32 length prefix plus bytes; the profile key is at most
+// maxProfileKey bytes. Every count is bounds-checked against the bytes
 // actually remaining before anything is allocated, so a tampered
 // length prefix is an invalid blob, not an allocation storm; the gzip
 // layer enforces a single member, rejects trailing bytes, and bounds
@@ -47,175 +47,169 @@ import (
 // file, after which the campaign is recomputed and re-Put as v3.
 
 // v3Magic opens every v3 container. The first byte is outside ASCII
-// and differs from both the canonical envelope's '{' and the gzip magic
-// 0x1f, so no JSON or bare gzip stream is mistaken for a container.
+// and differs from both JSON's '{' and the gzip magic 0x1f, so no JSON
+// or bare gzip stream is mistaken for a container.
 var v3Magic = [4]byte{0xB3, 'G', 'L', '3'}
 
 // v3NilSlice is the slice tag distinguishing nil from empty.
 const v3NilSlice = ^uint32(0)
 
-// canonicalNaN is the one NaN bit pattern v3 stores: the value the
-// canonical envelope's "NaN" spelling stands for.
+// canonicalNaN is the one NaN bit pattern v3 stores.
 var canonicalNaN = math.Float64bits(math.NaN())
+
+// maxProfileKey bounds a key's profile in bytes. It bounds the body
+// header, which is what lets readV3Header index a blob from a fixed
+// prefix: KeyFor and the encoder refuse a longer profile, and the
+// decoder treats one as an invalid blob.
+const maxProfileKey = 128
+
+// v3HeaderSize is the longest body header: schema, body size, a
+// 64-byte hex digest, a maxProfileKey-byte profile and the instance.
+const v3HeaderSize = 4 + 8 + (4 + 64) + (4 + maxProfileKey) + 8
 
 // hasV3Magic reports whether data opens with the v3 magic — the one
 // sniff the parser runs before inflating anything.
 func hasV3Magic(data []byte) bool { return bytes.HasPrefix(data, v3Magic[:]) }
 
-// appender is pooled write scratch for the v3 body: values are
-// appended to buf and flushed to w in bulk, one write per
-// scratch-buffer fill.
-type appender struct {
-	w   io.Writer
-	buf []byte
-	err error
+// blobHeader is the body's leading fields: what the index reads of a
+// blob, and what the parse checks against the digest it was asked for.
+type blobHeader struct {
+	Schema   int
+	BodySize int64
+	Digest   string
+	Profile  string
+	Instance int
 }
 
-var appenders = sync.Pool{New: func() any {
-	return &appender{buf: make([]byte, 0, 32<<10)}
+// encoder builds a v3 body in pooled scratch. The first refused value
+// latches err.
+type encoder struct {
+	buf   []byte
+	freqs []float64 // phase-1 sort scratch
+	err   error
+}
+
+var encoders = sync.Pool{New: func() any {
+	return &encoder{buf: make([]byte, 0, 32<<10)}
 }}
 
-func getAppender(w io.Writer) *appender {
-	a := appenders.Get().(*appender)
-	a.w, a.buf, a.err = w, a.buf[:0], nil
-	return a
-}
-
-func putAppender(a *appender) {
-	a.w = nil
-	appenders.Put(a)
-}
-
-// flush drains buf into w, latching the first write error.
-func (a *appender) flush() {
-	if len(a.buf) == 0 {
-		return
-	}
-	if a.err == nil {
-		if _, err := a.w.Write(a.buf); err != nil {
-			a.err = err
-		}
-	}
-	a.buf = a.buf[:0]
-}
-
-// grow makes room for need more bytes, flushing if the scratch would
-// otherwise spill past its capacity (oversized single values simply
-// extend the buffer; the pool cap is advisory, not a correctness rail).
-func (a *appender) grow(need int) {
-	if len(a.buf)+need > cap(a.buf) {
-		a.flush()
+func putEncoder(e *encoder) {
+	if cap(e.buf) <= maxPooledScratch {
+		encoders.Put(e)
 	}
 }
 
-// total flushes what is left and returns the first write error.
-func (a *appender) total() error {
-	a.flush()
-	return a.err
+func (e *encoder) u8(v byte)    { e.buf = append(e.buf, v) }
+func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
+func (e *encoder) int(v int)    { e.u64(uint64(v)) }
+
+func (e *encoder) str(s string) {
+	e.u32(uint32(len(s)))
+	e.buf = append(e.buf, s...)
 }
 
-func (a *appender) byte(b byte) {
-	a.grow(1)
-	a.buf = append(a.buf, b)
+func (e *encoder) pair(p core.Pair) {
+	e.f64bits(p.InitMHz)
+	e.f64bits(p.TargetMHz)
 }
 
-func (a *appender) raw(s string) {
-	a.grow(len(s))
-	a.buf = append(a.buf, s...)
+func (e *encoder) bool8(v bool) {
+	if v {
+		e.u8(1)
+	} else {
+		e.u8(0)
+	}
 }
 
-// binary append helpers on the pooled appender.
-
-func (a *appender) u8(v byte) { a.byte(v) }
-
-func (a *appender) u32le(v uint32) {
-	a.grow(4)
-	a.buf = binary.LittleEndian.AppendUint32(a.buf, v)
+// finite refuses NaN and ±Inf in a plain float.
+func (e *encoder) finite(v float64) {
+	if (math.IsNaN(v) || math.IsInf(v, 0)) && e.err == nil {
+		e.err = fmt.Errorf("non-finite plain float %v", v)
+	}
 }
 
-func (a *appender) u64le(v uint64) {
-	a.grow(8)
-	a.buf = binary.LittleEndian.AppendUint64(a.buf, v)
+// f64bits writes a plain float's bits.
+func (e *encoder) f64bits(v float64) {
+	e.finite(v)
+	e.u64(math.Float64bits(v))
 }
 
-func (a *appender) i64le(v int64) { a.u64le(uint64(v)) }
-
-// f64bits writes raw IEEE-754 bits (plain float fields, always finite
-// past the canonical sizing pass).
-func (a *appender) f64bits(v float64) { a.u64le(math.Float64bits(v)) }
-
-// f64canon writes NaN-canonicalised bits (fields under the f64 codec).
-func (a *appender) f64canon(v float64) {
+// f64canon writes a measured float's bits, NaN-canonicalised.
+func (e *encoder) f64canon(v float64) {
 	if math.IsNaN(v) {
-		a.u64le(canonicalNaN)
+		e.u64(canonicalNaN)
 		return
 	}
-	a.u64le(math.Float64bits(v))
+	e.u64(math.Float64bits(v))
 }
 
-func (a *appender) v3String(s string) {
-	a.u32le(uint32(len(s)))
-	a.raw(s)
-}
-
-func (a *appender) v3F64Slice(xs []float64) {
-	if xs == nil {
-		a.u32le(v3NilSlice)
-		return
+// count writes a slice tag: v3NilSlice for nil, else the length.
+func (e *encoder) count(isNil bool, n int) {
+	if isNil {
+		e.u32(v3NilSlice)
+	} else {
+		e.u32(uint32(n))
 	}
-	a.u32le(uint32(len(xs)))
+}
+
+func (e *encoder) f64Slice(xs []float64) {
+	e.count(xs == nil, len(xs))
 	for _, v := range xs {
-		a.f64canon(v)
+		e.f64canon(v)
 	}
 }
 
-func (a *appender) v3PairValue(p core.Pair) {
-	a.f64bits(p.InitMHz)
-	a.f64bits(p.TargetMHz)
-}
-
-func (a *appender) v3PairSlice(ps []core.Pair) {
-	if ps == nil {
-		a.u32le(v3NilSlice)
-		return
-	}
-	a.u32le(uint32(len(ps)))
+func (e *encoder) pairSlice(ps []core.Pair) {
+	e.count(ps == nil, len(ps))
 	for _, p := range ps {
-		a.v3PairValue(p)
+		e.pair(p)
 	}
 }
 
-// encodeBlobV3To streams the v3 container of a campaign result into w
-// (typically the atomic-rename staging file or a network body) and
-// returns the canonical size for the index's RawBytes. Two passes:
-// EncodeBlob renders the canonical JSON first — which both sizes
-// RawBytes and enforces JSON-encodability, so v3 accepts exactly the
-// results the canonical envelope can express — then the binary body
-// streams through the pooled appender and the pooled gzip writer.
-func encodeBlobV3To(w io.Writer, k Key, res *core.Result) (int64, error) {
-	canon, err := EncodeBlob(k, res)
-	if err != nil {
-		return 0, err
+// encodeBody renders the v3 body of a campaign result under its key
+// into pooled scratch, with its size field patched to the body's
+// length; release it with putEncoder. It refuses a nil result, a
+// profile past maxProfileKey, a non-finite plain float and a body past
+// maxCanonicalBytes — what the encoder renders, the decoder must
+// accept — before the caller has written a byte.
+func encodeBody(k Key, res *core.Result) (*encoder, error) {
+	if res == nil {
+		return nil, fmt.Errorf("store: nil result for %s", k)
 	}
-	rawBytes := int64(len(canon))
+	e := encoders.Get().(*encoder)
+	e.buf, e.err = e.buf[:0], nil
+	if len(k.Profile) > maxProfileKey {
+		e.err = fmt.Errorf("profile key of %d bytes exceeds %d", len(k.Profile), maxProfileKey)
+	}
+	e.writeBody(k, res)
+	if e.err == nil && int64(len(e.buf)) > maxCanonicalBytes {
+		e.err = fmt.Errorf("body size %d exceeds the %d-byte decode bound", len(e.buf), maxCanonicalBytes)
+	}
+	if e.err != nil {
+		err := fmt.Errorf("store: encode %s: %w", k, e.err)
+		putEncoder(e)
+		return nil, err
+	}
+	binary.LittleEndian.PutUint64(e.buf[4:], uint64(len(e.buf)))
+	return e, nil
+}
+
+// writeV3 writes the container of an encoded body to w: the magic,
+// then the body through a pooled gzip writer.
+func writeV3(w io.Writer, body []byte) error {
 	if _, err := w.Write(v3Magic[:]); err != nil {
-		return rawBytes, fmt.Errorf("store: encode %s: %w", k, err)
+		return err
 	}
 	gz := gzipWriters.Get().(*gzip.Writer)
 	gz.Reset(w)
-	a := getAppender(gz)
-	encodeV3Body(a, k, res, rawBytes)
-	aerr := a.total()
-	putAppender(a)
-	cerr := gz.Close()
+	_, err := gz.Write(body)
+	if cerr := gz.Close(); err == nil {
+		err = cerr
+	}
 	gzipWriters.Put(gz)
-	if aerr == nil {
-		aerr = cerr
-	}
-	if aerr != nil {
-		return rawBytes, fmt.Errorf("store: encode %s: %w", k, aerr)
-	}
-	return rawBytes, nil
+	return err
 }
 
 // EncodeBlobV3 renders the v3 container — what Put writes to disk and
@@ -223,134 +217,103 @@ func encodeBlobV3To(w io.Writer, k Key, res *core.Result) (int64, error) {
 // (fixed gzip level, canonical NaN bits, no gzip header metadata), so
 // concurrent identical writers converge byte-for-byte.
 func EncodeBlobV3(k Key, res *core.Result) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := encodeBlobV3To(&buf, k, res); err != nil {
+	e, err := encodeBody(k, res)
+	if err != nil {
 		return nil, err
+	}
+	defer putEncoder(e)
+	var buf bytes.Buffer
+	if err := writeV3(&buf, e.buf); err != nil {
+		return nil, fmt.Errorf("store: encode %s: %w", k, err)
 	}
 	return buf.Bytes(), nil
 }
 
-func encodeV3Body(a *appender, k Key, res *core.Result, rawBytes int64) {
-	a.u32le(uint32(SchemaVersion))
-	a.u64le(uint64(rawBytes))
-	a.v3String(k.Digest)
-	a.v3String(k.Profile)
-	a.i64le(int64(k.Instance))
+func (e *encoder) writeBody(k Key, res *core.Result) {
+	e.u32(uint32(SchemaVersion))
+	e.u64(0) // body size, patched by encodeBody
+	e.str(k.Digest)
+	e.str(k.Profile)
+	e.int(k.Instance)
 
-	a.v3String(res.DeviceName)
-	a.v3String(res.Architecture)
-	a.i64le(res.CaptureHintNs)
+	e.str(res.DeviceName)
+	e.str(res.Architecture)
+	e.i64(res.CaptureHintNs)
 
-	if res.Phase1 == nil {
-		a.u8(0)
+	if p1 := res.Phase1; p1 == nil {
+		e.u8(0)
 	} else {
-		a.u8(1)
-		p1 := res.Phase1
-		if len(p1.Stats) == 0 {
-			a.u32le(v3NilSlice) // append-built in the canonical form: empty ⇒ null
-		} else {
-			freqs := make([]float64, 0, len(p1.Stats))
-			for f := range p1.Stats {
-				freqs = append(freqs, f)
-			}
-			sortFloat64s(freqs)
-			a.u32le(uint32(len(freqs)))
-			for _, f := range freqs {
-				fs := p1.Stats[f]
-				a.f64bits(fs.FreqMHz)
-				a.i64le(int64(fs.Iter.N))
-				a.f64canon(fs.Iter.Mean)
-				a.f64canon(fs.Iter.Std)
-				a.bool8(fs.Normalish)
-			}
+		e.u8(1)
+		e.freqs = e.freqs[:0]
+		for f := range p1.Stats {
+			e.finite(f)
+			e.freqs = append(e.freqs, f)
 		}
-		a.v3PairSlice(p1.ValidPairs)
-		a.v3PairSlice(p1.Excluded)
-		if p1.Unstable == nil {
-			a.u32le(v3NilSlice)
-		} else {
-			a.u32le(uint32(len(p1.Unstable)))
-			for _, v := range p1.Unstable {
-				a.f64bits(v)
-			}
+		sortFloat64s(e.freqs)
+		e.count(len(e.freqs) == 0, len(e.freqs)) // empty ⇒ nil
+		for _, f := range e.freqs {
+			fs := p1.Stats[f]
+			e.f64bits(fs.FreqMHz)
+			e.int(fs.Iter.N)
+			e.f64canon(fs.Iter.Mean)
+			e.f64canon(fs.Iter.Std)
+			e.bool8(fs.Normalish)
+		}
+		e.pairSlice(p1.ValidPairs)
+		e.pairSlice(p1.Excluded)
+		e.count(p1.Unstable == nil, len(p1.Unstable))
+		for _, v := range p1.Unstable {
+			e.f64bits(v)
 		}
 	}
 
-	if len(res.Pairs) == 0 {
-		a.u32le(v3NilSlice) // append-built: empty ⇒ null
-		return
-	}
-	a.u32le(uint32(len(res.Pairs)))
+	e.count(len(res.Pairs) == 0, len(res.Pairs)) // empty ⇒ nil
 	for _, pr := range res.Pairs {
 		if pr == nil {
-			a.u8(0)
+			e.u8(0)
 			continue
 		}
-		a.u8(1)
-		a.v3PairValue(pr.Pair)
-		if len(pr.Measurements) == 0 {
-			a.u32le(v3NilSlice) // append-built: empty ⇒ null
-		} else {
-			a.u32le(uint32(len(pr.Measurements)))
-			for i := range pr.Measurements {
-				m := &pr.Measurements[i]
-				a.v3PairValue(m.Pair)
-				a.f64canon(m.LatencyMs)
-				a.i64le(m.TsDevNs)
-				a.i64le(m.TeDevNs)
-				a.i64le(int64(m.SM))
-				a.i64le(int64(m.TransitionIndex))
-				a.f64canon(m.InjectedMs)
-				a.i64le(m.SyncSpreadNs)
-			}
+		e.u8(1)
+		e.pair(pr.Pair)
+		e.count(len(pr.Measurements) == 0, len(pr.Measurements)) // empty ⇒ nil
+		for i := range pr.Measurements {
+			m := &pr.Measurements[i]
+			e.pair(m.Pair)
+			e.f64canon(m.LatencyMs)
+			e.i64(m.TsDevNs)
+			e.i64(m.TeDevNs)
+			e.int(m.SM)
+			e.int(m.TransitionIndex)
+			e.f64canon(m.InjectedMs)
+			e.i64(m.SyncSpreadNs)
 		}
-		a.v3F64Slice(pr.Samples)
-		a.v3F64Slice(pr.Injected)
-		a.i64le(int64(pr.Attempts))
-		a.i64le(int64(pr.Failures))
-		a.i64le(int64(pr.DiscardedByThrottle))
-		a.i64le(int64(pr.ThrottleEvents))
-		a.bool8(pr.Skipped)
-		a.v3String(pr.SkipReason)
-		a.v3F64Slice(pr.Kept)
-		a.v3F64Slice(pr.Outliers)
-		if pr.Clusters == nil {
-			a.u8(0)
+		e.f64Slice(pr.Samples)
+		e.f64Slice(pr.Injected)
+		e.int(pr.Attempts)
+		e.int(pr.Failures)
+		e.int(pr.DiscardedByThrottle)
+		e.int(pr.ThrottleEvents)
+		e.bool8(pr.Skipped)
+		e.str(pr.SkipReason)
+		e.f64Slice(pr.Kept)
+		e.f64Slice(pr.Outliers)
+		if c := pr.Clusters; c == nil {
+			e.u8(0)
 		} else {
-			a.u8(1)
-			c := pr.Clusters
-			if c.Labels == nil {
-				a.u32le(v3NilSlice)
-			} else {
-				a.u32le(uint32(len(c.Labels)))
-				for _, l := range c.Labels {
-					a.i64le(int64(l))
-				}
+			e.u8(1)
+			e.count(c.Labels == nil, len(c.Labels))
+			for _, l := range c.Labels {
+				e.int(l)
 			}
-			a.i64le(int64(c.NumClusters))
-			a.f64canon(c.Eps)
-			a.i64le(int64(c.MinPts))
+			e.int(c.NumClusters)
+			e.f64canon(c.Eps)
+			e.int(c.MinPts)
 		}
-		s := pr.Summary
-		a.i64le(int64(s.N))
-		a.f64canon(s.Mean)
-		a.f64canon(s.Std)
-		a.f64canon(s.Min)
-		a.f64canon(s.Q05)
-		a.f64canon(s.Q25)
-		a.f64canon(s.Median)
-		a.f64canon(s.Q75)
-		a.f64canon(s.Q95)
-		a.f64canon(s.Max)
-		a.f64canon(pr.FinalRSE)
-	}
-}
-
-func (a *appender) bool8(v bool) {
-	if v {
-		a.u8(1)
-	} else {
-		a.u8(0)
+		s := &pr.Summary
+		e.int(s.N)
+		for _, v := range [...]float64{s.Mean, s.Std, s.Min, s.Q05, s.Q25, s.Median, s.Q75, s.Q95, s.Max, pr.FinalRSE} {
+			e.f64canon(v)
+		}
 	}
 }
 
@@ -422,23 +385,21 @@ func (r *v3Reader) u64() uint64 {
 }
 
 func (r *v3Reader) i64() int64   { return int64(r.u64()) }
+func (r *v3Reader) int() int     { return int(r.u64()) }
 func (r *v3Reader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 // count reads a slice tag and validates it against the bytes actually
 // remaining: a slice of n elements of elemSize bytes each must fit in
-// the unread body. Returns (-1, nil slice) for the nil tag.
+// the unread body. Returns -1 for the nil tag, and after any error.
 func (r *v3Reader) count(elemSize int64) int {
 	tag := r.u32()
-	if r.err != nil {
-		return 0
-	}
-	if tag == v3NilSlice {
+	if r.err != nil || tag == v3NilSlice {
 		return -1
 	}
 	n := int64(tag)
-	if elemSize > 0 && n > int64(len(r.b)-r.off)/elemSize {
+	if n > int64(len(r.b)-r.off)/elemSize {
 		r.fail("slice count %d overruns the %d-byte body", n, len(r.b))
-		return 0
+		return -1
 	}
 	return int(n)
 }
@@ -453,54 +414,55 @@ func (r *v3Reader) str() string {
 	return s
 }
 
-func (r *v3Reader) f64Slice() []f64 {
+func (r *v3Reader) f64Slice() []float64 {
 	n := r.count(8)
-	if n < 0 || r.err != nil {
+	if n < 0 {
 		return nil
 	}
-	out := make([]f64, n)
+	out := make([]float64, n)
 	for i := range out {
-		out[i] = f64(r.f64())
+		out[i] = r.f64()
 	}
 	return out
 }
 
-func (r *v3Reader) pairValue() core.Pair {
+func (r *v3Reader) pair() core.Pair {
 	return core.Pair{InitMHz: r.f64(), TargetMHz: r.f64()}
 }
 
 func (r *v3Reader) pairSlice() []core.Pair {
 	n := r.count(16)
-	if n < 0 || r.err != nil {
+	if n < 0 {
 		return nil
 	}
 	out := make([]core.Pair, n)
 	for i := range out {
-		out[i] = r.pairValue()
+		out[i] = r.pair()
 	}
 	return out
 }
 
-// decodeV3Header reads the body's leading fields: schema, canonical
-// size, digest, profile and instance.
-func decodeV3Header(r *v3Reader) (*storedBlob, int64) {
-	b := &storedBlob{Schema: int(r.u32())}
-	rawBytes := int64(r.u64())
-	if r.err == nil && (rawBytes < 0 || rawBytes > maxCanonicalBytes) {
-		r.fail("canonical size %d outside [0, %d]", rawBytes, maxCanonicalBytes)
+// decodeV3Header reads the body's leading fields.
+func decodeV3Header(r *v3Reader) blobHeader {
+	h := blobHeader{Schema: int(r.u32()), BodySize: r.i64()}
+	if r.err == nil && (h.BodySize < 0 || h.BodySize > maxCanonicalBytes) {
+		r.fail("body size %d outside [0, %d]", h.BodySize, maxCanonicalBytes)
 	}
-	b.Digest = r.str()
-	b.Profile = r.str()
-	b.Instance = int(r.i64())
-	return b, rawBytes
+	h.Digest = r.str()
+	h.Profile = r.str()
+	if r.err == nil && len(h.Profile) > maxProfileKey {
+		r.fail("profile key of %d bytes exceeds %d", len(h.Profile), maxProfileKey)
+	}
+	h.Instance = r.int()
+	return h
 }
 
-// v3HeaderInput bounds the container prefix readV3Header inflates. The
-// header fields are the body's first ~100 bytes; even coded as 15-bit
-// literals behind a maximal dynamic-Huffman block header (~280 bytes)
-// they fit in about half of it. Bounding the input bounds the inflate
-// work: flate yields output only at a block end or a full 32 KiB
-// window, so an unbounded stream would inflate that much per blob.
+// v3HeaderInput bounds the container prefix readV3Header inflates.
+// Even coded as 15-bit literals behind a maximal dynamic-Huffman block
+// header (~280 bytes), the v3HeaderSize header bytes fit in it.
+// Bounding the input bounds the inflate work: flate yields output only
+// at a block end or a full 32 KiB window, so an unbounded stream would
+// inflate that much per blob.
 const v3HeaderInput = 1 << 10
 
 // readV3Header reads only the header fields of the v3 container
@@ -508,132 +470,128 @@ const v3HeaderInput = 1 << 10
 // v3HeaderInput bytes of the container and checks neither the gzip
 // checksum nor the rest of the body; only parseBlob vouches for a
 // whole blob.
-func readV3Header(r io.Reader) (*storedBlob, int64, error) {
+func readV3Header(r io.Reader) (blobHeader, error) {
 	var in [v3HeaderInput]byte
 	n, err := io.ReadFull(r, in[:])
 	if err != nil && err != io.ErrUnexpectedEOF {
-		return nil, 0, err
+		return blobHeader{}, err
 	}
 	if !hasV3Magic(in[:n]) {
-		return nil, 0, errors.New("not a v3 container")
+		return blobHeader{}, errors.New("not a v3 container")
 	}
 	gz := gzipReaders.Get().(*gzip.Reader)
 	defer gzipReaders.Put(gz)
 	if err := gz.Reset(bytes.NewReader(in[len(v3Magic):n])); err != nil {
-		return nil, 0, err
+		return blobHeader{}, err
 	}
-	// The header fields take 92 bytes plus the profile key. A truncated
-	// input ends the inflate early with an error, after flate has
-	// flushed everything it decoded; the header parse below decides
-	// whether that was enough.
-	var head [256]byte
+	// A truncated input ends the inflate early with an error, after
+	// flate has flushed everything it decoded; the header parse below
+	// decides whether that was enough.
+	var head [v3HeaderSize]byte
 	m, _ := io.ReadFull(gz, head[:])
 	vr := &v3Reader{b: head[:m]}
-	b, rawBytes := decodeV3Header(vr)
-	return b, rawBytes, vr.err
+	h := decodeV3Header(vr)
+	return h, vr.err
 }
 
-// decodeV3Body parses an inflated v3 body into the envelope the shared
-// schema/digest checks run over.
-func decodeV3Body(body []byte) (*storedBlob, int64, error) {
+// decodeV3Body parses an inflated v3 body into its header and result.
+func decodeV3Body(body []byte) (blobHeader, *core.Result, error) {
 	r := &v3Reader{b: body}
-	b, rawBytes := decodeV3Header(r)
+	h := decodeV3Header(r)
 
-	sr := &b.Result
-	sr.DeviceName = r.str()
-	sr.Architecture = r.str()
-	sr.CaptureHintNs = r.i64()
+	res := &core.Result{
+		DeviceName:    r.str(),
+		Architecture:  r.str(),
+		CaptureHintNs: r.i64(),
+	}
 
 	if r.u8() != 0 {
-		p1 := &storedPhase1{}
-		if n := r.count(33); n >= 0 && r.err == nil { // 8+8+8+8+1 per stat
-			p1.Stats = make([]storedFreqStats, n)
-			for i := range p1.Stats {
-				p1.Stats[i] = storedFreqStats{
-					FreqMHz:   r.f64(),
-					N:         int(r.i64()),
-					Mean:      f64(r.f64()),
-					Std:       f64(r.f64()),
-					Normalish: r.u8() != 0,
-				}
-			}
+		p1 := &core.Phase1Result{}
+		n := r.count(33) // 8+8+8+8+1 per stat
+		p1.Stats = make(map[float64]core.FreqStats, max(n, 0))
+		for i := 0; i < n; i++ {
+			fs := core.FreqStats{FreqMHz: r.f64()}
+			fs.Iter = stats.MeanStd{N: r.int(), Mean: r.f64(), Std: r.f64()}
+			fs.Normalish = r.u8() != 0
+			p1.Stats[fs.FreqMHz] = fs
 		}
 		p1.ValidPairs = r.pairSlice()
 		p1.Excluded = r.pairSlice()
-		if n := r.count(8); n >= 0 && r.err == nil {
+		if n := r.count(8); n >= 0 {
 			p1.Unstable = make([]float64, n)
 			for i := range p1.Unstable {
 				p1.Unstable[i] = r.f64()
 			}
 		}
-		sr.Phase1 = p1
+		res.Phase1 = p1
 	}
 
 	// A pair is at minimum a presence byte; deeper counts are checked
 	// against the remaining bytes as they stream past.
-	if n := r.count(1); n >= 0 && r.err == nil {
-		sr.Pairs = make([]*storedPair, 0, n)
+	if n := r.count(1); n > 0 {
+		res.Pairs = make([]*core.PairResult, n)
 		for i := 0; i < n && r.err == nil; i++ {
-			if r.u8() == 0 {
-				sr.Pairs = append(sr.Pairs, nil)
-				continue
-			}
-			sp := &storedPair{Pair: r.pairValue()}
-			if mn := r.count(72); mn >= 0 && r.err == nil { // 16+8*7 per measurement
-				sp.Measurements = make([]storedMeasurement, mn)
-				for j := range sp.Measurements {
-					sp.Measurements[j] = storedMeasurement{
-						Pair:            r.pairValue(),
-						LatencyMs:       f64(r.f64()),
-						TsDevNs:         r.i64(),
-						TeDevNs:         r.i64(),
-						SM:              int(r.i64()),
-						TransitionIndex: int(r.i64()),
-						InjectedMs:      f64(r.f64()),
-						SyncSpreadNs:    r.i64(),
-					}
-				}
-			}
-			sp.Samples = r.f64Slice()
-			sp.Injected = r.f64Slice()
-			sp.Attempts = int(r.i64())
-			sp.Failures = int(r.i64())
-			sp.DiscardedByThrottle = int(r.i64())
-			sp.ThrottleEvents = int(r.i64())
-			sp.Skipped = r.u8() != 0
-			sp.SkipReason = r.str()
-			sp.Kept = r.f64Slice()
-			sp.Outliers = r.f64Slice()
 			if r.u8() != 0 {
-				sc := &storedClusters{}
-				if ln := r.count(8); ln >= 0 && r.err == nil {
-					sc.Labels = make([]int, ln)
-					for j := range sc.Labels {
-						sc.Labels[j] = int(r.i64())
-					}
-				}
-				sc.NumClusters = int(r.i64())
-				sc.Eps = f64(r.f64())
-				sc.MinPts = int(r.i64())
-				sp.Clusters = sc
+				res.Pairs[i] = decodePair(r)
 			}
-			sp.Summary = storedSummary{
-				N: int(r.i64()), Mean: f64(r.f64()), Std: f64(r.f64()), Min: f64(r.f64()),
-				Q05: f64(r.f64()), Q25: f64(r.f64()), Median: f64(r.f64()),
-				Q75: f64(r.f64()), Q95: f64(r.f64()), Max: f64(r.f64()),
-			}
-			sp.FinalRSE = f64(r.f64())
-			sr.Pairs = append(sr.Pairs, sp)
 		}
 	}
 
 	if r.err != nil {
-		return nil, 0, r.err
+		return blobHeader{}, nil, r.err
 	}
 	if r.off != len(r.b) {
-		return nil, 0, fmt.Errorf("%d trailing bytes after body", len(r.b)-r.off)
+		return blobHeader{}, nil, fmt.Errorf("%d trailing bytes after body", len(r.b)-r.off)
 	}
-	return b, rawBytes, nil
+	return h, res, nil
+}
+
+func decodePair(r *v3Reader) *core.PairResult {
+	pr := &core.PairResult{Pair: r.pair()}
+	if n := r.count(72); n > 0 { // 16+8*7 per measurement
+		pr.Measurements = make([]core.Measurement, n)
+		for j := range pr.Measurements {
+			pr.Measurements[j] = core.Measurement{
+				Pair:            r.pair(),
+				LatencyMs:       r.f64(),
+				TsDevNs:         r.i64(),
+				TeDevNs:         r.i64(),
+				SM:              r.int(),
+				TransitionIndex: r.int(),
+				InjectedMs:      r.f64(),
+				SyncSpreadNs:    r.i64(),
+			}
+		}
+	}
+	pr.Samples = r.f64Slice()
+	pr.Injected = r.f64Slice()
+	pr.Attempts = r.int()
+	pr.Failures = r.int()
+	pr.DiscardedByThrottle = r.int()
+	pr.ThrottleEvents = r.int()
+	pr.Skipped = r.u8() != 0
+	pr.SkipReason = r.str()
+	pr.Kept = r.f64Slice()
+	pr.Outliers = r.f64Slice()
+	if r.u8() != 0 {
+		c := &cluster.Result{}
+		if n := r.count(8); n >= 0 {
+			c.Labels = make([]int, n)
+			for j := range c.Labels {
+				c.Labels[j] = r.int()
+			}
+		}
+		c.NumClusters = r.int()
+		c.Eps = r.f64()
+		c.MinPts = r.int()
+		pr.Clusters = c
+	}
+	s := &pr.Summary
+	s.N = r.int()
+	for _, v := range [...]*float64{&s.Mean, &s.Std, &s.Min, &s.Q05, &s.Q25, &s.Median, &s.Q75, &s.Q95, &s.Max, &pr.FinalRSE} {
+		*v = r.f64()
+	}
+	return pr
 }
 
 // inflateV3 inflates the gzip stream after the magic into the pooled

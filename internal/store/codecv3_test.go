@@ -3,9 +3,13 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,7 +19,7 @@ import (
 )
 
 // adversarialResults is the fixture set the v3 codec is pinned
-// against: every structural and lexical edge the envelope schema can
+// against: every structural and lexical edge the body layout can
 // express — nil-vs-empty slices, omitted optionals,
 // nil pair elements, exotic strings, and float values on both sides of
 // every formatting switch in encoding/json.
@@ -184,18 +188,15 @@ func TestCanonicalWriterRejectsNonFiniteFloats(t *testing.T) {
 }
 
 // TestV3RoundTrip: for every adversarial fixture, the v3 container
-// decodes back to a result whose canonical bytes are identical to the
-// original's — the invariant that makes v3 a faithful carrier of the
-// canonical contract — and the recorded RawBytes is the canonical size.
+// decodes back to the fixture itself — every field, with NaN equal to
+// NaN whatever its payload, and nil equal to empty only where the body
+// collapses empty to nil (pairs, measurements, phase-1 stats) — and
+// the recorded RawBytes is the inflated body's size.
 // TestV3GoldenBytes pins those sizes and the body bytes to fixed values.
 func TestV3RoundTrip(t *testing.T) {
 	k := Key{Digest: "cafe", Profile: "a100-sxm4", Instance: 2}
 	for name, res := range adversarialResults() {
 		t.Run(name, func(t *testing.T) {
-			canon, err := EncodeBlob(k, res)
-			if err != nil {
-				t.Fatal(err)
-			}
 			v3, err := EncodeBlobV3(k, res)
 			if err != nil {
 				t.Fatal(err)
@@ -207,16 +208,14 @@ func TestV3RoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("v3 container does not validate: %v", err)
 			}
-			if vb.RawBytes() != int64(len(canon)) {
-				t.Fatalf("RawBytes = %d, want canonical size %d", vb.RawBytes(), len(canon))
+			if want := bodyLen(t, k, res); vb.RawBytes() != want {
+				t.Fatalf("RawBytes = %d, want the body size %d", vb.RawBytes(), want)
 			}
-			back, err := EncodeBlob(k, vb.Result())
-			if err != nil {
-				t.Fatal(err)
+			if vb.Key() != k {
+				t.Fatalf("Key = %+v, want %+v", vb.Key(), k)
 			}
-			if !bytes.Equal(back, canon) {
-				t.Fatalf("v3 round-trip changed canonical bytes:\n got: %q\nwant: %q",
-					firstDiff(back, canon), firstDiff(canon, back))
+			if d := diffResult(reflect.ValueOf(vb.Result()).Elem(), reflect.ValueOf(res).Elem(), "Result"); d != "" {
+				t.Fatalf("v3 round trip changed %s", d)
 			}
 
 			// Determinism: a second encode is byte-identical.
@@ -228,9 +227,91 @@ func TestV3RoundTrip(t *testing.T) {
 	}
 }
 
-// TestV3NaNCanonicalization: NaN payload bits are not part of the
-// canonical contract (JSON spells every NaN "NaN"), so the v3 binary
-// section must canonicalize them — otherwise two results equal under
+// bodyLen returns the inflated v3 body size of res under k.
+func bodyLen(t testing.TB, k Key, res *core.Result) int64 {
+	t.Helper()
+	e, err := encodeBody(k, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer putEncoder(e)
+	return int64(len(e.buf))
+}
+
+// diffResult names the first field where a decoded result differs from
+// the one encoded, or returns "". Floats compare by bits, except that
+// every NaN equals every other; slices and pointers compare nil-ness,
+// except that the three slices the body collapses empty to nil may
+// decode nil (or, for the phase-1 map, empty) where the input was
+// empty (or nil).
+func diffResult(got, want reflect.Value, path string) string {
+	switch want.Kind() {
+	case reflect.Float64:
+		g, w := got.Float(), want.Float()
+		if math.Float64bits(g) == math.Float64bits(w) || math.IsNaN(g) && math.IsNaN(w) {
+			return ""
+		}
+		return fmt.Sprintf("%s: %v, want %v", path, g, w)
+	case reflect.Int, reflect.Int64:
+		if got.Int() != want.Int() {
+			return fmt.Sprintf("%s: %d, want %d", path, got.Int(), want.Int())
+		}
+	case reflect.Bool:
+		if got.Bool() != want.Bool() {
+			return fmt.Sprintf("%s: %v, want %v", path, got.Bool(), want.Bool())
+		}
+	case reflect.String:
+		if got.String() != want.String() {
+			return fmt.Sprintf("%s: %q, want %q", path, got.String(), want.String())
+		}
+	case reflect.Pointer:
+		if got.IsNil() != want.IsNil() {
+			return fmt.Sprintf("%s: nil %v, want nil %v", path, got.IsNil(), want.IsNil())
+		}
+		if !want.IsNil() {
+			return diffResult(got.Elem(), want.Elem(), path)
+		}
+	case reflect.Slice:
+		collapses := strings.HasSuffix(path, ".Pairs") || strings.HasSuffix(path, ".Measurements")
+		if got.IsNil() != want.IsNil() && !(collapses && want.Len() == 0) {
+			return fmt.Sprintf("%s: nil %v, want nil %v", path, got.IsNil(), want.IsNil())
+		}
+		if got.Len() != want.Len() {
+			return fmt.Sprintf("%s: length %d, want %d", path, got.Len(), want.Len())
+		}
+		for i := 0; i < want.Len(); i++ {
+			if d := diffResult(got.Index(i), want.Index(i), fmt.Sprintf("%s[%d]", path, i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Map: // Phase1.Stats: nil and empty both decode empty
+		if got.Len() != want.Len() {
+			return fmt.Sprintf("%s: length %d, want %d", path, got.Len(), want.Len())
+		}
+		for it := want.MapRange(); it.Next(); {
+			g := got.MapIndex(it.Key())
+			if !g.IsValid() {
+				return fmt.Sprintf("%s[%v]: missing", path, it.Key())
+			}
+			if d := diffResult(g, it.Value(), fmt.Sprintf("%s[%v]", path, it.Key())); d != "" {
+				return d
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < want.NumField(); i++ {
+			if d := diffResult(got.Field(i), want.Field(i), path+"."+want.Type().Field(i).Name); d != "" {
+				return d
+			}
+		}
+	default:
+		return fmt.Sprintf("%s: unsupported kind %s", path, want.Kind())
+	}
+	return ""
+}
+
+// TestV3NaNCanonicalization: NaN payload bits are not part of a
+// result's value (every NaN is just NaN), so the v3 binary body must
+// canonicalize them — otherwise two results equal under
 // the digest would produce different v3 bytes and identical writers
 // would not converge.
 func TestV3NaNCanonicalization(t *testing.T) {
@@ -256,7 +337,7 @@ func TestV3NaNCanonicalization(t *testing.T) {
 }
 
 // TestV3GoldenBytes pins every adversarial fixture's v3 encoding to
-// fixed values: the RawBytes its header records and the sha256 of the
+// fixed values: the body size its header records and the sha256 of the
 // inflated body. The inflated body does not depend on the toolchain's
 // compress/flate, so these hold across Go releases; any change to them
 // changes every blob in every store and needs a SchemaVersion bump.
@@ -266,15 +347,15 @@ func TestV3GoldenBytes(t *testing.T) {
 		rawBytes int64
 		bodySHA  string
 	}{
-		"clusters":         {2056, "d06723047b9243c41292776e9a3b9bfd15ce6d8beca409f9ebf84f61fdae698b"},
-		"codec-fixture":    {203759, "c41b5bf42dcb50f6986ce5b7b1be255b3cbd3229762849608ffb51467825026a"},
-		"empty-slices":     {274, "c24c343444f49d8a40b8ad6c7d840e2d94fbb8598a65be349e197542fd3a4328"},
-		"float-switches":   {1354, "4f6cc0c2d4023ff069a6630e9e5d2504a9a7060c18ba81cc1e1c247447e68e8a"},
-		"measurements":     {1334, "95f9feabaca779d69fa645bba8f16d81a708258024d2e112e1e307838fe444bc"},
-		"nil-pair-element": {686, "dca9566f3fcaf1dad4af89fd27da65afc3800aa19075f278a40f3facd9f54526"},
-		"strings":          {874, "c7d65a4b15c52575ca35686ffd483dd8c1a3beb6e79d737c1293012e828a438c"},
-		"test-fixture":     {2522, "ee9a8e03e50fdb046219ad02c79ae79d6b794aa62388267771737794511ec1e2"},
-		"zero":             {176, "fdb3a7351b41737e8b2ab253ee9be73315937e865832c467a574dac6b672d12b"},
+		"clusters":         {683, "2be4f83f141de158b5fef98b0f0b29fc9798ac60c0b9a075d34f24560003a2ec"},
+		"codec-fixture":    {56133, "73b7dda1efb1c9735ebda906efdf8f7715da0cfec5d573d1b7d8033bb4389e46"},
+		"empty-slices":     {78, "fad71985cde97070810f4d9ddef52c184b9466b679c2e825b6a1e5b0c4156372"},
+		"float-switches":   {452, "92eb7c6dc37486b0b395bb7c10937259ffbda2219f0421cb7a0310893b6572e9"},
+		"measurements":     {434, "1b15dee6114c9604ea328f9ac58d30e5655799b2a9d152df34072aa0129efeec"},
+		"nil-pair-element": {230, "0195b5b30c413bb2b32123c1c193e90fd42cadbe0fe9843d43f53221dc9d7e16"},
+		"strings":          {339, "c385833a6ccb8994119ee619bd3f3fae67e55a5395a8dfa7c6a50a4c242996ca"},
+		"test-fixture":     {725, "147a95297d3c55443b9a3f55b3c0b620ccb5010de365926baf3d6f83ddd5bb3e"},
+		"zero":             {62, "f40f02787698d7aa9b7712f1dd19a60565417c0ede9c72b79264438a8e828d15"},
 	}
 	fixtures := adversarialResults()
 	if len(fixtures) != len(golden) {
@@ -310,8 +391,8 @@ func TestV3GoldenBytes(t *testing.T) {
 }
 
 // TestIndexReadsFixtureHeaders: Index describes every fixture blob from
-// its bounded header read alone — identity and canonical size equal
-// what Put encoded, for short and 64-byte profile keys alike.
+// its bounded header read alone — identity and body size equal what
+// Put encoded, for short and 64-byte profile keys alike.
 func TestIndexReadsFixtureHeaders(t *testing.T) {
 	s := openStore(t)
 	want := map[string]ManifestEntry{}
@@ -326,12 +407,8 @@ func TestIndexReadsFixtureHeaders(t *testing.T) {
 			if err := s.Put(k, res); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			canon, err := EncodeBlob(k, res)
-			if err != nil {
-				t.Fatal(err)
-			}
 			want[k.Digest] = ManifestEntry{Digest: k.Digest, Profile: profile, Instance: k.Instance,
-				Schema: SchemaVersion, RawBytes: int64(len(canon))}
+				Schema: SchemaVersion, RawBytes: bodyLen(t, k, res)}
 		}
 	}
 	ix := s.Index()
@@ -344,5 +421,70 @@ func TestIndexReadsFixtureHeaders(t *testing.T) {
 		if got != want[e.Digest] {
 			t.Errorf("entry %+v, want %+v", got, want[e.Digest])
 		}
+	}
+}
+
+// TestProfileKeyBound: every blob Put accepts is indexed. The index
+// reads a blob from a fixed header prefix, so the profile key is
+// bounded: KeyFor and the encoder refuse a key past maxProfileKey, and
+// a blob whose body carries one is invalid. A key of any accepted
+// length is listed by Index and counted by Len.
+func TestProfileKeyBound(t *testing.T) {
+	s := openStore(t)
+	accepted := 0
+	for _, n := range []int{0, 64, maxProfileKey, maxProfileKey + 1, 165, 300} {
+		profile := strings.Repeat("p", n)
+		k, err := KeyFor(profile, n, 42, testConfig())
+		if n > maxProfileKey {
+			if err == nil {
+				t.Fatalf("KeyFor accepted a %d-byte profile key", n)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("KeyFor refused a %d-byte profile key: %v", n, err)
+		}
+		if err := s.Put(k, testResult()); err != nil {
+			t.Fatalf("Put with a %d-byte profile key: %v", n, err)
+		}
+		accepted++
+		if _, ok := s.Get(k); !ok {
+			t.Fatalf("Get missed the %d-byte profile key", n)
+		}
+		if s.Len() != accepted {
+			t.Fatalf("Len = %d after %d Puts; the %d-byte profile key is not indexed", s.Len(), accepted, n)
+		}
+	}
+
+	// The encoder refuses a hand-built key past the bound, naming it once.
+	long := Key{Digest: "cafe", Profile: strings.Repeat("p", maxProfileKey+1)}
+	if _, err := EncodeBlobV3(long, testResult()); err == nil {
+		t.Fatal("EncodeBlobV3 accepted a profile key past the bound")
+	} else if strings.Count(err.Error(), long.String()) != 1 {
+		t.Fatalf("EncodeBlobV3 error %q does not name the key once", err)
+	}
+	if err := s.Put(long, testResult()); err == nil {
+		t.Fatal("Put accepted a profile key past the bound")
+	}
+
+	// A body carrying one is an invalid blob: splice the long profile
+	// into a valid body in place of the short one.
+	k := Key{Digest: "cafe", Profile: "p"}
+	e, err := encodeBody(k, testResult())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := bytes.Clone(e.buf)
+	putEncoder(e)
+	at := 4 + 8 + 4 + len(k.Digest) // the profile's length prefix
+	spliced := append(bytes.Clone(body[:at]), byte(len(long.Profile)), 0, 0, 0)
+	spliced = append(append(spliced, long.Profile...), body[at+4+len(k.Profile):]...)
+	binary.LittleEndian.PutUint64(spliced[4:], uint64(len(spliced)))
+	blob := append(append([]byte(nil), v3Magic[:]...), gzipBytes(t, spliced)...)
+	if _, err := ValidateBlob(blob, k.Digest); !errors.Is(err, ErrInvalidBlob) {
+		t.Fatalf("blob with a %d-byte profile key: err = %v, want ErrInvalidBlob", len(long.Profile), err)
+	}
+	if _, err := readV3Header(bytes.NewReader(blob)); err == nil {
+		t.Fatal("readV3Header accepted a profile key past the bound")
 	}
 }

@@ -92,21 +92,21 @@ func Result(i int) *core.Result {
 	}
 }
 
-// mustEqual compares results through the canonical encoding — the
-// bytes the store contract is defined over — so NaN and map ordering
-// compare correctly.
+// mustEqual compares results through their v3 encoding — the bytes
+// the store contract is defined over — so NaN and map ordering compare
+// correctly.
 func mustEqual(t *testing.T, k store.Key, got, want *core.Result) {
 	t.Helper()
-	ge, err := store.EncodeBlob(k, got)
+	ge, err := store.EncodeBlobV3(k, got)
 	if err != nil {
 		t.Fatalf("encode got: %v", err)
 	}
-	we, err := store.EncodeBlob(k, want)
+	we, err := store.EncodeBlobV3(k, want)
 	if err != nil {
 		t.Fatalf("encode want: %v", err)
 	}
 	if !bytes.Equal(ge, we) {
-		t.Fatalf("result for %s did not round-trip canonically", k)
+		t.Fatalf("result for %s did not round-trip", k)
 	}
 }
 

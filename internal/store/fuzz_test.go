@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzDecodeBlob throws arbitrary bytes at the full blob-validation
-// path — the magic check, inflation under the canonical-size rail, the
+// path — the magic check, inflation under the body-size rail, the
 // bounds-checked v3 binary walk, digest/schema checks. The invariant is
 // the store's corrupt-blob promise: any input either validates to a
 // non-nil result or returns an error; it never panics, a container
@@ -16,10 +16,7 @@ import (
 // validates.
 func FuzzDecodeBlob(f *testing.F) {
 	k := mustKey(f, 0, 42)
-	plain, err := EncodeBlob(k, testResult())
-	if err != nil {
-		f.Fatal(err)
-	}
+	plain := legacyJSON(k.Digest)
 	comp := gzipBytes(f, plain)
 	v3, err := EncodeBlobV3(k, testResult())
 	if err != nil {

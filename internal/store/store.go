@@ -1,9 +1,8 @@
 // Package store persists campaign results as content-addressed,
-// versioned blobs — a canonical JSON envelope contract carried in a
-// compact binary v3 container — so that repeated and incremental
-// sweeps are near-free: a
-// campaign whose inputs have not changed is read back from disk
-// instead of being re-simulated, at a fraction of its JSON size.
+// versioned blobs — a compact binary body in a gzip container (v3) —
+// so that repeated and incremental sweeps are near-free: a campaign
+// whose inputs have not changed is read back from disk instead of
+// being re-simulated.
 //
 // # Addressing
 //
@@ -25,10 +24,10 @@
 //
 // # Durability and tolerance
 //
-// Blobs are streamed (encode → gzip → staging file, no full-buffer
-// materialisation) to a temporary file in the store directory and
-// atomically renamed into place, so a crash mid-write never leaves a
-// half-written blob under a valid digest name. Reads are corruption
+// A blob's body is built in pooled scratch, then gzipped straight into
+// a temporary file in the store directory and atomically renamed into
+// place, so a crash mid-write never leaves a half-written blob under a
+// valid digest name. Reads are corruption
 // tolerant: a blob that fails to parse, carries a broken compressed
 // stream, carries the wrong schema version, or does not match its
 // digest is treated as a miss — the stale blob is deleted on the spot,
@@ -43,7 +42,7 @@
 // sharing one directory. The directory is the index: a blob's file
 // name is its digest, stat gives its size, its mtime is the LRU clock
 // (set by the write and advanced by every read hit), and the v3 header
-// names its profile, instance and canonical size. Every process
+// names its profile, instance and body size. Every process
 // sharing the directory therefore sees every other's writes at once,
 // with no index file to merge or repair. Advisory shard leases
 // (`<digest>.lease`, see lease.go) let cooperating sweeps partition
@@ -68,21 +67,21 @@ import (
 	"golatest/internal/hwprofile"
 )
 
-// SchemaVersion is the blob schema version: the version of the
-// canonical envelope (the stored* types in codec.go) and of the
-// campaign semantics behind it. Bump it whenever those types change
-// shape or meaning, or when a campaign code change makes
-// previously-stored results non-reproducible; every blob written under
-// an older version then misses (both through the key digest and the
-// envelope check) and is recomputed. Container-level changes do NOT
-// bump it: the binary v3 container (the same canonical contract in a
-// new carrier — see codecv3.go) left it at 1, and so did reading the
-// index from the directory instead of a manifest file beside it.
+// SchemaVersion is the blob schema version: the version of the v3 body
+// layout (codecv3.go) and of the campaign semantics behind it. Bump it
+// whenever a body field changes shape or meaning, or when a campaign
+// code change makes previously-stored results non-reproducible; every
+// blob written under an older version then misses (both through the
+// key digest and the header check) and is recomputed. Reading the
+// index from the directory instead of a manifest file beside it did
+// not bump it.
 //
 // History: 1 is the original envelope. 2: the simulator elapses the
 // warm-up iterations no sink reads in one normal draw per clock segment,
-// so campaign results are equal in distribution but not in bits.
-const SchemaVersion = 2
+// so campaign results are equal in distribution but not in bits. 3: the
+// body's size field records the inflated body's own length, not that of
+// the canonical JSON envelope, which is no longer rendered.
+const SchemaVersion = 3
 
 // tmpPrefix marks staging files; the leading dot keeps them out of every
 // blob scan.
@@ -104,8 +103,12 @@ func (k Key) blobName() string { return k.Digest + ".json" }
 
 // KeyFor derives the content address of a campaign from its inputs. The
 // digest covers the schema version, so schema bumps invalidate the whole
-// key space rather than relying on the envelope check alone.
+// key space rather than relying on the header check alone. A profile
+// key longer than maxProfileKey bytes has no address.
 func KeyFor(profileKey string, instance int, deviceSeed uint64, cfg core.Config) (Key, error) {
+	if len(profileKey) > maxProfileKey {
+		return Key{}, fmt.Errorf("store: profile key of %d bytes exceeds %d", len(profileKey), maxProfileKey)
+	}
 	fp, err := cfg.CacheFingerprint()
 	if err != nil {
 		return Key{}, fmt.Errorf("store: fingerprint config: %w", err)
@@ -149,7 +152,7 @@ type ManifestEntry struct {
 	// Bytes is the on-disk (compressed) blob size; GC's size bound sums
 	// it.
 	Bytes int64 `json:"bytes,omitempty"`
-	// RawBytes is the canonical (uncompressed) envelope size; with
+	// RawBytes is the inflated v3 body size, from the header; with
 	// Bytes it yields the store's compression ratio for stats without
 	// decoding a single blob.
 	RawBytes int64 `json:"raw_bytes,omitempty"`
@@ -243,7 +246,7 @@ func (s *Store) Get(k Key) (*core.Result, bool) {
 // verbatim (no decompress/recompress, no decode/re-encode round trip
 // on the wire), while the validation, traffic counters, LRU touch, and
 // corrupt-blob healing all match Get. Callers that also want the
-// decoded result or the envelope identity should use GetValidated,
+// decoded result or the header identity should use GetValidated,
 // which this wraps.
 func (s *Store) GetRaw(digest string) ([]byte, bool) {
 	vb, ok := s.GetValidated(digest)
@@ -270,29 +273,21 @@ func (s *Store) PutRaw(digest string, data []byte) error {
 	return s.PutValidated(vb)
 }
 
-// Put stores the campaign under the key, atomically: the v3 encoding
-// flows through pooled scratch and a pooled gzip writer straight into
-// a temporary file that is renamed into place, so concurrent readers
-// see either the old blob or the new one, never a torn write, and the
-// container is never materialised in memory (the canonical JSON is
-// rendered only to size RawBytes). The fresh file's mtime starts its
-// LRU clock; no index is written.
+// Put stores the campaign under the key, atomically: the v3 body is
+// built in pooled scratch and gzipped through a pooled writer straight
+// into a temporary file that is renamed into place, so concurrent
+// readers see either the old blob or the new one, never a torn write.
+// A result the encoder refuses — past the decode bound among others,
+// since what Put writes Get must be able to read — is refused before
+// the staging file exists. The fresh file's mtime starts its LRU
+// clock; no index is written.
 func (s *Store) Put(k Key, res *core.Result) error {
-	if res == nil {
-		return fmt.Errorf("store: nil result for %s", k)
-	}
-	err := s.writeAtomicStream(k.blobName(), func(w io.Writer) error {
-		rawN, err := encodeBlobV3To(w, k, res)
-		if err == nil && rawN > maxCanonicalBytes {
-			// What Put writes, Get must be able to read: past the
-			// decode rail every Get would classify the blob corrupt and
-			// delete it — a silent recompute/delete loop. Refuse here
-			// instead (the staging file is discarded, nothing lands).
-			err = fmt.Errorf("store: %s: canonical size %d exceeds the %d-byte decode bound",
-				k, rawN, maxCanonicalBytes)
-		}
+	e, err := encodeBody(k, res)
+	if err != nil {
 		return err
-	})
+	}
+	defer putEncoder(e)
+	err = s.writeAtomicStream(k.blobName(), func(w io.Writer) error { return writeV3(w, e.buf) })
 	if err != nil {
 		return err
 	}
@@ -310,9 +305,9 @@ func blobFile(de os.DirEntry) bool {
 
 // Index lists the directory's readable blobs sorted by (profile,
 // instance, digest). Size and LRU clock come from stat; digest,
-// profile, instance, schema and canonical size from the blob's v3
-// header, read by inflating only the file's first KiB rather than a
-// full parse. A file whose header does not read, carries another
+// profile, instance, schema and body size from the blob's v3 header,
+// read by inflating only the file's first KiB rather than a full
+// parse. A file whose header does not read, carries another
 // schema, or names another digest is left out; Get would reject it
 // anyway.
 func (s *Store) Index() []ManifestEntry {
@@ -349,17 +344,17 @@ func (s *Store) indexEntry(name string) (ManifestEntry, bool) {
 	if err != nil {
 		return ManifestEntry{}, false
 	}
-	b, rawN, err := readV3Header(f)
-	if err != nil || b.Schema != SchemaVersion || b.Digest+".json" != name {
+	h, err := readV3Header(f)
+	if err != nil || h.Schema != SchemaVersion || h.Digest+".json" != name {
 		return ManifestEntry{}, false
 	}
 	return ManifestEntry{
-		Digest:       b.Digest,
-		Profile:      b.Profile,
-		Instance:     b.Instance,
-		Schema:       b.Schema,
+		Digest:       h.Digest,
+		Profile:      h.Profile,
+		Instance:     h.Instance,
+		Schema:       h.Schema,
 		Bytes:        fi.Size(),
-		RawBytes:     rawN,
+		RawBytes:     h.BodySize,
 		AccessUnixNs: fi.ModTime().UnixNano(),
 	}, true
 }
@@ -384,7 +379,7 @@ func (s *Store) writeAtomic(name string, data []byte) error {
 // writeAtomicStream is writeAtomic for producers that stream: fill
 // writes straight into the staging file (through the same injectable
 // stage-write hook), which is then renamed into place — the path Put
-// uses to compress-encode a blob without ever holding it in memory.
+// uses to gzip a body without holding the container in memory.
 func (s *Store) writeAtomicStream(name string, fill func(io.Writer) error) error {
 	return atomicWriteStream(filepath.Join(s.dir, name), fill)
 }

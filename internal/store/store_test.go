@@ -162,11 +162,11 @@ func TestRoundTripExact(t *testing.T) {
 		t.Fatal("Get missed a just-Put key")
 	}
 
-	enc1, err := EncodeBlob(k, res)
+	enc1, err := EncodeBlobV3(k, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc2, err := EncodeBlob(k, got)
+	enc2, err := EncodeBlobV3(k, got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,16 +337,12 @@ func TestManifestMergesAcrossWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon, err := EncodeBlob(kb, testResult())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ix := a.Index()
 	if len(ix) != 1 {
 		t.Fatalf("a.Index() = %+v, want b's one entry", ix)
 	}
 	want := ManifestEntry{Digest: kb.Digest, Profile: "rtx6000", Instance: 3, Schema: SchemaVersion,
-		Bytes: fi.Size(), RawBytes: int64(len(canon)), AccessUnixNs: fi.ModTime().UnixNano()}
+		Bytes: fi.Size(), RawBytes: bodyLen(t, kb, testResult()), AccessUnixNs: fi.ModTime().UnixNano()}
 	if ix[0] != want {
 		t.Fatalf("a.Index()[0] = %+v, want %+v", ix[0], want)
 	}

@@ -40,28 +40,28 @@ type ValidatedBlob struct {
 // handler, the client's response validation, the local-tier heal, and
 // the pending-journal reconciler.
 func ValidateBlobBytes(data []byte, digest string) (*ValidatedBlob, error) {
-	b, rawBytes, err := parseBlob(data, digest)
+	h, res, err := parseBlob(data, digest)
 	if err != nil {
 		return nil, err
 	}
-	return newValidatedBlob(digest, data, rawBytes, b), nil
+	return newValidatedBlob(data, h, res), nil
 }
 
-func newValidatedBlob(digest string, data []byte, rawBytes int64, b *storedBlob) *ValidatedBlob {
+func newValidatedBlob(data []byte, h blobHeader, res *core.Result) *ValidatedBlob {
 	return &ValidatedBlob{
-		digest:   digest,
-		profile:  b.Profile,
-		instance: b.Instance,
+		digest:   h.Digest,
+		profile:  h.Profile,
+		instance: h.Instance,
 		data:     data,
-		rawBytes: rawBytes,
-		res:      decodeResult(b.Result),
+		rawBytes: h.BodySize,
+		res:      res,
 	}
 }
 
 // Digest returns the digest the bytes were validated against.
 func (vb *ValidatedBlob) Digest() string { return vb.digest }
 
-// Key returns the content address recorded in the envelope.
+// Key returns the content address recorded in the header.
 func (vb *ValidatedBlob) Key() Key {
 	return Key{Digest: vb.digest, Profile: vb.profile, Instance: vb.instance}
 }
@@ -71,7 +71,7 @@ func (vb *ValidatedBlob) Key() Key {
 // the constructing caller returns.
 func (vb *ValidatedBlob) Bytes() []byte { return vb.data }
 
-// RawBytes returns the canonical (uncompressed envelope) size.
+// RawBytes returns the inflated v3 body size.
 func (vb *ValidatedBlob) RawBytes() int64 { return vb.rawBytes }
 
 // Result returns the campaign result decoded by the validating parse.
@@ -102,7 +102,7 @@ func (s *Store) GetValidated(digest string) (*ValidatedBlob, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	b, rawN, err := parseBlob(data, digest)
+	h, res, err := parseBlob(data, digest)
 	if err != nil {
 		// Remove the unreadable blob, so the corruption is visible for
 		// exactly one Get: the next Put writes a fresh blob. (If a
@@ -119,5 +119,5 @@ func (s *Store) GetValidated(digest string) (*ValidatedBlob, bool) {
 	// meantime just stays gone.
 	now := time.Now()
 	_ = os.Chtimes(path, now, now)
-	return newValidatedBlob(digest, data, rawN, b), true
+	return newValidatedBlob(data, h, res), true
 }

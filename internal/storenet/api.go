@@ -74,7 +74,7 @@
 // validated for a digest never needs re-fetching. Note the digest is
 // the content address of the campaign's *inputs* (schema, profile,
 // instance, seed, config — see internal/store), not a hash of the blob
-// bytes; validation is therefore envelope validation
+// bytes; validation is therefore container validation
 // (store.ValidateBlob), not a byte-hash comparison.
 //
 // Every response body is validated by the client before use: a
@@ -178,8 +178,8 @@ type indexResponse struct {
 }
 
 // Stats summarises the daemon's store. Bytes is on-disk
-// (compressed) size; RawBytes is the canonical (uncompressed) total
-// the index has recorded, and CompressionRatio their quotient (0 until
+// (compressed) size; RawBytes is the inflated v3 body total the index
+// has recorded, and CompressionRatio their quotient (0 until
 // both are known). Leases is the lease churn this daemon instance has
 // arbitrated. LatencyP50Ns/LatencyP99Ns are request-latency quantile
 // estimates across all endpoints since start (histogram bucket upper

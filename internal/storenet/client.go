@@ -89,7 +89,7 @@ const (
 // attempt, never the whole retry budget.
 //
 // A Get whose response body is truncated, tampered with, or otherwise
-// fails validation (store.ValidateBlob: envelope, schema, digest) is a
+// fails validation (store.ValidateBlob: container, schema, digest) is a
 // miss and ticks the Corrupt counter — the caller recomputes and the
 // subsequent Put heals both tiers, mirroring the local corrupt-blob
 // path. It is never an error and can never yield a wrong result.
@@ -636,7 +636,7 @@ func (c *Client) readBodyInto(buf *bytes.Buffer, resp *http.Response, limit int6
 // Get resolves a key: local tier first, then the daemon. The response
 // body is the daemon's v3 disk bytes verbatim, read into a pooled
 // buffer and validated exactly once by store.ValidateBlobBytes — the
-// canonical JSON is never materialised, and the resulting
+// body is decoded straight into the result, and the resulting
 // ValidatedBlob carries both the decoded result and the proof the
 // bytes cleared validation. A remote hit heals the local
 // tier by handing that proof to PutValidated, which writes the wire

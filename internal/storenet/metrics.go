@@ -190,7 +190,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	gauge("stored_blobs", "Blobs in the served store.", strconv.Itoa(st.Blobs))
 	gauge("stored_blob_bytes", "On-disk (compressed) blob bytes.", strconv.FormatInt(st.Bytes, 10))
-	gauge("stored_blob_raw_bytes", "Canonical (uncompressed) blob bytes.", strconv.FormatInt(st.RawBytes, 10))
+	gauge("stored_blob_raw_bytes", "Inflated v3 body bytes of the indexed blobs.", strconv.FormatInt(st.RawBytes, 10))
 	gauge("stored_compression_ratio", "raw_bytes / bytes (0 until both known).", formatFloat(st.CompressionRatio))
 	counter("stored_store_hits_total", "Validated blob reads served.", st.Counters.Hits)
 	counter("stored_store_misses_total", "Blob reads that found nothing.", st.Counters.Misses)

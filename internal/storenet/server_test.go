@@ -137,10 +137,10 @@ func TestServerPutRejectsInvalidBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, err := store.EncodeBlob(k, testResult(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// v1 is the JSON envelope earlier releases stored (abridged).
+	v1 := []byte(`{"schema":2,"digest":"` + k.Digest + `","profile":"` + k.Profile +
+		`","instance":0,"result":{"device_name":"dev","architecture":"Ampere",` +
+		`"capture_hint_ns":0,"pairs":null}}`)
 	otherKey := testKey(t, 1)
 
 	cases := map[string]struct {

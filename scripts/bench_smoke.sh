@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # bench_smoke.sh — tier-1 benchmark smoke for the campaign engine.
 #
-# Runs every campaign-sweep benchmark once or a few times (compile +
-# execute smoke, not a timing run) and emits BENCH_campaign.json with ns/op,
-# bytes/op and allocs/op per benchmark, so the performance trajectory of
-# the sweep is tracked alongside the test suite:
+# Runs every benchmark five times (-count 5, a handful of iterations
+# each) and emits BENCH_campaign.json with the median ns/op and its
+# quartiles, and the median bytes/op and allocs/op, per benchmark; every
+# derived ratio divides medians. One run of a benchmark on a shared host
+# swings by 2x and more, so no figure here rests on a single run. The
+# performance trajectory is tracked alongside the test suite:
 #
 #   ./scripts/bench_smoke.sh [output.json]
 #
@@ -13,6 +15,9 @@
 #   go build ./... && go test ./... && ./scripts/bench_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Every -bench invocation runs each benchmark this many times.
+count=5
 
 out="${1:-BENCH_campaign.json}"
 
@@ -24,28 +29,28 @@ cpus=1
 if [ "$(nproc)" -gt 1 ]; then
 	cpus="1,$(nproc)"
 fi
-raw=$(go test -run '^$' -bench 'BenchmarkCampaignSweep$' -cpu "$cpus" -benchtime 2x -benchmem .)
+raw=$(go test -count "$count" -run '^$' -bench 'BenchmarkCampaignSweep$' -cpu "$cpus" -benchtime 2x -benchmem .)
 raw="$raw
-$(go test -run '^$' -bench 'BenchmarkPhase1Warmup|BenchmarkSuiteCampaignCold|BenchmarkAblations' -benchtime 1x -benchmem .)"
+$(go test -count "$count" -run '^$' -bench 'BenchmarkPhase1Warmup|BenchmarkSuiteCampaignCold|BenchmarkAblations' -benchtime 1x -benchmem .)"
 # The warm benchmarks run a few iterations so the recorded bytes/allocs
 # are the steady state of the pooled codec (one iteration would charge
 # the one-time pool warm-up to the op).
 raw="$raw
-$(go test -run '^$' -bench 'BenchmarkSuiteCampaign(Warm|RemoteWarm)$' -benchtime 10x -benchmem .)"
+$(go test -count "$count" -run '^$' -bench 'BenchmarkSuiteCampaign(Warm|RemoteWarm)$' -benchtime 10x -benchmem .)"
 # The store Put benchmark runs at 16 and 1024 entries (a Put writes no
 # index, so the two should match); the blob codec benchmarks track the
 # v3 container encode/decode cost. A handful of iterations completes in
 # well under a second.
 raw="$raw
-$(go test -run '^$' -bench 'BenchmarkStorePut|BenchmarkBlob' -benchtime 20x -benchmem ./internal/store)"
+$(go test -count "$count" -run '^$' -bench 'BenchmarkStorePut|BenchmarkBlob' -benchtime 20x -benchmem ./internal/store)"
 # Resilience path: the breaker's fast-fail vs the no-breaker
 # timeout-and-retry baseline, and a degraded-mode warm read vs the bare
 # local store. TimeoutRetryGet costs a real RequestTimeout per op, so a
 # handful of iterations is all it gets.
 raw="$raw
-$(go test -run '^$' -bench 'BenchmarkBreakerOpenGet|BenchmarkDegradedWarmGet|BenchmarkLocalWarmGet' \
+$(go test -count "$count" -run '^$' -bench 'BenchmarkBreakerOpenGet|BenchmarkDegradedWarmGet|BenchmarkLocalWarmGet' \
 	-benchtime 20x -benchmem ./internal/storenet)
-$(go test -run '^$' -bench 'BenchmarkTimeoutRetryGet' -benchtime 5x -benchmem ./internal/storenet)"
+$(go test -count "$count" -run '^$' -bench 'BenchmarkTimeoutRetryGet' -benchtime 5x -benchmem ./internal/storenet)"
 # Replicated router tax: a warm read through a three-daemon router vs
 # the same read through a bare client (the routing overhead a replica
 # set costs when nothing is wrong), and a read whose primary is down
@@ -53,23 +58,23 @@ $(go test -run '^$' -bench 'BenchmarkTimeoutRetryGet' -benchtime 5x -benchmem ./
 # this is the steady-state cost of routing around a dead member, not
 # the one-time discovery timeout).
 raw="$raw
-$(go test -run '^$' -bench 'BenchmarkDirectWarmGet|BenchmarkRouterWarmGet|BenchmarkRouterFailoverGet' \
+$(go test -count "$count" -run '^$' -bench 'BenchmarkDirectWarmGet|BenchmarkRouterWarmGet|BenchmarkRouterFailoverGet' \
 	-benchtime 20x -benchmem ./internal/storenet/router)"
 # Tracing tax: the cost of recording one span event on a hot shard
 # (span pool + monotonic clock, no locks beyond the span's own), and
 # the disabled-tracer path that every untraced sweep pays — which must
 # stay at effectively zero for tracing-off runs to be free.
 raw="$raw
-$(go test -run '^$' -bench 'BenchmarkSpanEvent|BenchmarkStartSpan' -benchtime 100x -benchmem ./internal/obs)"
+$(go test -count "$count" -run '^$' -bench 'BenchmarkSpanEvent|BenchmarkStartSpan' -benchtime 100x -benchmem ./internal/obs)"
 # Simulator cost: a streamed warm-up kernel per kernel (its skipped
 # prefix elapses in one draw per clock segment) and the per-iteration
 # loop of a materialised kernel, which simulates every iteration.
 raw="$raw
-$(go test -run '^$' -bench 'BenchmarkWarmKernel(Streamed|Materialised)$' -benchtime 200x -benchmem ./internal/sim/gpu)"
+$(go test -count "$count" -run '^$' -bench 'BenchmarkWarmKernel(Streamed|Materialised)$' -benchtime 200x -benchmem ./internal/sim/gpu)"
 # Phase-3 cost: a GH200 benchmark kernel streamed into the detection
 # sink, which reads every iteration, per simulated iteration.
 raw="$raw
-$(go test -run '^$' -bench 'BenchmarkPhase3Kernel$' -benchtime 200x -benchmem ./internal/core)"
+$(go test -count "$count" -run '^$' -bench 'BenchmarkPhase3Kernel$' -benchtime 200x -benchmem ./internal/core)"
 printf '%s\n' "$raw"
 
 # Real-blob compression ratio: TestBlobCompressionRatio persists one
@@ -89,32 +94,60 @@ p99=$(printf '%s\n' "$loadout" | sed -n 's/.*stored_p99_ns=\([0-9]*\).*/\1/p' | 
 echo "bench_smoke: stored_p50_ns=${p50:-unknown} stored_p99_ns=${p99:-unknown}"
 
 printf '%s\n' "$raw" | awk -v cores="$(nproc 2>/dev/null || echo 1)" -v blob_ratio="${ratio:-0}" \
-	-v stored_p50="${p50:-0}" -v stored_p99="${p99:-0}" '
+	-v stored_p50="${p50:-0}" -v stored_p99="${p99:-0}" -v count="$count" '
+# quantile returns the p-quantile of the runs of one metric of one
+# benchmark, interpolated linearly between order statistics.
+function quantile(name, unit, p,    n, i, j, t, a, h, lo) {
+	n = runs[name, unit]
+	if (n == 0)
+		return 0
+	for (i = 1; i <= n; i++)
+		a[i] = val[name, unit, i]
+	for (i = 2; i <= n; i++)
+		for (j = i; j > 1 && a[j] < a[j-1]; j--) {
+			t = a[j]; a[j] = a[j-1]; a[j-1] = t
+		}
+	h = 1 + (n - 1) * p
+	lo = int(h)
+	if (lo >= n)
+		return a[n]
+	return a[lo] + (h - lo) * (a[lo+1] - a[lo])
+}
+function num(x) {
+	return x == int(x) ? sprintf("%.0f", x) : sprintf("%.2f", x)
+}
 /^Benchmark/ {
 	name = $1
 	# The campaign sweep keeps its -N suffix: it runs at several -cpu.
 	if (name !~ /^BenchmarkCampaignSweep-/)
 		sub(/-[0-9]+$/, "", name)
+	if (!(name in seen)) {
+		seen[name] = 1
+		order[n++] = name
+	}
 	# Each value precedes its unit; a custom metric such as ns/iter
 	# shifts the B/op and allocs/op columns.
 	for (i = 3; i < NF; i++) {
-		if ($(i+1) == "ns/op") ns[name] = $i
-		if ($(i+1) == "B/op") bytes[name] = $i
-		if ($(i+1) == "allocs/op") allocs[name] = $i
-		if ($(i+1) == "ns/iter") nsiter[name] = $i
+		u = $(i+1)
+		if (u == "ns/op" || u == "B/op" || u == "allocs/op" || u == "ns/iter")
+			val[name, u, ++runs[name, u]] = $i + 0
 	}
-	order[n++] = name
 }
 END {
 	if (n == 0) {
 		print "bench_smoke: no benchmark output parsed" > "/dev/stderr"
 		exit 1
 	}
-	printf "{\n  \"cores\": %d,\n  \"benchmarks\": {\n", cores
+	printf "{\n  \"cores\": %d,\n  \"runs_per_benchmark\": %d,\n  \"benchmarks\": {\n", cores, count
 	for (i = 0; i < n; i++) {
 		k = order[i]
-		printf "    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
-			k, ns[k], bytes[k], allocs[k], (i < n-1 ? "," : "")
+		ns[k] = quantile(k, "ns/op", 0.5)
+		bytes[k] = quantile(k, "B/op", 0.5)
+		allocs[k] = quantile(k, "allocs/op", 0.5)
+		nsiter[k] = quantile(k, "ns/iter", 0.5)
+		printf "    \"%s\": {\"ns_per_op\": %s, \"ns_q1\": %s, \"ns_q3\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"runs\": %d}%s\n", \
+			k, num(ns[k]), num(quantile(k, "ns/op", 0.25)), num(quantile(k, "ns/op", 0.75)), \
+			num(bytes[k]), num(allocs[k]), runs[k, "ns/op"], (i < n-1 ? "," : "")
 	}
 	printf "  }"
 	# The ROADMAP open item asks for the multicore sweep speedup; it is
@@ -136,15 +169,15 @@ END {
 	remote = ns["BenchmarkSuiteCampaignRemoteWarm"]
 	if (cold > 0 && remote > 0)
 		printf ",\n  \"remote_warm_speedup\": %.2f", cold / remote
-	# v3 streaming encode: the allocation profile of the binary blob
-	# writer (alloc-free in steady state).
+	# v3 encode: the allocation profile of the blob writer (alloc-free
+	# in steady state: pooled body scratch and gzip writer).
 	if (ns["BenchmarkBlobEncode"] > 0) {
 		printf ",\n  \"blob_encode_allocs_per_op\": %d", allocs["BenchmarkBlobEncode"]
 		printf ",\n  \"blob_encode_bytes_per_op\": %d", bytes["BenchmarkBlobEncode"]
 	}
-	# Blob container: raw/compressed ratio of a real quick-scale
-	# campaign blob (from TestBlobCompressionRatio), and the absolute
-	# warm-get memory cost, local and remote.
+	# Blob container: inflated-body/stored-container ratio of a real
+	# quick-scale campaign blob (from TestBlobCompressionRatio), and the
+	# absolute warm-get memory cost, local and remote.
 	if (blob_ratio > 0)
 		printf ",\n  \"blob_compression_ratio\": %.2f", blob_ratio
 	warm_bytes = bytes["BenchmarkSuiteCampaignWarm"]

@@ -83,8 +83,8 @@ go test -race -count 2 \
 	./internal/storenet
 go test -race -count 2 -run 'TestSweepDegrade|TestSweepAutoPolicy|TestResolvePolicy' ./internal/fleet
 
-echo "== go test -race (v3 blob codec rails: corrupt and legacy blobs are misses) =="
-go test -race -run 'TestCorruptBlobIsMissAndHeals|TestBlobInflationBound|TestRejectsMultiMemberContainer|TestV3RoundTrip|TestV3GoldenBytes' \
+echo "== go test -race (v3 blob codec rails: corrupt and legacy blobs are misses, profile and body bounds hold) =="
+go test -race -run 'TestCorruptBlobIsMissAndHeals|TestBlobInflationBound|TestRejectsMultiMemberContainer|TestV3RoundTrip|TestV3GoldenBytes|TestProfileKeyBound|TestPutRefusesBodyPastDecodeBound' \
 	-count 2 ./internal/store
 
 echo "== go test -race (backend conformance + auth/ratelimit) =="
