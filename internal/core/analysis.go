@@ -34,6 +34,15 @@ type blockVerdict struct {
 // block. Its mean and deviation may differ from a float accumulator's in
 // the last bits; detection, t_e and the verdict do not.
 //
+// Those sums are all the tail is read for, so the sink is a
+// gpu.TailFolder: once a block has detected, InTail says the rest of it
+// is tail, and the device hands it over in chunks of n, Σd and Σd²
+// (Fold) wherever the clock holds still. The detection, t_e and
+// iteration index are those of the per-iteration path; the tail's n and
+// Σd are exact, its Σd² exact in distribution, so the confirmation
+// verdict and the block's end time are exact in distribution, not in
+// bits.
+//
 // When no value on the device timer's lattice (multiples of its
 // quantum) can fall inside the band, no block can detect, and the sink
 // declines the whole kernel: its iterations elapse undelivered and the
@@ -55,8 +64,9 @@ type detectSink struct {
 	// 3 s (at most (T − d0)² + n·d0² over a span T), and the capture
 	// window is capped at 2 s.
 	d0, n, sumY, sumY2 int64
-	// delivered counts the iterations the sink has been handed since it
-	// was made, so tests can tell a declined kernel from a scanned one.
+	// delivered counts the iterations the sink has been handed, one by
+	// one or folded, since it was made, so tests can tell a declined
+	// kernel from a scanned one.
 	delivered int
 }
 
@@ -129,6 +139,20 @@ func (s *detectSink) Sample(block, iter int, it gpu.IterSample) {
 	s.n++
 	s.sumY += y
 	s.sumY2 += y * y
+}
+
+// InTail implements gpu.TailFolder: from a block's detection on, the
+// rest of the block is confirmation tail.
+func (s *detectSink) InTail(block int) bool { return s.blocks[block].detected }
+
+// Fold implements gpu.TailFolder: it adds n tail durations with sum
+// sumNs and sum of squares sumSqNs to the block's sums of y = d − d₀.
+func (s *detectSink) Fold(block, n int, sumNs, sumSqNs int64) {
+	s.delivered += n
+	nn := int64(n)
+	s.n += nn
+	s.sumY += sumNs - nn*s.d0
+	s.sumY2 += sumSqNs - 2*s.d0*sumNs + nn*s.d0*s.d0
 }
 
 // tail returns the current block's confirmation population in ms.

@@ -89,6 +89,10 @@ func refEvaluate(cfg *Config, blocks [][]gpu.IterSample, tsDevNs int64, target s
 	return verdicts, best, nil
 }
 
+// unfolded hides a sink's gpu.TailFolder methods, so the device
+// delivers every iteration it wants one by one.
+type unfolded struct{ gpu.SampleSink }
+
 // declineAll is a sink that wants no iteration of any block.
 type declineAll struct{}
 
@@ -258,15 +262,20 @@ func (ts twinSetup) runner(t *testing.T) *Runner {
 // TestDetectSinkMatchesReference drives MeasureOnce (streaming phase 3)
 // and refMeasureOnce (materialised phase 3) on twin runners — same
 // device, same seeds, same history — over every twin setup, and
-// requires identical per-SM verdicts, measurements and errors. A kernel
-// the sink declines elapses without a trace on both twins (see
-// TestDeclinedKernelsNeverDetect for why its verdict holds), so the
-// twins stay in step and every kernel the sink reads is compared.
+// requires identical per-SM verdicts, measurements and errors. The
+// streaming twin's sink is wrapped so that only its gpu.SampleSink
+// methods show: it reads every tail iteration one by one, which pins
+// the per-iteration path bit for bit (TestFoldedTailKeepsDetection
+// covers the fold). A kernel the sink declines elapses without a trace
+// on both twins (see TestDeclinedKernelsNeverDetect for why its verdict
+// holds), so the twins stay in step and every kernel the sink reads is
+// compared.
 func TestDetectSinkMatchesReference(t *testing.T) {
 	outcomes := map[error]int{}
 	attempts, declined := 0, 0
 	for _, setup := range twinSetups() {
 		a, b := setup.runner(t), setup.runner(t)
+		a.benchSink = unfolded{a.detect}
 		p1, err := a.Phase1()
 		if err != nil {
 			t.Fatal(err)

@@ -59,7 +59,8 @@ type Config struct {
 
 	// Blocks bounds how many SM-resident blocks are simulated and
 	// analysed per kernel. Zero means all SMs, the methodology's full
-	// shape; campaigns use a subset for tractability. Per-SM iteration
+	// shape, and so does any count above the device's SM count;
+	// campaigns use a subset for tractability. Per-SM iteration
 	// populations are statistically identical, but the latency verdict
 	// is a maximum over SMs, and more SMs give more stragglers whose
 	// first in-band iteration jitter delays by whole periods. So a
@@ -157,9 +158,6 @@ func (c Config) withDefaults(dev *nvml.Device) (Config, error) {
 	}
 	if c.Blocks == 0 || c.Blocks > simCfg.SMCount {
 		c.Blocks = simCfg.SMCount
-		if c.Blocks > 8 {
-			c.Blocks = 8
-		}
 	}
 	if c.IterTargetNs == 0 {
 		c.IterTargetNs = 150_000

@@ -14,10 +14,11 @@ import (
 // TestGoldenRun. Performance work on the simulator or on the warm-up and
 // phase-1 paths must keep it: phase-1 moments, warm-up verdicts, every
 // accepted latency and its ground truth are part of the determinism
-// contract. It was re-pinned once, with store.SchemaVersion 2, when the
+// contract. It was re-pinned with store.SchemaVersion 2, when the
 // warm-up iterations no sink reads began to elapse in one draw per clock
-// segment.
-const goldenRunSHA256 = "9133cfb32971d6c57d905d8692498ea452f63b0048ea9f33536831d1bcb2cdbf"
+// segment, and with SchemaVersion 4, when phase 3 began to fold each
+// block's confirmation tail into one draw per clock segment.
+const goldenRunSHA256 = "02fc4000a4ee384f84e3f44a067b15c969687c210ef6e6aa54e3b5f980d238a2"
 
 // TestGoldenRun runs a small campaign — ramped transitions, a device
 // clock with a negative offset and drift — and compares a digest of its

@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"testing"
 
+	"golatest/internal/ptp"
 	"golatest/internal/sim/gpu"
 	"golatest/internal/stats"
 )
@@ -197,5 +198,130 @@ func TestCIAblationReadsNoSamples(t *testing.T) {
 			t.Fatalf("2σ campaign: %d samples, %d iterations delivered; want both positive",
 				len(pr.Samples), r.detect.delivered)
 		}
+	}
+}
+
+// tailCounter forwards to a detectSink, which it embeds — gpu.TailFolder
+// methods included — and records each block's confirmation-tail length.
+type tailCounter struct {
+	*detectSink
+	n []int64
+}
+
+func (c *tailCounter) BlockEnd(block int) {
+	c.n = append(c.n, c.detectSink.n)
+	c.detectSink.BlockEnd(block)
+}
+
+// TestFoldedTailKeepsDetection runs one benchmark kernel per valid pair
+// and twin setup on fresh twin runners, from the same state: one folds
+// each block's confirmation tail, the other reads it one iteration at a
+// time. Every block's detection, t_e and iteration index must be
+// identical, as must the tail's length, and most kernels with a
+// detection must fold (a tail shorter than a chunk's minimum does not).
+func TestFoldedTailKeepsDetection(t *testing.T) {
+	detecting, foldedKernels, folded := 0, 0, int64(0)
+	for _, setup := range twinSetups() {
+		p1, err := setup.runner(t).Phase1()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range p1.ValidPairs {
+			var twins [2]*Runner
+			var tails [2]*tailCounter
+			var chunked [2]int64
+			for i := range twins {
+				r := setup.runner(t)
+				tails[i] = &tailCounter{detectSink: r.detect}
+				r.benchSink = tails[i]
+				if i == 1 {
+					r.benchSink = unfolded{tails[i]}
+				}
+				if _, err := r.Phase1(); err != nil {
+					t.Fatal(err)
+				}
+				is, ts, err := r.pairStats(pair, p1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cycles := r.cyclesFor(pair)
+				sync, err := ptp.Sync(r.ctx.Clock(), r.dev.Sim(), r.cfg.PTP, r.rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.dev.SetApplicationsClocks(0, pair.InitMHz); err != nil {
+					t.Fatal(err)
+				}
+				if err := r.ensureInitialClock(is, cycles, iterNsAt(cycles, pair.InitMHz)); err != nil {
+					t.Fatal(err)
+				}
+				before := r.dev.Sim().IterCounts().Chunked
+				if _, _, err := r.benchmarkKernel(pair, cycles, iterNsAt(cycles, pair.InitMHz), ts, sync); err != nil {
+					t.Fatal(err)
+				}
+				chunked[i] = r.dev.Sim().IterCounts().Chunked - before
+				twins[i] = r
+			}
+			what := setup.name + ": " + pair.String()
+			a, b := twins[0].detect, twins[1].detect
+			if len(a.blocks) != len(b.blocks) || len(tails[0].n) != len(a.blocks) || len(tails[1].n) != len(b.blocks) {
+				t.Fatalf("%s: %d blocks folded, %d per-iteration", what, len(a.blocks), len(b.blocks))
+			}
+			for i, va := range a.blocks {
+				vb := b.blocks[i]
+				if va.detected != vb.detected || va.teDevNs != vb.teDevNs || va.iterIndex != vb.iterIndex || tails[0].n[i] != tails[1].n[i] {
+					t.Fatalf("%s: block %d folded %+v (tail %d), per-iteration %+v (tail %d)",
+						what, i, va, tails[0].n[i], vb, tails[1].n[i])
+				}
+			}
+			if chunked[0] < chunked[1] {
+				t.Fatalf("%s: the folded kernel chunked %d iterations, the per-iteration one %d", what, chunked[0], chunked[1])
+			}
+			for _, v := range a.blocks {
+				if v.detected {
+					detecting++
+					break
+				}
+			}
+			if chunked[0] > chunked[1] {
+				foldedKernels++
+			}
+			folded += chunked[0] - chunked[1]
+		}
+	}
+	t.Logf("%d of %d kernels with a detection folded %d tail iterations", foldedKernels, detecting, folded)
+	if 2*foldedKernels < detecting {
+		t.Fatalf("only %d of %d kernels with a detection folded their tails", foldedKernels, detecting)
+	}
+}
+
+// TestBlocksZeroMeansAllSMs checks that Blocks 0 runs one block per SM
+// on a device with more than eight SMs, as Config.Blocks documents: the
+// phase-3 kernel evaluates every SM.
+func TestBlocksZeroMeansAllSMs(t *testing.T) {
+	const sms = 12
+	dev := testDevice(t, fixedModel{bus: 50_000, dur: 5_000_000}, func(c *gpu.Config) { c.SMCount = sms })
+	cfg := quickConfig(600, 1200)
+	cfg.Blocks = 0
+	r, err := NewRunner(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Config().Blocks; got != sms {
+		t.Fatalf("Blocks 0 on a %d-SM device runs %d blocks, want all %d", sms, got, sms)
+	}
+	p1, err := r.Phase1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	is, ts, err := r.pairStats(downSwitch, p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.MeasureOnce(downSwitch, is, ts); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(r.detect.blocks); got != sms {
+		t.Fatalf("phase 3 evaluated %d blocks, want %d", got, sms)
 	}
 }

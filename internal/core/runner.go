@@ -35,8 +35,12 @@ type Runner struct {
 	moments *gpu.MomentSink
 	tails   *gpu.TailSink
 	// detect is the phase-3 sink: the benchmark kernel streams into it
-	// and it evaluates every SM online.
-	detect *detectSink
+	// and it evaluates every SM online, folding each block's tail.
+	// benchSink, when set, is what the kernel streams into instead: a
+	// wrapper around detect (tests hide its fold to read every tail
+	// iteration).
+	detect    *detectSink
+	benchSink gpu.SampleSink
 	// quantumNs is the device timer's refresh period: every measured
 	// duration is a multiple of it.
 	quantumNs int64
@@ -426,7 +430,11 @@ func (r *Runner) benchmarkKernel(pair Pair, cycles, iterInitNs float64, targetSt
 		CyclesPerIter: cycles,
 		Blocks:        r.cfg.Blocks,
 	}
-	if _, err := r.ctx.LaunchKernelWithSink(spec, r.detect); err != nil {
+	var sink gpu.SampleSink = r.detect
+	if r.benchSink != nil {
+		sink = r.benchSink
+	}
+	if _, err := r.ctx.LaunchKernelWithSink(spec, sink); err != nil {
 		return 0, 0, err
 	}
 

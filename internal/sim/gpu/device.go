@@ -49,6 +49,11 @@ type Device struct {
 	everBusy  bool
 	queue     []*Kernel
 
+	// folds caches the tail-fold coefficients of each nominal iteration
+	// duration the device has folded at (nil: too little jitter to fold).
+	folds map[uint64]*foldCoef
+	iters IterCounts
+
 	// kernelScratch and smScratch are the reusable child streams of the
 	// materialisation path (one kernel, one SM at a time), re-seeded in
 	// place so per-kernel RNG derivation never allocates.
@@ -81,6 +86,20 @@ func New(cfg Config, clk *clock.Clock) (*Device, error) {
 	d.energy = energyMeter{lastUpdateNs: clk.Now()}
 	return d, nil
 }
+
+// IterCounts counts the iterations a device has executed by how they
+// were simulated.
+type IterCounts struct {
+	// OneByOne iterations each drew their own jitter.
+	OneByOne int64
+	// Chunked iterations elapsed in chunks of one draw per clock
+	// segment: prefixes no sink reads, and tails a TailFolder folds.
+	Chunked int64
+}
+
+// IterCounts reports how the device has simulated the iterations of
+// every kernel materialised so far.
+func (d *Device) IterCounts() IterCounts { return d.iters }
 
 // Config returns a copy of the device's normalised configuration.
 func (d *Device) Config() Config { return d.cfg }
@@ -238,6 +257,7 @@ func (d *Device) LaunchWithSink(spec KernelSpec, sink SampleSink) (*Kernel, erro
 	}
 	d.clk.Advance(d.cfg.LaunchOverheadNs)
 	k := &Kernel{spec: spec, enqueuedNs: d.clk.Now(), dev: d, sink: sink}
+	k.folder, _ = sink.(TailFolder)
 	d.queue = append(d.queue, k)
 	return k, nil
 }
@@ -305,7 +325,7 @@ func (d *Device) materialize(k *Kernel) {
 	// Thermal: integrate across the kernel's busy window piecewise, at the
 	// effective clock of each timeline segment (wake window and throttle
 	// clamp included), so long transitions and wake periods heat honestly.
-	tcur := d.tl.cursor()
+	tcur := d.tl.cursor(start)
 	for t := start; t < maxEnd; {
 		f, segEnd := tcur.freqAt(t)
 		if t < wakeEnd {
@@ -344,16 +364,25 @@ func (d *Device) materialize(k *Kernel) {
 // into the kernel's sample matrix (every iteration) or stream into its
 // sink (from the first iteration the sink asks for).
 //
-// Iterations before the sink's first wanted one are not delivered, and
-// past the wake window, within one cached segment, they elapse in chunks:
-// n iterations of nominal duration μ (SM speed and clamp included) take
-// roundNs(μ·(n + σ·√n·Z)) for one standard normal Z from the SM's
-// stream. A sum of iid normals is normal, so the chunk matches the
-// per-iteration sum in distribution; chunkIters keeps it clear of the
-// segment's end. A device whose IterJitterSigma exceeds 0.05 never
-// chunks, as the 0.5 jitter clamp would sit within 10σ. Every other
-// iteration draws its own jitter. Each delivered boundary is converted
-// to device time once: the end of iteration i is the start of i+1.
+// Past the wake window, within one cached segment, iterations no sink
+// reads one by one elapse in chunks: n iterations of nominal duration μ
+// (SM speed and clamp included) take roundNs(μ·(n + σ·√n·Z)) for one
+// standard normal Z from the SM's stream. A sum of iid normals is
+// normal, so the chunk matches the per-iteration sum in distribution;
+// chunkIters keeps it clear of the segment's end. Two kinds of
+// iteration chunk this way:
+//   - those before the sink's first wanted one, which are not delivered;
+//   - a TailFolder's tail, from the first delivered iteration after
+//     which InTail reports true. A tail chunk of at least minFoldIters
+//     iterations is handed over through Fold: its n, its exact Σd (the
+//     chunk's quantised device-time end minus its start) and a draw of
+//     its Σd² (fold.go). Shorter runs, and tails whose jitter is under
+//     minFoldJitter timer quanta, are delivered one by one.
+//
+// A device whose IterJitterSigma exceeds 0.05 never chunks, as the 0.5
+// jitter clamp would sit within 10σ. Every other iteration draws its
+// own jitter. Each delivered boundary is converted to device time once:
+// the end of iteration i is the start of i+1.
 //
 // Past the wake window the loop caches the current timeline segment's
 // end and cycles-per-ns rate, and an iteration that finishes inside it
@@ -370,7 +399,7 @@ func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand) i
 	} else {
 		from = k.sink.BlockStart(sm, iters)
 	}
-	cur := d.tl.cursor()
+	cur := d.tl.cursor(start)
 	speed := d.smSpeed[sm]
 	t := start
 	var devT int64 // device time of t, from the first delivered iteration on
@@ -379,6 +408,9 @@ func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand) i
 	// kernel materialises.
 	segEnd, rate := int64(math.MinInt64), 0.0
 	sigma := d.cfg.IterJitterSigma
+	// folding: the sink may still fold this block's tail; tail: it does.
+	folding, tail := k.folder != nil, false
+	chunked := 0
 	for i := 0; i < iters; i++ {
 		if t >= wakeEnd && t >= segEnd {
 			var f float64
@@ -388,12 +420,28 @@ func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand) i
 			}
 			rate = f * speed / 1000
 		}
-		if i < from && t >= wakeEnd && sigma <= 0.05 {
+		if (i < from || tail) && t >= wakeEnd && sigma <= 0.05 {
 			mu := k.spec.CyclesPerIter / rate
-			if n := chunkIters(from-i, t, segEnd, mu, sigma); n > 0 {
-				t += roundNs(mu * (float64(n) + sigma*math.Sqrt(float64(n))*r.Normal(0, 1)))
-				i += n - 1
-				continue
+			if i < from {
+				if n := chunkIters(from-i, t, segEnd, mu, sigma); n > 0 {
+					t += chunkNs(r, n, mu, sigma)
+					i += n - 1
+					chunked += n
+					continue
+				}
+			} else if n := chunkIters(iters-i, t, segEnd, mu, sigma); n >= minFoldIters {
+				if c := d.foldCoef(mu); c == nil {
+					folding, tail = false, false
+				} else {
+					t += chunkNs(r, n, mu, sigma)
+					end := d.DeviceTimeAt(t)
+					sum := end - devT
+					k.folder.Fold(sm, n, sum, c.sumSquares(r, n, sum))
+					devT = end
+					i += n - 1
+					chunked += n
+					continue
+				}
 			}
 		}
 		jitter := r.Normal(1, sigma)
@@ -417,16 +465,42 @@ func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand) i
 				samples[i] = s
 			} else {
 				k.sink.Sample(sm, i, s)
+				if folding && !tail {
+					tail = k.folder.InTail(sm)
+				}
 			}
 		}
 		t += dur
 	}
+	d.iters.OneByOne += int64(iters - chunked)
+	d.iters.Chunked += int64(chunked)
 	if k.sink == nil {
 		k.samples[sm] = samples
 	} else {
 		k.sink.BlockEnd(sm)
 	}
 	return t
+}
+
+// foldCoef returns the tail-fold coefficients for iterations of nominal
+// host duration mu ns, or nil when their jitter is below minFoldJitter
+// timer quanta. Durations and jitter are scaled to the device clock.
+func (d *Device) foldCoef(mu float64) *foldCoef {
+	key := math.Float64bits(mu)
+	if c, ok := d.folds[key]; ok {
+		return c
+	}
+	var c *foldCoef
+	q := float64(d.cfg.TimerQuantumNs)
+	devMu := mu * (1 + d.cfg.ClockDriftPPM/1e6)
+	if s := d.cfg.IterJitterSigma * devMu; s >= minFoldJitter*q {
+		c = newFoldCoef(devMu, s, q)
+	}
+	if d.folds == nil {
+		d.folds = make(map[uint64]*foldCoef)
+	}
+	d.folds[key] = c
+	return c
 }
 
 // integrate returns the host-time nanoseconds needed to execute the given
@@ -460,6 +534,12 @@ func (d *Device) integrate(t int64, cycles, speed float64, wakeEnd int64, cur *c
 		t = segEnd
 	}
 	return roundNs(elapsed)
+}
+
+// chunkNs draws the host time n iterations of nominal duration mu ns
+// and relative jitter sigma take together.
+func chunkNs(r *clock.Rand, n int, mu, sigma float64) int64 {
+	return roundNs(mu * (float64(n) + sigma*math.Sqrt(float64(n))*r.Normal(0, 1)))
 }
 
 // chunkIters returns how many of the next n undelivered iterations, each

@@ -53,7 +53,7 @@ func (d *Device) meterBusy(start, end, wakeEnd int64) {
 	if start > d.energy.lastUpdateNs {
 		d.energy.accumulate(start, d.cfg.IdlePowerW)
 	}
-	cur := d.tl.cursor()
+	cur := d.tl.cursor(start)
 	for t := start; t < end; {
 		f, segEnd := cur.freqAt(t)
 		if t < wakeEnd {

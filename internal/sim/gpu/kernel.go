@@ -56,6 +56,7 @@ type Kernel struct {
 	enqueuedNs int64
 	dev        *Device
 	sink       SampleSink
+	folder     TailFolder // sink, when it folds tails
 
 	done    bool
 	startNs int64

@@ -14,27 +14,68 @@ import (
 // stream into sinks; only callers that need several kernels' raw traces
 // side by side (the wake-up estimator) launch without one.
 //
-// A sink says what it consumes: BlockStart returns the first iteration
+// A sink says what it consumes. BlockStart returns the first iteration
 // it wants, and the device delivers only iterations from there on. The
 // skipped iterations still elapse, with the same distribution as
 // delivered ones, but past the wake window they are not drawn one by
 // one: each clock segment's share of them takes one normal draw (see
-// runSM). So a block's end time and delivered samples are reproducible
-// per seed and equal in distribution, not in bits, to those of a fully
-// delivered kernel. A sink that wants every iteration gets the
-// materialised kernel's trace exactly. A sink that already knows a
-// block's outcome — such as a detector whose band no timer value can
-// enter — may decline the whole block by returning iters: the block
-// then only elapses, and BlockEnd follows BlockStart directly.
+// runSM). A sink that already knows a block's outcome — such as a
+// detector whose band no timer value can enter — may decline the whole
+// block by returning iters: the block then only elapses, and BlockEnd
+// follows BlockStart directly.
+//
+// A sink may also say where its interest narrows to sums: a TailFolder
+// (below) receives a block's tail, once it asks for it, in chunks of
+// three integers rather than iteration by iteration.
+//
+// Which sinks get the materialised kernel's trace exactly: one that
+// wants every iteration of every block and does not implement
+// TailFolder — the phase-1 MomentSink, or any SampleSink wrapped so that
+// only its SampleSink methods show. Its samples and the kernel's timing
+// are bit-identical to Launch's. Every other sink gets samples and a
+// kernel end that are reproducible per seed and equal in distribution,
+// not in bits, to a fully delivered kernel's. A TailFolder that wants
+// every iteration still gets each block's materialised iterations up to
+// its first fold, which is why phase 3's detection is unchanged by it.
 type SampleSink interface {
 	// BlockStart announces that block will execute iters iterations and
 	// returns the first iteration the sink wants delivered, in [0, iters].
 	BlockStart(block, iters int) (from int)
 	// Sample delivers iteration iter of block, in order, for every iter
-	// from BlockStart's result to iters−1.
+	// from BlockStart's result to iters−1, except those a TailFolder
+	// receives through Fold.
 	Sample(block, iter int, s IterSample)
 	// BlockEnd marks block complete.
 	BlockEnd(block int)
+}
+
+// TailFolder is a SampleSink that, from some delivered iteration of a
+// block on, reads the rest of that block only through its count, its
+// duration sum and its sum of squared durations — such as phase 3's
+// confirmation population, which only enters a mean-difference test.
+// The device type-asserts it once per kernel, at launch.
+//
+// After each iteration it delivers, the device asks InTail. From the
+// first true on, the block's remaining iterations arrive in order, each
+// exactly once, either through Sample or in chunks through Fold: past
+// the wake window, on a device whose IterJitterSigma is at most 0.05,
+// each constant-clock segment's share that fits clear of the segment's
+// end takes one chunk; ramps, the wake window, short remainders and
+// tails whose jitter is under minFoldJitter timer quanta are still
+// delivered one by one. A chunk's host-time span is one normal draw, as
+// for a skipped prefix. Its n is exact, its Σd is exactly the
+// device-time span that draw gives (the quantised durations
+// telescope), and its Σd² is drawn from its distribution, timer
+// quantisation included (see fold.go).
+type TailFolder interface {
+	SampleSink
+	// InTail reports whether every iteration of block after the last
+	// delivered one is tail. Once true, it stays true for the block.
+	InTail(block int) bool
+	// Fold delivers the next n iterations of block at once: sumNs is the
+	// sum of their quantised durations and sumSqNs a draw of the sum of
+	// their squares, in ns².
+	Fold(block, n int, sumNs, sumSqNs int64)
 }
 
 // durMs converts an iteration's device-clock duration to milliseconds,

@@ -95,7 +95,11 @@ type cursor struct {
 	idx int
 }
 
-func (tl *timeline) cursor() cursor { return cursor{tl: tl} }
+// cursor returns a cursor positioned at host time t, found by binary
+// search: a device's timeline gains segments with every clock request,
+// so a walk from its first segment would cost each kernel time linear
+// in the device's history.
+func (tl *timeline) cursor(t int64) cursor { return cursor{tl: tl, idx: tl.indexAt(t)} }
 
 // freqAt returns the frequency at t and the host time at which the
 // current segment ends (the next change boundary), with endNs = maxInt64

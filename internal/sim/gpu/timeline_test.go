@@ -121,7 +121,7 @@ func TestCursorMatchesFreqAt(t *testing.T) {
 	tl.add(100, 1100)
 	tl.add(250, 900)
 	tl.add(600, 1500)
-	cur := tl.cursor()
+	cur := tl.cursor(0)
 	for ts := int64(0); ts < 700; ts += 7 {
 		f, end := cur.freqAt(ts)
 		if want := tl.freqAt(ts); f != want {
@@ -135,7 +135,7 @@ func TestCursorMatchesFreqAt(t *testing.T) {
 
 func TestCursorSurvivesTimelineGrowth(t *testing.T) {
 	tl := newTimeline(0, 1000)
-	cur := tl.cursor()
+	cur := tl.cursor(0)
 	if f, _ := cur.freqAt(50); f != 1000 {
 		t.Fatalf("initial freq = %v", f)
 	}
@@ -177,7 +177,7 @@ func TestTimelineOrderInvariantProperty(t *testing.T) {
 
 func TestCursorFinalSegmentEnd(t *testing.T) {
 	tl := newTimeline(0, 1000)
-	cur := tl.cursor()
+	cur := tl.cursor(0)
 	_, end := cur.freqAt(10)
 	if end != math.MaxInt64 {
 		t.Fatalf("final segment end = %d, want MaxInt64", end)

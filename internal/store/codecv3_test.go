@@ -341,21 +341,23 @@ func TestV3NaNCanonicalization(t *testing.T) {
 // inflated body. The inflated body does not depend on the toolchain's
 // compress/flate, so these hold across Go releases; any change to them
 // changes every blob in every store and needs a SchemaVersion bump.
+// The body starts with the schema, so each bump re-pins them (last at
+// schema 4).
 func TestV3GoldenBytes(t *testing.T) {
 	k := Key{Digest: "cafe", Profile: "a100-sxm4", Instance: 2}
 	golden := map[string]struct {
 		rawBytes int64
 		bodySHA  string
 	}{
-		"clusters":         {683, "2be4f83f141de158b5fef98b0f0b29fc9798ac60c0b9a075d34f24560003a2ec"},
-		"codec-fixture":    {56133, "73b7dda1efb1c9735ebda906efdf8f7715da0cfec5d573d1b7d8033bb4389e46"},
-		"empty-slices":     {78, "fad71985cde97070810f4d9ddef52c184b9466b679c2e825b6a1e5b0c4156372"},
-		"float-switches":   {452, "92eb7c6dc37486b0b395bb7c10937259ffbda2219f0421cb7a0310893b6572e9"},
-		"measurements":     {434, "1b15dee6114c9604ea328f9ac58d30e5655799b2a9d152df34072aa0129efeec"},
-		"nil-pair-element": {230, "0195b5b30c413bb2b32123c1c193e90fd42cadbe0fe9843d43f53221dc9d7e16"},
-		"strings":          {339, "c385833a6ccb8994119ee619bd3f3fae67e55a5395a8dfa7c6a50a4c242996ca"},
-		"test-fixture":     {725, "147a95297d3c55443b9a3f55b3c0b620ccb5010de365926baf3d6f83ddd5bb3e"},
-		"zero":             {62, "f40f02787698d7aa9b7712f1dd19a60565417c0ede9c72b79264438a8e828d15"},
+		"clusters":         {683, "7b9e93565a5cca404d4248b9025dcfceba6f9f815e66666cbd6037ca9629ee74"},
+		"codec-fixture":    {56133, "e4e1e9fc171e9dcb2988df6805596cf38254b02a69dd4fbdcfdc729bebe2fa23"},
+		"empty-slices":     {78, "95d586e233117fd2fa396824bbacab68c578f3bc9078f94512a1094d9ff67521"},
+		"float-switches":   {452, "c205f8e70bd13338a8a9bd580614e5cfe886d692dce50ffaad70cd05b3a25929"},
+		"measurements":     {434, "cf1fe4659f7ccb9212efc8db1e1031fe27098bf18a6b1120f67bc2dd0cd2c96d"},
+		"nil-pair-element": {230, "1eb9d72358ce3a88d8c49dd3c863d899aa7bcae21473f23cffdfcc3c0bffbfe2"},
+		"strings":          {339, "561950776c599bca9e4764ff472456f9620a3647637d72f3812d72b9881e570e"},
+		"test-fixture":     {725, "0e59ec79c46b1ba0a474df50e13481c772c3d9aa8c35eef14ab2e0e71c1bdf02"},
+		"zero":             {62, "464c91c1cd872367dfa72a8e85567983f636a67d68288cba64c2dfa0164d0ee1"},
 	}
 	fixtures := adversarialResults()
 	if len(fixtures) != len(golden) {

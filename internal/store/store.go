@@ -80,8 +80,11 @@ import (
 // warm-up iterations no sink reads in one normal draw per clock segment,
 // so campaign results are equal in distribution but not in bits. 3: the
 // body's size field records the inflated body's own length, not that of
-// the canonical JSON envelope, which is no longer rendered.
-const SchemaVersion = 3
+// the canonical JSON envelope, which is no longer rendered. 4: phase 3
+// folds each block's confirmation tail into one draw per clock segment
+// (exact n and duration sum, a drawn sum of squares), so campaign
+// results are again equal in distribution but not in bits.
+const SchemaVersion = 4
 
 // tmpPrefix marks staging files; the leading dot keeps them out of every
 // blob scan.

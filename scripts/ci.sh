@@ -37,6 +37,15 @@ if [ -n "$unformatted" ]; then
 fi
 go vet ./internal/obs/...
 
+echo "== simulator distribution gates (-count=1) =="
+# The skipped warm-up prefix and the folded confirmation tail are exact
+# in distribution, not in bits, so seeded statistical tests guard them:
+# over 2000 device seeds each, against a simulated quantised walk, and
+# folded against per-iteration kernels from the same state. go test
+# ./... above may have replayed a cached pass; these must run.
+go test -count=1 -run '^(TestSkippedPrefixMatchesInDistribution|TestFoldedTailMatchesInDistribution|TestTailMomentsMatchQuantisedWalk)$' ./internal/sim/gpu
+go test -count=1 -run '^TestFoldedTailKeepsDetection$' ./internal/core
+
 echo "== sweep partition tests (-count 5) =="
 # Each shard must be written exactly once across processes and hosts,
 # and a sweep must skip the shards live peers hold until its own are
