@@ -14,13 +14,16 @@ import (
 	"testing"
 )
 
-// quickGolden pins the outputs of `experiments -scale quick`: one
-// sha256sum line per artefact (out/NAME) and per store blob
-// (cache/DIGEST.json), so `sha256sum -c` checks a manual run made with
-// `-out out -cache-dir cache` too. Blobs are hashed as stored, in the
-// gzip container, so a toolchain whose compress/flate output differs
-// would re-pin them.
-const quickGolden = "testdata/quick.sha256"
+// The golden files pin the outputs of `experiments -scale quick` and
+// `-scale full`: one sha256sum line per artefact (out/NAME) and per
+// store blob (cache/DIGEST.json), so `sha256sum -c` checks a manual run
+// made with `-out out -cache-dir cache` too. Blobs are hashed as
+// stored, in the gzip container, so a toolchain whose compress/flate
+// output differs would re-pin them.
+const (
+	quickGolden = "testdata/quick.sha256"
+	fullGolden  = "testdata/full.sha256"
+)
 
 // TestQuickGolden runs the whole quick set cold into an empty store,
 // then warm from it, and compares every artefact and blob with
@@ -33,11 +36,31 @@ func TestQuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole quick set cold and warm")
 	}
+	checkGolden(t, "quick", quickGolden)
+}
+
+// TestFullGolden is TestQuickGolden for `-scale full`, against
+// fullGolden. It takes a few seconds more than the quick set, so it runs
+// only with GOLDEN_FULL=1 (scripts/ci.sh sets it); GOLDEN_UPDATE=1
+// re-pins under the same rule.
+func TestFullGolden(t *testing.T) {
+	if os.Getenv("GOLDEN_FULL") != "1" {
+		t.Skip("runs the whole full set cold and warm; set GOLDEN_FULL=1")
+	}
+	checkGolden(t, "full", fullGolden)
+}
+
+// checkGolden runs the set of the given scale cold into an empty store,
+// then warm from it, comparing every artefact and blob with the golden
+// file after each leg, while a copy of the test binary runs the calling
+// test at GOMAXPROCS=1; with GOLDEN_UPDATE=1 the cold leg rewrites the
+// file instead.
+func checkGolden(t *testing.T, scale, golden string) {
 	update := os.Getenv("GOLDEN_UPDATE") == "1"
 	var serial *exec.Cmd
 	var serialOut bytes.Buffer
 	if runtime.GOMAXPROCS(0) > 1 && !update {
-		serial = exec.Command(os.Args[0], "-test.run=^TestQuickGolden$", "-test.count=1")
+		serial = exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$", "-test.count=1")
 		serial.Env = append(os.Environ(), "GOMAXPROCS=1")
 		serial.Stdout, serial.Stderr = &serialOut, &serialOut
 		if err := serial.Start(); err != nil {
@@ -53,7 +76,7 @@ func TestQuickGolden(t *testing.T) {
 	}
 
 	root := t.TempDir()
-	args := []string{"-scale", "quick", "-out", filepath.Join(root, "out"),
+	args := []string{"-scale", scale, "-out", filepath.Join(root, "out"),
 		"-cache-dir", filepath.Join(root, "cache")}
 	for _, leg := range []struct{ name, stats string }{
 		{"cold", " 0 hits, 6 misses, 6 writes"},
@@ -68,10 +91,10 @@ func TestQuickGolden(t *testing.T) {
 		}
 		got := hashTree(t, root)
 		if update && leg.name == "cold" {
-			writeGolden(t, got)
+			writeGolden(t, golden, got)
 			continue
 		}
-		compareGolden(t, leg.name, got)
+		compareGolden(t, leg.name, golden, got)
 	}
 
 	if serial != nil {
@@ -107,10 +130,10 @@ func hashTree(t *testing.T, root string) map[string]string {
 }
 
 // compareGolden fails the test with every path whose sum differs from,
-// is missing from or is absent in quickGolden.
-func compareGolden(t *testing.T, leg string, got map[string]string) {
+// is missing from or is absent in the golden file.
+func compareGolden(t *testing.T, leg, golden string, got map[string]string) {
 	t.Helper()
-	data, err := os.ReadFile(quickGolden)
+	data, err := os.ReadFile(golden)
 	if err != nil {
 		t.Fatalf("%v (GOLDEN_UPDATE=1 writes it)", err)
 	}
@@ -118,7 +141,7 @@ func compareGolden(t *testing.T, leg string, got map[string]string) {
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 		sum, path, ok := strings.Cut(line, "  ")
 		if !ok {
-			t.Fatalf("%s: malformed line %q", quickGolden, line)
+			t.Fatalf("%s: malformed line %q", golden, line)
 		}
 		want[path] = sum
 	}
@@ -139,13 +162,13 @@ func compareGolden(t *testing.T, leg string, got map[string]string) {
 	if len(diffs) > 0 {
 		sort.Strings(diffs)
 		t.Fatalf("%s run differs from %s (GOLDEN_UPDATE=1 re-pins):\n%s",
-			leg, quickGolden, strings.Join(diffs, "\n"))
+			leg, golden, strings.Join(diffs, "\n"))
 	}
 }
 
-// writeGolden writes sums to quickGolden in sha256sum format, sorted by
-// path.
-func writeGolden(t *testing.T, sums map[string]string) {
+// writeGolden writes sums to the golden file in sha256sum format,
+// sorted by path.
+func writeGolden(t *testing.T, golden string, sums map[string]string) {
 	t.Helper()
 	paths := make([]string, 0, len(sums))
 	for path := range sums {
@@ -156,11 +179,11 @@ func writeGolden(t *testing.T, sums map[string]string) {
 	for _, path := range paths {
 		fmt.Fprintf(&b, "%s  %s\n", sums[path], path)
 	}
-	if err := os.MkdirAll(filepath.Dir(quickGolden), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(quickGolden, []byte(b.String()), 0o644); err != nil {
+	if err := os.WriteFile(golden, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: %d files", quickGolden, len(paths))
+	t.Logf("wrote %s: %d files", golden, len(paths))
 }

@@ -50,11 +50,15 @@
 // one host thread that drives the real benchmark.
 //
 // Warm-up and phase-1 kernels stream their iteration timings into
-// reusable Welford accumulators (see gpu.MomentSink and gpu.TailSink)
-// rather than materialising per-iteration traces. The phase-3 benchmark
-// kernel streams too, into a sink that detects and confirms each SM
-// online and that skips a kernel outright when its detection band holds
-// no value of the device timer.
+// reusable sinks rather than materialising per-iteration traces:
+// phase 1 into a moment accumulator (gpu.MomentSink), the warm-up check
+// into per-block window sums that the simulator folds in one draw per
+// clock segment (gpu.TailSink). The phase-3 benchmark kernel streams
+// too, into a sink that detects and confirms each SM online: it does
+// not hear the clock segments whose iterations cannot reach its
+// detection band, which elapse undelivered, folds each block's
+// confirmation tail, and skips a kernel outright when its band holds no
+// value of the device timer.
 package golatest
 
 import (

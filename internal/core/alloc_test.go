@@ -9,10 +9,12 @@ import (
 
 // TestMeasureOnceAllocationBound bounds the heap bytes one MeasureOnce
 // allocates on a wide (64-SM) ablation-style device. Every kernel of an
-// attempt — warm-up and benchmark — streams into a reusable runner sink,
-// so an attempt allocates about a kilobyte of synchronisation
-// bookkeeping; a materialised benchmark trace (64 blocks × ~1k
-// iterations × 16 B, about 1 MB) would blow the bound.
+// attempt — warm-up and benchmark — streams into a reusable runner sink;
+// a materialised benchmark trace (64 blocks × ~1k iterations × 16 B,
+// about 1 MB) would blow the bound. In steady state an attempt
+// allocates nothing at all: streamed kernels have no handle, the timer
+// sync keeps its rounds on the stack, and the device's timeline drops
+// the segments no later read reaches instead of growing.
 func TestMeasureOnceAllocationBound(t *testing.T) {
 	const maxBytes = 64 << 10
 	dev := testDevice(t, fixedModel{bus: 50_000, dur: 15_000_000 - 50_000}, func(c *gpu.Config) {
@@ -53,5 +55,12 @@ func TestMeasureOnceAllocationBound(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > maxBytes {
 		t.Fatalf("MeasureOnce allocated %d bytes, want at most %d", got, maxBytes)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := r.MeasureOnce(pair, is, ts); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("MeasureOnce allocates %v times in steady state, want none", n)
 	}
 }

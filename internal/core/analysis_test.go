@@ -139,7 +139,7 @@ func refMeasureOnce(t *testing.T, r *Runner, pair Pair, initStat, targetStat sta
 	declined := mirrorSkip && !armReachable(r, targetStat)
 	var bench *gpu.Kernel
 	if declined {
-		_, err = r.ctx.LaunchKernelWithSink(spec, declineAll{})
+		err = r.ctx.LaunchKernelWithSink(spec, declineAll{})
 	} else {
 		bench, err = r.ctx.LaunchKernel(spec)
 	}

@@ -81,7 +81,12 @@ func (r *Runner) measurePair(pair Pair, p1 *Phase1Result) (*PairResult, error) {
 		return nil, err
 	}
 
-	pr := &PairResult{Pair: pair}
+	pr := &PairResult{
+		Pair:         pair,
+		Measurements: make([]Measurement, 0, r.cfg.MaxMeasurements),
+		Samples:      make([]float64, 0, r.cfg.MaxMeasurements),
+		Injected:     make([]float64, 0, r.cfg.MaxMeasurements),
+	}
 	consecutiveFailures := 0
 	maxAttempts := 6 * r.cfg.MaxMeasurements
 

@@ -16,9 +16,12 @@ import (
 // accepted latency and its ground truth are part of the determinism
 // contract. It was re-pinned with store.SchemaVersion 2, when the
 // warm-up iterations no sink reads began to elapse in one draw per clock
-// segment, and with SchemaVersion 4, when phase 3 began to fold each
-// block's confirmation tail into one draw per clock segment.
-const goldenRunSHA256 = "02fc4000a4ee384f84e3f44a067b15c969687c210ef6e6aa54e3b5f980d238a2"
+// segment, with SchemaVersion 4, when phase 3 began to fold each
+// block's confirmation tail into one draw per clock segment, and with
+// SchemaVersion 5, when phase 3 began to elapse the clock segments
+// whose iterations cannot reach the detection band undelivered and the
+// warm-up check began to fold its tail window.
+const goldenRunSHA256 = "bbd55646e69859ef05b434f7c82e6ed4033f54dbe9b6fb066005b1ddff4a6e08"
 
 // TestGoldenRun runs a small campaign — ramped transitions, a device
 // clock with a negative offset and drift — and compares a digest of its

@@ -31,9 +31,11 @@ type Runner struct {
 	// and warm-up kernels, which only need summary statistics and
 	// therefore skip trace materialisation. One of each per runner: the
 	// single host thread that advances virtual time is also the only
-	// sink writer.
-	moments *gpu.MomentSink
-	tails   *gpu.TailSink
+	// sink writer. warmSink, when set, is what warm-up kernels stream
+	// into instead: a wrapper around tails (tests hide its fold).
+	moments  *gpu.MomentSink
+	tails    *gpu.TailSink
+	warmSink gpu.SampleSink
 	// detect is the phase-3 sink: the benchmark kernel streams into it
 	// and it evaluates every SM online, folding each block's tail.
 	// benchSink, when set, is what the kernel streams into instead: a
@@ -236,7 +238,7 @@ func (r *Runner) phase1() (*Phase1Result, error) {
 			// through the runner's moment sink instead of materialising
 			// their iteration traces.
 			r.moments.Reset()
-			if _, err := r.ctx.LaunchKernelWithSink(gpu.KernelSpec{
+			if err := r.ctx.LaunchKernelWithSink(gpu.KernelSpec{
 				Iters:         r.cfg.ItersPerKernel,
 				CyclesPerIter: cycles,
 				Blocks:        r.cfg.Blocks,
@@ -342,13 +344,18 @@ func (r *Runner) ensureInitialClock(initStat stats.MeanStd, cycles, iterInitNs f
 	const rounds = 5
 	for attempt := 0; attempt < rounds; attempt++ {
 		// Warm kernels stream into the reusable tail sink: the check below
-		// only needs each block's tail-window statistics, so the full
-		// trace (warmIters × blocks IterSamples per round) is never
-		// allocated and iterations before the tail are never delivered.
+		// only needs each block's tail-window mean, so the full trace
+		// (warmIters × blocks IterSamples per round) is never allocated,
+		// iterations before the tail are never delivered, and the tail
+		// itself arrives folded wherever the clock holds still.
 		r.tails.Reset()
-		if _, err := r.ctx.LaunchKernelWithSink(gpu.KernelSpec{
+		var sink gpu.SampleSink = r.tails
+		if r.warmSink != nil {
+			sink = r.warmSink
+		}
+		if err := r.ctx.LaunchKernelWithSink(gpu.KernelSpec{
 			Iters: warmIters, CyclesPerIter: cycles, Blocks: r.cfg.Blocks,
-		}, r.tails); err != nil {
+		}, sink); err != nil {
 			return err
 		}
 		r.ctx.DeviceSynchronize()
@@ -356,8 +363,7 @@ func (r *Runner) ensureInitialClock(initStat stats.MeanStd, cycles, iterInitNs f
 		// Compare the tail of each block against the init population.
 		stable := true
 		for b := 0; b < r.tails.NumBlocks(); b++ {
-			tail := r.tails.BlockTail(b)
-			if math.Abs(tail.Mean-initStat.Mean) >= r.cfg.RelTolerance*initStat.Mean {
+			if _, mean := r.tails.BlockTail(b); math.Abs(mean-initStat.Mean) >= r.cfg.RelTolerance*initStat.Mean {
 				stable = false
 				break
 			}
@@ -434,7 +440,7 @@ func (r *Runner) benchmarkKernel(pair Pair, cycles, iterInitNs float64, targetSt
 	if r.benchSink != nil {
 		sink = r.benchSink
 	}
-	if _, err := r.ctx.LaunchKernelWithSink(spec, sink); err != nil {
+	if err := r.ctx.LaunchKernelWithSink(spec, sink); err != nil {
 		return 0, 0, err
 	}
 

@@ -44,10 +44,10 @@ func (c *Context) LaunchKernel(spec gpu.KernelSpec) (*gpu.Kernel, error) {
 
 // LaunchKernelWithSink enqueues the kernel with a streaming sample sink:
 // iteration timings flow into sink at Synchronize instead of
-// materialising on the kernel, sparing the per-block trace allocations.
-// Callers that only need summary statistics (warm-up loops, phase-1
-// characterisation) use this path.
-func (c *Context) LaunchKernelWithSink(spec gpu.KernelSpec, sink gpu.SampleSink) (*gpu.Kernel, error) {
+// materialising, sparing the kernel handle and the per-block trace
+// allocations. Callers that only need summary statistics (warm-up loops,
+// phase-1 characterisation, phase-3 detection) use this path.
+func (c *Context) LaunchKernelWithSink(spec gpu.KernelSpec, sink gpu.SampleSink) error {
 	return c.dev.LaunchWithSink(spec, sink)
 }
 

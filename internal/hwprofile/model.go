@@ -78,7 +78,12 @@ func (m *Model) Sample(initMHz, targetMHz float64, r *clock.Rand) gpu.Transition
 		if d.Skew != nil {
 			n++
 		}
-		weights := make([]float64, n)
+		var buf [8]float64 // every profile's mixture fits
+		weights := buf[:]
+		if n > len(buf) {
+			weights = make([]float64, n)
+		}
+		weights = weights[:n]
 		for i, mo := range d.Modes {
 			weights[i] = mo.Weight
 		}

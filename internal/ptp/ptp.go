@@ -93,8 +93,10 @@ func Sync(clk *clock.Clock, dev DeviceClock, cfg Config, r *clock.Rand) (Result,
 		return Result{}, fmt.Errorf("ptp: nil device clock")
 	}
 
-	offsets := make([]float64, 0, cfg.Rounds)
-	delays := make([]float64, 0, cfg.Rounds)
+	// The default round count fits the stack buffers, so a sync
+	// allocates nothing; more rounds grow onto the heap.
+	var offsetBuf, delayBuf [16]float64
+	offsets, delays := offsetBuf[:0], delayBuf[:0]
 	for i := 0; i < cfg.Rounds; i++ {
 		d1 := sampleDelay(r, cfg.MeanLinkDelayNs+cfg.AsymmetryNs, cfg.LinkJitterNs)
 		d2 := sampleDelay(r, cfg.MeanLinkDelayNs, cfg.LinkJitterNs)

@@ -105,7 +105,7 @@ func BenchmarkWarmKernelStreamed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink.Reset()
-		if _, err := d.LaunchWithSink(spec, sink); err != nil {
+		if err := d.LaunchWithSink(spec, sink); err != nil {
 			b.Fatal(err)
 		}
 		d.Synchronize()

@@ -35,7 +35,8 @@ type Device struct {
 
 	tl        *timeline
 	setFreq   float64
-	injected  []Injection
+	lastInj   Injection
+	injected  bool // lastInj holds a request
 	kernelSeq uint64
 
 	smSpeed []float64
@@ -47,7 +48,7 @@ type Device struct {
 
 	busyEndNs int64
 	everBusy  bool
-	queue     []*Kernel
+	queue     []launch
 
 	// folds caches the tail-fold coefficients of each nominal iteration
 	// duration the device has folded at (nil: too little jitter to fold).
@@ -88,13 +89,17 @@ func New(cfg Config, clk *clock.Clock) (*Device, error) {
 }
 
 // IterCounts counts the iterations a device has executed by how they
-// were simulated.
+// were simulated. Every block's iterations add up to its Iters.
 type IterCounts struct {
 	// OneByOne iterations each drew their own jitter.
 	OneByOne int64
-	// Chunked iterations elapsed in chunks of one draw per clock
-	// segment: prefixes no sink reads, and tails a TailFolder folds.
-	Chunked int64
+	// Skipped iterations elapsed undelivered, in chunks of one draw per
+	// clock segment: prefixes no sink reads, and segments a TailFolder
+	// does not hear.
+	Skipped int64
+	// Folded iterations reached a TailFolder's Fold, in chunks of one
+	// draw per clock segment.
+	Folded int64
 }
 
 // IterCounts reports how the device has simulated the iterations of
@@ -131,6 +136,14 @@ func (d *Device) SetFrequency(targetMHz float64) (Injection, error) {
 		// Setting the already-effective clock completes on receipt.
 		complete = apply
 	}
+	// No later read looks before now or before a queued kernel's
+	// launch, so the segments that ended earlier can go: the timeline
+	// keeps its storage instead of growing with every request.
+	floor := now
+	if len(d.queue) > 0 {
+		floor = min(floor, d.queue[0].enqueuedNs)
+	}
+	d.tl.dropBefore(floor)
 	d.tl.addRamp(apply, complete, targetMHz, d.cfg.RampSteps)
 	d.setFreq = targetMHz
 
@@ -141,15 +154,15 @@ func (d *Device) SetFrequency(targetMHz float64) (Injection, error) {
 		d.refreshClamp()
 	}
 
-	inj := Injection{
+	d.lastInj = Injection{
 		RequestNs:  now,
 		ApplyNs:    apply,
 		CompleteNs: complete,
 		InitMHz:    initMHz,
 		TargetMHz:  targetMHz,
 	}
-	d.injected = append(d.injected, inj)
-	return inj, nil
+	d.injected = true
+	return d.lastInj, nil
 }
 
 // SetFreqMHz reports the last programmed applications clock.
@@ -165,19 +178,10 @@ func (d *Device) CurrentFreqMHz() float64 {
 	return f
 }
 
-// Injections returns the ground-truth records of all frequency-change
-// requests issued so far, in request order. The returned slice is shared;
-// callers must not modify it.
-func (d *Device) Injections() []Injection { return d.injected }
-
-// LastInjection returns the most recent injection record.
-// ok is false when no request has been issued yet.
-func (d *Device) LastInjection() (inj Injection, ok bool) {
-	if len(d.injected) == 0 {
-		return Injection{}, false
-	}
-	return d.injected[len(d.injected)-1], true
-}
+// LastInjection returns the ground-truth record of the most recent
+// frequency-change request (SetFrequency returns each one as it is
+// issued). ok is false when no request has been issued yet.
+func (d *Device) LastInjection() (inj Injection, ok bool) { return d.lastInj, d.injected }
 
 // DeviceTimeAt converts a host timestamp to the device's global-timer
 // reading at that instant: offset plus drift, quantised to the timer
@@ -242,24 +246,37 @@ func (d *Device) refreshClamp() {
 
 // Launch enqueues a kernel for execution. The host clock advances by the
 // launch overhead; the kernel itself executes asynchronously in virtual
-// time and its timings materialise on Synchronize.
+// time and its timings materialise on Synchronize, into the returned
+// handle.
 func (d *Device) Launch(spec KernelSpec) (*Kernel, error) {
-	return d.LaunchWithSink(spec, nil)
+	k := &Kernel{spec: spec}
+	if err := d.enqueue(launch{spec: spec, kernel: k}); err != nil {
+		return nil, err
+	}
+	return k, nil
 }
 
 // LaunchWithSink enqueues a kernel whose iteration timings stream into
-// sink during materialisation instead of being stored on the kernel: the
-// per-block sample slices are never allocated and Samples becomes
-// unavailable. A nil sink is equivalent to Launch.
-func (d *Device) LaunchWithSink(spec KernelSpec, sink SampleSink) (*Kernel, error) {
-	if err := spec.validate(&d.cfg); err != nil {
-		return nil, err
+// sink during materialisation instead of being stored. Such a kernel
+// has no handle: neither it nor its per-block sample slices are
+// allocated, so a steady stream of launches allocates nothing.
+func (d *Device) LaunchWithSink(spec KernelSpec, sink SampleSink) error {
+	if sink == nil {
+		return fmt.Errorf("gpu: %s: nil sink", d.cfg.Name)
+	}
+	folder, _ := sink.(TailFolder)
+	return d.enqueue(launch{spec: spec, sink: sink, folder: folder})
+}
+
+// enqueue validates l's spec, charges the launch overhead and queues l.
+func (d *Device) enqueue(l launch) error {
+	if err := l.spec.validate(&d.cfg); err != nil {
+		return err
 	}
 	d.clk.Advance(d.cfg.LaunchOverheadNs)
-	k := &Kernel{spec: spec, enqueuedNs: d.clk.Now(), dev: d, sink: sink}
-	k.folder, _ = sink.(TailFolder)
-	d.queue = append(d.queue, k)
-	return k, nil
+	l.enqueuedNs = d.clk.Now()
+	d.queue = append(d.queue, l)
+	return nil
 }
 
 // Synchronize blocks the host until every queued kernel has finished:
@@ -267,9 +284,10 @@ func (d *Device) LaunchWithSink(spec KernelSpec, sink SampleSink) (*Kernel, erro
 // state advances, throttles latch, and the host clock lands on the final
 // completion time.
 func (d *Device) Synchronize() {
-	for _, k := range d.queue {
-		d.materialize(k)
+	for i := range d.queue {
+		d.materialize(&d.queue[i])
 	}
+	clear(d.queue)
 	d.queue = d.queue[:0]
 	if d.busyEndNs > d.clk.Now() {
 		d.clk.AdvanceTo(d.busyEndNs)
@@ -280,7 +298,7 @@ func (d *Device) Synchronize() {
 func (d *Device) Pending() int { return len(d.queue) }
 
 // materialize computes the per-SM iteration timings of kernel k.
-func (d *Device) materialize(k *Kernel) {
+func (d *Device) materialize(k *launch) {
 	start := k.enqueuedNs
 	if d.busyEndNs > start {
 		start = d.busyEndNs
@@ -306,10 +324,9 @@ func (d *Device) materialize(k *Kernel) {
 	if blocks == 0 || blocks > d.cfg.SMCount {
 		blocks = d.cfg.SMCount
 	}
-	if k.sink == nil {
-		k.samples = make([][]IterSample, blocks)
+	if k.kernel != nil {
+		k.kernel.samples = make([][]IterSample, blocks)
 	}
-	k.startNs = start
 
 	var maxEnd int64
 	for sm := 0; sm < blocks; sm++ {
@@ -319,8 +336,9 @@ func (d *Device) materialize(k *Kernel) {
 			maxEnd = end
 		}
 	}
-	k.endNs = maxEnd
-	k.done = true
+	if k.kernel != nil {
+		k.kernel.startNs, k.kernel.endNs, k.kernel.done = start, maxEnd, true
+	}
 
 	// Thermal: integrate across the kernel's busy window piecewise, at the
 	// effective clock of each timeline segment (wake window and throttle
@@ -369,20 +387,28 @@ func (d *Device) materialize(k *Kernel) {
 // (SM speed and clamp included) take roundNs(μ·(n + σ·√n·Z)) for one
 // standard normal Z from the SM's stream. A sum of iid normals is
 // normal, so the chunk matches the per-iteration sum in distribution;
-// chunkIters keeps it clear of the segment's end. Two kinds of
+// chunkIters keeps it clear of the segment's end. Three kinds of
 // iteration chunk this way:
 //   - those before the sink's first wanted one, which are not delivered;
-//   - a TailFolder's tail, from the first delivered iteration after
-//     which InTail reports true. A tail chunk of at least minFoldIters
-//     iterations is handed over through Fold: its n, its exact Σd (the
-//     chunk's quantised device-time end minus its start) and a draw of
-//     its Σd² (fold.go). Shorter runs, and tails whose jitter is under
+//   - a TailFolder's iterations in a segment it does not hear: while its
+//     block is not in the tail, the device asks Hears once per segment
+//     whether an iteration of the segment's nominal device duration,
+//     give or take trustSigmas·σ·μ plus one timer quantum and rounding,
+//     could change the sink's state. If not, the segment's share elapses
+//     undelivered, and the next delivered iteration takes a fresh start
+//     stamp;
+//   - a TailFolder's tail, from the first iteration at which InTail
+//     reports true (asked after BlockStart and after each delivered
+//     iteration). A tail chunk of at least minFoldIters iterations is
+//     handed over through Fold: its n, its exact Σd (the chunk's
+//     quantised device-time end minus its start) and a draw of its Σd²
+//     (fold.go). Shorter runs, and tails whose jitter is under
 //     minFoldJitter timer quanta, are delivered one by one.
 //
 // A device whose IterJitterSigma exceeds 0.05 never chunks, as the 0.5
-// jitter clamp would sit within 10σ. Every other iteration draws its
-// own jitter. Each delivered boundary is converted to device time once:
-// the end of iteration i is the start of i+1.
+// jitter clamp would sit within trustSigmas·σ. Every other iteration
+// draws its own jitter. Each delivered boundary is converted to device
+// time once: the end of iteration i is the start of i+1.
 //
 // Past the wake window the loop caches the current timeline segment's
 // end and cycles-per-ns rate, and an iteration that finishes inside it
@@ -390,7 +416,7 @@ func (d *Device) materialize(k *Kernel) {
 // integrate's first step, so the durations are bit-identical. An
 // iteration that starts inside the wake window or crosses a segment
 // boundary takes the full integrate walk.
-func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand) int64 {
+func (d *Device) runSM(k *launch, sm int, start, wakeEnd int64, r *clock.Rand) int64 {
 	iters := k.spec.Iters
 	var samples []IterSample
 	from := 0
@@ -402,15 +428,25 @@ func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand) i
 	cur := d.tl.cursor(start)
 	speed := d.smSpeed[sm]
 	t := start
-	var devT int64 // device time of t, from the first delivered iteration on
+	// devT is the device time of t after a delivered or folded
+	// iteration; stale marks it unread, at the start and after an
+	// undelivered chunk.
+	var devT int64
+	stale := true
 	// segEnd and rate describe the cached segment, valid while
 	// wakeEnd <= t < segEnd; the timeline and clamp are fixed while a
 	// kernel materialises.
 	segEnd, rate := int64(math.MinInt64), 0.0
 	sigma := d.cfg.IterJitterSigma
-	// folding: the sink may still fold this block's tail; tail: it does.
-	folding, tail := k.folder != nil, false
-	chunked := 0
+	chunks := sigma <= 0.05
+	// tail: the sink folds from here on; folding: it still may (false
+	// once the jitter proves too small to fold); deaf: the block, not
+	// yet in the tail, cannot hear the cached segment's iterations.
+	folder := k.folder
+	tail := folder != nil && folder.InTail(sm)
+	folding := folder != nil
+	var deaf bool
+	skipped, folded := 0, 0
 	for i := 0; i < iters; i++ {
 		if t >= wakeEnd && t >= segEnd {
 			var f float64
@@ -419,28 +455,39 @@ func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand) i
 				f = d.clampMHz
 			}
 			rate = f * speed / 1000
+			deaf = folder != nil && !tail && chunks && !d.hears(folder, sm, k.spec.CyclesPerIter/rate, sigma)
 		}
-		if (i < from || tail) && t >= wakeEnd && sigma <= 0.05 {
+		if t >= wakeEnd && chunks {
 			mu := k.spec.CyclesPerIter / rate
-			if i < from {
-				if n := chunkIters(from-i, t, segEnd, mu, sigma); n > 0 {
+			skip := from - i
+			if deaf && !tail {
+				skip = iters - i
+			}
+			if skip > 0 {
+				if n := chunkIters(skip, t, segEnd, mu, sigma); n > 0 {
 					t += chunkNs(r, n, mu, sigma)
 					i += n - 1
-					chunked += n
+					skipped += n
+					stale = true
 					continue
 				}
-			} else if n := chunkIters(iters-i, t, segEnd, mu, sigma); n >= minFoldIters {
-				if c := d.foldCoef(mu); c == nil {
-					folding, tail = false, false
-				} else {
-					t += chunkNs(r, n, mu, sigma)
-					end := d.DeviceTimeAt(t)
-					sum := end - devT
-					k.folder.Fold(sm, n, sum, c.sumSquares(r, n, sum))
-					devT = end
-					i += n - 1
-					chunked += n
-					continue
+			} else if tail && folding {
+				if n := chunkIters(iters-i, t, segEnd, mu, sigma); n >= minFoldIters {
+					if c := d.foldCoef(mu); c == nil {
+						folding = false
+					} else {
+						if stale {
+							devT, stale = d.DeviceTimeAt(t), false
+						}
+						t += chunkNs(r, n, mu, sigma)
+						end := d.DeviceTimeAt(t)
+						sum := end - devT
+						folder.Fold(sm, n, sum, c.sumSquares(r, n, sum))
+						devT = end
+						i += n - 1
+						folded += n
+						continue
+					}
 				}
 			}
 		}
@@ -456,8 +503,8 @@ func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand) i
 			dur = d.integrate(t, cycles, speed, wakeEnd, &cur)
 		}
 		if i >= from {
-			if i == from {
-				devT = d.DeviceTimeAt(t)
+			if stale {
+				devT, stale = d.DeviceTimeAt(t), false
 			}
 			s := IterSample{StartNs: devT, EndNs: d.DeviceTimeAt(t + dur)}
 			devT = s.EndNs
@@ -465,21 +512,38 @@ func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand) i
 				samples[i] = s
 			} else {
 				k.sink.Sample(sm, i, s)
-				if folding && !tail {
-					tail = k.folder.InTail(sm)
+				if folder != nil && !tail {
+					tail = folder.InTail(sm)
 				}
 			}
 		}
 		t += dur
 	}
-	d.iters.OneByOne += int64(iters - chunked)
-	d.iters.Chunked += int64(chunked)
+	d.iters.OneByOne += int64(iters - skipped - folded)
+	d.iters.Skipped += int64(skipped)
+	d.iters.Folded += int64(folded)
 	if k.sink == nil {
-		k.samples[sm] = samples
+		k.kernel.samples[sm] = samples
 	} else {
 		k.sink.BlockEnd(sm)
 	}
 	return t
+}
+
+// trustSigmas is how many jitter standard deviations a chunk trusts an
+// iteration never to stray: chunkIters keeps a chunk that far clear of
+// its segment's end, and hears widens an iteration's nominal duration
+// by as much before asking a sink whether it could hear it.
+const trustSigmas = 10
+
+// hears asks folder whether block could hear an iteration of nominal
+// host duration mu ns and relative jitter sigma: one whose device-clock
+// duration lies within trustSigmas·σ·μ, one timer quantum and 2 ns of
+// rounding of the nominal one.
+func (d *Device) hears(folder TailFolder, block int, mu, sigma float64) bool {
+	devMu := mu * (1 + d.cfg.ClockDriftPPM/1e6)
+	margin := trustSigmas*sigma*devMu + float64(d.cfg.TimerQuantumNs) + 2
+	return folder.Hears(block, devMu-margin, devMu+margin)
 }
 
 // foldCoef returns the tail-fold coefficients for iterations of nominal
@@ -544,15 +608,16 @@ func chunkNs(r *clock.Rand, n int, mu, sigma float64) int64 {
 
 // chunkIters returns how many of the next n undelivered iterations, each
 // of nominal duration mu ns, elapse as one chunk starting at t: the most
-// whose nominal end lies at least 10σ√n·mu + mu before segEnd, so even a
-// 10σ draw leaves the next iteration at least mu inside the segment.
-// Solving mu·n + 10σ√n·mu + mu <= segEnd − t for √n gives the bound;
-// 0 means not even one iteration fits.
+// whose nominal end lies at least kσ√n·mu + mu before segEnd, k being
+// trustSigmas, so even a kσ draw leaves the next iteration at least mu
+// inside the segment. Solving mu·n + kσ√n·mu + mu <= segEnd − t for √n
+// gives the bound; 0 means not even one iteration fits.
 func chunkIters(n int, t, segEnd int64, mu, sigma float64) int {
 	if segEnd == math.MaxInt64 {
 		return n
 	}
-	x := math.Sqrt(25*sigma*sigma+float64(segEnd-t)/mu-1) - 5*sigma
+	h := trustSigmas * sigma / 2
+	x := math.Sqrt(h*h+float64(segEnd-t)/mu-1) - h
 	if !(x >= 1) {
 		return 0 // also when x is NaN
 	}

@@ -131,19 +131,18 @@ func TestSetFrequencyNoopCompletesOnReceipt(t *testing.T) {
 
 func TestInjectionsAccumulate(t *testing.T) {
 	d, clk := newTestDevice(t, testConfig())
+	if _, ok := d.LastInjection(); ok {
+		t.Fatal("LastInjection before any request")
+	}
 	d.SetFrequency(900)
 	clk.Advance(50_000_000)
-	d.SetFrequency(1500)
-	injs := d.Injections()
-	if len(injs) != 2 {
-		t.Fatalf("len(Injections) = %d", len(injs))
-	}
+	inj, _ := d.SetFrequency(1500)
 	last, ok := d.LastInjection()
-	if !ok || last.TargetMHz != 1500 {
-		t.Fatalf("LastInjection = %+v, %v", last, ok)
+	if !ok || last != inj || last.TargetMHz != 1500 {
+		t.Fatalf("LastInjection = %+v, %v; SetFrequency returned %+v", last, ok, inj)
 	}
-	if injs[1].InitMHz != 900 {
-		t.Fatalf("second injection init = %v, want 900", injs[1].InitMHz)
+	if last.InitMHz != 900 {
+		t.Fatalf("second injection init = %v, want 900", last.InitMHz)
 	}
 }
 

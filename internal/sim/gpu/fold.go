@@ -67,6 +67,12 @@ type foldCoef struct {
 	frac  []float64    // frac(m·a), m = 1..J
 	damp  []float64    // e^{−2π²m²b²}, m = 1..J
 	coeff []complex128 // (B(m) − B(0))²/m², m = 1..J
+	// last memoises moments for the last chunk length asked: the
+	// warm-up check folds windows of one length over and over.
+	last struct {
+		n              int
+		mean, variance float64
+	}
 }
 
 // lagTerms is how many modes the lag-one sum takes exactly; its
@@ -180,6 +186,9 @@ func (c *foldCoef) phiPow(i int, n float64) complex128 {
 // moments returns the mean and variance of a chunk's centred sum of
 // squares SS, in quanta² and quanta⁴, for n ≥ 2 iterations.
 func (c *foldCoef) moments(n int) (mean, variance float64) {
+	if c.last.n == n {
+		return c.last.mean, c.last.variance
+	}
 	nf := float64(n)
 	varSum := nf*c.b2 + 1.0/6
 	// The lag sum past lag one: Kₙ(φ) − (n − 1) = φ·Kₙ₋₁(φ).
@@ -197,6 +206,7 @@ func (c *foldCoef) moments(n int) (mean, variance float64) {
 	}
 	mean = nf*(c.b2+c.eg) - varSum/nf
 	variance = (nf - 1) / nf * (nf*c.iid - lags/(math.Pi*math.Pi))
+	c.last.n, c.last.mean, c.last.variance = n, mean, variance
 	return mean, variance
 }
 

@@ -100,6 +100,10 @@ func (s *tailSink) Sample(block, iter int, smp IterSample) {
 
 func (s *tailSink) BlockEnd(block int) {}
 
+// Hears hears every iteration, so detection stays the per-iteration
+// path's and only the fold differs between the twins.
+func (s *tailSink) Hears(block int, loNs, hiNs float64) bool { return true }
+
 func (s *tailSink) InTail(block int) bool { return s.blocks[block].detected }
 
 func (s *tailSink) Fold(block, n int, sumNs, sumSqNs int64) {
@@ -130,7 +134,7 @@ func (b *tailBlock) confirmed(target float64) bool {
 // after launch, on a device seeded with seed and shaped by cfg, into a
 // tailSink with the given detection band; with unfold, the sink is
 // wrapped so that only its SampleSink methods show.
-func runTail(t *testing.T, cfg Config, seed uint64, band float64, unfold bool) (*tailSink, *Device, *Kernel) {
+func runTail(t *testing.T, cfg Config, seed uint64, band float64, unfold bool) (*tailSink, *Device) {
 	t.Helper()
 	cfg.Seed = seed
 	dev, clk := newTestDevice(t, cfg)
@@ -143,8 +147,7 @@ func runTail(t *testing.T, cfg Config, seed uint64, band float64, unfold bool) (
 	if unfold {
 		s = struct{ SampleSink }{sink}
 	}
-	k, err := dev.LaunchWithSink(spec, s)
-	if err != nil {
+	if err := dev.LaunchWithSink(spec, s); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(6_000_000)
@@ -153,7 +156,7 @@ func runTail(t *testing.T, cfg Config, seed uint64, band float64, unfold bool) (
 		t.Fatal(err)
 	}
 	dev.Synchronize()
-	return sink, dev, k
+	return sink, dev
 }
 
 // TestFoldedTailMatchesInDistribution checks that a folded tail is the
@@ -190,8 +193,8 @@ func TestFoldedTailMatchesInDistribution(t *testing.T) {
 		var confirms [2]int
 		blocks, folded, tailIters := 0, 0, int64(0)
 		for seed := uint64(1); seed <= seeds; seed++ {
-			f, dev, k := runTail(t, cfg, seed, tc.band, false)
-			u, _, _ := runTail(t, cfg, seed, tc.band, true)
+			f, dev := runTail(t, cfg, seed, tc.band, false)
+			u, _ := runTail(t, cfg, seed, tc.band, true)
 			var reached int64
 			for sm := range f.blocks {
 				fb, ub := &f.blocks[sm], &u.blocks[sm]
@@ -225,7 +228,7 @@ func TestFoldedTailMatchesInDistribution(t *testing.T) {
 				}
 				dConfirm.Add(c[0] - c[1])
 			}
-			if want := dev.DeviceTimeAt(k.EndNs()); reached != want {
+			if want := dev.DeviceTimeAt(dev.busyEndNs); reached != want {
 				t.Fatalf("%s, seed %d: blocks reach device time %d, kernel ends at %d", tc.name, seed, reached, want)
 			}
 		}

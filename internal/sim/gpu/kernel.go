@@ -50,18 +50,23 @@ type IterSample struct {
 // nanoseconds.
 func (s IterSample) DurNs() int64 { return s.EndNs - s.StartNs }
 
-// Kernel is a launched (possibly still pending) microbenchmark kernel.
+// Kernel is the handle of a kernel launched to materialise its trace
+// (Launch), possibly still pending.
 type Kernel struct {
-	spec       KernelSpec
-	enqueuedNs int64
-	dev        *Device
-	sink       SampleSink
-	folder     TailFolder // sink, when it folds tails
-
+	spec    KernelSpec
 	done    bool
 	startNs int64
 	endNs   int64
 	samples [][]IterSample
+}
+
+// launch is a queued kernel: what materialising it needs.
+type launch struct {
+	spec       KernelSpec
+	enqueuedNs int64
+	sink       SampleSink
+	folder     TailFolder // sink, when it folds tails
+	kernel     *Kernel    // Launch's handle; nil for a streamed kernel
 }
 
 // Spec returns the launch specification.
@@ -78,17 +83,13 @@ func (k *Kernel) StartNs() int64 { return k.startNs }
 func (k *Kernel) EndNs() int64 { return k.endNs }
 
 // Samples returns the per-block iteration timings ([block][iteration]).
-// Valid only after Done; the caller must not modify the slices. Kernels
-// launched with a SampleSink stream their timings instead of storing
-// them, so Samples panics for them. Materialising a trace costs 16 bytes
-// per iteration and block; a consumer that folds iterations as they come
-// should launch with a sink instead.
+// Valid only after Done; the caller must not modify the slices.
+// Materialising a trace costs 16 bytes per iteration and block; a
+// consumer that folds iterations as they come should stream them into a
+// sink instead (LaunchWithSink).
 func (k *Kernel) Samples() [][]IterSample {
 	if !k.done {
 		panic("gpu: Samples read before Synchronize")
-	}
-	if k.sink != nil {
-		panic("gpu: Samples unavailable: kernel streamed into a SampleSink")
 	}
 	return k.samples
 }

@@ -60,8 +60,9 @@ func TestIntegrationConservationProperty(t *testing.T) {
 	}
 }
 
-// TestInjectionOrderingProperty: injections are recorded in request order
-// with apply ≥ request and complete ≥ apply, whatever the call pattern.
+// TestInjectionOrderingProperty: injections come in request order with
+// apply ≥ request and complete ≥ apply, whatever the call pattern, and
+// LastInjection reports each as it is issued.
 func TestInjectionOrderingProperty(t *testing.T) {
 	f := func(steps []uint8) bool {
 		clk := clock.New()
@@ -76,18 +77,19 @@ func TestInjectionOrderingProperty(t *testing.T) {
 			return false
 		}
 		freqs := d.Config().FreqsMHz
+		var prevReq int64 = -1
 		for i, s := range steps {
 			if i >= 12 {
 				break
 			}
 			clk.Advance(int64(s) * 300_000)
-			if _, err := d.SetFrequency(freqs[int(s)%len(freqs)]); err != nil {
+			in, err := d.SetFrequency(freqs[int(s)%len(freqs)])
+			if err != nil {
 				return false
 			}
-		}
-		injs := d.Injections()
-		var prevReq int64 = -1
-		for _, in := range injs {
+			if last, ok := d.LastInjection(); !ok || last != in {
+				return false
+			}
 			if in.RequestNs < prevReq {
 				return false
 			}

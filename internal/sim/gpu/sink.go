@@ -9,8 +9,8 @@ import (
 // SampleSink consumes iteration timings while a kernel materialises,
 // instead of the kernel storing the full [][]IterSample trace. Blocks are
 // streamed sequentially in index order, iterations in execution order, so
-// sink state needs no synchronisation. A kernel launched with a sink does
-// not materialise Samples(). The phase-1, warm-up and phase-3 kernels all
+// sink state needs no synchronisation. A kernel launched with a sink has
+// no handle and no trace. The phase-1, warm-up and phase-3 kernels all
 // stream into sinks; only callers that need several kernels' raw traces
 // side by side (the wake-up estimator) launch without one.
 //
@@ -24,9 +24,10 @@ import (
 // block by returning iters: the block then only elapses, and BlockEnd
 // follows BlockStart directly.
 //
-// A sink may also say where its interest narrows to sums: a TailFolder
-// (below) receives a block's tail, once it asks for it, in chunks of
-// three integers rather than iteration by iteration.
+// A sink may also say where its interest narrows: a TailFolder (below)
+// hears, before its tail, only iterations whose duration could enter a
+// band, and reads its tail in chunks of three integers rather than
+// iteration by iteration.
 //
 // Which sinks get the materialised kernel's trace exactly: one that
 // wants every iteration of every block and does not implement
@@ -34,41 +35,54 @@ import (
 // only its SampleSink methods show. Its samples and the kernel's timing
 // are bit-identical to Launch's. Every other sink gets samples and a
 // kernel end that are reproducible per seed and equal in distribution,
-// not in bits, to a fully delivered kernel's. A TailFolder that wants
-// every iteration still gets each block's materialised iterations up to
-// its first fold, which is why phase 3's detection is unchanged by it.
+// not in bits, to a fully delivered kernel's. A TailFolder whose Hears
+// never answers false and whose InTail starts false gets each block's
+// materialised iterations up to its first fold.
 type SampleSink interface {
 	// BlockStart announces that block will execute iters iterations and
 	// returns the first iteration the sink wants delivered, in [0, iters].
 	BlockStart(block, iters int) (from int)
 	// Sample delivers iteration iter of block, in order, for every iter
 	// from BlockStart's result to iters−1, except those a TailFolder
-	// receives through Fold.
+	// does not hear or receives through Fold.
 	Sample(block, iter int, s IterSample)
 	// BlockEnd marks block complete.
 	BlockEnd(block int)
 }
 
-// TailFolder is a SampleSink that, from some delivered iteration of a
-// block on, reads the rest of that block only through its count, its
-// duration sum and its sum of squared durations — such as phase 3's
-// confirmation population, which only enters a mean-difference test.
-// The device type-asserts it once per kernel, at launch.
+// TailFolder is a SampleSink that reads a block through aggregates
+// wherever it can. The device type-asserts it once per kernel, at
+// launch.
 //
-// After each iteration it delivers, the device asks InTail. From the
-// first true on, the block's remaining iterations arrive in order, each
-// exactly once, either through Sample or in chunks through Fold: past
-// the wake window, on a device whose IterJitterSigma is at most 0.05,
-// each constant-clock segment's share that fits clear of the segment's
-// end takes one chunk; ramps, the wake window, short remainders and
-// tails whose jitter is under minFoldJitter timer quanta are still
-// delivered one by one. A chunk's host-time span is one normal draw, as
-// for a skipped prefix. Its n is exact, its Σd is exactly the
-// device-time span that draw gives (the quantised durations
-// telescope), and its Σd² is drawn from its distribution, timer
-// quantisation included (see fold.go).
+// Before its tail, the sink reacts only to iterations whose duration
+// lies in some band — such as phase 3's detector before it detects. On
+// each constant-clock segment past the wake window, the device asks
+// Hears once whether an iteration of the segment's nominal duration,
+// widened by the jitter the device trusts to hold and one timer
+// quantum, could change the sink's state; if not, the segment's share
+// elapses undelivered, in one draw per chunk, like a skipped prefix.
+//
+// From some iteration of a block on, the sink reads the rest of that
+// block only through its count, its duration sum and its sum of squared
+// durations — such as phase 3's confirmation population, which only
+// enters a mean-difference test, or the warm-up check's window mean. The
+// device asks InTail after BlockStart and after each iteration it
+// delivers. From the first true on, the block's remaining iterations
+// arrive in order, each exactly once, either through Sample or in
+// chunks through Fold: past the wake window, on a device whose
+// IterJitterSigma is at most 0.05, each constant-clock segment's share
+// that fits clear of the segment's end takes one chunk; the wake
+// window, short remainders and tails whose jitter is under
+// minFoldJitter timer quanta are still delivered one by one. A chunk's
+// host-time span is one normal draw, as for a skipped prefix. Its n is
+// exact, its Σd is exactly the device-time span that draw gives (the
+// quantised durations telescope), and its Σd² is drawn from its
+// distribution, timer quantisation included (see fold.go).
 type TailFolder interface {
 	SampleSink
+	// Hears reports whether block, not yet in its tail, could react to
+	// an iteration lasting between loNs and hiNs device-clock ns.
+	Hears(block int, loNs, hiNs float64) bool
 	// InTail reports whether every iteration of block after the last
 	// delivered one is tail. Once true, it stays true for the block.
 	InTail(block int) bool
@@ -115,19 +129,25 @@ func (s *MomentSink) Skewness() float64 { return s.total.Skewness() }
 // ExcessKurtosis returns the kernel's sample excess kurtosis (g2).
 func (s *MomentSink) ExcessKurtosis() float64 { return s.total.ExcessKurtosis() }
 
-// TailSink is the warm-up verification sink: one accumulator per block
-// over that block's trailing iterations (in ms), and nothing else. The
-// tail window of a block with n iterations covers its last
+// TailSink is the warm-up verification sink: the iteration count and
+// duration sum of each block's trailing iterations, and nothing else.
+// The tail window of a block with n iterations covers its last
 // min(tailCap, n − n/2) iterations — the "last 100, at most the trailing
 // half" rule of the warm-up check — so the device delivers only those,
 // and the iterations before them elapse in one draw per clock segment.
+// The window's mean is all the check reads, so the sink is a
+// TailFolder whose tail is the whole window: the device folds it too,
+// wherever the clock holds still.
 //
 // A TailSink is reusable: Reset clears it for the next kernel while
 // keeping the per-block slice allocation.
 type TailSink struct {
 	tailCap int
-	blocks  []stats.Accumulator
+	blocks  []tailWindow
 }
+
+// tailWindow is one block's window: n durations summing to sumNs.
+type tailWindow struct{ n, sumNs int64 }
 
 // NewTailSink returns a sink whose per-block tail windows hold at most
 // tailCap iterations (0 defaults to 100, the methodology's warm-up
@@ -139,29 +159,49 @@ func NewTailSink(tailCap int) *TailSink {
 	return &TailSink{tailCap: tailCap}
 }
 
-// Reset clears all accumulators for reuse on the next kernel.
+// Reset clears all windows for reuse on the next kernel.
 func (s *TailSink) Reset() { s.blocks = s.blocks[:0] }
 
 // BlockStart implements SampleSink: it wants the block's tail window.
 func (s *TailSink) BlockStart(block, iters int) int {
 	for len(s.blocks) <= block {
-		s.blocks = append(s.blocks, stats.Accumulator{})
+		s.blocks = append(s.blocks, tailWindow{})
 	}
-	s.blocks[block] = stats.Accumulator{}
+	s.blocks[block] = tailWindow{}
 	return max(iters-s.tailCap, iters/2)
 }
 
 // Sample implements SampleSink.
-func (s *TailSink) Sample(block, iter int, smp IterSample) { s.blocks[block].Add(durMs(smp)) }
+func (s *TailSink) Sample(block, iter int, smp IterSample) {
+	s.blocks[block].n++
+	s.blocks[block].sumNs += smp.DurNs()
+}
 
 // BlockEnd implements SampleSink.
 func (s *TailSink) BlockEnd(block int) {}
 
+// Hears implements TailFolder; it is never asked, as the whole window
+// is tail.
+func (s *TailSink) Hears(block int, loNs, hiNs float64) bool { return true }
+
+// InTail implements TailFolder: every wanted iteration is tail.
+func (s *TailSink) InTail(block int) bool { return true }
+
+// Fold implements TailFolder.
+func (s *TailSink) Fold(block, n int, sumNs, sumSqNs int64) {
+	s.blocks[block].n += int64(n)
+	s.blocks[block].sumNs += sumNs
+}
+
 // NumBlocks reports how many blocks streamed into the sink.
 func (s *TailSink) NumBlocks() int { return len(s.blocks) }
 
-// BlockTail returns the tail-window statistics of one block.
-func (s *TailSink) BlockTail(block int) stats.MeanStd { return s.blocks[block].MeanStd() }
+// BlockTail returns one block's tail window: its iteration count and
+// its mean duration in ms (NaN for an empty window).
+func (s *TailSink) BlockTail(block int) (n int, meanMs float64) {
+	w := s.blocks[block]
+	return int(w.n), float64(w.sumNs) / float64(w.n) / 1e6
+}
 
 // durationsPool recycles the flattened duration buffers DurationsMs
 // returns, bounding steady-state allocation in callers that repeatedly

@@ -12,23 +12,22 @@ import (
 // kernel is bit-identical to the materialised one, timing and moments
 // alike. The warm-up TailSink skips each block's prefix, which elapses
 // in chunks, so its window is checked against a recording sink over the
-// "last 100, at most trailing half" window on the same seed.
+// "last 100, at most trailing half" window on the same seed. Its fold is
+// hidden behind a wrapper (onlySink) so the window arrives one iteration
+// at a time; TestTailSinkFoldMatchesInDistribution covers the fold.
 func TestStreamStatsMatchesMaterialised(t *testing.T) {
 	spec := KernelSpec{Iters: 400, CyclesPerIter: 90_000, Blocks: 3}
-	launch := func(sink SampleSink) *Kernel {
+	// launch returns the kernel's end and its handle (nil when streamed).
+	launch := func(sink SampleSink) (int64, *Kernel) {
 		t.Helper()
 		dev, _ := newTestDevice(t, testConfig())
-		k, err := dev.LaunchWithSink(spec, sink)
-		if err != nil {
-			t.Fatal(err)
-		}
+		k := launchOn(t, dev, spec, sink)
 		dev.Synchronize()
-		return k
+		return dev.busyEndNs, k
 	}
-	km := launch(nil)
+	endM, km := launch(nil)
 	moments := new(MomentSink)
-	kMoments := launch(moments)
-	if km.StartNs() != kMoments.StartNs() || km.EndNs() != kMoments.EndNs() {
+	if end, _ := launch(moments); end != endM || km.EndNs() != endM {
 		t.Fatal("moment sink kernel timing diverged from materialised kernel")
 	}
 
@@ -49,25 +48,47 @@ func TestStreamStatsMatchesMaterialised(t *testing.T) {
 	}
 
 	tails := NewTailSink(100)
-	kTails := launch(tails)
+	endTails, _ := launch(onlySink{tails})
 	rec := &recordingSink{t: t, from: func(_, iters int) int { return max(iters-100, iters/2) }}
-	kRec := launch(rec)
-	if kTails.StartNs() != kRec.StartNs() || kTails.EndNs() != kRec.EndNs() {
+	if endRec, _ := launch(rec); endTails != endRec {
 		t.Fatal("same-seed tail kernels diverged in timing")
 	}
 	if tails.NumBlocks() != len(rec.got) {
 		t.Fatalf("sink blocks = %d, want %d", tails.NumBlocks(), len(rec.got))
 	}
 	for b, block := range rec.got {
-		var acc stats.Accumulator
+		var sum int64
 		for _, it := range block {
-			acc.Add(float64(it.DurNs()) / 1e6)
+			sum += it.DurNs()
 		}
-		if acc.N() != 100 || acc.MeanStd() != tails.BlockTail(b) {
-			t.Fatalf("block %d tail diverged: %+v vs %+v", b, tails.BlockTail(b), acc.MeanStd())
+		want := float64(sum) / float64(len(block)) / 1e6
+		if n, mean := tails.BlockTail(b); len(block) != 100 || n != 100 || mean != want {
+			t.Fatalf("block %d tail diverged: %d iterations, mean %v; recorded %d, mean %v", b, n, mean, len(block), want)
 		}
 	}
 }
+
+// launchOn launches spec on dev, materialised when sink is nil and
+// streamed into sink otherwise, and returns the handle (nil when
+// streamed).
+func launchOn(t *testing.T, dev *Device, spec KernelSpec, sink SampleSink) *Kernel {
+	t.Helper()
+	if sink == nil {
+		k, err := dev.Launch(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	if err := dev.LaunchWithSink(spec, sink); err != nil {
+		t.Fatal(err)
+	}
+	return nil
+}
+
+// onlySink hides a sink's TailFolder methods, so the device delivers
+// every iteration it wants one by one.
+type onlySink struct{ SampleSink }
 
 // recordingSink asks for the iterations from a per-block start and
 // records every delivery.
@@ -107,19 +128,19 @@ func wakeRampConfig() Config {
 	return cfg
 }
 
-func runWakeRamp(t *testing.T, cfg Config, spec KernelSpec, sink SampleSink) *Kernel {
+// runWakeRamp returns the kernel's start and end, and its handle (nil
+// when streamed into sink).
+func runWakeRamp(t *testing.T, cfg Config, spec KernelSpec, sink SampleSink) (start, end int64, k *Kernel) {
 	t.Helper()
 	dev, clk := newTestDevice(t, cfg)
-	k, err := dev.LaunchWithSink(spec, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
+	k = launchOn(t, dev, spec, sink)
+	start = clk.Now()
 	clk.Advance(6_000_000)
 	if _, err := dev.SetFrequency(600); err != nil {
 		t.Fatal(err)
 	}
 	dev.Synchronize()
-	return k
+	return start, dev.busyEndNs, k
 }
 
 // TestSinkDeliversFromBlockStart checks the sink contract: no Sample
@@ -132,16 +153,17 @@ func runWakeRamp(t *testing.T, cfg Config, spec KernelSpec, sink SampleSink) *Ke
 func TestSinkDeliversFromBlockStart(t *testing.T) {
 	cfg := wakeRampConfig()
 	spec := KernelSpec{Iters: 300, CyclesPerIter: 120_000, Blocks: 4}
-	ref := runWakeRamp(t, cfg, spec, nil)
+	_, _, ref := runWakeRamp(t, cfg, spec, nil)
 	froms := []int{0, 5, 150, spec.Iters}
-	record := func() (*Kernel, *recordingSink) {
+	record := func() (int64, *recordingSink) {
 		sink := &recordingSink{t: t, from: func(block, iters int) int { return froms[block] }}
-		return runWakeRamp(t, cfg, spec, sink), sink
+		_, end, _ := runWakeRamp(t, cfg, spec, sink)
+		return end, sink
 	}
-	k, sink := record()
-	k2, sink2 := record()
-	if k.EndNs() != k2.EndNs() {
-		t.Fatalf("same seed: kernel end %d, then %d", k.EndNs(), k2.EndNs())
+	end, sink := record()
+	end2, sink2 := record()
+	if end != end2 {
+		t.Fatalf("same seed: kernel end %d, then %d", end, end2)
 	}
 	for b := range froms {
 		if sink.want[b] != spec.Iters {
@@ -163,6 +185,85 @@ func TestSinkDeliversFromBlockStart(t *testing.T) {
 	}
 }
 
+// gateSink hears only durations within [lo, hi] device ns and never
+// folds. It records every delivered iteration and checks that they
+// arrive in order.
+type gateSink struct {
+	t      *testing.T
+	lo, hi float64
+	last   []int // per block: the last iteration delivered
+	got    [][]IterSample
+}
+
+func (s *gateSink) BlockStart(block, iters int) int {
+	s.last = append(s.last, -1)
+	s.got = append(s.got, nil)
+	return 0
+}
+
+func (s *gateSink) Sample(block, iter int, smp IterSample) {
+	if iter <= s.last[block] {
+		s.t.Fatalf("block %d: iteration %d after %d", block, iter, s.last[block])
+	}
+	s.last[block] = iter
+	s.got[block] = append(s.got[block], smp)
+}
+
+func (s *gateSink) BlockEnd(block int) {}
+
+func (s *gateSink) Hears(block int, loNs, hiNs float64) bool { return hiNs >= s.lo && loNs <= s.hi }
+
+func (s *gateSink) InTail(block int) bool { return false }
+
+func (s *gateSink) Fold(block, n int, sumNs, sumSqNs int64) {
+	s.t.Fatal("Fold on a sink that is never in its tail")
+}
+
+// TestGateSkipsUnheardSegments runs the wake-window + ramp kernel
+// (1200 MHz, ramping through 1000 and 800 to 600 MHz) into a sink that
+// hears only the 600 MHz iterations' durations. The 1200 MHz segment
+// and both ramp steps must elapse undelivered, in chunks, while the
+// wake window, the iterations near each segment's end and every 600 MHz
+// iteration arrive one by one: the iterations delivered are exactly
+// those the device simulated one by one, those plus the skipped ones
+// are every iteration of every block, and each delivered iteration
+// takes a fresh start stamp after a skip, so none lasts longer than
+// an idle-clock iteration's 400 µs plus its jitter.
+func TestGateSkipsUnheardSegments(t *testing.T) {
+	cfg := wakeRampConfig()
+	spec := KernelSpec{Iters: 300, CyclesPerIter: 120_000, Blocks: 4}
+	sink := &gateSink{t: t, lo: 195_000, hi: 205_000}
+	dev, clk := newTestDevice(t, cfg)
+	launchOn(t, dev, spec, sink)
+	clk.Advance(6_000_000)
+	if _, err := dev.SetFrequency(600); err != nil {
+		t.Fatal(err)
+	}
+	dev.Synchronize()
+	c := dev.IterCounts()
+	delivered, inBand := 0, 0
+	for b, block := range sink.got {
+		if sink.last[b] != spec.Iters-1 {
+			t.Fatalf("block %d: last delivered iteration %d, want %d", b, sink.last[b], spec.Iters-1)
+		}
+		delivered += len(block)
+		for _, s := range block {
+			if d := s.DurNs(); d > 420_000 {
+				t.Fatalf("block %d: a delivered iteration lasts %d ns", b, d)
+			} else if d >= 195_000 && d <= 205_000 {
+				inBand++
+			}
+		}
+	}
+	if int64(delivered) != c.OneByOne || c.Folded != 0 || c.OneByOne+c.Skipped != int64(spec.Iters*spec.Blocks) {
+		t.Fatalf("%d iterations delivered; device counts %+v for %d", delivered, c, spec.Iters*spec.Blocks)
+	}
+	if c.Skipped == 0 || inBand == 0 {
+		t.Fatalf("%d iterations skipped, %d delivered in the band", c.Skipped, inBand)
+	}
+	t.Logf("%d delivered (%d in the band), %d skipped", delivered, inBand, c.Skipped)
+}
+
 // TestSkippedPrefixMatchesInDistribution checks that skipped iterations
 // elapse with the distribution of delivered ones. Over many device seeds
 // of the wake-window + ramp kernel, a one-block kernel whose sink skips
@@ -177,8 +278,8 @@ func TestSkippedPrefixMatchesInDistribution(t *testing.T) {
 	end := func(seed uint64, sink SampleSink) float64 {
 		cfg := wakeRampConfig()
 		cfg.Seed = seed
-		k := runWakeRamp(t, cfg, spec, sink)
-		return float64(k.EndNs() - k.StartNs())
+		start, end, _ := runWakeRamp(t, cfg, spec, sink)
+		return float64(end - start)
 	}
 	var full, skip, diff stats.Accumulator
 	for seed := uint64(1); seed <= seeds; seed++ {
@@ -198,21 +299,27 @@ func TestSkippedPrefixMatchesInDistribution(t *testing.T) {
 	}
 }
 
-// TestSinkKernelSamplesPanics documents that a streamed kernel keeps no
-// trace to return.
-func TestSinkKernelSamplesPanics(t *testing.T) {
+// TestStreamedLaunchAllocatesNothing checks that a streamed kernel
+// costs no allocation in steady state: it has no handle, and the queue
+// and the sink keep their storage across launches.
+func TestStreamedLaunchAllocatesNothing(t *testing.T) {
 	dev, _ := newTestDevice(t, testConfig())
-	k, err := dev.LaunchWithSink(KernelSpec{Iters: 10, CyclesPerIter: 50_000, Blocks: 1}, NewTailSink(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev.Synchronize()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Samples() on a streamed kernel did not panic")
+	spec := KernelSpec{Iters: 50, CyclesPerIter: 50_000, Blocks: 2}
+	moments := new(MomentSink)
+	launch := func() {
+		moments.Reset()
+		if err := dev.LaunchWithSink(spec, moments); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	_ = k.Samples()
+		dev.Synchronize()
+	}
+	launch()
+	if n := testing.AllocsPerRun(20, launch); n != 0 {
+		t.Fatalf("a streamed launch allocates %v times", n)
+	}
+	if err := dev.LaunchWithSink(spec, nil); err == nil {
+		t.Fatal("LaunchWithSink accepted a nil sink")
+	}
 }
 
 // TestStreamStatsReset checks both sinks can be reused across kernels.
@@ -223,10 +330,10 @@ func TestStreamStatsReset(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		moments.Reset()
 		tails.Reset()
-		if _, err := dev.LaunchWithSink(spec, moments); err != nil {
+		if err := dev.LaunchWithSink(spec, moments); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := dev.LaunchWithSink(spec, tails); err != nil {
+		if err := dev.LaunchWithSink(spec, tails); err != nil {
 			t.Fatal(err)
 		}
 		dev.Synchronize()
@@ -237,7 +344,7 @@ func TestStreamStatsReset(t *testing.T) {
 			t.Fatalf("round %d: blocks = %d", round, tails.NumBlocks())
 		}
 		for b := 0; b < 2; b++ {
-			if n := tails.BlockTail(b).N; n != 25 {
+			if n, _ := tails.BlockTail(b); n != 25 {
 				t.Fatalf("round %d block %d: tail N = %d, want 25", round, b, n)
 			}
 		}

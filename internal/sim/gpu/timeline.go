@@ -37,6 +37,14 @@ func (tl *timeline) indexAt(t int64) int {
 	return i - 1
 }
 
+// dropBefore removes the segments that end at or before t, keeping the
+// one in effect at t first, so every read at t or later is unchanged.
+func (tl *timeline) dropBefore(t int64) {
+	if i := tl.indexAt(t); i > 0 {
+		tl.segs = tl.segs[:copy(tl.segs, tl.segs[i:])]
+	}
+}
+
 // truncateFrom removes every segment starting at or after t. The first
 // segment is never removed, keeping the timeline non-empty.
 func (tl *timeline) truncateFrom(t int64) {

@@ -183,3 +183,56 @@ func TestCursorFinalSegmentEnd(t *testing.T) {
 		t.Fatalf("final segment end = %d, want MaxInt64", end)
 	}
 }
+
+// TestTimelineDropBefore checks that dropping the segments that ended
+// before t leaves every read at t or later unchanged, including at
+// segment boundaries and at t itself.
+func TestTimelineDropBefore(t *testing.T) {
+	build := func() *timeline {
+		tl := newTimeline(0, 1000)
+		tl.add(100, 1200)
+		tl.add(200, 800)
+		tl.add(300, 1400)
+		return tl
+	}
+	for _, cut := range []int64{-5, 0, 99, 100, 150, 200, 300, 1 << 40} {
+		ref, tl := build(), build()
+		tl.dropBefore(cut)
+		for _, at := range []int64{cut, cut + 1, 100, 150, 199, 200, 250, 300, 1 << 41} {
+			if at < cut {
+				continue
+			}
+			if got, want := tl.freqAt(at), ref.freqAt(at); got != want {
+				t.Fatalf("dropBefore(%d): freqAt(%d) = %v, want %v", cut, at, got, want)
+			}
+		}
+		if want := len(ref.segs) - ref.indexAt(cut); len(tl.segs) != want {
+			t.Fatalf("dropBefore(%d) kept %d segments, want %d", cut, len(tl.segs), want)
+		}
+	}
+}
+
+// TestTimelineStaysBounded drives a device through a long campaign-like
+// loop — a kernel launched, a clock request while it is queued, then a
+// synchronise — and checks that the timeline keeps only the segments a
+// later read can reach, instead of growing with every request.
+func TestTimelineStaysBounded(t *testing.T) {
+	cfg := testConfig()
+	cfg.RampSteps = 4
+	dev, clk := newTestDevice(t, cfg)
+	spec := KernelSpec{Iters: 20, CyclesPerIter: 120_000, Blocks: 1}
+	freqs := []float64{600, 900, 1200, 1500}
+	for i := 0; i < 500; i++ {
+		if err := dev.LaunchWithSink(spec, new(MomentSink)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dev.SetFrequency(freqs[i%len(freqs)]); err != nil {
+			t.Fatal(err)
+		}
+		dev.Synchronize()
+		clk.Advance(20_000_000)
+	}
+	if n := len(dev.tl.segs); n > 2*(cfg.RampSteps+2) {
+		t.Fatalf("timeline holds %d segments after 500 requests", n)
+	}
+}

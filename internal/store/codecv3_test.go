@@ -342,22 +342,22 @@ func TestV3NaNCanonicalization(t *testing.T) {
 // compress/flate, so these hold across Go releases; any change to them
 // changes every blob in every store and needs a SchemaVersion bump.
 // The body starts with the schema, so each bump re-pins them (last at
-// schema 4).
+// schema 5).
 func TestV3GoldenBytes(t *testing.T) {
 	k := Key{Digest: "cafe", Profile: "a100-sxm4", Instance: 2}
 	golden := map[string]struct {
 		rawBytes int64
 		bodySHA  string
 	}{
-		"clusters":         {683, "7b9e93565a5cca404d4248b9025dcfceba6f9f815e66666cbd6037ca9629ee74"},
-		"codec-fixture":    {56133, "e4e1e9fc171e9dcb2988df6805596cf38254b02a69dd4fbdcfdc729bebe2fa23"},
-		"empty-slices":     {78, "95d586e233117fd2fa396824bbacab68c578f3bc9078f94512a1094d9ff67521"},
-		"float-switches":   {452, "c205f8e70bd13338a8a9bd580614e5cfe886d692dce50ffaad70cd05b3a25929"},
-		"measurements":     {434, "cf1fe4659f7ccb9212efc8db1e1031fe27098bf18a6b1120f67bc2dd0cd2c96d"},
-		"nil-pair-element": {230, "1eb9d72358ce3a88d8c49dd3c863d899aa7bcae21473f23cffdfcc3c0bffbfe2"},
-		"strings":          {339, "561950776c599bca9e4764ff472456f9620a3647637d72f3812d72b9881e570e"},
-		"test-fixture":     {725, "0e59ec79c46b1ba0a474df50e13481c772c3d9aa8c35eef14ab2e0e71c1bdf02"},
-		"zero":             {62, "464c91c1cd872367dfa72a8e85567983f636a67d68288cba64c2dfa0164d0ee1"},
+		"clusters":         {683, "945070b32ba7d2912cf1ea4be884a8c7b866627b0cc3b1b9898b7478481a67fe"},
+		"codec-fixture":    {56133, "e8f6cab8cbed1222f6a9094bd13595b285fe9bd961deb2627bde6bb51afaf5a4"},
+		"empty-slices":     {78, "f7beea93c64dbab98f7ec4a5ceaee31d9918fa5b81d3f01572f2392d5a4c7833"},
+		"float-switches":   {452, "3c04597585c59f3f413a823d75d56b46949b47f91ce82e5823692bb43060563f"},
+		"measurements":     {434, "78e2e198fb66c2e349c142c350b7f41de38360c45a81e59194e27d2d037a66c1"},
+		"nil-pair-element": {230, "4eeea1556c6d32390789e139de16af41f9fb2e682ca72af48b2108f44d962ae1"},
+		"strings":          {339, "46556f502d3d3879d5f00c19967dc33ef9e502fff718c64edde9c857612d2668"},
+		"test-fixture":     {725, "3089b6e6c7709e12326aa6b0b5df87a34c2ad0e6194e39a45775eaab547a4ade"},
+		"zero":             {62, "a60537928b6528ec565444d07712b44b0a1e42c89685d749a705daa44ac0456b"},
 	}
 	fixtures := adversarialResults()
 	if len(fixtures) != len(golden) {

@@ -83,8 +83,12 @@ import (
 // the canonical JSON envelope, which is no longer rendered. 4: phase 3
 // folds each block's confirmation tail into one draw per clock segment
 // (exact n and duration sum, a drawn sum of squares), so campaign
-// results are again equal in distribution but not in bits.
-const SchemaVersion = 4
+// results are again equal in distribution but not in bits. 5: phase 3
+// elapses, undelivered, the clock segments whose iterations cannot
+// reach the detection band, and the warm-up check folds its tail
+// window, so detection, t_e and the warm-up verdict are equal in
+// distribution, not in bits.
+const SchemaVersion = 5
 
 // tmpPrefix marks staging files; the leading dot keeps them out of every
 // blob scan.

@@ -2,8 +2,10 @@ package storenet
 
 import (
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -16,7 +18,8 @@ import (
 // concurrent clients running a mixed Get/Put/lease workload and then
 // audits the store for lost writes: every key any client successfully
 // Put must be present and validate. It doubles as the latency
-// benchmark — the p50/p99 lines it logs are scraped by
+// benchmark: every client request is timed from the client's side, and
+// the exact p50/p99 of those latencies it logs are scraped by
 // scripts/bench_smoke.sh into BENCH_campaign.json.
 //
 // STORED_LOAD_CLIENTS overrides the client count (CI runs it reduced;
@@ -62,11 +65,13 @@ func TestStoredLoadConcurrent(t *testing.T) {
 	contended := testKey(t, clients*opsPerClient) // one digest every client fights over
 
 	errs := make(chan error, clients*opsPerClient)
+	lat := make([][]int64, clients) // per client: each request's latency, ns
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			timed := func(start time.Time) { lat[i] = append(lat[i], time.Since(start).Nanoseconds()) }
 			c, err := NewClient(hs.URL, ClientOptions{
 				Token:        fmt.Sprintf("tenant-%03d", i),
 				RetryBackoff: time.Millisecond,
@@ -78,13 +83,18 @@ func TestStoredLoadConcurrent(t *testing.T) {
 			owner := fmt.Sprintf("worker-%03d", i)
 			for j, w := range jobs[i] {
 				instance := i*opsPerClient + j
-				if err := c.Put(w.key, testResult(instance)); err != nil {
+				start := time.Now()
+				err := c.Put(w.key, testResult(instance))
+				timed(start)
+				if err != nil {
 					errs <- fmt.Errorf("client %d put %d: %v", i, j, err)
 					continue
 				}
 				// Read back through the network path; a fresh write must
 				// be a validated hit, never a miss.
+				start = time.Now()
 				got, ok := c.Get(w.key)
+				timed(start)
 				if !ok {
 					errs <- fmt.Errorf("client %d: lost read-after-write for op %d", i, j)
 				} else if got.DeviceName != testResult(instance).DeviceName {
@@ -93,11 +103,16 @@ func TestStoredLoadConcurrent(t *testing.T) {
 				// Every third op also contends on one shared lease; the
 				// server must arbitrate exactly-once semantics under load.
 				if j%3 == 0 {
+					start = time.Now()
 					lease, ok, err := c.TryAcquire(contended.Digest, owner, time.Minute)
+					timed(start)
 					if err != nil {
 						errs <- fmt.Errorf("client %d acquire: %v", i, err)
 					} else if ok {
-						if err := lease.Release(); err != nil {
+						start = time.Now()
+						err := lease.Release()
+						timed(start)
+						if err != nil {
 							errs <- fmt.Errorf("client %d release: %v", i, err)
 						}
 					}
@@ -128,8 +143,22 @@ func TestStoredLoadConcurrent(t *testing.T) {
 		}
 	}
 
-	// Latency summary from the /metrics histograms; bench_smoke.sh greps
-	// these exact tokens.
-	t.Logf("stored_load_clients=%d stored_p50_ns=%d stored_p99_ns=%d",
-		clients, srv.LatencyQuantileNs(0.5), srv.LatencyQuantileNs(0.99))
+	// Exact latency quantiles over every timed request; bench_smoke.sh
+	// greps these exact tokens.
+	var all []int64
+	for _, l := range lat {
+		all = append(all, l...)
+	}
+	slices.Sort(all)
+	t.Logf("stored_load_clients=%d stored_requests=%d stored_p50_ns=%d stored_p99_ns=%d",
+		clients, len(all), nearestRank(all, 0.5), nearestRank(all, 0.99))
+}
+
+// nearestRank returns the q-th quantile of sorted by the nearest-rank
+// rule: its ⌈q·n⌉-th smallest value (0 when empty).
+func nearestRank(sorted []int64, q float64) int64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[max(0, int(math.Ceil(q*float64(len(sorted))))-1)]
 }

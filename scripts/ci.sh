@@ -38,13 +38,20 @@ fi
 go vet ./internal/obs/...
 
 echo "== simulator distribution gates (-count=1) =="
-# The skipped warm-up prefix and the folded confirmation tail are exact
-# in distribution, not in bits, so seeded statistical tests guard them:
-# over 2000 device seeds each, against a simulated quantised walk, and
-# folded against per-iteration kernels from the same state. go test
-# ./... above may have replayed a cached pass; these must run.
-go test -count=1 -run '^(TestSkippedPrefixMatchesInDistribution|TestFoldedTailMatchesInDistribution|TestTailMomentsMatchQuantisedWalk)$' ./internal/sim/gpu
-go test -count=1 -run '^TestFoldedTailKeepsDetection$' ./internal/core
+# The skipped warm-up prefix, the folded confirmation tail and warm-up
+# window, and the phase-3 band gate are exact in distribution, not in
+# bits, so seeded statistical tests guard them: over 2000 device seeds
+# each, against a simulated quantised walk, folded against
+# per-iteration kernels and gated against ungated ones from the same
+# state. go test ./... above may have replayed a cached pass; these
+# must run.
+go test -count=1 -run '^(TestSkippedPrefixMatchesInDistribution|TestFoldedTailMatchesInDistribution|TestTailMomentsMatchQuantisedWalk|TestGateSkipsUnheardSegments)$' ./internal/sim/gpu
+go test -count=1 -run '^(TestFoldedTailKeepsDetection|TestGatedDetectionMatchesInDistribution|TestWarmupFoldMatchesInDistribution)$' ./internal/core
+
+echo "== full-scale golden (GOLDEN_FULL=1) =="
+# The full set's artefacts and blobs against testdata/full.sha256, cold,
+# warm and at GOMAXPROCS=1; go test ./... skips it to keep its time.
+GOLDEN_FULL=1 go test -count=1 -run '^TestFullGolden$' ./cmd/experiments
 
 echo "== sweep partition tests (-count 5) =="
 # Each shard must be written exactly once across processes and hosts,
