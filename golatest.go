@@ -39,9 +39,11 @@
 // cores instead of each fanning out on its own. Run holds no slot: it
 // runs phase 1 and the probe on the primary device, then fans the valid
 // pairs out, one goroutine each. Each pair executes on an independent
-// device replica — a fresh instance of the same hardware profile on its
-// own virtual clock, with its simulator seed derived deterministically
-// from the device seed and the (init, target) pair. Replicas share no
+// device replica — a fresh copy of the chip phase 1 characterised (same
+// configuration and per-SM speeds) on its own virtual clock, with its
+// noise seed derived deterministically from the device seed and the
+// (init, target) pair. Runner.MeasurePair measures a single pair the
+// same way. Replicas share no
 // mutable state, so the sweep scales with cores, and because each pair's
 // entire random future is a function of (seed, pair) alone, campaign
 // results are bit-for-bit identical at any GOMAXPROCS — including

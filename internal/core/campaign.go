@@ -52,11 +52,24 @@ type PairResult struct {
 }
 
 // MeasurePair runs the full phase-2/3 campaign for one pair, as one
-// measurement step: repeated measurements under the RSE stopping rule
-// with throttle handling and adaptive-capture retry, then outlier
-// filtering.
+// measurement step, on the pair's replica of the runner's device (see
+// replicaRunner), exactly as Run measures each of its pairs: repeated
+// measurements under the RSE stopping rule with throttle handling and
+// adaptive-capture retry, then outlier filtering. The runner's own
+// device is not touched, so MeasurePair may be called concurrently and
+// its result does not depend on which pairs were measured before.
 func (r *Runner) MeasurePair(pair Pair, p1 *Phase1Result) (*PairResult, error) {
-	return step(func() (*PairResult, error) { return r.measurePair(pair, p1) })
+	return step(func() (*PairResult, error) { return r.replicaPair(pair, p1) })
+}
+
+// replicaPair measures pair on its own replica: the body of MeasurePair
+// and of Run's pair steps.
+func (r *Runner) replicaPair(pair Pair, p1 *Phase1Result) (*PairResult, error) {
+	sub, err := r.replicaRunner(pair)
+	if err != nil {
+		return nil, err
+	}
+	return sub.measurePair(pair, p1)
 }
 
 // captureCapNs bounds the capture window that adaptive retry grows.
@@ -67,7 +80,8 @@ const captureCapNs = 2_000_000_000
 // flight with it.
 var onPairCompute func(delta int)
 
-// measurePair is MeasurePair's body, run inside the caller's slot.
+// measurePair runs the pair's campaign on r's own device, inside the
+// caller's slot.
 func (r *Runner) measurePair(pair Pair, p1 *Phase1Result) (*PairResult, error) {
 	if onPairCompute != nil {
 		onPairCompute(1)
@@ -190,11 +204,10 @@ func (res *Result) PairByFreqs(init, target float64) (*PairResult, bool) {
 //
 // Run holds no slot of the measurement-step pool itself: phase 1 and the
 // probe are steps, and so is each valid pair. Every pair gets its own
-// goroutine, which takes a slot before it builds the pair's device
-// replica (fresh virtual clock, same hardware profile, seed derived
-// deterministically from the device seed and the pair) and measures the
-// pair on it, so pairs neither contend for the shared clock nor observe
-// each other's thermal or frequency state. Results — sample values and
+// goroutine, which takes a slot before it builds the pair's replica of
+// the characterised chip (see replicaRunner) and measures the pair on
+// it, so pairs neither contend for the shared clock nor observe each
+// other's thermal or frequency state. Results — sample values and
 // their order within each pair, and the init-major pair order of
 // Result.Pairs — are bit-for-bit identical at every pool size and
 // GOMAXPROCS.
@@ -218,11 +231,7 @@ func (r *Runner) Run() (*Result, error) {
 		return res, nil
 	}
 	res.Pairs, err = steps(p1.ValidPairs, func(pair Pair) (*PairResult, error) {
-		sub, err := r.replicaRunner(pair)
-		if err != nil {
-			return nil, err
-		}
-		return sub.measurePair(pair, p1)
+		return r.replicaPair(pair, p1)
 	})
 	if err != nil {
 		return nil, err
@@ -230,8 +239,8 @@ func (r *Runner) Run() (*Result, error) {
 	return res, nil
 }
 
-// pool gates measurement compute process-wide. Phase1, Probe,
-// MeasurePair and each pair step of Run hold one slot while they
+// pool gates measurement compute process-wide. Phase1, Probe and every
+// pair step (MeasurePair, and each pair of Run) hold one slot while they
 // compute, so every campaign in a process shares GOMAXPROCS workers, no
 // matter how many campaigns or artefacts run at once. A step never
 // takes a second slot: with every slot held by a step waiting for

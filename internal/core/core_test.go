@@ -369,7 +369,9 @@ func TestMeasurePairThermalBackoff(t *testing.T) {
 		t.Fatalf("pre-heat failed: temp=%v", dev.Temperature())
 	}
 
-	pr, err := r.MeasurePair(Pair{750, 600}, p1)
+	// measurePair, not MeasurePair: the pair must run on the pre-heated
+	// device, not on a cool replica of it.
+	pr, err := r.measurePair(Pair{750, 600}, p1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,6 +476,48 @@ func TestRunDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("sample %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestPairReplicaIsPhase1Chip: a pair is measured on the chip phase 1
+// characterised. Phase 1 re-run on each pair's replica must reproduce
+// every clock's mean iteration within 3 standard errors. The campaign
+// runs one block, so the mean is SM 0's, and SM speeds spread by 0.8%
+// here: a replica that drew a speed of its own would miss by dozens.
+func TestPairReplicaIsPhase1Chip(t *testing.T) {
+	dev := testDevice(t, fixedModel{bus: 50_000, dur: 5_000_000}, func(c *gpu.Config) {
+		c.SMSpeedSigma = 0.008
+	})
+	cfg := quickConfig(600, 1200)
+	cfg.Blocks = 1
+	r, err := NewRunner(dev, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := r.Phase1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p1.ValidPairs) != 2 {
+		t.Fatalf("phase 1: %+v; want both pairs valid", p1)
+	}
+	for _, pair := range p1.ValidPairs {
+		sub, err := r.replicaRunner(pair)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q1, err := sub.Phase1()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range cfg.Frequencies {
+			a, b := p1.Stats[f].Iter, q1.Stats[f].Iter
+			se := math.Sqrt(a.Std*a.Std/float64(a.N) + b.Std*b.Std/float64(b.N))
+			if z := (b.Mean - a.Mean) / se; math.Abs(z) > 3 {
+				t.Errorf("%v: replica's mean iteration at %v MHz is %v ms, phase 1's %v ms (%.1f SE apart)",
+					pair, f, b.Mean, a.Mean, z)
+			}
 		}
 	}
 }

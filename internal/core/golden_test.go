@@ -20,8 +20,10 @@ import (
 // block's confirmation tail into one draw per clock segment, and with
 // SchemaVersion 5, when phase 3 began to elapse the clock segments
 // whose iterations cannot reach the detection band undelivered and the
-// warm-up check began to fold its tail window.
-const goldenRunSHA256 = "bbd55646e69859ef05b434f7c82e6ed4033f54dbe9b6fb066005b1ddff4a6e08"
+// warm-up check began to fold its tail window, and with SchemaVersion 6,
+// when a pair's replica began to keep the per-SM speeds of the chip
+// phase 1 characterised instead of drawing its own.
+const goldenRunSHA256 = "ea726b1f1c86dfa2819bad8ccb830cf58a505e7e0806babdefd853a26c374584"
 
 // TestGoldenRun runs a small campaign — ramped transitions, a device
 // clock with a negative offset and drift — and compares a digest of its

@@ -142,7 +142,8 @@ func TestDetectSinkTailAtCaptureCap(t *testing.T) {
 // TestCaptureRetryDoublesWindow runs CI-band campaigns, in which every
 // attempt fails, so the capture window grows after every third attempt.
 // It must double each time and never exceed 2 s: from 60 ms it stops at
-// 1.92 s, and from 900 ms at 1.8 s.
+// 1.92 s, and from 900 ms at 1.8 s. The campaign runs on r itself
+// (measurePair), whose window the test then reads.
 func TestCaptureRetryDoublesWindow(t *testing.T) {
 	for _, tc := range []struct {
 		hintNs, wantNs int64
@@ -159,7 +160,7 @@ func TestCaptureRetryDoublesWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := r.MeasurePair(downSwitch, p1)
+		pr, err := r.measurePair(downSwitch, p1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +177,8 @@ func TestCaptureRetryDoublesWindow(t *testing.T) {
 // TestCIAblationReadsNoSamples runs the detection ablation's CI-band
 // campaign: every one of its 72 benchmark kernels must be declined, so
 // the phase-3 sink is handed no iteration at all. The 2σ campaign on
-// the same device is the control: its sink reads its kernels.
+// the same device is the control: its sink reads its kernels. Both run
+// on r itself (measurePair), whose sink the test then reads.
 func TestCIAblationReadsNoSamples(t *testing.T) {
 	for _, ci := range []bool{true, false} {
 		r := ablationRunner(t, 6, 23, func(c *Config) { c.CIDetection = ci })
@@ -184,7 +186,7 @@ func TestCIAblationReadsNoSamples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := r.MeasurePair(downSwitch, p1)
+		pr, err := r.measurePair(downSwitch, p1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,6 +52,9 @@ type Runner struct {
 	captureHintNs int64
 }
 
+// runnerTag labels the host randomness stream of a runner ("runner").
+const runnerTag = 0x72756e6e6572
+
 // NewRunner validates the configuration against the device and returns a
 // ready campaign runner.
 func NewRunner(dev *nvml.Device, cfg Config) (*Runner, error) {
@@ -59,6 +62,12 @@ func NewRunner(dev *nvml.Device, cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newRunner(dev, cfg, clock.NewRand(cfg.Seed, runnerTag), cfg.MaxLatencyHintNs)
+}
+
+// newRunner builds a runner on dev from a default-filled configuration,
+// a host randomness stream and a capture bound.
+func newRunner(dev *nvml.Device, cfg Config, rng *clock.Rand, captureHintNs int64) (*Runner, error) {
 	ctx, err := cuda.NewContext(dev.Sim())
 	if err != nil {
 		return nil, err
@@ -67,12 +76,12 @@ func NewRunner(dev *nvml.Device, cfg Config) (*Runner, error) {
 		dev:           dev,
 		ctx:           ctx,
 		cfg:           cfg,
-		rng:           clock.NewRand(cfg.Seed, 0x72756e6e6572), // "runner"
+		rng:           rng,
 		moments:       new(gpu.MomentSink),
 		tails:         gpu.NewTailSink(warmTailWindow),
 		detect:        new(detectSink),
 		quantumNs:     dev.Sim().Config().TimerQuantumNs,
-		captureHintNs: cfg.MaxLatencyHintNs,
+		captureHintNs: captureHintNs,
 	}, nil
 }
 
@@ -83,17 +92,16 @@ func pairTag(seed uint64, pair Pair) uint64 {
 	return clock.SplitMix64(clock.SplitMix64(seed^math.Float64bits(pair.InitMHz)) ^ math.Float64bits(pair.TargetMHz))
 }
 
-// replicaRunner builds the worker-local runner for one pair of the
-// campaign sweep: a fresh device replica of the same hardware profile on
-// its own virtual clock, seeded deterministically from the device seed
-// and the pair, plus an independent host randomness stream. Replicas make
-// the pair sweep embarrassingly parallel — no shared clock, no shared
-// device state — while keeping every pair's campaign bit-for-bit
-// reproducible regardless of worker count.
+// replicaRunner builds the runner that measures one pair: a replica of
+// the chip phase 1 characterised (same configuration and per-SM speeds)
+// on a fresh virtual clock, with device noise seeded from the device seed
+// and the pair, plus an independent host randomness stream. No clock,
+// temperature or capture window carries over from other pairs, so a
+// pair's samples depend only on (device, config, pair), and pairs
+// measure in parallel bit-for-bit reproducibly.
 func (r *Runner) replicaRunner(pair Pair) (*Runner, error) {
-	simCfg := r.dev.Sim().Config()
-	simCfg.Seed = pairTag(simCfg.Seed, pair)
-	sim, err := gpu.New(simCfg, clock.New())
+	src := r.dev.Sim()
+	sim, err := src.Replica(clock.New(), pairTag(src.Config().Seed, pair))
 	if err != nil {
 		return nil, err
 	}
@@ -105,21 +113,7 @@ func (r *Runner) replicaRunner(pair Pair) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, err := cuda.NewContext(sim)
-	if err != nil {
-		return nil, err
-	}
-	return &Runner{
-		dev:           h,
-		ctx:           ctx,
-		cfg:           r.cfg,
-		rng:           clock.NewRand(r.cfg.Seed, pairTag(0x72756e6e6572, pair)),
-		moments:       new(gpu.MomentSink),
-		tails:         gpu.NewTailSink(warmTailWindow),
-		detect:        new(detectSink),
-		quantumNs:     simCfg.TimerQuantumNs,
-		captureHintNs: r.captureHintNs,
-	}, nil
+	return newRunner(h, r.cfg, clock.NewRand(r.cfg.Seed, pairTag(runnerTag, pair)), r.captureHintNs)
 }
 
 // Config returns the runner's effective (default-filled) configuration.

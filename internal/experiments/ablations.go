@@ -51,27 +51,16 @@ func ablationConfig(n int) core.Config {
 	}
 }
 
-// measureAblation runs one ablation campaign: phase 1, then the
-// 1200→600 MHz pair on a fresh ablation device. Every row or cell of an
-// ablation owns its device and seed, so the rows run concurrently.
+// measureAblation runs one ablation campaign: phase 1 on a fresh
+// ablation device, then the 1200→600 MHz pair on its replica. Every row
+// or cell of an ablation owns its device and seed, so the rows run
+// concurrently.
 func measureAblation(injectNs int64, seed uint64, mutate func(*gpu.Config), cfg core.Config) (*core.Phase1Result, *core.PairResult, error) {
 	dev, err := ablationDevice(injectNs, seed, mutate)
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := core.NewRunner(dev, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	p1, err := r.Phase1()
-	if err != nil {
-		return nil, nil, err
-	}
-	pr, err := r.MeasurePair(core.Pair{InitMHz: 1200, TargetMHz: 600}, p1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p1, pr, nil
+	return measurePair(dev, cfg, core.Pair{InitMHz: 1200, TargetMHz: 600})
 }
 
 // RampAblationRow quantifies the detector against one transition shape.

@@ -123,15 +123,7 @@ func (s *Suite) FigScatter(profileKey string, pair core.Pair, n int) (*ScatterDa
 	cfg.Frequencies = []float64{pair.InitMHz, pair.TargetMHz}
 	cfg.MinMeasurements = n
 	cfg.MaxMeasurements = n
-	r, err := core.NewRunner(h, cfg)
-	if err != nil {
-		return nil, err
-	}
-	p1, err := r.Phase1()
-	if err != nil {
-		return nil, err
-	}
-	pr, err := r.MeasurePair(pair, p1)
+	_, pr, err := measurePair(h, cfg, pair)
 	if err != nil {
 		return nil, err
 	}
@@ -274,16 +266,8 @@ func censusPairs(valid []core.Pair, limit int) []core.Pair {
 	return out
 }
 
-// censusCampaign measures a sampled subset of a profile's pairs at census
-// depth and returns their PairResults. Phase 1 and each pair are separate
-// measurement steps: the pairs share the runner's device state and stay
-// serial and in order, but other artefacts' steps interleave between
-// them.
-func (s *Suite) censusCampaign(p hwprofile.Profile) ([]*core.PairResult, error) {
-	handle, err := deviceHandle(p.NewDevice(clock.New()))
-	if err != nil {
-		return nil, err
-	}
+// censusConfig is the campaign config of a profile's census.
+func (s *Suite) censusConfig(p hwprofile.Profile) core.Config {
 	cfg := s.campaignConfig(p)
 	// The census always draws its pair sample from the full evaluated
 	// frequency set: the reduced quick subsets deliberately over-sample
@@ -292,23 +276,19 @@ func (s *Suite) censusCampaign(p hwprofile.Profile) ([]*core.PairResult, error) 
 	cfg.Frequencies = p.EvalFreqsMHz
 	cfg.MinMeasurements = s.censusN()
 	cfg.MaxMeasurements = s.censusN()
-	r, err := core.NewRunner(handle, cfg)
+	return cfg
+}
+
+// censusCampaign measures a sampled subset of a profile's pairs at census
+// depth and returns their PairResults: phase 1 on a fresh device, then
+// every selected pair as its own step on its own replica.
+func (s *Suite) censusCampaign(p hwprofile.Profile) ([]*core.PairResult, error) {
+	handle, err := deviceHandle(p.NewDevice(clock.New()))
 	if err != nil {
 		return nil, err
 	}
-	p1, err := r.Phase1()
-	if err != nil {
-		return nil, err
-	}
-	var out []*core.PairResult
-	for _, pair := range censusPairs(p1.ValidPairs, 12) {
-		pr, err := r.MeasurePair(pair, p1)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pr)
-	}
-	return out, nil
+	_, prs, err := measurePairs(handle, s.censusConfig(p), func(valid []core.Pair) []core.Pair { return censusPairs(valid, 12) })
+	return prs, err
 }
 
 // censusRow summarises one profile's census campaign.
@@ -348,7 +328,7 @@ func censusRow(p hwprofile.Profile, campaign []*core.PairResult) ClusterCensusRo
 
 // ClusterCensus computes the §VII-B census from dedicated census-depth
 // campaigns over a sampled subset of each GPU's pairs. The profiles'
-// campaigns run concurrently; within one, the pairs stay serial.
+// campaigns, and every pair within one, run concurrently.
 func (s *Suite) ClusterCensus() ([]ClusterCensusRow, error) {
 	profiles := hwprofile.All()
 	campaigns, err := forEach(profiles, s.censusCampaign)

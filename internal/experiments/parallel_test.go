@@ -3,13 +3,16 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"golatest/internal/core"
 	"golatest/internal/hwprofile"
+	"golatest/internal/sim/clock"
 )
 
 // sameRows requires two row slices to be equal field by field, floats
@@ -150,4 +153,60 @@ func TestParallelDeterminism(t *testing.T) {
 	sameRows(t, "DetectionAblation", serial.det, parallel.det)
 	sameRows(t, "SyncAblation", serial.sync, parallel.sync)
 	sameRows(t, "CoreCountStudy", serial.cores, parallel.cores)
+}
+
+// TestCensusPairIndependentOfOthers measures the A100 census pairs three
+// ways: as the census does, serially in shuffled order on one runner,
+// and one pair alone after a phase 1 of its own. Every pair's samples
+// must be bit-identical across the three, because a pair is measured on
+// its own replica of the chip and so depends only on (device, config,
+// pair).
+func TestCensusPairIndependentOfOthers(t *testing.T) {
+	p := hwprofile.A100()
+	census, err := suite.censusCampaign(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phase1 := func() (*core.Runner, *core.Phase1Result) {
+		t.Helper()
+		h, err := deviceHandle(p.NewDevice(clock.New()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := core.NewRunner(h, suite.censusConfig(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p1, err := r.Phase1()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, p1
+	}
+	same := func(how string, want *core.PairResult, r *core.Runner, p1 *core.Phase1Result) {
+		t.Helper()
+		got, err := r.MeasurePair(want.Pair, p1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Attempts != want.Attempts || len(got.Samples) != len(want.Samples) {
+			t.Fatalf("%v measured %s: %d attempts, %d samples; in the census %d, %d",
+				want.Pair, how, got.Attempts, len(got.Samples), want.Attempts, len(want.Samples))
+		}
+		for i, v := range got.Samples {
+			if math.Float64bits(v) != math.Float64bits(want.Samples[i]) {
+				t.Errorf("%v measured %s: sample %d is %v ms, %v ms in the census", want.Pair, how, i, v, want.Samples[i])
+				return
+			}
+		}
+	}
+	if len(census) != 12 {
+		t.Fatalf("census measured %d pairs, want 12", len(census))
+	}
+	r, p1 := phase1()
+	for _, i := range rand.New(rand.NewPCG(1, 2)).Perm(len(census)) {
+		same("in shuffled order", census[i], r, p1)
+	}
+	r, p1 = phase1()
+	same("alone", census[len(census)/2], r, p1)
 }

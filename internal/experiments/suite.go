@@ -18,10 +18,13 @@
 // processes.
 //
 // Artefacts may be generated concurrently. Their measurement steps —
-// each campaign's phase 1 and pairs, census pairs, ablation rows — share
-// core's one process-wide pool of GOMAXPROCS slots, so running every
-// artefact at once keeps all cores busy without oversubscribing them,
-// and results are identical to a serial run.
+// each campaign's phase 1 and pairs, census and scatter pairs, ablation
+// rows — share core's one process-wide pool of GOMAXPROCS slots, so
+// running every artefact at once keeps all cores busy without
+// oversubscribing them, and results are identical to a serial run.
+// Every pair, in a campaign or not, is measured on its own replica of
+// the chip its phase 1 characterised, so its samples never depend on
+// which other pairs ran.
 package experiments
 
 import (
@@ -265,6 +268,35 @@ func (s *Suite) runCampaign(p hwprofile.Profile, cfg core.Config) (*core.Result,
 	return r.Run()
 }
 
+// measurePairs runs phase 1 of cfg on dev, then measures the pairs that
+// pick selects from phase 1's valid pairs, each on its own replica of
+// dev (core.Runner.MeasurePair) and all concurrently. Results come back
+// in pick's order.
+func measurePairs(dev *nvml.Device, cfg core.Config, pick func(valid []core.Pair) []core.Pair) (*core.Phase1Result, []*core.PairResult, error) {
+	r, err := core.NewRunner(dev, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	p1, err := r.Phase1()
+	if err != nil {
+		return nil, nil, err
+	}
+	prs, err := forEach(pick(p1.ValidPairs), func(pair core.Pair) (*core.PairResult, error) {
+		return r.MeasurePair(pair, p1)
+	})
+	return p1, prs, err
+}
+
+// measurePair runs phase 1 of cfg on dev and measures pair on its
+// replica; a pair phase 1 excluded is an error.
+func measurePair(dev *nvml.Device, cfg core.Config, pair core.Pair) (*core.Phase1Result, *core.PairResult, error) {
+	p1, prs, err := measurePairs(dev, cfg, func([]core.Pair) []core.Pair { return []core.Pair{pair} })
+	if err != nil {
+		return nil, nil, err
+	}
+	return p1, prs[0], nil
+}
+
 // Campaign returns the cached full campaign of a profile (keyed by
 // profile and instance), running it on first use. Concurrent calls for
 // the same key collapse into one execution: the winner runs the campaign
@@ -403,9 +435,10 @@ func (s *Suite) A100Fleet(n int) ([]*core.Result, error) {
 
 // forEach runs fn on every element of xs, each in its own goroutine,
 // and returns the results by index, or the lowest-indexed error. Every
-// element runs. forEach takes no slot of core's measurement-step pool
-// itself: fn's steps (Phase1, Probe, MeasurePair, Run's pairs) do, so
-// the elements' compute stays bounded by the pool.
+// element runs. It fans out the census profiles, the pairs of
+// measurePairs and the ablation rows. forEach takes no slot of core's
+// measurement-step pool itself: fn's steps (Phase1, Probe, MeasurePair,
+// Run's pairs) do, so the elements' compute stays bounded by the pool.
 func forEach[X, T any](xs []X, fn func(X) (T, error)) ([]T, error) {
 	out := make([]T, len(xs))
 	errs := make([]error, len(xs))

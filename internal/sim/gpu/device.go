@@ -88,6 +88,20 @@ func New(cfg Config, clk *clock.Clock) (*Device, error) {
 	return d, nil
 }
 
+// Replica returns a fresh copy of the same chip bound to clk: the same
+// configuration and per-SM speeds, but an idle, cool device whose Seed,
+// and so its noise stream, is seed.
+func (d *Device) Replica(clk *clock.Clock, seed uint64) (*Device, error) {
+	cfg := d.cfg
+	cfg.Seed = seed
+	r, err := New(cfg, clk)
+	if err != nil {
+		return nil, err
+	}
+	copy(r.smSpeed, d.smSpeed)
+	return r, nil
+}
+
 // IterCounts counts the iterations a device has executed by how they
 // were simulated. Every block's iterations add up to its Iters.
 type IterCounts struct {

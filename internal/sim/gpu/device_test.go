@@ -2,6 +2,8 @@ package gpu
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -494,5 +496,46 @@ func TestNominalIterNs(t *testing.T) {
 	s := KernelSpec{Iters: 1, CyclesPerIter: 120_000}
 	if got := s.NominalIterNs(1200); got != 100_000 {
 		t.Fatalf("NominalIterNs = %v, want 100000", got)
+	}
+}
+
+// TestReplicaKeepsChip: a replica is the same chip on a fresh clock and
+// its own noise stream. Its configuration, apart from the seed, and its
+// per-SM speeds equal the source's; none of the source's clock, thermal
+// or frequency state carries over; and its noise stream is the one a
+// device built from the replica seed draws.
+func TestReplicaKeepsChip(t *testing.T) {
+	cfg := testConfig()
+	d, _ := newTestDevice(t, cfg)
+	if _, err := d.SetFrequency(1500); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Launch(KernelSpec{Iters: 200, CyclesPerIter: 1.5e7}); err != nil {
+		t.Fatal(err)
+	}
+	d.Synchronize()
+
+	r, err := d.Replica(clock.New(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := d.Config()
+	want.Seed = 7
+	if !reflect.DeepEqual(r.Config(), want) {
+		t.Errorf("replica config = %+v, want %+v", r.Config(), want)
+	}
+	if !slices.Equal(r.smSpeed, d.smSpeed) {
+		t.Errorf("replica SM speeds %v, source %v", r.smSpeed, d.smSpeed)
+	}
+	other, _ := newTestDevice(t, want)
+	if slices.Equal(other.smSpeed, d.smSpeed) {
+		t.Fatal("seed 7 draws the source's SM speeds: the check above proves nothing")
+	}
+	if r.Clock().Now() != 0 || r.SetFreqMHz() != cfg.DefaultFreqMHz || r.thermal.tempC != d.cfg.AmbientC {
+		t.Errorf("replica state: clock %d ns, clock %v MHz, %v °C; want a fresh device",
+			r.Clock().Now(), r.SetFreqMHz(), r.thermal.tempC)
+	}
+	if a, b := r.rng.Float64(), other.rng.Float64(); a != b {
+		t.Errorf("replica noise draws %v, a device built from its seed %v", a, b)
 	}
 }

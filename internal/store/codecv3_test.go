@@ -342,22 +342,22 @@ func TestV3NaNCanonicalization(t *testing.T) {
 // compress/flate, so these hold across Go releases; any change to them
 // changes every blob in every store and needs a SchemaVersion bump.
 // The body starts with the schema, so each bump re-pins them (last at
-// schema 5).
+// schema 6).
 func TestV3GoldenBytes(t *testing.T) {
 	k := Key{Digest: "cafe", Profile: "a100-sxm4", Instance: 2}
 	golden := map[string]struct {
 		rawBytes int64
 		bodySHA  string
 	}{
-		"clusters":         {683, "945070b32ba7d2912cf1ea4be884a8c7b866627b0cc3b1b9898b7478481a67fe"},
-		"codec-fixture":    {56133, "e8f6cab8cbed1222f6a9094bd13595b285fe9bd961deb2627bde6bb51afaf5a4"},
-		"empty-slices":     {78, "f7beea93c64dbab98f7ec4a5ceaee31d9918fa5b81d3f01572f2392d5a4c7833"},
-		"float-switches":   {452, "3c04597585c59f3f413a823d75d56b46949b47f91ce82e5823692bb43060563f"},
-		"measurements":     {434, "78e2e198fb66c2e349c142c350b7f41de38360c45a81e59194e27d2d037a66c1"},
-		"nil-pair-element": {230, "4eeea1556c6d32390789e139de16af41f9fb2e682ca72af48b2108f44d962ae1"},
-		"strings":          {339, "46556f502d3d3879d5f00c19967dc33ef9e502fff718c64edde9c857612d2668"},
-		"test-fixture":     {725, "3089b6e6c7709e12326aa6b0b5df87a34c2ad0e6194e39a45775eaab547a4ade"},
-		"zero":             {62, "a60537928b6528ec565444d07712b44b0a1e42c89685d749a705daa44ac0456b"},
+		"clusters":         {683, "1f297d77297f136c2724687e55cbe2f7b9cab2ab00fe1b5163288efe2e912c36"},
+		"codec-fixture":    {56133, "c90cd1eea325f5588311bf1d1865cca134705ebb89688947f19e4e6c83471872"},
+		"empty-slices":     {78, "b340aaab7909c4dcd71ca74ad9c68eb8f7b197c2524b253d57b1a98485ed8e0e"},
+		"float-switches":   {452, "90688c3449057c0b405409bbaa9b6e589e1b2151ab331f1b4af0e500a4a48949"},
+		"measurements":     {434, "dbf67fc6f0c652c8c271292ef2800cb79d4443ee4019d1be43e17d1fec703635"},
+		"nil-pair-element": {230, "8f7d4c709066ad891b168ec07dfd97fe173e143dd11950da625f63a1a8943a6a"},
+		"strings":          {339, "39efb7cf383591d9123356cab289869918ba9b69c5bd4a9954f6dd97262356d5"},
+		"test-fixture":     {725, "9992d29ba02f41c75160b5159272f69db9596b0e19fb443e601708c91e9442b4"},
+		"zero":             {62, "b155ecfe0c7053349f84abca7f7252e94d683738740857915f2314d36dbee069"},
 	}
 	fixtures := adversarialResults()
 	if len(fixtures) != len(golden) {

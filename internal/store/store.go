@@ -87,8 +87,11 @@ import (
 // elapses, undelivered, the clock segments whose iterations cannot
 // reach the detection band, and the warm-up check folds its tail
 // window, so detection, t_e and the warm-up verdict are equal in
-// distribution, not in bits.
-const SchemaVersion = 5
+// distribution, not in bits. 6: every pair is measured on a replica
+// that keeps the per-SM speeds of the chip phase 1 characterised; a
+// replica used to draw its own from the pair's seed, so phase 3 ran on
+// hardware phase 1 never saw.
+const SchemaVersion = 6
 
 // tmpPrefix marks staging files; the leading dot keeps them out of every
 // blob scan.

@@ -67,20 +67,25 @@ echo "== go test -race (store, fleet, storenet) =="
 go test -race ./internal/obs/... ./internal/store/... ./internal/fleet/... ./internal/storenet/... ./cmd/stored/...
 
 echo "== go test -race (core step pool + phase-3 sink, concurrent artefacts) =="
-# core.Run's pair steps, the experiments fan-out of the cluster census and
-# ablations, and the CLI's concurrently run generators write results by
-# index from several goroutines, their measurement steps sharing core's
-# one process-wide pool. core runs in full: TestStepPool bounds the
-# steps in flight, TestRunIdenticalAcrossParallelism compares a campaign
-# across pool sizes, and TestPairComputesBoundedByPool counts the pair
-# campaigns of three concurrent artefacts against the pool. The
-# determinism test runs the census and ablations concurrently and
-# compares bits against a serial loop, and TestForEach checks the
-# experiments fan-out's by-index results and lowest-indexed error; the
-# CLI tests check generator order, the lowest-indexed error, and a
-# small concurrent run.
+# core.Run's pair steps, the experiments fan-outs of the cluster census
+# (its profiles and each profile's pairs, every pair on its own replica
+# of one source device) and of the ablations, and the CLI's concurrently
+# run generators write results by index from several goroutines, their
+# measurement steps sharing core's one process-wide pool. core runs in
+# full: TestStepPool bounds the steps in flight,
+# TestRunIdenticalAcrossParallelism compares a campaign across pool
+# sizes, TestPairComputesBoundedByPool counts the pair campaigns of
+# three concurrent artefacts against the pool, and
+# TestPairReplicaIsPhase1Chip checks that a pair's replica is the chip
+# phase 1 characterised. The determinism test runs the census and
+# ablations concurrently and compares bits against a serial loop,
+# TestCensusPairIndependentOfOthers compares each census pair's samples
+# with the same pair measured alone and in shuffled order, and
+# TestForEach checks the experiments fan-out's by-index results and
+# lowest-indexed error; the CLI tests check generator order, the
+# lowest-indexed error, and a small concurrent run.
 go test -race ./internal/core
-go test -race -run 'Ablation|CoreCount|ClusterCensus|TestParallelDeterminism|TestForEach' ./internal/experiments
+go test -race -run 'Ablation|CoreCount|ClusterCensus|TestParallelDeterminism|TestCensusPairIndependentOfOthers|TestForEach' ./internal/experiments
 go test -race -run 'TestGeneratorsRunConcurrentlyInOrder|TestWriteFileRemovesPartialArtefact|TestRunConcurrentSubset' ./cmd/experiments
 
 echo "== go test -race (trace propagation) =="
