@@ -17,6 +17,7 @@ package hwprofile
 
 import (
 	"math"
+	"sync"
 
 	"golatest/internal/sim/clock"
 	"golatest/internal/sim/gpu"
@@ -57,7 +58,9 @@ type PairDist struct {
 }
 
 // Model is an architecture DVFS latency model implementing
-// gpu.LatencyModel. Classify must be a pure function of the pair.
+// gpu.LatencyModel. Classify must be a pure function of the pair. A
+// Model is safe for concurrent use: every replica of a device samples
+// the same one.
 type Model struct {
 	// BusDelayMeanNs/JitterNs model the CPU→device command travel time
 	// (the switching-vs-transition gap of Fig. 2).
@@ -65,11 +68,37 @@ type Model struct {
 	BusDelayJitterNs float64
 	// Classify returns the latency mixture of a pair.
 	Classify func(initMHz, targetMHz float64) PairDist
+
+	// classified memoises Classify per pair; the clock table bounds it.
+	mu         sync.RWMutex
+	classified map[[2]float64]*PairDist
+}
+
+// dist returns the memoised latency mixture of a pair.
+func (m *Model) dist(initMHz, targetMHz float64) *PairDist {
+	key := [2]float64{initMHz, targetMHz}
+	m.mu.RLock()
+	d, ok := m.classified[key]
+	m.mu.RUnlock()
+	if ok {
+		return d
+	}
+	c := m.Classify(initMHz, targetMHz)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if d, ok := m.classified[key]; ok {
+		return d
+	}
+	if m.classified == nil {
+		m.classified = make(map[[2]float64]*PairDist)
+	}
+	m.classified[key] = &c
+	return &c
 }
 
 // Sample implements gpu.LatencyModel.
 func (m *Model) Sample(initMHz, targetMHz float64, r *clock.Rand) gpu.Transition {
-	d := m.Classify(initMHz, targetMHz)
+	d := m.dist(initMHz, targetMHz)
 	var latMs float64
 	if d.OutlierProb > 0 && r.Bool(d.OutlierProb) {
 		latMs = r.Uniform(d.OutlierLoMs, d.OutlierHiMs)

@@ -364,3 +364,38 @@ func TestPairHashProperties(t *testing.T) {
 		t.Fatalf("hash mean = %v, want ≈0.5", mean)
 	}
 }
+
+// TestModelClassifiesEachPairOnce: Sample classifies a pair on its first
+// draw only, and the memoised mixture gives the draws a fresh Classify
+// would.
+func TestModelClassifiesEachPairOnce(t *testing.T) {
+	ref := a100Model(3, 0)
+	calls := map[[2]float64]int{}
+	m := &Model{
+		BusDelayMeanNs:   ref.BusDelayMeanNs,
+		BusDelayJitterNs: ref.BusDelayJitterNs,
+		Classify: func(init, target float64) PairDist {
+			calls[[2]float64{init, target}]++
+			return ref.Classify(init, target)
+		},
+	}
+	r, want := clock.NewRand(5, 0), clock.NewRand(5, 0)
+	pairs := [][2]float64{{1410, 705}, {705, 1410}, {1410, 705}}
+	for round := 0; round < 4; round++ {
+		for _, p := range pairs {
+			got := m.Sample(p[0], p[1], r)
+			fresh := &Model{BusDelayMeanNs: ref.BusDelayMeanNs, BusDelayJitterNs: ref.BusDelayJitterNs, Classify: ref.Classify}
+			if w := fresh.Sample(p[0], p[1], want); got != w {
+				t.Fatalf("round %d pair %v: memoised draw %+v, fresh %+v", round, p, got, w)
+			}
+		}
+	}
+	for p, n := range calls {
+		if n != 1 {
+			t.Errorf("pair %v classified %d times", p, n)
+		}
+	}
+	if len(calls) != 2 {
+		t.Errorf("%d pairs classified, want 2", len(calls))
+	}
+}

@@ -18,7 +18,6 @@ package ptp
 
 import (
 	"fmt"
-	"sort"
 
 	"golatest/internal/sim/clock"
 )
@@ -113,8 +112,8 @@ func Sync(clk *clock.Clock, dev DeviceClock, cfg Config, r *clock.Rand) (Result,
 		delays = append(delays, (float64(t4-t1)-float64(t3-t2))/2)
 	}
 
-	sort.Float64s(offsets)
-	sort.Float64s(delays)
+	insertionSort(offsets)
+	insertionSort(delays)
 	return Result{
 		OffsetNs: int64(median(offsets)),
 		DelayNs:  int64(median(delays)),
@@ -132,6 +131,19 @@ func sampleDelay(r *clock.Rand, mean, jitter float64) int64 {
 		d = 1
 	}
 	return int64(d)
+}
+
+// insertionSort sorts a few NaN-free rounds in place, faster than
+// sort.Float64s at the default 16.
+func insertionSort(x []float64) {
+	for i := 1; i < len(x); i++ {
+		v := x[i]
+		j := i
+		for ; j > 0 && x[j-1] > v; j-- {
+			x[j] = x[j-1]
+		}
+		x[j] = v
+	}
 }
 
 // median of a sorted slice.

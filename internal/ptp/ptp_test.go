@@ -1,6 +1,9 @@
 package ptp
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"golatest/internal/sim/clock"
@@ -111,4 +114,24 @@ type fixedModel struct{}
 
 func (fixedModel) Sample(init, target float64, r *clock.Rand) gpu.Transition {
 	return gpu.Transition{}
+}
+
+// TestInsertionSortMatchesSort checks Sync's sort of its rounds against
+// sort.Float64s, on the default 16 rounds and on other lengths.
+func TestInsertionSortMatchesSort(t *testing.T) {
+	r := clock.NewRand(9, 0)
+	for _, n := range []int{0, 1, 2, 15, 16, 17, 64} {
+		for trial := 0; trial < 50; trial++ {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = math.Round(r.Normal(0, 300)) / 2 // ties happen
+			}
+			want := slices.Clone(x)
+			sort.Float64s(want)
+			insertionSort(x)
+			if !slices.Equal(x, want) {
+				t.Fatalf("n=%d: %v, want %v", n, x, want)
+			}
+		}
+	}
 }

@@ -3,6 +3,7 @@ package gpu
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"golatest/internal/sim/clock"
 )
@@ -50,8 +51,10 @@ type Device struct {
 	everBusy  bool
 	queue     []launch
 
-	// folds caches the tail-fold coefficients of each nominal iteration
-	// duration the device has folded at (nil: too little jitter to fold).
+	// chip holds what the device shares with its replicas; folds is the
+	// device's own handle on each of the chip's fold tables it has
+	// folded at (nil: too little jitter to fold).
+	chip  *chip
 	folds map[uint64]*foldCoef
 	iters IterCounts
 
@@ -75,6 +78,7 @@ func New(cfg Config, clk *clock.Clock) (*Device, error) {
 		rng:           clock.NewRand(cfg.Seed, 0x6c6174657374), // "latest"
 		kernelScratch: clock.NewRand(0, 0),
 		smScratch:     clock.NewRand(0, 0),
+		chip:          new(chip),
 	}
 	d.tl = newTimeline(clk.Now(), cfg.DefaultFreqMHz)
 	d.setFreq = cfg.DefaultFreqMHz
@@ -89,8 +93,9 @@ func New(cfg Config, clk *clock.Clock) (*Device, error) {
 }
 
 // Replica returns a fresh copy of the same chip bound to clk: the same
-// configuration and per-SM speeds, but an idle, cool device whose Seed,
-// and so its noise stream, is seed.
+// configuration, per-SM speeds and fold tables, but an idle, cool device
+// whose Seed, and so its noise stream, is seed. A device and its
+// replicas may run concurrently.
 func (d *Device) Replica(clk *clock.Clock, seed uint64) (*Device, error) {
 	cfg := d.cfg
 	cfg.Seed = seed
@@ -99,7 +104,15 @@ func (d *Device) Replica(clk *clock.Clock, seed uint64) (*Device, error) {
 		return nil, err
 	}
 	copy(r.smSpeed, d.smSpeed)
+	r.chip = d.chip
 	return r, nil
+}
+
+// chip is the state a device shares with its replicas: the fold tables,
+// which depend only on the configuration and the per-SM speeds.
+type chip struct {
+	mu    sync.Mutex
+	folds map[uint64]*foldTable // by nominal host duration; nil: too little jitter
 }
 
 // IterCounts counts the iterations a device has executed by how they
@@ -569,16 +582,36 @@ func (d *Device) foldCoef(mu float64) *foldCoef {
 		return c
 	}
 	var c *foldCoef
-	q := float64(d.cfg.TimerQuantumNs)
-	devMu := mu * (1 + d.cfg.ClockDriftPPM/1e6)
-	if s := d.cfg.IterJitterSigma * devMu; s >= minFoldJitter*q {
-		c = newFoldCoef(devMu, s, q)
+	if t := d.foldTable(key, mu); t != nil {
+		c = &foldCoef{foldTable: t}
 	}
 	if d.folds == nil {
 		d.folds = make(map[uint64]*foldCoef)
 	}
 	d.folds[key] = c
 	return c
+}
+
+// foldTable returns the chip's fold table for nominal host duration mu
+// ns (key is its bits), building it on the chip's first fold at mu.
+func (d *Device) foldTable(key uint64, mu float64) *foldTable {
+	ch := d.chip
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	if t, ok := ch.folds[key]; ok {
+		return t
+	}
+	var t *foldTable
+	q := float64(d.cfg.TimerQuantumNs)
+	devMu := mu * (1 + d.cfg.ClockDriftPPM/1e6)
+	if s := d.cfg.IterJitterSigma * devMu; s >= minFoldJitter*q {
+		t = newFoldTable(devMu, s, q)
+	}
+	if ch.folds == nil {
+		ch.folds = make(map[uint64]*foldTable)
+	}
+	ch.folds[key] = t
+	return t
 }
 
 // integrate returns the host-time nanoseconds needed to execute the given

@@ -539,3 +539,48 @@ func TestReplicaKeepsChip(t *testing.T) {
 		t.Errorf("replica noise draws %v, a device built from its seed %v", a, b)
 	}
 }
+
+// TestReplicaBuildsNoFoldTableItsChipHas: a replica folds with its
+// chip's fold tables. The same warm-up kernel on the source and then on
+// a replica folds at the same durations, so the replica adds no table;
+// its handle on each is its own (so is its last-length memo), and a
+// table a replica builds first is the source's too.
+func TestReplicaBuildsNoFoldTableItsChipHas(t *testing.T) {
+	d, _ := newTestDevice(t, testConfig())
+	spec := KernelSpec{Iters: 600, CyclesPerIter: 120_000, Blocks: 4}
+	warm := func(dev *Device) {
+		t.Helper()
+		if err := dev.LaunchWithSink(spec, NewTailSink(100)); err != nil {
+			t.Fatal(err)
+		}
+		dev.Synchronize()
+	}
+	warm(d)
+	built := len(d.chip.folds)
+	if built == 0 || d.IterCounts().Folded == 0 {
+		t.Fatalf("the source folded %d iterations with %d tables: the check below proves nothing", d.IterCounts().Folded, built)
+	}
+	r, err := d.Replica(clock.New(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm(r)
+	if r.IterCounts().Folded == 0 {
+		t.Fatal("the replica folded nothing")
+	}
+	if len(r.chip.folds) != built {
+		t.Fatalf("the chip holds %d fold tables after the replica's kernel, %d before", len(r.chip.folds), built)
+	}
+	for key, c := range r.folds {
+		if c == nil {
+			continue
+		}
+		if src := d.folds[key]; src.foldTable != c.foldTable || src == c {
+			t.Fatalf("duration %v: replica table %p handle %p, source table %p handle %p",
+				math.Float64frombits(key), c.foldTable, c, src.foldTable, src)
+		}
+	}
+	if c := r.foldCoef(97_000); c == nil || d.foldCoef(97_000).foldTable != c.foldTable {
+		t.Fatal("the source rebuilt a table its replica built")
+	}
+}

@@ -56,9 +56,11 @@ const minFoldIters = 64
 // need ever more terms; every profile sits above 0.1.
 const minFoldJitter = 0.05
 
-// foldCoef holds the part of a chunk's moments that does not depend on
-// its length, for one nominal iteration duration.
-type foldCoef struct {
+// foldTable holds the part of a chunk's moments that depends neither on
+// its length nor on the device: a pure function of the nominal
+// iteration duration, its jitter and the timer quantum. A device and
+// its replicas share one table per duration (chip.foldTable).
+type foldTable struct {
 	q     float64      // timer quantum, ns
 	b2    float64      // jitter variance, quanta²
 	eg    float64      // E[g]
@@ -66,7 +68,13 @@ type foldCoef struct {
 	lag1  float64      // Σₘ Re[(B(m) − B(0))²]/m², over all m ≥ 1
 	frac  []float64    // frac(m·a), m = 1..J
 	damp  []float64    // e^{−2π²m²b²}, m = 1..J
+	phi   []complex128 // φ(m), m = 1..J
 	coeff []complex128 // (B(m) − B(0))²/m², m = 1..J
+}
+
+// foldCoef is one device's handle on a fold table.
+type foldCoef struct {
+	*foldTable
 	// last memoises moments for the last chunk length asked: the
 	// warm-up check folds windows of one length over and over.
 	last struct {
@@ -79,9 +87,14 @@ type foldCoef struct {
 // remainder falls like 1/m⁴.
 const lagTerms = 64
 
-// newFoldCoef computes the coefficients for iterations of nominal
+// newFoldCoef returns a fresh handle on the coefficients for iterations
+// of nominal device duration mu ns with jitter s ns on a timer of
+// quantum q ns.
+func newFoldCoef(mu, s, q float64) *foldCoef { return &foldCoef{foldTable: newFoldTable(mu, s, q)} }
+
+// newFoldTable computes the coefficients for iterations of nominal
 // device duration mu ns with jitter s ns on a timer of quantum q ns.
-func newFoldCoef(mu, s, q float64) *foldCoef {
+func newFoldTable(mu, s, q float64) *foldTable {
 	a, b := mu/q, s/q
 	fa := a - math.Floor(a)
 	b2 := b * b
@@ -154,7 +167,7 @@ func newFoldCoef(mu, s, q float64) *foldCoef {
 		return sum
 	}
 	b0 := real(B(0))
-	c := &foldCoef{q: q, b2: b2, eg: eg, iid: varIID + eb2g}
+	c := &foldTable{q: q, b2: b2, eg: eg, iid: varIID + eb2g}
 	// The lag-one sum: its B(0)² part sums to B(0)²π²/6 in closed form,
 	// and the rest falls like 1/m⁴.
 	c.lag1 = b0 * b0 * math.Pi * math.Pi / 6
@@ -169,11 +182,12 @@ func newFoldCoef(mu, s, q float64) *foldCoef {
 			c.coeff = append(c.coeff, d*d/complex(mm, 0))
 		}
 	}
+	c.phi = phis[J+1:]
 	return c
 }
 
 // phiPow returns φ(m)ⁿ for mode index i (m = i + 1).
-func (c *foldCoef) phiPow(i int, n float64) complex128 {
+func (c *foldTable) phiPow(i int, n float64) complex128 {
 	amp := math.Pow(c.damp[i], n)
 	if amp == 0 {
 		return 0
@@ -194,7 +208,7 @@ func (c *foldCoef) moments(n int) (mean, variance float64) {
 	// The lag sum past lag one: Kₙ(φ) − (n − 1) = φ·Kₙ₋₁(φ).
 	lags := (nf - 1) * c.lag1
 	for i := range c.coeff {
-		phi := c.phiPow(i, 1)
+		phi := c.phi[i]
 		if phi == 0 {
 			break
 		}

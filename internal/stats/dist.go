@@ -83,16 +83,42 @@ func ZCritical(confidence float64) float64 {
 // hundreds of samples; the smallest populations are the ≥ 20 repeated
 // switching-latency measurements).
 func TCritical(df float64, confidence float64) float64 {
-	if df <= 0 || confidence <= 0 || confidence >= 1 {
-		return math.NaN()
+	return NewCriticalT(confidence).At(df)
+}
+
+// CriticalT is TCritical at one confidence level, with the normal
+// quantile and the expansion's coefficients computed once: a caller
+// that asks for many degrees of freedom at one confidence builds it
+// once.
+type CriticalT struct {
+	// Confidence is the level the coefficients were computed for.
+	Confidence float64
+	// z and g1…g4 are the Cornish–Fisher terms (NaN z: invalid level).
+	z, g1, g2, g3, g4 float64
+}
+
+// NewCriticalT precomputes TCritical's expansion for confidence.
+func NewCriticalT(confidence float64) CriticalT {
+	c := CriticalT{Confidence: confidence, z: math.NaN()}
+	if confidence <= 0 || confidence >= 1 {
+		return c
 	}
 	z := NormalQuantile(0.5 + confidence/2)
 	z2 := z * z
-	g1 := (z2 + 1) * z / 4
-	g2 := ((5*z2+16)*z2 + 3) * z / 96
-	g3 := (((3*z2+19)*z2+17)*z2 - 15) * z / 384
-	g4 := ((((79*z2+776)*z2+1482)*z2-1920)*z2 - 945) * z / 92160
-	return z + g1/df + g2/(df*df) + g3/(df*df*df) + g4/(df*df*df*df)
+	c.z = z
+	c.g1 = (z2 + 1) * z / 4
+	c.g2 = ((5*z2+16)*z2 + 3) * z / 96
+	c.g3 = (((3*z2+19)*z2+17)*z2 - 15) * z / 384
+	c.g4 = ((((79*z2+776)*z2+1482)*z2-1920)*z2 - 945) * z / 92160
+	return c
+}
+
+// At returns the critical value for df degrees of freedom.
+func (c CriticalT) At(df float64) float64 {
+	if df <= 0 || math.IsNaN(c.z) {
+		return math.NaN()
+	}
+	return c.z + c.g1/df + c.g2/(df*df) + c.g3/(df*df*df) + c.g4/(df*df*df*df)
 }
 
 // StudentTCDF returns the CDF of Student's t distribution with df degrees

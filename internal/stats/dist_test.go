@@ -156,3 +156,11 @@ func TestStudentTCDFInfinities(t *testing.T) {
 		t.Fatalf("CDF(-Inf) = %v", got)
 	}
 }
+
+func TestCriticalTInvalid(t *testing.T) {
+	for _, c := range []struct{ df, conf float64 }{{10, 0}, {10, 1}, {10, 1.5}, {0, 0.95}, {-1, 0.95}} {
+		if got := NewCriticalT(c.conf).At(c.df); !math.IsNaN(got) {
+			t.Errorf("df %v, confidence %v: %v, want NaN", c.df, c.conf, got)
+		}
+	}
+}

@@ -35,6 +35,11 @@ func MeanCI(m MeanStd, confidence float64) Interval {
 // does not contain zero, i.e. the two frequencies are statistically
 // distinguishable from iteration timings alone.
 func MeanDiffCI(a, b MeanStd, confidence float64) Interval {
+	return NewCriticalT(confidence).MeanDiffCI(a, b)
+}
+
+// MeanDiffCI is the package-level MeanDiffCI at c's confidence.
+func (c CriticalT) MeanDiffCI(a, b MeanStd) Interval {
 	if a.N < 2 || b.N < 2 {
 		return Interval{math.NaN(), math.NaN()}
 	}
@@ -42,7 +47,7 @@ func MeanDiffCI(a, b MeanStd, confidence float64) Interval {
 	vb := b.Std * b.Std / float64(b.N)
 	se := math.Sqrt(va + vb)
 	df := welchDF(a, b)
-	t := TCritical(df, confidence)
+	t := c.At(df)
 	d := a.Mean - b.Mean
 	return Interval{d - t*se, d + t*se}
 }
