@@ -93,13 +93,6 @@ func refEvaluate(cfg *Config, blocks [][]gpu.IterSample, tsDevNs int64, target s
 // delivers every iteration it wants one by one.
 type unfolded struct{ gpu.SampleSink }
 
-// declineAll is a sink that wants no iteration of any block.
-type declineAll struct{}
-
-func (declineAll) BlockStart(block, iters int) int          { return iters }
-func (declineAll) Sample(block, iter int, s gpu.IterSample) {}
-func (declineAll) BlockEnd(block int)                       {}
-
 // armReachable reports whether MeasureOnce's sink, armed for targetStat
 // on r's device, would read the benchmark kernel.
 func armReachable(r *Runner, targetStat stats.MeanStd) bool {
@@ -139,7 +132,7 @@ func refMeasureOnce(t *testing.T, r *Runner, pair Pair, initStat, targetStat sta
 	declined := mirrorSkip && !armReachable(r, targetStat)
 	var bench *gpu.Kernel
 	if declined {
-		err = r.ctx.LaunchKernelWithSink(spec, declineAll{})
+		err = r.ctx.LaunchKernelWithSink(spec, declineSink{})
 	} else {
 		bench, err = r.ctx.LaunchKernel(spec)
 	}

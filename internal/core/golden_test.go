@@ -22,8 +22,11 @@ import (
 // whose iterations cannot reach the detection band undelivered and the
 // warm-up check began to fold its tail window, and with SchemaVersion 6,
 // when a pair's replica began to keep the per-SM speeds of the chip
-// phase 1 characterised instead of drawing its own.
-const goldenRunSHA256 = "ea726b1f1c86dfa2819bad8ccb830cf58a505e7e0806babdefd853a26c374584"
+// phase 1 characterised instead of drawing its own, and with
+// SchemaVersion 7, when phase 1's unread warm kernels began to only
+// elapse and the wake window's undelivered iterations to elapse in
+// chunks.
+const goldenRunSHA256 = "ad550a446caf3e684faed1d1b94c3741e48bc86da6fed183d8f358665cf451fd"
 
 // TestGoldenRun runs a small campaign — ramped transitions, a device
 // clock with a negative offset and drift — and compares a digest of its

@@ -33,9 +33,13 @@ type Runner struct {
 	// single host thread that advances virtual time is also the only
 	// sink writer. warmSink, when set, is what warm-up kernels stream
 	// into instead: a wrapper around tails (tests hide its fold).
-	moments  *gpu.MomentSink
-	tails    *gpu.TailSink
-	warmSink gpu.SampleSink
+	// unreadSink, when set, is what phase 1's unread warm kernels stream
+	// into instead of declining every block (tests simulate them one by
+	// one).
+	moments    *gpu.MomentSink
+	tails      *gpu.TailSink
+	warmSink   gpu.SampleSink
+	unreadSink gpu.SampleSink
 	// detect is the phase-3 sink: the benchmark kernel streams into it
 	// and it evaluates every SM online, folding each block's tail.
 	// benchSink, when set, is what the kernel streams into instead: a
@@ -176,19 +180,39 @@ func (r *Runner) refCycles() float64 {
 }
 
 // plausiblyNormal is the phase-1 shape diagnostic over the streamed
-// skewness (g1) and excess kurtosis (g2). A full Jarque–Bera test
-// over-rejects here: the device timer's quantisation turns the iteration
-// population into a lattice whose tails are flatter than a normal's,
-// which is harmless for the 2σ band. Moment thresholds keep the
-// quantisation lattice while catching the departures that actually
-// distort the band: skew (residual throttling/adaptation in the window)
-// and heavy or strongly bimodal tails.
-func plausiblyNormal(g1, g2 float64) bool {
+// skewness (g1) and excess kurtosis (g2) of the population m (ms), read
+// off a timer of quantum quantumNs. A full Jarque–Bera test
+// over-rejects here, and so does any test against a continuous normal's
+// shape: the timer turns a population whose jitter is under a few
+// quanta into a lattice of a few points, which may be skewed, flat or
+// heavy-tailed however normal the underlying durations are — harmless
+// for the 2σ band. So g1 and g2 are judged against the quantised normal
+// with the population's mean and variance (stats.QuantisedNormalShape).
+// A departure of 0.5 in skew (residual throttling or adaptation in the
+// window) or of −1.5 or +3 in kurtosis (strongly bimodal or heavy
+// tails) distorts the band, unless four of the lattice's sampling
+// standard errors exceed it.
+func plausiblyNormal(m stats.MeanStd, g1, g2 float64, quantumNs int64) bool {
 	if math.IsNaN(g1) || math.IsNaN(g2) {
 		return true // too small to judge
 	}
-	return math.Abs(g1) < 0.5 && g2 > -1.5 && g2 < 3
+	q := float64(quantumNs) / 1e6
+	s := m.Std / q
+	w1, w2, se1, se2 := stats.QuantisedNormalShape(m.Mean/q, s*s, m.N)
+	if math.IsNaN(se1) {
+		return true
+	}
+	d1, d2 := math.Abs(g1-w1), g2-w2
+	return d1 < max(0.5, 4*se1) && d2 > -max(1.5, 4*se2) && d2 < max(3, 4*se2)
 }
+
+// declineSink declines every block, so a kernel launched into it only
+// elapses: no iteration is delivered.
+type declineSink struct{}
+
+func (declineSink) BlockStart(block, iters int) int            { return iters }
+func (declineSink) Sample(block, iter int, smp gpu.IterSample) {}
+func (declineSink) BlockEnd(block int)                         {}
 
 // settleSleep waits long enough for a just-requested clock change to
 // complete: the capture hint (if known) plus slack, otherwise a
@@ -230,13 +254,22 @@ func (r *Runner) phase1() (*Phase1Result, error) {
 		for k := 0; k < maxRounds; k++ {
 			// Warm kernels only feed summary statistics, so they stream
 			// through the runner's moment sink instead of materialising
-			// their iteration traces.
+			// their iteration traces. Nothing reads the first
+			// WarmKernels−1 kernels' moments, so those decline every
+			// block: they only elapse, one draw per clock segment.
 			r.moments.Reset()
+			var sink gpu.SampleSink = r.moments
+			if k+1 < r.cfg.WarmKernels {
+				sink = declineSink{}
+				if r.unreadSink != nil {
+					sink = r.unreadSink
+				}
+			}
 			if err := r.ctx.LaunchKernelWithSink(gpu.KernelSpec{
 				Iters:         r.cfg.ItersPerKernel,
 				CyclesPerIter: cycles,
 				Blocks:        r.cfg.Blocks,
-			}, r.moments); err != nil {
+			}, sink); err != nil {
 				return nil, fmt.Errorf("core: phase 1 launch at %v MHz: %w", f, err)
 			}
 			r.ctx.DeviceSynchronize()
@@ -254,7 +287,7 @@ func (r *Runner) phase1() (*Phase1Result, error) {
 		res.Stats[f] = FreqStats{
 			FreqMHz:   f,
 			Iter:      r.moments.MeanStd(),
-			Normalish: plausiblyNormal(r.moments.Skewness(), r.moments.ExcessKurtosis()),
+			Normalish: plausiblyNormal(r.moments.MeanStd(), r.moments.Skewness(), r.moments.ExcessKurtosis(), r.quantumNs),
 		}
 	}
 

@@ -2,9 +2,12 @@ package hwprofile
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"golatest/internal/sim/clock"
+	"golatest/internal/sim/gpu"
 	"golatest/internal/stats"
 )
 
@@ -397,5 +400,38 @@ func TestModelClassifiesEachPairOnce(t *testing.T) {
 	}
 	if len(calls) != 2 {
 		t.Errorf("%d pairs classified, want 2", len(calls))
+	}
+}
+
+// TestModelSamplesConcurrently draws from one model in several
+// goroutines at once, as a chip's replicas do, so the race detector
+// sees the Classify memo, and checks every draw against a serial one.
+func TestModelSamplesConcurrently(t *testing.T) {
+	m := gh200Model(9, 0)
+	pairs := [][2]float64{{1980, 705}, {705, 1980}, {1095, 1260}, {1260, 1875}}
+	draw := func(seed uint64) []gpu.Transition {
+		r := clock.NewRand(seed, 0)
+		var out []gpu.Transition
+		for i := 0; i < 50; i++ {
+			p := pairs[i%len(pairs)]
+			out = append(out, m.Sample(p[0], p[1], r))
+		}
+		return out
+	}
+	const workers = 8
+	var got [workers][]gpu.Transition
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[w] = draw(uint64(w))
+		}()
+	}
+	wg.Wait()
+	for w := range workers {
+		if want := draw(uint64(w)); !slices.Equal(got[w], want) {
+			t.Fatalf("worker %d: concurrent draws differ from serial ones", w)
+		}
 	}
 }

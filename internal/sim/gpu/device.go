@@ -409,14 +409,18 @@ func (d *Device) materialize(k *launch) {
 // into the kernel's sample matrix (every iteration) or stream into its
 // sink (from the first iteration the sink asks for).
 //
-// Past the wake window, within one cached segment, iterations no sink
-// reads one by one elapse in chunks: n iterations of nominal duration μ
-// (SM speed and clamp included) take roundNs(μ·(n + σ·√n·Z)) for one
-// standard normal Z from the SM's stream. A sum of iid normals is
-// normal, so the chunk matches the per-iteration sum in distribution;
-// chunkIters keeps it clear of the segment's end. Three kinds of
+// The loop walks constant-clock segments: the timeline's segments,
+// clamped by any throttle, and before them the wake window, which runs
+// at the idle clock (unclamped) until wakeEnd. Within one cached
+// segment, iterations no sink reads one by one elapse in chunks: n
+// iterations of nominal duration μ (SM speed and clamp included) take
+// roundNs(μ·(n + σ·√n·Z)) for one standard normal Z from the SM's
+// stream. A sum of iid normals is normal, so the chunk matches the
+// per-iteration sum in distribution; chunkIters keeps it clear of the
+// segment's end, so a chunk never crosses wakeEnd either. Three kinds of
 // iteration chunk this way:
-//   - those before the sink's first wanted one, which are not delivered;
+//   - those before the sink's first wanted one, which are not delivered
+//     (a sink that declines the block wants none of them);
 //   - a TailFolder's iterations in a segment it does not hear: while its
 //     block is not in the tail, the device asks Hears once per segment
 //     whether an iteration of the segment's nominal device duration,
@@ -437,12 +441,12 @@ func (d *Device) materialize(k *launch) {
 // draws its own jitter. Each delivered boundary is converted to device
 // time once: the end of iteration i is the start of i+1.
 //
-// Past the wake window the loop caches the current timeline segment's
-// end and cycles-per-ns rate, and an iteration that finishes inside it
-// costs one division — the same float operations, in the same order, as
-// integrate's first step, so the durations are bit-identical. An
-// iteration that starts inside the wake window or crosses a segment
-// boundary takes the full integrate walk.
+// An iteration that finishes inside the cached segment costs one
+// division by the segment's cycles-per-ns rate — the same float
+// operations, in the same order, as integrate's first step, so the
+// durations are bit-identical. An iteration that crosses a segment
+// boundary (the wake window's end included) takes the full integrate
+// walk.
 func (d *Device) runSM(k *launch, sm int, start, wakeEnd int64, r *clock.Rand) int64 {
 	iters := k.spec.Iters
 	var samples []IterSample
@@ -461,8 +465,8 @@ func (d *Device) runSM(k *launch, sm int, start, wakeEnd int64, r *clock.Rand) i
 	var devT int64
 	stale := true
 	// segEnd and rate describe the cached segment, valid while
-	// wakeEnd <= t < segEnd; the timeline and clamp are fixed while a
-	// kernel materialises.
+	// t < segEnd; the timeline and clamp are fixed while a kernel
+	// materialises.
 	segEnd, rate := int64(math.MinInt64), 0.0
 	sigma := d.cfg.IterJitterSigma
 	chunks := sigma <= 0.05
@@ -475,16 +479,19 @@ func (d *Device) runSM(k *launch, sm int, start, wakeEnd int64, r *clock.Rand) i
 	var deaf bool
 	skipped, folded := 0, 0
 	for i := 0; i < iters; i++ {
-		if t >= wakeEnd && t >= segEnd {
+		if t >= segEnd {
 			var f float64
 			f, segEnd = cur.freqAt(t)
-			if d.clampMHz > 0 && f > d.clampMHz {
+			if t < wakeEnd {
+				// The wake window runs at the idle clock, unclamped.
+				f, segEnd = d.cfg.IdleFreqMHz, min(segEnd, wakeEnd)
+			} else if d.clampMHz > 0 && f > d.clampMHz {
 				f = d.clampMHz
 			}
 			rate = f * speed / 1000
 			deaf = folder != nil && !tail && chunks && !d.hears(folder, sm, k.spec.CyclesPerIter/rate, sigma)
 		}
-		if t >= wakeEnd && chunks {
+		if chunks {
 			mu := k.spec.CyclesPerIter / rate
 			skip := from - i
 			if deaf && !tail {
@@ -524,7 +531,7 @@ func (d *Device) runSM(k *launch, sm int, start, wakeEnd int64, r *clock.Rand) i
 		}
 		cycles := k.spec.CyclesPerIter * jitter
 		var dur int64
-		if t >= wakeEnd && (segEnd == math.MaxInt64 || cycles <= float64(segEnd-t)*rate) {
+		if segEnd == math.MaxInt64 || cycles <= float64(segEnd-t)*rate {
 			dur = roundNs(cycles / rate)
 		} else {
 			dur = d.integrate(t, cycles, speed, wakeEnd, &cur)

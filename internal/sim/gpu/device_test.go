@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -582,5 +583,50 @@ func TestReplicaBuildsNoFoldTableItsChipHas(t *testing.T) {
 	}
 	if c := r.foldCoef(97_000); c == nil || d.foldCoef(97_000).foldTable != c.foldTable {
 		t.Fatal("the source rebuilt a table its replica built")
+	}
+}
+
+// TestReplicasFoldConcurrently runs warm-up kernels on replicas of one
+// chip from several goroutines at once, so the race detector sees the
+// shared fold tables, and checks each replica ends where the same
+// replica run alone ends.
+func TestReplicasFoldConcurrently(t *testing.T) {
+	d, _ := newTestDevice(t, testConfig())
+	spec := KernelSpec{Iters: 600, CyclesPerIter: 120_000, Blocks: 4}
+	run := func(seed uint64) (int64, error) {
+		r, err := d.Replica(clock.New(), seed)
+		if err != nil {
+			return 0, err
+		}
+		for _, f := range []float64{1200, 600, 1500} {
+			if _, err := r.SetFrequency(f); err != nil {
+				return 0, err
+			}
+			if err := r.LaunchWithSink(spec, NewTailSink(100)); err != nil {
+				return 0, err
+			}
+			r.Synchronize()
+		}
+		return r.Clock().Now(), nil
+	}
+	const replicas = 8
+	var ends [replicas]int64
+	var errs [replicas]error
+	var wg sync.WaitGroup
+	for i := range replicas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ends[i], errs[i] = run(uint64(i + 1))
+		}()
+	}
+	wg.Wait()
+	for i := range replicas {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if want, err := run(uint64(i + 1)); err != nil || ends[i] != want {
+			t.Fatalf("replica %d ended at %d concurrently, %d alone (%v)", i, ends[i], want, err)
+		}
 	}
 }

@@ -67,7 +67,7 @@ type foldTable struct {
 	iid   float64      // Var(u² + g) + E[β²g]: the per-iteration variance terms
 	lag1  float64      // Σₘ Re[(B(m) − B(0))²]/m², over all m ≥ 1
 	frac  []float64    // frac(m·a), m = 1..J
-	damp  []float64    // e^{−2π²m²b²}, m = 1..J
+	expo  []float64    // −2π²m²b², the log of |φ(m)|, m = 1..J
 	phi   []complex128 // φ(m), m = 1..J
 	coeff []complex128 // (B(m) − B(0))²/m², m = 1..J
 }
@@ -86,11 +86,6 @@ type foldCoef struct {
 // lagTerms is how many modes the lag-one sum takes exactly; its
 // remainder falls like 1/m⁴.
 const lagTerms = 64
-
-// newFoldCoef returns a fresh handle on the coefficients for iterations
-// of nominal device duration mu ns with jitter s ns on a timer of
-// quantum q ns.
-func newFoldCoef(mu, s, q float64) *foldCoef { return &foldCoef{foldTable: newFoldTable(mu, s, q)} }
 
 // newFoldTable computes the coefficients for iterations of nominal
 // device duration mu ns with jitter s ns on a timer of quantum q ns.
@@ -178,7 +173,7 @@ func newFoldTable(mu, s, q float64) *foldTable {
 		c.lag1 += real(bm*bm-complex(2*b0, 0)*bm) / mm
 		if m <= J {
 			c.frac = append(c.frac, float64(m)*fa-math.Floor(float64(m)*fa))
-			c.damp = append(c.damp, math.Exp(-2*math.Pi*math.Pi*mm*b2))
+			c.expo = append(c.expo, -2*math.Pi*math.Pi*mm*b2)
 			c.coeff = append(c.coeff, d*d/complex(mm, 0))
 		}
 	}
@@ -188,7 +183,7 @@ func newFoldTable(mu, s, q float64) *foldTable {
 
 // phiPow returns φ(m)ⁿ for mode index i (m = i + 1).
 func (c *foldTable) phiPow(i int, n float64) complex128 {
-	amp := math.Pow(c.damp[i], n)
+	amp := math.Exp(n * c.expo[i])
 	if amp == 0 {
 		return 0
 	}
@@ -207,12 +202,16 @@ func (c *foldCoef) moments(n int) (mean, variance float64) {
 	varSum := nf*c.b2 + 1.0/6
 	// The lag sum past lag one: Kₙ(φ) − (n − 1) = φ·Kₙ₋₁(φ).
 	lags := (nf - 1) * c.lag1
+	// |φ(m)|ⁿ⁻¹ falls with m, so once it underflows it stays 0.
+	var pn1 complex128 = 1
 	for i := range c.coeff {
 		phi := c.phi[i]
 		if phi == 0 {
 			break
 		}
-		pn1 := c.phiPow(i, nf-1)
+		if pn1 != 0 {
+			pn1 = c.phiPow(i, nf-1)
+		}
 		varSum -= real(pn1*phi) / (math.Pi * math.Pi * float64((i+1)*(i+1)))
 		one := 1 - phi
 		k := (complex(nf-1, 0)*one - (1 - pn1)) / (one * one)

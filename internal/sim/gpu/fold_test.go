@@ -22,7 +22,7 @@ func TestTailMomentsMatchQuantisedWalk(t *testing.T) {
 		for _, fa := range []float64{0, 0.3, 0.77} {
 			for _, n := range []int{minFoldIters, 400} {
 				a := 150 + fa
-				mean, variance := newFoldCoef(a, b, 1).moments(n)
+				mean, variance := (&foldCoef{foldTable: newFoldTable(a, b, 1)}).moments(n)
 				var ss stats.Accumulator
 				for rep := 0; rep < reps; rep++ {
 					T := r.Float64()

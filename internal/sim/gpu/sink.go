@@ -17,12 +17,13 @@ import (
 // A sink says what it consumes. BlockStart returns the first iteration
 // it wants, and the device delivers only iterations from there on. The
 // skipped iterations still elapse, with the same distribution as
-// delivered ones, but past the wake window they are not drawn one by
-// one: each clock segment's share of them takes one normal draw (see
-// runSM). A sink that already knows a block's outcome — such as a
-// detector whose band no timer value can enter — may decline the whole
-// block by returning iters: the block then only elapses, and BlockEnd
-// follows BlockStart directly.
+// delivered ones, but they are not drawn one by one: each constant-clock
+// segment's share of them — the wake window, at the idle clock, counts
+// as one — takes one normal draw (see runSM). A sink that already knows
+// a block's outcome — such as a detector whose band no timer value can
+// enter, or phase 1's sink for a warm kernel whose moments nobody
+// reads — may decline the whole block by returning iters: the block
+// then only elapses, and BlockEnd follows BlockStart directly.
 //
 // A sink may also say where its interest narrows: a TailFolder (below)
 // hears, before its tail, only iterations whose duration could enter a
@@ -56,11 +57,12 @@ type SampleSink interface {
 //
 // Before its tail, the sink reacts only to iterations whose duration
 // lies in some band — such as phase 3's detector before it detects. On
-// each constant-clock segment past the wake window, the device asks
-// Hears once whether an iteration of the segment's nominal duration,
-// widened by the jitter the device trusts to hold and one timer
-// quantum, could change the sink's state; if not, the segment's share
-// elapses undelivered, in one draw per chunk, like a skipped prefix.
+// each constant-clock segment (the wake window being one), the device
+// asks Hears once whether an iteration of the segment's nominal
+// duration, widened by the jitter the device trusts to hold and one
+// timer quantum, could change the sink's state; if not, the segment's
+// share elapses undelivered, in one draw per chunk, like a skipped
+// prefix.
 //
 // From some iteration of a block on, the sink reads the rest of that
 // block only through its count, its duration sum and its sum of squared
@@ -69,15 +71,14 @@ type SampleSink interface {
 // device asks InTail after BlockStart and after each iteration it
 // delivers. From the first true on, the block's remaining iterations
 // arrive in order, each exactly once, either through Sample or in
-// chunks through Fold: past the wake window, on a device whose
-// IterJitterSigma is at most 0.05, each constant-clock segment's share
-// that fits clear of the segment's end takes one chunk; the wake
-// window, short remainders and tails whose jitter is under
-// minFoldJitter timer quanta are still delivered one by one. A chunk's
-// host-time span is one normal draw, as for a skipped prefix. Its n is
-// exact, its Σd is exactly the device-time span that draw gives (the
-// quantised durations telescope), and its Σd² is drawn from its
-// distribution, timer quantisation included (see fold.go).
+// chunks through Fold: on a device whose IterJitterSigma is at most
+// 0.05, each constant-clock segment's share that fits clear of the
+// segment's end takes one chunk; short remainders and tails whose
+// jitter is under minFoldJitter timer quanta are still delivered one by
+// one. A chunk's host-time span is one normal draw, as for a skipped
+// prefix. Its n is exact, its Σd is exactly the device-time span that
+// draw gives (the quantised durations telescope), and its Σd² is drawn
+// from its distribution, timer quantisation included (see fold.go).
 type TailFolder interface {
 	SampleSink
 	// Hears reports whether block, not yet in its tail, could react to

@@ -221,14 +221,15 @@ func (s *gateSink) Fold(block, n int, sumNs, sumSqNs int64) {
 
 // TestGateSkipsUnheardSegments runs the wake-window + ramp kernel
 // (1200 MHz, ramping through 1000 and 800 to 600 MHz) into a sink that
-// hears only the 600 MHz iterations' durations. The 1200 MHz segment
-// and both ramp steps must elapse undelivered, in chunks, while the
-// wake window, the iterations near each segment's end and every 600 MHz
-// iteration arrive one by one: the iterations delivered are exactly
-// those the device simulated one by one, those plus the skipped ones
-// are every iteration of every block, and each delivered iteration
-// takes a fresh start stamp after a skip, so none lasts longer than
-// an idle-clock iteration's 400 µs plus its jitter.
+// hears only the 600 MHz iterations' durations. The wake window (at the
+// 300 MHz idle clock), the 1200 MHz segment and both ramp steps must
+// elapse undelivered, in chunks, while the iterations near each
+// segment's end and every 600 MHz iteration arrive one by one: the
+// iterations delivered are exactly those the device simulated one by
+// one, those plus the skipped ones are every iteration of every block,
+// and each delivered iteration takes a fresh start stamp after a skip,
+// so none lasts longer than an idle-clock iteration's 400 µs plus its
+// jitter.
 func TestGateSkipsUnheardSegments(t *testing.T) {
 	cfg := wakeRampConfig()
 	spec := KernelSpec{Iters: 300, CyclesPerIter: 120_000, Blocks: 4}
@@ -371,5 +372,75 @@ func TestAppendDurationsMsReusesBuffer(t *testing.T) {
 	}
 	if diff := len(k.DurationsMs()) - len(out); diff != 0 {
 		t.Fatalf("DurationsMs length differs by %d", diff)
+	}
+}
+
+// TestWakeChunkMatchesInDistribution checks that undelivered iterations
+// inside a wake window elapse with the distribution of delivered ones.
+// Over many device seeds, a one-block kernel launched on an idle device
+// spends its first 30 ms at the 300 MHz idle clock (75 iterations of
+// 400 µs) and the rest at 1200 MHz; a sink wants only its last 10
+// iterations, so the undelivered prefix crosses the end of the wake
+// window. Against the materialised kernel of the same seed, the kernel
+// end and the first delivered iteration's start (from the launch) must
+// match: mean paired difference within 4 standard errors and variance
+// ratio within [0.8, 1.25]. The 2% jitter and the SM speed carry
+// comparable shares of the spread, so a wake chunk that drops its
+// σ√n noise or ignores the SM speed fails the variance ratio.
+func TestWakeChunkMatchesInDistribution(t *testing.T) {
+	const seeds, from = 2000, 100
+	spec := KernelSpec{Iters: from + 10, CyclesPerIter: 120_000, Blocks: 1}
+	run := func(seed uint64, sink SampleSink) (end, first float64, c IterCounts) {
+		t.Helper()
+		cfg := testConfig()
+		cfg.Seed = seed
+		cfg.WakeDelayNs = 30_000_000
+		cfg.IterJitterSigma = 0.02
+		dev, clk := newTestDevice(t, cfg)
+		k := launchOn(t, dev, spec, sink)
+		start := clk.Now()
+		dev.Synchronize()
+		s := IterSample{}
+		if k != nil {
+			s = k.Samples()[0][from]
+		} else {
+			s = sink.(*recordingSink).got[0][0]
+		}
+		return float64(dev.busyEndNs - start), float64(s.StartNs - dev.DeviceTimeAt(start)), dev.IterCounts()
+	}
+	var ends, firsts [2]stats.Accumulator
+	var dEnd, dFirst stats.Accumulator
+	var oneByOne int64
+	for seed := uint64(1); seed <= seeds; seed++ {
+		endM, firstM, _ := run(seed, nil)
+		endS, firstS, c := run(seed, &recordingSink{t: t, from: func(_, iters int) int { return from }})
+		oneByOne += c.OneByOne
+		ends[0].Add(endM)
+		ends[1].Add(endS)
+		firsts[0].Add(firstM)
+		firsts[1].Add(firstS)
+		dEnd.Add(endS - endM)
+		dFirst.Add(firstS - firstM)
+	}
+	for _, c := range []struct {
+		what string
+		diff *stats.Accumulator
+		acc  *[2]stats.Accumulator
+	}{{"kernel end", &dEnd, &ends}, {"first delivered start", &dFirst, &firsts}} {
+		d := c.diff.MeanStd()
+		if se := d.Std / math.Sqrt(float64(d.N)); math.Abs(d.Mean) > 4*se {
+			t.Errorf("%s: mean chunked − per-iteration difference %.1f ns exceeds 4 standard errors (%.1f ns)", c.what, d.Mean, 4*se)
+		}
+		ratio := math.Pow(c.acc[1].MeanStd().Std/c.acc[0].MeanStd().Std, 2)
+		if ratio < 0.8 || ratio > 1.25 {
+			t.Errorf("%s: variance ratio %.3f outside [0.8, 1.25]", c.what, ratio)
+		}
+		t.Logf("%s: mean difference %.1f ns, variance ratio %.3f", c.what, d.Mean, ratio)
+	}
+	// The 10 delivered iterations, and the few next to the wake window's
+	// end and the first one, are all the chunked kernel simulates one by
+	// one.
+	if per := float64(oneByOne) / seeds; per > 20 {
+		t.Errorf("the chunked kernel simulates %.1f iterations one by one, want at most 20", per)
 	}
 }

@@ -101,3 +101,37 @@ func TestJarqueBeraSmallSamplePermissive(t *testing.T) {
 		t.Fatalf("JB on n=3 = (%v, %v), want NaNs", jb, p)
 	}
 }
+
+// TestQuantisedNormalShapeMatchesSimulation draws d = ⌊r + x⌋ for x
+// normal and r uniform, at jitters from a near-degenerate lattice to a
+// nearly continuous one, fits the law to the draws' mean and variance,
+// and checks its skewness and excess kurtosis against the draws' within
+// 5 of the standard errors it reports (scaled to the draw count).
+func TestQuantisedNormalShapeMatchesSimulation(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	const draws = 200_000
+	for _, c := range []struct{ a, b float64 }{
+		{75.02, 0.05}, {75.1, 0.19}, {75.5, 0.19}, {74.8, 0.4}, {150.3, 1}, {20.7, 3},
+	} {
+		xs := make([]float64, draws)
+		for i := range xs {
+			xs[i] = math.Floor(rng.Float64() + c.a + c.b*rng.NormFloat64())
+		}
+		ms := Describe(xs)
+		g1, g2, se1, se2 := QuantisedNormalShape(ms.Mean, ms.Std*ms.Std, draws)
+		if d := Skewness(xs) - g1; math.Abs(d) > 5*se1 {
+			t.Errorf("a=%v b=%v: skewness %v, law %v (se %v)", c.a, c.b, Skewness(xs), g1, se1)
+		}
+		if d := ExcessKurtosis(xs) - g2; math.Abs(d) > 5*se2 {
+			t.Errorf("a=%v b=%v: excess kurtosis %v, law %v (se %v)", c.a, c.b, ExcessKurtosis(xs), g2, se2)
+		}
+		t.Logf("a=%v b=%v: g1 %.3f law %.3f ±%.4f; g2 %.3f law %.3f ±%.4f", c.a, c.b, Skewness(xs), g1, se1, ExcessKurtosis(xs), g2, se2)
+	}
+	// A continuous normal's shape and standard errors, far past the lattice.
+	if g1, g2, se1, se2 := QuantisedNormalShape(1e4, 1e4, 600); g1 != 0 || g2 != 0 || se1 != 0.1 || se2 != 0.2 {
+		t.Errorf("continuous limit: %v %v %v %v", g1, g2, se1, se2)
+	}
+	if g1, g2, _, se2 := QuantisedNormalShape(3.4, 100, 600); math.Abs(g1) > 1e-3 || math.Abs(g2) > 0.01 || math.Abs(se2-0.2) > 0.01 {
+		t.Errorf("wide jitter: g1 %v g2 %v se2 %v, want a normal's", g1, g2, se2)
+	}
+}

@@ -342,22 +342,22 @@ func TestV3NaNCanonicalization(t *testing.T) {
 // compress/flate, so these hold across Go releases; any change to them
 // changes every blob in every store and needs a SchemaVersion bump.
 // The body starts with the schema, so each bump re-pins them (last at
-// schema 6).
+// schema 7).
 func TestV3GoldenBytes(t *testing.T) {
 	k := Key{Digest: "cafe", Profile: "a100-sxm4", Instance: 2}
 	golden := map[string]struct {
 		rawBytes int64
 		bodySHA  string
 	}{
-		"clusters":         {683, "1f297d77297f136c2724687e55cbe2f7b9cab2ab00fe1b5163288efe2e912c36"},
-		"codec-fixture":    {56133, "c90cd1eea325f5588311bf1d1865cca134705ebb89688947f19e4e6c83471872"},
-		"empty-slices":     {78, "b340aaab7909c4dcd71ca74ad9c68eb8f7b197c2524b253d57b1a98485ed8e0e"},
-		"float-switches":   {452, "90688c3449057c0b405409bbaa9b6e589e1b2151ab331f1b4af0e500a4a48949"},
-		"measurements":     {434, "dbf67fc6f0c652c8c271292ef2800cb79d4443ee4019d1be43e17d1fec703635"},
-		"nil-pair-element": {230, "8f7d4c709066ad891b168ec07dfd97fe173e143dd11950da625f63a1a8943a6a"},
-		"strings":          {339, "39efb7cf383591d9123356cab289869918ba9b69c5bd4a9954f6dd97262356d5"},
-		"test-fixture":     {725, "9992d29ba02f41c75160b5159272f69db9596b0e19fb443e601708c91e9442b4"},
-		"zero":             {62, "b155ecfe0c7053349f84abca7f7252e94d683738740857915f2314d36dbee069"},
+		"clusters":         {683, "be3d666e79507469fef26a07d9a74fbd8cfa54f0f75065288d2e640190b5d78b"},
+		"codec-fixture":    {56133, "245a76bb1e705928b8269cf91e052f006c8c109c8b2c4c5249bc0c9e76945948"},
+		"empty-slices":     {78, "154def2776e52ac420a97b31bcad804a27689669ffe02dc64c5c1c2f39d88094"},
+		"float-switches":   {452, "be80b98ebc3da2ad479dd41cc0d3188bb5d93c1aa80aa3f30e97ce5f90d5d8c5"},
+		"measurements":     {434, "4148caf76c7a090e3c0d86e266c062481dfb09934e8b2a0054201be64bb9194e"},
+		"nil-pair-element": {230, "a388dad662f529e3d9b6090fca093d6a25c31ba0c374af91a1baaf0b1d15779e"},
+		"strings":          {339, "e3c328dd4e315a0692c025b6e47aaaf60e586982526749c8794639d8b35c5dbc"},
+		"test-fixture":     {725, "8168e56d2cd157e8e821ab235195e95b89fe6711c5ce7184e174e7adfd005483"},
+		"zero":             {62, "88d47adb92d42582ff41584e713c5c0f713b479daa4902f59eeebf4dd28815d8"},
 	}
 	fixtures := adversarialResults()
 	if len(fixtures) != len(golden) {

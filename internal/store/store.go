@@ -90,8 +90,13 @@ import (
 // distribution, not in bits. 6: every pair is measured on a replica
 // that keeps the per-SM speeds of the chip phase 1 characterised; a
 // replica used to draw its own from the pair's seed, so phase 3 ran on
-// hardware phase 1 never saw.
-const SchemaVersion = 6
+// hardware phase 1 never saw. 7: phase 1's unread warm kernels only
+// elapse, iterations no sink reads inside a wake window elapse in one
+// draw per chunk, and a folded chunk's moments take φⁿ⁻¹ from one Exp,
+// so results are equal in distribution, not in bits; and the phase-1
+// normality flag judges a population against the timer-quantised
+// normal, not a continuous one, so a clean clock is no longer flagged.
+const SchemaVersion = 7
 
 // tmpPrefix marks staging files; the leading dot keeps them out of every
 // blob scan.

@@ -39,14 +39,19 @@ go vet ./internal/obs/...
 
 echo "== simulator distribution gates (-count=1) =="
 # The skipped warm-up prefix, the folded confirmation tail and warm-up
-# window, and the phase-3 band gate are exact in distribution, not in
-# bits, so seeded statistical tests guard them: over 2000 device seeds
-# each, against a simulated quantised walk, folded against
-# per-iteration kernels and gated against ungated ones from the same
-# state. go test ./... above may have replayed a cached pass; these
-# must run.
-go test -count=1 -run '^(TestSkippedPrefixMatchesInDistribution|TestFoldedTailMatchesInDistribution|TestTailMomentsMatchQuantisedWalk|TestGateSkipsUnheardSegments)$' ./internal/sim/gpu
-go test -count=1 -run '^(TestFoldedTailKeepsDetection|TestGatedDetectionMatchesInDistribution|TestWarmupFoldMatchesInDistribution)$' ./internal/core
+# window, the phase-3 band gate, the wake-window chunks and phase 1's
+# declined warm kernels are exact in distribution, not in bits, so
+# seeded statistical tests guard them: over 2000 device seeds each,
+# against a simulated quantised walk, folded against per-iteration
+# kernels, gated against ungated ones and declined against streamed
+# ones from the same state. Beside them: a replica shares its chip's
+# fold tables, the phase-1 normality flag's 400-seed false-alarm rate
+# and positive controls against the quantised normal, and a
+# steady-state MeasureOnce allocating nothing. go test ./... above may
+# have replayed a cached pass; these must run.
+go test -count=1 -run '^(TestSkippedPrefixMatchesInDistribution|TestFoldedTailMatchesInDistribution|TestTailMomentsMatchQuantisedWalk|TestGateSkipsUnheardSegments|TestWakeChunkMatchesInDistribution|TestReplicaBuildsNoFoldTableItsChipHas)$' ./internal/sim/gpu
+go test -count=1 -run '^(TestFoldedTailKeepsDetection|TestGatedDetectionMatchesInDistribution|TestWarmupFoldMatchesInDistribution|TestPhase1DeclinedKernelsMatchInDistribution|TestPhase1NormalityFlagRate|TestPhase1NormalityFlagsDistortedPopulations|TestMeasureOnceAllocationBound)$' ./internal/core
+go test -count=1 -run '^TestQuantisedNormalShapeMatchesSimulation$' ./internal/stats
 
 echo "== full-scale golden (GOLDEN_FULL=1) =="
 # The full set's artefacts and blobs against testdata/full.sha256, cold,
@@ -85,6 +90,9 @@ echo "== go test -race (core step pool + phase-3 sink, concurrent artefacts) =="
 # lowest-indexed error; the CLI tests check generator order, the
 # lowest-indexed error, and a small concurrent run.
 go test -race ./internal/core
+# A chip's replicas share its fold tables and its latency model's
+# Classify memo across those goroutines.
+go test -race -count=10 -run '^(TestReplicasFoldConcurrently|TestModelSamplesConcurrently)$' ./internal/sim/gpu ./internal/hwprofile
 go test -race -run 'Ablation|CoreCount|ClusterCensus|TestParallelDeterminism|TestCensusPairIndependentOfOthers|TestForEach' ./internal/experiments
 go test -race -run 'TestGeneratorsRunConcurrentlyInOrder|TestWriteFileRemovesPartialArtefact|TestRunConcurrentSubset' ./cmd/experiments
 
