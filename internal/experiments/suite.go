@@ -66,8 +66,12 @@ func (s Scale) String() string {
 // Options configures a Suite.
 type Options struct {
 	Scale Scale
-	// Seed offsets every campaign's host-side randomness; distinct seeds
-	// give statistically independent replications.
+	// Seed offsets every campaign's host-side randomness: the PTP link
+	// delays of its clock syncs (core.Config.Seed). Device noise —
+	// iteration jitter, per-SM speeds, transition latencies — is seeded
+	// by the hardware profile, so distinct seeds re-measure the same
+	// devices and differ only through the syncs (their offset error and
+	// the host time they take): they are not independent replications.
 	Seed uint64
 	// Store, when non-nil, persists campaign results across processes as
 	// content-addressed blobs: Campaign consults it before computing and
@@ -115,17 +119,10 @@ type Suite struct {
 	// assert the singleflight collapses concurrent duplicate calls.
 	runs atomic.Int64
 
-	// Lease-mode contention, accumulated over every fleet sweep this
-	// suite ran; see Contention.
-	claimed, waited, stolen atomic.Int64
-
-	// Store-failure resilience, accumulated over every fleet sweep; see
-	// Resilience.
-	degraded, deferred, reconciled atomic.Int64
-
 	// Every fleet report this suite produced, in completion order; see
-	// SweepReports. Guarded by repMu, not mu — sweeps run concurrently
-	// with campaign singleflight traffic.
+	// SweepReports, and Contention and Resilience, which sum them.
+	// Guarded by repMu, not mu — sweeps run concurrently with campaign
+	// singleflight traffic.
 	repMu   sync.Mutex
 	reports []*fleet.Report
 }
@@ -151,13 +148,16 @@ type Contention struct {
 	Claimed, Waited, Stolen int64
 }
 
-// Contention returns the accumulated lease-contention counters.
+// Contention returns the lease-contention counters summed over every
+// sweep report.
 func (s *Suite) Contention() Contention {
-	return Contention{
-		Claimed: s.claimed.Load(),
-		Waited:  s.waited.Load(),
-		Stolen:  s.stolen.Load(),
+	var c Contention
+	for _, rep := range s.SweepReports() {
+		c.Claimed += int64(rep.Claimed)
+		c.Waited += int64(rep.Waited)
+		c.Stolen += int64(rep.Stolen)
 	}
+	return c
 }
 
 // Resilience reports the store-failure fallbacks the suite's sweeps
@@ -169,13 +169,16 @@ type Resilience struct {
 	Degraded, Deferred, Reconciled int64
 }
 
-// Resilience returns the accumulated store-resilience counters.
+// Resilience returns the store-resilience counters summed over every
+// sweep report.
 func (s *Suite) Resilience() Resilience {
-	return Resilience{
-		Degraded:   s.degraded.Load(),
-		Deferred:   s.deferred.Load(),
-		Reconciled: s.reconciled.Load(),
+	var r Resilience
+	for _, rep := range s.SweepReports() {
+		r.Degraded += int64(rep.Degraded)
+		r.Deferred += int64(rep.Deferred)
+		r.Reconciled += int64(rep.Reconciled)
 	}
+	return r
 }
 
 // campaignCall is one singleflight entry: done closes once res/err are
@@ -383,12 +386,6 @@ func (s *Suite) sweep(profiles []hwprofile.Profile, calls []*campaignCall) error
 		Tracer:           s.opts.Tracer,
 	})
 	if rep != nil {
-		s.claimed.Add(int64(rep.Claimed))
-		s.waited.Add(int64(rep.Waited))
-		s.stolen.Add(int64(rep.Stolen))
-		s.degraded.Add(int64(rep.Degraded))
-		s.deferred.Add(int64(rep.Deferred))
-		s.reconciled.Add(int64(rep.Reconciled))
 		s.repMu.Lock()
 		s.reports = append(s.reports, rep)
 		s.repMu.Unlock()

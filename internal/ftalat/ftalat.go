@@ -123,9 +123,6 @@ func NewRunner(core *cpu.Core, cfg Config) (*Runner, error) {
 	return &Runner{core: core, cfg: cfg}, nil
 }
 
-// Config returns the effective configuration.
-func (r *Runner) Config() Config { return r.cfg }
-
 func (r *Runner) cycles() float64 {
 	slow := r.cfg.Frequencies[0]
 	for _, f := range r.cfg.Frequencies[1:] {

@@ -36,13 +36,10 @@ func New(devs ...*gpu.Device) (*Library, error) {
 		if d == nil {
 			return nil, fmt.Errorf("nvml: nil device at index %d", i)
 		}
-		lib.devices = append(lib.devices, &Device{sim: d, index: i})
+		lib.devices = append(lib.devices, &Device{sim: d})
 	}
 	return lib, nil
 }
-
-// DeviceCount returns the number of attached devices.
-func (l *Library) DeviceCount() int { return len(l.devices) }
 
 // DeviceHandleByIndex returns the handle of device i.
 func (l *Library) DeviceHandleByIndex(i int) (*Device, error) {
@@ -54,12 +51,8 @@ func (l *Library) DeviceHandleByIndex(i int) (*Device, error) {
 
 // Device is one managed GPU handle.
 type Device struct {
-	sim   *gpu.Device
-	index int
+	sim *gpu.Device
 }
-
-// Index returns the enumeration index of this device.
-func (d *Device) Index() int { return d.index }
 
 // Sim exposes the underlying simulated device. Production code must not
 // use it; it exists so validation tests and experiment harnesses can read
@@ -71,24 +64,6 @@ func (d *Device) Name() string { return d.sim.Config().Name }
 
 // Architecture returns the device architecture name.
 func (d *Device) Architecture() string { return d.sim.Config().Architecture }
-
-// DriverVersion returns the driver version string.
-func (d *Device) DriverVersion() string { return d.sim.Config().Driver }
-
-// SMCount returns the number of streaming multiprocessors.
-func (d *Device) SMCount() int { return d.sim.Config().SMCount }
-
-// MemClockMHz returns the memory clock at the default memory P-state.
-func (d *Device) MemClockMHz() float64 { return d.sim.Config().MemFreqMHz }
-
-// SupportedSMClocks returns the supported SM clock steps ascending, like
-// nvmlDeviceGetSupportedGraphicsClocks.
-func (d *Device) SupportedSMClocks() []float64 {
-	cfg := d.sim.Config()
-	out := make([]float64, len(cfg.FreqsMHz))
-	copy(out, cfg.FreqsMHz)
-	return out
-}
 
 // bill advances the host clock by one driver-call cost.
 func (d *Device) bill() { d.sim.Clock().Sleep(callCost) }
@@ -131,11 +106,4 @@ func (d *Device) ClockInfoSM() float64 {
 func (d *Device) ApplicationsClockSM() float64 {
 	d.bill()
 	return d.sim.SetFreqMHz()
-}
-
-// TotalEnergyConsumption returns the device's cumulative energy in
-// millijoules, like nvmlDeviceGetTotalEnergyConsumption.
-func (d *Device) TotalEnergyConsumption() uint64 {
-	d.bill()
-	return uint64(d.sim.EnergyJ() * 1000)
 }

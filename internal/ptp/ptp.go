@@ -80,9 +80,6 @@ type Result struct {
 // HostToDevice converts a host timestamp to the device timebase.
 func (r Result) HostToDevice(hostNs int64) int64 { return hostNs + r.OffsetNs }
 
-// DeviceToHost converts a device timestamp to the host timebase.
-func (r Result) DeviceToHost(devNs int64) int64 { return devNs - r.OffsetNs }
-
 // Sync performs the two-way exchange between the host clock and the
 // device timer, advancing the host clock by the virtual time the
 // exchanges consume.

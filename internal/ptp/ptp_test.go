@@ -95,9 +95,6 @@ func TestSyncAgainstSimulatedGPU(t *testing.T) {
 	if diff := gotDev - wantDev; diff < -5000 || diff > 5000 {
 		t.Fatalf("HostToDevice error %d ns", diff)
 	}
-	if back := res.DeviceToHost(res.HostToDevice(42)); back != 42 {
-		t.Fatalf("round trip = %d, want 42", back)
-	}
 }
 
 func TestSyncSpreadReflectsJitter(t *testing.T) {

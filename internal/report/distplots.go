@@ -76,21 +76,6 @@ func NewBoxPlot(label string, latenciesMs []float64) BoxPlot {
 	return BoxPlot{Label: label, Summary: stats.Summarize(latenciesMs)}
 }
 
-// Whiskers returns the Tukey whisker positions (1.5×IQR, clamped to the
-// data range).
-func (b BoxPlot) Whiskers() (lo, hi float64) {
-	iqr := b.Summary.IQR()
-	lo = b.Summary.Q25 - 1.5*iqr
-	hi = b.Summary.Q75 + 1.5*iqr
-	if lo < b.Summary.Min {
-		lo = b.Summary.Min
-	}
-	if hi > b.Summary.Max {
-		hi = b.Summary.Max
-	}
-	return lo, hi
-}
-
 // RenderBoxes writes an aligned text table of box statistics.
 func RenderBoxes(w io.Writer, boxes []BoxPlot) error {
 	if _, err := fmt.Fprintf(w, "%-28s %8s %8s %8s %8s %8s\n",

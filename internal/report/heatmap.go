@@ -170,18 +170,3 @@ func (h *Heatmap) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// Diff returns a heatmap of h − other cell-wise (axes must match), the
-// operation behind the Fig. 7/8 range maps.
-func (h *Heatmap) Diff(other *Heatmap) (*Heatmap, error) {
-	if len(h.RowLabels) != len(other.RowLabels) || len(h.ColLabels) != len(other.ColLabels) {
-		return nil, fmt.Errorf("report: heatmap shapes differ")
-	}
-	out := NewHeatmap(h.Title+" (diff)", h.RowLabels, h.ColLabels)
-	for i := range h.Cells {
-		for j := range h.Cells[i] {
-			out.Cells[i][j] = h.Cells[i][j] - other.Cells[i][j]
-		}
-	}
-	return out, nil
-}

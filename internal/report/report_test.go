@@ -127,24 +127,6 @@ func TestHeatmapCSV(t *testing.T) {
 	}
 }
 
-func TestHeatmapDiff(t *testing.T) {
-	a := NewHeatmap("a", []float64{1}, []float64{2})
-	b := NewHeatmap("b", []float64{1}, []float64{2})
-	a.Set(1, 2, 10)
-	b.Set(1, 2, 4)
-	d, err := a.Diff(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Get(1, 2); got != 6 {
-		t.Fatalf("diff = %v", got)
-	}
-	c := NewHeatmap("c", []float64{1, 2}, []float64{2})
-	if _, err := a.Diff(c); err == nil {
-		t.Fatal("shape mismatch accepted")
-	}
-}
-
 func TestViolin(t *testing.T) {
 	xs := []float64{5, 5.1, 5.2, 5.05, 5.12, 20, 20.1, 20.2}
 	v := NewViolin("increasing", xs, 8)
@@ -184,18 +166,6 @@ func TestViolinDegenerate(t *testing.T) {
 	var buf bytes.Buffer
 	if err := v.Render(&buf, 10); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBoxPlotWhiskers(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 100}
-	b := NewBoxPlot("pair", xs)
-	lo, hi := b.Whiskers()
-	if lo != 1 {
-		t.Fatalf("low whisker = %v, want 1 (clamped)", lo)
-	}
-	if hi >= 100 {
-		t.Fatalf("high whisker = %v, want below the outlier", hi)
 	}
 }
 

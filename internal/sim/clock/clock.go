@@ -61,6 +61,3 @@ func (c *Clock) AdvanceTo(t int64) {
 // Sleep advances the clock by the given duration, emulating usleep on the
 // benchmark's host thread.
 func (c *Clock) Sleep(d time.Duration) { c.Advance(int64(d)) }
-
-// Since reports the elapsed virtual nanoseconds since the timestamp t.
-func (c *Clock) Since(t int64) int64 { return c.now - t }

@@ -70,9 +70,6 @@ func (r *Rand) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.src.Float64()
 }
 
-// IntN returns a uniform integer in [0, n).
-func (r *Rand) IntN(n int) int { return r.src.IntN(n) }
-
 // Normal returns a draw from the normal distribution N(mean, sigma²).
 func (r *Rand) Normal(mean, sigma float64) float64 {
 	return mean + sigma*r.src.NormFloat64()
@@ -82,11 +79,6 @@ func (r *Rand) Normal(mean, sigma float64) float64 {
 // latencies where occasional large values must remain positive.
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.src.NormFloat64())
-}
-
-// Exp returns an exponential draw with the given mean.
-func (r *Rand) Exp(mean float64) float64 {
-	return r.src.ExpFloat64() * mean
 }
 
 // Bool returns true with probability p.

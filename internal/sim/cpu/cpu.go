@@ -142,7 +142,6 @@ type Core struct {
 	curFreq  float64
 	pendFreq float64
 	pendAtNs int64 // host time the pending change completes; 0 = none
-	injected []Injection
 }
 
 // New constructs a core bound to the host clock.
@@ -209,12 +208,8 @@ func (c *Core) SetFrequency(targetMHz float64) (Injection, error) {
 	}
 	c.pendFreq = targetMHz
 	c.pendAtNs = inj.CompleteNs
-	c.injected = append(c.injected, inj)
 	return inj, nil
 }
-
-// Injections returns all ground-truth change records so far.
-func (c *Core) Injections() []Injection { return c.injected }
 
 // RunIterations executes n workload iterations of the given cycle budget
 // synchronously, advancing the host clock, and returns their timestamps.

@@ -183,12 +183,9 @@ func TestInjectionsRecorded(t *testing.T) {
 	c, clk := newCore(t, testConfig())
 	i1, _ := c.SetFrequency(1800)
 	clk.AdvanceTo(i1.CompleteNs)
-	c.SetFrequency(2400)
-	if got := len(c.Injections()); got != 2 {
-		t.Fatalf("len(Injections) = %d", got)
-	}
-	if c.Injections()[1].InitMHz != 1800 {
-		t.Fatalf("second injection init = %v", c.Injections()[1].InitMHz)
+	i2, _ := c.SetFrequency(2400)
+	if i2.InitMHz != 1800 || i2.TargetMHz != 2400 {
+		t.Fatalf("second injection %v → %v, want 1800 → 2400", i2.InitMHz, i2.TargetMHz)
 	}
 }
 

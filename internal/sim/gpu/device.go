@@ -222,17 +222,6 @@ func (d *Device) DeviceTimeAt(hostNs int64) int64 {
 	return t - mod(t, q)
 }
 
-// HostTimeFor inverts DeviceTimeAt up to quantisation: it returns the
-// host timestamp whose device-clock reading is closest to devNs. Used by
-// analysis code to map device timestamps back onto the host timeline.
-func (d *Device) HostTimeFor(devNs int64) int64 {
-	t := devNs - d.cfg.ClockOffsetNs
-	if d.cfg.ClockDriftPPM != 0 {
-		t -= int64(float64(t) * d.cfg.ClockDriftPPM / 1e6)
-	}
-	return t
-}
-
 // Temperature reports the die temperature in °C at the current host time,
 // applying idle cooling since the device last finished work, and releases
 // the thermal throttle once the temperature has fallen through the

@@ -33,12 +33,6 @@ func (s KernelSpec) validate(cfg *Config) error {
 	return nil
 }
 
-// NominalIterNs returns the iteration duration in nanoseconds the spec
-// implies at the given clock, before jitter and SM speed variation.
-func (s KernelSpec) NominalIterNs(freqMHz float64) float64 {
-	return s.CyclesPerIter * 1000 / freqMHz
-}
-
 // IterSample is one timed iteration: device-clock timestamps of its first
 // and last instruction, already quantised to the timer refresh period.
 type IterSample struct {
@@ -68,9 +62,6 @@ type launch struct {
 	folder     TailFolder // sink, when it folds tails
 	kernel     *Kernel    // Launch's handle; nil for a streamed kernel
 }
-
-// Spec returns the launch specification.
-func (k *Kernel) Spec() KernelSpec { return k.spec }
 
 // Done reports whether the kernel has been materialised by a Synchronize.
 func (k *Kernel) Done() bool { return k.done }

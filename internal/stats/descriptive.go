@@ -1,8 +1,9 @@
 // Package stats implements the statistical machinery the LATEST
 // methodology depends on: descriptive estimators (mean, sample standard
-// deviation, standard error of the mean), normal and Student-t confidence
-// intervals, Welch's two-sample test, mean-difference bounds, relative
-// standard error, and quantile utilities.
+// deviation, standard error of the mean, relative standard error),
+// streaming moment accumulators, normal and Student-t critical values,
+// the Welch mean-difference interval, the shape of a timer-quantised
+// normal, and quantile and histogram utilities.
 //
 // Everything operates on float64 slices and is allocation-conscious: the
 // phase-3 evaluation scans millions of iteration timings per campaign.
@@ -97,15 +98,6 @@ func Quantile(xs []float64, q float64) float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
-}
-
-// QuantileSorted is Quantile for data already in ascending order,
-// avoiding the copy and sort. Behaviour is undefined for unsorted input.
-func QuantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 || q < 0 || q > 1 {
-		return math.NaN()
-	}
 	return quantileSorted(sorted, q)
 }
 

@@ -199,50 +199,17 @@ func TestAccumulatorMatchesDescribe(t *testing.T) {
 	}
 }
 
-func TestAccumulatorMerge(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	xs := make([]float64, 501)
-	for i := range xs {
-		xs[i] = rng.Float64() * 100
-	}
-	var whole, left, right Accumulator
-	for i, x := range xs {
-		whole.Add(x)
-		if i < 200 {
-			left.Add(x)
-		} else {
-			right.Add(x)
-		}
-	}
-	left.Merge(&right)
-	a, b := left.MeanStd(), whole.MeanStd()
-	if a.N != b.N || !almostEqual(a.Mean, b.Mean, 1e-9) || !almostEqual(a.Std, b.Std, 1e-9) {
-		t.Fatalf("merged = %+v, whole = %+v", a, b)
-	}
-}
-
-func TestAccumulatorMergeEmpty(t *testing.T) {
-	var a, b Accumulator
-	a.Add(1)
-	a.Add(3)
-	a.Merge(&b) // merging empty must be a no-op
-	if got := a.MeanStd(); got.N != 2 || got.Mean != 2 {
-		t.Fatalf("merge with empty changed state: %+v", got)
-	}
-	b.Merge(&a) // merging into empty adopts the other
-	if got := b.MeanStd(); got.N != 2 || got.Mean != 2 {
-		t.Fatalf("empty.Merge(full) = %+v", got)
-	}
-}
-
 func TestMeanStdTwoSigmaBounds(t *testing.T) {
 	m := MeanStd{N: 100, Mean: 10, Std: 2}
-	lo, hi := m.TwoSigmaBounds()
-	if lo != 6 || hi != 14 {
-		t.Fatalf("TwoSigmaBounds = (%v, %v), want (6, 14)", lo, hi)
+	for _, x := range []float64{6, 10, 13.9, 14} {
+		if !m.Contains(x, 2) {
+			t.Errorf("Contains(%v, 2) = false, want true inside [6, 14]", x)
+		}
 	}
-	if !m.Contains(13.9, 2) || m.Contains(14.1, 2) {
-		t.Fatal("Contains disagrees with TwoSigmaBounds")
+	for _, x := range []float64{5.9, 14.1} {
+		if m.Contains(x, 2) {
+			t.Errorf("Contains(%v, 2) = true, want false outside [6, 14]", x)
+		}
 	}
 }
 

@@ -76,20 +76,14 @@ func ZCritical(confidence float64) float64 {
 	return NormalQuantile(0.5 + confidence/2)
 }
 
-// TCritical returns the two-sided Student-t critical value for the given
-// confidence level and degrees of freedom, using the Cornish–Fisher
+// CriticalT gives the two-sided Student-t critical value at one
+// confidence level for any degrees of freedom, using the Cornish–Fisher
 // expansion around the normal quantile. Accuracy is better than 1 % for
 // df ≥ 3, which covers every use in this codebase (phase-1 kernels gather
 // hundreds of samples; the smallest populations are the ≥ 20 repeated
-// switching-latency measurements).
-func TCritical(df float64, confidence float64) float64 {
-	return NewCriticalT(confidence).At(df)
-}
-
-// CriticalT is TCritical at one confidence level, with the normal
-// quantile and the expansion's coefficients computed once: a caller
-// that asks for many degrees of freedom at one confidence builds it
-// once.
+// switching-latency measurements). The normal quantile and the
+// expansion's coefficients are computed once: a caller that asks for
+// many degrees of freedom at one confidence builds it once.
 type CriticalT struct {
 	// Confidence is the level the coefficients were computed for.
 	Confidence float64
@@ -97,7 +91,7 @@ type CriticalT struct {
 	z, g1, g2, g3, g4 float64
 }
 
-// NewCriticalT precomputes TCritical's expansion for confidence.
+// NewCriticalT precomputes the expansion's coefficients for confidence.
 func NewCriticalT(confidence float64) CriticalT {
 	c := CriticalT{Confidence: confidence, z: math.NaN()}
 	if confidence <= 0 || confidence >= 1 {
@@ -119,98 +113,4 @@ func (c CriticalT) At(df float64) float64 {
 		return math.NaN()
 	}
 	return c.z + c.g1/df + c.g2/(df*df) + c.g3/(df*df*df) + c.g4/(df*df*df*df)
-}
-
-// StudentTCDF returns the CDF of Student's t distribution with df degrees
-// of freedom at t, computed through the regularised incomplete beta
-// function. Used to attach p-values to Welch tests in reports.
-func StudentTCDF(t, df float64) float64 {
-	if df <= 0 {
-		return math.NaN()
-	}
-	if math.IsInf(t, 1) {
-		return 1
-	}
-	if math.IsInf(t, -1) {
-		return 0
-	}
-	x := df / (df + t*t)
-	p := 0.5 * regIncBeta(df/2, 0.5, x)
-	if t > 0 {
-		return 1 - p
-	}
-	return p
-}
-
-// regIncBeta computes the regularised incomplete beta function I_x(a, b)
-// by the continued-fraction method (Numerical Recipes betacf).
-func regIncBeta(a, b, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x >= 1 {
-		return 1
-	}
-	lbeta := lgamma(a+b) - lgamma(a) - lgamma(b)
-	front := math.Exp(math.Log(x)*a+math.Log(1-x)*b+lbeta) / a
-	if x < (a+1)/(a+b+2) {
-		return front * betacf(a, b, x)
-	}
-	// Use symmetry for faster convergence.
-	lbetaSym := lgamma(a+b) - lgamma(a) - lgamma(b)
-	frontSym := math.Exp(math.Log(1-x)*b+math.Log(x)*a+lbetaSym) / b
-	return 1 - frontSym*betacf(b, a, 1-x)
-}
-
-func betacf(a, b, x float64) float64 {
-	const (
-		maxIter = 300
-		eps     = 3e-14
-		fpmin   = 1e-300
-	)
-	qab := a + b
-	qap := a + 1
-	qam := a - 1
-	c := 1.0
-	d := 1 - qab*x/qap
-	if math.Abs(d) < fpmin {
-		d = fpmin
-	}
-	d = 1 / d
-	h := d
-	for m := 1; m <= maxIter; m++ {
-		m2 := float64(2 * m)
-		aa := float64(m) * (b - float64(m)) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		h *= d * c
-		aa = -(a + float64(m)) * (qab + float64(m)) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < eps {
-			break
-		}
-	}
-	return h
-}
-
-func lgamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
 }

@@ -83,77 +83,17 @@ func TestTCriticalAgainstTables(t *testing.T) {
 		{1000, 1.962, 0.001},
 	}
 	for _, c := range cases {
-		if got := TCritical(c.df, 0.95); !almostEqual(got, c.want, c.tol) {
-			t.Errorf("TCritical(%v, 0.95) = %v, want %v±%v", c.df, got, c.want, c.tol)
+		if got := NewCriticalT(0.95).At(c.df); !almostEqual(got, c.want, c.tol) {
+			t.Errorf("NewCriticalT(0.95).At(%v) = %v, want %v±%v", c.df, got, c.want, c.tol)
 		}
 	}
 }
 
 func TestTCriticalConvergesToZ(t *testing.T) {
 	z := ZCritical(0.99)
-	tc := TCritical(1e6, 0.99)
+	tc := NewCriticalT(0.99).At(1e6)
 	if !almostEqual(z, tc, 1e-4) {
-		t.Fatalf("TCritical(1e6) = %v, ZCritical = %v", tc, z)
-	}
-}
-
-func TestStudentTCDFSymmetry(t *testing.T) {
-	for _, df := range []float64{3, 10, 50} {
-		for _, x := range []float64{0.3, 1.1, 2.7} {
-			a := StudentTCDF(x, df)
-			b := StudentTCDF(-x, df)
-			if !almostEqual(a+b, 1, 1e-10) {
-				t.Errorf("CDF(%v)+CDF(-%v) = %v for df=%v", x, x, a+b, df)
-			}
-		}
-	}
-}
-
-func TestStudentTCDFKnownValues(t *testing.T) {
-	// t=2.228, df=10 is the two-sided 95 % critical point:
-	// CDF must be 0.975.
-	if got := StudentTCDF(2.228, 10); !almostEqual(got, 0.975, 5e-4) {
-		t.Fatalf("StudentTCDF(2.228, 10) = %v, want 0.975", got)
-	}
-	if got := StudentTCDF(0, 7); !almostEqual(got, 0.5, 1e-12) {
-		t.Fatalf("StudentTCDF(0, 7) = %v, want 0.5", got)
-	}
-}
-
-func TestStudentTCDFConvergesToNormal(t *testing.T) {
-	for _, x := range []float64{-2, -0.5, 0.7, 1.9} {
-		tv := StudentTCDF(x, 1e5)
-		nv := NormalCDF(x)
-		if !almostEqual(tv, nv, 1e-4) {
-			t.Errorf("StudentTCDF(%v, 1e5) = %v, NormalCDF = %v", x, tv, nv)
-		}
-	}
-}
-
-// Property: the t CDF is monotone non-decreasing in its argument.
-func TestStudentTCDFMonotoneProperty(t *testing.T) {
-	f := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		a = math.Mod(a, 50)
-		b = math.Mod(b, 50)
-		if a > b {
-			a, b = b, a
-		}
-		return StudentTCDF(a, 8) <= StudentTCDF(b, 8)+1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStudentTCDFInfinities(t *testing.T) {
-	if got := StudentTCDF(math.Inf(1), 5); got != 1 {
-		t.Fatalf("CDF(+Inf) = %v", got)
-	}
-	if got := StudentTCDF(math.Inf(-1), 5); got != 0 {
-		t.Fatalf("CDF(-Inf) = %v", got)
+		t.Fatalf("NewCriticalT(0.99).At(1e6) = %v, ZCritical = %v", tc, z)
 	}
 }
 

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -20,45 +19,6 @@ func TestIntervalContains(t *testing.T) {
 	}
 	if (Interval{1, 2}).ContainsZero() {
 		t.Fatal("ContainsZero true for [1,2]")
-	}
-	if got := iv.Width(); got != 3 {
-		t.Fatalf("Width = %v, want 3", got)
-	}
-}
-
-func TestMeanCICoversTrueMean(t *testing.T) {
-	// Draw many samples from N(50, 4) and verify the 95 % CI covers the
-	// true mean at roughly the nominal rate.
-	rng := rand.New(rand.NewPCG(10, 20))
-	const trials = 400
-	covered := 0
-	for trial := 0; trial < trials; trial++ {
-		xs := make([]float64, 40)
-		for i := range xs {
-			xs[i] = 50 + 2*rng.NormFloat64()
-		}
-		if MeanCI(Describe(xs), 0.95).Contains(50) {
-			covered++
-		}
-	}
-	rate := float64(covered) / trials
-	if rate < 0.90 || rate > 0.99 {
-		t.Fatalf("95%% CI coverage rate = %v, want ≈0.95", rate)
-	}
-}
-
-func TestMeanCISymmetricAroundMean(t *testing.T) {
-	m := MeanStd{N: 25, Mean: 7, Std: 1.5}
-	iv := MeanCI(m, 0.95)
-	if !almostEqual(iv.Lo+iv.Hi, 14, 1e-9) {
-		t.Fatalf("CI not centred on mean: %+v", iv)
-	}
-}
-
-func TestMeanCIDegenerate(t *testing.T) {
-	iv := MeanCI(MeanStd{N: 1, Mean: 3, Std: math.NaN()}, 0.95)
-	if !math.IsNaN(iv.Lo) || !math.IsNaN(iv.Hi) {
-		t.Fatalf("CI for single sample = %+v, want NaNs", iv)
 	}
 }
 
@@ -95,108 +55,6 @@ func TestMeanDiffCIAntisymmetryProperty(t *testing.T) {
 		return almostEqual(ab.Lo, -ba.Hi, 1e-9) && almostEqual(ab.Hi, -ba.Lo, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWelchTTestDetectsDifference(t *testing.T) {
-	a := MeanStd{N: 1000, Mean: 10.0, Std: 0.5}
-	b := MeanStd{N: 1000, Mean: 10.2, Std: 0.5}
-	res := WelchTTest(a, b, 0.05)
-	if !res.Significant(0.05) {
-		t.Fatalf("difference of 0.4σ over 1000 samples not significant: %+v", res)
-	}
-	if res.Diff >= 0 {
-		t.Fatalf("Diff = %v, want negative (a < b)", res.Diff)
-	}
-}
-
-func TestWelchTTestAcceptsEqualMeans(t *testing.T) {
-	a := MeanStd{N: 20, Mean: 5, Std: 1}
-	b := MeanStd{N: 20, Mean: 5, Std: 1}
-	res := WelchTTest(a, b, 0.05)
-	if res.Significant(0.05) {
-		t.Fatalf("identical summaries rejected: %+v", res)
-	}
-	if !almostEqual(res.PValue, 1, 1e-9) {
-		t.Fatalf("p-value for zero difference = %v, want 1", res.PValue)
-	}
-}
-
-func TestWelchTTestFalsePositiveRate(t *testing.T) {
-	// Under H0 the rejection rate at alpha=0.05 must be ≈5 %.
-	rng := rand.New(rand.NewPCG(31, 7))
-	const trials = 500
-	rejects := 0
-	for i := 0; i < trials; i++ {
-		xs := make([]float64, 30)
-		ys := make([]float64, 30)
-		for j := range xs {
-			xs[j] = rng.NormFloat64()
-			ys[j] = rng.NormFloat64()
-		}
-		if WelchTTest(Describe(xs), Describe(ys), 0.05).Significant(0.05) {
-			rejects++
-		}
-	}
-	rate := float64(rejects) / trials
-	if rate > 0.10 {
-		t.Fatalf("false-positive rate %v too high", rate)
-	}
-}
-
-func TestWelchTTestZeroVariance(t *testing.T) {
-	a := MeanStd{N: 10, Mean: 1, Std: 0}
-	b := MeanStd{N: 10, Mean: 2, Std: 0}
-	res := WelchTTest(a, b, 0.05)
-	if res.PValue != 0 {
-		t.Fatalf("distinct constant samples: p = %v, want 0", res.PValue)
-	}
-	c := MeanStd{N: 10, Mean: 1, Std: 0}
-	res = WelchTTest(a, c, 0.05)
-	if res.PValue != 1 {
-		t.Fatalf("identical constant samples: p = %v, want 1", res.PValue)
-	}
-}
-
-func TestZTestMatchesWelchForLargeN(t *testing.T) {
-	a := MeanStd{N: 5000, Mean: 20, Std: 2}
-	b := MeanStd{N: 5000, Mean: 20.1, Std: 2}
-	zt := ZTest(a, b, 0.05)
-	wt := WelchTTest(a, b, 0.05)
-	if !almostEqual(zt.PValue, wt.PValue, 1e-3) {
-		t.Fatalf("z-test p=%v vs t-test p=%v diverge at large n", zt.PValue, wt.PValue)
-	}
-}
-
-func TestZTestInsufficientSamples(t *testing.T) {
-	res := ZTest(MeanStd{N: 1}, MeanStd{N: 5, Mean: 1, Std: 1}, 0.05)
-	if !math.IsNaN(res.PValue) {
-		t.Fatalf("z-test with n=1 produced p=%v, want NaN", res.PValue)
-	}
-	if res.Significant(0.05) {
-		t.Fatal("NaN result must never be significant")
-	}
-}
-
-// Property: the Welch CI and the test decision agree — zero is outside the
-// (1−alpha) difference CI exactly when p < alpha (up to FP tolerance at
-// the decision boundary).
-func TestWelchDecisionConsistencyProperty(t *testing.T) {
-	f := func(dm, s1, s2 float64) bool {
-		a := MeanStd{N: 40, Mean: 10, Std: 0.5 + math.Abs(math.Mod(s1, 3))}
-		b := MeanStd{N: 55, Mean: 10 + math.Mod(dm, 5), Std: 0.5 + math.Abs(math.Mod(s2, 3))}
-		if math.IsNaN(a.Std) || math.IsNaN(b.Std) || math.IsNaN(b.Mean) {
-			return true
-		}
-		res := WelchTTest(a, b, 0.05)
-		// Skip razor-edge cases where FP noise flips the decision.
-		if math.Abs(res.PValue-0.05) < 1e-3 {
-			return true
-		}
-		return res.Significant(0.05) == !res.DiffCI.ContainsZero()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -48,31 +48,6 @@ func (m MeanStd) StdErr() float64 {
 	return m.Std / math.Sqrt(float64(m.N))
 }
 
-// RSE returns the relative standard error of the mean.
-func (m MeanStd) RSE() float64 {
-	se := m.StdErr()
-	if math.IsNaN(se) {
-		return math.NaN()
-	}
-	if m.Mean == 0 {
-		return math.Inf(1)
-	}
-	return se / math.Abs(m.Mean)
-}
-
-// TwoSigmaBounds returns the (mean − 2σ, mean + 2σ) acceptance band the
-// accelerator methodology uses in place of FTaLaT's confidence interval
-// (§V-A): roughly 95 % of individual iteration times fall inside it when
-// the population is approximately normal.
-func (m MeanStd) TwoSigmaBounds() (lo, hi float64) {
-	return m.Mean - 2*m.Std, m.Mean + 2*m.Std
-}
-
-// SigmaBounds generalises TwoSigmaBounds to an arbitrary multiple k.
-func (m MeanStd) SigmaBounds(k float64) (lo, hi float64) {
-	return m.Mean - k*m.Std, m.Mean + k*m.Std
-}
-
 // Contains reports whether x lies within k standard deviations of the
 // mean. This is the phase-3 per-iteration acceptance predicate.
 func (m MeanStd) Contains(x, k float64) bool {
@@ -181,22 +156,4 @@ func (a *MomentAccumulator) ExcessKurtosis() float64 {
 	}
 	n := float64(a.n)
 	return n*a.m4/(a.m2*a.m2) - 3
-}
-
-// Merge combines another accumulator into this one (parallel reduction of
-// per-SM partial statistics; Chan et al. parallel variance formula).
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	na, nb := float64(a.n), float64(b.n)
-	delta := b.mean - a.mean
-	total := na + nb
-	a.mean += delta * nb / total
-	a.m2 += b.m2 + delta*delta*na*nb/total
-	a.n += b.n
 }

@@ -4,10 +4,11 @@ import "math"
 
 // The accelerator methodology leans on approximate normality twice: the
 // 2σ acceptance band "assuming the execution time distribution
-// approximates a normal distribution" (§V-A) and the z/t tests of
-// phase 1. This file provides the Jarque–Bera moment diagnostic so the
-// runner can warn when a population is too skewed or heavy-tailed for
-// those assumptions to hold.
+// approximates a normal distribution" (§V-A) and phase 1's
+// mean-difference interval. This file provides the sample moments and
+// the shape of a timer-quantised normal that phase 1's shape diagnostic
+// judges them against, so the runner can warn when a population is too
+// skewed or heavy-tailed for those assumptions to hold.
 
 // Skewness returns the sample skewness (g1) of xs, or NaN for n < 3 or
 // zero variance.
@@ -52,38 +53,6 @@ func ExcessKurtosis(xs []float64) float64 {
 		return math.NaN()
 	}
 	return m4/(m2*m2) - 3
-}
-
-// JarqueBera computes the Jarque–Bera statistic of xs:
-//
-//	JB = n/6 · (g1² + g2²/4)
-//
-// which is asymptotically χ²(2) under normality. The returned p-value
-// uses the χ²(2) closed form exp(−JB/2).
-func JarqueBera(xs []float64) (statistic, pValue float64) {
-	n := float64(len(xs))
-	if n < 8 {
-		return math.NaN(), math.NaN()
-	}
-	g1 := Skewness(xs)
-	g2 := ExcessKurtosis(xs)
-	if math.IsNaN(g1) || math.IsNaN(g2) {
-		return math.NaN(), math.NaN()
-	}
-	jb := n / 6 * (g1*g1 + g2*g2/4)
-	return jb, math.Exp(-jb / 2)
-}
-
-// ApproximatelyNormal reports whether xs is consistent with normality at
-// the given significance level (the null hypothesis of normality is NOT
-// rejected). It errs permissive on small samples, where the methodology's
-// bands are dominated by other error sources anyway.
-func ApproximatelyNormal(xs []float64, alpha float64) bool {
-	_, p := JarqueBera(xs)
-	if math.IsNaN(p) {
-		return true
-	}
-	return p >= alpha
 }
 
 // QuantisedNormalShape describes a normal duration read off a timer

@@ -57,51 +57,6 @@ func TestMomentsDegenerate(t *testing.T) {
 	}
 }
 
-func TestJarqueBeraAcceptsNormal(t *testing.T) {
-	accepted := 0
-	const trials = 50
-	for i := 0; i < trials; i++ {
-		if ApproximatelyNormal(normals(500, uint64(100+i)), 0.01) {
-			accepted++
-		}
-	}
-	if accepted < trials*9/10 {
-		t.Fatalf("normal samples accepted %d/%d times", accepted, trials)
-	}
-}
-
-func TestJarqueBeraRejectsExponential(t *testing.T) {
-	for i := 0; i < 20; i++ {
-		if ApproximatelyNormal(exponentials(500, uint64(200+i)), 0.01) {
-			t.Fatalf("trial %d: exponential sample passed as normal", i)
-		}
-	}
-}
-
-func TestJarqueBeraRejectsBimodal(t *testing.T) {
-	rng := rand.New(rand.NewPCG(7, 7))
-	xs := make([]float64, 600)
-	for i := range xs {
-		if i%2 == 0 {
-			xs[i] = 5 + 0.1*rng.NormFloat64()
-		} else {
-			xs[i] = 20 + 0.1*rng.NormFloat64()
-		}
-	}
-	if ApproximatelyNormal(xs, 0.01) {
-		t.Fatal("bimodal sample passed as normal")
-	}
-}
-
-func TestJarqueBeraSmallSamplePermissive(t *testing.T) {
-	if !ApproximatelyNormal([]float64{1, 2, 3}, 0.01) {
-		t.Fatal("tiny sample rejected (should be permissive)")
-	}
-	if jb, p := JarqueBera([]float64{1, 2, 3}); !math.IsNaN(jb) || !math.IsNaN(p) {
-		t.Fatalf("JB on n=3 = (%v, %v), want NaNs", jb, p)
-	}
-}
-
 // TestQuantisedNormalShapeMatchesSimulation draws d = ⌊r + x⌋ for x
 // normal and r uniform, at jitters from a near-degenerate lattice to a
 // nearly continuous one, fits the law to the draws' mean and variance,

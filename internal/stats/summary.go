@@ -48,9 +48,6 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// IQR returns the interquartile range Q75 − Q25.
-func (s Summary) IQR() float64 { return s.Q75 - s.Q25 }
-
 // String renders the summary compactly for logs and CLI output.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f std=%.3f min=%.3f p50=%.3f p95=%.3f max=%.3f",
@@ -108,10 +105,4 @@ func (h *Histogram) Mode() int {
 		}
 	}
 	return best
-}
-
-// BinCenter returns the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + width*(float64(i)+0.5)
 }

@@ -16,9 +16,6 @@ func TestSummarizeKnown(t *testing.T) {
 	if s.Q25 != 2 || s.Q75 != 4 {
 		t.Fatalf("quartiles = (%v, %v), want (2, 4)", s.Q25, s.Q75)
 	}
-	if s.IQR() != 2 {
-		t.Fatalf("IQR = %v, want 2", s.IQR())
-	}
 }
 
 func TestSummarizeEmpty(t *testing.T) {
@@ -74,9 +71,6 @@ func TestHistogramBinning(t *testing.T) {
 	}
 	if h.Mode() != 1 {
 		t.Fatalf("Mode = %d, want 1", h.Mode())
-	}
-	if got := h.BinCenter(0); got != 0.5 {
-		t.Fatalf("BinCenter(0) = %v, want 0.5", got)
 	}
 }
 

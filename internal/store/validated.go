@@ -58,9 +58,6 @@ func newValidatedBlob(data []byte, h blobHeader, res *core.Result) *ValidatedBlo
 	}
 }
 
-// Digest returns the digest the bytes were validated against.
-func (vb *ValidatedBlob) Digest() string { return vb.digest }
-
 // Key returns the content address recorded in the header.
 func (vb *ValidatedBlob) Key() Key {
 	return Key{Digest: vb.digest, Profile: vb.profile, Instance: vb.instance}

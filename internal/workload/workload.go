@@ -1,16 +1,11 @@
-// Package workload plans the artificial iterative microbenchmark of §V:
-// how much arithmetic one iteration should contain and how many
-// iterations each benchmark phase needs so that the kernel (a) keeps the
-// accelerator under sustained load, (b) cleanly separates the
-// initial-frequency region from the switch, (c) spans the longest
-// plausible switching latency, and (d) leaves enough tail iterations to
-// confirm the target frequency statistically.
+// Package workload sizes the artificial iterative microbenchmark of §V:
+// how much arithmetic one iteration contains at a given clock, how long
+// the capture region must be on an untested platform (ten times the
+// longest latency a few probe pairs observe), and how a wake-up
+// workload splits into equal kernels.
 package workload
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // CyclesForIterDuration returns the per-iteration cycle budget that makes
 // an iteration last about durNs at the given clock. The iteration is the
@@ -24,66 +19,6 @@ func CyclesForIterDuration(durNs float64, freqMHz float64) float64 {
 // IterDurationNs inverts CyclesForIterDuration.
 func IterDurationNs(cycles, freqMHz float64) float64 {
 	return cycles * 1000 / freqMHz
-}
-
-// Budget is the iteration plan of one switching-latency benchmark run,
-// following the four §V components.
-type Budget struct {
-	// WakeupIters keeps the device busy long enough to leave idle clocks
-	// and stabilise at the programmed frequency before measurement.
-	WakeupIters int
-	// DelayIters run at the initial frequency before the change request,
-	// clearly separating the two frequency regions.
-	DelayIters int
-	// CaptureIters span the switching latency itself, sized at a safety
-	// multiple of the longest expected latency.
-	CaptureIters int
-	// ConfirmIters are the tail used to verify the device settled at the
-	// target frequency ("several hundred up to a thousand").
-	ConfirmIters int
-}
-
-// Total returns the kernel's iteration count.
-func (b Budget) Total() int {
-	return b.WakeupIters + b.DelayIters + b.CaptureIters + b.ConfirmIters
-}
-
-// DelayNs returns the host sleep before issuing the frequency change:
-// the wake-up plus delay regions at the initial frequency.
-func (b Budget) DelayNs(iterNs float64) int64 {
-	return int64(float64(b.WakeupIters+b.DelayIters) * iterNs)
-}
-
-// PlanBudget sizes a Budget.
-//
-//	iterNs        — nominal iteration duration at the slower frequency of
-//	                the measured pair (worst case for coverage);
-//	wakeNs        — the platform's wake-up upper bound (0 if the device is
-//	                known warm);
-//	maxLatencyNs  — upper-bound estimate of the switching latency, e.g.
-//	                from EstimateCaptureNs;
-//	safety        — multiplier on the capture region (§V recommends 10×;
-//	                values < 1 are raised to 1).
-func PlanBudget(iterNs float64, wakeNs, maxLatencyNs int64, safety float64) (Budget, error) {
-	if iterNs <= 0 {
-		return Budget{}, fmt.Errorf("workload: non-positive iteration duration %v", iterNs)
-	}
-	if maxLatencyNs <= 0 {
-		return Budget{}, fmt.Errorf("workload: non-positive latency bound %d", maxLatencyNs)
-	}
-	if safety < 1 {
-		safety = 1
-	}
-	iters := func(ns float64) int {
-		return int(math.Ceil(ns / iterNs))
-	}
-	b := Budget{
-		WakeupIters:  iters(float64(wakeNs)),
-		DelayIters:   200, // "several hundred iterations" on the initial clock
-		CaptureIters: iters(safety * float64(maxLatencyNs)),
-		ConfirmIters: 500, // "several hundred up to a thousand"
-	}
-	return b, nil
 }
 
 // EstimateCaptureNs implements the §V bootstrap for an untested platform:

@@ -15,77 +15,6 @@ func TestCyclesForIterDurationRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPlanBudgetComponents(t *testing.T) {
-	b, err := PlanBudget(100_000, 30_000_000, 50_000_000, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.WakeupIters != 300 {
-		t.Errorf("WakeupIters = %d, want 300", b.WakeupIters)
-	}
-	if b.DelayIters != 200 {
-		t.Errorf("DelayIters = %d, want 200", b.DelayIters)
-	}
-	if b.CaptureIters != 5000 {
-		t.Errorf("CaptureIters = %d, want 5000 (10× latency)", b.CaptureIters)
-	}
-	if b.ConfirmIters != 500 {
-		t.Errorf("ConfirmIters = %d, want 500", b.ConfirmIters)
-	}
-	if b.Total() != 6000 {
-		t.Errorf("Total = %d", b.Total())
-	}
-	if got := b.DelayNs(100_000); got != 50_000_000 {
-		t.Errorf("DelayNs = %d, want 50ms", got)
-	}
-}
-
-func TestPlanBudgetWarmDevice(t *testing.T) {
-	b, err := PlanBudget(100_000, 0, 10_000_000, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.WakeupIters != 0 {
-		t.Fatalf("warm device WakeupIters = %d", b.WakeupIters)
-	}
-}
-
-func TestPlanBudgetSafetyFloor(t *testing.T) {
-	b, err := PlanBudget(1000, 0, 10_000, 0.1) // safety below 1 is raised
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.CaptureIters != 10 {
-		t.Fatalf("CaptureIters = %d, want 10 (safety clamped to 1)", b.CaptureIters)
-	}
-}
-
-func TestPlanBudgetValidation(t *testing.T) {
-	if _, err := PlanBudget(0, 0, 1000, 10); err == nil {
-		t.Error("zero iterNs accepted")
-	}
-	if _, err := PlanBudget(1000, 0, 0, 10); err == nil {
-		t.Error("zero latency bound accepted")
-	}
-}
-
-// Property: the capture region always covers safety × maxLatency.
-func TestPlanBudgetCoverageProperty(t *testing.T) {
-	f := func(iterUs uint16, latMs uint16, safetyX uint8) bool {
-		iterNs := float64(iterUs%1000+1) * 1000
-		latNs := int64(latMs%500+1) * 1_000_000
-		safety := float64(safetyX%20 + 1)
-		b, err := PlanBudget(iterNs, 0, latNs, safety)
-		if err != nil {
-			return false
-		}
-		return float64(b.CaptureIters)*iterNs >= safety*float64(latNs)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEstimateCaptureNs(t *testing.T) {
 	if got := EstimateCaptureNs([]int64{5, 80, 12}); got != 800 {
 		t.Fatalf("EstimateCaptureNs = %d, want 800", got)
