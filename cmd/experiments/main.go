@@ -10,8 +10,7 @@
 //	            [-cache-dir DIR] [-store-url URL[,URL...]] [-replication N]
 //	            [-store-token T] [-no-cache] [-seed N]
 //	            [-lease-ttl D] [-owner ID] [-reconcile] [-trace-out FILE]
-//	            [-gc] [-max-store-bytes N] [-max-store-age D]
-//	            [-gc-watermark-bytes N]
+//	            [-gc [-max-store-bytes N] [-max-store-age D]]
 //
 // Artefact ids: table1 table2 fig1 fig2 fig3a fig3b fig3c fig3d fig4
 // fig5 fig6 fig7 fig8 fig9 clusters cidegen cpuvsgpu ablations (default:
@@ -58,9 +57,8 @@
 // blobs past the size cap, -max-store-age evicts blobs idle longer than
 // the bound, and crash debris (orphaned temp files, expired leases) is
 // swept either way; with -store-url the pass runs on the daemon's store.
-// -gc-watermark-bytes instead bounds the store automatically: after any
-// sweep that leaves it over the watermark, least-recently-used blobs
-// are evicted back under it without operator action.
+// The two bounds are rejected without -gc. To bound a shared store
+// without operator action, run stored with -gc-every.
 //
 // A store write or claim failure aborts a sweep, unless the store has a
 // local fallback tier (-store-url combined with -cache-dir): then the
@@ -153,12 +151,18 @@ func run(args []string, out io.Writer) error {
 		gc        = fs.Bool("gc", false, "after the run, garbage-collect the store per -max-store-bytes/-max-store-age and sweep crash debris")
 		maxBytes  = fs.Int64("max-store-bytes", 0, "with -gc: evict least-recently-used blobs until the store fits this many bytes (0 = no size bound)")
 		maxAge    = fs.Duration("max-store-age", 0, "with -gc: evict blobs not accessed for longer than this (0 = no age bound)")
-		watermark = fs.Int64("gc-watermark-bytes", 0, "run a size-bounded GC pass automatically after any sweep that leaves the store over this many bytes (0 = off)")
 		reconcile = fs.Bool("reconcile", false, "replay the local tier's pending journal (writes deferred during a daemon outage) to -store-url, print what was flushed, and exit")
 		traceOut  = fs.String("trace-out", "", "record fleet sweeps and store-client operations as spans and write them to this file as Chrome trace_event JSON (view in Perfetto or chrome://tracing)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range []string{"max-store-bytes", "max-store-age"} {
+		if set[name] && !*gc {
+			return fmt.Errorf("-%s needs -gc to run the pass", name)
+		}
 	}
 	scale := experiments.ScaleQuick
 	switch *scaleFlag {
@@ -215,7 +219,7 @@ func run(args []string, out io.Writer) error {
 	if *replicas < 1 {
 		return fmt.Errorf("-replication must be at least 1, got %d", *replicas)
 	}
-	if *replicas != 2 && len(memberURLs) < 2 {
+	if set["replication"] && len(memberURLs) < 2 {
 		return fmt.Errorf("-replication needs a comma-separated multi-member -store-url list (one daemon holds one copy)")
 	}
 	// Client and router diagnostics (breaker edges, failovers, reconcile
@@ -289,8 +293,6 @@ func run(args []string, out io.Writer) error {
 			needsStore = "-lease-ttl"
 		case *gc:
 			needsStore = "-gc"
-		case *watermark > 0:
-			needsStore = "-gc-watermark-bytes"
 		}
 		if needsStore != "" {
 			if *noCache && (*cacheDir != "" || *storeURL != "") {
@@ -301,13 +303,12 @@ func run(args []string, out io.Writer) error {
 	}
 
 	suite := experiments.NewSuite(experiments.Options{
-		Scale:            scale,
-		Seed:             *seed,
-		Store:            backend,
-		LeaseTTL:         *leaseTTL,
-		LeaseOwner:       *owner,
-		GCWatermarkBytes: *watermark,
-		Tracer:           tracer,
+		Scale:      scale,
+		Seed:       *seed,
+		Store:      backend,
+		LeaseTTL:   *leaseTTL,
+		LeaseOwner: *owner,
+		Tracer:     tracer,
 	})
 	var picked []generator
 	for _, g := range generators {
@@ -346,10 +347,10 @@ func run(args []string, out io.Writer) error {
 		// The resilience line only appears when an outage was actually
 		// absorbed somewhere — a clean run stays clean.
 		if r, ok := backend.(store.Resilient); ok {
-			rs, sr := r.Resilience(), suite.Resilience()
-			if rs.Degraded+rs.Deferred+rs.Reconciled+rs.Pending+sr.Degraded > 0 {
+			rs, fallbacks := r.Resilience(), suite.Degraded()
+			if rs.Degraded+rs.Deferred+rs.Reconciled+rs.Pending+fallbacks > 0 {
 				fmt.Fprintf(out, "resilience: %d degraded reads, %d deferred writes, %d reconciled, %d pending; %d sweep fallbacks\n",
-					rs.Degraded, rs.Deferred, rs.Reconciled, rs.Pending, sr.Degraded)
+					rs.Degraded, rs.Deferred, rs.Reconciled, rs.Pending, fallbacks)
 			}
 		}
 		if *gc {

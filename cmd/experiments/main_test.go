@@ -407,15 +407,12 @@ func TestCrossHostSweepPartition(t *testing.T) {
 	}
 }
 
-// TestStoreURLFlag: an unusable daemon URL fails fast, and the
-// watermark flag demands a store like the other coordination flags.
+// TestStoreURLFlag: an unusable daemon URL fails fast, and -no-cache
+// conflicts with the coordination flags that need the store.
 func TestStoreURLFlag(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-store-url", "not-a-url", "-out", t.TempDir()}, &out); err == nil {
 		t.Error("bogus -store-url accepted")
-	}
-	if err := run([]string{"-gc-watermark-bytes", "1", "-out", t.TempDir()}, &out); err == nil {
-		t.Error("-gc-watermark-bytes without a store accepted")
 	}
 	// -no-cache disables a remote store too: the run must not touch the
 	// daemon, so coordination flags conflict.
@@ -423,29 +420,6 @@ func TestStoreURLFlag(t *testing.T) {
 		"-no-cache", "-out", t.TempDir()}, &out)
 	if err == nil || !strings.Contains(err.Error(), "-no-cache") {
 		t.Errorf("-lease-ttl with -no-cache'd -store-url: err=%v, want a -no-cache conflict", err)
-	}
-}
-
-// TestGCWatermarkFlag: a sweep that leaves the store over the watermark
-// triggers an automatic size-bounded GC pass — no -gc needed.
-func TestGCWatermarkFlag(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the four-unit A100 sweep")
-	}
-	cache := t.TempDir()
-	var out bytes.Buffer
-	if err := run([]string{"-scale", "quick", "-only", "fig7", "-cache-dir", cache,
-		"-lease-ttl", "1m", "-gc-watermark-bytes", "1", "-out", t.TempDir()}, &out); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".json") {
-			t.Fatalf("blob %s survived the 1-byte watermark", e.Name())
-		}
 	}
 }
 
@@ -497,6 +471,14 @@ func TestCoordinationFlagValidation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "-no-cache") {
 		t.Errorf("error %q blames -cache-dir although it was given; the conflict is -no-cache", err)
+	}
+	// A GC bound without -gc would bound nothing.
+	for _, bound := range []string{"-max-store-bytes 1", "-max-store-age 1h"} {
+		args := append(strings.Fields(bound), "-only", "table1", "-cache-dir", t.TempDir(), "-out", t.TempDir())
+		err := run(args, &out)
+		if err == nil || !strings.Contains(err.Error(), "-gc") {
+			t.Errorf("%s without -gc: err = %v, want a -gc error", bound, err)
+		}
 	}
 }
 
@@ -720,7 +702,9 @@ func TestReconcileFlagValidation(t *testing.T) {
 // end through the CLI: a run whose daemon is unreachable completes via
 // the local tier (deferring its writes and printing the resilience stats
 // line) with no flag asking it to, and a later -reconcile run against
-// the recovered daemon replays the journal.
+// the recovered daemon replays the journal. The resilience line's
+// deferred count is the ledger: it equals the journal markers on disk
+// and the blobs the reconcile replays.
 func TestDegradedRunThenReconcile(t *testing.T) {
 	cacheDir := t.TempDir()
 	outDir := t.TempDir()
@@ -736,8 +720,18 @@ func TestDegradedRunThenReconcile(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(outDir, "fig3_a100_max.txt")); err != nil {
 		t.Fatalf("degraded run produced no artefact: %v", err)
 	}
-	if s := out.String(); !strings.Contains(s, "resilience:") || !strings.Contains(s, "deferred") {
-		t.Fatalf("no resilience stats line after a degraded run:\n%s", s)
+	m := regexp.MustCompile(`resilience: \d+ degraded reads, (\d+) deferred writes`).FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("no resilience stats line after a degraded run:\n%s", out.String())
+	}
+	deferred, _ := strconv.Atoi(m[1])
+	markers, err := filepath.Glob(filepath.Join(cacheDir, "pending", "*.pend"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deferred == 0 || deferred != len(markers) {
+		t.Fatalf("resilience line reports %d deferred writes, journal holds %d markers:\n%s",
+			deferred, len(markers), out.String())
 	}
 
 	// Phase 2: the daemon is back; -reconcile flushes the journal.
@@ -752,8 +746,8 @@ func TestDegradedRunThenReconcile(t *testing.T) {
 		"-cache-dir", cacheDir, "-out", t.TempDir()}, &out); err != nil {
 		t.Fatalf("-reconcile: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "reconcile: replayed") {
-		t.Fatalf("no reconcile report:\n%s", out.String())
+	if want := fmt.Sprintf("reconcile: replayed %d blobs", deferred); !strings.Contains(out.String(), want) {
+		t.Fatalf("reconcile report lacks %q:\n%s", want, out.String())
 	}
 	if backing.Len() == 0 {
 		t.Fatal("reconcile replayed nothing to the recovered daemon")
@@ -814,13 +808,15 @@ func TestStoreTokenFlag(t *testing.T) {
 }
 
 // TestStoreURLListValidation: the replication flags fail fast — a
-// replica count below one, a -replication override without a member
-// list to spread over, and a list with an empty member.
+// replica count below one, an explicit -replication (even the default
+// value) without a member list to spread over, and a list with an empty
+// member.
 func TestStoreURLListValidation(t *testing.T) {
 	var out bytes.Buffer
 	cases := []struct{ args, want string }{
 		{"-replication 0 -store-url http://a:1,http://b:1", "-replication"},
 		{"-replication 3 -store-url http://127.0.0.1:1", "-replication"},
+		{"-replication 2 -only table1 -store-url http://127.0.0.1:1", "-replication"},
 		{"-store-url http://a:1,,http://b:1", "empty member"},
 	}
 	for _, c := range cases {

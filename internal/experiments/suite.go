@@ -91,11 +91,6 @@ type Options struct {
 	// LeaseOwner identifies this process in lease files; empty derives a
 	// host/pid id. Results never depend on it.
 	LeaseOwner string
-	// GCWatermarkBytes, when positive (requires Store), bounds the store
-	// without operator action: after every fleet sweep whose indexed
-	// blobs exceed the watermark, one GC pass evicts least-recently-used
-	// blobs back under it. Zero leaves GC manual.
-	GCWatermarkBytes int64
 	// Tracer, when non-nil, is handed to every fleet sweep: each
 	// campaign resolution records a root span with per-shard children, and
 	// a store client in reach carries the sweep's trace ID on its wire
@@ -120,7 +115,7 @@ type Suite struct {
 	runs atomic.Int64
 
 	// Every fleet report this suite produced, in completion order; see
-	// SweepReports, and Contention and Resilience, which sum them.
+	// SweepReports, and Contention and Degraded, which sum them.
 	// Guarded by repMu, not mu — sweeps run concurrently with campaign
 	// singleflight traffic.
 	repMu   sync.Mutex
@@ -160,25 +155,16 @@ func (s *Suite) Contention() Contention {
 	return c
 }
 
-// Resilience reports the store-failure fallbacks the suite's sweeps
-// absorbed over a store that can degrade: Degraded counts fleet-level
-// fallbacks (unleased recomputes, unpersisted results), Deferred and
-// Reconciled count the resilient backend's write-behind journal
-// traffic during those sweeps. All zero when the store never failed.
-type Resilience struct {
-	Degraded, Deferred, Reconciled int64
-}
-
-// Resilience returns the store-resilience counters summed over every
-// sweep report.
-func (s *Suite) Resilience() Resilience {
-	var r Resilience
+// Degraded returns the store-failure fallbacks the suite's sweeps
+// absorbed over a store that can degrade (unleased recomputes,
+// unpersisted results), summed over every sweep report. The store's
+// own journal traffic is the backend's to count (store.Resilient).
+func (s *Suite) Degraded() int64 {
+	var n int64
 	for _, rep := range s.SweepReports() {
-		r.Degraded += int64(rep.Degraded)
-		r.Deferred += int64(rep.Deferred)
-		r.Reconciled += int64(rep.Reconciled)
+		n += int64(rep.Degraded)
 	}
-	return r
+	return n
 }
 
 // campaignCall is one singleflight entry: done closes once res/err are
@@ -377,13 +363,12 @@ func (s *Suite) resolve(profiles []hwprofile.Profile) ([]*core.Result, error) {
 // failed and dropped from the map so a later call retries it.
 func (s *Suite) sweep(profiles []hwprofile.Profile, calls []*campaignCall) error {
 	rep, err := fleet.Sweep(profiles, fleet.Options{
-		Store:            s.opts.Store,
-		Config:           s.campaignConfig,
-		Run:              s.runCampaign,
-		LeaseTTL:         s.opts.LeaseTTL,
-		Owner:            s.opts.LeaseOwner,
-		GCWatermarkBytes: s.opts.GCWatermarkBytes,
-		Tracer:           s.opts.Tracer,
+		Store:    s.opts.Store,
+		Config:   s.campaignConfig,
+		Run:      s.runCampaign,
+		LeaseTTL: s.opts.LeaseTTL,
+		Owner:    s.opts.LeaseOwner,
+		Tracer:   s.opts.Tracer,
 	})
 	if rep != nil {
 		s.repMu.Lock()

@@ -108,24 +108,20 @@ type Options struct {
 	// peer. Zero means a sensible default.
 	WaitPoll time.Duration
 
-	// GCWatermarkBytes, when positive (requires Store), bounds the store
-	// without operator action: after the sweep, if the indexed blobs
-	// total more than the watermark, one GC pass evicts
-	// least-recently-used blobs back under it (and sweeps crash debris).
-	// Report.GC carries the pass's stats when one ran. Zero leaves GC
-	// manual.
-	GCWatermarkBytes int64
-
 	// Tracer, when non-nil, records the sweep as a span tree: one root
 	// span with a per-shard child span in its own timeline lane (TID =
 	// shard index + 1), carrying typed events (claim/wait/steal, store
-	// hit/miss, compute, put, defer, degrade). The root span's context
-	// is installed on Options.Store when it implements
+	// hit/miss, compute, put, degrade). The root span's context is
+	// installed on Options.Store when it implements
 	// obs.TraceContextSetter, so a storenet.Client's wire requests —
-	// and the daemon-side records they leave — correlate with this
-	// sweep by trace ID. nil disables tracing at zero cost; per-shard
-	// wall-clock attribution (Shard.StoreNs/WaitNs/ComputeNs) is
-	// collected either way.
+	// and the daemon-side records they leave — carry this sweep's trace
+	// ID. The context lives on the shared client, not on the sweep: only
+	// a sweep that runs alone on its client has all of its wire spans
+	// under its root. Overlapping sweeps overwrite each other's context,
+	// and the first to end clears it, so their wire spans scatter across
+	// the sweeps' traces and orphan roots. nil disables tracing at zero
+	// cost; per-shard wall-clock attribution
+	// (Shard.StoreNs/WaitNs/ComputeNs) is collected either way.
 	Tracer *obs.Tracer
 }
 
@@ -170,23 +166,6 @@ type Report struct {
 	// fell back to unleased recompute, and Puts whose failure was
 	// absorbed (result kept in the report, not persisted).
 	Degraded int
-	// Deferred and Reconciled mirror the resilient backend's journal
-	// traffic attributable to this sweep (deltas of its
-	// store.Resilient counters across the sweep): writes that landed
-	// local-plus-journal instead of the remote, and journal entries
-	// replayed to the remote while the sweep ran.
-	Deferred, Reconciled int
-	// GC carries the stats of the watermark GC pass that followed the
-	// sweep, when Options.GCWatermarkBytes triggered one; nil otherwise.
-	GC *store.GCStats
-	// Replication, when the sweep's store is a replicating backend
-	// (store.Replicated), carries its post-sweep stats with the traffic
-	// counters reduced to this sweep's deltas: Failovers,
-	// UnderReplicatedPuts, ReadRepairs, ScrubRepairs and ScrubRuns count
-	// only what happened while the sweep ran, while Members, Healthy,
-	// Replication and PendingRepairs are the end-of-sweep snapshot. Nil
-	// for non-replicated backends.
-	Replication *store.ReplicationStats
 	// TraceID is the hex trace identifier of the sweep's root span when
 	// Options.Tracer was set ("" otherwise) — the value to grep for in a
 	// trace export or a daemon's /debug/ops flight recorder.
@@ -338,19 +317,6 @@ func Sweep(profiles []hwprofile.Profile, opts Options) (*Report, error) {
 			defer c.SetTraceContext(obs.SpanContext{})
 		}
 	}
-	var before store.ResilienceStats
-	var replBefore store.ReplicationStats
-	if opts.Store != nil {
-		if r, ok := opts.Store.(store.Resilient); ok {
-			// Snapshot the backend's journal counters so the report can
-			// attribute this sweep's share of deferred/reconciled traffic
-			// (the backend's totals span its whole lifetime).
-			before = r.Resilience()
-		}
-		if r, ok := opts.Store.(store.Replicated); ok {
-			replBefore = r.ReplicationStats()
-		}
-	}
 
 	all := make([]int, len(profiles))
 	for i := range all {
@@ -368,47 +334,14 @@ func Sweep(profiles []hwprofile.Profile, opts Options) (*Report, error) {
 	rep.Waited = int(sw.waited.Load())
 	rep.Stolen = int(sw.stolen.Load())
 	rep.Degraded = int(sw.degraded.Load())
-	if opts.Store != nil {
-		if r, ok := opts.Store.(store.Resilient); ok {
-			after := r.Resilience()
-			rep.Deferred = int(after.Deferred - before.Deferred)
-			rep.Reconciled = int(after.Reconciled - before.Reconciled)
-		}
-		if r, ok := opts.Store.(store.Replicated); ok {
-			// Gauges stay absolute; traffic counters become this sweep's
-			// share, mirroring the Deferred/Reconciled attribution above.
-			rs := r.ReplicationStats()
-			rs.Failovers -= replBefore.Failovers
-			rs.UnderReplicatedPuts -= replBefore.UnderReplicatedPuts
-			rs.ReadRepairs -= replBefore.ReadRepairs
-			rs.ScrubRepairs -= replBefore.ScrubRepairs
-			rs.ScrubRuns -= replBefore.ScrubRuns
-			rep.Replication = &rs
-		}
-	}
 
-	var shardErr error
 	for i := range rep.Shards {
-		if rep.Shards[i].Err != nil {
-			shardErr = fmt.Errorf("fleet: shard %d (%s/%d): %w",
-				i, rep.Shards[i].Profile.Key, rep.Shards[i].Profile.Instance, rep.Shards[i].Err)
-			break
+		if sh := &rep.Shards[i]; sh.Err != nil {
+			return rep, fmt.Errorf("fleet: shard %d (%s/%d): %w",
+				i, sh.Profile.Key, sh.Profile.Instance, sh.Err)
 		}
 	}
-
-	// The watermark pass runs even after a shard failure — completed
-	// shards were persisted and count against the bound either way — but
-	// its own error never masks the shard's.
-	if opts.Store != nil && opts.GCWatermarkBytes > 0 {
-		gs, ran, gcErr := gcAtWatermark(opts.Store, opts.GCWatermarkBytes)
-		if ran {
-			rep.GC = gs
-		}
-		if gcErr != nil && shardErr == nil {
-			shardErr = fmt.Errorf("fleet: gc at watermark: %w", gcErr)
-		}
-	}
-	return rep, shardErr
+	return rep, nil
 }
 
 // pass resolves the shards at idxs over at most GOMAXPROCS workers and
@@ -455,24 +388,6 @@ func (w *sweeper) pass(idxs []int, resolve func(*Shard, int) error) []int {
 	}
 	wg.Wait()
 	return parked
-}
-
-// gcAtWatermark runs one size-bounded GC pass when the store's indexed
-// bytes exceed the watermark, keeping long-lived caches bounded without
-// operator action. It reports whether a pass ran; under the watermark
-// it costs one Index call and touches nothing.
-func gcAtWatermark(b store.Backend, watermark int64) (*store.GCStats, bool, error) {
-	if b == nil || watermark <= 0 {
-		return nil, false, nil
-	}
-	if store.IndexedBytes(b.Index()) <= watermark {
-		return nil, false, nil
-	}
-	gs, err := b.GC(store.GCPolicy{MaxBytes: watermark})
-	if err != nil {
-		return nil, true, err
-	}
-	return &gs, true, nil
 }
 
 // runShard resolves one shard on the first pass: store lookup, claim
@@ -642,11 +557,6 @@ func (w *sweeper) computeAndPersist(sh *Shard, cfg core.Config, lease store.Leas
 		// says otherwise, in which case the result stays in the report
 		// (this process loses nothing) and only the shared tier misses
 		// it until a future sweep recomputes or reconciles.
-		var deferredBefore int64
-		r, resilient := w.opts.Store.(store.Resilient)
-		if resilient {
-			deferredBefore = r.Resilience().Deferred
-		}
 		span.Event("put")
 		t1 := time.Now()
 		err := w.opts.Store.Put(sh.Key, res)
@@ -658,15 +568,6 @@ func (w *sweeper) computeAndPersist(sh *Shard, cfg core.Config, lease store.Leas
 				return nil
 			}
 			return fmt.Errorf("persist: %w", err)
-		}
-		// A Put that the resilient tier absorbed locally (journal + defer)
-		// succeeded from this shard's view but has not reached the remote;
-		// mark it so the trace shows which shards ride the journal. The
-		// counter is backend-global, so under concurrent workers the event
-		// can land on a sibling shard's span — a diagnostic marker, not a
-		// ledger (Report.Deferred is the ledger).
-		if resilient && r.Resilience().Deferred > deferredBefore {
-			span.Event("put.deferred")
 		}
 	}
 	return nil

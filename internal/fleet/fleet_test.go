@@ -526,51 +526,6 @@ func mustProfileKey(t *testing.T, p hwprofile.Profile) store.Key {
 	return k
 }
 
-// TestSweepWatermarkGC: a sweep whose store outgrew the watermark runs
-// one size-bounded GC pass afterwards and reports it; under the
-// watermark no pass runs.
-func TestSweepWatermarkGC(t *testing.T) {
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	profiles := testProfiles(4)
-	var calls atomic.Int64
-	over := Options{Store: st, Config: testConfig, Run: fakeRun(&calls), GCWatermarkBytes: 1}
-	rep, err := Sweep(profiles, over)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.GC == nil {
-		t.Fatal("no watermark GC pass despite a 1-byte watermark")
-	}
-	if rep.GC.Evicted == 0 || st.Len() != 0 {
-		t.Fatalf("watermark pass evicted %d, %d blobs left; want everything gone under a 1-byte bound",
-			rep.GC.Evicted, st.Len())
-	}
-	// Every shard still carries its result: GC bounds the cache, never
-	// the sweep in hand.
-	for i, sh := range rep.Shards {
-		if sh.Result == nil {
-			t.Fatalf("shard %d lost its result to the GC pass", i)
-		}
-	}
-
-	// A generous watermark leaves the store alone.
-	calls.Store(0)
-	rep2, err := Sweep(profiles, Options{Store: st, Config: testConfig, Run: fakeRun(&calls),
-		GCWatermarkBytes: 1 << 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.GC != nil {
-		t.Fatalf("GC pass ran below the watermark: %+v", rep2.GC)
-	}
-	if st.Len() != len(profiles) {
-		t.Fatalf("store len = %d, want %d", st.Len(), len(profiles))
-	}
-}
-
 // claimWatch closes held the first time a claim finds its lease held by
 // a live peer.
 type claimWatch struct {

@@ -106,42 +106,11 @@ type ValidatedPutter interface {
 	PutValidated(vb *ValidatedBlob) error
 }
 
-// ReplicationStats reports a replicating composite backend's health and
-// repair traffic — the replication-aware analogue of ResilienceStats.
-// All fields are counters since construction except Members, Healthy,
-// Replication, and PendingRepairs (point-in-time gauges).
-type ReplicationStats struct {
-	// Members is the ring size; Healthy is how many members currently
-	// answer their health signal; Replication is the configured factor R.
-	Members, Healthy, Replication int
-	// Failovers counts operations routed past an unhealthy or failing
-	// member to its ring successor (reads, writes, and lease claims).
-	Failovers int64
-	// UnderReplicatedPuts counts Puts acknowledged with fewer than R
-	// replica writes — durable, but owed a repair.
-	UnderReplicatedPuts int64
-	// ReadRepairs counts replicas healed opportunistically by a Get that
-	// observed a preferred member missing the blob it then found further
-	// along the ring.
-	ReadRepairs int64
-	// ScrubRepairs counts replicas healed by the anti-entropy scrubber;
-	// ScrubRuns counts completed scrub passes.
-	ScrubRepairs, ScrubRuns int64
-	// PendingRepairs gauges replica slots known to be missing their blob
-	// (failed replica writes not yet healed by read-repair or a scrub).
-	PendingRepairs int64
-}
-
-// Replicated is implemented by composite backends that spread blobs
-// over member stores with redundancy (the storenet router). Fleet
-// sweeps use it for replication-aware accounting: a sweep that rode out
-// a member outage reports the failovers and repairs that absorbed it.
-type Replicated interface {
-	ReplicationStats() ReplicationStats
-}
-
 // Resilient is implemented by backends that survive a remote outage by
-// degrading to a local tier (storenet.Client with a cache configured).
+// degrading to a local tier: storenet.Client with a cache configured,
+// and the storenet router, whose replicas and optional local tier
+// absorb a member's outage. Its counters are the one ledger of that
+// traffic; they span the backend's life, not any one sweep.
 // Blobs are content-addressed and immutable, so the degraded contract
 // is safe by construction: a deferred write holds exactly the bytes the
 // remote would have stored, replaying it is idempotent, and no reader
@@ -167,7 +136,7 @@ var (
 )
 
 // IndexedBytes sums the on-disk blob sizes of an index listing — the
-// store-size estimate watermark checks use (it leaves out blob files
+// store-size estimate stored's stats report (it leaves out blob files
 // whose header does not read; GC itself sizes every blob file).
 func IndexedBytes(entries []ManifestEntry) int64 {
 	var total int64

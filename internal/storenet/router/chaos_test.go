@@ -152,9 +152,6 @@ func TestChaosSweepSurvivesMemberKill(t *testing.T) {
 	if rs.Failovers+rs.UnderReplicatedPuts == 0 {
 		t.Fatalf("stats %+v: the kill left no trace", rs)
 	}
-	if rep.Replication == nil {
-		t.Fatal("sweep against a replicated backend reported no replication stats")
-	}
 
 	// (c) Restore, reconcile, converge: the breaker resets ride the
 	// member Reconciles, then one scrub pass repairs the replica debt.

@@ -108,7 +108,6 @@ type Router struct {
 var (
 	_ store.Backend          = (*Router)(nil)
 	_ store.Resilient        = (*Router)(nil)
-	_ store.Replicated       = (*Router)(nil)
 	_ obs.TraceContextSetter = (*Router)(nil)
 )
 
@@ -542,8 +541,34 @@ func (r *Router) MemberHealth() []MemberHealth {
 	return out
 }
 
-// ReplicationStats implements store.Replicated.
-func (r *Router) ReplicationStats() store.ReplicationStats {
+// ReplicationStats reports the router's health and repair traffic — the
+// replication-aware analogue of store.ResilienceStats. All fields are
+// counters since construction except Members, Healthy, Replication, and
+// PendingRepairs (point-in-time gauges).
+type ReplicationStats struct {
+	// Members is the ring size; Healthy is how many members currently
+	// answer their health signal; Replication is the configured factor R.
+	Members, Healthy, Replication int
+	// Failovers counts operations routed past an unhealthy or failing
+	// member to its ring successor (reads, writes, and lease claims).
+	Failovers int64
+	// UnderReplicatedPuts counts Puts acknowledged with fewer than R
+	// replica writes — durable, but owed a repair.
+	UnderReplicatedPuts int64
+	// ReadRepairs counts replicas healed opportunistically by a Get that
+	// observed a preferred member missing the blob it then found further
+	// along the ring.
+	ReadRepairs int64
+	// ScrubRepairs counts replicas healed by the anti-entropy scrubber;
+	// ScrubRuns counts completed scrub passes.
+	ScrubRepairs, ScrubRuns int64
+	// PendingRepairs gauges replica slots known to be missing their blob
+	// (failed replica writes not yet healed by read-repair or a scrub).
+	PendingRepairs int64
+}
+
+// ReplicationStats snapshots the router's replication counters.
+func (r *Router) ReplicationStats() ReplicationStats {
 	healthy := 0
 	for i := range r.members {
 		if r.healthy(i) {
@@ -554,7 +579,7 @@ func (r *Router) ReplicationStats() store.ReplicationStats {
 	if pending < 0 {
 		pending = 0
 	}
-	return store.ReplicationStats{
+	return ReplicationStats{
 		Members:             len(r.members),
 		Healthy:             healthy,
 		Replication:         r.rf,
@@ -573,7 +598,7 @@ func (r *Router) ReplicationStats() store.ReplicationStats {
 func (r *Router) CanDegrade() bool { return len(r.members) > 1 || r.local != nil }
 
 // Resilience implements store.Resilient, mapping replication traffic
-// onto the degraded-mode vocabulary fleet reports already speak:
+// onto the degraded-mode vocabulary of store.ResilienceStats:
 // Degraded is operations that routed around a member (failovers),
 // Deferred is Puts that landed under-replicated (durable, repair owed),
 // Reconciled is replicas healed (read-repair + scrub), Pending is
