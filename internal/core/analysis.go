@@ -35,17 +35,20 @@ type blockVerdict struct {
 // the last bits; detection, t_e and the verdict do not.
 //
 // Those sums are all the tail is read for, and before it only the band
-// matters, so the sink is a gpu.TailFolder. Until a block detects, Hears
-// tells the device which clock segments' iterations cannot enter the
-// band — such as the initial clock's, which phase 1's pair guard keeps
-// well clear of it — and those elapse undelivered. Once it has
-// detected, InTail says the rest of it is tail, and the device hands it
-// over in chunks of n, Σd and Σd² (Fold) wherever the clock holds
-// still. Detection, t_e and the iteration index are exact in
-// distribution, up to an iteration straying past the device's trusted
-// jitter bound; the tail's n and Σd are exact, its Σd² exact in
-// distribution, so the confirmation verdict and the block's end time are
-// exact in distribution, not in bits.
+// matters, so the sink is a gpu.TailFolder. Until a block detects, Band
+// gives the device the band, from which it works out which clock
+// segments' iterations cannot enter it — such as the initial clock's,
+// which phase 1's pair guard keeps well clear of it — and those elapse
+// undelivered; in a segment whose iterations reach it only through one
+// jitter tail, the device delivers only the iterations whose jitter
+// could. Once a block has detected, its band holds every duration,
+// InTail says the rest of it is tail, and the device hands it over in
+// chunks of n, Σd and Σd² (Fold) wherever the clock holds still.
+// Detection, t_e and the iteration index are exact in distribution, up
+// to an iteration straying past the device's trusted jitter bound; the
+// tail's n and Σd are exact, its Σd² exact in distribution, so the
+// confirmation verdict and the block's end time are exact in
+// distribution, not in bits.
 //
 // When no value on the device timer's lattice (multiples of its
 // quantum) can fall inside the band, no block can detect, and the sink
@@ -120,8 +123,7 @@ func bandReachable(mean, band float64, quantumNs int64) bool {
 // before the change is only known from its device timestamp, so the sink
 // wants every iteration from the first on — unless no iteration can
 // enter the band, in which case it wants none. Until the block detects,
-// Hears spares it the clock segments whose iterations cannot enter the
-// band either.
+// Band spares it the iterations that cannot enter the band either.
 func (s *detectSink) BlockStart(block, iters int) int {
 	s.blocks = append(s.blocks, blockVerdict{})
 	s.n, s.sumY, s.sumY2 = 0, 0, 0
@@ -131,11 +133,14 @@ func (s *detectSink) BlockStart(block, iters int) int {
 	return 0
 }
 
-// Hears implements gpu.TailFolder: an undetected block reacts only to
-// durations inside the band, so it hears a range of durations that
-// reaches the band. A NaN band rejects nothing, so it hears every range.
-func (s *detectSink) Hears(block int, loNs, hiNs float64) bool {
-	return !(hiNs/1e6 < s.target.Mean-s.band || loNs/1e6 > s.target.Mean+s.band)
+// Band implements gpu.TailFolder: an undetected block reacts only to
+// durations inside the band (a NaN band rejects nothing), a detected one
+// to every duration.
+func (s *detectSink) Band(block int) (loNs, hiNs float64) {
+	if s.blocks[block].detected {
+		return math.Inf(-1), math.Inf(1)
+	}
+	return (s.target.Mean - s.band) * 1e6, (s.target.Mean + s.band) * 1e6
 }
 
 // Sample implements gpu.SampleSink.

@@ -10,11 +10,12 @@ import (
 	"golatest/internal/stats"
 )
 
-// gateHidden keeps a TailFolder's fold and hides its gate: Hears hears
-// every range, so the device delivers every iteration before the tail.
+// gateHidden keeps a TailFolder's fold and hides its gate: its band
+// holds every duration, so the device neither skips a segment nor thins
+// one, and delivers every iteration before the tail.
 type gateHidden struct{ gpu.TailFolder }
 
-func (gateHidden) Hears(block int, loNs, hiNs float64) bool { return true }
+func (gateHidden) Band(block int) (loNs, hiNs float64) { return math.Inf(-1), math.Inf(1) }
 
 // gateDevice is one device and pair of the gate's distribution test.
 type gateDevice struct {
@@ -28,9 +29,13 @@ type gateDevice struct {
 	// minEarly is the least share of ungated kernels in which some block
 	// detects before the transition completes.
 	minEarly float64
+	// maxOneByOne, when positive, bounds the iterations the gated twins
+	// simulate one by one, as a share of the ungated twins' count.
+	maxOneByOne float64
 }
 
-// gateDevices are the two devices of TestGatedDetectionMatchesInDistribution.
+// gateDevices are the three devices of
+// TestGatedDetectionMatchesInDistribution.
 //
 // The near pair switches 1039 → 1000 MHz in 30 ms on a device with 1%
 // iteration jitter: initial-clock iterations last 144.37 µs, target ones
@@ -40,7 +45,16 @@ type gateDevice struct {
 // initial clock's mean, so its iterations reach the band now and then,
 // and some block of roughly one kernel in seven detects early. That is
 // within the gate's trusted jitter and must stay heard; a gate that
-// trusted only 3σ would skip it.
+// trusted only 3σ would skip it. Only the initial clock's upper jitter
+// tail can reach the band, so the device delivers only those
+// candidates: the gated twin must simulate under a tenth of the
+// ungated twin's iterations one by one.
+//
+// The lower near pair mirrors it: it switches 961 → 1000 MHz, so
+// initial-clock iterations last 150 µs and target ones 144.15 µs, and its
+// band (mean 144.15 µs, ±0.2 µs, holding the timer value 144 µs) lies
+// 3.77σ below the initial clock's mean: its candidates lie in the lower
+// jitter tail.
 //
 // The ramp device climbs 600 → 1200 MHz through 16 steps in 10 ms. Its
 // 9σ band reaches the last ramp steps, so every block detects mid-ramp,
@@ -55,11 +69,25 @@ func gateDevices() []gateDevice {
 			c.FreqsMHz = []float64{600, 1000, 1039, 1200}
 			c.IterJitterSigma = 0.01
 		},
-		config:     func(c *Config) { c.MaxLatencyHintNs = 40_000_000 },
-		pair:       Pair{InitMHz: 1039, TargetMHz: 1000},
-		targetMean: 0.150,
-		targetStd:  0.0001,
-		minEarly:   0.01,
+		config:      func(c *Config) { c.MaxLatencyHintNs = 40_000_000 },
+		pair:        Pair{InitMHz: 1039, TargetMHz: 1000},
+		targetMean:  0.150,
+		targetStd:   0.0001,
+		minEarly:    0.01,
+		maxOneByOne: 0.1,
+	}, {
+		name:  "lower near pair",
+		model: pairModel{upNs: 30_000_000, downNs: 30_000_000},
+		mutate: func(c *gpu.Config) {
+			c.FreqsMHz = []float64{600, 961, 1000, 1200}
+			c.IterJitterSigma = 0.01
+		},
+		config:      func(c *Config) { c.MaxLatencyHintNs = 40_000_000 },
+		pair:        Pair{InitMHz: 961, TargetMHz: 1000},
+		targetMean:  0.14415,
+		targetStd:   0.0001,
+		minEarly:    0.01,
+		maxOneByOne: 0.1,
 	}, {
 		name:  "ramp",
 		model: pairModel{upNs: 10_000_000, downNs: 5_000_000},
@@ -88,10 +116,11 @@ type gateOutcome struct {
 
 // runGated measures dev's pair once on a fresh device seeded with seed,
 // with the sink's gate or, with hide, without it, and returns each
-// block's outcome (nil when the warm-up did not settle). early marks a
-// detection that ended before the transition completed: on the near
-// pair, one at the initial clock.
-func runGated(t *testing.T, dev gateDevice, seed uint64, hide bool) []gateOutcome {
+// block's outcome (nil when the warm-up did not settle) and how many
+// iterations the measurement simulated one by one. early marks a
+// detection that ended before the transition completed: on a near pair,
+// one at the initial clock.
+func runGated(t *testing.T, dev gateDevice, seed uint64, hide bool) ([]gateOutcome, int64) {
 	t.Helper()
 	cfg := quickConfig(dev.pair.InitMHz, dev.pair.TargetMHz)
 	dev.config(&cfg)
@@ -108,9 +137,11 @@ func runGated(t *testing.T, dev gateDevice, seed uint64, hide bool) []gateOutcom
 	cycles := r.cyclesFor(dev.pair)
 	initStat := stats.MeanStd{N: 900, Mean: iterNsAt(cycles, dev.pair.InitMHz) / 1e6, Std: 0.001}
 	targetStat := stats.MeanStd{N: 900, Mean: dev.targetMean, Std: dev.targetStd}
+	before := r.dev.Sim().IterCounts().OneByOne
 	_, err = r.MeasureOnce(dev.pair, initStat, targetStat)
+	oneByOne := r.dev.Sim().IterCounts().OneByOne - before
 	if err == errInitUnstable {
-		return nil
+		return nil, oneByOne
 	}
 	if err != nil && err != errNoDetection && err != errConfirmFailed {
 		t.Fatal(err)
@@ -127,7 +158,7 @@ func runGated(t *testing.T, dev gateDevice, seed uint64, hide bool) []gateOutcom
 			latencyMs: float64(v.teDevNs-r.detect.tsDevNs) / 1e6,
 		}
 	}
-	return out
+	return out, oneByOne
 }
 
 // ksDistance returns the two-sample Kolmogorov–Smirnov statistic of a
@@ -151,16 +182,18 @@ func ksDistance(a, b []float64) float64 {
 }
 
 // TestGatedDetectionMatchesInDistribution checks that skipping the
-// clock segments a detector cannot hear leaves phase 3's outcome equal
-// in distribution. Over 2000 device seeds of two devices, one benchmark
-// kernel runs with the gate and, from the same seed, with the gate
-// hidden. Per block, the detect, early-detect and confirm rates must
-// match within 4 standard errors of their paired differences, the mean
-// latency of detecting blocks within 4 standard errors, and the
-// detection's iteration index must pass a two-sample KS test at
-// α = 0.001. The near pair's ungated kernels must detect early in at
-// least 1%, so a gate that skips iterations within its trusted jitter
-// fails the early-detect rate, the latency and the KS test.
+// clock segments a detector cannot hear, and thinning those it hears to
+// their candidates, leaves phase 3's outcome equal in distribution.
+// Over 2000 device seeds of three devices, one benchmark kernel runs
+// with the gate and, from the same seed, with the gate hidden. Per
+// block, the detect, early-detect and confirm rates must match within 4
+// standard errors of their paired differences, the mean latency of
+// detecting blocks within 4 standard errors, and the detection's
+// iteration index must pass a two-sample KS test at α = 0.001. The near
+// pairs' ungated kernels must detect early in at least 1%, so a gate
+// that skips iterations within its trusted jitter, or a thinning that
+// draws its candidates from the wrong tail or too rarely, fails the
+// early-detect rate, the latency and the KS test.
 func TestGatedDetectionMatchesInDistribution(t *testing.T) {
 	const seeds = 2000
 	for _, dev := range gateDevices() {
@@ -169,9 +202,12 @@ func TestGatedDetectionMatchesInDistribution(t *testing.T) {
 		var idx [2][]float64
 		var rates [2][3]int // detected, early, confirmed blocks
 		kernels, earlyKernels, unsettled := 0, 0, 0
+		var oneByOne [2]int64 // gated, ungated
 		for seed := uint64(1); seed <= seeds; seed++ {
-			g := runGated(t, dev, seed, false)
-			u := runGated(t, dev, seed, true)
+			g, gn := runGated(t, dev, seed, false)
+			u, un := runGated(t, dev, seed, true)
+			oneByOne[0] += gn
+			oneByOne[1] += un
 			if g == nil || u == nil {
 				if (g == nil) != (u == nil) {
 					t.Fatalf("%s, seed %d: the warm-up settled on one twin only", dev.name, seed)
@@ -232,11 +268,17 @@ func TestGatedDetectionMatchesInDistribution(t *testing.T) {
 		if got := frac(earlyKernels, kernels); got < dev.minEarly {
 			t.Errorf("%s: %.4f of ungated kernels detect early, want at least %.2f", dev.name, got, dev.minEarly)
 		}
-		t.Logf("%s: %d kernels (%d unsettled), %d blocks; detect %.4f/%.4f, early %.4f/%.4f (kernels %.4f), confirm %.4f/%.4f; latency %.4f/%.4f ms; KS %.4f",
+		share := float64(oneByOne[0]) / float64(oneByOne[1])
+		if dev.maxOneByOne > 0 && share >= dev.maxOneByOne {
+			t.Errorf("%s: the gated twins simulate %d iterations one by one, %.3f of the ungated twins' %d; want under %.2f",
+				dev.name, oneByOne[0], share, oneByOne[1], dev.maxOneByOne)
+		}
+		t.Logf("%s: %d kernels (%d unsettled), %d blocks; detect %.4f/%.4f, early %.4f/%.4f (kernels %.4f), confirm %.4f/%.4f; latency %.4f/%.4f ms; KS %.4f; one by one %d/%d (%.3f)",
 			dev.name, kernels, unsettled, blocks,
 			frac(rates[0][0], blocks), frac(rates[1][0], blocks),
 			frac(rates[0][1], blocks), frac(rates[1][1], blocks), frac(earlyKernels, kernels),
-			frac(rates[0][2], blocks), frac(rates[1][2], blocks), g.Mean, u.Mean, ks)
+			frac(rates[0][2], blocks), frac(rates[1][2], blocks), g.Mean, u.Mean, ks,
+			oneByOne[0], oneByOne[1], share)
 	}
 }
 

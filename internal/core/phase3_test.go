@@ -217,7 +217,9 @@ func (c *tailCounter) BlockEnd(block int) {
 
 // foldHidden keeps a TailFolder's gate and hides its fold: InTail never
 // reports a tail, so the device delivers one by one every iteration the
-// gate lets through.
+// gate lets through. It keeps Band, so it thins a block's segments
+// exactly as the folding twin does up to its detection; from there the
+// detectSink's band holds every duration, and nothing is thinned.
 type foldHidden struct{ gpu.TailFolder }
 
 func (foldHidden) InTail(block int) bool { return false }

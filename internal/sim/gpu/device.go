@@ -121,8 +121,8 @@ type IterCounts struct {
 	// OneByOne iterations each drew their own jitter.
 	OneByOne int64
 	// Skipped iterations elapsed undelivered, in chunks of one draw per
-	// clock segment: prefixes no sink reads, and segments a TailFolder
-	// does not hear.
+	// clock segment: prefixes no sink reads, segments a TailFolder does
+	// not hear, and the non-candidates of segments it hears.
 	Skipped int64
 	// Folded iterations reached a TailFolder's Fold, in chunks of one
 	// draw per clock segment.
@@ -281,7 +281,8 @@ func (d *Device) LaunchWithSink(spec KernelSpec, sink SampleSink) error {
 		return fmt.Errorf("gpu: %s: nil sink", d.cfg.Name)
 	}
 	folder, _ := sink.(TailFolder)
-	return d.enqueue(launch{spec: spec, sink: sink, folder: folder})
+	_, meanOnly := sink.(*TailSink)
+	return d.enqueue(launch{spec: spec, sink: sink, folder: folder, meanOnly: meanOnly})
 }
 
 // enqueue validates l's spec, charges the launch overhead and queues l.
@@ -406,24 +407,34 @@ func (d *Device) materialize(k *launch) {
 // roundNs(μ·(n + σ·√n·Z)) for one standard normal Z from the SM's
 // stream. A sum of iid normals is normal, so the chunk matches the
 // per-iteration sum in distribution; chunkIters keeps it clear of the
-// segment's end, so a chunk never crosses wakeEnd either. Three kinds of
+// segment's end, so a chunk never crosses wakeEnd either. Four kinds of
 // iteration chunk this way:
 //   - those before the sink's first wanted one, which are not delivered
 //     (a sink that declines the block wants none of them);
 //   - a TailFolder's iterations in a segment it does not hear: while its
-//     block is not in the tail, the device asks Hears once per segment
-//     whether an iteration of the segment's nominal device duration,
-//     give or take trustSigmas·σ·μ plus one timer quantum and rounding,
-//     could change the sink's state. If not, the segment's share elapses
+//     block is not in the tail, the device asks Band on entering each
+//     segment (gate). If no iteration of the segment's nominal device
+//     duration, give or take trustSigmas·σ·μ plus one timer quantum and
+//     rounding, can reach the band, the segment's share elapses
 //     undelivered, and the next delivered iteration takes a fresh start
 //     stamp;
+//   - a TailFolder's non-candidates in a segment it hears: when only
+//     jitter draws in one interval of probability under thinBelow can
+//     reach the band, the device draws how many draws outside it come
+//     before the next one inside, lets them elapse in one chunk with
+//     the moments of a draw outside (thin.go), and delivers the
+//     candidate with its draw from the truncated normal. After each
+//     candidate it asks Band again;
 //   - a TailFolder's tail, from the first iteration at which InTail
 //     reports true (asked after BlockStart and after each delivered
 //     iteration). A tail chunk of at least minFoldIters iterations is
 //     handed over through Fold: its n, its exact Σd (the chunk's
 //     quantised device-time end minus its start) and a draw of its Σd²
-//     (fold.go). Shorter runs, and tails whose jitter is under
-//     minFoldJitter timer quanta, are delivered one by one.
+//     (fold.go), or 0 for a TailSink, which reads no Σd². Shorter runs,
+//     and other sinks' tails whose jitter is under minFoldJitter timer
+//     quanta, are delivered one by one.
+//
+// Skipped counts the first three kinds, Folded the last.
 //
 // A device whose IterJitterSigma exceeds 0.05 never chunks, as the 0.5
 // jitter clamp would sit within trustSigmas·σ. Every other iteration
@@ -461,11 +472,14 @@ func (d *Device) runSM(k *launch, sm int, start, wakeEnd int64, r *clock.Rand) i
 	chunks := sigma <= 0.05
 	// tail: the sink folds from here on; folding: it still may (false
 	// once the jitter proves too small to fold); deaf: the block, not
-	// yet in the tail, cannot hear the cached segment's iterations.
+	// yet in the tail, cannot hear the cached segment's iterations;
+	// thin: it hears them, but only candidates (th) can reach its band;
+	// regate: the block's band is asked again before the next iteration.
 	folder := k.folder
 	tail := folder != nil && folder.InTail(sm)
 	folding := folder != nil
-	var deaf bool
+	var deaf, thin, regate bool
+	var th thinning
 	skipped, folded := 0, 0
 	for i := 0; i < iters; i++ {
 		if t >= segEnd {
@@ -478,8 +492,17 @@ func (d *Device) runSM(k *launch, sm int, start, wakeEnd int64, r *clock.Rand) i
 				f = d.clampMHz
 			}
 			rate = f * speed / 1000
-			deaf = folder != nil && !tail && chunks && !d.hears(folder, sm, k.spec.CyclesPerIter/rate, sigma)
+			regate = true
 		}
+		if regate {
+			regate, deaf, thin = false, false, false
+			if folder != nil && !tail && chunks {
+				deaf, thin, th = d.gate(folder, sm, k.spec.CyclesPerIter/rate, sigma)
+			}
+		}
+		// z is a candidate's jitter draw, when drawn is set.
+		var z float64
+		drawn := false
 		if chunks {
 			mu := k.spec.CyclesPerIter / rate
 			skip := from - i
@@ -496,25 +519,50 @@ func (d *Device) runSM(k *launch, sm int, start, wakeEnd int64, r *clock.Rand) i
 				}
 			} else if tail && folding {
 				if n := chunkIters(iters-i, t, segEnd, mu, sigma); n >= minFoldIters {
-					if c := d.foldCoef(mu); c == nil {
-						folding = false
-					} else {
+					var c *foldCoef // nil for a mean-only sink
+					if !k.meanOnly {
+						c = d.foldCoef(mu)
+						folding = c != nil
+					}
+					if folding {
 						if stale {
 							devT, stale = d.DeviceTimeAt(t), false
 						}
 						t += chunkNs(r, n, mu, sigma)
 						end := d.DeviceTimeAt(t)
 						sum := end - devT
-						folder.Fold(sm, n, sum, c.sumSquares(r, n, sum))
+						var sumSq int64
+						if c != nil {
+							sumSq = c.sumSquares(r, n, sum)
+						}
+						folder.Fold(sm, n, sum, sumSq)
 						devT = end
 						i += n - 1
 						folded += n
 						continue
 					}
 				}
+			} else if thin {
+				if n := chunkIters(iters-i, t, segEnd, mu, sigma); n > 0 {
+					miss := th.misses(r, n)
+					if miss > 0 {
+						t += th.missNs(r, miss, mu, sigma)
+						skipped += miss
+						stale = true
+					}
+					if miss == n {
+						i += n - 1
+						continue
+					}
+					i += miss
+					z, drawn = th.candidate(r), true
+				}
 			}
 		}
-		jitter := r.Normal(1, sigma)
+		jitter := 1 + sigma*z
+		if !drawn {
+			jitter = r.Normal(1, sigma)
+		}
 		if jitter < 0.5 {
 			jitter = 0.5 // guard the pathological tail; keeps time positive
 		}
@@ -537,6 +585,7 @@ func (d *Device) runSM(k *launch, sm int, start, wakeEnd int64, r *clock.Rand) i
 				k.sink.Sample(sm, i, s)
 				if folder != nil && !tail {
 					tail = folder.InTail(sm)
+					regate = thin
 				}
 			}
 		}
@@ -555,18 +604,42 @@ func (d *Device) runSM(k *launch, sm int, start, wakeEnd int64, r *clock.Rand) i
 
 // trustSigmas is how many jitter standard deviations a chunk trusts an
 // iteration never to stray: chunkIters keeps a chunk that far clear of
-// its segment's end, and hears widens an iteration's nominal duration
-// by as much before asking a sink whether it could hear it.
+// its segment's end, and gate widens an iteration's nominal duration by
+// as much before comparing it with a sink's band.
 const trustSigmas = 10
 
-// hears asks folder whether block could hear an iteration of nominal
-// host duration mu ns and relative jitter sigma: one whose device-clock
-// duration lies within trustSigmas·σ·μ, one timer quantum and 2 ns of
-// rounding of the nominal one.
-func (d *Device) hears(folder TailFolder, block int, mu, sigma float64) bool {
-	devMu := mu * (1 + d.cfg.ClockDriftPPM/1e6)
-	margin := trustSigmas*sigma*devMu + float64(d.cfg.TimerQuantumNs) + 2
-	return folder.Hears(block, devMu-margin, devMu+margin)
+// gate asks folder for block's band and returns how block hears the
+// iterations of a segment whose nominal host duration is mu ns and
+// relative jitter sigma. deaf: none of them can reach the band, as none
+// lasts beyond trustSigmas·σ·μ, one timer quantum and 2 ns of rounding of
+// the nominal device-clock duration. Otherwise thin, with th, when only
+// the rare jitter draws of th's candidate interval can (thin.go).
+func (d *Device) gate(folder TailFolder, block int, mu, sigma float64) (deaf, thin bool, th thinning) {
+	lo, hi := folder.Band(block)
+	scale := 1 + d.cfg.ClockDriftPPM/1e6
+	devMu := mu * scale
+	slack := float64(d.cfg.TimerQuantumNs) + 2
+	margin := trustSigmas*sigma*devMu + slack
+	if hi < devMu-margin || lo > devMu+margin {
+		return true, false, th
+	}
+	if sigma <= 0 {
+		return false, false, th
+	}
+	zLo, zHi := candidateZ(lo, hi, mu, sigma, scale, slack)
+	if clamp := -0.5 / sigma; zLo <= clamp && clamp <= zHi {
+		return false, false, th // clamped draws would be candidates too
+	}
+	th, thin = newThinning(zLo, zHi)
+	return false, thin, th
+}
+
+// candidateZ returns the interval of jitter draws z whose iteration, of
+// nominal host duration mu ns and jitter 1 + sigma·z, can last between lo
+// and hi device ns: its host duration, scaled by the drift, within slack
+// of the band, widened by 1 ns for rounding to whole nanoseconds.
+func candidateZ(lo, hi, mu, sigma, scale, slack float64) (zLo, zHi float64) {
+	return ((lo-slack)/scale - 1 - mu) / (sigma * mu), ((hi+slack)/scale + 1 - mu) / (sigma * mu)
 }
 
 // foldCoef returns the tail-fold coefficients for iterations of nominal

@@ -535,17 +535,38 @@ func TestReplicaKeepsChip(t *testing.T) {
 	}
 }
 
+// squaresSink is a TailSink that also reads each fold's Σd², so the
+// device folds its window with fold tables, as for a sink that is not
+// mean-only.
+type squaresSink struct {
+	*TailSink
+	sumSqNs int64
+}
+
+func (s *squaresSink) Fold(block, n int, sumNs, sumSqNs int64) {
+	s.TailSink.Fold(block, n, sumNs, sumSqNs)
+	s.sumSqNs += sumSqNs
+}
+
 // TestReplicaBuildsNoFoldTableItsChipHas: a replica folds with its
-// chip's fold tables. The same warm-up kernel on the source and then on
-// a replica folds at the same durations, so the replica adds no table;
-// its handle on each is its own (so is its last-length memo), and a
-// table a replica builds first is the source's too.
+// chip's fold tables. The same warm-up-like kernel, folded through a sink
+// that reads Σd², on the source and then on a replica folds at the same
+// durations, so the replica adds no table; its handle on each is its own
+// (so is its last-length memo), and a table a replica builds first is
+// the source's too. The TailSink itself builds no table.
 func TestReplicaBuildsNoFoldTableItsChipHas(t *testing.T) {
 	d, _ := newTestDevice(t, testConfig())
 	spec := KernelSpec{Iters: 600, CyclesPerIter: 120_000, Blocks: 4}
+	if err := d.LaunchWithSink(spec, NewTailSink(100)); err != nil {
+		t.Fatal(err)
+	}
+	d.Synchronize()
+	if n := len(d.chip.folds); n != 0 || d.IterCounts().Folded == 0 {
+		t.Fatalf("a TailSink folded %d iterations with %d fold tables, want some with none", d.IterCounts().Folded, n)
+	}
 	warm := func(dev *Device) {
 		t.Helper()
-		if err := dev.LaunchWithSink(spec, NewTailSink(100)); err != nil {
+		if err := dev.LaunchWithSink(spec, &squaresSink{TailSink: NewTailSink(100)}); err != nil {
 			t.Fatal(err)
 		}
 		dev.Synchronize()
@@ -580,10 +601,10 @@ func TestReplicaBuildsNoFoldTableItsChipHas(t *testing.T) {
 	}
 }
 
-// TestReplicasFoldConcurrently runs warm-up kernels on replicas of one
-// chip from several goroutines at once, so the race detector sees the
-// shared fold tables, and checks each replica ends where the same
-// replica run alone ends.
+// TestReplicasFoldConcurrently runs warm-up-like kernels, folded
+// through a sink that reads Σd², on replicas of one chip from several
+// goroutines at once, so the race detector sees the shared fold tables,
+// and checks each replica ends where the same replica run alone ends.
 func TestReplicasFoldConcurrently(t *testing.T) {
 	d, _ := newTestDevice(t, testConfig())
 	spec := KernelSpec{Iters: 600, CyclesPerIter: 120_000, Blocks: 4}
@@ -596,7 +617,7 @@ func TestReplicasFoldConcurrently(t *testing.T) {
 			if _, err := r.SetFrequency(f); err != nil {
 				return 0, err
 			}
-			if err := r.LaunchWithSink(spec, NewTailSink(100)); err != nil {
+			if err := r.LaunchWithSink(spec, &squaresSink{TailSink: NewTailSink(100)}); err != nil {
 				return 0, err
 			}
 			r.Synchronize()

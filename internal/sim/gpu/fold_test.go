@@ -100,9 +100,9 @@ func (s *tailSink) Sample(block, iter int, smp IterSample) {
 
 func (s *tailSink) BlockEnd(block int) {}
 
-// Hears hears every iteration, so detection stays the per-iteration
+// Band hears every iteration, so detection stays the per-iteration
 // path's and only the fold differs between the twins.
-func (s *tailSink) Hears(block int, loNs, hiNs float64) bool { return true }
+func (s *tailSink) Band(block int) (loNs, hiNs float64) { return math.Inf(-1), math.Inf(1) }
 
 func (s *tailSink) InTail(block int) bool { return s.blocks[block].detected }
 

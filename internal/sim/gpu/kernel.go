@@ -60,6 +60,7 @@ type launch struct {
 	enqueuedNs int64
 	sink       SampleSink
 	folder     TailFolder // sink, when it folds tails
+	meanOnly   bool       // sink is a TailSink, which reads no fold's Σd²
 	kernel     *Kernel    // Launch's handle; nil for a streamed kernel
 }
 

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math"
 	"sync"
 
 	"golatest/internal/stats"
@@ -36,8 +37,8 @@ import (
 // only its SampleSink methods show. Its samples and the kernel's timing
 // are bit-identical to Launch's. Every other sink gets samples and a
 // kernel end that are reproducible per seed and equal in distribution,
-// not in bits, to a fully delivered kernel's. A TailFolder whose Hears
-// never answers false and whose InTail starts false gets each block's
+// not in bits, to a fully delivered kernel's. A TailFolder whose Band
+// is infinite and whose InTail starts false gets each block's
 // materialised iterations up to its first fold.
 type SampleSink interface {
 	// BlockStart announces that block will execute iters iterations and
@@ -55,41 +56,51 @@ type SampleSink interface {
 // wherever it can. The device type-asserts it once per kernel, at
 // launch.
 //
-// Before its tail, the sink reacts only to iterations whose duration
-// lies in some band — such as phase 3's detector before it detects. On
-// each constant-clock segment (the wake window being one), the device
-// asks Hears once whether an iteration of the segment's nominal
-// duration, widened by the jitter the device trusts to hold and one
-// timer quantum, could change the sink's state; if not, the segment's
-// share elapses undelivered, in one draw per chunk, like a skipped
-// prefix.
+// Before its tail, the sink reacts only to iterations whose device
+// duration lies in its Band — such as phase 3's detector before it
+// detects. The device asks Band on entering each constant-clock segment
+// (the wake window being one) and after each iteration it delivers in a
+// thinned segment, and derives two things from it (see runSM):
+//   - the segment gate: if no iteration of the segment's nominal
+//     duration, widened by the jitter the device trusts to hold and one
+//     timer quantum, can reach the band, the segment's share elapses
+//     undelivered, in one draw per chunk, like a skipped prefix;
+//   - the candidates: if the segment is heard, but only jitter draws in
+//     one rare interval can reach the band (thin.go), the iterations
+//     outside it elapse undelivered in one draw per run, and only the
+//     candidates are delivered.
+//
+// A band with a NaN bound reacts to every duration, as does an infinite
+// one.
 //
 // From some iteration of a block on, the sink reads the rest of that
 // block only through its count, its duration sum and its sum of squared
 // durations — such as phase 3's confirmation population, which only
-// enters a mean-difference test, or the warm-up check's window mean. The
-// device asks InTail after BlockStart and after each iteration it
-// delivers. From the first true on, the block's remaining iterations
-// arrive in order, each exactly once, either through Sample or in
-// chunks through Fold: on a device whose IterJitterSigma is at most
-// 0.05, each constant-clock segment's share that fits clear of the
-// segment's end takes one chunk; short remainders and tails whose
-// jitter is under minFoldJitter timer quanta are still delivered one by
-// one. A chunk's host-time span is one normal draw, as for a skipped
-// prefix. Its n is exact, its Σd is exactly the device-time span that
-// draw gives (the quantised durations telescope), and its Σd² is drawn
-// from its distribution, timer quantisation included (see fold.go).
+// enters a mean-difference test. The device asks InTail after
+// BlockStart and after each iteration it delivers. From the first true
+// on, the block's remaining iterations arrive in order, each exactly
+// once, either through Sample or in chunks through Fold: on a device
+// whose IterJitterSigma is at most 0.05, each constant-clock segment's
+// share that fits clear of the segment's end takes one chunk; short
+// remainders and tails whose jitter is under minFoldJitter timer quanta
+// are still delivered one by one. A chunk's host-time span is one normal
+// draw, as for a skipped prefix. Its n is exact, its Σd is exactly the
+// device-time span that draw gives (the quantised durations telescope),
+// and its Σd² is drawn from its distribution, timer quantisation
+// included (see fold.go). The warm-up check's TailSink reads only n and
+// Σd: the device hands it 0 for Σd², draws no fold table for it, and
+// folds its window whatever the jitter.
 type TailFolder interface {
 	SampleSink
-	// Hears reports whether block, not yet in its tail, could react to
-	// an iteration lasting between loNs and hiNs device-clock ns.
-	Hears(block int, loNs, hiNs float64) bool
+	// Band returns the device-clock durations, in ns, that block, not
+	// yet in its tail, could react to: [loNs, hiNs].
+	Band(block int) (loNs, hiNs float64)
 	// InTail reports whether every iteration of block after the last
 	// delivered one is tail. Once true, it stays true for the block.
 	InTail(block int) bool
 	// Fold delivers the next n iterations of block at once: sumNs is the
 	// sum of their quantised durations and sumSqNs a draw of the sum of
-	// their squares, in ns².
+	// their squares, in ns² (0 for a TailSink).
 	Fold(block, n int, sumNs, sumSqNs int64)
 }
 
@@ -138,7 +149,8 @@ func (s *MomentSink) ExcessKurtosis() float64 { return s.total.ExcessKurtosis() 
 // and the iterations before them elapse in one draw per clock segment.
 // The window's mean is all the check reads, so the sink is a
 // TailFolder whose tail is the whole window: the device folds it too,
-// wherever the clock holds still.
+// wherever the clock holds still, and, knowing the sink reads no Σd²,
+// draws none.
 //
 // A TailSink is reusable: Reset clears it for the next kernel while
 // keeping the per-block slice allocation.
@@ -181,9 +193,9 @@ func (s *TailSink) Sample(block, iter int, smp IterSample) {
 // BlockEnd implements SampleSink.
 func (s *TailSink) BlockEnd(block int) {}
 
-// Hears implements TailFolder; it is never asked, as the whole window
-// is tail.
-func (s *TailSink) Hears(block int, loNs, hiNs float64) bool { return true }
+// Band implements TailFolder; it is never asked, as the whole window is
+// tail.
+func (s *TailSink) Band(block int) (loNs, hiNs float64) { return math.Inf(-1), math.Inf(1) }
 
 // InTail implements TailFolder: every wanted iteration is tail.
 func (s *TailSink) InTail(block int) bool { return true }

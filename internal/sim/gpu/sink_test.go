@@ -211,7 +211,7 @@ func (s *gateSink) Sample(block, iter int, smp IterSample) {
 
 func (s *gateSink) BlockEnd(block int) {}
 
-func (s *gateSink) Hears(block int, loNs, hiNs float64) bool { return hiNs >= s.lo && loNs <= s.hi }
+func (s *gateSink) Band(block int) (loNs, hiNs float64) { return s.lo, s.hi }
 
 func (s *gateSink) InTail(block int) bool { return false }
 
@@ -220,49 +220,63 @@ func (s *gateSink) Fold(block, n int, sumNs, sumSqNs int64) {
 }
 
 // TestGateSkipsUnheardSegments runs the wake-window + ramp kernel
-// (1200 MHz, ramping through 1000 and 800 to 600 MHz) into a sink that
-// hears only the 600 MHz iterations' durations. The wake window (at the
-// 300 MHz idle clock), the 1200 MHz segment and both ramp steps must
-// elapse undelivered, in chunks, while the iterations near each
-// segment's end and every 600 MHz iteration arrive one by one: the
-// iterations delivered are exactly those the device simulated one by
-// one, those plus the skipped ones are every iteration of every block,
-// and each delivered iteration takes a fresh start stamp after a skip,
-// so none lasts longer than an idle-clock iteration's 400 µs plus its
-// jitter.
+// (1200 MHz, ramping through 1000 and 800 to 600 MHz) into sinks that
+// hear only durations near the 600 MHz iterations' 200 µs. The wake
+// window (at the 300 MHz idle clock), the 1200 MHz segment and both ramp
+// steps must elapse undelivered, in chunks, while the iterations near
+// each segment's end arrive one by one. A sink whose band holds the
+// 600 MHz iterations' bulk gets every one of them, up to the block's
+// last; a sink whose band lies in their upper jitter tail (candidates
+// from 2.6σ up on the slowest SM, so p < 0.005) gets only the
+// candidates of that heard segment, the others elapsing undelivered
+// too, and must simulate under a tenth of the first sink's iterations
+// one by one. In both, the iterations delivered are exactly those
+// the device simulated one by one, those plus the skipped ones are every
+// iteration of every block, and each delivered iteration takes a fresh
+// start stamp after a skip, so none lasts longer than an idle-clock
+// iteration's 400 µs plus its jitter.
 func TestGateSkipsUnheardSegments(t *testing.T) {
-	cfg := wakeRampConfig()
 	spec := KernelSpec{Iters: 300, CyclesPerIter: 120_000, Blocks: 4}
-	sink := &gateSink{t: t, lo: 195_000, hi: 205_000}
-	dev, clk := newTestDevice(t, cfg)
-	launchOn(t, dev, spec, sink)
-	clk.Advance(6_000_000)
-	if _, err := dev.SetFrequency(600); err != nil {
-		t.Fatal(err)
-	}
-	dev.Synchronize()
-	c := dev.IterCounts()
-	delivered, inBand := 0, 0
-	for b, block := range sink.got {
-		if sink.last[b] != spec.Iters-1 {
-			t.Fatalf("block %d: last delivered iteration %d, want %d", b, sink.last[b], spec.Iters-1)
+	run := func(lo, hi float64, toEnd bool) (sink *gateSink, c IterCounts, inBand int) {
+		t.Helper()
+		sink = &gateSink{t: t, lo: lo, hi: hi}
+		dev, clk := newTestDevice(t, wakeRampConfig())
+		launchOn(t, dev, spec, sink)
+		clk.Advance(6_000_000)
+		if _, err := dev.SetFrequency(600); err != nil {
+			t.Fatal(err)
 		}
-		delivered += len(block)
-		for _, s := range block {
-			if d := s.DurNs(); d > 420_000 {
-				t.Fatalf("block %d: a delivered iteration lasts %d ns", b, d)
-			} else if d >= 195_000 && d <= 205_000 {
-				inBand++
+		dev.Synchronize()
+		c = dev.IterCounts()
+		delivered := 0
+		for b, block := range sink.got {
+			if toEnd && sink.last[b] != spec.Iters-1 {
+				t.Fatalf("band [%v, %v], block %d: last delivered iteration %d, want %d", lo, hi, b, sink.last[b], spec.Iters-1)
+			}
+			delivered += len(block)
+			for _, s := range block {
+				if d := s.DurNs(); d > 420_000 {
+					t.Fatalf("band [%v, %v], block %d: a delivered iteration lasts %d ns", lo, hi, b, d)
+				} else if float64(d) >= lo && float64(d) <= hi {
+					inBand++
+				}
 			}
 		}
+		if int64(delivered) != c.OneByOne || c.Folded != 0 || c.OneByOne+c.Skipped != int64(spec.Iters*spec.Blocks) {
+			t.Fatalf("band [%v, %v]: %d iterations delivered; device counts %+v for %d", lo, hi, delivered, c, spec.Iters*spec.Blocks)
+		}
+		t.Logf("band [%v, %v]: %d delivered (%d in the band), %d skipped", lo, hi, delivered, inBand, c.Skipped)
+		return sink, c, inBand
 	}
-	if int64(delivered) != c.OneByOne || c.Folded != 0 || c.OneByOne+c.Skipped != int64(spec.Iters*spec.Blocks) {
-		t.Fatalf("%d iterations delivered; device counts %+v for %d", delivered, c, spec.Iters*spec.Blocks)
+	_, heard, inBand := run(195_000, 205_000, true)
+	if heard.Skipped == 0 || inBand == 0 {
+		t.Fatalf("%d iterations skipped, %d delivered in the band", heard.Skipped, inBand)
 	}
-	if c.Skipped == 0 || inBand == 0 {
-		t.Fatalf("%d iterations skipped, %d delivered in the band", c.Skipped, inBand)
+	_, thinned, _ := run(203_000, 204_000, false)
+	if 10*thinned.OneByOne > heard.OneByOne {
+		t.Fatalf("the thinned kernel simulates %d iterations one by one, the heard one %d: want under a tenth",
+			thinned.OneByOne, heard.OneByOne)
 	}
-	t.Logf("%d delivered (%d in the band), %d skipped", delivered, inBand, c.Skipped)
 }
 
 // TestSkippedPrefixMatchesInDistribution checks that skipped iterations

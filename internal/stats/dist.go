@@ -10,7 +10,9 @@ func NormalCDF(x float64) float64 {
 
 // NormalQuantile returns Φ⁻¹(p) for p in (0, 1) using Acklam's rational
 // approximation (relative error below 1.15e-9), refined with one Halley
-// step. It returns ±Inf at the boundaries and NaN outside [0, 1].
+// step, which takes Φ of a negative x from erfc, so that the lower tail
+// stays exact down to p = 1e-300. It returns ±Inf at the boundaries and
+// NaN outside [0, 1].
 func NormalQuantile(p float64) float64 {
 	switch {
 	case math.IsNaN(p) || p < 0 || p > 1:
@@ -60,8 +62,13 @@ func NormalQuantile(p float64) float64 {
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
 	}
 
-	// One Halley refinement step against the exact CDF.
-	e := NormalCDF(x) - p
+	// One Halley refinement step against the exact CDF. Below the
+	// median, 1 + erf(x/√2) cancels: there Φ comes from erfc.
+	cdf := NormalCDF(x)
+	if x < 0 {
+		cdf = math.Erfc(-x/math.Sqrt2) / 2
+	}
+	e := cdf - p
 	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
 	x -= u / (1 + x*u/2)
 	return x

@@ -48,6 +48,18 @@ func TestNormalQuantileBoundaries(t *testing.T) {
 	}
 }
 
+// TestNormalQuantileFarTail checks NormalQuantile deep in the lower
+// tail, down to p = 1e-300, against Φ computed from erfc, which stays
+// exact there (1 + erf cancels below about p = 1e-9).
+func TestNormalQuantileFarTail(t *testing.T) {
+	for p := 0.02; p > 1e-300; p /= 9 {
+		x := NormalQuantile(p)
+		if got := math.Erfc(-x/math.Sqrt2) / 2; math.Abs(got-p) > 1e-12*p {
+			t.Fatalf("Φ(NormalQuantile(%g)) = %g", p, got)
+		}
+	}
+}
+
 // Property: NormalQuantile inverts NormalCDF across the usable range.
 func TestNormalQuantileRoundTripProperty(t *testing.T) {
 	f := func(seed float64) bool {

@@ -342,22 +342,22 @@ func TestV3NaNCanonicalization(t *testing.T) {
 // compress/flate, so these hold across Go releases; any change to them
 // changes every blob in every store and needs a SchemaVersion bump.
 // The body starts with the schema, so each bump re-pins them (last at
-// schema 7).
+// schema 8).
 func TestV3GoldenBytes(t *testing.T) {
 	k := Key{Digest: "cafe", Profile: "a100-sxm4", Instance: 2}
 	golden := map[string]struct {
 		rawBytes int64
 		bodySHA  string
 	}{
-		"clusters":         {683, "be3d666e79507469fef26a07d9a74fbd8cfa54f0f75065288d2e640190b5d78b"},
-		"codec-fixture":    {56133, "245a76bb1e705928b8269cf91e052f006c8c109c8b2c4c5249bc0c9e76945948"},
-		"empty-slices":     {78, "154def2776e52ac420a97b31bcad804a27689669ffe02dc64c5c1c2f39d88094"},
-		"float-switches":   {452, "be80b98ebc3da2ad479dd41cc0d3188bb5d93c1aa80aa3f30e97ce5f90d5d8c5"},
-		"measurements":     {434, "4148caf76c7a090e3c0d86e266c062481dfb09934e8b2a0054201be64bb9194e"},
-		"nil-pair-element": {230, "a388dad662f529e3d9b6090fca093d6a25c31ba0c374af91a1baaf0b1d15779e"},
-		"strings":          {339, "e3c328dd4e315a0692c025b6e47aaaf60e586982526749c8794639d8b35c5dbc"},
-		"test-fixture":     {725, "8168e56d2cd157e8e821ab235195e95b89fe6711c5ce7184e174e7adfd005483"},
-		"zero":             {62, "88d47adb92d42582ff41584e713c5c0f713b479daa4902f59eeebf4dd28815d8"},
+		"clusters":         {683, "f67328b1b96250a404da6c37a81178b3d53e12ed30829b76de98c79d3e00cad6"},
+		"codec-fixture":    {56133, "62c24dd616c9e97a64439bc95ac97a96877ba98d9d1a7c87d1fc196bd72b9785"},
+		"empty-slices":     {78, "61effa4576ca41a1ffb96bb65c8aa4b17c3a09cf9db2e2eb426fa9cbe7931a5d"},
+		"float-switches":   {452, "a5728fdd0d50568bb55ded3a607d4a01f4137478f774ec02905fcbb817becf7f"},
+		"measurements":     {434, "55cfaa9cf79e9d88362504d88de9a491497edeea89c203d64dedd48e1c3269b4"},
+		"nil-pair-element": {230, "8d46046ca10185fa1f780dd3f50307afa81be0c0160a5841afd181f2c6acbed0"},
+		"strings":          {339, "317773991ce02361bec48dd712bbc795bd75b44be5ea6cc74a24c2935f4af788"},
+		"test-fixture":     {725, "7d5c183df784fd055c7681bc7b6bd8f01590d9730b6fa0049444424ba552a612"},
+		"zero":             {62, "b4b30c58282f5f7de3170231f9c5859135c8c7d049a01763e44c0b0e2f606946"},
 	}
 	fixtures := adversarialResults()
 	if len(fixtures) != len(golden) {

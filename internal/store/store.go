@@ -96,7 +96,11 @@ import (
 // so results are equal in distribution, not in bits; and the phase-1
 // normality flag judges a population against the timer-quantised
 // normal, not a continuous one, so a clean clock is no longer flagged.
-const SchemaVersion = 7
+// 8: before a block detects, phase 3 delivers from a heard segment only
+// the iterations whose jitter could reach the band, the rest elapsing in
+// one draw per run of them, and the warm-up check's folds draw no Σd²,
+// so results are equal in distribution, not in bits.
+const SchemaVersion = 8
 
 // tmpPrefix marks staging files; the leading dot keeps them out of every
 // blob scan.

@@ -39,17 +39,22 @@ go vet ./internal/obs/...
 
 echo "== simulator distribution gates (-count=1) =="
 # The skipped warm-up prefix, the folded confirmation tail and warm-up
-# window, the phase-3 band gate, the wake-window chunks and phase 1's
-# declined warm kernels are exact in distribution, not in bits, so
-# seeded statistical tests guard them: over 2000 device seeds each,
-# against a simulated quantised walk, folded against per-iteration
-# kernels, gated against ungated ones and declined against streamed
-# ones from the same state. Beside them: a replica shares its chip's
-# fold tables, the phase-1 normality flag's 400-seed false-alarm rate
-# and positive controls against the quantised normal, and a
-# steady-state MeasureOnce allocating nothing. go test ./... above may
-# have replayed a cached pass; these must run.
-go test -count=1 -run '^(TestSkippedPrefixMatchesInDistribution|TestFoldedTailMatchesInDistribution|TestTailMomentsMatchQuantisedWalk|TestGateSkipsUnheardSegments|TestWakeChunkMatchesInDistribution|TestReplicaBuildsNoFoldTableItsChipHas)$' ./internal/sim/gpu
+# window, the phase-3 band gate and its thinning to candidates, the
+# wake-window chunks and phase 1's declined warm kernels are exact in
+# distribution, not in bits, so seeded statistical tests guard them:
+# over 2000 device seeds each, against a simulated quantised walk,
+# folded against per-iteration kernels, gated and thinned against
+# ungated ones (near pairs with candidates in either jitter tail) and
+# declined against streamed ones from the same state. The thinning's
+# draws have their own checks: the truncated normal against its CDF in
+# both tails, the geometric count's mean, a non-candidate's moments,
+# and the candidate interval against every iteration of a device with
+# thinning hidden. Beside them: a replica shares its chip's fold
+# tables, the phase-1 normality flag's 400-seed false-alarm rate and
+# positive controls against the quantised normal, and a steady-state
+# MeasureOnce allocating nothing. go test ./... above may have replayed
+# a cached pass; these must run.
+go test -count=1 -run '^(TestSkippedPrefixMatchesInDistribution|TestFoldedTailMatchesInDistribution|TestTailMomentsMatchQuantisedWalk|TestGateSkipsUnheardSegments|TestWakeChunkMatchesInDistribution|TestReplicaBuildsNoFoldTableItsChipHas|TestThinningCandidateDraw|TestThinningMissCounts|TestCandidateIntervalIsConservative)$' ./internal/sim/gpu
 go test -count=1 -run '^(TestFoldedTailKeepsDetection|TestGatedDetectionMatchesInDistribution|TestWarmupFoldMatchesInDistribution|TestPhase1DeclinedKernelsMatchInDistribution|TestPhase1NormalityFlagRate|TestPhase1NormalityFlagsDistortedPopulations|TestMeasureOnceAllocationBound)$' ./internal/core
 go test -count=1 -run '^TestQuantisedNormalShapeMatchesSimulation$' ./internal/stats
 
