@@ -31,6 +31,18 @@
 // benchmarking finish in milliseconds of wall clock and are bit-for-bit
 // reproducible for a given configuration.
 //
+// # Fixed parameters
+//
+// Config holds only what a campaign may tune. The method's statistical
+// parameters are constants, as the paper fixes them: 95 % confidence
+// for every interval and test, a 2 % confirmation tolerance on the
+// target mean (§V-A), a throttle-reason poll every 5 accepted
+// measurements (§VI), and Algorithm 3's eps = 0.15 × the 0.05–0.95
+// quantile range, with minPts swept from 4 % down to 2 % of the samples
+// in steps of 2 until at most 10 % are noise. The simulated host link
+// (1.5 µs mean one-way delay, 200 ns device turnaround) and kernel
+// launch cost (8 µs) are fixed as well.
+//
 // # Concurrency model
 //
 // A process computes on one pool of GOMAXPROCS measurement-step slots.

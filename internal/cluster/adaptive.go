@@ -6,22 +6,25 @@ import (
 	"golatest/internal/stats"
 )
 
+// Algorithm 3's fixed parameters, as the paper's data analysis settled
+// them across all three GPUs.
+const (
+	// epsMultiplier scales the 0.05–0.95 quantile range to obtain eps.
+	epsMultiplier = 0.15
+	// minPtsStartFrac and minPtsEndFrac bound the minPts sweep as dataset
+	// fractions; the paper walks from 4 % down to 2 % in steps of 2.
+	minPtsStartFrac = 0.04
+	minPtsEndFrac   = 0.02
+	// minPtsStep is the decrement applied to minPts per iteration.
+	minPtsStep = 2
+	// maxNoiseRatio is the acceptance threshold: the sweep halts at the
+	// first configuration marking at most this fraction as outliers.
+	maxNoiseRatio = 0.10
+)
+
 // AdaptiveConfig parameterises the iterative DBSCAN outlier detection of
 // the paper's Algorithm 3.
 type AdaptiveConfig struct {
-	// EpsMultiplier scales the 0.05–0.95 quantile range to obtain eps.
-	// The paper's data analysis settled on 0.15 across all three GPUs.
-	EpsMultiplier float64
-	// MinPtsStartFrac and MinPtsEndFrac bound the minPts sweep as dataset
-	// fractions; the paper walks from 4 % down to 2 % in steps of 2.
-	MinPtsStartFrac float64
-	MinPtsEndFrac   float64
-	// Step is the decrement applied to minPts per iteration (paper: 2).
-	Step int
-	// MaxNoiseRatio is the acceptance threshold: the sweep halts at the
-	// first configuration marking at most this fraction as outliers
-	// (paper: 0.1).
-	MaxNoiseRatio float64
 	// MinPtsFloor clamps the smallest minPts ever used. The paper's
 	// guideline is dimensionality+1 or a multiple of two of it; for the
 	// one-dimensional latency data we default to 4.
@@ -32,42 +35,32 @@ type AdaptiveConfig struct {
 // paper's evaluation (§VII: minPts 8→15 range driven by dataset size,
 // eps = 0.15 × quantile range, ≤10 % outliers).
 func DefaultAdaptiveConfig() AdaptiveConfig {
-	return AdaptiveConfig{
-		EpsMultiplier:   0.15,
-		MinPtsStartFrac: 0.04,
-		MinPtsEndFrac:   0.02,
-		Step:            2,
-		MaxNoiseRatio:   0.10,
-		MinPtsFloor:     4,
-	}
+	return AdaptiveConfig{MinPtsFloor: 4}
 }
 
 // Adaptive runs Algorithm 3: DBSCAN with eps fixed from the quantile
 // range and minPts swept from ceil(startFrac·n) down to floor(endFrac·n),
 // stopping at the first clustering whose noise ratio drops to
-// MaxNoiseRatio or below. The last attempted clustering is returned even
+// maxNoiseRatio or below. The last attempted clustering is returned even
 // if no configuration met the threshold (callers can inspect NoiseRatio).
 func Adaptive(xs []float64, cfg AdaptiveConfig) *Result {
 	n := len(xs)
 	if n == 0 {
 		return &Result{}
 	}
-	if cfg.Step <= 0 {
-		cfg.Step = 2
-	}
 	if cfg.MinPtsFloor <= 0 {
 		cfg.MinPtsFloor = 4
 	}
 
 	qr := stats.QuantileRange(xs, 0.05, 0.95)
-	eps := cfg.EpsMultiplier * qr
+	eps := epsMultiplier * qr
 	if eps <= 0 || math.IsNaN(eps) {
 		// Degenerate spread (identical samples): one cluster, no outliers.
 		eps = math.Max(1e-12, math.Abs(xs[0])*1e-9)
 	}
 
-	start := int(math.Ceil(cfg.MinPtsStartFrac * float64(n)))
-	end := int(math.Floor(cfg.MinPtsEndFrac * float64(n)))
+	start := int(math.Ceil(minPtsStartFrac * float64(n)))
+	end := int(math.Floor(minPtsEndFrac * float64(n)))
 	if start < cfg.MinPtsFloor {
 		start = cfg.MinPtsFloor
 	}
@@ -79,9 +72,9 @@ func Adaptive(xs []float64, cfg AdaptiveConfig) *Result {
 	}
 
 	var last *Result
-	for minPts := start; minPts >= end; minPts -= cfg.Step {
+	for minPts := start; minPts >= end; minPts -= minPtsStep {
 		last = DBSCAN(xs, eps, minPts)
-		if last.NoiseRatio() <= cfg.MaxNoiseRatio {
+		if last.NoiseRatio() <= maxNoiseRatio {
 			return last
 		}
 	}

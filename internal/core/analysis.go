@@ -60,7 +60,6 @@ type blockVerdict struct {
 // that synchronises the device.
 type detectSink struct {
 	cfg       *Config
-	tcrit     stats.CriticalT // at cfg.Confidence
 	tsDevNs   int64
 	target    stats.MeanStd
 	band      float64
@@ -83,9 +82,6 @@ type detectSink struct {
 // advances in steps of quantumNs.
 func (s *detectSink) arm(cfg *Config, tsDevNs int64, target stats.MeanStd, quantumNs int64) {
 	s.cfg = cfg
-	if s.tcrit.Confidence != cfg.Confidence {
-		s.tcrit = stats.NewCriticalT(cfg.Confidence)
-	}
 	s.tsDevNs = tsDevNs
 	s.target = target
 	s.band = s.cfg.SigmaK * target.Std
@@ -199,9 +195,9 @@ func (s *detectSink) BlockEnd(block int) {
 	if tail.N < 2 {
 		return
 	}
-	iv := s.tcrit.MeanDiffCI(tail, s.target)
+	iv := tcrit.MeanDiffCI(tail, s.target)
 	relDiff := math.Abs(tail.Mean-s.target.Mean) / s.target.Mean
-	if !iv.ContainsZero() && relDiff >= s.cfg.RelTolerance {
+	if !iv.ContainsZero() && relDiff >= relTolerance {
 		// The device was still adapting: discard this run (§IV).
 		return
 	}

@@ -47,9 +47,9 @@ func refEvaluateBlock(cfg *Config, iters []gpu.IterSample, tsDevNs int64, target
 	if tail.N < 2 {
 		return v
 	}
-	iv := stats.MeanDiffCI(tail, target, cfg.Confidence)
+	iv := stats.MeanDiffCI(tail, target, confidence)
 	relDiff := math.Abs(tail.Mean-target.Mean) / target.Mean
-	if !iv.ContainsZero() && relDiff >= cfg.RelTolerance {
+	if !iv.ContainsZero() && relDiff >= relTolerance {
 		return v
 	}
 	v.confirmed = true

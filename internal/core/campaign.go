@@ -134,7 +134,7 @@ func (r *Runner) measurePair(pair Pair, p1 *Phase1Result) (*PairResult, error) {
 		n := len(pr.Samples)
 
 		// Throttle-reason poll every few passes (§VI).
-		if n%r.cfg.ThrottleCheckEvery == 0 {
+		if n%throttleCheckEvery == 0 {
 			reasons := r.dev.ClocksThrottleReasons()
 			if reasons.Has(gpu.ThrottlePower) {
 				pr.Skipped = true
@@ -143,14 +143,13 @@ func (r *Runner) measurePair(pair Pair, p1 *Phase1Result) (*PairResult, error) {
 				break
 			}
 			if reasons.Has(gpu.ThrottleThermal) {
-				drop := r.cfg.ThrottleCheckEvery
-				if drop > n {
-					drop = n
-				}
-				pr.Measurements = pr.Measurements[:len(pr.Measurements)-drop]
-				pr.Samples = pr.Samples[:len(pr.Samples)-drop]
-				pr.Injected = pr.Injected[:len(pr.Injected)-drop]
-				pr.DiscardedByThrottle += drop
+				// Drop the passes since the last poll; n is a positive
+				// multiple of the cadence, so all of them exist.
+				keep := n - throttleCheckEvery
+				pr.Measurements = pr.Measurements[:keep]
+				pr.Samples = pr.Samples[:keep]
+				pr.Injected = pr.Injected[:keep]
+				pr.DiscardedByThrottle += throttleCheckEvery
 				pr.ThrottleEvents++
 				r.ctx.Sleep(r.cfg.Cooldown)
 				continue

@@ -31,6 +31,7 @@ import (
 	"golatest/internal/cluster"
 	"golatest/internal/nvml"
 	"golatest/internal/ptp"
+	"golatest/internal/stats"
 )
 
 // Pair is an ordered frequency pair: the switching latency of init→target
@@ -79,9 +80,6 @@ type Config struct {
 	WarmKernels    int
 	ItersPerKernel int
 
-	// Confidence drives every interval/test (default 0.95).
-	Confidence float64
-
 	// RSETarget is the stopping threshold on the relative standard error
 	// of a pair's switching latencies (default 0.05, the tool's default).
 	RSETarget float64
@@ -89,10 +87,8 @@ type Config struct {
 	// MaxMeasurements hard-stops the pair. Defaults 25 and 100.
 	MinMeasurements int
 	MaxMeasurements int
-	// RSECheckEvery and ThrottleCheckEvery are the §VI cadences: RSE every
-	// 25 passes, throttle reasons every 5. Defaults 25 and 5.
-	RSECheckEvery      int
-	ThrottleCheckEvery int
+	// RSECheckEvery is the §VI RSE cadence: every 25 passes by default.
+	RSECheckEvery int
 	// Cooldown is the backoff after a thermal throttle event (§VI: ten
 	// seconds). Default 10 s of virtual time.
 	Cooldown time.Duration
@@ -123,10 +119,6 @@ type Config struct {
 	// iterations, and every attempt fails with no detection, as a full
 	// scan would.
 	CIDetection bool
-	// RelTolerance accepts the confirmation population when its mean
-	// differs from the phase-1 target mean by less than this fraction
-	// (Algorithm 2's "meanDiff < tol"). Default 0.02.
-	RelTolerance float64
 
 	// Outlier configures the adaptive DBSCAN filter (Algorithm 3).
 	Outlier cluster.AdaptiveConfig
@@ -136,6 +128,23 @@ type Config struct {
 	// Seed drives host-side randomness (PTP link sampling).
 	Seed uint64
 }
+
+// The method's fixed statistical parameters (§V-A, §VI). No campaign
+// tunes them, so they are constants rather than Config fields.
+const (
+	// confidence drives every interval and test.
+	confidence = 0.95
+	// throttleCheckEvery is the §VI throttle-reason cadence: every 5
+	// accepted measurements.
+	throttleCheckEvery = 5
+	// relTolerance accepts the confirmation population when its mean
+	// differs from the phase-1 target mean by less than this fraction
+	// (Algorithm 2's "meanDiff < tol").
+	relTolerance = 0.02
+)
+
+// tcrit is the Student-t critical value at confidence, built once.
+var tcrit = stats.NewCriticalT(confidence)
 
 // withDefaults validates cfg against the device and fills defaults.
 func (c Config) withDefaults(dev *nvml.Device) (Config, error) {
@@ -156,6 +165,9 @@ func (c Config) withDefaults(dev *nvml.Device) (Config, error) {
 		}
 		seen[f] = true
 	}
+	if c.Blocks < 0 {
+		return c, fmt.Errorf("core: negative block count %d", c.Blocks)
+	}
 	if c.Blocks == 0 || c.Blocks > simCfg.SMCount {
 		c.Blocks = simCfg.SMCount
 	}
@@ -172,12 +184,6 @@ func (c Config) withDefaults(dev *nvml.Device) (Config, error) {
 	if c.ItersPerKernel == 0 {
 		c.ItersPerKernel = 300
 	}
-	if c.Confidence == 0 {
-		c.Confidence = 0.95
-	}
-	if c.Confidence <= 0 || c.Confidence >= 1 {
-		return c, fmt.Errorf("core: confidence %v outside (0, 1)", c.Confidence)
-	}
 	if c.RSETarget == 0 {
 		c.RSETarget = 0.05
 	}
@@ -187,15 +193,16 @@ func (c Config) withDefaults(dev *nvml.Device) (Config, error) {
 	if c.MaxMeasurements == 0 {
 		c.MaxMeasurements = 100
 	}
+	if c.MinMeasurements < 0 || c.MaxMeasurements < 0 {
+		return c, fmt.Errorf("core: negative measurement count (min %d, max %d)",
+			c.MinMeasurements, c.MaxMeasurements)
+	}
 	if c.MaxMeasurements < c.MinMeasurements {
 		return c, fmt.Errorf("core: MaxMeasurements %d < MinMeasurements %d",
 			c.MaxMeasurements, c.MinMeasurements)
 	}
 	if c.RSECheckEvery == 0 {
 		c.RSECheckEvery = 25
-	}
-	if c.ThrottleCheckEvery == 0 {
-		c.ThrottleCheckEvery = 5
 	}
 	if c.Cooldown == 0 {
 		c.Cooldown = 10 * time.Second
@@ -211,9 +218,6 @@ func (c Config) withDefaults(dev *nvml.Device) (Config, error) {
 	}
 	if c.SigmaK == 0 {
 		c.SigmaK = 2
-	}
-	if c.RelTolerance == 0 {
-		c.RelTolerance = 0.02
 	}
 	if c.Outlier == (cluster.AdaptiveConfig{}) {
 		c.Outlier = cluster.DefaultAdaptiveConfig()

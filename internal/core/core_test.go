@@ -79,7 +79,9 @@ func TestConfigValidation(t *testing.T) {
 		{Frequencies: []float64{600, 601}}, // unsupported clock
 		{Frequencies: []float64{600, 600}}, // duplicate
 		{Frequencies: []float64{600, 900}, MinMeasurements: 10, MaxMeasurements: 5},
-		{Frequencies: []float64{600, 900}, Confidence: 1.5},
+		{Frequencies: []float64{600, 900}, MinMeasurements: -5, MaxMeasurements: -1},
+		{Frequencies: []float64{600, 900}, MinMeasurements: -5},
+		{Frequencies: []float64{600, 900}, Blocks: -1},
 		{Frequencies: []float64{600, 900}, IterTargetNs: 500}, // below quantum floor
 	}
 	for i, cfg := range cases {
@@ -105,10 +107,10 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.RSETarget != 0.05 || cfg.MinMeasurements != 25 || cfg.MaxMeasurements != 100 {
 		t.Errorf("stopping defaults: %+v", cfg)
 	}
-	if cfg.SigmaK != 2 || cfg.Confidence != 0.95 {
+	if cfg.SigmaK != 2 {
 		t.Errorf("statistical defaults: %+v", cfg)
 	}
-	if cfg.ThrottleCheckEvery != 5 || cfg.RSECheckEvery != 25 || cfg.Cooldown != 10*time.Second {
+	if cfg.RSECheckEvery != 25 || cfg.Cooldown != 10*time.Second {
 		t.Errorf("cadence defaults: %+v", cfg)
 	}
 	if cfg.Blocks != 6 { // device has 6 SMs, under the cap of 8

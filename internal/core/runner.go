@@ -298,7 +298,7 @@ func (r *Runner) phase1() (*Phase1Result, error) {
 		}
 		a := res.Stats[pair.InitMHz].Iter
 		b := res.Stats[pair.TargetMHz].Iter
-		iv := stats.MeanDiffCI(a, b, r.cfg.Confidence)
+		iv := tcrit.MeanDiffCI(a, b)
 		if iv.ContainsZero() || math.IsNaN(iv.Lo) {
 			res.Excluded = append(res.Excluded, pair)
 			continue
@@ -390,7 +390,7 @@ func (r *Runner) ensureInitialClock(initStat stats.MeanStd, cycles, iterInitNs f
 		// Compare the tail of each block against the init population.
 		stable := true
 		for b := 0; b < r.tails.NumBlocks(); b++ {
-			if _, mean := r.tails.BlockTail(b); math.Abs(mean-initStat.Mean) >= r.cfg.RelTolerance*initStat.Mean {
+			if _, mean := r.tails.BlockTail(b); math.Abs(mean-initStat.Mean) >= relTolerance*initStat.Mean {
 				stable = false
 				break
 			}

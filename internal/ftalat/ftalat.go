@@ -31,66 +31,50 @@ type Pair struct {
 // String renders the pair like the paper writes transitions.
 func (p Pair) String() string { return fmt.Sprintf("%.0f→%.0f MHz", p.InitMHz, p.TargetMHz) }
 
+// FTaLaT's fixed parameters. No run tunes them, so they are constants
+// rather than Config fields.
+const (
+	// iterTargetNs sizes the workload iteration at the slowest frequency:
+	// 10 µs, much finer-grained than the GPU's, matching the CPU's
+	// µs-scale transitions.
+	iterTargetNs = 10_000
+	// warmIters run at each frequency before phase 1 measures it.
+	warmIters = 200
+	// confidence drives every interval test.
+	confidence = 0.95
+	// delayIters run at the initial frequency before the change.
+	delayIters = 100
+	// maxCaptureIters bounds the detection scan.
+	maxCaptureIters = 100_000
+	// confirmIters is FTaLaT's confirmation population.
+	confirmIters = 100
+	// detectK is the half-width of the detection interval in standard
+	// errors (FTaLaT uses 2).
+	detectK = 2
+)
+
 // Config tunes the FTaLaT run.
 type Config struct {
 	// Frequencies are the P-states under test (≥ 2).
 	Frequencies []float64
-	// IterTargetNs sizes the workload iteration at the slowest frequency
-	// (default 10 µs — the CPU workload is much finer-grained than the
-	// GPU's, matching its µs-scale transitions).
-	IterTargetNs float64
-	// WarmIters and MeasureIters shape phase 1 (defaults 200 and 100).
-	// Keeping the phase-1 population modest keeps the CI detection
-	// interval wider than the timer quantisation; the §V-A degeneration
-	// study sweeps MeasureIters upward to show what goes wrong.
-	WarmIters    int
+	// MeasureIters is phase 1's population per frequency (default 100).
+	// Keeping it modest keeps the CI detection interval wider than the
+	// timer quantisation; the §V-A degeneration study sweeps it upward
+	// to show what goes wrong.
 	MeasureIters int
-	// Confidence for interval tests (default 0.95).
-	Confidence float64
-	// DelayIters run at the initial frequency before the change
-	// (default 100).
-	DelayIters int
-	// MaxCaptureIters bounds the detection scan (default 100000).
-	MaxCaptureIters int
-	// ConfirmIters is FTaLaT's confirmation population (default 100).
-	ConfirmIters int
 	// Repeats is the number of measurements per pair (default 30).
 	Repeats int
-	// DetectK is the half-width of the detection interval in standard
-	// errors (FTaLaT uses 2). Exposed for the §V-A degeneration study.
-	DetectK float64
 }
 
 func (c Config) withDefaults() (Config, error) {
 	if len(c.Frequencies) < 2 {
 		return c, fmt.Errorf("ftalat: need at least two frequencies")
 	}
-	if c.IterTargetNs == 0 {
-		c.IterTargetNs = 10_000
-	}
-	if c.WarmIters == 0 {
-		c.WarmIters = 200
-	}
 	if c.MeasureIters == 0 {
 		c.MeasureIters = 100
 	}
-	if c.Confidence == 0 {
-		c.Confidence = 0.95
-	}
-	if c.DelayIters == 0 {
-		c.DelayIters = 100
-	}
-	if c.MaxCaptureIters == 0 {
-		c.MaxCaptureIters = 100_000
-	}
-	if c.ConfirmIters == 0 {
-		c.ConfirmIters = 100
-	}
 	if c.Repeats == 0 {
 		c.Repeats = 30
-	}
-	if c.DetectK == 0 {
-		c.DetectK = 2
 	}
 	return c, nil
 }
@@ -130,7 +114,7 @@ func (r *Runner) cycles() float64 {
 			slow = f
 		}
 	}
-	return workload.CyclesForIterDuration(r.cfg.IterTargetNs, slow)
+	return workload.CyclesForIterDuration(iterTargetNs, slow)
 }
 
 // Phase1Result mirrors the first FTaLaT phase: per-frequency iteration
@@ -152,7 +136,7 @@ func (r *Runner) Phase1() (*Phase1Result, error) {
 		}
 		// Settle past the transition, then warm.
 		r.settlePast(inj)
-		if _, err := r.core.RunIterations(r.cfg.WarmIters, cycles); err != nil {
+		if _, err := r.core.RunIterations(warmIters, cycles); err != nil {
 			return nil, err
 		}
 		samples, err := r.core.RunIterations(r.cfg.MeasureIters, cycles)
@@ -166,7 +150,7 @@ func (r *Runner) Phase1() (*Phase1Result, error) {
 			if init == target {
 				continue
 			}
-			iv := stats.MeanDiffCI(res.Stats[init], res.Stats[target], r.cfg.Confidence)
+			iv := stats.MeanDiffCI(res.Stats[init], res.Stats[target], confidence)
 			pair := Pair{init, target}
 			if iv.ContainsZero() || math.IsNaN(iv.Lo) {
 				res.Excluded = append(res.Excluded, pair)

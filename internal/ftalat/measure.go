@@ -35,21 +35,21 @@ func (r *Runner) MeasureOnce(pair Pair, target stats.MeanStd) (Measurement, erro
 		return Measurement{}, err
 	}
 	r.settlePast(inj)
-	if _, err := r.core.RunIterations(r.cfg.DelayIters, cycles); err != nil {
+	if _, err := r.core.RunIterations(delayIters, cycles); err != nil {
 		return Measurement{}, err
 	}
 
 	// Issue the change and scan iterations for the first one inside the
-	// FTaLaT detection interval: target mean ± DetectK standard errors.
+	// FTaLaT detection interval: target mean ± detectK standard errors.
 	ts := r.core.Clock().Now()
 	tinj, err := r.core.SetFrequency(pair.TargetMHz)
 	if err != nil {
 		return Measurement{}, err
 	}
-	band := target.StdErr() * r.cfg.DetectK
+	band := target.StdErr() * detectK
 	var te int64
 	detect := -1
-	for i := 0; i < r.cfg.MaxCaptureIters; i++ {
+	for i := 0; i < maxCaptureIters; i++ {
 		it, err := r.core.RunIterations(1, cycles)
 		if err != nil {
 			return Measurement{}, err
@@ -67,12 +67,12 @@ func (r *Runner) MeasureOnce(pair Pair, target stats.MeanStd) (Measurement, erro
 
 	// Confirmation: one hundred additional iterations whose mean must be
 	// statistically indistinguishable from the phase-1 target mean.
-	confirm, err := r.core.RunIterations(r.cfg.ConfirmIters, cycles)
+	confirm, err := r.core.RunIterations(confirmIters, cycles)
 	if err != nil {
 		return Measurement{}, err
 	}
 	tail := describeUs(confirm)
-	if iv := stats.MeanDiffCI(tail, target, r.cfg.Confidence); !iv.ContainsZero() {
+	if iv := stats.MeanDiffCI(tail, target, confidence); !iv.ContainsZero() {
 		return Measurement{}, errConfirmFailed
 	}
 

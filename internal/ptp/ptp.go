@@ -30,35 +30,32 @@ type DeviceClock interface {
 	DeviceTimeAt(hostNs int64) int64
 }
 
+// The simulated link's fixed timing.
+const (
+	// meanLinkDelayNs is the mean one-way PCIe/NVLink message delay.
+	meanLinkDelayNs = 1500
+	// deviceTurnaroundNs separates t2 from t3 on the device.
+	deviceTurnaroundNs = 200
+)
+
 // Config tunes the synchronisation exchange.
 type Config struct {
 	// Rounds is the number of delay-request exchanges (default 16).
 	Rounds int
-	// MeanLinkDelayNs is the mean one-way PCIe/NVLink message delay
-	// (default 1.5 µs).
-	MeanLinkDelayNs float64
 	// LinkJitterNs is the per-message delay stddev (default 300 ns).
 	LinkJitterNs float64
 	// AsymmetryNs is added to host→device messages only; asymmetric links
 	// bias the classic estimator by AsymmetryNs/2 and the methodology
 	// treats that bias as part of its error budget (default 0).
 	AsymmetryNs float64
-	// DeviceTurnaroundNs separates t2 from t3 on the device (default 200).
-	DeviceTurnaroundNs int64
 }
 
 func (c Config) withDefaults() Config {
 	if c.Rounds <= 0 {
 		c.Rounds = 16
 	}
-	if c.MeanLinkDelayNs == 0 {
-		c.MeanLinkDelayNs = 1500
-	}
 	if c.LinkJitterNs == 0 {
 		c.LinkJitterNs = 300
-	}
-	if c.DeviceTurnaroundNs == 0 {
-		c.DeviceTurnaroundNs = 200
 	}
 	return c
 }
@@ -94,13 +91,13 @@ func Sync(clk *clock.Clock, dev DeviceClock, cfg Config, r *clock.Rand) (Result,
 	var offsetBuf, delayBuf [16]float64
 	offsets, delays := offsetBuf[:0], delayBuf[:0]
 	for i := 0; i < cfg.Rounds; i++ {
-		d1 := sampleDelay(r, cfg.MeanLinkDelayNs+cfg.AsymmetryNs, cfg.LinkJitterNs)
-		d2 := sampleDelay(r, cfg.MeanLinkDelayNs, cfg.LinkJitterNs)
+		d1 := sampleDelay(r, meanLinkDelayNs+cfg.AsymmetryNs, cfg.LinkJitterNs)
+		d2 := sampleDelay(r, meanLinkDelayNs, cfg.LinkJitterNs)
 
 		t1 := clk.Now()
 		clk.Advance(d1)
 		t2 := dev.DeviceTimeAt(clk.Now())
-		clk.Advance(cfg.DeviceTurnaroundNs)
+		clk.Advance(deviceTurnaroundNs)
 		t3 := dev.DeviceTimeAt(clk.Now())
 		clk.Advance(d2)
 		t4 := clk.Now()

@@ -49,6 +49,10 @@ func (m UniformTransition) SampleNs(initMHz, targetMHz float64, r *clock.Rand) i
 	return d
 }
 
+// writeCostNs is the host cost of the sysfs/MSR write requesting a
+// frequency change.
+const writeCostNs = 2000
+
 // Config describes the simulated core.
 type Config struct {
 	Name     string
@@ -57,9 +61,6 @@ type Config struct {
 	DefaultFreqMHz float64
 	// Transition samples the frequency-change latency (required).
 	Transition TransitionModel
-	// WriteCostNs is the host cost of the sysfs/MSR write requesting the
-	// change (default 2 µs).
-	WriteCostNs int64
 	// TimerResolutionNs quantises timestamp reads (default 1 ns, a
 	// TSC-class timer; the CUDA global timer is three orders of magnitude
 	// coarser — see the paper's footnote 1).
@@ -99,9 +100,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if !found {
 		return c, fmt.Errorf("cpu: %s: default frequency %v not in step table", c.Name, c.DefaultFreqMHz)
-	}
-	if c.WriteCostNs == 0 {
-		c.WriteCostNs = 2000
 	}
 	if c.TimerResolutionNs == 0 {
 		c.TimerResolutionNs = 1
@@ -193,7 +191,7 @@ func (c *Core) SetFrequency(targetMHz float64) (Injection, error) {
 	if !supported {
 		return Injection{}, fmt.Errorf("cpu: %s: unsupported frequency %v MHz", c.cfg.Name, targetMHz)
 	}
-	c.clk.Advance(c.cfg.WriteCostNs)
+	c.clk.Advance(writeCostNs)
 	c.settle()
 	now := c.clk.Now()
 	dur := c.cfg.Transition.SampleNs(c.curFreq, targetMHz, c.rng)

@@ -44,6 +44,14 @@ type LatencyModel interface {
 	Sample(initMHz, targetMHz float64, r *clock.Rand) Transition
 }
 
+// The device's fixed host-side and environmental constants.
+const (
+	// launchOverheadNs models the host-side kernel launch cost.
+	launchOverheadNs = 8000
+	// ambientC is the temperature an idle device relaxes toward.
+	ambientC = 30
+)
+
 // Config fully describes a simulated device. The zero value is not
 // usable; construct configs via internal/hwprofile or fill the required
 // fields (Name, SMCount, FreqsMHz, DefaultFreqMHz, Latency) manually and
@@ -58,10 +66,9 @@ type Config struct {
 
 	// FreqsMHz lists the supported SM clock steps in ascending order.
 	FreqsMHz []float64
-	// DefaultFreqMHz is the clock applied at reset; IdleFreqMHz is the
-	// clock the device falls back to after IdleTimeoutNs without load.
+	// DefaultFreqMHz is the clock applied at reset. The device falls back
+	// to its lowest step after IdleTimeoutNs without load.
 	DefaultFreqMHz float64
-	IdleFreqMHz    float64
 	IdleTimeoutNs  int64
 	// WakeDelayNs is how long a kernel arriving on an idle device runs at
 	// idle clocks before the programmed frequency is reached (§V wake-up
@@ -81,8 +88,6 @@ type Config struct {
 	// execution noise.
 	SMSpeedSigma    float64
 	IterJitterSigma float64
-	// LaunchOverheadNs models the host-side kernel launch cost.
-	LaunchOverheadNs int64
 
 	// Latency is the architecture DVFS model (required).
 	Latency LatencyModel
@@ -92,12 +97,11 @@ type Config struct {
 	// (the "adapting" behaviour §IV warns about).
 	RampSteps int
 
-	// Thermal model: temperature relaxes toward AmbientC when idle and
-	// toward SteadyTempAtMaxC·(f/fmax)² + AmbientC·(1−(f/fmax)²)… see
+	// Thermal model: temperature relaxes toward ambientC when idle and
+	// toward SteadyTempAtMaxC·(f/fmax)² + ambientC·(1−(f/fmax)²)… see
 	// thermal.go. Throttling engages above ThermalLimitC and clamps the
 	// clock to ThrottleClampMHz until the temperature falls below
 	// ThermalLimitC − ThermalHysteresisC.
-	AmbientC           float64
 	SteadyTempAtMaxC   float64
 	ThermalTauS        float64
 	ThermalLimitC      float64
@@ -148,9 +152,6 @@ func (c Config) Normalize() (Config, error) {
 	if !c.SupportsFreq(c.DefaultFreqMHz) {
 		return c, fmt.Errorf("gpu: %s: default frequency %v not in step table", c.Name, c.DefaultFreqMHz)
 	}
-	if c.IdleFreqMHz == 0 {
-		c.IdleFreqMHz = c.FreqsMHz[0]
-	}
 	if c.IdleTimeoutNs == 0 {
 		c.IdleTimeoutNs = 50e6 // 50 ms
 	}
@@ -170,11 +171,10 @@ func (c Config) Normalize() (Config, error) {
 		// paper's heatmaps show they were.
 		c.IterJitterSigma = 0.0025
 	}
-	if c.LaunchOverheadNs == 0 {
-		c.LaunchOverheadNs = 8000 // 8 µs launch overhead
-	}
-	if c.AmbientC == 0 {
-		c.AmbientC = 30
+	if c.IterJitterSigma < 0 {
+		// chunkIters sizes its trusted margin from sigma; a negative one
+		// would let runSM chunk past a segment's end.
+		return c, fmt.Errorf("gpu: %s: negative IterJitterSigma %v", c.Name, c.IterJitterSigma)
 	}
 	if c.SteadyTempAtMaxC == 0 {
 		c.SteadyTempAtMaxC = 68

@@ -87,7 +87,7 @@ func New(cfg Config, clk *clock.Clock) (*Device, error) {
 	for i := range d.smSpeed {
 		d.smSpeed[i] = speedRng.Normal(1, cfg.SMSpeedSigma)
 	}
-	d.thermal = thermalState{tempC: cfg.AmbientC, lastUpdateNs: clk.Now()}
+	d.thermal = thermalState{tempC: ambientC, lastUpdateNs: clk.Now()}
 	d.energy = energyMeter{lastUpdateNs: clk.Now()}
 	return d, nil
 }
@@ -290,7 +290,7 @@ func (d *Device) enqueue(l launch) error {
 	if err := l.spec.validate(&d.cfg); err != nil {
 		return err
 	}
-	d.clk.Advance(d.cfg.LaunchOverheadNs)
+	d.clk.Advance(launchOverheadNs)
 	l.enqueuedNs = d.clk.Now()
 	d.queue = append(d.queue, l)
 	return nil
@@ -364,7 +364,7 @@ func (d *Device) materialize(k *launch) {
 	for t := start; t < maxEnd; {
 		f, segEnd := tcur.freqAt(t)
 		if t < wakeEnd {
-			f = d.cfg.IdleFreqMHz
+			f = d.cfg.MinFreqMHz()
 			if wakeEnd < segEnd {
 				segEnd = wakeEnd
 			}
@@ -487,7 +487,7 @@ func (d *Device) runSM(k *launch, sm int, start, wakeEnd int64, r *clock.Rand) i
 			f, segEnd = cur.freqAt(t)
 			if t < wakeEnd {
 				// The wake window runs at the idle clock, unclamped.
-				f, segEnd = d.cfg.IdleFreqMHz, min(segEnd, wakeEnd)
+				f, segEnd = d.cfg.MinFreqMHz(), min(segEnd, wakeEnd)
 			} else if d.clampMHz > 0 && f > d.clampMHz {
 				f = d.clampMHz
 			}
@@ -693,7 +693,7 @@ func (d *Device) integrate(t int64, cycles, speed float64, wakeEnd int64, cur *c
 	for remaining > 0 {
 		f, segEnd := cur.freqAt(t)
 		if t < wakeEnd {
-			f = d.cfg.IdleFreqMHz
+			f = d.cfg.MinFreqMHz()
 			if wakeEnd < segEnd {
 				segEnd = wakeEnd
 			}

@@ -49,10 +49,11 @@ func TestNewValidation(t *testing.T) {
 		{},                      // no name
 		{Name: "x"},             // no SMs
 		{Name: "x", SMCount: 1}, // no freqs
-		{Name: "x", SMCount: 1, FreqsMHz: []float64{100, 100}, Latency: fixedModel{}},                      // not ascending
-		{Name: "x", SMCount: 1, FreqsMHz: []float64{-5, 100}, Latency: fixedModel{}},                       // negative step
-		{Name: "x", SMCount: 1, FreqsMHz: []float64{100, 200}},                                             // nil model
-		{Name: "x", SMCount: 1, FreqsMHz: []float64{100, 200}, DefaultFreqMHz: 150, Latency: fixedModel{}}, // default off-table
+		{Name: "x", SMCount: 1, FreqsMHz: []float64{100, 100}, Latency: fixedModel{}},                         // not ascending
+		{Name: "x", SMCount: 1, FreqsMHz: []float64{-5, 100}, Latency: fixedModel{}},                          // negative step
+		{Name: "x", SMCount: 1, FreqsMHz: []float64{100, 200}},                                                // nil model
+		{Name: "x", SMCount: 1, FreqsMHz: []float64{100, 200}, DefaultFreqMHz: 150, Latency: fixedModel{}},    // default off-table
+		{Name: "x", SMCount: 1, FreqsMHz: []float64{100, 200}, IterJitterSigma: -0.02, Latency: fixedModel{}}, // negative jitter
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg, clk); err == nil {
@@ -70,10 +71,7 @@ func TestDefaultsFilled(t *testing.T) {
 	if cfg.TimerQuantumNs != 1000 {
 		t.Errorf("TimerQuantumNs = %d, want 1000", cfg.TimerQuantumNs)
 	}
-	if cfg.IdleFreqMHz != 300 {
-		t.Errorf("IdleFreqMHz = %v, want 300 (lowest step)", cfg.IdleFreqMHz)
-	}
-	if cfg.ThermalLimitC != 90 || cfg.AmbientC != 30 {
+	if cfg.ThermalLimitC != 90 {
 		t.Errorf("thermal defaults: %+v", cfg)
 	}
 }
@@ -526,7 +524,7 @@ func TestReplicaKeepsChip(t *testing.T) {
 	if slices.Equal(other.smSpeed, d.smSpeed) {
 		t.Fatal("seed 7 draws the source's SM speeds: the check above proves nothing")
 	}
-	if r.Clock().Now() != 0 || r.SetFreqMHz() != cfg.DefaultFreqMHz || r.thermal.tempC != d.cfg.AmbientC {
+	if r.Clock().Now() != 0 || r.SetFreqMHz() != cfg.DefaultFreqMHz || r.thermal.tempC != ambientC {
 		t.Errorf("replica state: clock %d ns, clock %v MHz, %v °C; want a fresh device",
 			r.Clock().Now(), r.SetFreqMHz(), r.thermal.tempC)
 	}

@@ -57,7 +57,7 @@ func (d *Device) meterBusy(start, end, wakeEnd int64) {
 	for t := start; t < end; {
 		f, segEnd := cur.freqAt(t)
 		if t < wakeEnd {
-			f = d.cfg.IdleFreqMHz
+			f = d.cfg.MinFreqMHz()
 			if wakeEnd < segEnd {
 				segEnd = wakeEnd
 			}

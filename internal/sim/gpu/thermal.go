@@ -51,10 +51,10 @@ type thermalState struct {
 // continuously at freqMHz (busy) or sits idle.
 func (c *Config) steadyTemp(freqMHz float64, busy bool) float64 {
 	if !busy {
-		return c.AmbientC
+		return ambientC
 	}
 	ratio := freqMHz / c.MaxFreqMHz()
-	return c.AmbientC + (c.SteadyTempAtMaxC-c.AmbientC)*ratio*ratio
+	return ambientC + (c.SteadyTempAtMaxC-ambientC)*ratio*ratio
 }
 
 // evolve advances the thermal state from its last update to nowNs,

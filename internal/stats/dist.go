@@ -92,15 +92,13 @@ func ZCritical(confidence float64) float64 {
 // expansion's coefficients are computed once: a caller that asks for
 // many degrees of freedom at one confidence builds it once.
 type CriticalT struct {
-	// Confidence is the level the coefficients were computed for.
-	Confidence float64
 	// z and g1…g4 are the Cornish–Fisher terms (NaN z: invalid level).
 	z, g1, g2, g3, g4 float64
 }
 
 // NewCriticalT precomputes the expansion's coefficients for confidence.
 func NewCriticalT(confidence float64) CriticalT {
-	c := CriticalT{Confidence: confidence, z: math.NaN()}
+	c := CriticalT{z: math.NaN()}
 	if confidence <= 0 || confidence >= 1 {
 		return c
 	}

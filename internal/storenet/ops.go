@@ -6,11 +6,10 @@ import (
 	"time"
 )
 
-// defaultOpsRingSize is how many recent requests the flight recorder
-// retains when ServerOptions.OpsRingSize is zero. Sized for "what was
-// the daemon doing just before it wedged", not for history — the ring
-// is a diagnostic, /metrics is the ledger.
-const defaultOpsRingSize = 256
+// opsRingSize is how many recent requests the flight recorder retains.
+// Sized for "what was the daemon doing just before it wedged", not for
+// history — the ring is a diagnostic, /metrics is the ledger.
+const opsRingSize = 256
 
 // OpsRecord is one request in the daemon's flight recorder: enough to
 // reconstruct what the daemon was serving (method, key, status,
@@ -38,11 +37,8 @@ type opsRing struct {
 	full bool
 }
 
-func newOpsRing(n int) *opsRing {
-	if n <= 0 {
-		n = defaultOpsRingSize
-	}
-	return &opsRing{buf: make([]OpsRecord, n)}
+func newOpsRing() *opsRing {
+	return &opsRing{buf: make([]OpsRecord, opsRingSize)}
 }
 
 func (r *opsRing) add(rec OpsRecord) {

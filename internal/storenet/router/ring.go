@@ -6,12 +6,12 @@ import (
 	"sort"
 )
 
-// defaultVirtualNodes is how many ring points each member contributes.
+// virtualNodes is how many ring points each member contributes.
 // 64 points per member keeps the expected keyspace imbalance of a
 // three-member ring in the low single-digit percent range while the
 // whole ring for any realistic member count still fits in one cache
 // line's worth of binary-search depth.
-const defaultVirtualNodes = 64
+const virtualNodes = 64
 
 // point is one virtual node: a position on the 64-bit hash circle and
 // the member that owns it.
@@ -55,16 +55,13 @@ func hash64(s string) uint64 {
 	return z
 }
 
-// newRing lays out vnodes virtual points per member. Member identity on
+// newRing lays out virtualNodes points per member. Member identity on
 // the ring is its location string, so two members claiming the same
 // location would shadow each other — callers reject duplicates first.
-func newRing(locations []string, vnodes int) ring {
-	if vnodes <= 0 {
-		vnodes = defaultVirtualNodes
-	}
-	r := ring{points: make([]point, 0, len(locations)*vnodes), members: len(locations)}
+func newRing(locations []string) ring {
+	r := ring{points: make([]point, 0, len(locations)*virtualNodes), members: len(locations)}
 	for m, loc := range locations {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.points = append(r.points, point{pos: hash64(fmt.Sprintf("%s#%d", loc, v)), member: m})
 		}
 	}

@@ -17,7 +17,7 @@ func ringLocations(n int) []string {
 // the member set for every digest — the failover chain visits everyone
 // exactly once.
 func TestRingOrderCompleteAndDistinct(t *testing.T) {
-	r := newRing(ringLocations(5), 0)
+	r := newRing(ringLocations(5))
 	for i := 0; i < 200; i++ {
 		order := r.order(fmt.Sprintf("digest-%d", i))
 		if len(order) != 5 {
@@ -38,7 +38,7 @@ func TestRingOrderCompleteAndDistinct(t *testing.T) {
 // lease arbitration between uncoordinated fleet processes rides on.
 func TestRingCrossProcessAgreement(t *testing.T) {
 	locs := ringLocations(3)
-	a, b := newRing(locs, 0), newRing(locs, 0)
+	a, b := newRing(locs), newRing(locs)
 	for i := 0; i < 500; i++ {
 		d := fmt.Sprintf("%x", hash64(fmt.Sprintf("agree-%d", i)))
 		ao, bo := a.order(d), b.order(d)
@@ -54,7 +54,7 @@ func TestRingCrossProcessAgreement(t *testing.T) {
 // three-member ring owns a wildly disproportionate share of primaries.
 func TestRingSpreadsPrimaries(t *testing.T) {
 	const digests = 3000
-	r := newRing(ringLocations(3), 0)
+	r := newRing(ringLocations(3))
 	counts := make([]int, 3)
 	for i := 0; i < digests; i++ {
 		counts[r.order(fmt.Sprintf("%x", hash64(fmt.Sprintf("spread-%d", i))))[0]]++
@@ -69,14 +69,24 @@ func TestRingSpreadsPrimaries(t *testing.T) {
 	}
 }
 
-// TestRingStableUnderVnodeDefault: explicit 64 equals the 0 default.
+// TestRingStableUnderVnodeDefault: the ring holds exactly 64 points per
+// member, at hash("<location>#<i>") — the layout every process must
+// share to agree on a digest's primary.
 func TestRingStableUnderVnodeDefault(t *testing.T) {
 	locs := ringLocations(4)
-	a, b := newRing(locs, 0), newRing(locs, defaultVirtualNodes)
-	for i := 0; i < 100; i++ {
-		d := fmt.Sprintf("stable-%d", i)
-		if a.order(d)[0] != b.order(d)[0] {
-			t.Fatalf("vnode default drifted from %d", defaultVirtualNodes)
+	r := newRing(locs)
+	if len(r.points) != len(locs)*64 {
+		t.Fatalf("ring has %d points over %d members, want 64 each", len(r.points), len(locs))
+	}
+	want := map[uint64]int{}
+	for m, loc := range locs {
+		for v := 0; v < 64; v++ {
+			want[hash64(fmt.Sprintf("%s#%d", loc, v))] = m
+		}
+	}
+	for _, p := range r.points {
+		if m, ok := want[p.pos]; !ok || m != p.member {
+			t.Fatalf("point %x (member %d) is not a vnode of the fixed layout", p.pos, p.member)
 		}
 	}
 }

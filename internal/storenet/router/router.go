@@ -60,8 +60,6 @@ type Options struct {
 	// Replication is R, the preferred replica count per digest; 0 means
 	// 2, and it is clamped to the member count.
 	Replication int
-	// VirtualNodes is the ring points per member; 0 means 64.
-	VirtualNodes int
 	// Local, when non-nil, is a read-through local tier: Gets check it
 	// first, remote hits heal it (validated bytes verbatim), Puts write
 	// through to it. Purely acceleration, bounded by its own owner —
@@ -152,7 +150,7 @@ func New(members []store.Backend, opts Options) (*Router, error) {
 		m.tctx, _ = b.(obs.TraceContextSetter)
 		r.members = append(r.members, m)
 	}
-	r.ring = newRing(locs, opts.VirtualNodes)
+	r.ring = newRing(locs)
 	return r, nil
 }
 

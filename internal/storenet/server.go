@@ -99,9 +99,6 @@ type ServerOptions struct {
 	// status, latency, trace_id). nil discards — request logging is an
 	// opt-in diagnostic, not default traffic noise.
 	Logger *slog.Logger
-	// OpsRingSize is the flight-recorder capacity (last N requests at
-	// /debug/ops); 0 means 256.
-	OpsRingSize int
 }
 
 // NewServer builds the handler for a store in open mode.
@@ -117,7 +114,7 @@ func NewServerWith(st *store.Store, opts ServerOptions) *Server {
 		st:      st,
 		mux:     http.NewServeMux(),
 		metrics: newRequestMetrics(),
-		ops:     newOpsRing(opts.OpsRingSize),
+		ops:     newOpsRing(),
 		log:     logger,
 	}
 	s.auth.Store(opts.Auth)
