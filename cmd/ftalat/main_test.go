@@ -41,4 +41,7 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"1200,1200"}, &out); err == nil {
 		t.Error("duplicate clocks accepted (core rejects non-ascending)")
 	}
+	if err := run([]string{"-repeats", "-3", "1200,2400"}, &out); err == nil {
+		t.Errorf("negative -repeats accepted; output:\n%s", out.String())
+	}
 }

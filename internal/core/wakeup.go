@@ -76,11 +76,8 @@ func (r *Runner) EstimateWakeup(freqMHz float64, idle time.Duration) (WakeupEsti
 	}
 	r.ctx.DeviceSynchronize()
 
-	// Settled reference: the last kernel's population, flattened through a
-	// pooled buffer (the slice is only needed for this Describe).
-	durs := kernels[len(kernels)-1].AppendDurationsMs(gpu.GetDurationsBuf())
-	settled := stats.Describe(durs)
-	gpu.PutDurationsBuf(durs)
+	// Settled reference: the last kernel's population.
+	settled := stats.Describe(kernels[len(kernels)-1].DurationsMs())
 
 	est := WakeupEstimate{
 		FreqMHz:       freqMHz,

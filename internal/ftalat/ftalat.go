@@ -70,6 +70,10 @@ func (c Config) withDefaults() (Config, error) {
 	if len(c.Frequencies) < 2 {
 		return c, fmt.Errorf("ftalat: need at least two frequencies")
 	}
+	if c.MeasureIters < 0 || c.Repeats < 0 {
+		return c, fmt.Errorf("ftalat: negative count (measure iters %d, repeats %d)",
+			c.MeasureIters, c.Repeats)
+	}
 	if c.MeasureIters == 0 {
 		c.MeasureIters = 100
 	}

@@ -40,6 +40,12 @@ func TestNewRunnerValidation(t *testing.T) {
 	if _, err := NewRunner(c, quickCfg(1200, 1234)); err == nil {
 		t.Error("unsupported frequency accepted")
 	}
+	if _, err := NewRunner(c, Config{Frequencies: []float64{1200, 2400}, Repeats: -3}); err == nil {
+		t.Error("negative Repeats accepted")
+	}
+	if _, err := NewRunner(c, Config{Frequencies: []float64{1200, 2400}, MeasureIters: -5}); err == nil {
+		t.Error("negative MeasureIters accepted")
+	}
 	if _, err := NewRunner(c, quickCfg(1200, 2400)); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}

@@ -61,14 +61,10 @@ func (c Config) withDefaults() Config {
 }
 
 // Result is a completed synchronisation: the offset estimate and its
-// dispersion diagnostics.
+// dispersion.
 type Result struct {
 	// OffsetNs estimates device_time − host_time at the sync instant.
 	OffsetNs int64
-	// DelayNs estimates the one-way link delay.
-	DelayNs int64
-	// Rounds is the number of exchanges performed.
-	Rounds int
 	// SpreadNs is the max−min of per-round offset estimates, an upper
 	// bound on the sync error contribution to measured latencies.
 	SpreadNs int64
@@ -86,10 +82,10 @@ func Sync(clk *clock.Clock, dev DeviceClock, cfg Config, r *clock.Rand) (Result,
 		return Result{}, fmt.Errorf("ptp: nil device clock")
 	}
 
-	// The default round count fits the stack buffers, so a sync
+	// The default round count fits the stack buffer, so a sync
 	// allocates nothing; more rounds grow onto the heap.
-	var offsetBuf, delayBuf [16]float64
-	offsets, delays := offsetBuf[:0], delayBuf[:0]
+	var offsetBuf [16]float64
+	offsets := offsetBuf[:0]
 	for i := 0; i < cfg.Rounds; i++ {
 		d1 := sampleDelay(r, meanLinkDelayNs+cfg.AsymmetryNs, cfg.LinkJitterNs)
 		d2 := sampleDelay(r, meanLinkDelayNs, cfg.LinkJitterNs)
@@ -103,15 +99,11 @@ func Sync(clk *clock.Clock, dev DeviceClock, cfg Config, r *clock.Rand) (Result,
 		t4 := clk.Now()
 
 		offsets = append(offsets, (float64(t2-t1)+float64(t3-t4))/2)
-		delays = append(delays, (float64(t4-t1)-float64(t3-t2))/2)
 	}
 
 	insertionSort(offsets)
-	insertionSort(delays)
 	return Result{
 		OffsetNs: int64(median(offsets)),
-		DelayNs:  int64(median(delays)),
-		Rounds:   cfg.Rounds,
 		SpreadNs: int64(offsets[len(offsets)-1] - offsets[0]),
 	}, nil
 }

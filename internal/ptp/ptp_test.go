@@ -25,12 +25,6 @@ func TestSyncRecoversConstantOffset(t *testing.T) {
 	if diff := res.OffsetNs - 123_456_789; diff < -2000 || diff > 2000 {
 		t.Fatalf("offset error %d ns (got %d)", diff, res.OffsetNs)
 	}
-	if res.DelayNs < 500 || res.DelayNs > 5000 {
-		t.Fatalf("delay estimate %d ns implausible", res.DelayNs)
-	}
-	if res.Rounds != 16 {
-		t.Fatalf("Rounds = %d, want default 16", res.Rounds)
-	}
 }
 
 func TestSyncAdvancesHostClock(t *testing.T) {

@@ -198,10 +198,9 @@ func (d *Device) SetFreqMHz() float64 { return d.setFreq }
 // CurrentFreqMHz reports the clock effective right now, including any
 // throttle clamp.
 func (d *Device) CurrentFreqMHz() float64 {
-	f := d.tl.freqAt(d.clk.Now())
-	if d.clampMHz > 0 && f > d.clampMHz {
-		return d.clampMHz
-	}
+	now := d.clk.Now()
+	c := d.clockAt(now, 0)
+	f, _ := c.at(now)
 	return f
 }
 
@@ -263,10 +262,10 @@ func (d *Device) refreshClamp() {
 // Launch enqueues a kernel for execution. The host clock advances by the
 // launch overhead; the kernel itself executes asynchronously in virtual
 // time and its timings materialise on Synchronize, into the returned
-// handle.
+// handle, which is the sink that records them.
 func (d *Device) Launch(spec KernelSpec) (*Kernel, error) {
-	k := &Kernel{spec: spec}
-	if err := d.enqueue(launch{spec: spec, kernel: k}); err != nil {
+	k := new(Kernel)
+	if err := d.enqueue(launch{spec: spec, sink: k}); err != nil {
 		return nil, err
 	}
 	return k, nil
@@ -329,10 +328,12 @@ func (d *Device) materialize(k *launch) {
 		wakeEnd = start + d.cfg.WakeDelayNs
 	}
 
-	// Thermal: idle cooling from the last update until the kernel start.
+	// Idle cooling and idle draw from the last update until the kernel
+	// start.
 	if start > d.thermal.lastUpdateNs {
 		d.thermal.evolve(&d.cfg, start, d.tl.freqAt(start), false)
 	}
+	d.energy.accumulate(start, d.cfg.IdlePowerW)
 
 	d.kernelSeq++
 	kernelRng := d.rng.ChildInto(d.kernelScratch, 0x1000+d.kernelSeq)
@@ -341,40 +342,30 @@ func (d *Device) materialize(k *launch) {
 	if blocks == 0 || blocks > d.cfg.SMCount {
 		blocks = d.cfg.SMCount
 	}
-	if k.kernel != nil {
-		k.kernel.samples = make([][]IterSample, blocks)
-	}
+	clk := d.clockAt(start, wakeEnd)
 
 	var maxEnd int64
 	for sm := 0; sm < blocks; sm++ {
 		smRng := kernelRng.ChildInto(d.smScratch, uint64(sm))
-		end := d.runSM(k, sm, start, wakeEnd, smRng)
+		end := d.runSM(k, sm, start, clk, smRng)
 		if end > maxEnd {
 			maxEnd = end
 		}
 	}
-	if k.kernel != nil {
-		k.kernel.startNs, k.kernel.endNs, k.kernel.done = start, maxEnd, true
+	if h, ok := k.sink.(*Kernel); ok {
+		h.startNs, h.endNs, h.done = start, maxEnd, true
 	}
 
-	// Thermal: integrate across the kernel's busy window piecewise, at the
-	// effective clock of each timeline segment (wake window and throttle
-	// clamp included), so long transitions and wake periods heat honestly.
-	tcur := d.tl.cursor(start)
+	// Heat and energy: walk the kernel's busy window once, at the
+	// effective clock of each segment, so long transitions and wake
+	// periods heat and draw honestly. The walk precedes the latching
+	// below, so a throttle this kernel latches applies only from the next
+	// kernel on, for energy as for time.
 	for t := start; t < maxEnd; {
-		f, segEnd := tcur.freqAt(t)
-		if t < wakeEnd {
-			f = d.cfg.MinFreqMHz()
-			if wakeEnd < segEnd {
-				segEnd = wakeEnd
-			}
-		} else if d.clampMHz > 0 && f > d.clampMHz {
-			f = d.clampMHz
-		}
-		if segEnd > maxEnd {
-			segEnd = maxEnd
-		}
+		f, segEnd := clk.at(t)
+		segEnd = min(segEnd, maxEnd)
 		d.thermal.evolve(&d.cfg, segEnd, f, true)
+		d.energy.accumulate(segEnd, d.cfg.busyPowerW(f))
 		t = segEnd
 	}
 	if d.thermal.tempC > d.cfg.ThermalLimitC && !d.reasons.Has(ThrottleThermal) {
@@ -387,21 +378,17 @@ func (d *Device) materialize(k *launch) {
 		d.refreshClamp()
 	}
 
-	d.meterBusy(start, maxEnd, wakeEnd)
-
 	d.busyEndNs = maxEnd
 	d.everBusy = true
 }
 
-// runSM executes the iteration loop of one SM-resident block, recording
-// quantised device timestamps for every delivered iteration, and returns
-// the host time at which the block finished. Timings either accumulate
-// into the kernel's sample matrix (every iteration) or stream into its
-// sink (from the first iteration the sink asks for).
+// runSM executes the iteration loop of one SM-resident block, streaming
+// quantised device timestamps into the kernel's sink from the first
+// iteration it asks for, and returns the host time at which the block
+// finished. clk is the kernel's effective clock, positioned at its start.
 //
-// The loop walks constant-clock segments: the timeline's segments,
-// clamped by any throttle, and before them the wake window, which runs
-// at the idle clock (unclamped) until wakeEnd. Within one cached
+// The loop walks the effective clock's constant-clock segments (see
+// clockCursor), the wake window being one. Within one cached
 // segment, iterations no sink reads one by one elapse in chunks: n
 // iterations of nominal duration μ (SM speed and clamp included) take
 // roundNs(μ·(n + σ·√n·Z)) for one standard normal Z from the SM's
@@ -447,16 +434,9 @@ func (d *Device) materialize(k *launch) {
 // durations are bit-identical. An iteration that crosses a segment
 // boundary (the wake window's end included) takes the full integrate
 // walk.
-func (d *Device) runSM(k *launch, sm int, start, wakeEnd int64, r *clock.Rand) int64 {
+func (d *Device) runSM(k *launch, sm int, start int64, clk clockCursor, r *clock.Rand) int64 {
 	iters := k.spec.Iters
-	var samples []IterSample
-	from := 0
-	if k.sink == nil {
-		samples = make([]IterSample, iters)
-	} else {
-		from = k.sink.BlockStart(sm, iters)
-	}
-	cur := d.tl.cursor(start)
+	from := k.sink.BlockStart(sm, iters)
 	speed := d.smSpeed[sm]
 	t := start
 	// devT is the device time of t after a delivered or folded
@@ -484,13 +464,7 @@ func (d *Device) runSM(k *launch, sm int, start, wakeEnd int64, r *clock.Rand) i
 	for i := 0; i < iters; i++ {
 		if t >= segEnd {
 			var f float64
-			f, segEnd = cur.freqAt(t)
-			if t < wakeEnd {
-				// The wake window runs at the idle clock, unclamped.
-				f, segEnd = d.cfg.MinFreqMHz(), min(segEnd, wakeEnd)
-			} else if d.clampMHz > 0 && f > d.clampMHz {
-				f = d.clampMHz
-			}
+			f, segEnd = clk.at(t)
 			rate = f * speed / 1000
 			regate = true
 		}
@@ -571,7 +545,7 @@ func (d *Device) runSM(k *launch, sm int, start, wakeEnd int64, r *clock.Rand) i
 		if segEnd == math.MaxInt64 || cycles <= float64(segEnd-t)*rate {
 			dur = roundNs(cycles / rate)
 		} else {
-			dur = d.integrate(t, cycles, speed, wakeEnd, &cur)
+			dur = integrate(t, cycles, speed, &clk)
 		}
 		if i >= from {
 			if stale {
@@ -579,14 +553,10 @@ func (d *Device) runSM(k *launch, sm int, start, wakeEnd int64, r *clock.Rand) i
 			}
 			s := IterSample{StartNs: devT, EndNs: d.DeviceTimeAt(t + dur)}
 			devT = s.EndNs
-			if k.sink == nil {
-				samples[i] = s
-			} else {
-				k.sink.Sample(sm, i, s)
-				if folder != nil && !tail {
-					tail = folder.InTail(sm)
-					regate = thin
-				}
+			k.sink.Sample(sm, i, s)
+			if folder != nil && !tail {
+				tail = folder.InTail(sm)
+				regate = thin
 			}
 		}
 		t += dur
@@ -594,11 +564,7 @@ func (d *Device) runSM(k *launch, sm int, start, wakeEnd int64, r *clock.Rand) i
 	d.iters.OneByOne += int64(iters - skipped - folded)
 	d.iters.Skipped += int64(skipped)
 	d.iters.Folded += int64(folded)
-	if k.sink == nil {
-		k.kernel.samples[sm] = samples
-	} else {
-		k.sink.BlockEnd(sm)
-	}
+	k.sink.BlockEnd(sm)
 	return t
 }
 
@@ -683,23 +649,47 @@ func (d *Device) foldTable(key uint64, mu float64) *foldTable {
 	return t
 }
 
+// clockCursor walks a kernel's effective SM clock. Every reader of the
+// clock applies its one rule here: until wakeEnd, the wake window after
+// idle runs at the idle clock, unclamped; afterwards the timeline's clock
+// runs, capped by the throttle clamp. The clamp is read once, when the
+// cursor is made: throttles latch only between kernels, after a kernel's
+// busy window has been walked.
+type clockCursor struct {
+	cur      cursor
+	wakeEnd  int64
+	idleMHz  float64
+	clampMHz float64 // 0 = unclamped
+}
+
+// clockAt returns the effective clock positioned at host time t, whose
+// wake window ends at wakeEnd (0: none).
+func (d *Device) clockAt(t, wakeEnd int64) clockCursor {
+	return clockCursor{cur: d.tl.cursor(t), wakeEnd: wakeEnd, idleMHz: d.cfg.MinFreqMHz(), clampMHz: d.clampMHz}
+}
+
+// at returns the effective clock at t and the host time its
+// constant-clock segment ends (math.MaxInt64 for the last). t must be
+// non-decreasing across calls.
+func (c *clockCursor) at(t int64) (freqMHz float64, endNs int64) {
+	f, end := c.cur.freqAt(t)
+	if t < c.wakeEnd {
+		return c.idleMHz, min(end, c.wakeEnd)
+	}
+	if c.clampMHz > 0 && f > c.clampMHz {
+		f = c.clampMHz
+	}
+	return f, end
+}
+
 // integrate returns the host-time nanoseconds needed to execute the given
-// cycle count starting at host time t, walking the frequency timeline and
-// honouring the wake window and throttle clamp. The cursor amortises the
-// segment lookups across the caller's monotone time walk.
-func (d *Device) integrate(t int64, cycles, speed float64, wakeEnd int64, cur *cursor) int64 {
+// cycle count starting at host time t, walking the effective clock; clk
+// amortises the segment lookups across the caller's monotone time walk.
+func integrate(t int64, cycles, speed float64, clk *clockCursor) int64 {
 	var elapsed float64
 	remaining := cycles
 	for remaining > 0 {
-		f, segEnd := cur.freqAt(t)
-		if t < wakeEnd {
-			f = d.cfg.MinFreqMHz()
-			if wakeEnd < segEnd {
-				segEnd = wakeEnd
-			}
-		} else if d.clampMHz > 0 && f > d.clampMHz {
-			f = d.clampMHz
-		}
+		f, segEnd := clk.at(t)
 		// rate in cycles per nanosecond at this effective clock.
 		rate := f * speed / 1000
 		span := float64(segEnd - t)

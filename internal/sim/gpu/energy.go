@@ -10,8 +10,9 @@ package gpu
 //
 //	P(f) = IdleW + (MaxBusyW − IdleW) · (f/fmax)³
 //
-// and idle power is IdleW. Energy integrates lazily over the same
-// segment walk the thermal model uses.
+// and idle power is IdleW. Energy integrates lazily: idle draw up to
+// each read and each kernel start, busy draw in materialize's one walk
+// of the kernel's busy window, which also heats the die.
 
 // EnergyMeter accumulates joules over the device's lifetime.
 type energyMeter struct {
@@ -43,31 +44,4 @@ func (d *Device) EnergyJ() float64 {
 		d.energy.accumulate(now, d.cfg.IdlePowerW)
 	}
 	return d.energy.joules
-}
-
-// meterBusy integrates busy power across [start, end] following the
-// effective clock (wake window and throttle clamp included); called from
-// materialize after the thermal walk.
-func (d *Device) meterBusy(start, end, wakeEnd int64) {
-	// Idle draw from the last update until the kernel starts.
-	if start > d.energy.lastUpdateNs {
-		d.energy.accumulate(start, d.cfg.IdlePowerW)
-	}
-	cur := d.tl.cursor(start)
-	for t := start; t < end; {
-		f, segEnd := cur.freqAt(t)
-		if t < wakeEnd {
-			f = d.cfg.MinFreqMHz()
-			if wakeEnd < segEnd {
-				segEnd = wakeEnd
-			}
-		} else if d.clampMHz > 0 && f > d.clampMHz {
-			f = d.clampMHz
-		}
-		if segEnd > end {
-			segEnd = end
-		}
-		d.energy.accumulate(segEnd, d.cfg.busyPowerW(f))
-		t = segEnd
-	}
 }

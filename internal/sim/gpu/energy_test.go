@@ -104,3 +104,34 @@ func TestEnergyConfigValidation(t *testing.T) {
 		t.Fatal("MaxBusyPowerW below IdlePowerW accepted")
 	}
 }
+
+// TestEnergyMeteredAtTheClockTheKernelRan checks that a throttle a kernel
+// latches applies only from the next kernel on, for energy as for time:
+// a 1 s kernel at 1200 MHz that latches the 600 MHz power cap runs, and
+// is metered, exactly like the same kernel on a device with no cap
+// (≈234 J, not the ≈83 J of the clamp it never ran at).
+func TestEnergyMeteredAtTheClockTheKernelRan(t *testing.T) {
+	run := func(capMHz float64) (endNs int64, joules float64, reasons ThrottleReason) {
+		d, _ := energyDevice(t, func(c *Config) {
+			c.PowerCapMHz = capMHz
+			c.PowerCapDelayNs = int64(10 * time.Millisecond)
+		})
+		k, err := d.Launch(KernelSpec{Iters: 100, CyclesPerIter: 12_000_000, Blocks: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Synchronize()
+		return k.EndNs(), d.EnergyJ(), d.ThrottleReasons()
+	}
+	freeEnd, freeJ, _ := run(0)
+	capEnd, capJ, reasons := run(600)
+	if !reasons.Has(ThrottlePower) {
+		t.Fatalf("capped kernel latched %v, want the power cap", reasons)
+	}
+	if capEnd != freeEnd {
+		t.Fatalf("capped kernel ended at %d ns, unclamped at %d ns", capEnd, freeEnd)
+	}
+	if capJ != freeJ {
+		t.Fatalf("capped kernel metered %v J, unclamped %v J", capJ, freeJ)
+	}
+}

@@ -45,9 +45,9 @@ type IterSample struct {
 func (s IterSample) DurNs() int64 { return s.EndNs - s.StartNs }
 
 // Kernel is the handle of a kernel launched to materialise its trace
-// (Launch), possibly still pending.
+// (Launch), possibly still pending. It is the SampleSink that records the
+// trace: it wants every iteration of every block.
 type Kernel struct {
-	spec    KernelSpec
 	done    bool
 	startNs int64
 	endNs   int64
@@ -58,11 +58,23 @@ type Kernel struct {
 type launch struct {
 	spec       KernelSpec
 	enqueuedNs int64
-	sink       SampleSink
+	sink       SampleSink // a *Kernel for Launch
 	folder     TailFolder // sink, when it folds tails
 	meanOnly   bool       // sink is a TailSink, which reads no fold's Σd²
-	kernel     *Kernel    // Launch's handle; nil for a streamed kernel
 }
+
+// BlockStart implements SampleSink: it allocates the block's trace, as
+// blocks arrive in index order, and wants all of it.
+func (k *Kernel) BlockStart(block, iters int) int {
+	k.samples = append(k.samples, make([]IterSample, iters))
+	return 0
+}
+
+// Sample implements SampleSink.
+func (k *Kernel) Sample(block, iter int, s IterSample) { k.samples[block][iter] = s }
+
+// BlockEnd implements SampleSink.
+func (k *Kernel) BlockEnd(block int) {}
 
 // Done reports whether the kernel has been materialised by a Synchronize.
 func (k *Kernel) Done() bool { return k.done }
@@ -86,31 +98,20 @@ func (k *Kernel) Samples() [][]IterSample {
 	return k.samples
 }
 
-// DurationsMs flattens all blocks' iteration durations into milliseconds,
-// the unit the statistics layer works in. The returned slice is freshly
-// allocated; hot paths should prefer AppendDurationsMs with a pooled
-// buffer (GetDurationsBuf/PutDurationsBuf).
+// DurationsMs flattens all blocks' iteration durations into a freshly
+// allocated slice, in milliseconds, the unit the statistics layer works
+// in. Valid only after Done.
 func (k *Kernel) DurationsMs() []float64 {
-	return k.AppendDurationsMs(nil)
-}
-
-// AppendDurationsMs appends all blocks' iteration durations (ms) to buf
-// and returns the extended slice, growing it only when capacity runs out.
-func (k *Kernel) AppendDurationsMs(buf []float64) []float64 {
 	samples := k.Samples()
 	var n int
 	for _, block := range samples {
 		n += len(block)
 	}
-	if cap(buf)-len(buf) < n {
-		grown := make([]float64, len(buf), len(buf)+n)
-		copy(grown, buf)
-		buf = grown
-	}
+	out := make([]float64, 0, n)
 	for _, block := range samples {
 		for _, it := range block {
-			buf = append(buf, float64(it.DurNs())/1e6)
+			out = append(out, durMs(it))
 		}
 	}
-	return buf
+	return out
 }

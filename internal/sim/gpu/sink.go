@@ -2,18 +2,19 @@ package gpu
 
 import (
 	"math"
-	"sync"
 
 	"golatest/internal/stats"
 )
 
-// SampleSink consumes iteration timings while a kernel materialises,
-// instead of the kernel storing the full [][]IterSample trace. Blocks are
-// streamed sequentially in index order, iterations in execution order, so
-// sink state needs no synchronisation. A kernel launched with a sink has
-// no handle and no trace. The phase-1, warm-up and phase-3 kernels all
-// stream into sinks; only callers that need several kernels' raw traces
-// side by side (the wake-up estimator) launch without one.
+// SampleSink consumes iteration timings while a kernel materialises.
+// Blocks are streamed sequentially in index order, iterations in
+// execution order, so sink state needs no synchronisation. Every kernel
+// streams into a sink. Launch's handle, the *Kernel, is the sink that
+// stores the whole [][]IterSample trace, for callers that need several
+// kernels' raw traces side by side (the wake-up estimator); a kernel
+// launched with any other sink (LaunchWithSink) has no handle and no
+// trace. The phase-1, warm-up and phase-3 kernels stream into sinks that
+// keep only what they read.
 //
 // A sink says what it consumes. BlockStart returns the first iteration
 // it wants, and the device delivers only iterations from there on. The
@@ -33,11 +34,11 @@ import (
 //
 // Which sinks get the materialised kernel's trace exactly: one that
 // wants every iteration of every block and does not implement
-// TailFolder — the phase-1 MomentSink, or any SampleSink wrapped so that
-// only its SampleSink methods show. Its samples and the kernel's timing
-// are bit-identical to Launch's. Every other sink gets samples and a
-// kernel end that are reproducible per seed and equal in distribution,
-// not in bits, to a fully delivered kernel's. A TailFolder whose Band
+// TailFolder — Launch's *Kernel, the phase-1 MomentSink, or any
+// SampleSink wrapped so that only its SampleSink methods show. All of
+// them get the same samples and kernel timing, bit for bit. Every other
+// sink gets samples and a kernel end that are reproducible per seed and
+// equal in distribution, not in bits, to a fully delivered kernel's. A TailFolder whose Band
 // is infinite and whose InTail starts false gets each block's
 // materialised iterations up to its first fold.
 type SampleSink interface {
@@ -214,21 +215,4 @@ func (s *TailSink) NumBlocks() int { return len(s.blocks) }
 func (s *TailSink) BlockTail(block int) (n int, meanMs float64) {
 	w := s.blocks[block]
 	return int(w.n), float64(w.sumNs) / float64(w.n) / 1e6
-}
-
-// durationsPool recycles the flattened duration buffers DurationsMs
-// returns, bounding steady-state allocation in callers that repeatedly
-// flatten kernels of similar size.
-var durationsPool = sync.Pool{
-	New: func() any { s := make([]float64, 0, 1024); return &s },
-}
-
-// GetDurationsBuf leases a zero-length duration buffer from the pool.
-func GetDurationsBuf() []float64 { return (*(durationsPool.Get().(*[]float64)))[:0] }
-
-// PutDurationsBuf returns a buffer obtained from GetDurationsBuf (or an
-// AppendDurationsMs result built on one) to the pool.
-func PutDurationsBuf(buf []float64) {
-	buf = buf[:0]
-	durationsPool.Put(&buf)
 }

@@ -366,29 +366,6 @@ func TestStreamStatsReset(t *testing.T) {
 	}
 }
 
-// TestAppendDurationsMsReusesBuffer checks the pooled flatten path does
-// not grow a sufficient buffer.
-func TestAppendDurationsMsReusesBuffer(t *testing.T) {
-	dev, _ := newTestDevice(t, testConfig())
-	k, err := dev.Launch(KernelSpec{Iters: 64, CyclesPerIter: 50_000, Blocks: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev.Synchronize()
-
-	buf := make([]float64, 0, 256)
-	out := k.AppendDurationsMs(buf)
-	if len(out) != 128 {
-		t.Fatalf("len = %d, want 128", len(out))
-	}
-	if &out[0] != &buf[:1][0] {
-		t.Fatal("sufficient buffer was reallocated")
-	}
-	if diff := len(k.DurationsMs()) - len(out); diff != 0 {
-		t.Fatalf("DurationsMs length differs by %d", diff)
-	}
-}
-
 // TestWakeChunkMatchesInDistribution checks that undelivered iterations
 // inside a wake window elapse with the distribution of delivered ones.
 // Over many device seeds, a one-block kernel launched on an idle device

@@ -12,32 +12,29 @@ type MeanStd struct {
 	Std  float64
 }
 
-// Describe computes the MeanStd of xs in a single pass (Welford's
-// algorithm, numerically stable for the microsecond-scale timings with
-// nanosecond noise the simulator produces).
+// Describe computes the MeanStd of xs in a single pass through an
+// Accumulator (Welford's algorithm, numerically stable for the
+// microsecond-scale timings with nanosecond noise the simulator
+// produces).
 func Describe(xs []float64) MeanStd {
-	var (
-		n    int
-		mean float64
-		m2   float64
-	)
+	var a Accumulator
 	for _, x := range xs {
-		n++
-		delta := x - mean
-		mean += delta / float64(n)
-		m2 += delta * (x - mean)
+		a.Add(x)
 	}
-	ms := MeanStd{N: n, Mean: mean}
-	switch {
-	case n == 0:
-		ms.Mean = math.NaN()
-		ms.Std = math.NaN()
-	case n == 1:
-		ms.Std = math.NaN()
-	default:
-		ms.Std = math.Sqrt(m2 / float64(n-1))
+	return a.MeanStd()
+}
+
+// meanStd freezes a count, mean and sum of squared deviations m2 into a
+// MeanStd: mean and deviation are NaN for no observations, the deviation
+// for one.
+func meanStd(n int, mean, m2 float64) MeanStd {
+	switch n {
+	case 0:
+		return MeanStd{Mean: math.NaN(), Std: math.NaN()}
+	case 1:
+		return MeanStd{N: 1, Mean: mean, Std: math.NaN()}
 	}
-	return ms
+	return MeanStd{N: n, Mean: mean, Std: math.Sqrt(m2 / float64(n-1))}
 }
 
 // StdErr returns the standard error of the mean, Std/√N.
@@ -75,19 +72,7 @@ func (a *Accumulator) Add(x float64) {
 func (a *Accumulator) N() int { return a.n }
 
 // MeanStd freezes the accumulator into a MeanStd snapshot.
-func (a *Accumulator) MeanStd() MeanStd {
-	ms := MeanStd{N: a.n, Mean: a.mean}
-	switch {
-	case a.n == 0:
-		ms.Mean = math.NaN()
-		ms.Std = math.NaN()
-	case a.n == 1:
-		ms.Std = math.NaN()
-	default:
-		ms.Std = math.Sqrt(a.m2 / float64(a.n-1))
-	}
-	return ms
-}
+func (a *Accumulator) MeanStd() MeanStd { return meanStd(a.n, a.mean, a.m2) }
 
 // MomentAccumulator extends Accumulator to the third and fourth central
 // moments, so the streaming kernel-statistics path can run the phase-1
@@ -124,19 +109,7 @@ func (a *MomentAccumulator) N() int { return a.n }
 func (a *MomentAccumulator) Reset() { *a = MomentAccumulator{} }
 
 // MeanStd freezes the accumulator into a MeanStd snapshot.
-func (a *MomentAccumulator) MeanStd() MeanStd {
-	ms := MeanStd{N: a.n, Mean: a.mean}
-	switch {
-	case a.n == 0:
-		ms.Mean = math.NaN()
-		ms.Std = math.NaN()
-	case a.n == 1:
-		ms.Std = math.NaN()
-	default:
-		ms.Std = math.Sqrt(a.m2 / float64(a.n-1))
-	}
-	return ms
-}
+func (a *MomentAccumulator) MeanStd() MeanStd { return meanStd(a.n, a.mean, a.m2) }
 
 // Skewness returns the sample skewness (g1), or NaN for n < 3 or zero
 // variance, matching the slice-based Skewness convention.
