@@ -60,14 +60,15 @@
 // The two bounds are rejected without -gc. To bound a shared store
 // without operator action, run stored with -gc-every.
 //
-// A store write or claim failure aborts a sweep, unless the store has a
-// local fallback tier (-store-url combined with -cache-dir): then the
-// sweep degrades around it (unleased recompute on a failed claim,
-// unpersisted in-memory result on a failed write). A run that degraded
-// prints a resilience stats line; writes the outage deferred into the
-// local tier's pending journal are replayed to the daemon automatically
-// when it returns, or explicitly with -reconcile, which flushes the
-// journal and exits without generating artefacts.
+// A store write or claim error aborts the run. A daemon outage is not
+// such an error when the store has a local tier (-store-url combined
+// with -cache-dir): reads then serve local-only, claims are arbitrated
+// by the cache directory, and writes land there plus a pending journal.
+// A refusal from a live daemon (an under-scoped token, a quota) always
+// aborts. A run that degraded prints a resilience stats line; the
+// journal is replayed to the daemon automatically when it returns, or
+// explicitly with -reconcile, which flushes the journal and exits
+// without generating artefacts.
 //
 // With -trace-out, the run records every fleet sweep as a span tree —
 // one root span per sweep, one child span per shard (claim, compute,
@@ -87,6 +88,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -172,15 +174,22 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown scale %q", *scaleFlag)
 	}
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		return err
-	}
-
 	wanted := map[string]bool{}
 	if *only != "" {
 		for _, id := range strings.Split(*only, ",") {
-			wanted[strings.TrimSpace(id)] = true
+			id = strings.TrimSpace(id)
+			if !slices.ContainsFunc(generators, func(g generator) bool { return g.id == id }) {
+				ids := make([]string, len(generators))
+				for i, g := range generators {
+					ids[i] = g.id
+				}
+				return fmt.Errorf("-only: unknown artefact id %q (valid: %s)", id, strings.Join(ids, " "))
+			}
+			wanted[id] = true
 		}
+	}
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		return err
 	}
 
 	// The tracer is shared by the suite's fleet sweeps and the store
@@ -347,10 +356,9 @@ func run(args []string, out io.Writer) error {
 		// The resilience line only appears when an outage was actually
 		// absorbed somewhere — a clean run stays clean.
 		if r, ok := backend.(store.Resilient); ok {
-			rs, fallbacks := r.Resilience(), suite.Degraded()
-			if rs.Degraded+rs.Deferred+rs.Reconciled+rs.Pending+fallbacks > 0 {
-				fmt.Fprintf(out, "resilience: %d degraded reads, %d deferred writes, %d reconciled, %d pending; %d sweep fallbacks\n",
-					rs.Degraded, rs.Deferred, rs.Reconciled, rs.Pending, fallbacks)
+			if rs := r.Resilience(); rs.Degraded+rs.Deferred+rs.Reconciled+rs.Pending > 0 {
+				fmt.Fprintf(out, "resilience: %d degraded requests, %d deferred writes, %d reconciled, %d pending\n",
+					rs.Degraded, rs.Deferred, rs.Reconciled, rs.Pending)
 			}
 		}
 		if *gc {
@@ -367,9 +375,8 @@ func run(args []string, out io.Writer) error {
 		// actually went over the network.
 		if c, ok := backend.(*storenet.Client); ok {
 			tel := c.Telemetry()
-			fmt.Fprintf(out, "client: %d retries, %d rate-limited, %d breaker opens, %d deferred, %d replayed, %d KiB out, %d KiB in\n",
-				tel.Retries, tel.RateLimited, tel.BreakerOpened, tel.DeferredPuts,
-				tel.ReconcileReplays, tel.BytesSent/1024, tel.BytesReceived/1024)
+			fmt.Fprintf(out, "client: %d retries, %d rate-limited, %d breaker opens, %d KiB out, %d KiB in\n",
+				tel.Retries, tel.RateLimited, tel.BreakerOpened, tel.BytesSent/1024, tel.BytesReceived/1024)
 		}
 		// The replication lines mirror the router's counters: one summary,
 		// then one health line per member so an operator sees at a glance

@@ -508,6 +508,18 @@ func TestRunValidation(t *testing.T) {
 	if err := run([]string{"-scale", "medium"}, &out); err == nil {
 		t.Error("unknown scale accepted")
 	}
+	// An unknown -only id is an error naming the valid ids, alone or
+	// next to valid ones, and nothing runs.
+	for _, only := range []string{"nosuch", "table1,nosuch"} {
+		outDir := t.TempDir()
+		err := run([]string{"-only", only, "-out", outDir}, &out)
+		if err == nil || !strings.Contains(err.Error(), `"nosuch"`) || !strings.Contains(err.Error(), "table1 table2") {
+			t.Errorf("-only %s: err = %v, want an unknown-id error listing the valid ids", only, err)
+		}
+		if entries, _ := os.ReadDir(outDir); len(entries) != 0 {
+			t.Errorf("-only %s wrote %d artefacts", only, len(entries))
+		}
+	}
 }
 
 func TestGeneratorIDsUnique(t *testing.T) {
@@ -720,7 +732,7 @@ func TestDegradedRunThenReconcile(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(outDir, "fig3_a100_max.txt")); err != nil {
 		t.Fatalf("degraded run produced no artefact: %v", err)
 	}
-	m := regexp.MustCompile(`resilience: \d+ degraded reads, (\d+) deferred writes`).FindStringSubmatch(out.String())
+	m := regexp.MustCompile(`resilience: \d+ degraded requests, (\d+) deferred writes`).FindStringSubmatch(out.String())
 	if m == nil {
 		t.Fatalf("no resilience stats line after a degraded run:\n%s", out.String())
 	}
@@ -792,10 +804,28 @@ func TestStoreTokenFlag(t *testing.T) {
 		t.Fatalf("authed sweep stored %d blobs, want 1", backing.Len())
 	}
 
+	// A read-scope token's Put is refused. The local tier absorbs
+	// outages, not refusals: the run aborts with ErrAuth naming the
+	// shard, and neither a blob nor a journal marker is left behind.
+	out.Reset()
+	cacheDir := t.TempDir()
+	err = run([]string{"-scale", "quick", "-only", "fig3c", "-seed", "7", "-store-url", srv.URL,
+		"-store-token", "viewer", "-cache-dir", cacheDir, "-out", t.TempDir()}, &out)
+	if !errors.Is(err, storenet.ErrAuth) || !strings.Contains(err.Error(), "shard 0 (a100/0)") {
+		t.Fatalf("read-scope sweep err = %v, want ErrAuth naming the shard\n%s", err, out.String())
+	}
+	for _, pattern := range []string{"*.json", filepath.Join("pending", "*.pend")} {
+		if left, _ := filepath.Glob(filepath.Join(cacheDir, pattern)); len(left) != 0 {
+			t.Fatalf("refused sweep left %v in the cache dir", left)
+		}
+	}
+	if backing.Len() != 1 {
+		t.Fatalf("read-scope sweep stored a blob: %d blobs", backing.Len())
+	}
+
 	// Scope ceilings surface as the terminal auth error: -gc needs
 	// admin, so the write-scope token's GC request aborts the run with
-	// ErrAuth (suite cache writes are fire-and-forget by design, so the
-	// GC verb is where an under-scoped token reliably fails).
+	// ErrAuth.
 	out.Reset()
 	err = run([]string{"-scale", "quick", "-only", "table1", "-store-url", srv.URL,
 		"-store-token", "sweeper", "-gc", "-max-store-bytes", "1", "-out", t.TempDir()}, &out)
@@ -886,5 +916,39 @@ func TestStoreURLListRouter(t *testing.T) {
 	if s := out.String(); !strings.Contains(s, "member http://127.0.0.1:1: ") ||
 		!strings.Contains(s, ", 0 blobs") {
 		t.Fatalf("dead member's health line missing or non-empty:\n%s", s)
+	}
+}
+
+// TestReplicatedDeadMemberLedgers: with one of two members dead, both
+// are preferred replicas of every blob (r=2). The router line carries
+// the failovers and under-replicated puts; the resilience line carries
+// only what a member deferred to a journal, which a cache-less member
+// never does. The router's events must not be counted there again under
+// the journal's names.
+func TestReplicatedDeadMemberLedgers(t *testing.T) {
+	backing, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(storenet.NewServer(backing))
+	defer srv.Close()
+
+	var out bytes.Buffer
+	if err := run([]string{"-scale", "quick", "-only", "fig7",
+		"-store-url", srv.URL + ",http://127.0.0.1:1", "-replication", "2",
+		"-out", t.TempDir()}, &out); err != nil {
+		t.Fatalf("sweep with a dead member: %v\n%s", err, out.String())
+	}
+	m := regexp.MustCompile(`router: .*, (\d+) failovers, (\d+) under-replicated puts`).FindStringSubmatch(out.String())
+	if m == nil || m[1] == "0" || m[2] == "0" {
+		t.Fatalf("router line lacks the failovers and under-replicated puts:\n%s", out.String())
+	}
+	// The resilience line prints only when a member absorbed something
+	// (say, a read fast-failed mid-trip); whenever it prints, it reports
+	// no deferred writes.
+	for _, d := range regexp.MustCompile(`(\d+) deferred writes`).FindAllStringSubmatch(out.String(), -1) {
+		if d[1] != "0" {
+			t.Fatalf("resilience line reports %s deferred writes with no journal:\n%s", d[1], out.String())
+		}
 	}
 }

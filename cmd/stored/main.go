@@ -32,7 +32,8 @@
 //
 // The directory is an ordinary internal/store directory: local
 // processes may keep sharing it by path while remote clients go through
-// the daemon — both coordinate through the same journal and lease files.
+// the daemon — both coordinate through the same blob and lease files
+// (the blob files are the index; there is no journal).
 // With -gc-every, the daemon garbage-collects its store in the
 // background: every period it evicts least-recently-used blobs past
 // -gc-watermark-bytes and blobs idle longer than -max-store-age, and

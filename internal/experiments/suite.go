@@ -115,7 +115,7 @@ type Suite struct {
 	runs atomic.Int64
 
 	// Every fleet report this suite produced, in completion order; see
-	// SweepReports, and Contention and Degraded, which sum them.
+	// SweepReports, and Contention, which sums them.
 	// Guarded by repMu, not mu — sweeps run concurrently with campaign
 	// singleflight traffic.
 	repMu   sync.Mutex
@@ -153,18 +153,6 @@ func (s *Suite) Contention() Contention {
 		c.Stolen += int64(rep.Stolen)
 	}
 	return c
-}
-
-// Degraded returns the store-failure fallbacks the suite's sweeps
-// absorbed over a store that can degrade (unleased recomputes,
-// unpersisted results), summed over every sweep report. The store's
-// own journal traffic is the backend's to count (store.Resilient).
-func (s *Suite) Degraded() int64 {
-	var n int64
-	for _, rep := range s.SweepReports() {
-		n += int64(rep.Degraded)
-	}
-	return n
 }
 
 // campaignCall is one singleflight entry: done closes once res/err are

@@ -72,12 +72,10 @@ type Options struct {
 	// protocol below is identical either way, which is what lets a sweep
 	// span hosts.
 	//
-	// A store write or claim failure aborts the sweep, unless the store
-	// has a local fallback tier (store.Resilient reporting CanDegrade):
-	// then a failed claim falls back to unleased recompute (duplicate work
-	// across peers at worst — results are deterministic, so never wrong
-	// ones) and a failed Put keeps the result in the report, each fallback
-	// ticking Report.Degraded. Read failures are misses either way.
+	// A claim or Put error fails its shard, and so the sweep, over every
+	// backend; read failures are misses. Outages a backend can absorb
+	// (a tiered storenet.Client's local claims and journaled writes) never
+	// reach the sweep as errors.
 	Store store.Backend
 
 	// Config maps a shard's profile to the campaign configuration it
@@ -111,7 +109,7 @@ type Options struct {
 	// Tracer, when non-nil, records the sweep as a span tree: one root
 	// span with a per-shard child span in its own timeline lane (TID =
 	// shard index + 1), carrying typed events (claim/wait/steal, store
-	// hit/miss, compute, put, degrade). The root span's context is
+	// hit/miss, compute, put). The root span's context is
 	// installed on Options.Store when it implements
 	// obs.TraceContextSetter, so a storenet.Client's wire requests —
 	// and the daemon-side records they leave — carry this sweep's trace
@@ -161,11 +159,6 @@ type Report struct {
 	// Waited counts shards it resolved by waiting on a peer's claim,
 	// Stolen counts claimed leases it took over from dead peers.
 	Claimed, Waited, Stolen int
-	// Degraded counts the sweep's own store-failure fallbacks over a
-	// store that can degrade (see Options.Store): lease acquires that
-	// fell back to unleased recompute, and Puts whose failure was
-	// absorbed (result kept in the report, not persisted).
-	Degraded int
 	// TraceID is the hex trace identifier of the sweep's root span when
 	// Options.Tracer was set ("" otherwise) — the value to grep for in a
 	// trace export or a daemon's /debug/ops flight recorder.
@@ -220,9 +213,8 @@ var errParked = errors.New("fleet: shard claimed by a live peer")
 
 // sweeper carries one Sweep invocation's shared state.
 type sweeper struct {
-	opts    Options
-	owner   string
-	degrade bool // the store can degrade (see Options.Store)
+	opts  Options
+	owner string
 
 	shards []Shard
 	spans  []*obs.Span // parked shards' open spans, by shard index
@@ -232,7 +224,6 @@ type sweeper struct {
 
 	failed                                  atomic.Bool
 	hits, computed, claimed, waited, stolen atomic.Int64
-	degraded                                atomic.Int64
 }
 
 // shardSpan opens the per-shard child span: its own timeline lane (TID
@@ -246,13 +237,6 @@ func (w *sweeper) shardSpan(sh *Shard, idx int) *obs.Span {
 	span.SetTID(idx + 1)
 	span.SetAttr("profile", fmt.Sprintf("%s/%d", sh.Profile.Key, sh.Profile.Instance))
 	return span
-}
-
-// canDegrade reports whether b has a local fallback tier that absorbs
-// store write and claim failures.
-func canDegrade(b store.Backend) bool {
-	r, ok := b.(store.Resilient)
-	return ok && r.CanDegrade()
 }
 
 // defaultOwner derives a lease owner id unique enough for a fleet:
@@ -294,7 +278,7 @@ func Sweep(profiles []hwprofile.Profile, opts Options) (*Report, error) {
 		return rep, nil
 	}
 
-	sw := &sweeper{opts: opts, owner: opts.Owner, degrade: canDegrade(opts.Store),
+	sw := &sweeper{opts: opts, owner: opts.Owner,
 		shards: rep.Shards, spans: make([]*obs.Span, len(profiles)), tracer: opts.Tracer}
 	if sw.owner == "" {
 		sw.owner = defaultOwner()
@@ -333,7 +317,6 @@ func Sweep(profiles []hwprofile.Profile, opts Options) (*Report, error) {
 	rep.Claimed = int(sw.claimed.Load())
 	rep.Waited = int(sw.waited.Load())
 	rep.Stolen = int(sw.stolen.Load())
-	rep.Degraded = int(sw.degraded.Load())
 
 	for i := range rep.Shards {
 		if sh := &rep.Shards[i]; sh.Err != nil {
@@ -449,15 +432,6 @@ func (w *sweeper) claimAndRun(sh *Shard, cfg core.Config, span *obs.Span, park b
 	for {
 		lease, ok, err := st.TryAcquire(sh.Key.Digest, w.owner, w.opts.LeaseTTL)
 		if err != nil {
-			if w.degrade {
-				// The lease arbiter is unreachable. Compute unleased: a
-				// peer may duplicate this shard, but campaigns are
-				// deterministic, so duplicated work writes identical bytes
-				// — never a wrong result, and never a lost shard.
-				span.Event("degrade.unleased")
-				w.degraded.Add(1)
-				return w.computeAndPersist(sh, cfg, nil, span)
-			}
 			return fmt.Errorf("claim: %w", err)
 		}
 		if ok {
@@ -551,22 +525,14 @@ func (w *sweeper) computeAndPersist(sh *Shard, cfg core.Config, lease store.Leas
 	w.computed.Add(1)
 	span.SetAttr("outcome", "computed")
 	if w.opts.Store != nil {
-		// A failed write means the store the caller asked for is broken
-		// (full disk, bad permissions); surfacing it beats silently
-		// recomputing every shard forever — unless the degrade policy
-		// says otherwise, in which case the result stays in the report
-		// (this process loses nothing) and only the shared tier misses
-		// it until a future sweep recomputes or reconciles.
+		// A failed write means the store the caller asked for refused the
+		// result or is broken (full disk, bad permissions); surfacing it
+		// beats silently recomputing every shard forever.
 		span.Event("put")
 		t1 := time.Now()
 		err := w.opts.Store.Put(sh.Key, res)
 		sh.StoreNs += time.Since(t1).Nanoseconds()
 		if err != nil {
-			if w.degrade {
-				span.Event("degrade.unpersisted")
-				w.degraded.Add(1)
-				return nil
-			}
 			return fmt.Errorf("persist: %w", err)
 		}
 	}

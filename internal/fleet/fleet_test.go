@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,6 +15,8 @@ import (
 	"golatest/internal/hwprofile"
 	"golatest/internal/obs"
 	"golatest/internal/store"
+	"golatest/internal/storenet/faults"
+	"golatest/internal/storenet/router"
 )
 
 func testProfiles(n int) []hwprofile.Profile {
@@ -283,6 +286,77 @@ func TestSweepErrorCarriesShardIdentity(t *testing.T) {
 
 	// Sibling shards completed before the abort are durable in the store.
 	storedAfterAbort(t, st, profiles, rep, 2)
+}
+
+// TestSweepAutoPolicyAbortsOnPlainStore: a failed claim or Put aborts
+// the sweep with the shard's identity over every backend — a plain store
+// whose directory is gone, a killed fault wrapper, and a replicating
+// router whose members are all killed. Absorbing an outage is the store
+// tier's job; the sweep never carries on with results persisted nowhere.
+func TestSweepAutoPolicyAbortsOnPlainStore(t *testing.T) {
+	killed := func(t *testing.T) store.Backend {
+		inner, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := faults.WrapBackend(inner, faults.Plan{})
+		b.Kill()
+		return b
+	}
+	backends := []struct {
+		name string
+		open func(*testing.T) store.Backend
+	}{
+		{"plain", func(t *testing.T) store.Backend {
+			dir := filepath.Join(t.TempDir(), "store")
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A file where the directory was: every write and claim fails,
+			// even for a process that ignores permission bits.
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(dir, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}},
+		{"faults", killed},
+		{"router", func(t *testing.T) store.Backend {
+			r, err := router.New([]store.Backend{killed(t), killed(t)}, router.Options{Replication: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}},
+	}
+	for _, b := range backends {
+		for _, mode := range []struct {
+			ttl  time.Duration
+			want string
+		}{{0, "persist: "}, {time.Minute, "claim: "}} {
+			t.Run(fmt.Sprintf("%s/%s", b.name, strings.TrimSuffix(mode.want, ": ")), func(t *testing.T) {
+				var calls atomic.Int64
+				rep, err := Sweep(testProfiles(2), Options{
+					Store:    b.open(t),
+					Config:   testConfig,
+					Run:      fakeRun(&calls),
+					LeaseTTL: mode.ttl,
+					WaitPoll: time.Millisecond,
+				})
+				if err == nil {
+					t.Fatalf("sweep over a failing store succeeded with %d shards computed", rep.Computed)
+				}
+				for _, want := range []string{"fleet: shard ", " (a100/", mode.want} {
+					if !strings.Contains(err.Error(), want) {
+						t.Fatalf("error %q lacks %q", err, want)
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestSweepLeasePartition is the cross-process acceptance shape: two

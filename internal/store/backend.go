@@ -74,9 +74,10 @@ type LeaseHandle interface {
 // ResilienceStats reports a backend's degraded-mode traffic: what it
 // absorbed, deferred, and healed while its remote tier was unavailable.
 type ResilienceStats struct {
-	// Degraded counts requests the backend answered without the remote
-	// because its circuit breaker was open — reads served local-only (or
-	// fast-failed to a miss) instead of waiting out a network timeout.
+	// Degraded counts requests the backend answered without the remote:
+	// reads served local-only (or fast-failed to a miss) while its
+	// circuit breaker was open, and lease claims arbitrated by the local
+	// tier because the remote could not answer.
 	Degraded int64
 	// Deferred counts writes that landed in the local tier plus the
 	// write-behind journal instead of the remote.
@@ -108,16 +109,19 @@ type ValidatedPutter interface {
 
 // Resilient is implemented by backends that survive a remote outage by
 // degrading to a local tier: storenet.Client with a cache configured,
-// and the storenet router, whose replicas and optional local tier
-// absorb a member's outage. Its counters are the one ledger of that
-// traffic; they span the backend's life, not any one sweep.
+// and the storenet router, which sums its members' counters. The
+// backend alone decides what it absorbs: whatever it cannot (a refusal
+// from a live remote, a failed local write) reaches the caller as an
+// error, and a fleet sweep aborts on it. Its counters are the one
+// ledger of the absorbed traffic; they span the backend's life, not any
+// one sweep.
 // Blobs are content-addressed and immutable, so the degraded contract
 // is safe by construction: a deferred write holds exactly the bytes the
 // remote would have stored, replaying it is idempotent, and no reader
 // can ever observe a wrong result — only a temporarily smaller store.
 type Resilient interface {
-	// CanDegrade reports whether a local tier absorbs remote failures —
-	// the signal fleet sweeps use to default their store-error policy.
+	// CanDegrade reports whether a local tier absorbs remote failures,
+	// which is what gives Reconcile a journal to replay.
 	CanDegrade() bool
 	// Resilience snapshots the degraded-mode counters.
 	Resilience() ResilienceStats

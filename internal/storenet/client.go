@@ -73,8 +73,9 @@ const (
 // remote hit heals the local tier (the validated bytes are written
 // down), and Put lands in both. Because blobs are immutable per digest,
 // the tiers can never disagree about a key's content — only about its
-// presence — so the local tier is pure acceleration. Leases always go
-// remote: claims must be arbitrated fleet-wide, never per host.
+// presence — so the local tier is pure acceleration. Leases go remote:
+// claims are arbitrated fleet-wide, and fall back to the local tier's
+// lease files only while the daemon cannot answer (see below).
 //
 // # Failure discipline
 //
@@ -101,10 +102,13 @@ const (
 // burning a timeout-and-retry cycle, and after a cooldown a single
 // half-open probe decides whether to close it. With a local tier
 // configured the client then runs in degraded mode rather than
-// failing: Gets serve local-only, and Puts land in the local tier plus
-// a write-behind journal (pending/ inside the cache directory) that
-// Reconcile — explicit, or kicked off automatically when the breaker
-// closes — replays to the daemon. Blobs are content-addressed and
+// failing: Gets serve local-only, lease claims are arbitrated by the
+// cache directory (so processes sharing it still partition the work),
+// and Puts land in the local tier plus a write-behind journal (pending/
+// inside the cache directory) that Reconcile — explicit, or kicked off
+// automatically when the breaker closes — replays to the daemon. Refusals
+// from a live daemon (401/403, 429, other 4xx) never degrade: they
+// surface to the caller. Blobs are content-addressed and
 // immutable, so the replay is idempotent and byte-identical to what a
 // healthy Put would have stored: degraded mode trades away only
 // freshness of the shared tier, never correctness or exactly-once
@@ -530,9 +534,7 @@ func (c *Client) doIdempotent(method, u string, body []byte, span *obs.Span, par
 // doOnce issues one non-idempotent (lease) request, exactly once,
 // under one RequestTimeout deadline. Lease traffic shares the breaker:
 // its failures are the same daemon being down, and while the circuit
-// is open a claim fast-fails with ErrUnavailable — which the fleet's
-// degrade policy turns into an unleased recompute instead of an
-// aborted sweep.
+// is open a request fast-fails with ErrUnavailable.
 func (c *Client) doOnce(u string, body any, span *obs.Span) (*http.Response, error) {
 	data, err := json.Marshal(body)
 	if err != nil {
@@ -867,11 +869,9 @@ func (c *Client) Resilience() store.ResilienceStats {
 }
 
 // Telemetry is a point-in-time snapshot of this client's wire-level
-// behavior since construction. All fields are monotonic counters
-// except Pending (a gauge). The client was previously a telemetry
-// black hole — retries, breaker edges and wire volume happened
-// silently inside doIdempotent; this is the aggregate view the stats
-// line and the Prometheus families fold in.
+// behavior since construction; every field is a monotonic counter.
+// The degraded-mode traffic (deferred, replayed and pending writes) is
+// Resilience's to report.
 type Telemetry struct {
 	// Retries counts retry attempts actually issued (attempt ≥ 2 of an
 	// idempotent request), not sleeps scheduled.
@@ -884,12 +884,6 @@ type Telemetry struct {
 	BreakerOpened   int64 `json:"breaker_opened"`
 	BreakerHalfOpen int64 `json:"breaker_half_open"`
 	BreakerClosed   int64 `json:"breaker_closed"`
-	// DeferredPuts / ReconcileReplays / Pending mirror the degraded
-	// write path: journaled write-behinds, journal entries replayed to
-	// the daemon, and journal entries currently waiting.
-	DeferredPuts     int64 `json:"deferred_puts"`
-	ReconcileReplays int64 `json:"reconcile_replays"`
-	Pending          int64 `json:"pending"`
 	// DecodePasses counts response-body validations this client ran
 	// (each is one decode of a blob container — the "validated exactly
 	// once" invariant makes this equal to remote read traffic).
@@ -904,17 +898,14 @@ type Telemetry struct {
 // Telemetry returns the client's wire-level counters.
 func (c *Client) Telemetry() Telemetry {
 	return Telemetry{
-		Retries:          c.retryCount.Load(),
-		RateLimited:      c.rateLimited.Load(),
-		BreakerOpened:    c.brOpened.Load(),
-		BreakerHalfOpen:  c.brHalfOpened.Load(),
-		BreakerClosed:    c.brClosed.Load(),
-		DeferredPuts:     c.deferred.Load(),
-		ReconcileReplays: c.reconciled.Load(),
-		Pending:          c.pending.Load(),
-		DecodePasses:     c.decodePasses.Load(),
-		BytesSent:        c.bytesSent.Load(),
-		BytesReceived:    c.bytesReceived.Load(),
+		Retries:         c.retryCount.Load(),
+		RateLimited:     c.rateLimited.Load(),
+		BreakerOpened:   c.brOpened.Load(),
+		BreakerHalfOpen: c.brHalfOpened.Load(),
+		BreakerClosed:   c.brClosed.Load(),
+		DecodePasses:    c.decodePasses.Load(),
+		BytesSent:       c.bytesSent.Load(),
+		BytesReceived:   c.bytesReceived.Load(),
 	}
 }
 
@@ -1090,7 +1081,9 @@ func (c *Client) Counters() store.Counters {
 // TryAcquire claims the digest fleet-wide through the daemon. Exactly
 // one request is sent: if the response is lost after a grant, the
 // unrenewed lease expires within one TTL and the claim loop steals it —
-// the same recovery as a crashed local holder.
+// the same recovery as a crashed local holder. A request that does not
+// reach a live daemon (open breaker, transport failure, 5xx) claims on
+// the local tier instead, when there is one; see claimLocally.
 func (c *Client) TryAcquire(digest, owner string, ttl time.Duration) (store.LeaseHandle, bool, error) {
 	if owner == "" {
 		return nil, false, fmt.Errorf("storenet: empty lease owner")
@@ -1102,7 +1095,7 @@ func (c *Client) TryAcquire(digest, owner string, ttl time.Duration) (store.Leas
 	defer span.End()
 	resp, err := c.doOnce(c.leaseURL(digest, "acquire"), acquireRequest{Owner: owner, TTLNs: int64(ttl)}, span)
 	if err != nil {
-		return nil, false, fmt.Errorf("storenet: acquire %s: %w", digest, err)
+		return c.claimLocally(digest, owner, ttl, span, fmt.Errorf("storenet: acquire %s: %w", digest, err))
 	}
 	data, readErr := c.readBody(resp, maxControlBytes)
 	switch resp.StatusCode {
@@ -1121,12 +1114,29 @@ func (c *Client) TryAcquire(digest, owner string, ttl time.Duration) (store.Leas
 	case http.StatusUnauthorized, http.StatusForbidden:
 		return nil, false, fmt.Errorf("storenet: acquire %s: %s: %w", digest, resp.Status, ErrAuth)
 	case http.StatusTooManyRequests:
-		// Lease ops are exactly-once, so a 429 is not retried here; the
-		// claim loop's wait/steal pacing is the natural backoff.
+		// Lease ops are exactly-once, so a 429 is not retried here: the
+		// refusal surfaces, and a sweep's claim aborts on it.
 		return nil, false, fmt.Errorf("storenet: acquire %s: %s: %w", digest, resp.Status, ErrRateLimited)
-	default:
-		return nil, false, fmt.Errorf("storenet: acquire %s: %s", digest, resp.Status)
 	}
+	err = fmt.Errorf("storenet: acquire %s: %s", digest, resp.Status)
+	if resp.StatusCode >= 500 {
+		return c.claimLocally(digest, owner, ttl, span, err)
+	}
+	return nil, false, err
+}
+
+// claimLocally is the degraded claim path: with a local tier, a claim
+// the daemon could not arbitrate is arbitrated by the cache directory's
+// own lease files, so processes sharing it still partition the work
+// during an outage (cause is then dropped, and the claim counts as
+// degraded). Without a local tier, cause surfaces.
+func (c *Client) claimLocally(digest, owner string, ttl time.Duration, span *obs.Span, cause error) (store.LeaseHandle, bool, error) {
+	if c.cache == nil {
+		return nil, false, cause
+	}
+	c.degraded.Add(1)
+	span.SetAttr("outcome", "degraded")
+	return c.cache.TryAcquire(digest, owner, ttl)
 }
 
 // LeaseHolder peeks at a digest's live claim via the daemon.

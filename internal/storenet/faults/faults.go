@@ -226,7 +226,6 @@ func WrapBackend(inner store.Backend, plan Plan) *Backend {
 }
 
 var _ store.Backend = (*Backend)(nil)
-var _ store.Resilient = (*Backend)(nil)
 
 // Kill makes every subsequent call fail; Restore undoes it.
 func (b *Backend) Kill()    { b.down.Store(true) }
@@ -304,28 +303,4 @@ func (b *Backend) Len() int                     { return b.inner.Len() }
 func (b *Backend) Counters() store.Counters     { return b.inner.Counters() }
 func (b *Backend) GC(p store.GCPolicy) (store.GCStats, error) {
 	return b.inner.GC(p)
-}
-
-// CanDegrade, Resilience, and Reconcile forward to the inner backend
-// when it is Resilient, so wrapping a tiered client in faults does not
-// hide its degraded-mode capability from the fleet's policy resolution.
-func (b *Backend) CanDegrade() bool {
-	if r, ok := b.inner.(store.Resilient); ok {
-		return r.CanDegrade()
-	}
-	return false
-}
-
-func (b *Backend) Resilience() store.ResilienceStats {
-	if r, ok := b.inner.(store.Resilient); ok {
-		return r.Resilience()
-	}
-	return store.ResilienceStats{}
-}
-
-func (b *Backend) Reconcile() (int, error) {
-	if r, ok := b.inner.(store.Resilient); ok {
-		return r.Reconcile()
-	}
-	return 0, nil
 }

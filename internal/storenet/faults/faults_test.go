@@ -212,12 +212,4 @@ func TestWrapBackend(t *testing.T) {
 	if c := b.Injected(); c.Blackouts != 4 {
 		t.Fatalf("Blackouts = %d, want 4", c.Blackouts)
 	}
-
-	// A non-resilient inner backend yields a non-degradable wrapper.
-	if b.CanDegrade() {
-		t.Fatal("plain store wrapper claims it can degrade")
-	}
-	if n, err := b.Reconcile(); n != 0 || err != nil {
-		t.Fatalf("Reconcile over plain store = %d, %v", n, err)
-	}
 }

@@ -305,3 +305,61 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 		t.Fatal("distinct seeds never diverged in 64 draws")
 	}
 }
+
+// TestClaimDegradesToLocalTier: a cache-backed client claims on the
+// local tier when its daemon cannot answer the acquire — down at the
+// transport, or answering 5xx — and counts the claim as degraded. A
+// second client over the same cache dir then finds the claim busy, so
+// processes sharing a cache dir keep partitioning work through the
+// outage. A client without a cache surfaces the failure instead.
+func TestClaimDegradesToLocalTier(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		plan faults.Plan
+		kill bool
+	}{{"down", faults.Plan{}, true}, {"5xx", faults.Plan{FailRate: 1}, false}} {
+		t.Run(c.name, func(t *testing.T) {
+			_, inj, srv := newChaosDaemon(t, c.plan)
+			if c.kill {
+				inj.Kill()
+			}
+			dir := t.TempDir()
+			client := func(withCache bool) *Client {
+				opts := ClientOptions{Retries: 1, RetryBackoff: time.Millisecond}
+				if withCache {
+					cache, err := store.Open(dir)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Cache = cache
+				}
+				cl, err := NewClient(srv.URL, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cl
+			}
+			digest := testKey(t, 0).Digest
+			a, b := client(true), client(true)
+			lease, ok, err := a.TryAcquire(digest, "host-a", time.Minute)
+			if err != nil || !ok {
+				t.Fatalf("claim with the daemon unreachable: ok=%v err=%v, want a local grant", ok, err)
+			}
+			if rs := a.Resilience(); rs.Degraded != 1 {
+				t.Fatalf("Resilience = %+v, want the claim counted as degraded", rs)
+			}
+			if _, ok, err := b.TryAcquire(digest, "host-b", time.Minute); ok || err != nil {
+				t.Fatalf("peer claim over the same cache dir: ok=%v err=%v, want busy", ok, err)
+			}
+			if err := lease.Release(); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := b.TryAcquire(digest, "host-b", time.Minute); !ok || err != nil {
+				t.Fatalf("peer claim after release: ok=%v err=%v, want a grant", ok, err)
+			}
+			if _, _, err := client(false).TryAcquire(digest, "host-c", time.Minute); err == nil {
+				t.Fatal("a client without a cache claimed with its daemon unreachable")
+			}
+		})
+	}
+}

@@ -126,8 +126,8 @@ func TestChaosSweepSurvivesMemberKill(t *testing.T) {
 		LeaseTTL: time.Minute,
 		Owner:    "chaos-host",
 		WaitPoll: 2 * time.Millisecond,
-		// The router advertises CanDegrade, so the sweep must degrade on
-		// its own.
+		// The router absorbs one member's outage by failing over: the
+		// sweep sees no error.
 	})
 	if err != nil {
 		t.Fatalf("sweep failed instead of riding its replicas: %v", err)

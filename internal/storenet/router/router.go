@@ -404,8 +404,7 @@ func (r *Router) Has(k store.Key) bool {
 // errors. A busy answer stops the walk — the lease lives on that
 // member, and asking the next one would manufacture a second grant.
 // Exhausting every member surfaces the last error: claims must stop a
-// fleet that has no arbiter left (or degrade it, under the fleet's
-// policy, to unleased recompute).
+// fleet that has no arbiter left.
 func (r *Router) TryAcquire(digest, owner string, ttl time.Duration) (store.LeaseHandle, bool, error) {
 	span := r.startSpan("router.lease.acquire")
 	defer span.End()
@@ -595,24 +594,11 @@ func (r *Router) ReplicationStats() ReplicationStats {
 // replicas (and the local tier, when one exists).
 func (r *Router) CanDegrade() bool { return len(r.members) > 1 || r.local != nil }
 
-// Resilience implements store.Resilient, mapping replication traffic
-// onto the degraded-mode vocabulary of store.ResilienceStats:
-// Degraded is operations that routed around a member (failovers),
-// Deferred is Puts that landed under-replicated (durable, repair owed),
-// Reconciled is replicas healed (read-repair + scrub), Pending is
-// replica slots still owed. Member-level journal traffic (a tiered
-// member client) folds in on top.
+// Resilience implements store.Resilient: the members' degraded-mode
+// counters, summed. The router's own failovers and repairs are
+// ReplicationStats' to report, under their own names.
 func (r *Router) Resilience() store.ResilienceStats {
-	pending := r.pendingRepairs.Load()
-	if pending < 0 {
-		pending = 0
-	}
-	rs := store.ResilienceStats{
-		Degraded:   r.failovers.Load(),
-		Deferred:   r.underPuts.Load(),
-		Reconciled: r.readRepairs.Load() + r.scrubRepairs.Load(),
-		Pending:    pending,
-	}
+	var rs store.ResilienceStats
 	for _, m := range r.members {
 		if res, ok := m.b.(store.Resilient); ok {
 			mrs := res.Resilience()

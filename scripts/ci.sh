@@ -113,9 +113,9 @@ go test -race -run 'TestDaemonDebugEndpoints' ./cmd/stored
 
 echo "== go test -race (breaker + degraded-mode reconciler) =="
 go test -race -count 2 \
-	-run 'TestBreaker|TestDeferredPutReconciles|TestJournalSurvivesProcessRestart|TestBackgroundReconcileOnRecovery|TestSweepSurvivesStoredOutage' \
+	-run 'TestBreaker|TestDeferredPutReconciles|TestJournalSurvivesProcessRestart|TestBackgroundReconcileOnRecovery|TestSweepSurvivesStoredOutage|TestClaimDegradesToLocalTier' \
 	./internal/storenet
-go test -race -count 2 -run 'TestSweepDegrade|TestSweepAutoPolicy|TestResolvePolicy' ./internal/fleet
+go test -race -count 2 -run 'TestSweepAutoPolicyAbortsOnPlainStore|TestSweepErrorCarriesShardIdentity' ./internal/fleet
 
 echo "== go test -race (v3 blob codec rails: corrupt and legacy blobs are misses, profile and body bounds hold) =="
 go test -race -run 'TestCorruptBlobIsMissAndHeals|TestBlobInflationBound|TestRejectsMultiMemberContainer|TestV3RoundTrip|TestV3GoldenBytes|TestProfileKeyBound|TestPutRefusesBodyPastDecodeBound' \
