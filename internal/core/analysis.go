@@ -25,14 +25,13 @@ type blockVerdict struct {
 // detects the first iteration whose duration falls inside the detection
 // band of the target population, and sums every duration from the
 // detected iteration on — the confirmation population. BlockEnd then
-// confirms that this tail's mean matches the target mean (difference
-// interval containing zero, or relative difference under tolerance).
+// confirms that this tail's mean matches the target mean: a tail of at
+// least two iterations whose mean lies within relTolerance of the
+// target's (Algorithm 2's "meanDiff < tol").
 //
 // Every duration is an integer count of device nanoseconds, so the tail
-// is kept as exact integer sums of y = d − d₀, d₀ being the block's
-// first tail duration, and turned into a millisecond MeanStd once per
-// block. Its mean and deviation may differ from a float accumulator's in
-// the last bits; detection, t_e and the verdict do not.
+// is kept as its exact count and integer duration sum, turned into a
+// millisecond mean once per block.
 //
 // Those sums are all the tail is read for, and before it only the band
 // matters, so the sink is a gpu.TailFolder. Until a block detects, Band
@@ -43,12 +42,11 @@ type blockVerdict struct {
 // jitter tail, the device delivers only the iterations whose jitter
 // could. Once a block has detected, its band holds every duration,
 // InTail says the rest of it is tail, and the device hands it over in
-// chunks of n, Σd and Σd² (Fold) wherever the clock holds still.
-// Detection, t_e and the iteration index are exact in distribution, up
-// to an iteration straying past the device's trusted jitter bound; the
-// tail's n and Σd are exact, its Σd² exact in distribution, so the
-// confirmation verdict and the block's end time are exact in
-// distribution, not in bits.
+// chunks of n and Σd (Fold) wherever the clock holds still. Detection,
+// t_e and the iteration index are exact in distribution, up to an
+// iteration straying past the device's trusted jitter bound; the tail's
+// n and Σd are exact, so the confirmation verdict and the block's end
+// time are exact in distribution, not in bits.
 //
 // When no value on the device timer's lattice (multiples of its
 // quantum) can fall inside the band, no block can detect, and the sink
@@ -66,16 +64,18 @@ type detectSink struct {
 	reachable bool // some timer value lies inside the band
 
 	blocks []blockVerdict
-	// The current block's confirmation population: n durations d, as
-	// sums of y = d − d0. Σy² stays below 2⁶³ for any tail shorter than
-	// 3 s (at most (T − d0)² + n·d0² over a span T), and the capture
-	// window is capped at 2 s.
-	d0, n, sumY, sumY2 int64
+	// The current block's confirmation population: n durations summing
+	// to sumNs.
+	n, sumNs int64
 	// delivered counts the iterations the sink has been handed, one by
 	// one or folded, since it was made, so tests can tell a declined
 	// kernel from a scanned one.
 	delivered int
 }
+
+// A detectSink that stopped implementing gpu.TailFolder would still
+// stream, one iteration at a time, so the compiler checks it.
+var _ gpu.TailFolder = (*detectSink)(nil)
 
 // arm prepares the sink for one benchmark kernel whose clock change was
 // stamped at tsDevNs on the device clock, on a device whose timer
@@ -122,7 +122,7 @@ func bandReachable(mean, band float64, quantumNs int64) bool {
 // Band spares it the iterations that cannot enter the band either.
 func (s *detectSink) BlockStart(block, iters int) int {
 	s.blocks = append(s.blocks, blockVerdict{})
-	s.n, s.sumY, s.sumY2 = 0, 0, 0
+	s.n, s.sumNs = 0, 0
 	if !s.reachable {
 		return iters
 	}
@@ -151,53 +151,31 @@ func (s *detectSink) Sample(block, iter int, it gpu.IterSample) {
 		v.detected = true
 		v.teDevNs = it.EndNs
 		v.iterIndex = iter
-		s.d0 = d
 	}
-	y := d - s.d0
 	s.n++
-	s.sumY += y
-	s.sumY2 += y * y
+	s.sumNs += d
 }
 
 // InTail implements gpu.TailFolder: from a block's detection on, the
 // rest of the block is confirmation tail.
 func (s *detectSink) InTail(block int) bool { return s.blocks[block].detected }
 
-// Fold implements gpu.TailFolder: it adds n tail durations with sum
-// sumNs and sum of squares sumSqNs to the block's sums of y = d − d₀.
-func (s *detectSink) Fold(block, n int, sumNs, sumSqNs int64) {
+// Fold implements gpu.TailFolder: it adds n tail durations summing to
+// sumNs to the block's confirmation population.
+func (s *detectSink) Fold(block, n int, sumNs int64) {
 	s.delivered += n
-	nn := int64(n)
-	s.n += nn
-	s.sumY += sumNs - nn*s.d0
-	s.sumY2 += sumSqNs - 2*s.d0*sumNs + nn*s.d0*s.d0
-}
-
-// tail returns the current block's confirmation population in ms.
-func (s *detectSink) tail() stats.MeanStd {
-	n := float64(s.n)
-	meanY := float64(s.sumY) / n
-	ms := stats.MeanStd{N: int(s.n), Mean: (float64(s.d0) + meanY) / 1e6, Std: math.NaN()}
-	if s.n > 1 {
-		ss := math.Max(0, float64(s.sumY2)-meanY*float64(s.sumY))
-		ms.Std = math.Sqrt(ss/(n-1)) / 1e6
-	}
-	return ms
+	s.n += int64(n)
+	s.sumNs += sumNs
 }
 
 // BlockEnd implements gpu.SampleSink: it confirms the block's detection.
 func (s *detectSink) BlockEnd(block int) {
 	v := &s.blocks[block]
-	if !v.detected {
+	if !v.detected || s.n < 2 {
 		return
 	}
-	tail := s.tail()
-	if tail.N < 2 {
-		return
-	}
-	iv := tcrit.MeanDiffCI(tail, s.target)
-	relDiff := math.Abs(tail.Mean-s.target.Mean) / s.target.Mean
-	if !iv.ContainsZero() && relDiff >= relTolerance {
+	mean := float64(s.sumNs) / float64(s.n) / 1e6
+	if math.Abs(mean-s.target.Mean)/s.target.Mean >= relTolerance {
 		// The device was still adapting: discard this run (§IV).
 		return
 	}

@@ -13,8 +13,8 @@ import (
 // refEvaluateBlock is the two-pass phase-3 evaluator of one SM over a
 // materialised trace, kept as the reference the streaming detectSink
 // must reproduce bit for bit: find the first iteration at or after the
-// change timestamp inside the detection band, then confirm the mean of
-// everything from there on against the target population.
+// change timestamp inside the detection band, then confirm that the mean
+// of everything from there on lies within relTolerance of the target's.
 func refEvaluateBlock(cfg *Config, iters []gpu.IterSample, tsDevNs int64, target stats.MeanStd) blockVerdict {
 	v := blockVerdict{}
 	band := cfg.SigmaK * target.Std
@@ -44,12 +44,7 @@ func refEvaluateBlock(cfg *Config, iters []gpu.IterSample, tsDevNs int64, target
 		acc.Add(float64(it.DurNs()) / 1e6)
 	}
 	tail := acc.MeanStd()
-	if tail.N < 2 {
-		return v
-	}
-	iv := stats.MeanDiffCI(tail, target, confidence)
-	relDiff := math.Abs(tail.Mean-target.Mean) / target.Mean
-	if !iv.ContainsZero() && relDiff >= relTolerance {
+	if tail.N < 2 || math.Abs(tail.Mean-target.Mean)/target.Mean >= relTolerance {
 		return v
 	}
 	v.confirmed = true
@@ -385,11 +380,29 @@ func replay(s *detectSink, blocks [][]gpu.IterSample) {
 	}
 }
 
+// replayFolded streams a materialised trace like replay, except that
+// once a block is in its tail, the rest of the block arrives in one Fold,
+// as the device hands over a tail within one clock segment.
+func replayFolded(s *detectSink, blocks [][]gpu.IterSample) {
+	for b, iters := range blocks {
+		i := s.BlockStart(b, len(iters))
+		for ; i < len(iters) && !s.InTail(b); i++ {
+			s.Sample(b, i, iters[i])
+		}
+		if i < len(iters) {
+			s.Fold(b, len(iters)-i, iters[len(iters)-1].EndNs-iters[i].StartNs)
+		}
+		s.BlockEnd(b)
+	}
+}
+
 // TestDetectSinkEdgeCases replays hand-built traces through the sink and
 // the reference: an in-band iteration starting exactly at the change,
 // detection on a block's last iteration (a one-iteration tail cannot
 // confirm) or one before it, no iteration at or after the change, a
-// failed confirmation, and a multi-block reduction.
+// failed confirmation, tails 1.9% and 2.1% off the target mean on either
+// side of the 2% tolerance, and a multi-block reduction. Each case is
+// replayed twice, with the tail delivered one by one and folded.
 func TestDetectSinkEdgeCases(t *testing.T) {
 	cfg, err := quickConfig(600, 1200).withDefaults(testDevice(t, fixedModel{dur: 1}, nil))
 	if err != nil {
@@ -404,6 +417,10 @@ func TestDetectSinkEdgeCases(t *testing.T) {
 	adapting := blockTrace(t0, append(repeat(fast, 10), append([]int64{slow}, repeat(fast, 20)...)...)...)
 	lateSwitch := blockTrace(t0, append(repeat(fast, 14), repeat(slow, 16)...)...)
 	shortTail := blockTrace(t0, append(repeat(fast, 10), slow, slow)...)
+	// One in-band iteration, then 99 whose durations put the tail's mean
+	// 1.8998% and 2.0998% above the target's.
+	nearTol := blockTrace(t0, append(repeat(fast, 10), append([]int64{slow}, repeat(203_838, 99)...)...)...)
+	pastTol := blockTrace(t0, append(repeat(fast, 10), append([]int64{slow}, repeat(204_242, 99)...)...)...)
 
 	cases := []struct {
 		name      string
@@ -424,24 +441,34 @@ func TestDetectSinkEdgeCases(t *testing.T) {
 			[]blockVerdict{{}}},
 		{"confirmation failure", [][]gpu.IterSample{adapting}, t0, errConfirmFailed,
 			[]blockVerdict{{detected: true}}},
+		{"tail mean 1.9% off", [][]gpu.IterSample{nearTol}, t0, nil,
+			[]blockVerdict{{detected: true, confirmed: true}}},
+		{"tail mean 2.1% off", [][]gpu.IterSample{pastTol}, t0, errConfirmFailed,
+			[]blockVerdict{{detected: true}}},
 		{"maximum over blocks", [][]gpu.IterSample{confirmed, lastOnly, lateSwitch, adapting}, t0, nil,
 			[]blockVerdict{{detected: true, confirmed: true}, {detected: true}, {detected: true, confirmed: true}, {detected: true}}},
 	}
 	s := new(detectSink)
 	for _, tc := range cases {
 		wantV, wantM, wantErr := refEvaluate(&cfg, tc.blocks, tc.tsDevNs, target)
-		s.arm(&cfg, tc.tsDevNs, target, 1000)
-		replay(s, tc.blocks)
-		m, err := s.verdict()
-		sameVerdicts(t, tc.name, s.blocks, wantV)
-		sameMeasurement(t, tc.name, m, err, wantM, wantErr)
-		if err != tc.wantErr {
-			t.Fatalf("%s: error %v, want %v", tc.name, err, tc.wantErr)
-		}
-		for i, w := range tc.wantBlock {
-			if g := s.blocks[i]; g.detected != w.detected || g.confirmed != w.confirmed {
-				t.Fatalf("%s: block %d detected/confirmed = %v/%v, want %v/%v",
-					tc.name, i, g.detected, g.confirmed, w.detected, w.confirmed)
+		for _, how := range []struct {
+			name   string
+			replay func(*detectSink, [][]gpu.IterSample)
+		}{{"one by one", replay}, {"folded", replayFolded}} {
+			what := tc.name + ", " + how.name
+			s.arm(&cfg, tc.tsDevNs, target, 1000)
+			how.replay(s, tc.blocks)
+			m, err := s.verdict()
+			sameVerdicts(t, what, s.blocks, wantV)
+			sameMeasurement(t, what, m, err, wantM, wantErr)
+			if err != tc.wantErr {
+				t.Fatalf("%s: error %v, want %v", what, err, tc.wantErr)
+			}
+			for i, w := range tc.wantBlock {
+				if g := s.blocks[i]; g.detected != w.detected || g.confirmed != w.confirmed {
+					t.Fatalf("%s: block %d detected/confirmed = %v/%v, want %v/%v",
+						what, i, g.detected, g.confirmed, w.detected, w.confirmed)
+				}
 			}
 		}
 	}

@@ -12,10 +12,10 @@
 //     clock change, and records its timestamp (Algorithm 2, lines 1–8).
 //   - Phase 3 — evaluation: each SM's iteration trace is scanned after the
 //     change timestamp for the first iteration inside the two-standard-
-//     deviation band of the target clock (§V-A), confirmed by a
-//     mean-difference test over the remaining iterations; the pair's
-//     switching latency is the maximum t_e − t_s over SMs (Algorithm 2,
-//     lines 9–24).
+//     deviation band of the target clock (§V-A), confirmed when the
+//     mean of the remaining iterations lies within 2% of the target
+//     clock's; the pair's switching latency is the maximum t_e − t_s
+//     over SMs (Algorithm 2, lines 9–24).
 //
 // A pair's campaign repeats phases 2–3 under the relative-standard-error
 // stopping rule with throttle backoff (§VI), and the analysis phase

@@ -106,3 +106,26 @@ func TestPhase1NormalityFlagsDistortedPopulations(t *testing.T) {
 		}
 	}
 }
+
+// TestPhase1NormalityToleratesLatticeSkewError: on a lattice of rare
+// upper values (mean 75.02 quanta, variance 0.01 quanta², 450
+// iterations), the quantised normal's skewness has a sampling standard
+// error above 1, so a skewness 3.5 standard errors off the lattice's
+// expected one, well past the fixed 0.5, still reads as normal, and one
+// 4.5 standard errors off is flagged. The offset 3.5·se1 also exceeds
+// 4/se1, so a scale that divided by se1 would flag it.
+func TestPhase1NormalityToleratesLatticeSkewError(t *testing.T) {
+	const q, n = 1000, 450
+	mean, variance := 75.02, 0.01 // quanta, quanta²
+	w1, w2, se1, _ := stats.QuantisedNormalShape(mean, variance, n)
+	if !(se1 > 1) || 3.5*se1 <= 4/se1 {
+		t.Fatalf("se1 %v: the check below proves nothing", se1)
+	}
+	m := stats.MeanStd{N: n, Mean: mean * q / 1e6, Std: math.Sqrt(variance) * q / 1e6}
+	if !plausiblyNormal(m, w1+3.5*se1, w2, q) {
+		t.Errorf("skewness %.2f against the lattice's %.2f ± %.2f flagged", w1+3.5*se1, w1, se1)
+	}
+	if plausiblyNormal(m, w1+4.5*se1, w2, q) {
+		t.Errorf("skewness %.2f against the lattice's %.2f ± %.2f reads as normal", w1+4.5*se1, w1, se1)
+	}
+}

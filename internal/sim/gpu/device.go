@@ -3,7 +3,6 @@ package gpu
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"golatest/internal/sim/clock"
 )
@@ -51,11 +50,6 @@ type Device struct {
 	everBusy  bool
 	queue     []launch
 
-	// chip holds what the device shares with its replicas; folds is the
-	// device's own handle on each of the chip's fold tables it has
-	// folded at (nil: too little jitter to fold).
-	chip  *chip
-	folds map[uint64]*foldCoef
 	iters IterCounts
 
 	// kernelScratch and smScratch are the reusable child streams of the
@@ -78,7 +72,6 @@ func New(cfg Config, clk *clock.Clock) (*Device, error) {
 		rng:           clock.NewRand(cfg.Seed, 0x6c6174657374), // "latest"
 		kernelScratch: clock.NewRand(0, 0),
 		smScratch:     clock.NewRand(0, 0),
-		chip:          new(chip),
 	}
 	d.tl = newTimeline(clk.Now(), cfg.DefaultFreqMHz)
 	d.setFreq = cfg.DefaultFreqMHz
@@ -93,9 +86,9 @@ func New(cfg Config, clk *clock.Clock) (*Device, error) {
 }
 
 // Replica returns a fresh copy of the same chip bound to clk: the same
-// configuration, per-SM speeds and fold tables, but an idle, cool device
-// whose Seed, and so its noise stream, is seed. A device and its
-// replicas may run concurrently.
+// configuration and per-SM speeds, but an idle, cool device whose Seed,
+// and so its noise stream, is seed. A device and its replicas may run
+// concurrently.
 func (d *Device) Replica(clk *clock.Clock, seed uint64) (*Device, error) {
 	cfg := d.cfg
 	cfg.Seed = seed
@@ -104,15 +97,7 @@ func (d *Device) Replica(clk *clock.Clock, seed uint64) (*Device, error) {
 		return nil, err
 	}
 	copy(r.smSpeed, d.smSpeed)
-	r.chip = d.chip
 	return r, nil
-}
-
-// chip is the state a device shares with its replicas: the fold tables,
-// which depend only on the configuration and the per-SM speeds.
-type chip struct {
-	mu    sync.Mutex
-	folds map[uint64]*foldTable // by nominal host duration; nil: too little jitter
 }
 
 // IterCounts counts the iterations a device has executed by how they
@@ -280,8 +265,7 @@ func (d *Device) LaunchWithSink(spec KernelSpec, sink SampleSink) error {
 		return fmt.Errorf("gpu: %s: nil sink", d.cfg.Name)
 	}
 	folder, _ := sink.(TailFolder)
-	_, meanOnly := sink.(*TailSink)
-	return d.enqueue(launch{spec: spec, sink: sink, folder: folder, meanOnly: meanOnly})
+	return d.enqueue(launch{spec: spec, sink: sink, folder: folder})
 }
 
 // enqueue validates l's spec, charges the launch overhead and queues l.
@@ -415,11 +399,10 @@ func (d *Device) materialize(k *launch) {
 //   - a TailFolder's tail, from the first iteration at which InTail
 //     reports true (asked after BlockStart and after each delivered
 //     iteration). A tail chunk of at least minFoldIters iterations is
-//     handed over through Fold: its n, its exact Σd (the chunk's
-//     quantised device-time end minus its start) and a draw of its Σd²
-//     (fold.go), or 0 for a TailSink, which reads no Σd². Shorter runs,
-//     and other sinks' tails whose jitter is under minFoldJitter timer
-//     quanta, are delivered one by one.
+//     handed over through Fold: its n and its exact Σd, the chunk's
+//     quantised device-time end minus its start, since the durations
+//     of consecutive timer reads telescope. Shorter runs are delivered
+//     one by one.
 //
 // Skipped counts the first three kinds, Folded the last.
 //
@@ -450,14 +433,12 @@ func (d *Device) runSM(k *launch, sm int, start int64, clk clockCursor, r *clock
 	segEnd, rate := int64(math.MinInt64), 0.0
 	sigma := d.cfg.IterJitterSigma
 	chunks := sigma <= 0.05
-	// tail: the sink folds from here on; folding: it still may (false
-	// once the jitter proves too small to fold); deaf: the block, not
-	// yet in the tail, cannot hear the cached segment's iterations;
-	// thin: it hears them, but only candidates (th) can reach its band;
-	// regate: the block's band is asked again before the next iteration.
+	// tail: the sink folds from here on; deaf: the block, not yet in
+	// the tail, cannot hear the cached segment's iterations; thin: it
+	// hears them, but only candidates (th) can reach its band; regate:
+	// the block's band is asked again before the next iteration.
 	folder := k.folder
 	tail := folder != nil && folder.InTail(sm)
-	folding := folder != nil
 	var deaf, thin, regate bool
 	var th thinning
 	skipped, folded := 0, 0
@@ -491,30 +472,18 @@ func (d *Device) runSM(k *launch, sm int, start int64, clk clockCursor, r *clock
 					stale = true
 					continue
 				}
-			} else if tail && folding {
+			} else if tail {
 				if n := chunkIters(iters-i, t, segEnd, mu, sigma); n >= minFoldIters {
-					var c *foldCoef // nil for a mean-only sink
-					if !k.meanOnly {
-						c = d.foldCoef(mu)
-						folding = c != nil
+					if stale {
+						devT, stale = d.DeviceTimeAt(t), false
 					}
-					if folding {
-						if stale {
-							devT, stale = d.DeviceTimeAt(t), false
-						}
-						t += chunkNs(r, n, mu, sigma)
-						end := d.DeviceTimeAt(t)
-						sum := end - devT
-						var sumSq int64
-						if c != nil {
-							sumSq = c.sumSquares(r, n, sum)
-						}
-						folder.Fold(sm, n, sum, sumSq)
-						devT = end
-						i += n - 1
-						folded += n
-						continue
-					}
+					t += chunkNs(r, n, mu, sigma)
+					end := d.DeviceTimeAt(t)
+					folder.Fold(sm, n, end-devT)
+					devT = end
+					i += n - 1
+					folded += n
+					continue
 				}
 			} else if thin {
 				if n := chunkIters(iters-i, t, segEnd, mu, sigma); n > 0 {
@@ -568,6 +537,11 @@ func (d *Device) runSM(k *launch, sm int, start int64, clk clockCursor, r *clock
 	return t
 }
 
+// minFoldIters is the smallest tail chunk that folds. Shorter runs,
+// typically the last few iterations before a segment boundary, are
+// delivered one by one: folding them would save little.
+const minFoldIters = 64
+
 // trustSigmas is how many jitter standard deviations a chunk trusts an
 // iteration never to stray: chunkIters keeps a chunk that far clear of
 // its segment's end, and gate widens an iteration's nominal duration by
@@ -606,47 +580,6 @@ func (d *Device) gate(folder TailFolder, block int, mu, sigma float64) (deaf, th
 // of the band, widened by 1 ns for rounding to whole nanoseconds.
 func candidateZ(lo, hi, mu, sigma, scale, slack float64) (zLo, zHi float64) {
 	return ((lo-slack)/scale - 1 - mu) / (sigma * mu), ((hi+slack)/scale + 1 - mu) / (sigma * mu)
-}
-
-// foldCoef returns the tail-fold coefficients for iterations of nominal
-// host duration mu ns, or nil when their jitter is below minFoldJitter
-// timer quanta. Durations and jitter are scaled to the device clock.
-func (d *Device) foldCoef(mu float64) *foldCoef {
-	key := math.Float64bits(mu)
-	if c, ok := d.folds[key]; ok {
-		return c
-	}
-	var c *foldCoef
-	if t := d.foldTable(key, mu); t != nil {
-		c = &foldCoef{foldTable: t}
-	}
-	if d.folds == nil {
-		d.folds = make(map[uint64]*foldCoef)
-	}
-	d.folds[key] = c
-	return c
-}
-
-// foldTable returns the chip's fold table for nominal host duration mu
-// ns (key is its bits), building it on the chip's first fold at mu.
-func (d *Device) foldTable(key uint64, mu float64) *foldTable {
-	ch := d.chip
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if t, ok := ch.folds[key]; ok {
-		return t
-	}
-	var t *foldTable
-	q := float64(d.cfg.TimerQuantumNs)
-	devMu := mu * (1 + d.cfg.ClockDriftPPM/1e6)
-	if s := d.cfg.IterJitterSigma * devMu; s >= minFoldJitter*q {
-		t = newFoldTable(devMu, s, q)
-	}
-	if ch.folds == nil {
-		ch.folds = make(map[uint64]*foldTable)
-	}
-	ch.folds[key] = t
-	return t
 }
 
 // clockCursor walks a kernel's effective SM clock. Every reader of the

@@ -533,76 +533,10 @@ func TestReplicaKeepsChip(t *testing.T) {
 	}
 }
 
-// squaresSink is a TailSink that also reads each fold's Σd², so the
-// device folds its window with fold tables, as for a sink that is not
-// mean-only.
-type squaresSink struct {
-	*TailSink
-	sumSqNs int64
-}
-
-func (s *squaresSink) Fold(block, n int, sumNs, sumSqNs int64) {
-	s.TailSink.Fold(block, n, sumNs, sumSqNs)
-	s.sumSqNs += sumSqNs
-}
-
-// TestReplicaBuildsNoFoldTableItsChipHas: a replica folds with its
-// chip's fold tables. The same warm-up-like kernel, folded through a sink
-// that reads Σd², on the source and then on a replica folds at the same
-// durations, so the replica adds no table; its handle on each is its own
-// (so is its last-length memo), and a table a replica builds first is
-// the source's too. The TailSink itself builds no table.
-func TestReplicaBuildsNoFoldTableItsChipHas(t *testing.T) {
-	d, _ := newTestDevice(t, testConfig())
-	spec := KernelSpec{Iters: 600, CyclesPerIter: 120_000, Blocks: 4}
-	if err := d.LaunchWithSink(spec, NewTailSink(100)); err != nil {
-		t.Fatal(err)
-	}
-	d.Synchronize()
-	if n := len(d.chip.folds); n != 0 || d.IterCounts().Folded == 0 {
-		t.Fatalf("a TailSink folded %d iterations with %d fold tables, want some with none", d.IterCounts().Folded, n)
-	}
-	warm := func(dev *Device) {
-		t.Helper()
-		if err := dev.LaunchWithSink(spec, &squaresSink{TailSink: NewTailSink(100)}); err != nil {
-			t.Fatal(err)
-		}
-		dev.Synchronize()
-	}
-	warm(d)
-	built := len(d.chip.folds)
-	if built == 0 || d.IterCounts().Folded == 0 {
-		t.Fatalf("the source folded %d iterations with %d tables: the check below proves nothing", d.IterCounts().Folded, built)
-	}
-	r, err := d.Replica(clock.New(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm(r)
-	if r.IterCounts().Folded == 0 {
-		t.Fatal("the replica folded nothing")
-	}
-	if len(r.chip.folds) != built {
-		t.Fatalf("the chip holds %d fold tables after the replica's kernel, %d before", len(r.chip.folds), built)
-	}
-	for key, c := range r.folds {
-		if c == nil {
-			continue
-		}
-		if src := d.folds[key]; src.foldTable != c.foldTable || src == c {
-			t.Fatalf("duration %v: replica table %p handle %p, source table %p handle %p",
-				math.Float64frombits(key), c.foldTable, c, src.foldTable, src)
-		}
-	}
-	if c := r.foldCoef(97_000); c == nil || d.foldCoef(97_000).foldTable != c.foldTable {
-		t.Fatal("the source rebuilt a table its replica built")
-	}
-}
-
-// TestReplicasFoldConcurrently runs warm-up-like kernels, folded
-// through a sink that reads Σd², on replicas of one chip from several
-// goroutines at once, so the race detector sees the shared fold tables,
-// and checks each replica ends where the same replica run alone ends.
+// TestReplicasFoldConcurrently runs folded warm-up kernels on replicas
+// of one chip from several goroutines at once, so the race detector
+// sees anything a replica shares with its source, and checks each
+// replica ends where the same replica run alone ends.
 func TestReplicasFoldConcurrently(t *testing.T) {
 	d, _ := newTestDevice(t, testConfig())
 	spec := KernelSpec{Iters: 600, CyclesPerIter: 120_000, Blocks: 4}
@@ -615,7 +549,7 @@ func TestReplicasFoldConcurrently(t *testing.T) {
 			if _, err := r.SetFrequency(f); err != nil {
 				return 0, err
 			}
-			if err := r.LaunchWithSink(spec, &squaresSink{TailSink: NewTailSink(100)}); err != nil {
+			if err := r.LaunchWithSink(spec, NewTailSink(100)); err != nil {
 				return 0, err
 			}
 			r.Synchronize()

@@ -60,7 +60,6 @@ type launch struct {
 	enqueuedNs int64
 	sink       SampleSink // a *Kernel for Launch
 	folder     TailFolder // sink, when it folds tails
-	meanOnly   bool       // sink is a TailSink, which reads no fold's Σd²
 }
 
 // BlockStart implements SampleSink: it allocates the block's trace, as

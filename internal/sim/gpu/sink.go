@@ -29,7 +29,7 @@ import (
 //
 // A sink may also say where its interest narrows: a TailFolder (below)
 // hears, before its tail, only iterations whose duration could enter a
-// band, and reads its tail in chunks of three integers rather than
+// band, and reads its tail in chunks of two integers rather than
 // iteration by iteration.
 //
 // Which sinks get the materialised kernel's trace exactly: one that
@@ -75,22 +75,18 @@ type SampleSink interface {
 // one.
 //
 // From some iteration of a block on, the sink reads the rest of that
-// block only through its count, its duration sum and its sum of squared
-// durations — such as phase 3's confirmation population, which only
-// enters a mean-difference test. The device asks InTail after
+// block only through its count and its duration sum — such as phase 3's
+// confirmation population, whose mean alone decides the verdict, or the
+// warm-up check's TailSink window. The device asks InTail after
 // BlockStart and after each iteration it delivers. From the first true
 // on, the block's remaining iterations arrive in order, each exactly
 // once, either through Sample or in chunks through Fold: on a device
 // whose IterJitterSigma is at most 0.05, each constant-clock segment's
-// share that fits clear of the segment's end takes one chunk; short
-// remainders and tails whose jitter is under minFoldJitter timer quanta
-// are still delivered one by one. A chunk's host-time span is one normal
-// draw, as for a skipped prefix. Its n is exact, its Σd is exactly the
-// device-time span that draw gives (the quantised durations telescope),
-// and its Σd² is drawn from its distribution, timer quantisation
-// included (see fold.go). The warm-up check's TailSink reads only n and
-// Σd: the device hands it 0 for Σd², draws no fold table for it, and
-// folds its window whatever the jitter.
+// share that fits clear of the segment's end takes one chunk of at
+// least minFoldIters iterations; short remainders are still delivered
+// one by one. A chunk's host-time span is one normal draw, as for a
+// skipped prefix. Its n is exact, and its Σd is exactly the device-time
+// span that draw gives (the quantised durations telescope).
 type TailFolder interface {
 	SampleSink
 	// Band returns the device-clock durations, in ns, that block, not
@@ -100,9 +96,8 @@ type TailFolder interface {
 	// delivered one is tail. Once true, it stays true for the block.
 	InTail(block int) bool
 	// Fold delivers the next n iterations of block at once: sumNs is the
-	// sum of their quantised durations and sumSqNs a draw of the sum of
-	// their squares, in ns² (0 for a TailSink).
-	Fold(block, n int, sumNs, sumSqNs int64)
+	// sum of their quantised durations.
+	Fold(block, n int, sumNs int64)
 }
 
 // durMs converts an iteration's device-clock duration to milliseconds,
@@ -150,8 +145,7 @@ func (s *MomentSink) ExcessKurtosis() float64 { return s.total.ExcessKurtosis() 
 // and the iterations before them elapse in one draw per clock segment.
 // The window's mean is all the check reads, so the sink is a
 // TailFolder whose tail is the whole window: the device folds it too,
-// wherever the clock holds still, and, knowing the sink reads no Σd²,
-// draws none.
+// wherever the clock holds still.
 //
 // A TailSink is reusable: Reset clears it for the next kernel while
 // keeping the per-block slice allocation.
@@ -159,6 +153,8 @@ type TailSink struct {
 	tailCap int
 	blocks  []tailWindow
 }
+
+var _ TailFolder = (*TailSink)(nil)
 
 // tailWindow is one block's window: n durations summing to sumNs.
 type tailWindow struct{ n, sumNs int64 }
@@ -202,7 +198,7 @@ func (s *TailSink) Band(block int) (loNs, hiNs float64) { return math.Inf(-1), m
 func (s *TailSink) InTail(block int) bool { return true }
 
 // Fold implements TailFolder.
-func (s *TailSink) Fold(block, n int, sumNs, sumSqNs int64) {
+func (s *TailSink) Fold(block, n int, sumNs int64) {
 	s.blocks[block].n += int64(n)
 	s.blocks[block].sumNs += sumNs
 }

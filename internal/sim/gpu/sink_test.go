@@ -215,7 +215,7 @@ func (s *gateSink) Band(block int) (loNs, hiNs float64) { return s.lo, s.hi }
 
 func (s *gateSink) InTail(block int) bool { return false }
 
-func (s *gateSink) Fold(block, n int, sumNs, sumSqNs int64) {
+func (s *gateSink) Fold(block, n int, sumNs int64) {
 	s.t.Fatal("Fold on a sink that is never in its tail")
 }
 

@@ -11,8 +11,8 @@ type Interval struct {
 func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 
 // ContainsZero reports whether the interval straddles zero — the paper's
-// pair-exclusion criterion (phase 1) and transition-confirmation test
-// (phase 3) both ask this of a mean-difference interval.
+// pair-exclusion criterion (phase 1) and FTaLaT's confirmation both ask
+// this of a mean-difference interval.
 func (iv Interval) ContainsZero() bool { return iv.Contains(0) }
 
 // MeanDiffCI returns the Welch confidence interval of μa − μb.

@@ -57,6 +57,36 @@ func TestMomentsDegenerate(t *testing.T) {
 	}
 }
 
+// TestMomentAccumulatorSmallSamples pins the streaming moments' small-n
+// conventions against the slice-based ones: skewness is NaN below three
+// observations and the slice value from three on, excess kurtosis NaN
+// below four and the slice value from four on.
+func TestMomentAccumulatorSmallSamples(t *testing.T) {
+	xs := []float64{1, 2, 4, 8.5}
+	var acc MomentAccumulator
+	for n, x := range xs {
+		acc.Add(x)
+		for _, m := range []struct {
+			name      string
+			got, want float64
+			defined   bool
+		}{
+			{"skewness", acc.Skewness(), Skewness(xs[:n+1]), n+1 >= 3},
+			{"excess kurtosis", acc.ExcessKurtosis(), ExcessKurtosis(xs[:n+1]), n+1 >= 4},
+		} {
+			if !m.defined {
+				if !math.IsNaN(m.got) {
+					t.Errorf("n = %d: %s %v, want NaN", n+1, m.name, m.got)
+				}
+				continue
+			}
+			if math.IsNaN(m.got) || math.Abs(m.got-m.want) > 1e-12*math.Abs(m.want) {
+				t.Errorf("n = %d: %s %v, slice-based %v", n+1, m.name, m.got, m.want)
+			}
+		}
+	}
+}
+
 // TestQuantisedNormalShapeMatchesSimulation draws d = ⌊r + x⌋ for x
 // normal and r uniform, at jitters from a near-degenerate lattice to a
 // nearly continuous one, fits the law to the draws' mean and variance,

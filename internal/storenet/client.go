@@ -1036,10 +1036,15 @@ func (c *Client) Index() []store.ManifestEntry {
 	return ix.Entries
 }
 
-// Len counts the daemon's blobs; 0 on failure.
+// Len counts the daemon's blobs. When the daemon cannot answer it
+// counts the local tier's instead, which holds every blob this process
+// wrote or read meanwhile; without a local tier it is 0.
 func (c *Client) Len() int {
 	st, err := c.Stats()
 	if err != nil {
+		if c.cache != nil {
+			return c.cache.Len()
+		}
 		return 0
 	}
 	return st.Blobs

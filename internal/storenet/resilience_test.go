@@ -158,6 +158,46 @@ func TestDeferredPutReconciles(t *testing.T) {
 	}
 }
 
+// TestLenCountsLocalTierDuringOutage: while the daemon cannot answer,
+// Len counts the local tier, which holds the deferred writes, instead
+// of reading 0; once the daemon answers again, Len is its count.
+func TestLenCountsLocalTierDuringOutage(t *testing.T) {
+	_, inj, srv := newChaosDaemon(t, faults.Plan{})
+	cache, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClient(srv.URL, ClientOptions{
+		Cache:            cache,
+		Retries:          2,
+		RetryBackoff:     time.Millisecond,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.Kill()
+	for i := range 2 {
+		if err := c.Put(testKey(t, i), testResult(i)); err != nil {
+			t.Fatalf("deferred Put %d: %v", i, err)
+		}
+	}
+	if n := c.Len(); n != 2 {
+		t.Fatalf("Len = %d during the outage, want the local tier's 2", n)
+	}
+	inj.Restore()
+	if _, err := c.Reconcile(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Put(testKey(t, 7), testResult(7)); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Len(); n != 2 {
+		t.Fatalf("Len = %d after reconciling, want the daemon's 2, not the local tier's 3", n)
+	}
+}
+
 // TestJournalSurvivesProcessRestart: a new client over the same cache
 // directory sees the previous process's deferred writes and replays
 // them — the experiments -reconcile flow.

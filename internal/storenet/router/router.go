@@ -321,8 +321,10 @@ func (r *Router) readRepair(k store.Key, vb *store.ValidatedBlob, res *core.Resu
 // verbatim-bytes path (no per-member re-encode). At least one replica
 // write must land — the blob is then durable and recomputation-free —
 // and landing fewer than R counts the Put under-replicated, debt the
-// next Get's read-repair or the scrubber pays off. With every preferred
-// member unhealthy the preferred set is attempted anyway: surfacing the
+// next Get's read-repair or the scrubber pays off. Every preferred
+// member the Put does not land on, skipped as unhealthy or failed, is
+// one pending repair, as Scrub counts them. With every preferred member
+// unhealthy the preferred set is attempted anyway: surfacing the
 // members' real errors beats inventing one.
 func (r *Router) Put(k store.Key, res *core.Result) error {
 	if res == nil {
@@ -339,7 +341,7 @@ func (r *Router) Put(k store.Key, res *core.Result) error {
 		return fmt.Errorf("router: validate %s: %w", k, err)
 	}
 	order := r.ring.order(k.Digest)
-	targets := make([]int, 0, r.rf)
+	targets := make([]int, 0, r.rf) // positions in order
 	for pos, mi := range order {
 		if len(targets) == r.rf {
 			break
@@ -351,21 +353,27 @@ func (r *Router) Put(k store.Key, res *core.Result) error {
 			}
 			continue
 		}
-		targets = append(targets, mi)
+		targets = append(targets, pos)
 	}
 	if len(targets) == 0 {
-		targets = append(targets, order[:r.rf]...)
+		for pos := range r.rf {
+			targets = append(targets, pos)
+		}
 	}
-	wrote := 0
+	wrote, missing := 0, r.rf
 	var errs []error
-	for _, mi := range targets {
+	for _, pos := range targets {
+		mi := order[pos]
 		if err := r.memberPut(mi, k, vb, res); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", r.members[mi].id, err))
-			r.pendingRepairs.Add(1)
 			continue
 		}
 		wrote++
+		if pos < r.rf {
+			missing--
+		}
 	}
+	r.pendingRepairs.Add(int64(missing))
 	if wrote == 0 {
 		span.SetAttr("outcome", "error")
 		return fmt.Errorf("router: put %s: no replica accepted: %w", k, errors.Join(errs...))

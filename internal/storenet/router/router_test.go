@@ -195,6 +195,52 @@ func TestPutUnderReplicatedThenScrubHeals(t *testing.T) {
 	}
 }
 
+// TestPutCountsSkippedReplicaPending: a preferred member that Put skips
+// as unhealthy is owed its replica just as one whose write failed, so
+// the pending-repairs gauge after the Put equals what a scrub pass then
+// counts. With every preferred member down, each slot counts once,
+// though the Put first skips it and then fails to write it.
+func TestPutCountsSkippedReplicaPending(t *testing.T) {
+	inner, _, at := openMembers(t, 3)
+	wrapped := make([]store.Backend, len(inner))
+	chaos := make([]*faults.Backend, len(inner))
+	sicks := make([]*sick, len(inner))
+	for i, b := range inner {
+		chaos[i] = faults.WrapBackend(b, faults.Plan{})
+		sicks[i] = &sick{Backend: chaos[i]}
+		wrapped[i] = sicks[i]
+	}
+	r, err := New(wrapped, Options{Replication: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := conformancetest.Key(t, 4)
+	sicks[at[r.Replicas(k.Digest)[1]]].down.Store(true)
+	if err := r.Put(k, conformancetest.Result(4)); err != nil {
+		t.Fatalf("Put with one preferred member down: %v", err)
+	}
+	if rs := r.ReplicationStats(); rs.PendingRepairs != 1 {
+		t.Fatalf("PendingRepairs = %d after skipping a preferred member, want 1", rs.PendingRepairs)
+	}
+	if st, _ := r.Scrub(); st.Failed != 1 {
+		t.Fatalf("scrub with the member still down: %+v, want 1 failed slot", st)
+	}
+	if rs := r.ReplicationStats(); rs.PendingRepairs != 1 {
+		t.Fatalf("PendingRepairs = %d as the scrub counts it, want 1", rs.PendingRepairs)
+	}
+
+	for i := range inner {
+		sicks[i].down.Store(true)
+		chaos[i].Kill()
+	}
+	if err := r.Put(conformancetest.Key(t, 5), conformancetest.Result(5)); err == nil {
+		t.Fatal("Put with every member down succeeded")
+	}
+	if rs := r.ReplicationStats(); rs.PendingRepairs != 3 {
+		t.Fatalf("PendingRepairs = %d after a Put no member accepted, want 1 + 2", rs.PendingRepairs)
+	}
+}
+
 // TestLeaseRoutesToPrimaryAndFailsOver pins the arbitration story: a
 // claim lands on the digest's primary; with the primary down it lands
 // on the ring successor, stays exclusive, and LeaseHolder finds it.

@@ -42,19 +42,18 @@ echo "== simulator distribution gates (-count=1) =="
 # window, the phase-3 band gate and its thinning to candidates, the
 # wake-window chunks and phase 1's declined warm kernels are exact in
 # distribution, not in bits, so seeded statistical tests guard them:
-# over 2000 device seeds each, against a simulated quantised walk,
+# over 2000 device seeds each, skipped against delivered prefixes,
 # folded against per-iteration kernels, gated and thinned against
 # ungated ones (near pairs with candidates in either jitter tail) and
 # declined against streamed ones from the same state. The thinning's
 # draws have their own checks: the truncated normal against its CDF in
 # both tails, the geometric count's mean, a non-candidate's moments,
 # and the candidate interval against every iteration of a device with
-# thinning hidden. Beside them: a replica shares its chip's fold
-# tables, the phase-1 normality flag's 400-seed false-alarm rate and
-# positive controls against the quantised normal, and a steady-state
-# MeasureOnce allocating nothing. go test ./... above may have replayed
-# a cached pass; these must run.
-go test -count=1 -run '^(TestSkippedPrefixMatchesInDistribution|TestFoldedTailMatchesInDistribution|TestTailMomentsMatchQuantisedWalk|TestGateSkipsUnheardSegments|TestWakeChunkMatchesInDistribution|TestReplicaBuildsNoFoldTableItsChipHas|TestThinningCandidateDraw|TestThinningMissCounts|TestCandidateIntervalIsConservative)$' ./internal/sim/gpu
+# thinning hidden. Beside them: the phase-1 normality flag's 400-seed
+# false-alarm rate and positive controls against the quantised normal,
+# and a steady-state MeasureOnce allocating nothing. go test ./...
+# above may have replayed a cached pass; these must run.
+go test -count=1 -run '^(TestSkippedPrefixMatchesInDistribution|TestFoldedTailMatchesInDistribution|TestGateSkipsUnheardSegments|TestWakeChunkMatchesInDistribution|TestThinningCandidateDraw|TestThinningMissCounts|TestCandidateIntervalIsConservative)$' ./internal/sim/gpu
 go test -count=1 -run '^(TestFoldedTailKeepsDetection|TestGatedDetectionMatchesInDistribution|TestWarmupFoldMatchesInDistribution|TestPhase1DeclinedKernelsMatchInDistribution|TestPhase1NormalityFlagRate|TestPhase1NormalityFlagsDistortedPopulations|TestMeasureOnceAllocationBound)$' ./internal/core
 go test -count=1 -run '^TestQuantisedNormalShapeMatchesSimulation$' ./internal/stats
 
@@ -95,8 +94,8 @@ echo "== go test -race (core step pool + phase-3 sink, concurrent artefacts) =="
 # lowest-indexed error; the CLI tests check generator order, the
 # lowest-indexed error, and a small concurrent run.
 go test -race ./internal/core
-# A chip's replicas share its fold tables and its latency model's
-# Classify memo across those goroutines.
+# Replicas of one chip run folded kernels concurrently, and share the
+# latency model's Classify memo across those goroutines.
 go test -race -count=10 -run '^(TestReplicasFoldConcurrently|TestModelSamplesConcurrently)$' ./internal/sim/gpu ./internal/hwprofile
 go test -race -run 'Ablation|CoreCount|ClusterCensus|TestParallelDeterminism|TestCensusPairIndependentOfOthers|TestForEach' ./internal/experiments
 go test -race -run 'TestGeneratorsRunConcurrentlyInOrder|TestWriteFileRemovesPartialArtefact|TestRunConcurrentSubset' ./cmd/experiments
