@@ -51,16 +51,35 @@ func ablationConfig(n int) core.Config {
 	}
 }
 
-// measureAblation runs one ablation campaign: phase 1 on a fresh
-// ablation device, then the 1200→600 MHz pair on its replica. Every row
-// or cell of an ablation owns its device and seed, so the rows run
-// concurrently.
-func measureAblation(injectNs int64, seed uint64, mutate func(*gpu.Config), cfg core.Config) (*core.Phase1Result, *core.PairResult, error) {
+// measureAblation runs phase 1 once on a fresh ablation device, then
+// measures the 1200→600 MHz pair under each of cfgs on a runner of its
+// own over that device, on the pair's replica and concurrently. The
+// configurations differ only in what phase 1 does not read (the
+// detection band, the timer-sync link), so each row sees the phase 1 it
+// would have run alone, at the cost of one. Every ablation device has
+// its own seed, so the ablations run concurrently too.
+func measureAblation(injectNs int64, seed uint64, mutate func(*gpu.Config), cfgs ...core.Config) (*core.Phase1Result, []*core.PairResult, error) {
+	if len(cfgs) == 0 {
+		return nil, nil, nil
+	}
 	dev, err := ablationDevice(injectNs, seed, mutate)
 	if err != nil {
 		return nil, nil, err
 	}
-	return measurePair(dev, cfg, core.Pair{InitMHz: 1200, TargetMHz: 600})
+	runners := make([]*core.Runner, len(cfgs))
+	for i, cfg := range cfgs {
+		if runners[i], err = core.NewRunner(dev, cfg); err != nil {
+			return nil, nil, err
+		}
+	}
+	p1, err := runners[0].Phase1()
+	if err != nil {
+		return nil, nil, err
+	}
+	prs, err := forEach(runners, func(r *core.Runner) (*core.PairResult, error) {
+		return r.MeasurePair(core.Pair{InitMHz: 1200, TargetMHz: 600}, p1)
+	})
+	return p1, prs, err
 }
 
 // RampAblationRow quantifies the detector against one transition shape.
@@ -88,12 +107,13 @@ func RampAblation(rampSteps []int, n int) ([]RampAblationRow, error) {
 // rampRow measures one ramp shape.
 func rampRow(steps, n int) (RampAblationRow, error) {
 	const injectNs = 20_000_000
-	_, pr, err := measureAblation(injectNs, 17, func(c *gpu.Config) {
+	_, prs, err := measureAblation(injectNs, 17, func(c *gpu.Config) {
 		c.RampSteps = steps
 	}, ablationConfig(n))
 	if err != nil {
 		return RampAblationRow{}, err
 	}
+	pr := prs[0]
 	row := RampAblationRow{RampSteps: steps, MaxErrMs: math.Inf(-1)}
 	var sum float64
 	for j, lat := range pr.Samples {
@@ -128,33 +148,48 @@ type DetectionAblationRow struct {
 // iterations the CI band collapses below the iteration noise and
 // detection starves.
 func DetectionAblation(n int) ([]DetectionAblationRow, error) {
-	return forEach([]bool{false, true}, func(ci bool) (DetectionAblationRow, error) { return detectionRow(ci, n) })
+	return detectionRows([]bool{false, true}, n)
 }
 
-// detectionRow measures one detection band: the CI band if ci, else 2σ.
-func detectionRow(ci bool, n int) (DetectionAblationRow, error) {
+// detectionRows measures each detection band of modes (the CI band if
+// true, else 2σ) on one device.
+func detectionRows(modes []bool, n int) ([]DetectionAblationRow, error) {
 	const injectNs = 15_000_000
-	cfg := ablationConfig(n)
-	cfg.CIDetection = ci
-	_, pr, err := measureAblation(injectNs, 23, nil, cfg)
+	cfgs := make([]core.Config, len(modes))
+	for i, ci := range modes {
+		cfgs[i] = ablationConfig(n)
+		cfgs[i].CIDetection = ci
+	}
+	_, prs, err := measureAblation(injectNs, 23, nil, cfgs...)
 	if err != nil {
-		return DetectionAblationRow{}, err
+		return nil, err
 	}
-	row := DetectionAblationRow{Mode: "2-sigma", MeanErrMs: math.NaN()}
-	if ci {
-		row.Mode = "ci"
-	}
-	if pr.Attempts > 0 {
-		row.AcceptedShare = float64(len(pr.Samples)) / float64(pr.Attempts)
-	}
-	if len(pr.Samples) > 0 {
-		var sum float64
-		for j, lat := range pr.Samples {
-			sum += lat - pr.Injected[j]
+	rows := make([]DetectionAblationRow, len(modes))
+	for i, pr := range prs {
+		row := DetectionAblationRow{Mode: "2-sigma", MeanErrMs: math.NaN()}
+		if modes[i] {
+			row.Mode = "ci"
 		}
-		row.MeanErrMs = sum / float64(len(pr.Samples))
+		row.AcceptedShare = acceptedShare(pr)
+		if len(pr.Samples) > 0 {
+			var sum float64
+			for j, lat := range pr.Samples {
+				sum += lat - pr.Injected[j]
+			}
+			row.MeanErrMs = sum / float64(len(pr.Samples))
+		}
+		rows[i] = row
 	}
-	return row, nil
+	return rows, nil
+}
+
+// acceptedShare is the fraction of a pair's phase-2 runs that produced
+// a latency (0 if none ran).
+func acceptedShare(pr *core.PairResult) float64 {
+	if pr.Attempts == 0 {
+		return 0
+	}
+	return float64(len(pr.Samples)) / float64(pr.Attempts)
 }
 
 // CoreCountRow is one row of the §V-A small-accelerator study: how the
@@ -180,74 +215,34 @@ type CoreCountRow struct {
 // only on fine-grained timers; CIDegeneration demonstrates it on the
 // simulated CPU's nanosecond clock.
 func CoreCountStudy(coreCounts []int, n int) ([]CoreCountRow, error) {
-	cells, err := forEach(coreCountCells(coreCounts), func(c coreCountCell) (coreCountOutcome, error) {
-		return c.measure(n)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return coreCountRows(coreCounts, cells), nil
+	return forEach(coreCounts, func(cores int) (CoreCountRow, error) { return coreCountRow(cores, n) })
 }
 
-// coreCountCell is one campaign of the core-count study: a device width
-// under one detection band.
-type coreCountCell struct {
-	cores int
-	ci    bool
-}
-
-// coreCountOutcome is what a cell measured: the phase-1 population
-// feeding the band and the share of runs the band accepted.
-type coreCountOutcome struct {
-	phase1N int
-	share   float64
-}
-
-// coreCountCells lists the study's campaigns: cell 2i is the CI band and
-// 2i+1 the 2σ band of coreCounts[i].
-func coreCountCells(coreCounts []int) []coreCountCell {
-	cells := make([]coreCountCell, 0, 2*len(coreCounts))
-	for _, cores := range coreCounts {
-		cells = append(cells, coreCountCell{cores, true}, coreCountCell{cores, false})
-	}
-	return cells
-}
-
-// measure runs the cell's campaign.
-func (c coreCountCell) measure(n int) (coreCountOutcome, error) {
+// coreCountRow measures one device width under the CI band and under
+// the 2σ band, on one device and one phase 1.
+func coreCountRow(cores, n int) (CoreCountRow, error) {
 	const injectNs = 15_000_000
-	cfg := ablationConfig(n)
-	cfg.Blocks = c.cores
-	cfg.CIDetection = c.ci
-	// Keep the per-block iteration count fixed so the phase-1 population
-	// scales with the core count, as §V-A describes.
-	cfg.ItersPerKernel = 300
-	p1, pr, err := measureAblation(injectNs, 31, func(g *gpu.Config) {
-		g.SMCount = c.cores
-	}, cfg)
+	band := func(ci bool) core.Config {
+		cfg := ablationConfig(n)
+		cfg.Blocks = cores
+		cfg.CIDetection = ci
+		// Keep the per-block iteration count fixed so the phase-1
+		// population scales with the core count, as §V-A describes.
+		cfg.ItersPerKernel = 300
+		return cfg
+	}
+	p1, prs, err := measureAblation(injectNs, 31, func(g *gpu.Config) {
+		g.SMCount = cores
+	}, band(true), band(false))
 	if err != nil {
-		return coreCountOutcome{}, err
+		return CoreCountRow{}, err
 	}
-	out := coreCountOutcome{phase1N: p1.Stats[600].Iter.N}
-	if pr.Attempts > 0 {
-		out.share = float64(len(pr.Samples)) / float64(pr.Attempts)
-	}
-	return out, nil
-}
-
-// coreCountRows pairs the cells of coreCountCells back into rows.
-func coreCountRows(coreCounts []int, cells []coreCountOutcome) []CoreCountRow {
-	rows := make([]CoreCountRow, len(coreCounts))
-	for i, cores := range coreCounts {
-		ciCell, sigmaCell := cells[2*i], cells[2*i+1]
-		rows[i] = CoreCountRow{
-			Cores:              cores,
-			Phase1N:            sigmaCell.phase1N,
-			CIAcceptedShare:    ciCell.share,
-			SigmaAcceptedShare: sigmaCell.share,
-		}
-	}
-	return rows
+	return CoreCountRow{
+		Cores:              cores,
+		Phase1N:            p1.Stats[600].Iter.N,
+		CIAcceptedShare:    acceptedShare(prs[0]),
+		SigmaAcceptedShare: acceptedShare(prs[1]),
+	}, nil
 }
 
 // SyncAblationRow quantifies the timer-sync contribution to measurement
@@ -263,21 +258,23 @@ type SyncAblationRow struct {
 // SyncAblation sweeps the host→device link asymmetry and reports the
 // induced measurement bias.
 func SyncAblation(asymUs []float64, n int) ([]SyncAblationRow, error) {
-	return forEach(asymUs, func(us float64) (SyncAblationRow, error) { return syncRow(us, n) })
-}
-
-// syncRow measures one link asymmetry.
-func syncRow(asymUs float64, n int) (SyncAblationRow, error) {
 	const injectNs = 15_000_000
-	cfg := ablationConfig(n)
-	cfg.PTP = ptp.Config{AsymmetryNs: asymUs * 1000}
-	_, pr, err := measureAblation(injectNs, 29, nil, cfg)
+	cfgs := make([]core.Config, len(asymUs))
+	for i, us := range asymUs {
+		cfgs[i] = ablationConfig(n)
+		cfgs[i].PTP = ptp.Config{AsymmetryNs: us * 1000}
+	}
+	_, prs, err := measureAblation(injectNs, 29, nil, cfgs...)
 	if err != nil {
-		return SyncAblationRow{}, err
+		return nil, err
 	}
-	var diffs []float64
-	for j, lat := range pr.Samples {
-		diffs = append(diffs, lat-pr.Injected[j])
+	rows := make([]SyncAblationRow, len(asymUs))
+	for i, pr := range prs {
+		var diffs []float64
+		for j, lat := range pr.Samples {
+			diffs = append(diffs, lat-pr.Injected[j])
+		}
+		rows[i] = SyncAblationRow{AsymmetryUs: asymUs[i], MeanBiasMs: stats.Mean(diffs)}
 	}
-	return SyncAblationRow{AsymmetryUs: asymUs, MeanBiasMs: stats.Mean(diffs)}, nil
+	return rows, nil
 }

@@ -78,7 +78,8 @@ func TestForEach(t *testing.T) {
 // TestParallelDeterminism runs the cluster census and the four ablations
 // concurrently, as the CLI does, with every unit's steps contending for
 // the pool, and requires rows bit-identical to a serial reference that
-// measures the same units one after another in a plain loop.
+// measures the same units one after another in a plain loop, each
+// detection and sync row after a phase 1 of its own.
 func TestParallelDeterminism(t *testing.T) {
 	type results struct {
 		census []ClusterCensusRow
@@ -109,23 +110,24 @@ func TestParallelDeterminism(t *testing.T) {
 		must(err)
 		serial.ramp = append(serial.ramp, row)
 	}
+	// Each detection band and link asymmetry on a device and a phase 1
+	// of its own: the ablations share one phase 1 among rows that
+	// differ only after it, which must not move a bit.
 	for _, ci := range []bool{false, true} {
-		row, err := detectionRow(ci, n)
+		rows, err := detectionRows([]bool{ci}, n)
 		must(err)
-		serial.det = append(serial.det, row)
+		serial.det = append(serial.det, rows...)
 	}
 	for _, us := range syncs {
-		row, err := syncRow(us, n)
+		rows, err := SyncAblation([]float64{us}, n)
 		must(err)
-		serial.sync = append(serial.sync, row)
+		serial.sync = append(serial.sync, rows...)
 	}
-	var cells []coreCountOutcome
-	for _, c := range coreCountCells(coreCounts) {
-		cell, err := c.measure(n)
+	for _, cores := range coreCounts {
+		row, err := coreCountRow(cores, n)
 		must(err)
-		cells = append(cells, cell)
+		serial.cores = append(serial.cores, row)
 	}
-	serial.cores = coreCountRows(coreCounts, cells)
 
 	var parallel results
 	errs := make([]error, 5)

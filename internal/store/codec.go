@@ -25,11 +25,12 @@ var ErrInvalidBlob = errors.New("invalid blob")
 // process writes. One fixed level keeps the bytes deterministic (equal
 // key ⇒ equal result ⇒ equal container bytes for writers of the same
 // build), so idempotent duplicate Puts still converge byte-for-byte.
-// Level 2: on the float-heavy v3 bodies a higher level buys little.
-// Over the six quick blobs (one core of a 2-vCPU host), level 6
-// compressed in 25 ms against level 2's 10 ms and inflated in the same
-// 3.7 ms, for a ratio of 2.64 against 2.55, so its extra cold-path
-// cost bought no warm-path or wire time worth having.
+// Level 2: a higher level buys little. Over the six quick seed-1
+// blobs of schema 9 (300,799 body bytes, best of 20 at GOMAXPROCS=1 on
+// a 2-vCPU host), level 6 compressed in 7.6 ms against level 2's 3.4
+// ms and inflated in about the same 1.2–1.3 ms, for a ratio of 3.25
+// against 3.17 (92,438 against 95,024 bytes), so its extra cold-path
+// cost buys no warm-path or wire time worth having.
 const gzipBlobLevel = 2
 
 // Codec pools: encode/decode run on every warm store hit and every

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"golatest/internal/cluster"
@@ -31,6 +32,21 @@ import (
 // the encoder refuses a result with a non-finite one. bodySize records
 // the inflated body's own length, so the index's RawBytes (and the
 // compression-ratio stats) come from the header alone.
+//
+// Each pair stores its measurements once, as the integers the simulator
+// produced. A flags byte after the pair's frequencies says which fields
+// derive from others (derivedMeasurements and its siblings): when every
+// measurement's latency is float64(t_e − t_s)/1e6 and its injected
+// latency NaN or a whole number of nanoseconds, the measurements are six
+// byte-shuffled columns of 8-byte integers (t_s delta from the previous
+// measurement, t_e − t_s, injected ns with injectedNaN for NaN, SM,
+// transition index, sync spread), and the decoder rebuilds LatencyMs,
+// InjectedMs and each measurement's Pair; Samples, Injected, Kept and
+// Outliers are rebuilt from those and from the cluster labels when they
+// equal what the campaign derives from them. Cluster labels take one
+// byte each when they fit. A field that does not derive — in a
+// hand-built result, say — is stored explicitly, so every result
+// round-trips; a campaign's own result always derives.
 //
 // Slices encode as a u32 tag — v3NilSlice for a nil slice, the element
 // count otherwise — preserving the nil-vs-empty distinction; three
@@ -274,10 +290,46 @@ func (e *encoder) writeBody(k Key, res *core.Result) {
 			continue
 		}
 		e.u8(1)
-		e.pair(pr.Pair)
-		e.count(len(pr.Measurements) == 0, len(pr.Measurements)) // empty ⇒ nil
-		for i := range pr.Measurements {
-			m := &pr.Measurements[i]
+		e.writePair(pr)
+	}
+}
+
+// writePair renders one pair result. Its flags byte records which
+// fields derive from others (see the derived* bits); those are left
+// out, and every other field is stored explicitly.
+func (e *encoder) writePair(pr *core.PairResult) {
+	e.pair(pr.Pair)
+	var flags byte
+	if measurementsDerive(pr) {
+		flags |= derivedMeasurements
+	}
+	if sameFloats(pr.Samples, pr.Measurements, latencyOf) {
+		flags |= derivedSamples
+	}
+	if sameFloats(pr.Injected, pr.Measurements, injectedOf) {
+		flags |= derivedInjected
+	}
+	if partitionDerives(pr) {
+		flags |= derivedPartition
+	}
+	e.u8(flags)
+	ms := pr.Measurements
+	e.count(len(ms) == 0, len(ms)) // empty ⇒ nil
+	if flags&derivedMeasurements != 0 {
+		var prev int64
+		e.column(len(ms), func(i int) uint64 {
+			d := uint64(ms[i].TsDevNs - prev)
+			prev = ms[i].TsDevNs
+			return d
+		})
+		e.column(len(ms), func(i int) uint64 { return uint64(ms[i].TeDevNs - ms[i].TsDevNs) })
+		e.column(len(ms), func(i int) uint64 { ns, _ := injectedNs(ms[i].InjectedMs); return uint64(ns) })
+		e.column(len(ms), func(i int) uint64 { return uint64(ms[i].SM) })
+		e.column(len(ms), func(i int) uint64 { return uint64(ms[i].TransitionIndex) })
+		e.column(len(ms), func(i int) uint64 { return uint64(ms[i].SyncSpreadNs) })
+	} else {
+		for i := range ms {
+			m := &ms[i]
 			e.pair(m.Pair)
 			e.f64canon(m.LatencyMs)
 			e.i64(m.TsDevNs)
@@ -287,34 +339,237 @@ func (e *encoder) writeBody(k Key, res *core.Result) {
 			e.f64canon(m.InjectedMs)
 			e.i64(m.SyncSpreadNs)
 		}
+	}
+	if flags&derivedSamples == 0 {
 		e.f64Slice(pr.Samples)
+	}
+	if flags&derivedInjected == 0 {
 		e.f64Slice(pr.Injected)
-		e.int(pr.Attempts)
-		e.int(pr.Failures)
-		e.int(pr.DiscardedByThrottle)
-		e.int(pr.ThrottleEvents)
-		e.bool8(pr.Skipped)
-		e.str(pr.SkipReason)
-		e.f64Slice(pr.Kept)
-		e.f64Slice(pr.Outliers)
-		if c := pr.Clusters; c == nil {
-			e.u8(0)
+	}
+	e.int(pr.Attempts)
+	e.int(pr.Failures)
+	e.int(pr.DiscardedByThrottle)
+	e.int(pr.ThrottleEvents)
+	e.bool8(pr.Skipped)
+	e.str(pr.SkipReason)
+	if c := pr.Clusters; c == nil {
+		e.u8(clustersNone)
+	} else {
+		if labelsFitBytes(c.Labels) {
+			e.u8(clustersByteLabels)
+			e.count(c.Labels == nil, len(c.Labels))
+			for _, l := range c.Labels {
+				e.u8(byte(l - cluster.Noise))
+			}
 		} else {
-			e.u8(1)
+			e.u8(clustersWideLabels)
 			e.count(c.Labels == nil, len(c.Labels))
 			for _, l := range c.Labels {
 				e.int(l)
 			}
-			e.int(c.NumClusters)
-			e.f64canon(c.Eps)
-			e.int(c.MinPts)
 		}
-		s := &pr.Summary
-		e.int(s.N)
-		for _, v := range [...]float64{s.Mean, s.Std, s.Min, s.Q05, s.Q25, s.Median, s.Q75, s.Q95, s.Max, pr.FinalRSE} {
-			e.f64canon(v)
+		e.int(c.NumClusters)
+		e.f64canon(c.Eps)
+		e.int(c.MinPts)
+	}
+	if flags&derivedPartition == 0 {
+		e.f64Slice(pr.Kept)
+		e.f64Slice(pr.Outliers)
+	}
+	s := &pr.Summary
+	e.int(s.N)
+	for _, v := range [...]float64{s.Mean, s.Std, s.Min, s.Q05, s.Q25, s.Median, s.Q75, s.Q95, s.Max, pr.FinalRSE} {
+		e.f64canon(v)
+	}
+}
+
+// column writes n 8-byte values byte-shuffled: byte 0 of every value,
+// then byte 1 of every value, up to byte 7. The high bytes of small
+// integers and deltas are runs of 0x00 or 0xFF, which deflate
+// compresses far better than the same values laid end to end.
+func (e *encoder) column(n int, v func(i int) uint64) {
+	at := len(e.buf)
+	e.buf = slices.Grow(e.buf, 8*n)[:at+8*n]
+	col := e.buf[at:]
+	for i := 0; i < n; i++ {
+		x := v(i)
+		for b := 0; b < 8; b++ {
+			col[b*n+i] = byte(x >> (8 * b))
 		}
 	}
+}
+
+// Pair flags: the fields a pair's body leaves out because the decoder
+// rebuilds them bit for bit from what it does store. A campaign's own
+// results set all four; a result that breaks a rule (a hand-built one,
+// say) stores that field explicitly.
+const (
+	// derivedMeasurements: every measurement's Pair is the pair's,
+	// LatencyMs is float64(TeDevNs−TsDevNs)/1e6 and InjectedMs is NaN or
+	// float64(ns)/1e6 for an integer ns, so the measurements are stored
+	// as six integer columns instead of rows with floats.
+	derivedMeasurements = 1 << iota
+	// derivedSamples: Samples[i] is Measurements[i].LatencyMs.
+	derivedSamples
+	// derivedInjected: Injected[i] is Measurements[i].InjectedMs.
+	derivedInjected
+	// derivedPartition: Kept and Outliers are partition(Samples, Clusters).
+	derivedPartition
+
+	derivedAll = derivedMeasurements | derivedSamples | derivedInjected | derivedPartition
+)
+
+// Clusters tags: no clustering, or its labels as 8-byte integers, or as
+// one byte each (label − cluster.Noise) when every label fits.
+const (
+	clustersNone = iota
+	clustersWideLabels
+	clustersByteLabels
+)
+
+// injectedNaN is the injected-latency column's code for NaN (no ground
+// truth).
+const injectedNaN = math.MinInt64
+
+// injectedNs returns the integer nanoseconds a measurement's InjectedMs
+// was derived from, and whether it was: NaN codes as injectedNaN, and a
+// number must be float64(ns)/1e6 for some ns.
+func injectedNs(ms float64) (int64, bool) {
+	if math.IsNaN(ms) {
+		return injectedNaN, true
+	}
+	if !(math.Abs(ms) < 9e12) { // keeps ms·1e6 inside int64
+		return 0, false
+	}
+	ns := int64(math.Round(ms * 1e6))
+	return ns, math.Float64bits(float64(ns)/1e6) == math.Float64bits(ms)
+}
+
+// injectedMsOf is injectedNs's inverse.
+func injectedMsOf(ns int64) float64 {
+	if ns == injectedNaN {
+		return math.NaN()
+	}
+	return float64(ns) / 1e6
+}
+
+func latencyOf(m *core.Measurement) float64  { return m.LatencyMs }
+func injectedOf(m *core.Measurement) float64 { return m.InjectedMs }
+
+// sameFloat reports whether two measured floats store alike: equal
+// bits, or both NaN.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+func samePair(a, b core.Pair) bool {
+	return math.Float64bits(a.InitMHz) == math.Float64bits(b.InitMHz) &&
+		math.Float64bits(a.TargetMHz) == math.Float64bits(b.TargetMHz)
+}
+
+// measurementsDerive reports whether pr's measurements fit the integer
+// columns (derivedMeasurements).
+func measurementsDerive(pr *core.PairResult) bool {
+	for i := range pr.Measurements {
+		m := &pr.Measurements[i]
+		if _, ok := injectedNs(m.InjectedMs); !ok || !samePair(m.Pair, pr.Pair) ||
+			math.Float64bits(m.LatencyMs) != math.Float64bits(float64(m.TeDevNs-m.TsDevNs)/1e6) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameFloats reports whether xs is the non-nil slice of field over ms.
+func sameFloats(xs []float64, ms []core.Measurement, field func(*core.Measurement) float64) bool {
+	if xs == nil || len(xs) != len(ms) {
+		return false
+	}
+	for i := range ms {
+		if !sameFloat(xs[i], field(&ms[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// derivedFloats is the slice sameFloats compares against.
+func derivedFloats(ms []core.Measurement, field func(*core.Measurement) float64) []float64 {
+	out := make([]float64, len(ms))
+	for i := range ms {
+		out[i] = field(&ms[i])
+	}
+	return out
+}
+
+// partition splits samples the way a campaign does: by the cluster
+// labels into kept (never nil) and noise (nil when there is none), or,
+// without a clustering, keeps a copy of every sample. ok is false when
+// the labels do not cover the samples.
+func partition(samples []float64, c *cluster.Result) (kept, outliers []float64, ok bool) {
+	if c == nil {
+		return append([]float64(nil), samples...), nil, true
+	}
+	if len(c.Labels) != len(samples) {
+		return nil, nil, false
+	}
+	kept = make([]float64, 0, len(samples))
+	for i, l := range c.Labels {
+		if l == cluster.Noise {
+			outliers = append(outliers, samples[i])
+		} else {
+			kept = append(kept, samples[i])
+		}
+	}
+	return kept, outliers, true
+}
+
+// partitionDerives reports whether pr's Kept and Outliers are
+// partition(Samples, Clusters), without building it.
+func partitionDerives(pr *core.PairResult) bool {
+	c := pr.Clusters
+	if c == nil {
+		return pr.Outliers == nil && (pr.Kept == nil) == (len(pr.Samples) == 0) &&
+			len(pr.Kept) == len(pr.Samples) && allSame(pr.Kept, pr.Samples)
+	}
+	if len(c.Labels) != len(pr.Samples) || pr.Kept == nil {
+		return false
+	}
+	k, o := 0, 0
+	for i, l := range c.Labels {
+		if l == cluster.Noise {
+			if o == len(pr.Outliers) || !sameFloat(pr.Outliers[o], pr.Samples[i]) {
+				return false
+			}
+			o++
+		} else {
+			if k == len(pr.Kept) || !sameFloat(pr.Kept[k], pr.Samples[i]) {
+				return false
+			}
+			k++
+		}
+	}
+	return k == len(pr.Kept) && o == len(pr.Outliers) && (pr.Outliers == nil) == (o == 0)
+}
+
+// allSame reports whether two equal-length slices store alike.
+func allSame(a, b []float64) bool {
+	for i := range a {
+		if !sameFloat(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// labelsFitBytes reports whether every label fits clustersByteLabels.
+func labelsFitBytes(labels []int) bool {
+	for _, l := range labels {
+		if l < cluster.Noise || l > cluster.Noise+255 {
+			return false
+		}
+	}
+	return true
 }
 
 // sortFloat64s is an insertion sort: phase-1 sweeps a handful of
@@ -412,6 +667,25 @@ func (r *v3Reader) str() string {
 	s := string(r.b[r.off : r.off+int(n)]) // copies out of the pooled buffer
 	r.off += int(n)
 	return s
+}
+
+// column returns the byte-shuffled column of n values at the cursor
+// (see encoder.column); unshuffle reads value i of it.
+func (r *v3Reader) column(n int) []byte {
+	if !r.need(8 * int64(n)) {
+		return nil
+	}
+	c := r.b[r.off : r.off+8*n]
+	r.off += 8 * n
+	return c
+}
+
+func unshuffle(col []byte, n, i int) uint64 {
+	var x uint64
+	for b := 7; b >= 0; b-- {
+		x = x<<8 | uint64(col[b*n+i])
+	}
+	return x
 }
 
 func (r *v3Reader) f64Slice() []float64 {
@@ -548,7 +822,32 @@ func decodeV3Body(body []byte) (blobHeader, *core.Result, error) {
 
 func decodePair(r *v3Reader) *core.PairResult {
 	pr := &core.PairResult{Pair: r.pair()}
-	if n := r.count(72); n > 0 { // 16+8*7 per measurement
+	flags := r.u8()
+	if flags&^derivedAll != 0 {
+		r.fail("unknown pair flags %#x", flags)
+	}
+	if flags&derivedMeasurements != 0 {
+		if n := r.count(6 * 8); n > 0 {
+			ts, dur, inj := r.column(n), r.column(n), r.column(n)
+			sm, ti, sync := r.column(n), r.column(n), r.column(n)
+			pr.Measurements = make([]core.Measurement, n)
+			var t int64
+			for j := range pr.Measurements {
+				t += int64(unshuffle(ts, n, j))
+				d := int64(unshuffle(dur, n, j))
+				pr.Measurements[j] = core.Measurement{
+					Pair:            pr.Pair,
+					LatencyMs:       float64(d) / 1e6,
+					TsDevNs:         t,
+					TeDevNs:         t + d,
+					SM:              int(unshuffle(sm, n, j)),
+					TransitionIndex: int(unshuffle(ti, n, j)),
+					InjectedMs:      injectedMsOf(int64(unshuffle(inj, n, j))),
+					SyncSpreadNs:    int64(unshuffle(sync, n, j)),
+				}
+			}
+		}
+	} else if n := r.count(72); n > 0 { // 16+8*7 per measurement
 		pr.Measurements = make([]core.Measurement, n)
 		for j := range pr.Measurements {
 			pr.Measurements[j] = core.Measurement{
@@ -563,19 +862,34 @@ func decodePair(r *v3Reader) *core.PairResult {
 			}
 		}
 	}
-	pr.Samples = r.f64Slice()
-	pr.Injected = r.f64Slice()
+	if flags&derivedSamples != 0 {
+		pr.Samples = derivedFloats(pr.Measurements, latencyOf)
+	} else {
+		pr.Samples = r.f64Slice()
+	}
+	if flags&derivedInjected != 0 {
+		pr.Injected = derivedFloats(pr.Measurements, injectedOf)
+	} else {
+		pr.Injected = r.f64Slice()
+	}
 	pr.Attempts = r.int()
 	pr.Failures = r.int()
 	pr.DiscardedByThrottle = r.int()
 	pr.ThrottleEvents = r.int()
 	pr.Skipped = r.u8() != 0
 	pr.SkipReason = r.str()
-	pr.Kept = r.f64Slice()
-	pr.Outliers = r.f64Slice()
-	if r.u8() != 0 {
+	switch tag := r.u8(); tag {
+	case clustersNone:
+	case clustersByteLabels, clustersWideLabels:
 		c := &cluster.Result{}
-		if n := r.count(8); n >= 0 {
+		if tag == clustersByteLabels {
+			if n := r.count(1); n >= 0 {
+				c.Labels = make([]int, n)
+				for j := range c.Labels {
+					c.Labels[j] = int(r.u8()) + cluster.Noise
+				}
+			}
+		} else if n := r.count(8); n >= 0 {
 			c.Labels = make([]int, n)
 			for j := range c.Labels {
 				c.Labels[j] = r.int()
@@ -585,6 +899,17 @@ func decodePair(r *v3Reader) *core.PairResult {
 		c.Eps = r.f64()
 		c.MinPts = r.int()
 		pr.Clusters = c
+	default:
+		r.fail("unknown clusters tag %d", tag)
+	}
+	if flags&derivedPartition != 0 {
+		var ok bool
+		if pr.Kept, pr.Outliers, ok = partition(pr.Samples, pr.Clusters); !ok {
+			r.fail("%d cluster labels for %d samples", len(pr.Clusters.Labels), len(pr.Samples))
+		}
+	} else {
+		pr.Kept = r.f64Slice()
+		pr.Outliers = r.f64Slice()
 	}
 	s := &pr.Summary
 	s.N = r.int()

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"os"
 	"reflect"
 	"strings"
@@ -342,22 +343,22 @@ func TestV3NaNCanonicalization(t *testing.T) {
 // compress/flate, so these hold across Go releases; any change to them
 // changes every blob in every store and needs a SchemaVersion bump.
 // The body starts with the schema, so each bump re-pins them (last at
-// schema 8).
+// schema 9).
 func TestV3GoldenBytes(t *testing.T) {
 	k := Key{Digest: "cafe", Profile: "a100-sxm4", Instance: 2}
 	golden := map[string]struct {
 		rawBytes int64
 		bodySHA  string
 	}{
-		"clusters":         {683, "f67328b1b96250a404da6c37a81178b3d53e12ed30829b76de98c79d3e00cad6"},
-		"codec-fixture":    {56133, "62c24dd616c9e97a64439bc95ac97a96877ba98d9d1a7c87d1fc196bd72b9785"},
-		"empty-slices":     {78, "61effa4576ca41a1ffb96bb65c8aa4b17c3a09cf9db2e2eb426fa9cbe7931a5d"},
-		"float-switches":   {452, "a5728fdd0d50568bb55ded3a607d4a01f4137478f774ec02905fcbb817becf7f"},
-		"measurements":     {434, "55cfaa9cf79e9d88362504d88de9a491497edeea89c203d64dedd48e1c3269b4"},
-		"nil-pair-element": {230, "8d46046ca10185fa1f780dd3f50307afa81be0c0160a5841afd181f2c6acbed0"},
-		"strings":          {339, "317773991ce02361bec48dd712bbc795bd75b44be5ea6cc74a24c2935f4af788"},
-		"test-fixture":     {725, "7d5c183df784fd055c7681bc7b6bd8f01590d9730b6fa0049444424ba552a612"},
-		"zero":             {62, "b4b30c58282f5f7de3170231f9c5859135c8c7d049a01763e44c0b0e2f606946"},
+		"clusters":         {665, "07d5d1f4563cc1c404cf8a4723b580a9d3379b16cbbbfa2a93ee6c277d32889e"},
+		"codec-fixture":    {32993, "6ca30e068fcdbffa4309e074be9837f214c88faef39f3c947298fa767c84a0ef"},
+		"empty-slices":     {78, "71c4b567f9d1a08fe12af5799125928f3aaf0d2e806b3cf81e5bceffec117797"},
+		"float-switches":   {453, "239807e751bddc5285447db626405f0fa3eea777160512a469dbc6a75858b696"},
+		"measurements":     {415, "d7f2c89928a3253c7b2f51e52b9fefaf2aee31269e7467e86a24b254a73b9575"},
+		"nil-pair-element": {223, "e858ca19e36e9512972e760c39aa0157bceafa4effa188bab67cffa9d34c8b3e"},
+		"strings":          {332, "be1ed2cbb0b8522a45105bd97a800a0e96683377766afcff247f403356d5043d"},
+		"test-fixture":     {688, "a5d477d4410df5c5e9ecbb1f2f5e2e145509bc1cf20ec0595ad6570d5fda081d"},
+		"zero":             {62, "d32c9260fd571de9bbb811469d20504265faf01ddd13064cd08691c2b1e7acc8"},
 	}
 	fixtures := adversarialResults()
 	if len(fixtures) != len(golden) {
@@ -488,5 +489,215 @@ func TestProfileKeyBound(t *testing.T) {
 	}
 	if _, err := readV3Header(bytes.NewReader(blob)); err == nil {
 		t.Fatal("readV3Header accepted a profile key past the bound")
+	}
+}
+
+// randFloat draws a measured float: raw random bits, a NaN with a
+// random sign and payload (quiet or signalling), ±Inf, ±0, a number of
+// whole nanoseconds in ms, or a normal draw.
+func randFloat(r *rand.Rand) float64 {
+	switch r.IntN(6) {
+	case 0:
+		return math.Float64frombits(r.Uint64())
+	case 1:
+		payload := r.Uint64()&(1<<52-1) | 1<<uint(r.IntN(52))
+		return math.Float64frombits(r.Uint64()&(1<<63) | 0x7ff<<52 | payload)
+	case 2:
+		return math.Inf(1 - 2*r.IntN(2))
+	case 3:
+		return math.Copysign(0, float64(1-2*r.IntN(2)))
+	case 4:
+		return float64(r.Int64N(1e10)) / 1e6
+	}
+	return r.NormFloat64()
+}
+
+// randFloats draws a slice of measured floats, nil or empty included.
+func randFloats(r *rand.Rand) []float64 {
+	switch r.IntN(4) {
+	case 0:
+		return nil
+	case 1:
+		return []float64{}
+	}
+	xs := make([]float64, 1+r.IntN(6))
+	for i := range xs {
+		xs[i] = randFloat(r)
+	}
+	return xs
+}
+
+// randPair draws a finite pair, sometimes -0 or a huge clock.
+func randPair(r *rand.Rand) core.Pair {
+	f := func() float64 {
+		switch r.IntN(4) {
+		case 0:
+			return math.Copysign(0, -1)
+		case 1:
+			return math.MaxFloat64 * r.Float64()
+		}
+		return float64(210 + 15*r.IntN(100))
+	}
+	return core.Pair{InitMHz: f(), TargetMHz: f()}
+}
+
+// randPairResult draws a pair result whose every derivable field
+// sometimes derives and sometimes does not: measurements built from
+// integers or with arbitrary floats and pairs, Samples and Injected
+// equal to the measurements' floats, longer than them or arbitrary,
+// labels that fit a byte or not and cover the samples or not, and Kept
+// and Outliers that are the label partition or not.
+func randPairResult(r *rand.Rand) *core.PairResult {
+	pr := &core.PairResult{
+		Pair:                randPair(r),
+		Attempts:            r.IntN(100),
+		Failures:            int(r.Int64()),
+		DiscardedByThrottle: r.IntN(3),
+		ThrottleEvents:      -r.IntN(3),
+		Skipped:             r.IntN(4) == 0,
+		SkipReason:          strings.Repeat("é", r.IntN(3)),
+		FinalRSE:            randFloat(r),
+	}
+	derived := r.IntN(2) == 0
+	for i, n := 0, r.IntN(7); i < n; i++ {
+		m := core.Measurement{
+			Pair:            pr.Pair,
+			TsDevNs:         r.Int64() >> uint(r.IntN(64)),
+			TeDevNs:         r.Int64() >> uint(r.IntN(64)),
+			SM:              int(r.Uint64()) >> uint(r.IntN(64)),
+			TransitionIndex: r.IntN(2000),
+			SyncSpreadNs:    -r.Int64(),
+		}
+		m.LatencyMs = float64(m.TeDevNs-m.TsDevNs) / 1e6
+		switch r.IntN(3) {
+		case 0:
+			m.InjectedMs = randFloat(r) // NaN payloads derive, other bits mostly not
+		default:
+			m.InjectedMs = float64(r.Int64()>>uint(r.IntN(64))) / 1e6
+		}
+		if !derived || r.IntN(8) == 0 {
+			switch r.IntN(3) {
+			case 0:
+				m.LatencyMs = randFloat(r)
+			case 1:
+				m.Pair = randPair(r)
+			default:
+				m.InjectedMs = math.Copysign(0, -1)
+			}
+		}
+		pr.Measurements = append(pr.Measurements, m)
+	}
+	if r.IntN(5) == 0 {
+		pr.Measurements = []core.Measurement{}
+	}
+	fromMeasurements := func(field func(*core.Measurement) float64) []float64 {
+		switch r.IntN(4) {
+		case 0:
+			return randFloats(r)
+		case 1: // more values than measurements
+			return append(derivedFloats(pr.Measurements, field), randFloat(r))
+		}
+		return derivedFloats(pr.Measurements, field)
+	}
+	pr.Samples = fromMeasurements(latencyOf)
+	pr.Injected = fromMeasurements(injectedOf)
+	if r.IntN(3) > 0 {
+		c := &cluster.Result{NumClusters: r.IntN(4), Eps: randFloat(r), MinPts: r.IntN(9)}
+		n := len(pr.Samples)
+		if r.IntN(6) == 0 {
+			n = r.IntN(4)
+		}
+		if n > 0 || r.IntN(2) == 0 {
+			c.Labels = make([]int, n)
+		}
+		wide := r.IntN(5) == 0
+		for i := range c.Labels {
+			c.Labels[i] = r.IntN(3) - 1
+			if wide && r.IntN(2) == 0 {
+				c.Labels[i] = []int{-2, 255, 256, math.MaxInt, math.MinInt}[r.IntN(5)]
+			}
+		}
+		pr.Clusters = c
+	}
+	if kept, outliers, ok := partition(pr.Samples, pr.Clusters); ok && r.IntN(2) == 0 {
+		pr.Kept, pr.Outliers = kept, outliers
+		switch r.IntN(6) {
+		case 0:
+			pr.Kept = append(pr.Kept, randFloat(r))
+		case 1: // swap the halves of the partition
+			pr.Kept, pr.Outliers = pr.Outliers, pr.Kept
+		case 2:
+			if pr.Outliers == nil {
+				pr.Outliers = []float64{}
+			}
+		}
+	} else {
+		pr.Kept, pr.Outliers = randFloats(r), randFloats(r)
+	}
+	pr.Summary = stats.Summary{N: r.IntN(50), Mean: randFloat(r), Std: randFloat(r), Min: randFloat(r),
+		Q05: randFloat(r), Q25: randFloat(r), Median: randFloat(r), Q75: randFloat(r), Q95: randFloat(r), Max: randFloat(r)}
+	return pr
+}
+
+// TestV3RoundTripProperty: random results, most of whose floats do not
+// derive from the integers the body stores, decode to themselves (NaN
+// payloads aside) and encode deterministically. Every derivation flag
+// must be seen both set and clear, and both label widths, so each field
+// is exercised on its derived and on its explicit path.
+func TestV3RoundTripProperty(t *testing.T) {
+	r := rand.New(rand.NewPCG(9, 42))
+	k := Key{Digest: "cafe", Profile: "p", Instance: 1}
+	var set, clear [8]int
+	var byteLabels, wideLabels int
+	for iter := 0; iter < 2000; iter++ {
+		res := &core.Result{DeviceName: "d", CaptureHintNs: r.Int64()}
+		for i, n := 0, r.IntN(4); i < n; i++ {
+			if r.IntN(6) == 0 {
+				res.Pairs = append(res.Pairs, nil)
+				continue
+			}
+			pr := randPairResult(r)
+			res.Pairs = append(res.Pairs, pr)
+			for bit, ok := range []bool{measurementsDerive(pr),
+				sameFloats(pr.Samples, pr.Measurements, latencyOf),
+				sameFloats(pr.Injected, pr.Measurements, injectedOf),
+				partitionDerives(pr)} {
+				if ok {
+					set[bit]++
+				} else {
+					clear[bit]++
+				}
+			}
+			if c := pr.Clusters; c != nil && len(c.Labels) > 0 {
+				if labelsFitBytes(c.Labels) {
+					byteLabels++
+				} else {
+					wideLabels++
+				}
+			}
+		}
+		blob, err := EncodeBlobV3(k, res)
+		if err != nil {
+			t.Fatalf("iteration %d: %v", iter, err)
+		}
+		got, err := ValidateBlob(blob, k.Digest)
+		if err != nil {
+			t.Fatalf("iteration %d: %v", iter, err)
+		}
+		if d := diffResult(reflect.ValueOf(got).Elem(), reflect.ValueOf(res).Elem(), "Result"); d != "" {
+			t.Fatalf("iteration %d: round trip changed %s", iter, d)
+		}
+		again, err := EncodeBlobV3(k, got)
+		if err != nil || !bytes.Equal(again, blob) {
+			t.Fatalf("iteration %d: re-encoding the decoded result changed the bytes (err=%v)", iter, err)
+		}
+	}
+	for bit := 0; bit < 4; bit++ {
+		if set[bit] == 0 || clear[bit] == 0 {
+			t.Errorf("derivation flag %d: %d pairs set, %d clear; want both", bit, set[bit], clear[bit])
+		}
+	}
+	if byteLabels == 0 || wideLabels == 0 {
+		t.Errorf("labels: %d byte-wide, %d wide; want both", byteLabels, wideLabels)
 	}
 }

@@ -47,24 +47,37 @@ func FuzzDecodeBlob(f *testing.F) {
 	// bounds checks — truncated length prefixes, section counts pointing
 	// past the end, and a trailing-garbage tail. reV3 rebuilds a valid
 	// container around a mutated body so only the body is hostile.
-	body, err := inflateV3(v3)
-	if err != nil {
-		f.Fatal(err)
-	}
 	reV3 := func(b []byte) []byte {
 		return append(append([]byte(nil), v3Magic[:]...), gzipBytes(f, b)...)
 	}
-	raw := bytes.Clone(body.Bytes())
-	putDecodeBuf(body)
-	for _, cut := range []int{1, 3, 7, len(raw) / 2, len(raw) - 1} {
-		if cut < len(raw) {
-			f.Add(reV3(raw[:cut]))
+	// codecResult is campaign-shaped, so its body stores measurements
+	// as byte-shuffled integer columns and derives the floats; cuts and
+	// flips inside those columns, the pair flags and the byte-wide
+	// labels land on their bounds checks.
+	columns, err := EncodeBlobV3(k, codecResult())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(columns)
+	for _, src := range [][]byte{v3, columns} {
+		body, err := inflateV3(src)
+		if err != nil {
+			f.Fatal(err)
+		}
+		raw := bytes.Clone(body.Bytes())
+		putDecodeBuf(body)
+		for _, cut := range []int{1, 3, 7, len(raw) / 3, len(raw) / 2, len(raw) - 1} {
+			if cut < len(raw) {
+				f.Add(reV3(raw[:cut]))
+			}
+		}
+		f.Add(reV3(append(bytes.Clone(raw), 0xEE))) // trailing body byte
+		for _, at := range []int{len(raw) / 3, len(raw) / 2} {
+			flipped := bytes.Clone(raw)
+			flipped[at] ^= 0xFF // likely lands in a count, a flag or a column
+			f.Add(reV3(flipped))
 		}
 	}
-	f.Add(reV3(append(bytes.Clone(raw), 0xEE))) // trailing body byte
-	counts := bytes.Clone(raw)
-	counts[len(counts)/2] ^= 0xFF // likely lands in a count or length
-	f.Add(reV3(counts))
 	// A high-ratio member: 64 KiB of padding compresses to ~100 bytes,
 	// steering the fuzzer toward the inflation rail, with and without
 	// the magic.

@@ -99,6 +99,7 @@ func (s *Store) GC(p GCPolicy) (GCStats, error) {
 		if err := os.Remove(filepath.Join(s.dir, c.name)); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("store: gc %s: %w", c.name, err)
 		}
+		s.forget(strings.TrimSuffix(c.name, ".json"))
 		total -= c.bytes
 		st.Evicted++
 		return nil

@@ -61,6 +61,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"golatest/internal/core"
@@ -99,8 +100,13 @@ import (
 // 8: before a block detects, phase 3 delivers from a heard segment only
 // the iterations whose jitter could reach the band, the rest elapsing in
 // one draw per run of them, and the warm-up check's folds draw no Σd²,
-// so results are equal in distribution, not in bits.
-const SchemaVersion = 8
+// so results are equal in distribution, not in bits. 9: the body stores
+// each measurement once, as the integers the simulator produced
+// (byte-shuffled columns of t_s deltas, t_e − t_s, injected ns, SM,
+// transition index and sync spread), and rebuilds the floats that derive
+// from them (latencies, samples, injected latencies, the kept/outlier
+// partition) bit for bit; results are unchanged.
+const SchemaVersion = 9
 
 // tmpPrefix marks staging files; the leading dot keeps them out of every
 // blob scan.
@@ -191,6 +197,11 @@ type Store struct {
 	dir string
 
 	hits, misses, corrupt, puts atomic.Int64
+
+	// parsed maps a digest to the SHA-256 of the container bytes that
+	// last passed parseBlob under it here (see parsedAs).
+	parsedMu sync.Mutex
+	parsed   map[string][sha256.Size]byte
 }
 
 // Open creates the directory if needed and returns a handle on it.
@@ -264,15 +275,27 @@ func (s *Store) Get(k Key) (*core.Result, bool) {
 // under digest — the network daemon's read path: the blob is shipped
 // verbatim (no decompress/recompress, no decode/re-encode round trip
 // on the wire), while the validation, traffic counters, LRU touch, and
-// corrupt-blob healing all match Get. Callers that also want the
-// decoded result or the header identity should use GetValidated,
-// which this wraps.
+// corrupt-blob healing all match Get. Bytes equal to ones this handle
+// has already validated under digest (by an earlier GetRaw or PutRaw,
+// see parsedAs) are served without a second parse, so a daemon inflates
+// each blob it serves once, not once per request. Callers that also
+// want the decoded result or the header identity should use
+// GetValidated.
 func (s *Store) GetRaw(digest string) ([]byte, bool) {
-	vb, ok := s.GetValidated(digest)
+	path, data, ok := s.readBlob(digest)
 	if !ok {
 		return nil, false
 	}
-	return vb.Bytes(), true
+	sum := sha256.Sum256(data)
+	if !s.parsedAs(digest, sum) {
+		if _, _, err := parseBlob(data, digest); err != nil {
+			s.reject(path, digest)
+			return nil, false
+		}
+		s.remember(digest, sum)
+	}
+	s.hit(path)
+	return data, true
 }
 
 // PutRaw stores pre-encoded blob container bytes under digest — the
@@ -281,7 +304,8 @@ func (s *Store) GetRaw(digest string) ([]byte, bool) {
 // parse, schema, digest match; failures wrap ErrInvalidBlob), so a
 // caller can never plant a blob Get would reject, then handed to
 // PutValidated, which lands them verbatim — the raw passthrough that
-// makes a remote Put → remote Get cycle copy the container end to end.
+// makes a remote Put → remote Get cycle copy the container end to end —
+// and remembered, so GetRaw serves them without parsing them again.
 // Callers that already hold a ValidatedBlob should call PutValidated
 // directly and skip the re-parse.
 func (s *Store) PutRaw(digest string, data []byte) error {
@@ -289,7 +313,11 @@ func (s *Store) PutRaw(digest string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return s.PutValidated(vb)
+	if err := s.PutValidated(vb); err != nil {
+		return err
+	}
+	s.remember(digest, sha256.Sum256(data))
+	return nil
 }
 
 // Put stores the campaign under the key, atomically: the v3 body is

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"time"
@@ -88,33 +89,87 @@ func (s *Store) PutValidated(vb *ValidatedBlob) error {
 
 // GetValidated returns the proof-carrying blob stored under digest, or
 // (nil, false) on any kind of miss — the read-side constructor of
-// ValidatedBlob and the one read path under Get and GetRaw: validation,
-// counters, LRU touch, and corrupt-blob healing. The returned bytes are
-// the disk container, so a serving layer can pass them to a peer
-// verbatim.
+// ValidatedBlob and the read path under Get: validation, counters, LRU
+// touch, and corrupt-blob healing. The returned bytes are the disk
+// container, so a serving layer can pass them to a peer verbatim.
 func (s *Store) GetValidated(digest string) (*ValidatedBlob, bool) {
-	path := filepath.Join(s.dir, digest+".json")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		s.misses.Add(1)
+	path, data, ok := s.readBlob(digest)
+	if !ok {
 		return nil, false
 	}
 	h, res, err := parseBlob(data, digest)
 	if err != nil {
-		// Remove the unreadable blob, so the corruption is visible for
-		// exactly one Get: the next Put writes a fresh blob. (If a
-		// concurrent writer renamed a good blob into place between the
-		// failed read and this remove, that blob is lost and recomputed
-		// — determinism makes the recompute identical.)
-		s.corrupt.Add(1)
-		s.misses.Add(1)
-		os.Remove(path)
+		s.reject(path, digest)
 		return nil, false
 	}
+	s.hit(path)
+	return newValidatedBlob(data, h, res), true
+}
+
+// readBlob reads the blob file under digest; a missing or unreadable
+// file counts as a miss.
+func (s *Store) readBlob(digest string) (path string, data []byte, ok bool) {
+	path = filepath.Join(s.dir, digest+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		s.forget(digest)
+		s.misses.Add(1)
+		return "", nil, false
+	}
+	return path, data, true
+}
+
+// reject counts an invalid blob as a corrupt miss and removes it, so
+// the corruption is visible for exactly one Get: the next Put writes a
+// fresh blob. (If a concurrent writer renamed a good blob into place
+// between the failed read and this remove, that blob is lost and
+// recomputed — determinism makes the recompute identical.)
+func (s *Store) reject(path, digest string) {
+	s.corrupt.Add(1)
+	s.misses.Add(1)
+	s.forget(digest)
+	os.Remove(path)
+}
+
+// hit counts a hit and advances the blob's LRU clock. Best-effort: a
+// blob a peer evicted in the meantime just stays gone.
+func (s *Store) hit(path string) {
 	s.hits.Add(1)
-	// Advance the LRU clock. Best-effort: a blob a peer evicted in the
-	// meantime just stays gone.
 	now := time.Now()
 	_ = os.Chtimes(path, now, now)
-	return newValidatedBlob(data, h, res), true
+}
+
+// The parsed memo lets GetRaw serve bytes without inflating them again.
+// parseBlob is a pure function of (bytes, digest), so container bytes
+// whose SHA-256 equals that of bytes which already passed it under the
+// same digest pass it again; GetRaw skips only that parse. Any other
+// bytes — a blob a peer rewrote, or one corrupted on disk — hash
+// differently and take the full parse. An entry leaves when this handle
+// finds its blob gone or invalid, or deletes it.
+
+// parsedAs reports whether bytes with this SHA-256 have passed parseBlob
+// under digest in this handle.
+func (s *Store) parsedAs(digest string, sum [sha256.Size]byte) bool {
+	s.parsedMu.Lock()
+	defer s.parsedMu.Unlock()
+	got, ok := s.parsed[digest]
+	return ok && got == sum
+}
+
+// remember records that bytes with this SHA-256 passed parseBlob under
+// digest.
+func (s *Store) remember(digest string, sum [sha256.Size]byte) {
+	s.parsedMu.Lock()
+	defer s.parsedMu.Unlock()
+	if s.parsed == nil {
+		s.parsed = make(map[string][sha256.Size]byte)
+	}
+	s.parsed[digest] = sum
+}
+
+// forget drops digest's memo entry.
+func (s *Store) forget(digest string) {
+	s.parsedMu.Lock()
+	defer s.parsedMu.Unlock()
+	delete(s.parsed, digest)
 }

@@ -106,11 +106,7 @@
 // while the API version only governs how bytes move.
 package storenet
 
-import (
-	"regexp"
-
-	"golatest/internal/store"
-)
+import "golatest/internal/store"
 
 // APIVersion is the wire protocol version — the N of the /vN path
 // prefix. See the package comment for when to bump it.
@@ -129,11 +125,26 @@ const (
 	maxControlBytes = 1 << 16
 )
 
-// digestRe admits the digests the store itself accepts as filenames:
-// no separators, no leading dot (which would collide with staging
-// files), bounded length. Content addresses are 64-char hex; the wider
-// class keeps the daemon usable with the store's test digests.
-var digestRe = regexp.MustCompile(`^[A-Za-z0-9_-][A-Za-z0-9._-]{0,127}$`)
+// maxDigestLen bounds a digest path segment.
+const maxDigestLen = 128
+
+// validDigest admits the digests the store itself accepts as filenames:
+// 1 to maxDigestLen bytes of [A-Za-z0-9._-], so no separators, and no
+// leading dot (which would collide with staging files). Content
+// addresses are 64-char hex; the wider class keeps the daemon usable
+// with the store's test digests.
+func validDigest(d string) bool {
+	if len(d) == 0 || len(d) > maxDigestLen || d[0] == '.' {
+		return false
+	}
+	for i := 0; i < len(d); i++ {
+		c := d[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
+}
 
 // acquireRequest asks for a lease on the digest in the path.
 type acquireRequest struct {

@@ -231,7 +231,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // return means the response has been written.
 func (s *Server) digest(w http.ResponseWriter, r *http.Request) string {
 	d := r.PathValue("digest")
-	if !digestRe.MatchString(d) {
+	if !validDigest(d) {
 		http.Error(w, fmt.Sprintf("storenet: invalid digest %q", d), http.StatusBadRequest)
 		return ""
 	}

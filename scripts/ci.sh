@@ -117,8 +117,14 @@ go test -race -count 2 \
 go test -race -count 2 -run 'TestSweepAutoPolicyAbortsOnPlainStore|TestSweepErrorCarriesShardIdentity' ./internal/fleet
 
 echo "== go test -race (v3 blob codec rails: corrupt and legacy blobs are misses, profile and body bounds hold) =="
-go test -race -run 'TestCorruptBlobIsMissAndHeals|TestBlobInflationBound|TestRejectsMultiMemberContainer|TestV3RoundTrip|TestV3GoldenBytes|TestProfileKeyBound|TestPutRefusesBodyPastDecodeBound' \
+# TestV3RoundTrip also selects TestV3RoundTripProperty (random results
+# whose floats mostly do not derive from the stored integers).
+go test -race -run 'TestCorruptBlobIsMissAndHeals|TestBlobInflationBound|TestRejectsMultiMemberContainer|TestV3RoundTrip|TestV3GoldenBytes|TestProfileKeyBound|TestPutRefusesBodyPastDecodeBound|TestParsedMemoLifecycle|TestParsedMemoConcurrent' \
 	-count 2 ./internal/store
+# The daemon serves bytes it has validated without parsing them again;
+# bytes that change on disk, or a GC'd blob, still answer 404.
+go test -race -run 'TestDaemonServesValidatedBytesWithoutReparse|TestDaemonRefusesCorruptedMemoisedBlob|TestDaemonForgetsGCdBlob|TestWarmRemoteGetDecodeBudgetWithDaemon' \
+	-count 2 ./internal/storenet
 
 echo "== go test -race (backend conformance + auth/ratelimit) =="
 go test -race -count 2 \
@@ -144,7 +150,9 @@ echo "== fuzz smoke (blob codec) =="
 # each is a smoke over the seeded corpus plus whatever the engine grows,
 # not a soak — the corpus seeds alone cover the v3 container, the
 # plain-JSON and gzip-JSON inputs it must reject, truncation, torn v3
-# binary sections, bit flips and the inflation rail.
+# binary sections, bit flips and the inflation rail, on an explicit
+# body and on a campaign-shaped schema-9 body (byte-shuffled integer
+# columns, derived floats, byte-wide cluster labels).
 go test -run '^$' -fuzz 'FuzzDecodeBlob$' -fuzztime 5s ./internal/store
 
 echo "== blob codec benchmarks =="
