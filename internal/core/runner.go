@@ -134,20 +134,13 @@ func (r *Runner) cyclesFor(pair Pair) float64 {
 // given cycle budget.
 func iterNsAt(cycles, f float64) float64 { return workload.IterDurationNs(cycles, f) }
 
-// FreqStats is the phase-1 characterisation of one clock: the iteration
-// duration population of the last warm kernel, in milliseconds.
+// FreqStats is the phase-1 characterisation of one clock: the count,
+// mean and standard deviation of the last warm kernel's iteration
+// durations, in milliseconds — what Algorithm 1's tests and phase 3's
+// detection band read.
 type FreqStats struct {
 	FreqMHz float64
 	Iter    stats.MeanStd // iteration duration, ms
-	// Normalish reports whether the population's skewness and excess
-	// kurtosis lie within plausiblyNormal's margins of the timer-quantised
-	// normal with the same mean and variance
-	// (stats.QuantisedNormalShape). The 2σ band and the pairwise
-	// intervals assume approximate normality (§V-A); a false here flags a
-	// clock whose iteration distribution is skewed or heavy-tailed enough
-	// to distort them (e.g. residual throttling or a contaminated
-	// warm-up).
-	Normalish bool
 }
 
 // Phase1Result carries Algorithm 1's outputs.
@@ -177,33 +170,6 @@ func (r *Runner) refCycles() float64 {
 		}
 	}
 	return workload.CyclesForIterDuration(r.cfg.IterTargetNs, slow)
-}
-
-// plausiblyNormal is the phase-1 shape diagnostic over the streamed
-// skewness (g1) and excess kurtosis (g2) of the population m (ms), read
-// off a timer of quantum quantumNs. A full Jarque–Bera test
-// over-rejects here, and so does any test against a continuous normal's
-// shape: the timer turns a population whose jitter is under a few
-// quanta into a lattice of a few points, which may be skewed, flat or
-// heavy-tailed however normal the underlying durations are — harmless
-// for the 2σ band. So g1 and g2 are judged against the quantised normal
-// with the population's mean and variance (stats.QuantisedNormalShape).
-// A departure of 0.5 in skew (residual throttling or adaptation in the
-// window) or of −1.5 or +3 in kurtosis (strongly bimodal or heavy
-// tails) distorts the band, unless four of the lattice's sampling
-// standard errors exceed it.
-func plausiblyNormal(m stats.MeanStd, g1, g2 float64, quantumNs int64) bool {
-	if math.IsNaN(g1) || math.IsNaN(g2) {
-		return true // too small to judge
-	}
-	q := float64(quantumNs) / 1e6
-	s := m.Std / q
-	w1, w2, se1, se2 := stats.QuantisedNormalShape(m.Mean/q, s*s, m.N)
-	if math.IsNaN(se1) {
-		return true
-	}
-	d1, d2 := math.Abs(g1-w1), g2-w2
-	return d1 < max(0.5, 4*se1) && d2 > -max(1.5, 4*se2) && d2 < max(3, 4*se2)
 }
 
 // declineSink declines every block, so a kernel launched into it only
@@ -284,11 +250,7 @@ func (r *Runner) phase1() (*Phase1Result, error) {
 			res.Unstable = append(res.Unstable, f)
 		}
 		// The sink still holds the last warm kernel's moments.
-		res.Stats[f] = FreqStats{
-			FreqMHz:   f,
-			Iter:      r.moments.MeanStd(),
-			Normalish: plausiblyNormal(r.moments.MeanStd(), r.moments.Skewness(), r.moments.ExcessKurtosis(), r.quantumNs),
-		}
+		res.Stats[f] = FreqStats{FreqMHz: f, Iter: r.moments.MeanStd()}
 	}
 
 	for _, pair := range r.cfg.AllPairs() {

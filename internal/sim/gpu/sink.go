@@ -105,8 +105,8 @@ type TailFolder interface {
 func durMs(s IterSample) float64 { return float64(s.DurNs()) / 1e6 }
 
 // MomentSink is the phase-1 sink: every iteration of every block folds
-// into one moment accumulator, giving the whole kernel's iteration
-// duration mean, standard deviation, skewness and kurtosis (in ms).
+// into one stats.MomentAccumulator, giving the whole kernel's iteration
+// duration count, mean and standard deviation (in ms).
 //
 // A MomentSink is reusable: Reset clears it for the next kernel.
 type MomentSink struct {
@@ -130,12 +130,6 @@ func (s *MomentSink) N() int { return s.total.N() }
 
 // MeanStd returns the kernel's iteration-duration statistics in ms.
 func (s *MomentSink) MeanStd() stats.MeanStd { return s.total.MeanStd() }
-
-// Skewness returns the kernel's sample skewness (g1).
-func (s *MomentSink) Skewness() float64 { return s.total.Skewness() }
-
-// ExcessKurtosis returns the kernel's sample excess kurtosis (g2).
-func (s *MomentSink) ExcessKurtosis() float64 { return s.total.ExcessKurtosis() }
 
 // TailSink is the warm-up verification sink: the iteration count and
 // duration sum of each block's trailing iterations, and nothing else.

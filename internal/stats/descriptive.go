@@ -1,9 +1,9 @@
 // Package stats implements the statistical machinery the LATEST
 // methodology depends on: descriptive estimators (mean, sample standard
 // deviation, standard error of the mean, relative standard error),
-// streaming moment accumulators, normal and Student-t critical values,
-// the Welch mean-difference interval, the shape of a timer-quantised
-// normal, and quantile and histogram utilities.
+// streaming mean and deviation accumulators, normal and Student-t
+// critical values, the Welch mean-difference interval, and quantile and
+// histogram utilities.
 //
 // Everything operates on float64 slices and is allocation-conscious: the
 // phase-3 evaluation scans millions of iteration timings per campaign.

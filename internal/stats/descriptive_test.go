@@ -199,6 +199,35 @@ func TestAccumulatorMatchesDescribe(t *testing.T) {
 	}
 }
 
+// TestMomentAccumulatorSmallSamples pins phase 1's streaming mean and
+// deviation at n = 0 to 4: no observation gives a NaN mean and
+// deviation, one a NaN deviation, and from two on they agree with the
+// two-pass Mean and Stdev; a constant population has a deviation of
+// exactly 0.
+func TestMomentAccumulatorSmallSamples(t *testing.T) {
+	for _, xs := range [][]float64{{1, 2, 4, 8.5}, {5, 5, 5, 5}} {
+		var acc MomentAccumulator
+		for n := 0; n <= len(xs); n++ {
+			if n > 0 {
+				acc.Add(xs[n-1])
+			}
+			got := acc.MeanStd()
+			switch {
+			case acc.N() != n || got.N != n:
+				t.Fatalf("%v: N() %d, MeanStd().N %d after %d observations", xs, acc.N(), got.N, n)
+			case n == 0 && !(math.IsNaN(got.Mean) && math.IsNaN(got.Std)):
+				t.Errorf("empty: %+v, want NaN mean and std", got)
+			case n == 1 && (got.Mean != xs[0] || !math.IsNaN(got.Std)):
+				t.Errorf("%v, n = 1: %+v, want mean %v and NaN std", xs, got, xs[0])
+			case n >= 2 && (!almostEqual(got.Mean, Mean(xs[:n]), 1e-12) || !almostEqual(got.Std, Stdev(xs[:n]), 1e-12)):
+				t.Errorf("%v, n = %d: %+v, two-pass mean %v std %v", xs, n, got, Mean(xs[:n]), Stdev(xs[:n]))
+			case n >= 2 && xs[0] == xs[n-1] && got.Std != 0:
+				t.Errorf("constant population, n = %d: std %v, want 0", n, got.Std)
+			}
+		}
+	}
+}
+
 func TestMeanStdTwoSigmaBounds(t *testing.T) {
 	m := MeanStd{N: 100, Mean: 10, Std: 2}
 	for _, x := range []float64{6, 10, 13.9, 14} {

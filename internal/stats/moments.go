@@ -74,16 +74,18 @@ func (a *Accumulator) N() int { return a.n }
 // MeanStd freezes the accumulator into a MeanStd snapshot.
 func (a *Accumulator) MeanStd() MeanStd { return meanStd(a.n, a.mean, a.m2) }
 
-// MomentAccumulator extends Accumulator to the third and fourth central
-// moments, so the streaming kernel-statistics path can run the phase-1
-// normality diagnostic (skewness/kurtosis) without materialising the
-// iteration population. Updates follow Pébay's one-pass formulas; the
-// mean/M2 recurrences are identical to Accumulator's, so Mean and Std
-// match Describe bit-for-bit over the same input order.
+// MomentAccumulator is phase 1's streaming mean and deviation: one per
+// characterised clock, fed every iteration of its last warm kernel. It
+// is kept apart from Accumulator because its recurrence (Pébay's
+// one-pass update, m2 += δ·(δ/n)·(n−1)) rounds differently from
+// Accumulator's m2 += δ·(x − mean): over the same input the two Stds
+// often differ in the last bits. Phase-1 Std sets every detection band,
+// so every verdict, sample and blob depends on these bits; changing the
+// recurrence changes results.
 type MomentAccumulator struct {
-	n          int
-	mean       float64
-	m2, m3, m4 float64
+	n    int
+	mean float64
+	m2   float64
 }
 
 // Add folds one observation into the accumulator.
@@ -93,11 +95,8 @@ func (a *MomentAccumulator) Add(x float64) {
 	n := float64(a.n)
 	delta := x - a.mean
 	dn := delta / n
-	dn2 := dn * dn
 	term1 := delta * dn * n1
 	a.mean += dn
-	a.m4 += term1*dn2*(n*n-3*n+3) + 6*dn2*a.m2 - 4*dn*a.m3
-	a.m3 += term1*dn*(n-2) - 3*dn*a.m2
 	a.m2 += term1
 }
 
@@ -110,23 +109,3 @@ func (a *MomentAccumulator) Reset() { *a = MomentAccumulator{} }
 
 // MeanStd freezes the accumulator into a MeanStd snapshot.
 func (a *MomentAccumulator) MeanStd() MeanStd { return meanStd(a.n, a.mean, a.m2) }
-
-// Skewness returns the sample skewness (g1), or NaN for n < 3 or zero
-// variance, matching the slice-based Skewness convention.
-func (a *MomentAccumulator) Skewness() float64 {
-	if a.n < 3 || a.m2 == 0 {
-		return math.NaN()
-	}
-	n := float64(a.n)
-	return math.Sqrt(n) * a.m3 / math.Pow(a.m2, 1.5)
-}
-
-// ExcessKurtosis returns the sample excess kurtosis (g2), or NaN for
-// n < 4 or zero variance, matching the slice-based convention.
-func (a *MomentAccumulator) ExcessKurtosis() float64 {
-	if a.n < 4 || a.m2 == 0 {
-		return math.NaN()
-	}
-	n := float64(a.n)
-	return n*a.m4/(a.m2*a.m2) - 3
-}

@@ -34,19 +34,15 @@ import (
 // compression-ratio stats) come from the header alone.
 //
 // Each pair stores its measurements once, as the integers the simulator
-// produced. A flags byte after the pair's frequencies says which fields
-// derive from others (derivedMeasurements and its siblings): when every
-// measurement's latency is float64(t_e − t_s)/1e6 and its injected
-// latency NaN or a whole number of nanoseconds, the measurements are six
-// byte-shuffled columns of 8-byte integers (t_s delta from the previous
-// measurement, t_e − t_s, injected ns with injectedNaN for NaN, SM,
-// transition index, sync spread), and the decoder rebuilds LatencyMs,
-// InjectedMs and each measurement's Pair; Samples, Injected, Kept and
-// Outliers are rebuilt from those and from the cluster labels when they
-// equal what the campaign derives from them. Cluster labels take one
-// byte each when they fit. A field that does not derive — in a
-// hand-built result, say — is stored explicitly, so every result
-// round-trips; a campaign's own result always derives.
+// produced: six byte-shuffled columns of 8-byte integers (t_s delta from
+// the previous measurement, t_e − t_s, injected ns with injectedNaN for
+// NaN, SM, transition index, sync spread). The decoder rebuilds each
+// measurement's Pair, LatencyMs and InjectedMs from them, and the pair's
+// Samples, Injected, Kept and Outliers from those and the cluster
+// labels, exactly as a campaign derives them. A result whose fields do
+// not derive so (a hand-built one, say) has no encoding: the encoder
+// refuses it, naming the pair and the field. Cluster labels take one
+// byte each when they fit.
 //
 // Slices encode as a u32 tag — v3NilSlice for a nil slice, the element
 // count otherwise — preserving the nil-vs-empty distinction; three
@@ -170,13 +166,6 @@ func (e *encoder) count(isNil bool, n int) {
 	}
 }
 
-func (e *encoder) f64Slice(xs []float64) {
-	e.count(xs == nil, len(xs))
-	for _, v := range xs {
-		e.f64canon(v)
-	}
-}
-
 func (e *encoder) pairSlice(ps []core.Pair) {
 	e.count(ps == nil, len(ps))
 	for _, p := range ps {
@@ -187,9 +176,11 @@ func (e *encoder) pairSlice(ps []core.Pair) {
 // encodeBody renders the v3 body of a campaign result under its key
 // into pooled scratch, with its size field patched to the body's
 // length; release it with putEncoder. It refuses a nil result, a
-// profile past maxProfileKey, a non-finite plain float and a body past
-// maxCanonicalBytes — what the encoder renders, the decoder must
-// accept — before the caller has written a byte.
+// profile past maxProfileKey, a non-finite plain float, a pair whose
+// fields do not derive from its measurements' integers (underived) and
+// a body past maxCanonicalBytes — what the encoder renders, the decoder
+// must accept and rebuild bit for bit — before the caller has written a
+// byte.
 func encodeBody(k Key, res *core.Result) (*encoder, error) {
 	if res == nil {
 		return nil, fmt.Errorf("store: nil result for %s", k)
@@ -273,7 +264,6 @@ func (e *encoder) writeBody(k Key, res *core.Result) {
 			e.int(fs.Iter.N)
 			e.f64canon(fs.Iter.Mean)
 			e.f64canon(fs.Iter.Std)
-			e.bool8(fs.Normalish)
 		}
 		e.pairSlice(p1.ValidPairs)
 		e.pairSlice(p1.Excluded)
@@ -284,68 +274,37 @@ func (e *encoder) writeBody(k Key, res *core.Result) {
 	}
 
 	e.count(len(res.Pairs) == 0, len(res.Pairs)) // empty ⇒ nil
-	for _, pr := range res.Pairs {
+	for i, pr := range res.Pairs {
 		if pr == nil {
 			e.u8(0)
 			continue
+		}
+		if why := underived(pr); why != "" && e.err == nil {
+			e.err = fmt.Errorf("pair %d (%v): %s", i, pr.Pair, why)
 		}
 		e.u8(1)
 		e.writePair(pr)
 	}
 }
 
-// writePair renders one pair result. Its flags byte records which
-// fields derive from others (see the derived* bits); those are left
-// out, and every other field is stored explicitly.
+// writePair renders one pair result whose fields derive (underived
+// returns ""): the measurements' integer columns and every field that
+// does not derive from them.
 func (e *encoder) writePair(pr *core.PairResult) {
 	e.pair(pr.Pair)
-	var flags byte
-	if measurementsDerive(pr) {
-		flags |= derivedMeasurements
-	}
-	if sameFloats(pr.Samples, pr.Measurements, latencyOf) {
-		flags |= derivedSamples
-	}
-	if sameFloats(pr.Injected, pr.Measurements, injectedOf) {
-		flags |= derivedInjected
-	}
-	if partitionDerives(pr) {
-		flags |= derivedPartition
-	}
-	e.u8(flags)
 	ms := pr.Measurements
 	e.count(len(ms) == 0, len(ms)) // empty ⇒ nil
-	if flags&derivedMeasurements != 0 {
-		var prev int64
-		e.column(len(ms), func(i int) uint64 {
-			d := uint64(ms[i].TsDevNs - prev)
-			prev = ms[i].TsDevNs
-			return d
-		})
-		e.column(len(ms), func(i int) uint64 { return uint64(ms[i].TeDevNs - ms[i].TsDevNs) })
-		e.column(len(ms), func(i int) uint64 { ns, _ := injectedNs(ms[i].InjectedMs); return uint64(ns) })
-		e.column(len(ms), func(i int) uint64 { return uint64(ms[i].SM) })
-		e.column(len(ms), func(i int) uint64 { return uint64(ms[i].TransitionIndex) })
-		e.column(len(ms), func(i int) uint64 { return uint64(ms[i].SyncSpreadNs) })
-	} else {
-		for i := range ms {
-			m := &ms[i]
-			e.pair(m.Pair)
-			e.f64canon(m.LatencyMs)
-			e.i64(m.TsDevNs)
-			e.i64(m.TeDevNs)
-			e.int(m.SM)
-			e.int(m.TransitionIndex)
-			e.f64canon(m.InjectedMs)
-			e.i64(m.SyncSpreadNs)
-		}
-	}
-	if flags&derivedSamples == 0 {
-		e.f64Slice(pr.Samples)
-	}
-	if flags&derivedInjected == 0 {
-		e.f64Slice(pr.Injected)
-	}
+	var prev int64
+	e.column(len(ms), func(i int) uint64 {
+		d := uint64(ms[i].TsDevNs - prev)
+		prev = ms[i].TsDevNs
+		return d
+	})
+	e.column(len(ms), func(i int) uint64 { return uint64(ms[i].TeDevNs - ms[i].TsDevNs) })
+	e.column(len(ms), func(i int) uint64 { ns, _ := injectedNs(ms[i].InjectedMs); return uint64(ns) })
+	e.column(len(ms), func(i int) uint64 { return uint64(ms[i].SM) })
+	e.column(len(ms), func(i int) uint64 { return uint64(ms[i].TransitionIndex) })
+	e.column(len(ms), func(i int) uint64 { return uint64(ms[i].SyncSpreadNs) })
 	e.int(pr.Attempts)
 	e.int(pr.Failures)
 	e.int(pr.DiscardedByThrottle)
@@ -372,10 +331,6 @@ func (e *encoder) writePair(pr *core.PairResult) {
 		e.f64canon(c.Eps)
 		e.int(c.MinPts)
 	}
-	if flags&derivedPartition == 0 {
-		e.f64Slice(pr.Kept)
-		e.f64Slice(pr.Outliers)
-	}
 	s := &pr.Summary
 	e.int(s.N)
 	for _, v := range [...]float64{s.Mean, s.Std, s.Min, s.Q05, s.Q25, s.Median, s.Q75, s.Q95, s.Max, pr.FinalRSE} {
@@ -398,26 +353,6 @@ func (e *encoder) column(n int, v func(i int) uint64) {
 		}
 	}
 }
-
-// Pair flags: the fields a pair's body leaves out because the decoder
-// rebuilds them bit for bit from what it does store. A campaign's own
-// results set all four; a result that breaks a rule (a hand-built one,
-// say) stores that field explicitly.
-const (
-	// derivedMeasurements: every measurement's Pair is the pair's,
-	// LatencyMs is float64(TeDevNs−TsDevNs)/1e6 and InjectedMs is NaN or
-	// float64(ns)/1e6 for an integer ns, so the measurements are stored
-	// as six integer columns instead of rows with floats.
-	derivedMeasurements = 1 << iota
-	// derivedSamples: Samples[i] is Measurements[i].LatencyMs.
-	derivedSamples
-	// derivedInjected: Injected[i] is Measurements[i].InjectedMs.
-	derivedInjected
-	// derivedPartition: Kept and Outliers are partition(Samples, Clusters).
-	derivedPartition
-
-	derivedAll = derivedMeasurements | derivedSamples | derivedInjected | derivedPartition
-)
 
 // Clusters tags: no clustering, or its labels as 8-byte integers, or as
 // one byte each (label − cluster.Noise) when every label fits.
@@ -467,8 +402,27 @@ func samePair(a, b core.Pair) bool {
 		math.Float64bits(a.TargetMHz) == math.Float64bits(b.TargetMHz)
 }
 
-// measurementsDerive reports whether pr's measurements fit the integer
-// columns (derivedMeasurements).
+// underived says which field of pr the decoder could not rebuild bit
+// for bit from the integers the body stores, or returns "" when every
+// field derives, as in every result a campaign produces.
+func underived(pr *core.PairResult) string {
+	switch {
+	case !measurementsDerive(pr):
+		return "a measurement's Pair, LatencyMs or InjectedMs does not derive from its integers"
+	case !sameFloats(pr.Samples, pr.Measurements, latencyOf):
+		return "Samples is not the measurements' LatencyMs"
+	case !sameFloats(pr.Injected, pr.Measurements, injectedOf):
+		return "Injected is not the measurements' InjectedMs"
+	case !partitionDerives(pr):
+		return "Kept and Outliers are not Samples partitioned by the cluster labels"
+	}
+	return ""
+}
+
+// measurementsDerive reports whether every measurement's Pair is the
+// pair's, its LatencyMs float64(TeDevNs−TsDevNs)/1e6 and its InjectedMs
+// NaN or float64(ns)/1e6 for an integer ns: what the integer columns
+// rebuild.
 func measurementsDerive(pr *core.PairResult) bool {
 	for i := range pr.Measurements {
 		m := &pr.Measurements[i]
@@ -688,18 +642,6 @@ func unshuffle(col []byte, n, i int) uint64 {
 	return x
 }
 
-func (r *v3Reader) f64Slice() []float64 {
-	n := r.count(8)
-	if n < 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.f64()
-	}
-	return out
-}
-
 func (r *v3Reader) pair() core.Pair {
 	return core.Pair{InitMHz: r.f64(), TargetMHz: r.f64()}
 }
@@ -781,12 +723,11 @@ func decodeV3Body(body []byte) (blobHeader, *core.Result, error) {
 
 	if r.u8() != 0 {
 		p1 := &core.Phase1Result{}
-		n := r.count(33) // 8+8+8+8+1 per stat
+		n := r.count(32) // 8+8+8+8 per stat
 		p1.Stats = make(map[float64]core.FreqStats, max(n, 0))
 		for i := 0; i < n; i++ {
 			fs := core.FreqStats{FreqMHz: r.f64()}
 			fs.Iter = stats.MeanStd{N: r.int(), Mean: r.f64(), Std: r.f64()}
-			fs.Normalish = r.u8() != 0
 			p1.Stats[fs.FreqMHz] = fs
 		}
 		p1.ValidPairs = r.pairSlice()
@@ -822,56 +763,28 @@ func decodeV3Body(body []byte) (blobHeader, *core.Result, error) {
 
 func decodePair(r *v3Reader) *core.PairResult {
 	pr := &core.PairResult{Pair: r.pair()}
-	flags := r.u8()
-	if flags&^derivedAll != 0 {
-		r.fail("unknown pair flags %#x", flags)
-	}
-	if flags&derivedMeasurements != 0 {
-		if n := r.count(6 * 8); n > 0 {
-			ts, dur, inj := r.column(n), r.column(n), r.column(n)
-			sm, ti, sync := r.column(n), r.column(n), r.column(n)
-			pr.Measurements = make([]core.Measurement, n)
-			var t int64
-			for j := range pr.Measurements {
-				t += int64(unshuffle(ts, n, j))
-				d := int64(unshuffle(dur, n, j))
-				pr.Measurements[j] = core.Measurement{
-					Pair:            pr.Pair,
-					LatencyMs:       float64(d) / 1e6,
-					TsDevNs:         t,
-					TeDevNs:         t + d,
-					SM:              int(unshuffle(sm, n, j)),
-					TransitionIndex: int(unshuffle(ti, n, j)),
-					InjectedMs:      injectedMsOf(int64(unshuffle(inj, n, j))),
-					SyncSpreadNs:    int64(unshuffle(sync, n, j)),
-				}
-			}
-		}
-	} else if n := r.count(72); n > 0 { // 16+8*7 per measurement
+	if n := r.count(6 * 8); n > 0 {
+		ts, dur, inj := r.column(n), r.column(n), r.column(n)
+		sm, ti, sync := r.column(n), r.column(n), r.column(n)
 		pr.Measurements = make([]core.Measurement, n)
+		var t int64
 		for j := range pr.Measurements {
+			t += int64(unshuffle(ts, n, j))
+			d := int64(unshuffle(dur, n, j))
 			pr.Measurements[j] = core.Measurement{
-				Pair:            r.pair(),
-				LatencyMs:       r.f64(),
-				TsDevNs:         r.i64(),
-				TeDevNs:         r.i64(),
-				SM:              r.int(),
-				TransitionIndex: r.int(),
-				InjectedMs:      r.f64(),
-				SyncSpreadNs:    r.i64(),
+				Pair:            pr.Pair,
+				LatencyMs:       float64(d) / 1e6,
+				TsDevNs:         t,
+				TeDevNs:         t + d,
+				SM:              int(unshuffle(sm, n, j)),
+				TransitionIndex: int(unshuffle(ti, n, j)),
+				InjectedMs:      injectedMsOf(int64(unshuffle(inj, n, j))),
+				SyncSpreadNs:    int64(unshuffle(sync, n, j)),
 			}
 		}
 	}
-	if flags&derivedSamples != 0 {
-		pr.Samples = derivedFloats(pr.Measurements, latencyOf)
-	} else {
-		pr.Samples = r.f64Slice()
-	}
-	if flags&derivedInjected != 0 {
-		pr.Injected = derivedFloats(pr.Measurements, injectedOf)
-	} else {
-		pr.Injected = r.f64Slice()
-	}
+	pr.Samples = derivedFloats(pr.Measurements, latencyOf)
+	pr.Injected = derivedFloats(pr.Measurements, injectedOf)
 	pr.Attempts = r.int()
 	pr.Failures = r.int()
 	pr.DiscardedByThrottle = r.int()
@@ -902,14 +815,9 @@ func decodePair(r *v3Reader) *core.PairResult {
 	default:
 		r.fail("unknown clusters tag %d", tag)
 	}
-	if flags&derivedPartition != 0 {
-		var ok bool
-		if pr.Kept, pr.Outliers, ok = partition(pr.Samples, pr.Clusters); !ok {
-			r.fail("%d cluster labels for %d samples", len(pr.Clusters.Labels), len(pr.Samples))
-		}
-	} else {
-		pr.Kept = r.f64Slice()
-		pr.Outliers = r.f64Slice()
+	var ok bool
+	if pr.Kept, pr.Outliers, ok = partition(pr.Samples, pr.Clusters); !ok {
+		r.fail("%d cluster labels for %d samples", len(pr.Clusters.Labels), len(pr.Samples))
 	}
 	s := &pr.Summary
 	s.N = r.int()

@@ -23,7 +23,10 @@ import (
 // against: every structural and lexical edge the body layout can
 // express — nil-vs-empty slices, omitted optionals,
 // nil pair elements, exotic strings, and float values on both sides of
-// every formatting switch in encoding/json.
+// every formatting switch in encoding/json. Every pair is
+// campaign-shaped: its measurements' floats, Samples, Injected, Kept and
+// Outliers derive from the integers the body stores.
+// underivedResults holds the shapes the encoder refuses.
 func adversarialResults() map[string]*core.Result {
 	nan := math.NaN()
 	oddNaN := math.Float64frombits(0x7ff8_dead_beef_0001) // payload bits ≠ canonical NaN
@@ -43,13 +46,15 @@ func adversarialResults() map[string]*core.Result {
 			DeviceName: "H100",
 			Pairs: []*core.PairResult{
 				nil,
-				{Pair: core.Pair{InitMHz: 210, TargetMHz: 1980}},
+				{Pair: core.Pair{InitMHz: 210, TargetMHz: 1980}, Samples: []float64{}, Injected: []float64{}},
 			},
 		},
 		"strings": {
 			DeviceName:   `<A100 & "friends">`,
 			Architecture: "ctl:\x01\x02\t\n\r\b\f del:\x7f bad:\xff\xe4\xb8 sep:   uni:héllo→世界",
 			Pairs: []*core.PairResult{{
+				Samples:    []float64{},
+				Injected:   []float64{},
 				Skipped:    true,
 				SkipReason: `power "throttling" <unsustainable> & hot`,
 			}},
@@ -57,7 +62,7 @@ func adversarialResults() map[string]*core.Result {
 		"float-switches": {
 			Phase1: &core.Phase1Result{
 				Stats: map[float64]core.FreqStats{
-					1410: {FreqMHz: 1410, Iter: stats.MeanStd{N: 3, Mean: nan, Std: inf}, Normalish: true},
+					1410: {FreqMHz: 1410, Iter: stats.MeanStd{N: 3, Mean: nan, Std: inf}},
 					210:  {FreqMHz: 210, Iter: stats.MeanStd{N: 1, Mean: -inf, Std: math.MaxFloat64}},
 					825:  {FreqMHz: 825, Iter: stats.MeanStd{N: 2, Mean: math.SmallestNonzeroFloat64}},
 				},
@@ -69,11 +74,11 @@ func adversarialResults() map[string]*core.Result {
 				},
 			},
 			Pairs: []*core.PairResult{{
-				Pair:    core.Pair{InitMHz: 1e21, TargetMHz: 9.9e-7},
-				Samples: []float64{nan, oddNaN, inf, math.Inf(-1), -0.0625},
-				Summary: stats.Summarize(nil), // all-NaN summary, N=0
-				Kept:    []float64{},
-				// Outliers nil: null next to Kept's []
+				Pair:     core.Pair{InitMHz: 1e21, TargetMHz: 9.9e-7},
+				Samples:  []float64{},
+				Injected: []float64{},
+				Summary: stats.Summary{N: 5, Mean: nan, Std: oddNaN, Min: math.Inf(-1), Q05: -0.0625,
+					Q25: math.Copysign(0, -1), Median: 1e-30, Q75: 1e21, Q95: math.MaxFloat64, Max: inf},
 				FinalRSE: nan,
 			}},
 		},
@@ -81,16 +86,30 @@ func adversarialResults() map[string]*core.Result {
 			CaptureHintNs: -9_223_372_036_854_775_808,
 			Pairs: []*core.PairResult{
 				{
-					Pair:     core.Pair{InitMHz: 210, TargetMHz: 825},
+					Pair: core.Pair{InitMHz: 210, TargetMHz: 825},
+					Measurements: []core.Measurement{
+						{Pair: core.Pair{InitMHz: 210, TargetMHz: 825}, LatencyMs: 1.5, TeDevNs: 1_500_000, InjectedMs: nan},
+						{Pair: core.Pair{InitMHz: 210, TargetMHz: 825}, LatencyMs: 2.5, TeDevNs: 2_500_000, InjectedMs: nan},
+						{Pair: core.Pair{InitMHz: 210, TargetMHz: 825}, LatencyMs: 3.5, TeDevNs: 3_500_000, InjectedMs: nan},
+					},
 					Samples:  []float64{1.5, 2.5, 3.5},
+					Injected: []float64{nan, nan, nan},
+					Kept:     []float64{1.5, 2.5},
+					Outliers: []float64{3.5},
 					Clusters: &cluster.Result{Labels: []int{0, 0, cluster.Noise}, NumClusters: 1, Eps: nan, MinPts: 4},
 				},
 				{
 					Pair:     core.Pair{InitMHz: 825, TargetMHz: 210},
+					Samples:  []float64{},
+					Injected: []float64{},
+					Kept:     []float64{},
 					Clusters: &cluster.Result{Labels: []int{}, Eps: 0.25},
 				},
 				{
-					Clusters: &cluster.Result{}, // Labels nil → null
+					Samples:  []float64{},
+					Injected: []float64{},
+					Kept:     []float64{},
+					Clusters: &cluster.Result{}, // Labels nil
 				},
 			},
 		},
@@ -102,16 +121,21 @@ func adversarialResults() map[string]*core.Result {
 				Measurements: []core.Measurement{
 					{
 						Pair:      core.Pair{InitMHz: 330, TargetMHz: 1410},
-						LatencyMs: 12.25, TsDevNs: 100, TeDevNs: 12_350_100,
+						LatencyMs: 12.25, TsDevNs: 100, TeDevNs: 12_250_100,
 						SM: 107, TransitionIndex: 9_999, InjectedMs: nan,
 						SyncSpreadNs: -1,
 					},
-					{LatencyMs: oddNaN, InjectedMs: inf},
+					{ // t_s before the previous one's: a negative delta
+						Pair:      core.Pair{InitMHz: 330, TargetMHz: 1410},
+						LatencyMs: 13, TsDevNs: -7, TeDevNs: 12_999_993,
+						InjectedMs: -0.000001, SyncSpreadNs: math.MaxInt64,
+					},
 				},
 				Samples:  []float64{12.25, 13},
-				Injected: []float64{nan, inf},
+				Injected: []float64{nan, -0.000001},
 				Attempts: 7, Failures: 2, DiscardedByThrottle: 3, ThrottleEvents: 1,
 				Kept: []float64{12.25}, Outliers: []float64{13},
+				Clusters: &cluster.Result{Labels: []int{0, cluster.Noise}, NumClusters: 1, Eps: 0.5, MinPts: 2},
 				Summary:  stats.Summarize([]float64{12.25}),
 				FinalRSE: 0.03125,
 			}},
@@ -141,48 +165,93 @@ func firstDiff(a, b []byte) []byte {
 // TestCanonicalWriterRejectsNonFiniteFloats: plain float64 fields (pair
 // frequencies, unstable clocks, phase-1 keys) cannot hold NaN/Inf —
 // encoding/json errors there — so neither EncodeBlobV3 nor Put may
-// accept such a result, and a refused Put leaves nothing behind: no
-// index entry, no blob, no staging file. The error names the key once.
+// accept such a result.
 func TestCanonicalWriterRejectsNonFiniteFloats(t *testing.T) {
-	k := Key{Digest: "cafe", Profile: "p", Instance: 0}
-	prefix := "store: encode " + k.String()
 	bad := map[string]*core.Result{
-		"nan-pair": {Pairs: []*core.PairResult{{Pair: core.Pair{InitMHz: math.NaN()}}}},
+		"nan-pair": {Pairs: []*core.PairResult{{Pair: core.Pair{InitMHz: math.NaN()}, Samples: []float64{}, Injected: []float64{}}}},
 		"inf-unstable": {Phase1: &core.Phase1Result{
 			Unstable: []float64{math.Inf(1)},
 		}},
 	}
 	for name, res := range bad {
-		t.Run(name, func(t *testing.T) {
-			if _, err := EncodeBlobV3(k, res); err == nil {
-				t.Fatal("v3 encoder accepted a result outside the canonical-JSON domain")
-			} else if n := strings.Count(err.Error(), "store: encode"); n != 1 || !strings.HasPrefix(err.Error(), prefix) {
-				t.Fatalf("EncodeBlobV3 error %q: want the %q prefix exactly once", err, prefix)
-			}
+		t.Run(name, func(t *testing.T) { mustRefuse(t, openStore(t), res) })
+	}
+}
 
-			dir := t.TempDir()
-			s, err := Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = s.Put(k, res)
-			if err == nil {
-				t.Fatal("Put accepted a result outside the canonical-JSON domain")
-			}
-			if n := strings.Count(err.Error(), "store: encode"); n != 1 || !strings.Contains(err.Error(), prefix) {
-				t.Fatalf("Put error %q: want %q exactly once", err, prefix)
-			}
-			if s.Len() != 0 {
-				t.Fatalf("refused Put left %d index entries", s.Len())
-			}
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries {
-				if e.Name() == k.blobName() || strings.HasPrefix(e.Name(), tmpPrefix) {
-					t.Fatalf("refused Put left %s in the store dir", e.Name())
-				}
+// mustRefuse asserts that EncodeBlobV3 and s.Put both refuse res, each
+// naming the key once, and that the refused Put leaves nothing behind:
+// no index entry, no blob, no staging file. It returns the encoder's
+// error.
+func mustRefuse(t *testing.T, s *Store, res *core.Result) error {
+	t.Helper()
+	k := Key{Digest: "cafe", Profile: "p", Instance: 0}
+	prefix := "store: encode " + k.String()
+	_, encErr := EncodeBlobV3(k, res)
+	if encErr == nil {
+		t.Fatal("EncodeBlobV3 accepted a result it cannot encode")
+	} else if n := strings.Count(encErr.Error(), "store: encode"); n != 1 || !strings.HasPrefix(encErr.Error(), prefix) {
+		t.Fatalf("EncodeBlobV3 error %q: want the %q prefix exactly once", encErr, prefix)
+	}
+	err := s.Put(k, res)
+	if err == nil {
+		t.Fatal("Put accepted a result EncodeBlobV3 refuses")
+	}
+	if n := strings.Count(err.Error(), "store: encode"); n != 1 || !strings.Contains(err.Error(), prefix) {
+		t.Fatalf("Put error %q: want %q exactly once", err, prefix)
+	}
+	if s.Len() != 0 {
+		t.Fatalf("refused Put left %d index entries", s.Len())
+	}
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() == k.blobName() || strings.HasPrefix(e.Name(), tmpPrefix) {
+			t.Fatalf("refused Put left %s in the store dir", e.Name())
+		}
+	}
+	return encErr
+}
+
+// TestEncodeRefusesUnderivedPairs: the body stores a pair's
+// measurements as integers and rebuilds every float derived from them,
+// so a result whose fields do not derive so has no encoding. Each case
+// breaks one field of the campaign-shaped testResult; EncodeBlobV3 and
+// Put refuse it, naming the pair and the field.
+func TestEncodeRefusesUnderivedPairs(t *testing.T) {
+	const (
+		meas     = "pair 0 (705→1410 MHz): a measurement's Pair, LatencyMs or InjectedMs"
+		samples  = "pair 0 (705→1410 MHz): Samples"
+		injected = "pair 0 (705→1410 MHz): Injected"
+		parts    = "pair 0 (705→1410 MHz): Kept and Outliers"
+	)
+	for name, c := range map[string]struct {
+		change func(pr, skipped *core.PairResult)
+		want   string
+	}{
+		"latency-not-from-integers": {func(pr, _ *core.PairResult) { pr.Measurements[0].LatencyMs = 13.12345678901234 }, meas},
+		"nan-latency":               {func(pr, _ *core.PairResult) { pr.Measurements[0].LatencyMs = math.NaN() }, meas},
+		"injected-fraction-of-ns":   {func(pr, _ *core.PairResult) { pr.Measurements[0].InjectedMs = 0.1234567891 }, meas},
+		"injected-inf":              {func(pr, _ *core.PairResult) { pr.Measurements[0].InjectedMs = math.Inf(1) }, meas},
+		"injected-negative-zero":    {func(pr, _ *core.PairResult) { pr.Measurements[0].InjectedMs = math.Copysign(0, -1) }, meas},
+		"measurement-pair":          {func(pr, _ *core.PairResult) { pr.Measurements[0].Pair = core.Pair{InitMHz: 1410, TargetMHz: 705} }, meas},
+		"samples-nil":               {func(pr, _ *core.PairResult) { pr.Samples = nil }, samples},
+		"samples-longer":            {func(pr, _ *core.PairResult) { pr.Samples = append(pr.Samples, 13) }, samples},
+		"samples-differ":            {func(pr, _ *core.PairResult) { pr.Samples[0] = math.NaN() }, samples},
+		"injected-nil":              {func(pr, _ *core.PairResult) { pr.Injected = nil }, injected},
+		"injected-differ":           {func(pr, _ *core.PairResult) { pr.Injected[0] = 0 }, injected},
+		"outliers-empty-not-nil":    {func(pr, _ *core.PairResult) { pr.Outliers = []float64{} }, parts},
+		"kept-extra":                {func(pr, _ *core.PairResult) { pr.Kept = append(pr.Kept, 1) }, parts},
+		"labels-short":              {func(pr, _ *core.PairResult) { pr.Clusters.Labels = nil }, parts},
+		"kept-nil-unclustered":      {func(pr, _ *core.PairResult) { pr.Clusters, pr.Kept = nil, nil }, parts},
+		"second-pair-samples-nil":   {func(_, sk *core.PairResult) { sk.Samples = nil }, "pair 1 (1410→705 MHz): Samples"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			res := testResult()
+			c.change(res.Pairs[0], res.Pairs[1])
+			if err := mustRefuse(t, openStore(t), res); !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q does not name %q", err, c.want)
 			}
 		})
 	}
@@ -319,10 +388,11 @@ func TestV3NaNCanonicalization(t *testing.T) {
 	k := Key{Digest: "cafe", Profile: "p", Instance: 0}
 	build := func(bits uint64) *core.Result {
 		v := math.Float64frombits(bits)
-		return &core.Result{Pairs: []*core.PairResult{{
-			Samples:  []float64{v, 1},
-			FinalRSE: v,
-		}}}
+		res := testResult()
+		res.Phase1.Stats[885] = core.FreqStats{FreqMHz: 885, Iter: stats.MeanStd{N: 1, Mean: v, Std: v}}
+		res.Pairs[0].Summary.Std = v
+		res.Pairs[0].FinalRSE = v
+		return res
 	}
 	a, err := EncodeBlobV3(k, build(math.Float64bits(math.NaN())))
 	if err != nil {
@@ -343,22 +413,22 @@ func TestV3NaNCanonicalization(t *testing.T) {
 // compress/flate, so these hold across Go releases; any change to them
 // changes every blob in every store and needs a SchemaVersion bump.
 // The body starts with the schema, so each bump re-pins them (last at
-// schema 9).
+// schema 10).
 func TestV3GoldenBytes(t *testing.T) {
 	k := Key{Digest: "cafe", Profile: "a100-sxm4", Instance: 2}
 	golden := map[string]struct {
 		rawBytes int64
 		bodySHA  string
 	}{
-		"clusters":         {665, "07d5d1f4563cc1c404cf8a4723b580a9d3379b16cbbbfa2a93ee6c277d32889e"},
-		"codec-fixture":    {32993, "6ca30e068fcdbffa4309e074be9837f214c88faef39f3c947298fa767c84a0ef"},
-		"empty-slices":     {78, "71c4b567f9d1a08fe12af5799125928f3aaf0d2e806b3cf81e5bceffec117797"},
-		"float-switches":   {453, "239807e751bddc5285447db626405f0fa3eea777160512a469dbc6a75858b696"},
-		"measurements":     {415, "d7f2c89928a3253c7b2f51e52b9fefaf2aee31269e7467e86a24b254a73b9575"},
-		"nil-pair-element": {223, "e858ca19e36e9512972e760c39aa0157bceafa4effa188bab67cffa9d34c8b3e"},
-		"strings":          {332, "be1ed2cbb0b8522a45105bd97a800a0e96683377766afcff247f403356d5043d"},
-		"test-fixture":     {688, "a5d477d4410df5c5e9ecbb1f2f5e2e145509bc1cf20ec0595ad6570d5fda081d"},
-		"zero":             {62, "d32c9260fd571de9bbb811469d20504265faf01ddd13064cd08691c2b1e7acc8"},
+		"clusters":         {734, "0e7674515b8d826305cb975659c452f551c17b104c14149b32442b32bc4ad8a6"},
+		"codec-fixture":    {32973, "4d6bd649bf6783c2c90948d45a34249fa84ecb98f067e7a12e95c3985f55af4d"},
+		"empty-slices":     {78, "b4b4acf1b97392f5c9a6558580cb8fc76abb2255ed2901faca4ea8d50b74265b"},
+		"float-switches":   {393, "861d92a5c7c00f71123098aa886f8ebaa3716a9669bf5fe87d6244c1e25380f4"},
+		"measurements":     {352, "8697348946826e3d089b4754515a71bdad8a49ade1ea0a8c94b4504fd72a80b4"},
+		"nil-pair-element": {214, "a152e01706b3eded2ac23bbcf773566dfcbd44778bd1605de60eec374a357699"},
+		"strings":          {323, "790cc5f2b82b5fbf09719f861ce4f80353ed2bdc95e3a1f03778b4fa60545789"},
+		"test-fixture":     {635, "ce03806cca9281800020dad7cba29869ced0aecad143227d54fc50d76ae8c12f"},
+		"zero":             {62, "8c1b298ace53c2729868405f8b3ced48adeb948e64a43e8bac59c67b7e038a0d"},
 	}
 	fixtures := adversarialResults()
 	if len(fixtures) != len(golden) {
@@ -541,12 +611,11 @@ func randPair(r *rand.Rand) core.Pair {
 	return core.Pair{InitMHz: f(), TargetMHz: f()}
 }
 
-// randPairResult draws a pair result whose every derivable field
-// sometimes derives and sometimes does not: measurements built from
-// integers or with arbitrary floats and pairs, Samples and Injected
-// equal to the measurements' floats, longer than them or arbitrary,
-// labels that fit a byte or not and cover the samples or not, and Kept
-// and Outliers that are the label partition or not.
+// randPairResult draws a campaign-shaped pair result: measurements of
+// random integers (wrapping spans, NaN or whole-nanosecond injected
+// latencies), Samples and Injected their floats, labels that fit a byte
+// or not, and Kept and Outliers the label partition; every other field
+// is random.
 func randPairResult(r *rand.Rand) *core.PairResult {
 	pr := &core.PairResult{
 		Pair:                randPair(r),
@@ -558,7 +627,6 @@ func randPairResult(r *rand.Rand) *core.PairResult {
 		SkipReason:          strings.Repeat("é", r.IntN(3)),
 		FinalRSE:            randFloat(r),
 	}
-	derived := r.IntN(2) == 0
 	for i, n := 0, r.IntN(7); i < n; i++ {
 		m := core.Measurement{
 			Pair:            pr.Pair,
@@ -567,48 +635,23 @@ func randPairResult(r *rand.Rand) *core.PairResult {
 			SM:              int(r.Uint64()) >> uint(r.IntN(64)),
 			TransitionIndex: r.IntN(2000),
 			SyncSpreadNs:    -r.Int64(),
+			InjectedMs:      float64(r.Int64()>>uint(r.IntN(64))) / 1e6,
 		}
 		m.LatencyMs = float64(m.TeDevNs-m.TsDevNs) / 1e6
-		switch r.IntN(3) {
-		case 0:
-			m.InjectedMs = randFloat(r) // NaN payloads derive, other bits mostly not
-		default:
-			m.InjectedMs = float64(r.Int64()>>uint(r.IntN(64))) / 1e6
-		}
-		if !derived || r.IntN(8) == 0 {
-			switch r.IntN(3) {
-			case 0:
-				m.LatencyMs = randFloat(r)
-			case 1:
-				m.Pair = randPair(r)
-			default:
-				m.InjectedMs = math.Copysign(0, -1)
-			}
+		if _, ok := injectedNs(m.InjectedMs); !ok || r.IntN(3) == 0 {
+			m.InjectedMs = math.Float64frombits(0x7ff8<<48 | r.Uint64()>>13) // a NaN of any payload derives
 		}
 		pr.Measurements = append(pr.Measurements, m)
 	}
-	if r.IntN(5) == 0 {
+	if pr.Measurements == nil && r.IntN(2) == 0 {
 		pr.Measurements = []core.Measurement{}
 	}
-	fromMeasurements := func(field func(*core.Measurement) float64) []float64 {
-		switch r.IntN(4) {
-		case 0:
-			return randFloats(r)
-		case 1: // more values than measurements
-			return append(derivedFloats(pr.Measurements, field), randFloat(r))
-		}
-		return derivedFloats(pr.Measurements, field)
-	}
-	pr.Samples = fromMeasurements(latencyOf)
-	pr.Injected = fromMeasurements(injectedOf)
+	pr.Samples = derivedFloats(pr.Measurements, latencyOf)
+	pr.Injected = derivedFloats(pr.Measurements, injectedOf)
 	if r.IntN(3) > 0 {
 		c := &cluster.Result{NumClusters: r.IntN(4), Eps: randFloat(r), MinPts: r.IntN(9)}
-		n := len(pr.Samples)
-		if r.IntN(6) == 0 {
-			n = r.IntN(4)
-		}
-		if n > 0 || r.IntN(2) == 0 {
-			c.Labels = make([]int, n)
+		if len(pr.Samples) > 0 || r.IntN(2) == 0 {
+			c.Labels = make([]int, len(pr.Samples))
 		}
 		wide := r.IntN(5) == 0
 		for i := range c.Labels {
@@ -619,54 +662,103 @@ func randPairResult(r *rand.Rand) *core.PairResult {
 		}
 		pr.Clusters = c
 	}
-	if kept, outliers, ok := partition(pr.Samples, pr.Clusters); ok && r.IntN(2) == 0 {
-		pr.Kept, pr.Outliers = kept, outliers
-		switch r.IntN(6) {
-		case 0:
-			pr.Kept = append(pr.Kept, randFloat(r))
-		case 1: // swap the halves of the partition
-			pr.Kept, pr.Outliers = pr.Outliers, pr.Kept
-		case 2:
-			if pr.Outliers == nil {
-				pr.Outliers = []float64{}
-			}
-		}
-	} else {
-		pr.Kept, pr.Outliers = randFloats(r), randFloats(r)
-	}
+	pr.Kept, pr.Outliers, _ = partition(pr.Samples, pr.Clusters)
 	pr.Summary = stats.Summary{N: r.IntN(50), Mean: randFloat(r), Std: randFloat(r), Min: randFloat(r),
 		Q05: randFloat(r), Q25: randFloat(r), Median: randFloat(r), Q75: randFloat(r), Q95: randFloat(r), Max: randFloat(r)}
 	return pr
 }
 
-// TestV3RoundTripProperty: random results, most of whose floats do not
-// derive from the integers the body stores, decode to themselves (NaN
-// payloads aside) and encode deterministically. Every derivation flag
-// must be seen both set and clear, and both label widths, so each field
-// is exercised on its derived and on its explicit path.
+// breakPair changes one field of the campaign-shaped pr so that it no
+// longer derives from the integers the body stores, and returns how the
+// encoder's refusal names that field.
+func breakPair(r *rand.Rand, pr *core.PairResult) string {
+	nudge := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }
+	for {
+		switch r.IntN(4) {
+		case 0:
+			if len(pr.Measurements) == 0 {
+				continue
+			}
+			m := &pr.Measurements[r.IntN(len(pr.Measurements))]
+			switch r.IntN(4) {
+			case 0:
+				m.LatencyMs = nudge(m.LatencyMs)
+			case 1:
+				m.Pair.TargetMHz = nudge(m.Pair.TargetMHz)
+			case 2:
+				m.InjectedMs = []float64{math.Copysign(0, -1), math.Inf(-1), 0.1234567891}[r.IntN(3)]
+			default:
+				m.LatencyMs = math.NaN()
+			}
+			return "a measurement's Pair, LatencyMs or InjectedMs"
+		case 1:
+			switch {
+			case r.IntN(3) == 0:
+				pr.Samples = nil
+			case len(pr.Samples) > 0 && r.IntN(2) == 0:
+				i := r.IntN(len(pr.Samples))
+				pr.Samples[i] = nudge(pr.Samples[i])
+			default:
+				pr.Samples = append(pr.Samples, randFloat(r))
+			}
+			return "Samples is not"
+		case 2:
+			switch {
+			case r.IntN(3) == 0:
+				pr.Injected = nil
+			case len(pr.Injected) > 0 && r.IntN(2) == 0:
+				i := r.IntN(len(pr.Injected))
+				if math.IsNaN(pr.Injected[i]) {
+					pr.Injected[i] = 0
+				} else {
+					pr.Injected[i] = math.NaN()
+				}
+			default:
+				pr.Injected = append(pr.Injected, randFloat(r))
+			}
+			return "Injected is not"
+		default:
+			switch {
+			case pr.Outliers == nil && r.IntN(2) == 0:
+				pr.Outliers = []float64{}
+			case pr.Clusters != nil && r.IntN(2) == 0:
+				pr.Clusters.Labels = append(pr.Clusters.Labels, 0)
+			default:
+				pr.Kept = append(pr.Kept, randFloat(r))
+			}
+			return "Kept and Outliers"
+		}
+	}
+}
+
+// randResult draws a result of up to four pair slots, some nil.
+func randResult(r *rand.Rand) *core.Result {
+	res := &core.Result{DeviceName: "d", CaptureHintNs: r.Int64()}
+	for i, n := 0, r.IntN(4); i < n; i++ {
+		if r.IntN(6) == 0 {
+			res.Pairs = append(res.Pairs, nil)
+		} else {
+			res.Pairs = append(res.Pairs, randPairResult(r))
+		}
+	}
+	return res
+}
+
+// TestV3RoundTripProperty: random campaign-shaped results decode to
+// themselves (NaN payloads aside) and encode deterministically. Both
+// label widths and measured pairs must be seen.
 func TestV3RoundTripProperty(t *testing.T) {
 	r := rand.New(rand.NewPCG(9, 42))
 	k := Key{Digest: "cafe", Profile: "p", Instance: 1}
-	var set, clear [8]int
-	var byteLabels, wideLabels int
+	var byteLabels, wideLabels, measured int
 	for iter := 0; iter < 2000; iter++ {
-		res := &core.Result{DeviceName: "d", CaptureHintNs: r.Int64()}
-		for i, n := 0, r.IntN(4); i < n; i++ {
-			if r.IntN(6) == 0 {
-				res.Pairs = append(res.Pairs, nil)
+		res := randResult(r)
+		for _, pr := range res.Pairs {
+			if pr == nil {
 				continue
 			}
-			pr := randPairResult(r)
-			res.Pairs = append(res.Pairs, pr)
-			for bit, ok := range []bool{measurementsDerive(pr),
-				sameFloats(pr.Samples, pr.Measurements, latencyOf),
-				sameFloats(pr.Injected, pr.Measurements, injectedOf),
-				partitionDerives(pr)} {
-				if ok {
-					set[bit]++
-				} else {
-					clear[bit]++
-				}
+			if len(pr.Measurements) > 0 {
+				measured++
 			}
 			if c := pr.Clusters; c != nil && len(c.Labels) > 0 {
 				if labelsFitBytes(c.Labels) {
@@ -692,12 +784,34 @@ func TestV3RoundTripProperty(t *testing.T) {
 			t.Fatalf("iteration %d: re-encoding the decoded result changed the bytes (err=%v)", iter, err)
 		}
 	}
-	for bit := 0; bit < 4; bit++ {
-		if set[bit] == 0 || clear[bit] == 0 {
-			t.Errorf("derivation flag %d: %d pairs set, %d clear; want both", bit, set[bit], clear[bit])
+	if byteLabels == 0 || wideLabels == 0 || measured == 0 {
+		t.Errorf("labels: %d byte-wide, %d wide; %d measured pairs; want each", byteLabels, wideLabels, measured)
+	}
+}
+
+// TestV3RefusesUnderivedProperty: a random campaign-shaped result with
+// one field of one pair broken so that it no longer derives is refused
+// by EncodeBlobV3 and by Put, which writes nothing; the error names the
+// pair and the field. Every kind of break must be seen.
+func TestV3RefusesUnderivedProperty(t *testing.T) {
+	r := rand.New(rand.NewPCG(10, 42))
+	s := openStore(t)
+	seen := map[string]int{}
+	for iter := 0; iter < 1000; iter++ {
+		res := randResult(r)
+		res.Pairs = append(res.Pairs, randPairResult(r))
+		i := r.IntN(len(res.Pairs))
+		for res.Pairs[i] == nil {
+			i = (i + 1) % len(res.Pairs)
+		}
+		why := breakPair(r, res.Pairs[i])
+		seen[why]++
+		err := mustRefuse(t, s, res)
+		if want := fmt.Sprintf("pair %d (%v): %s", i, res.Pairs[i].Pair, why); !strings.Contains(err.Error(), want) {
+			t.Fatalf("iteration %d: error %q does not name %q", iter, err, want)
 		}
 	}
-	if byteLabels == 0 || wideLabels == 0 {
-		t.Errorf("labels: %d byte-wide, %d wide; want both", byteLabels, wideLabels)
+	if len(seen) != 4 {
+		t.Errorf("breaks seen: %v; want all four fields", seen)
 	}
 }

@@ -49,6 +49,7 @@ func Run(t *testing.T, open func(t *testing.T) Harness) {
 	t.Run("MissOnAbsent", func(t *testing.T) { testMissOnAbsent(t, open(t)) })
 	t.Run("PutGetRoundTrip", func(t *testing.T) { testPutGetRoundTrip(t, open(t)) })
 	t.Run("NilResultPut", func(t *testing.T) { testNilResultPut(t, open(t)) })
+	t.Run("UnderivedResultPut", func(t *testing.T) { testUnderivedResultPut(t, open(t)) })
 	t.Run("IndexAndLen", func(t *testing.T) { testIndexAndLen(t, open(t)) })
 	t.Run("LeaseExclusive", func(t *testing.T) { testLeaseExclusive(t, open(t)) })
 	t.Run("LeaseExpirySteal", func(t *testing.T) { testLeaseExpirySteal(t, open(t)) })
@@ -72,10 +73,16 @@ func Key(t testing.TB, i int) store.Key {
 	return k
 }
 
-// Result builds the i-th deterministic test result. It carries a NaN
-// so the suite exercises the non-finite float path every backend must
+// Result builds the i-th deterministic test result, shaped like a
+// campaign's: one measurement, the samples and partition derived from
+// it. Its summary's Std and its FinalRSE are NaN (one sample), so the
+// suite exercises the non-finite float path every backend must
 // round-trip.
 func Result(i int) *core.Result {
+	pair := core.Pair{InitMHz: 705, TargetMHz: 1410}
+	m := core.Measurement{Pair: pair, TsDevNs: 1_000_000_000, TeDevNs: 1_013_500_000 + 1_000_000*int64(i),
+		SM: i % 108, TransitionIndex: 3, InjectedMs: math.NaN(), SyncSpreadNs: 250}
+	m.LatencyMs = float64(m.TeDevNs-m.TsDevNs) / 1e6
 	return &core.Result{
 		DeviceName:   fmt.Sprintf("conformance[%d]", i),
 		Architecture: "Ampere",
@@ -85,9 +92,13 @@ func Result(i int) *core.Result {
 			},
 		},
 		Pairs: []*core.PairResult{{
-			Pair:     core.Pair{InitMHz: 705, TargetMHz: 1410},
-			Samples:  []float64{13.5 + float64(i)},
-			Injected: []float64{math.NaN()},
+			Pair:         pair,
+			Measurements: []core.Measurement{m},
+			Samples:      []float64{m.LatencyMs},
+			Injected:     []float64{m.InjectedMs},
+			Kept:         []float64{m.LatencyMs},
+			Summary:      stats.Summarize([]float64{m.LatencyMs}),
+			FinalRSE:     math.NaN(),
 		}},
 	}
 }
@@ -148,6 +159,20 @@ func testPutGetRoundTrip(t *testing.T, h Harness) {
 func testNilResultPut(t *testing.T, h Harness) {
 	if err := h.Backend.Put(Key(t, 2), nil); err == nil {
 		t.Fatal("Put(nil) succeeded; writes must surface errors")
+	}
+}
+
+// testUnderivedResultPut: a result whose samples are not its
+// measurements' latencies has no encoding, so Put refuses it and
+// nothing is stored.
+func testUnderivedResultPut(t *testing.T, h Harness) {
+	k, res := Key(t, 3), Result(3)
+	res.Pairs[0].Samples[0]++
+	if err := h.Backend.Put(k, res); err == nil {
+		t.Fatal("Put of a result whose samples do not derive succeeded")
+	}
+	if _, ok := h.Backend.Get(k); ok || h.Backend.Len() != 0 {
+		t.Fatalf("refused Put stored a blob (Len %d)", h.Backend.Len())
 	}
 }
 

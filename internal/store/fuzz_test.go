@@ -50,10 +50,11 @@ func FuzzDecodeBlob(f *testing.F) {
 	reV3 := func(b []byte) []byte {
 		return append(append([]byte(nil), v3Magic[:]...), gzipBytes(f, b)...)
 	}
-	// codecResult is campaign-shaped, so its body stores measurements
-	// as byte-shuffled integer columns and derives the floats; cuts and
-	// flips inside those columns, the pair flags and the byte-wide
-	// labels land on their bounds checks.
+	// testResult and codecResult are campaign-shaped, as every result
+	// the encoder accepts must be: their bodies store measurements as
+	// byte-shuffled integer columns and derive the floats. codecResult
+	// has 20 pairs of 30 measurements, so cuts and flips inside those
+	// columns and the byte-wide labels land on their bounds checks.
 	columns, err := EncodeBlobV3(k, codecResult())
 	if err != nil {
 		f.Fatal(err)

@@ -105,8 +105,12 @@ import (
 // (byte-shuffled columns of t_s deltas, t_e − t_s, injected ns, SM,
 // transition index and sync spread), and rebuilds the floats that derive
 // from them (latencies, samples, injected latencies, the kept/outlier
-// partition) bit for bit; results are unchanged.
-const SchemaVersion = 9
+// partition) bit for bit; results are unchanged. 10: phase 1 no longer
+// computes or stores its normality flag (FreqStats.Normalish, read by no
+// code), and the body drops its per-pair flags byte and the explicit
+// layout of fields that do not derive: the encoder refuses such a
+// result instead. Every other field is unchanged.
+const SchemaVersion = 10
 
 // tmpPrefix marks staging files; the leading dot keeps them out of every
 // blob scan.

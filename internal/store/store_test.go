@@ -26,8 +26,10 @@ func testConfig() core.Config {
 	}
 }
 
-// testResult exercises every stored field, including the values plain
-// JSON cannot carry (NaN, ±Inf) and the float64-keyed phase-1 map.
+// testResult is campaign-shaped — every float a pair derives from its
+// measurements does — and exercises every stored field, including the
+// values plain JSON cannot carry (NaN, ±Inf) and the float64-keyed
+// phase-1 map.
 func testResult() *core.Result {
 	return &core.Result{
 		DeviceName:    "A100-SXM4[0]",
@@ -35,9 +37,9 @@ func testResult() *core.Result {
 		CaptureHintNs: 120_000_000,
 		Phase1: &core.Phase1Result{
 			Stats: map[float64]core.FreqStats{
-				705:  {FreqMHz: 705, Iter: stats.MeanStd{N: 300, Mean: 0.2130001, Std: 0.001}, Normalish: true},
+				705:  {FreqMHz: 705, Iter: stats.MeanStd{N: 300, Mean: 0.2130001, Std: 0.001}},
 				885:  {FreqMHz: 885, Iter: stats.MeanStd{N: 300, Mean: 0.1700002, Std: 0.0012}},
-				1410: {FreqMHz: 1410, Iter: stats.MeanStd{N: 300, Mean: 0.1064003, Std: 0.0007}, Normalish: true},
+				1410: {FreqMHz: 1410, Iter: stats.MeanStd{N: 300, Mean: 0.1064003, Std: 0.0007}},
 			},
 			ValidPairs: []core.Pair{{InitMHz: 705, TargetMHz: 1410}, {InitMHz: 1410, TargetMHz: 705}},
 			Excluded:   []core.Pair{{InitMHz: 705, TargetMHz: 885}},
@@ -48,7 +50,7 @@ func testResult() *core.Result {
 				Pair: core.Pair{InitMHz: 705, TargetMHz: 1410},
 				Measurements: []core.Measurement{{
 					Pair:            core.Pair{InitMHz: 705, TargetMHz: 1410},
-					LatencyMs:       13.12345678901234,
+					LatencyMs:       13.123456,
 					TsDevNs:         1_000_000_001,
 					TeDevNs:         1_013_123_457,
 					SM:              2,
@@ -56,17 +58,18 @@ func testResult() *core.Result {
 					InjectedMs:      math.NaN(), // unattributed injection
 					SyncSpreadNs:    412,
 				}},
-				Samples:  []float64{13.12345678901234},
+				Samples:  []float64{13.123456},
 				Injected: []float64{math.NaN()},
 				Attempts: 3, Failures: 2,
-				Kept:     []float64{13.12345678901234},
-				Outliers: []float64{},
+				Kept:     []float64{13.123456},
 				Clusters: &cluster.Result{Labels: []int{0}, NumClusters: 1, Eps: 0.42, MinPts: 4},
-				Summary:  stats.Summarize([]float64{13.12345678901234}),
+				Summary:  stats.Summarize([]float64{13.123456}),
 				FinalRSE: 0.031,
 			},
 			{
 				Pair:       core.Pair{InitMHz: 1410, TargetMHz: 705},
+				Samples:    []float64{},
+				Injected:   []float64{},
 				Skipped:    true,
 				SkipReason: "power throttling",
 				Summary:    stats.Summarize(nil), // all-NaN summary
@@ -186,7 +189,7 @@ func TestRoundTripExact(t *testing.T) {
 		t.Fatal("NaN summary did not survive")
 	}
 	fs, ok := got.Phase1.Stats[885]
-	if !ok || fs.Iter.Mean != 0.1700002 || fs.Normalish {
+	if !ok || fs.Iter.Mean != 0.1700002 {
 		t.Fatalf("phase-1 map lost: %+v", got.Phase1.Stats)
 	}
 	if got.Pairs[0].Samples[0] != res.Pairs[0].Samples[0] {

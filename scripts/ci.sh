@@ -49,13 +49,11 @@ echo "== simulator distribution gates (-count=1) =="
 # draws have their own checks: the truncated normal against its CDF in
 # both tails, the geometric count's mean, a non-candidate's moments,
 # and the candidate interval against every iteration of a device with
-# thinning hidden. Beside them: the phase-1 normality flag's 400-seed
-# false-alarm rate and positive controls against the quantised normal,
-# and a steady-state MeasureOnce allocating nothing. go test ./...
-# above may have replayed a cached pass; these must run.
+# thinning hidden. Beside them: a steady-state MeasureOnce allocating
+# nothing. go test ./... above may have replayed a cached pass; these
+# must run.
 go test -count=1 -run '^(TestSkippedPrefixMatchesInDistribution|TestFoldedTailMatchesInDistribution|TestGateSkipsUnheardSegments|TestWakeChunkMatchesInDistribution|TestThinningCandidateDraw|TestThinningMissCounts|TestCandidateIntervalIsConservative)$' ./internal/sim/gpu
-go test -count=1 -run '^(TestFoldedTailKeepsDetection|TestGatedDetectionMatchesInDistribution|TestWarmupFoldMatchesInDistribution|TestPhase1DeclinedKernelsMatchInDistribution|TestPhase1NormalityFlagRate|TestPhase1NormalityFlagsDistortedPopulations|TestMeasureOnceAllocationBound)$' ./internal/core
-go test -count=1 -run '^TestQuantisedNormalShapeMatchesSimulation$' ./internal/stats
+go test -count=1 -run '^(TestFoldedTailKeepsDetection|TestGatedDetectionMatchesInDistribution|TestWarmupFoldMatchesInDistribution|TestPhase1DeclinedKernelsMatchInDistribution|TestMeasureOnceAllocationBound)$' ./internal/core
 
 echo "== full-scale golden (GOLDEN_FULL=1) =="
 # The full set's artefacts and blobs against testdata/full.sha256, cold,
@@ -117,9 +115,10 @@ go test -race -count 2 \
 go test -race -count 2 -run 'TestSweepAutoPolicyAbortsOnPlainStore|TestSweepErrorCarriesShardIdentity' ./internal/fleet
 
 echo "== go test -race (v3 blob codec rails: corrupt and legacy blobs are misses, profile and body bounds hold) =="
-# TestV3RoundTrip also selects TestV3RoundTripProperty (random results
-# whose floats mostly do not derive from the stored integers).
-go test -race -run 'TestCorruptBlobIsMissAndHeals|TestBlobInflationBound|TestRejectsMultiMemberContainer|TestV3RoundTrip|TestV3GoldenBytes|TestProfileKeyBound|TestPutRefusesBodyPastDecodeBound|TestParsedMemoLifecycle|TestParsedMemoConcurrent' \
+# TestV3RoundTrip also selects TestV3RoundTripProperty (random
+# campaign-shaped results); TestV3RefusesUnderivedProperty breaks one
+# derived field of such results and expects the encoder's refusal.
+go test -race -run 'TestCorruptBlobIsMissAndHeals|TestBlobInflationBound|TestRejectsMultiMemberContainer|TestV3RoundTrip|TestV3RefusesUnderivedProperty|TestEncodeRefusesUnderivedPairs|TestV3GoldenBytes|TestProfileKeyBound|TestPutRefusesBodyPastDecodeBound|TestParsedMemoLifecycle|TestParsedMemoConcurrent' \
 	-count 2 ./internal/store
 # The daemon serves bytes it has validated without parsing them again;
 # bytes that change on disk, or a GC'd blob, still answer 404.
